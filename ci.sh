@@ -36,6 +36,12 @@ git diff --exit-code -- results/lint.json lint.allow || {
 echo "==> cargo build --release"
 cargo build --release --workspace
 
+echo "==> fabench output checks (benchmark/sut.rs still fits the product API; verdicts bit-identical, engine clean)"
+benchmark/run.sh --check
+
+echo "==> fabench unit tests"
+(cd benchmark && cargo test -q --offline)
+
 echo "==> cargo test"
 cargo test -q --workspace
 

@@ -6,7 +6,7 @@
 //!    [`InferencePipeline::classify`] once per image.
 //! 2. `classify_batch` — the batched pipeline path on a pre-stacked
 //!    `[N, C, H, W]` tensor (what a server worker executes per batch).
-//! 3. `server_end_to_end` — submit → batcher → worker → response for a
+//! 3. `server_end_to_end` — submit → queue → worker → response for a
 //!    burst of images through the full [`InferenceServer`].
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};

@@ -9,16 +9,27 @@ use crate::error::{Result, ServeError};
 /// Configuration for an [`InferenceServer`](crate::InferenceServer).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ServerConfig {
-    /// Capacity of the bounded submission queue. Submissions beyond
-    /// this are rejected with [`ServeError::Overloaded`] — backpressure
-    /// is explicit, never an unbounded buffer.
+    /// Most requests that may wait for a worker at once, over all
+    /// threat models. Submissions beyond this are rejected with
+    /// [`ServeError::Overloaded`] — backpressure is explicit, never an
+    /// unbounded buffer.
     pub queue_capacity: usize,
-    /// Largest batch the dynamic batcher will coalesce. A full bucket
-    /// is dispatched immediately.
+    /// Largest batch a worker takes at once. A full bucket is ready
+    /// for the next free worker whatever its age.
     pub max_batch_size: usize,
-    /// How long a non-empty bucket may wait for co-batchable requests
-    /// before being dispatched anyway (microseconds; stored as an
-    /// integer so the config is serde-friendly).
+    /// How old a bucket's head must be before a free worker may take a
+    /// bucket that is not yet full (microseconds; stored as an integer
+    /// so the config is serde-friendly). It only ever holds work back
+    /// from an *idle* worker: while all workers are busy, requests
+    /// accumulate into batches on their own, so load, not this timer,
+    /// fills batches. `0` serves a lone request the moment a worker
+    /// wakes, but then every near-simultaneous arrival runs as its own
+    /// batch on its own worker and a few clients keep every core busy:
+    /// throughput tracks whatever CPU the host grants from one run to
+    /// the next. The default `500` lets such arrivals share one batch
+    /// and leaves the cores slack, at half a millisecond per request
+    /// (DESIGN.md §9 has the measured trade). Also pins batch
+    /// composition in tests.
     pub linger_us: u64,
     /// Number of inference worker threads sharing the model.
     pub workers: usize,
@@ -51,7 +62,7 @@ impl Default for ServerConfig {
         ServerConfig {
             queue_capacity: 256,
             max_batch_size: 16,
-            linger_us: 2_000,
+            linger_us: 500,
             workers: 2,
             pixel_min: 0.0,
             pixel_max: 1.0,
@@ -63,7 +74,7 @@ impl Default for ServerConfig {
 }
 
 impl ServerConfig {
-    /// The linger deadline as a [`Duration`].
+    /// The linger hold as a [`Duration`].
     pub fn linger(&self) -> Duration {
         Duration::from_micros(self.linger_us)
     }
@@ -127,10 +138,8 @@ mod tests {
     #[test]
     fn default_is_valid() {
         ServerConfig::default().validate().unwrap();
-        assert_eq!(
-            ServerConfig::default().linger(),
-            Duration::from_micros(2_000)
-        );
+        // A quarter of the old fixed 2 ms linger.
+        assert_eq!(ServerConfig::default().linger(), Duration::from_micros(500));
     }
 
     #[test]

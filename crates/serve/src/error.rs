@@ -8,11 +8,11 @@ pub type Result<T> = std::result::Result<T, ServeError>;
 /// Which enforcement point caught an expired request deadline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DeadlineStage {
-    /// The request expired while waiting in the submission queue (or a
-    /// batcher bucket) — it never reached a worker.
+    /// The request expired while waiting in its batcher bucket — it
+    /// never reached a worker.
     Queue,
-    /// The request expired between batch dispatch and execution — a
-    /// worker saw it too late to serve a fresh answer.
+    /// The request expired between a worker taking its batch and
+    /// executing it — too late to serve a fresh answer.
     Batch,
 }
 

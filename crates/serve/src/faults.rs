@@ -10,9 +10,9 @@
 //!   worker loop so the whole worker thread dies (exercising the
 //!   supervisor's respawn path);
 //! - **delay-on-Nth-batch**: the worker sleeps before executing,
-//!   forcing in-batch deadline expiry behind it;
-//! - **stall-on-Nth-dequeue**: the batcher sleeps before handling a
-//!   dequeued request, forcing in-queue deadline expiry and queue
+//!   holding everything queued behind it;
+//! - **stall-on-Nth-dequeue**: a free worker sleeps before it looks at
+//!   the queue, forcing in-queue deadline expiry and queue
 //!   backpressure;
 //! - **panic-on-Nth-score** / **delay-on-Nth-score**: the triage
 //!   detector panics (or sleeps past its budget) while scoring the Nth
@@ -33,7 +33,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Once};
 use std::time::Duration;
 
-/// A scripted set of faults, cloned into the batcher and every worker.
+/// A scripted set of faults, cloned into every worker.
 /// Clones share the sequence counters, so a plan describes one global
 /// schedule regardless of how many threads consult it.
 #[derive(Debug, Clone, Default)]
@@ -82,9 +82,10 @@ impl FaultPlan {
         self
     }
 
-    /// The batcher sleeps for `stall` before handling dequeued request
-    /// number `seq` (1-based), holding everything behind it in the
-    /// queue.
+    /// The worker about to make dequeue number `seq` (1-based, counted
+    /// across workers, one per batch pulled or park attempted) sleeps
+    /// for `stall` first — outside the queue lock — so whatever is
+    /// queued waits for it or for another free worker.
     #[must_use]
     pub fn stall_dequeue(mut self, seq: u64, stall: Duration) -> Self {
         self.dequeue_stalls.push((seq, stall));
@@ -154,7 +155,7 @@ impl FaultPlan {
         }
     }
 
-    /// Batcher-side hook, called once per dequeued request.
+    /// Worker-side hook, called before each pull from the queue.
     pub(crate) fn on_dequeue(&self) {
         let seq = self.dequeue_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some((_, stall)) = self.dequeue_stalls.iter().find(|(s, _)| *s == seq) {

@@ -9,23 +9,29 @@
 //!
 //! Design pillars:
 //!
-//! - **Backpressure, not buffering**: the submission queue is bounded;
-//!   when it is full, [`submit`](InferenceServer::submit) returns
+//! - **Backpressure, not buffering**: at most `queue_capacity` requests
+//!   wait for a worker; beyond that
+//!   [`submit`](InferenceServer::submit) returns
 //!   [`ServeError::Overloaded`] immediately so callers shed load at the
 //!   edge.
-//! - **Dynamic batching**: a bucket is dispatched the moment it reaches
-//!   `max_batch_size`, or when its linger deadline passes — batch-size
-//!   throughput without unbounded tail latency.
+//! - **Work-conserving dynamic batching**: `submit` pushes straight
+//!   into the shared [`batcher`]; a worker that becomes free takes up to
+//!   `max_batch_size` requests from the bucket whose head has waited
+//!   longest, and parks only when nothing is ready. Under load,
+//!   batches fill from whatever queued up while the workers were busy;
+//!   in front of an *idle* worker a non-full bucket is held until its
+//!   head is `linger_us` old (default 500 µs, `0` = served at once).
 //! - **Fault tolerance**: admission-time input validation
-//!   ([`ServeError::InvalidInput`]), per-request deadlines enforced at
-//!   dequeue and at batch pickup ([`ServeError::DeadlineExceeded`]),
+//!   ([`ServeError::InvalidInput`]), per-request deadlines enforced
+//!   when a worker takes the request and again when it executes the
+//!   batch ([`ServeError::DeadlineExceeded`]),
 //!   `catch_unwind` panic isolation that fails only the offending batch
 //!   ([`ServeError::BatchFailed`]), supervised worker respawn, and a
 //!   [`CircuitBreaker`] that sheds to isolated per-image execution
 //!   after repeated batch failures and recovers via probe batches.
 //! - **Observability**: [`ServerMetrics`] counts requests, batches,
-//!   batch-size distribution, queue depth, rejections, panics,
-//!   respawns, deadline misses (with an overshoot histogram), degraded
+//!   batch-size distribution, queue depth and queue wait, rejections,
+//!   panics, respawns, deadline misses (with an overshoot histogram), degraded
 //!   transitions and end-to-end latency percentiles; [`MetricsReport`]
 //!   serializes to JSON.
 //! - **Adversarial triage** (defense in depth): started with a fitted
@@ -49,8 +55,9 @@
 //!   background, validates each candidate on a held-out slice, and
 //!   hot-swaps it only if its AUC holds up (see [`supervisor`]).
 //! - **Graceful shutdown**: [`shutdown`](InferenceServer::shutdown)
-//!   (and `Drop`) drains every queued and in-flight request before the
-//!   threads exit — no client ever hangs on a dropped slot.
+//!   (and `Drop`) closes the queue, wakes every parked worker and
+//!   drains every queued and in-flight request before the threads exit
+//!   — no client ever hangs on a dropped slot.
 //!
 //! The engine-wide invariant — *every accepted request's handle
 //! resolves, with a verdict or a typed error* — is chaos-tested by the

@@ -18,9 +18,9 @@ const LATENCY_RESERVOIR: usize = 65_536;
 /// the last bucket is open-ended.
 const OVERSHOOT_EDGES_US: [u64; 3] = [1_000, 10_000, 100_000];
 
-/// Live counters shared by the submission path, the batcher and the
-/// workers. All hot-path updates are single atomic ops; only latency
-/// recording takes a (short) lock.
+/// Live counters shared by the submission path and the workers. All
+/// hot-path updates are single atomic ops; only latency recording takes
+/// a (short) lock.
 #[derive(Debug)]
 pub struct ServerMetrics {
     requests_submitted: AtomicU64,
@@ -36,6 +36,8 @@ pub struct ServerMetrics {
     batch_size_counts: Vec<AtomicU64>,
     /// End-to-end latencies in microseconds (submit → verdict ready).
     latencies_us: Mutex<LatencyReservoir>,
+    /// Queue waits in microseconds (submit → taken by a worker).
+    queue_waits_us: Mutex<LatencyReservoir>,
     // Fault-tolerance counters.
     worker_panics: AtomicU64,
     workers_respawned: AtomicU64,
@@ -128,6 +130,11 @@ fn percentile(sorted: &[u64], p_bp: u64) -> u64 {
         .unwrap_or(0)
 }
 
+/// Whole microseconds of `duration`, saturating.
+fn micros(duration: Duration) -> u64 {
+    u64::try_from(duration.as_micros()).unwrap_or(u64::MAX)
+}
+
 impl ServerMetrics {
     /// Metrics sized for batches up to `max_batch_size`.
     pub fn new(max_batch_size: usize) -> Self {
@@ -143,6 +150,7 @@ impl ServerMetrics {
             queue_depth: AtomicUsize::new(0),
             batch_size_counts: (0..max_batch_size).map(|_| AtomicU64::new(0)).collect(),
             latencies_us: Mutex::new(LatencyReservoir::default()),
+            queue_waits_us: Mutex::new(LatencyReservoir::default()),
             worker_panics: AtomicU64::new(0),
             workers_respawned: AtomicU64::new(0),
             batches_failed: AtomicU64::new(0),
@@ -180,9 +188,9 @@ impl ServerMetrics {
     }
 
     /// Reserves a queue slot in the depth gauge. Call *before* the
-    /// request can reach the batcher: if the gauge were bumped after
-    /// enqueueing, the batcher's decrement could land first, saturate
-    /// at zero, and leave the gauge permanently inflated.
+    /// request can reach a worker: if the gauge were bumped after
+    /// enqueueing, the taking worker's decrement could land first,
+    /// saturate at zero, and leave the gauge permanently inflated.
     pub fn record_enqueue_attempt(&self) {
         self.queue_depth.fetch_add(1, Ordering::Relaxed);
     }
@@ -206,7 +214,9 @@ impl ServerMetrics {
         self.requests_invalid.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Records a request leaving the submission queue for a bucket.
+    /// Records a request leaving the queue outside a batch (answered
+    /// there, e.g. expired); batch members are released by
+    /// [`record_batch_taken`](Self::record_batch_taken).
     pub fn record_dequeued(&self) {
         self.release_queue_slot();
     }
@@ -230,6 +240,18 @@ impl ServerMetrics {
         self.max_batch_seen.fetch_max(size, Ordering::Relaxed);
         if let Some(slot) = self.batch_size_counts.get(size.saturating_sub(1)) {
             slot.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Records one batch leaving the queue for a worker: its size and
+    /// each member's queue wait (submit → taken), releasing their slots
+    /// in the depth gauge.
+    pub fn record_batch_taken(&self, queue_waits: impl ExactSizeIterator<Item = Duration>) {
+        self.record_batch(queue_waits.len());
+        let mut reservoir = self.queue_waits_us.lock();
+        for wait in queue_waits {
+            self.release_queue_slot();
+            reservoir.record(micros(wait));
         }
     }
 
@@ -270,7 +292,7 @@ impl ServerMetrics {
             DeadlineStage::Batch => &self.deadline_missed_batch,
         }
         .fetch_add(1, Ordering::Relaxed);
-        let us = u64::try_from(overshoot.as_micros()).unwrap_or(u64::MAX);
+        let us = micros(overshoot);
         let bucket = OVERSHOOT_EDGES_US
             .iter()
             .position(|&edge| us < edge)
@@ -402,8 +424,8 @@ impl ServerMetrics {
         self.degraded_now.load(Ordering::Acquire)
     }
 
-    /// Current submission-queue depth (requests accepted but not yet
-    /// pulled into a batch bucket).
+    /// Current queue depth (requests accepted but not yet taken by a
+    /// worker).
     pub fn queue_depth(&self) -> usize {
         self.queue_depth.load(Ordering::Relaxed)
     }
@@ -413,6 +435,7 @@ impl ServerMetrics {
     /// requests — fine for observability, never for control flow.
     pub fn report(&self) -> MetricsReport {
         let latencies = self.latencies_us.lock().sorted();
+        let queue_waits = self.queue_waits_us.lock().sorted();
         let batches = self.batches_dispatched.load(Ordering::Relaxed);
         let images = self.batched_images.load(Ordering::Relaxed);
         MetricsReport {
@@ -442,6 +465,8 @@ impl ServerMetrics {
             latency_p50_us: percentile(&latencies, 5_000),
             latency_p90_us: percentile(&latencies, 9_000),
             latency_p99_us: percentile(&latencies, 9_900),
+            queue_wait_p50_us: percentile(&queue_waits, 5_000),
+            queue_wait_p99_us: percentile(&queue_waits, 9_900),
             worker_panics: self.worker_panics.load(Ordering::Relaxed),
             workers_respawned: self.workers_respawned.load(Ordering::Relaxed),
             batches_failed: self.batches_failed.load(Ordering::Relaxed),
@@ -634,6 +659,12 @@ pub struct MetricsReport {
     pub latency_p90_us: u64,
     /// 99th-percentile end-to-end latency (µs).
     pub latency_p99_us: u64,
+    /// Median wait between `submit` and a worker taking the request
+    /// into a batch (µs): linger plus time behind busy workers. `0` in
+    /// reports written before the field existed.
+    pub queue_wait_p50_us: u64,
+    /// 99th-percentile queue wait (µs).
+    pub queue_wait_p99_us: u64,
     /// Worker panics caught while executing batches or single images.
     pub worker_panics: u64,
     /// Worker threads replaced after dying mid-flight.
@@ -779,10 +810,10 @@ impl MetricsReport {
     /// part is `(replica index, healthy, report)`.
     ///
     /// Counters sum; histograms sum elementwise; the mean batch size is
-    /// recomputed from totals; latency percentiles take the worst
-    /// replica (a conservative tail estimate — exact merging would need
-    /// the raw reservoirs); the mean latency is weighted by completed
-    /// requests; `swap_generation` is the minimum across replicas, the
+    /// recomputed from totals; latency and queue-wait percentiles take
+    /// the worst replica (a conservative tail estimate — exact merging
+    /// would need the raw reservoirs); the mean latency is weighted by
+    /// completed requests; `swap_generation` is the minimum across replicas, the
     /// generation every replica has provably reached.
     pub fn aggregate(parts: &[(u64, bool, MetricsReport)]) -> MetricsReport {
         let mut total = MetricsReport::empty();
@@ -808,6 +839,8 @@ impl MetricsReport {
             total.latency_p50_us = total.latency_p50_us.max(part.latency_p50_us);
             total.latency_p90_us = total.latency_p90_us.max(part.latency_p90_us);
             total.latency_p99_us = total.latency_p99_us.max(part.latency_p99_us);
+            total.queue_wait_p50_us = total.queue_wait_p50_us.max(part.queue_wait_p50_us);
+            total.queue_wait_p99_us = total.queue_wait_p99_us.max(part.queue_wait_p99_us);
             total.worker_panics += part.worker_panics;
             total.workers_respawned += part.workers_respawned;
             total.batches_failed += part.batches_failed;
@@ -920,6 +953,8 @@ impl MetricsReport {
             latency_p50_us: 0,
             latency_p90_us: 0,
             latency_p99_us: 0,
+            queue_wait_p50_us: 0,
+            queue_wait_p99_us: 0,
             worker_panics: 0,
             workers_respawned: 0,
             batches_failed: 0,
@@ -968,6 +1003,10 @@ impl MetricsReport {
         out.push_str(&format!(
             "  latency:  mean {}µs, p50 {}µs, p90 {}µs, p99 {}µs\n",
             self.latency_mean_us, self.latency_p50_us, self.latency_p90_us, self.latency_p99_us,
+        ));
+        out.push_str(&format!(
+            "  queue wait: p50 {}µs, p99 {}µs (submit → taken by a worker)\n",
+            self.queue_wait_p50_us, self.queue_wait_p99_us,
         ));
         out.push_str(&format!(
             "  faults:   {} worker panics, {} workers respawned, {} batches failed, {} single-image fallbacks\n",
@@ -1105,6 +1144,8 @@ impl Deserialize for MetricsReport {
             latency_p50_us: req_field(value, "latency_p50_us")?,
             latency_p90_us: req_field(value, "latency_p90_us")?,
             latency_p99_us: req_field(value, "latency_p99_us")?,
+            queue_wait_p50_us: opt_field(value, "queue_wait_p50_us")?,
+            queue_wait_p99_us: opt_field(value, "queue_wait_p99_us")?,
             worker_panics: req_field(value, "worker_panics")?,
             workers_respawned: req_field(value, "workers_respawned")?,
             batches_failed: req_field(value, "batches_failed")?,
@@ -1257,7 +1298,7 @@ mod tests {
     fn report_serde_round_trip() {
         let m = ServerMetrics::new(4);
         m.record_submitted();
-        m.record_batch(3);
+        m.record_batch_taken([9, 30, 700].map(Duration::from_micros).into_iter());
         m.record_completed(42);
         m.record_degraded_enter();
         m.record_deadline_miss(DeadlineStage::Batch, Duration::from_millis(2));
@@ -1281,7 +1322,7 @@ mod tests {
         let a = ServerMetrics::new(4);
         a.record_enqueue_attempt();
         a.record_submitted();
-        a.record_batch(2);
+        a.record_batch_taken([40, 60].map(Duration::from_micros).into_iter());
         a.record_completed(100);
         a.record_completed(100);
         a.record_swap();
@@ -1291,7 +1332,7 @@ mod tests {
         b.record_submitted();
         b.record_enqueue_attempt();
         b.record_rejected();
-        b.record_batch(4);
+        b.record_batch_taken([5, 10, 20, 900].map(Duration::from_micros).into_iter());
         b.record_completed(400);
         b.record_degraded_enter();
         b.record_swap();
@@ -1311,6 +1352,10 @@ mod tests {
         assert_eq!(merged.latency_mean_us, 200);
         // Conservative tail: worst replica wins.
         assert_eq!(merged.latency_p99_us, 400);
+        assert_eq!(merged.queue_wait_p50_us, 60); // a's {40, 60} over b's 20
+        assert_eq!(merged.queue_wait_p99_us, 900);
+        // Every taken request released its depth-gauge slot.
+        assert_eq!(merged.queue_depth, 0);
         assert!(merged.degraded_now);
         // a reached gen 2, b only gen 1 → the fleet has proven gen 1.
         assert_eq!(merged.swap_generation, 1);
@@ -1343,11 +1388,13 @@ mod tests {
         let legacy: Vec<(String, serde::Value)> = fields
             .into_iter()
             .filter(|(name, _)| name != "swap_generation" && name != "replicas")
+            .filter(|(name, _)| !name.starts_with("queue_wait_"))
             .collect();
         let back =
             MetricsReport::from_value(&serde::Value::Map(legacy)).expect("legacy schema parses");
         assert_eq!(back.swap_generation, 0);
         assert!(back.replicas.is_empty());
+        assert_eq!((back.queue_wait_p50_us, back.queue_wait_p99_us), (0, 0));
         assert_eq!(back.requests_submitted, report.requests_submitted);
     }
 
@@ -1598,11 +1645,12 @@ mod tests {
     fn render_mentions_key_numbers() {
         let m = ServerMetrics::new(4);
         m.record_batch(4);
-        m.record_batch(4);
+        m.record_batch_taken([Duration::from_micros(37); 4].into_iter());
         m.record_worker_panic();
         m.record_degraded_enter();
         let text = m.report().render();
         assert!(text.contains("2 dispatched"));
+        assert!(text.contains("queue wait: p50 37µs, p99 37µs"));
         assert!(text.contains("4×2"));
         assert!(text.contains("1 worker panics"));
         assert!(text.contains("currently yes"));

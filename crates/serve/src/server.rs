@@ -1,18 +1,18 @@
-//! The serving engine: submission queue → dynamic batcher → supervised
-//! worker pool, with shared metrics, fault isolation and a draining
-//! shutdown.
+//! The serving engine: `submit` pushes into the shared batcher, a
+//! supervised worker pool pulls batches out of it, with shared metrics,
+//! fault isolation and a draining shutdown.
 //!
 //! ```text
-//!                    ┌────────────────────────────────────────────┐
-//!  submit(img, tm) ──► bounded queue ──► batcher thread           │
-//!     │ Overloaded      (capacity)       │  deadline check,       │
-//!     │ InvalidInput                     │  buckets per TM,       │
-//!     ▼ at admission                     │  flush at max_batch    │
-//!  ResponseHandle ◄──────────────────┐   │  or linger deadline    │
-//!     wait()                         │   ▼                        │
-//!                                    │  batch channel ──► workers │
-//!                                    │   (catch_unwind, breaker,  │
-//!                                    └────supervised respawn)     │
+//!                    ┌─────────────────────────────────────────────┐
+//!  submit(img, tm) ──► shared batcher (mutex + condvar)            │
+//!     │ Overloaded   │  one FIFO per TM, `queue_capacity` in all   │
+//!     │ InvalidInput │  ready = full, or head `linger` old         │
+//!     ▼ at admission └──────┬──────────────────────────────────────┘
+//!  ResponseHandle           │ take: oldest ready head, ≤ max_batch,
+//!     wait() ◄─────────┐    ▼ in-queue deadline check
+//!                      │  free worker (parks only if nothing is ready)
+//!                      │   (catch_unwind, breaker,
+//!                      └────supervised respawn)
 //! ```
 //!
 //! Fault model: a worker panic fails only the batch that triggered it
@@ -31,13 +31,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{self, Receiver, Sender};
 use fademl::{Detection, InferencePipeline, ThreatModel, Verdict};
 use fademl_detect::Detector;
 use fademl_tensor::Tensor;
 use parking_lot::RwLock;
 
-use crate::batcher::Batcher;
 use crate::breaker::{BatchMode, CircuitBreaker};
 use crate::config::ServerConfig;
 use crate::error::{DeadlineStage, Result, ServeError};
@@ -113,7 +112,7 @@ pub(crate) fn fault_on_refit(faults: &FaultHandle) {
 /// requests are drained and answered before the threads exit.
 #[derive(Debug)]
 pub struct InferenceServer {
-    queue: SubmissionQueue,
+    queue: Arc<SubmissionQueue>,
     shutting_down: Arc<AtomicBool>,
     metrics: Arc<ServerMetrics>,
     breaker: Arc<CircuitBreaker>,
@@ -126,7 +125,7 @@ pub struct InferenceServer {
     /// requests through its hardened pipeline.
     triage: Option<Arc<TriageRuntime>>,
     /// Fault-injection handle consulted by the admission-time scoring
-    /// path (workers and the batcher hold their own clones).
+    /// path (workers hold their own clones).
     faults: FaultHandle,
     /// The refit supervisor's configuration, when the server was
     /// started adaptive with one. Shared with the background refit
@@ -135,7 +134,6 @@ pub struct InferenceServer {
     /// [`refit_detector`]: InferenceServer::refit_detector
     refit: Option<Arc<SupervisorConfig>>,
     config: ServerConfig,
-    batcher_handle: Option<JoinHandle<()>>,
     supervisor_handle: Option<JoinHandle<()>>,
     refit_handle: Option<JoinHandle<()>>,
 }
@@ -164,13 +162,13 @@ struct WorkerShared {
     pipeline: Arc<RwLock<Arc<InferencePipeline>>>,
     metrics: Arc<ServerMetrics>,
     breaker: Arc<CircuitBreaker>,
-    batch_rx: Receiver<Batch>,
+    queue: Arc<SubmissionQueue>,
     faults: FaultHandle,
     triage: Option<Arc<TriageRuntime>>,
 }
 
-/// Sent to the supervisor when a worker thread ends, cleanly (channel
-/// drained) or not (the thread died unwinding).
+/// Sent to the supervisor when a worker thread ends, cleanly (queue
+/// closed and drained) or not (the thread died unwinding).
 #[derive(Debug)]
 struct WorkerExit {
     idx: usize,
@@ -196,8 +194,8 @@ impl Drop for ExitNotice {
 }
 
 impl InferenceServer {
-    /// Starts the engine: one batcher thread plus `config.workers`
-    /// supervised inference workers sharing `pipeline`.
+    /// Starts the engine: `config.workers` supervised inference workers
+    /// sharing `pipeline` and pulling from one queue.
     ///
     /// # Errors
     ///
@@ -373,26 +371,13 @@ impl InferenceServer {
             config.degrade_after_failures,
             config.probe_every,
         ));
-        let (queue, submission_rx) = SubmissionQueue::new(config.queue_capacity);
-        // Small bound: the batcher blocks here when every worker is
-        // busy, which in turn lets the submission queue fill and shed —
-        // backpressure propagates to the edge instead of buffering.
-        let (batch_tx, batch_rx) = channel::bounded::<Batch>(config.workers * 2);
-
-        let batcher_handle = {
-            let metrics = Arc::clone(&metrics);
-            let config = config.clone();
-            let faults = faults.clone();
-            spawn_thread("fademl-serve-batcher".into(), move || {
-                run_batcher(&submission_rx, &batch_tx, &config, &metrics, &faults)
-            })?
-        };
+        let queue = Arc::new(SubmissionQueue::new(&config));
 
         let shared = Arc::new(WorkerShared {
             pipeline: Arc::clone(&pipeline),
             metrics: Arc::clone(&metrics),
             breaker: Arc::clone(&breaker),
-            batch_rx,
+            queue: Arc::clone(&queue),
             faults: faults.clone(),
             triage: triage.clone(),
         });
@@ -432,7 +417,6 @@ impl InferenceServer {
             faults,
             refit,
             config,
-            batcher_handle: Some(batcher_handle),
             supervisor_handle: Some(supervisor_handle),
             refit_handle,
         })
@@ -457,8 +441,8 @@ impl InferenceServer {
     /// deadline: if the verdict cannot be produced within `deadline`
     /// of now, the request is answered with
     /// [`ServeError::DeadlineExceeded`] instead of a stale result —
-    /// enforced both at dequeue and again when a worker picks up the
-    /// batch.
+    /// enforced when a worker takes the request out of the queue and
+    /// again when it starts executing the batch.
     ///
     /// # Errors
     ///
@@ -525,8 +509,8 @@ impl InferenceServer {
             deadline: deadline.map(|d| submitted_at + d),
             triage,
         };
-        // Reserve the depth-gauge slot before the request can reach the
-        // batcher, so the dequeue decrement can never race ahead of it.
+        // Reserve the depth-gauge slot before the request can reach a
+        // worker, so the dequeue decrement can never race ahead of it.
         self.metrics.record_enqueue_attempt();
         match self.queue.submit(request) {
             Ok(()) => {
@@ -707,17 +691,9 @@ impl InferenceServer {
             // best-effort: a panicked refit loop still counts as stopped.
             let _ = handle.join();
         }
-        // Dropping the queue's sender disconnects the batcher's
-        // receiver once buffered requests are drained; the batcher then
-        // flushes its buckets and drops the batch sender, which lets
-        // each worker run dry, exit cleanly, and the supervisor follow.
-        let (closed, _rx) = SubmissionQueue::new(1);
-        let open = std::mem::replace(&mut self.queue, closed);
-        drop(open);
-        if let Some(handle) = self.batcher_handle.take() {
-            // best-effort: a panicked batcher still counts as stopped.
-            let _ = handle.join();
-        }
+        // Closing the queue wakes every parked worker; they drain all
+        // buckets regardless of linger, exit, and the supervisor follows.
+        self.queue.close();
         if let Some(handle) = self.supervisor_handle.take() {
             // best-effort: same for the supervisor during teardown.
             let _ = handle.join();
@@ -727,10 +703,7 @@ impl InferenceServer {
 
 impl Drop for InferenceServer {
     fn drop(&mut self) {
-        if self.batcher_handle.is_some()
-            || self.supervisor_handle.is_some()
-            || self.refit_handle.is_some()
-        {
+        if self.supervisor_handle.is_some() || self.refit_handle.is_some() {
             self.stop();
         }
     }
@@ -765,7 +738,11 @@ fn spawn_worker(
             idx,
             clean: false,
         };
-        while let Ok(batch) = shared.batch_rx.recv() {
+        loop {
+            fault_on_dequeue(&shared.faults);
+            let Some(batch) = shared.queue.take(&shared.metrics) else {
+                break;
+            };
             process_batch(&shared, batch);
         }
         notice.clean = true;
@@ -790,16 +767,16 @@ fn run_supervisor(
             match spawn_worker(exit.idx, shared, exit_tx) {
                 Ok(handle) => handles.push(handle),
                 // Without a replacement the dead worker counts as gone;
-                // the remaining workers keep draining the channel.
+                // the remaining workers keep draining the queue.
                 Err(_) => live -= 1,
             }
         }
     }
-    // Every worker is gone. If the batcher is still dispatching (all
-    // workers died and could not be respawned), answer its batches with
-    // a typed error until the channel disconnects — clients must never
-    // hang on a batch nobody will execute.
-    while let Ok(batch) = shared.batch_rx.recv() {
+    // Every worker is gone. If the queue is still open (all workers
+    // died and could not be respawned), answer what it holds with a
+    // typed error until shutdown closes it — clients must never hang on
+    // a batch nobody will execute.
+    while let Some(batch) = shared.queue.take(&shared.metrics) {
         for request in batch.requests {
             if request.fail(ServeError::BatchFailed {
                 reason: "no workers available".into(),
@@ -847,71 +824,6 @@ fn validate_image(image: &Tensor, config: &ServerConfig) -> Result<()> {
     Ok(())
 }
 
-/// Batcher loop: pull requests, enforce in-queue deadlines, bucket by
-/// threat model, dispatch full buckets immediately and lingering
-/// buckets at their deadline.
-fn run_batcher(
-    submission_rx: &Receiver<Request>,
-    batch_tx: &Sender<Batch>,
-    config: &ServerConfig,
-    metrics: &ServerMetrics,
-    faults: &FaultHandle,
-) {
-    let mut batcher = Batcher::new(config.max_batch_size, config.linger());
-    let dispatch = |batch: Batch| {
-        metrics.record_batch(batch.requests.len());
-        // A send error means every worker is gone; answer the batch's
-        // requests so no client hangs forever.
-        if let Err(crossbeam::channel::SendError(batch)) = batch_tx.send(batch) {
-            for request in batch.requests {
-                if request.fail(ServeError::ShuttingDown) {
-                    metrics.record_failed();
-                }
-            }
-        }
-    };
-    loop {
-        let received = match batcher.next_deadline() {
-            // Nothing buffered: sleep until work arrives.
-            None => submission_rx
-                .recv()
-                .map_err(|_| RecvTimeoutError::Disconnected),
-            Some(deadline) => {
-                let timeout = deadline.saturating_duration_since(Instant::now());
-                submission_rx.recv_timeout(timeout)
-            }
-        };
-        match received {
-            Ok(request) => {
-                metrics.record_dequeued();
-                fault_on_dequeue(faults);
-                let now = Instant::now();
-                if let Some(overshoot) = request.overshoot(now) {
-                    // Expired while queued: answer now rather than
-                    // serving a stale verdict later.
-                    metrics.record_deadline_miss(DeadlineStage::Queue, overshoot);
-                    if request.fail(ServeError::DeadlineExceeded {
-                        stage: DeadlineStage::Queue,
-                    }) {
-                        metrics.record_failed();
-                    }
-                } else if let Some(batch) = batcher.push(request, now) {
-                    dispatch(batch);
-                }
-            }
-            Err(RecvTimeoutError::Timeout) => {}
-            Err(RecvTimeoutError::Disconnected) => break,
-        }
-        for batch in batcher.take_expired(Instant::now()) {
-            dispatch(batch);
-        }
-    }
-    // Shutdown drain: everything still buffered goes out as-is.
-    for batch in batcher.flush_all() {
-        dispatch(batch);
-    }
-}
-
 /// One request awaiting execution inside a batch: its slot, its
 /// submission time, and the detection annotation (if triaged) to carry
 /// back on the verdict.
@@ -921,8 +833,8 @@ struct Waiter {
     detection: Option<Detection>,
 }
 
-/// Mid-batch drop guard: if the worker dies between dequeue and
-/// delivery — panic, injected kill, anything that unwinds — every
+/// Mid-batch drop guard: if the worker dies between taking the batch
+/// and delivery — panic, injected kill, anything that unwinds — every
 /// still-unanswered handle in the batch resolves with a typed error
 /// instead of hanging a client forever.
 struct AnswerOnDrop<'a> {
@@ -961,8 +873,8 @@ fn process_batch(shared: &WorkerShared, batch: Batch) {
     let mut hard_waiters = Vec::new();
     for request in batch.requests {
         if let Some(overshoot) = request.overshoot(now) {
-            // Expired between dispatch and execution (e.g. behind a
-            // slow batch): refuse to serve a stale answer.
+            // Expired between leaving the queue and execution: refuse
+            // to serve a stale answer.
             shared
                 .metrics
                 .record_deadline_miss(DeadlineStage::Batch, overshoot);
@@ -1240,7 +1152,7 @@ mod tests {
         assert_eq!(report.requests_completed, 10);
         assert_eq!(report.requests_failed, 0);
         // Depth gauge must net out to zero after a full drain — the
-        // enqueue increment is reserved before the batcher can race it.
+        // enqueue increment is reserved before a worker can race it.
         assert_eq!(report.queue_depth, 0);
         assert!(report.batches_dispatched >= 3); // ≥ one per threat model
         assert!(report.max_batch_seen <= 4);
@@ -1250,9 +1162,108 @@ mod tests {
     }
 
     #[test]
+    fn a_lone_request_waits_no_longer_than_the_linger_plus_a_wake_up() {
+        // Concurrency 1, so every batch is a singleton and the queue
+        // wait is the hold plus one worker wake-up: never shorter than
+        // the hold, and at both settings under the 2000 the old push
+        // design's default could not beat.
+        for linger_us in [0, ServerConfig::default().linger_us] {
+            let config = ServerConfig {
+                linger_us,
+                ..ServerConfig::default()
+            };
+            let server = InferenceServer::start(pipeline(), config).unwrap();
+            for img in images(20, 30) {
+                server.classify(img, ThreatModel::III).unwrap();
+            }
+            let report = server.shutdown();
+            assert_eq!(report.batch_size_counts[0], 20, "concurrency 1: singletons");
+            assert!(
+                (linger_us..2_000).contains(&report.queue_wait_p50_us),
+                "linger {linger_us}µs: queue wait p50 {}µs",
+                report.queue_wait_p50_us
+            );
+            assert!(report.queue_wait_p50_us <= report.latency_p50_us);
+        }
+    }
+
+    #[test]
+    fn shutdown_wakes_parked_workers_promptly() {
+        let server = InferenceServer::start(
+            pipeline(),
+            ServerConfig {
+                workers: 4,
+                ..ServerConfig::default()
+            },
+        )
+        .unwrap();
+        // By the time one request has been served the other workers have
+        // had every chance to park; shutdown must return either way.
+        server
+            .classify(images(1, 31).pop().unwrap(), ThreatModel::I)
+            .unwrap();
+        let started = Instant::now();
+        let report = server.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(5));
+        assert_eq!(report.requests_completed, 1);
+    }
+
+    /// The one place a deadline can still expire in stage `Batch`: after
+    /// the worker took the request out of the queue, before it executes.
+    #[test]
+    fn deadline_passed_between_take_and_execution_is_a_batch_stage_miss() {
+        let config = ServerConfig::default();
+        let shared = WorkerShared {
+            pipeline: Arc::new(RwLock::new(Arc::new(pipeline()))),
+            metrics: Arc::new(ServerMetrics::new(config.max_batch_size)),
+            breaker: Arc::new(CircuitBreaker::new(3, 4)),
+            queue: Arc::new(SubmissionQueue::new(&config)),
+            faults: no_faults(),
+            triage: None,
+        };
+        let mut imgs = images(2, 32).into_iter();
+        let now = Instant::now();
+        let mut handles = Vec::new();
+        let requests = [Some(now - Duration::from_millis(1)), None]
+            .into_iter()
+            .map(|deadline| {
+                let slot = ResponseSlot::new();
+                handles.push(ResponseHandle::new(Arc::clone(&slot)));
+                Request {
+                    image: imgs.next().unwrap(),
+                    threat: ThreatModel::I,
+                    slot,
+                    submitted_at: now - Duration::from_millis(5),
+                    deadline,
+                    triage: None,
+                }
+            })
+            .collect();
+        process_batch(
+            &shared,
+            Batch {
+                threat: ThreatModel::I,
+                requests,
+            },
+        );
+        let live = handles.pop().unwrap();
+        let stale = handles.pop().unwrap();
+        assert_eq!(
+            stale.wait(),
+            Err(ServeError::DeadlineExceeded {
+                stage: DeadlineStage::Batch,
+            })
+        );
+        assert!(live.wait().is_ok(), "its batch-mate is still served");
+        let report = shared.metrics.report();
+        assert_eq!(report.deadline_missed_batch, 1);
+        assert_eq!(report.deadline_missed_queue, 0);
+    }
+
+    #[test]
     fn shutdown_drains_in_flight_requests() {
         // Long linger + large batches: requests sit in buckets until
-        // shutdown flushes them.
+        // shutdown drains them.
         let server = InferenceServer::start(
             pipeline(),
             ServerConfig {
@@ -1268,7 +1279,9 @@ mod tests {
             .into_iter()
             .map(|img| server.submit(img, ThreatModel::III).unwrap())
             .collect();
+        let started = Instant::now();
         let report = server.shutdown();
+        assert!(started.elapsed() < Duration::from_secs(5), "no 60 s hold");
         assert_eq!(report.requests_completed, 5);
         for handle in handles {
             assert!(handle.wait().is_ok());

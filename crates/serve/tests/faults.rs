@@ -46,6 +46,13 @@ fn single_worker_config() -> ServerConfig {
     }
 }
 
+/// Spins until workers have taken `n` batches out of the queue.
+fn await_batches(server: &InferenceServer, n: u64) {
+    while server.metrics().batches_dispatched < n {
+        std::thread::yield_now();
+    }
+}
+
 fn resolve(handle: ResponseHandle) -> Result<fademl::Verdict, ServeError> {
     handle
         .wait_timeout(RESOLVE_WITHIN)
@@ -142,8 +149,8 @@ fn deadline_expires_in_queue_behind_a_stalled_batcher() {
     let server = InferenceServer::start_with_faults(
         pipeline(),
         single_worker_config(),
-        // The batcher sleeps 80 ms before handling the first dequeued
-        // request — its 10 ms deadline expires while it waits.
+        // The worker sleeps 80 ms before its first look at the queue —
+        // the request's 10 ms deadline expires while it waits there.
         FaultPlan::new().stall_dequeue(1, Duration::from_millis(80)),
     )
     .unwrap();
@@ -168,6 +175,10 @@ fn deadline_expires_in_queue_behind_a_stalled_batcher() {
     assert_eq!(report.deadline_overshoot_buckets.iter().sum::<u64>(), 1);
 }
 
+/// A request stuck behind a busy worker waits in the queue — nothing
+/// sits between the queue and a worker — so that is where it expires.
+/// (Stage `Batch` needs the deadline to pass between the take and the
+/// execution; `server::tests` reaches it by calling `process_batch`.)
 #[test]
 fn deadline_expires_in_batch_behind_a_slow_worker() {
     let server = InferenceServer::start_with_faults(
@@ -178,15 +189,15 @@ fn deadline_expires_in_batch_behind_a_slow_worker() {
             workers: 1,
             ..ServerConfig::default()
         },
-        // The worker sleeps 150 ms inside batch 1; batch 2 waits in the
-        // dispatch channel the whole time.
+        // The worker sleeps 150 ms inside batch 1; the second request
+        // stays queued the whole time.
         FaultPlan::new().delay_batch(1, Duration::from_millis(150)),
     )
     .unwrap();
     let mut imgs = images(2, 5).into_iter();
     let slow = server.submit(imgs.next().unwrap(), ThreatModel::I).unwrap();
     // Let the first request become batch 1 before submitting the second.
-    std::thread::sleep(Duration::from_millis(30));
+    await_batches(&server, 1);
     let expired = server
         .submit_with_deadline(
             imgs.next().unwrap(),
@@ -198,12 +209,71 @@ fn deadline_expires_in_batch_behind_a_slow_worker() {
     assert_eq!(
         resolve(expired),
         Err(ServeError::DeadlineExceeded {
-            stage: DeadlineStage::Batch,
+            stage: DeadlineStage::Queue,
         })
     );
     let report = server.shutdown();
-    assert_eq!(report.deadline_missed_batch, 1);
-    assert_eq!(report.deadline_missed_queue, 0);
+    assert_eq!(report.deadline_missed_queue, 1);
+    assert_eq!(report.deadline_missed_batch, 0);
+}
+
+/// Batches form from backlog, not from a timer: with no linger at all,
+/// everything submitted while the only worker is busy comes back as one
+/// batch.
+#[test]
+fn backlog_behind_a_busy_worker_is_served_as_one_batch() {
+    let server = InferenceServer::start_with_faults(
+        pipeline(),
+        ServerConfig {
+            workers: 1,
+            linger_us: 0,
+            ..ServerConfig::default()
+        },
+        FaultPlan::new().delay_batch(1, Duration::from_millis(100)),
+    )
+    .unwrap();
+    let mut imgs = images(9, 6).into_iter();
+    let first = server.submit(imgs.next().unwrap(), ThreatModel::I).unwrap();
+    // The idle worker takes the lone request at once and stalls in it.
+    await_batches(&server, 1);
+    let backlog: Vec<_> = imgs
+        .map(|img| server.submit(img, ThreatModel::I).unwrap())
+        .collect();
+    assert!(resolve(first).is_ok());
+    for handle in backlog {
+        assert!(resolve(handle).is_ok());
+    }
+    let report = server.shutdown();
+    assert_eq!(report.batches_dispatched, 2);
+    assert_eq!(report.batch_size_counts[0], 1, "the lone first request");
+    assert_eq!(report.batch_size_counts[7], 1, "the backlog of eight");
+}
+
+/// No stranded wake-up: the worker respawned after a kill serves the
+/// next request without any linger to time it out of a park.
+#[test]
+fn respawned_worker_serves_at_linger_zero() {
+    let server = InferenceServer::start_with_faults(
+        pipeline(),
+        ServerConfig {
+            workers: 1,
+            linger_us: 0,
+            ..ServerConfig::default()
+        },
+        FaultPlan::new().kill_worker_on_batch(1),
+    )
+    .unwrap();
+    let mut imgs = images(2, 7).into_iter();
+    let killed = server.submit(imgs.next().unwrap(), ThreatModel::I).unwrap();
+    assert!(matches!(
+        resolve(killed),
+        Err(ServeError::BatchFailed { .. })
+    ));
+    let next = server.submit(imgs.next().unwrap(), ThreatModel::I).unwrap();
+    assert!(resolve(next).is_ok());
+    let report = server.shutdown();
+    assert_eq!(report.workers_respawned, 1);
+    assert_eq!(report.requests_completed, 1);
 }
 
 #[test]
@@ -267,7 +337,7 @@ fn breaker_degrades_after_consecutive_failures_and_probe_recovers() {
 
 /// The full chaos drill: concurrent submitters, mixed deadlines, and a
 /// plan that panics a worker, kills a worker, delays a batch and stalls
-/// the batcher — all at once. Every single handle must resolve.
+/// a dequeue — all at once. Every single handle must resolve.
 #[test]
 fn chaos_stress_every_handle_resolves() {
     const SUBMITTERS: usize = 4;

@@ -104,8 +104,13 @@ proptest! {
         let mut rng = TensorRng::seed_from_u64(seed);
         let a = filled(&mut rng, &[m, k]);
         let b = filled(&mut rng, &[k, n]);
-        let reference: Vec<u32> = a.matmul(&b).expect("matmul").into_vec()
-            .iter().map(|v| v.to_bits()).collect();
+        // Under the guard like every other kernel call here: a cold lease
+        // on this thread would show up in a concurrent test's `grows`.
+        let reference: Vec<u32> = {
+            let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+            a.matmul(&b).expect("matmul").into_vec()
+                .iter().map(|v| v.to_bits()).collect()
+        };
         let (grows, _, out) = measure_warm(|| a.matmul(&b).expect("matmul").into_vec(), 3);
         prop_assert_eq!(grows, 0, "warm random-shape matmul grew scratch");
         let bits: Vec<u32> = out.iter().map(|v| v.to_bits()).collect();

@@ -1,8 +1,8 @@
 //! Chaos drill for the fault-tolerant serving engine: concurrent
 //! clients submit mixed traffic (with per-request deadlines and some
 //! deliberately malformed images) while an armed [`FaultPlan`] panics a
-//! worker, kills another mid-batch, delays a batch and stalls the
-//! batcher. The demo asserts the engine's core invariant — every
+//! worker, kills another mid-batch, delays a batch and stalls a
+//! dequeue. The demo asserts the engine's core invariant — every
 //! accepted request resolves with a verdict or a typed error — and
 //! prints the resulting fault/degradation metrics.
 //!
@@ -36,7 +36,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServerConfig {
         queue_capacity: 128,
         max_batch_size: 4,
-        linger_us: 2_000,
         workers: 2,
         degrade_after_failures: 2,
         probe_every: 2,
@@ -71,7 +70,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                     let threat = ThreatModel::ALL[i % ThreatModel::ALL.len()];
                     // A mix of generous and deliberately tight
                     // deadlines; the tight ones expire behind the
-                    // injected delays/stalls (or plain linger).
+                    // injected delays/stalls, busy workers, or the
+                    // default 500 µs linger hold.
                     let deadline = match i % 8 {
                         0 => Some(Duration::from_millis(250)),
                         4 => Some(Duration::from_micros(500)),

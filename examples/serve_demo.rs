@@ -41,7 +41,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let config = ServerConfig {
         queue_capacity: 64,
         max_batch_size: 8,
-        linger_us: 2_000,
         workers: 2,
         ..ServerConfig::default()
     };
