@@ -48,7 +48,7 @@ cargo test -q --workspace
 echo "==> cargo test (FADEML_THREADS=2: kernels on the worker pool)"
 FADEML_THREADS=2 cargo test -q --workspace
 
-echo "==> kernel bench smoke (bit-identity gate at 1/2/4/8 threads + arena zero-grow gate)"
+echo "==> kernel bench smoke (bit-identity gate: 1/2/4/8 threads × baseline/AVX2 instantiation; arena zero-grow gate)"
 cargo bench -p fademl-bench --bench kernels -- --test
 
 echo "==> cargo clippy (faults feature, deny warnings)"

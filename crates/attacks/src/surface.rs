@@ -146,8 +146,7 @@ impl AttackSurface {
     /// count, or a cache error if no training forward preceded the call.
     pub fn backward_to_input(&mut self, x: &Tensor, grad_logits: &Tensor) -> Result<Tensor> {
         let grad_batch = grad_logits.reshape(&[1, grad_logits.numel()])?;
-        self.model.zero_grad();
-        let grad_filtered = self.model.backward(&grad_batch)?.index_batch(0)?;
+        let grad_filtered = self.model.backward_input(&grad_batch)?.index_batch(0)?;
         Ok(match &self.filter {
             Some(f) => f.backward(x, &grad_filtered)?,
             None => grad_filtered,
@@ -187,8 +186,7 @@ impl AttackSurface {
             });
         }
         let lv = self.loss.compute(&logits, &[label])?;
-        self.model.zero_grad();
-        let grad_batch = self.model.backward(&lv.grad.scale(sign))?;
+        let grad_batch = self.model.backward_input(&lv.grad.scale(sign))?;
         let grad_filtered = grad_batch.index_batch(0)?;
         let grad_input = match &self.filter {
             Some(f) => f.backward(x, &grad_filtered)?,

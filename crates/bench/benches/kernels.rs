@@ -1,13 +1,18 @@
 //! Compute-kernel throughput: the cache-blocked GEMM, conv, and filter
 //! kernels run serially and on the `fademl_tensor::par` worker pool at
 //! 1/2/4/8 threads. Shapes mirror the paper's victims (VGG-ish CIFAR
-//! layer, GTSRB-ish mid layer) plus the fully-connected head.
+//! layer, GTSRB-ish mid layer), the five convolution stages of the
+//! served Compact victim at batch 1 and 16, and its classifier head.
+//! GEMM-backed workloads also report GFLOP/s, and are timed once more
+//! on the baseline instantiation of the micro-kernel when the host
+//! runs the AVX2 one, so the ISA's share of a number is visible.
 //!
 //! Unlike the criterion benches this one emits machine-readable
 //! artifacts — `BENCH_kernels.json` at the repo root and
 //! `results/kernels.txt` — because it is the first datapoint of the
 //! bench trajectory. It also asserts that every workload's output is
-//! bit-identical across thread counts before timing it, so the numbers
+//! bit-identical across thread counts *and* across the micro-kernel's
+//! instantiations (baseline vs AVX2) before timing it, so the numbers
 //! can never come from a divergent kernel.
 //!
 //! `cargo bench -p fademl-bench --bench kernels` — full run.
@@ -17,8 +22,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
+use fademl_data::CLASS_COUNT;
 use fademl_filters::FilterSpec;
+use fademl_nn::vgg::VggProfile;
 use fademl_tensor::plan::alloc;
+use fademl_tensor::simd::{self, Isa};
 use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, TensorRng};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -26,8 +34,25 @@ const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 /// A named kernel workload returning its full output buffer (flattened)
 /// so cross-thread bit-identity can be checked on everything computed.
 struct Workload {
-    name: &'static str,
+    name: String,
+    /// Floating-point operations of one run (2 per multiply-add); zero
+    /// for workloads that are not a GEMM.
+    flops: f64,
     run: Box<dyn Fn() -> Vec<f32>>,
+}
+
+/// (input channels, output channels, input side) of the served
+/// victim's 3×3 stride-1 pad-1 convolution stages (`VggProfile::Compact`
+/// on 3×32×32: each stage halves the side).
+fn victim_stages() -> Vec<(usize, usize, usize)> {
+    let (mut channels, mut side) = (3, 32);
+    let mut stages = Vec::new();
+    for out in VggProfile::Compact.stage_channels() {
+        stages.push((channels, out, side));
+        channels = out;
+        side /= 2;
+    }
+    stages
 }
 
 fn workloads() -> Vec<Workload> {
@@ -56,20 +81,23 @@ fn workloads() -> Vec<Workload> {
     let lap = FilterSpec::Lap { np: 8 }.build().expect("LAP(8) builds");
     let lar = FilterSpec::Lar { r: 2 }.build().expect("LAR(2) builds");
 
-    vec![
+    let mut jobs = vec![
         Workload {
-            name: "matmul_128x256x1024",
+            name: "matmul_128x256x1024".into(),
+            flops: 2.0 * (128 * 256 * 1024) as f64,
             run: Box::new(move || a.matmul(&b).expect("matmul").into_vec()),
         },
         Workload {
-            name: "conv2d_vgg_8x3x32x32_f32",
+            name: "conv2d_vgg_8x3x32x32_f32".into(),
+            flops: 2.0 * (8 * 27 * 32 * 1024) as f64,
             run: {
                 let (x, w, bias) = (vgg_x.clone(), vgg_w.clone(), vgg_b.clone());
                 Box::new(move || conv2d(&x, &w, &bias, &vgg_spec).expect("conv2d").into_vec())
             },
         },
         Workload {
-            name: "conv2d_backward_vgg",
+            name: "conv2d_backward_vgg".into(),
+            flops: 0.0,
             run: {
                 let (x, w, g) = (vgg_x, vgg_w, vgg_g);
                 Box::new(move || {
@@ -82,7 +110,8 @@ fn workloads() -> Vec<Workload> {
             },
         },
         Workload {
-            name: "conv2d_gtsrb_8x32x16x16_f64",
+            name: "conv2d_gtsrb_8x32x16x16_f64".into(),
+            flops: 2.0 * (8 * 288 * 64 * 256) as f64,
             run: Box::new(move || {
                 conv2d(&gt_x, &gt_w, &gt_b, &gt_spec)
                     .expect("conv2d")
@@ -90,21 +119,49 @@ fn workloads() -> Vec<Workload> {
             }),
         },
         Workload {
-            name: "filter_lap8_8x3x32x32",
+            name: "filter_lap8_8x3x32x32".into(),
+            flops: 0.0,
             run: {
                 let x = batch.clone();
                 Box::new(move || lap.apply(&x).expect("LAP apply").into_vec())
             },
         },
         Workload {
-            name: "filter_lar2_backward_8x3x32x32",
+            name: "filter_lar2_backward_8x3x32x32".into(),
+            flops: 0.0,
             run: Box::new(move || {
                 lar.backward(&batch, &grad)
                     .expect("LAR backward")
                     .into_vec()
             }),
         },
-    ]
+    ];
+
+    // The served victim, stage by stage, as one frame and as a full
+    // serving batch.
+    let stages = victim_stages();
+    for (stage, &(cin, cout, side)) in stages.iter().enumerate() {
+        for n in [1usize, 16] {
+            let spec = ConvSpec::new(cin, cout, 3, 1, 1);
+            let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
+            let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
+            let bias = rng.uniform(&[cout], -0.1, 0.1);
+            jobs.push(Workload {
+                name: format!("conv2d_victim_stage{}_b{n}", stage + 1),
+                flops: 2.0 * (n * cin * 9 * cout * side * side) as f64,
+                run: Box::new(move || conv2d(&x, &w, &bias, &spec).expect("conv2d").into_vec()),
+            });
+        }
+    }
+    let features = stages.last().map_or(1, |&(_, out, _)| out);
+    let acts = rng.uniform(&[16, features], 0.0, 1.0);
+    let head_w = rng.uniform(&[CLASS_COUNT, features], -0.1, 0.1);
+    jobs.push(Workload {
+        name: "matmul_nt_victim_head_b16".into(),
+        flops: 2.0 * (16 * features * CLASS_COUNT) as f64,
+        run: Box::new(move || acts.matmul_nt(&head_w).expect("matmul_nt").into_vec()),
+    });
+    jobs
 }
 
 /// One timed cell: median over `samples` of (elapsed / iters).
@@ -131,18 +188,25 @@ fn calibrate(run: &dyn Fn() -> Vec<f32>, target_ms: u128) -> usize {
 }
 
 struct Cell {
-    workload: &'static str,
+    workload: String,
     threads: usize,
+    isa: Isa,
     ns_per_iter: u128,
+    gflops: f64,
 }
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let isa = simd::detected();
     eprintln!(
-        "[kernels] host cores: {host_cores}, mode: {}",
+        "[kernels] host cores: {host_cores}, isa: {}, mode: {}",
+        isa.name(),
         if quick { "smoke (--test)" } else { "full" }
     );
+    if isa == Isa::Baseline {
+        eprintln!("[kernels] host lacks AVX2: baseline-vs-AVX2 gate skipped");
+    }
 
     let jobs = workloads();
     let mut cells: Vec<Cell> = Vec::new();
@@ -175,31 +239,50 @@ fn main() {
     );
 
     for job in &jobs {
-        // Bit-identity gate: the t=1 output is the reference; every other
-        // thread count must reproduce it exactly before it gets timed.
-        par::set_threads(1);
-        let reference: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
-
-        for &t in &THREAD_SWEEP {
-            par::set_threads(t);
-            let got: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
-            assert_eq!(
-                got, reference,
-                "{} diverged from the serial reference at {t} threads",
-                job.name
-            );
+        let time = |threads: usize, isa: Isa| {
             let (iters, samples) = if quick {
                 (1, 1)
             } else {
                 (calibrate(&*job.run, 40), 5)
             };
             let ns = time_ns(&*job.run, iters, samples);
-            eprintln!("[kernels] {:<34} t={t}  {ns:>12} ns/iter", job.name);
-            cells.push(Cell {
-                workload: job.name,
-                threads: t,
+            let gflops = job.flops / ns.max(1) as f64;
+            eprintln!(
+                "[kernels] {:<34} t={threads} {:<8} {ns:>12} ns/iter {gflops:>7.2} GFLOP/s",
+                job.name,
+                isa.name()
+            );
+            Cell {
+                workload: job.name.clone(),
+                threads,
+                isa,
                 ns_per_iter: ns,
-            });
+                gflops,
+            }
+        };
+
+        // Bit-identity gate: the serial baseline-instantiation output is
+        // the reference; every thread count and the detected
+        // instantiation must reproduce it exactly before being timed.
+        par::set_threads(1);
+        simd::set_baseline_only(true);
+        let reference: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
+        if isa != Isa::Baseline {
+            cells.push(time(1, Isa::Baseline));
+        }
+        simd::set_baseline_only(false);
+
+        for &t in &THREAD_SWEEP {
+            par::set_threads(t);
+            let got: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
+            assert_eq!(
+                got,
+                reference,
+                "{} at {t} threads on {} diverged from the serial baseline reference",
+                job.name,
+                isa.name()
+            );
+            cells.push(time(t, isa));
         }
     }
     par::set_threads(1);
@@ -213,17 +296,20 @@ fn main() {
     let json_path = format!("{root}/BENCH_kernels.json");
     let txt_path = format!("{root}/results/kernels.txt");
 
-    let baseline = |name: &str| {
+    let cell = |name: &str, threads: usize, isa: Isa| {
         cells
             .iter()
-            .find(|c| c.workload == name && c.threads == 1)
-            .map_or(0, |c| c.ns_per_iter)
+            .find(|c| c.workload == name && c.threads == threads && c.isa == isa)
+    };
+    let ns_of = |name: &str, threads: usize, isa: Isa| {
+        cell(name, threads, isa).map_or(0, |c| c.ns_per_iter)
     };
 
     let mut json = String::from("{\n  \"bench\": \"kernels\",\n");
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
+    json.push_str(&format!("  \"isa\": \"{}\",\n", isa.name()));
     json.push_str(
-        "  \"note\": \"pool is bit-exact across thread counts; speedups bounded by host_cores\",\n",
+        "  \"note\": \"bit-exact across thread counts and kernel instantiations; speedups bounded by host_cores\",\n",
     );
     let final_arena = alloc::stats();
     json.push_str(&format!(
@@ -232,12 +318,14 @@ fn main() {
     ));
     json.push_str("  \"results\": [\n");
     for (i, c) in cells.iter().enumerate() {
-        let speedup = baseline(c.workload) as f64 / c.ns_per_iter.max(1) as f64;
+        let speedup = ns_of(&c.workload, 1, isa) as f64 / c.ns_per_iter.max(1) as f64;
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"ns_per_iter\": {}, \"speedup_vs_serial\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"threads\": {}, \"isa\": \"{}\", \"ns_per_iter\": {}, \"gflops\": {:.3}, \"speedup_vs_serial\": {:.3}}}{}\n",
             c.workload,
             c.threads,
+            c.isa.name(),
             c.ns_per_iter,
+            c.gflops,
             speedup,
             if i + 1 == cells.len() { "" } else { "," }
         ));
@@ -246,22 +334,24 @@ fn main() {
 
     let mut txt = String::new();
     txt.push_str(&format!(
-        "kernel throughput (ns/iter, median of 5) — host cores: {host_cores}\n"
+        "kernel throughput (ns/iter, median of 5) — host cores: {host_cores}, isa: {}\n",
+        isa.name()
     ));
     txt.push_str(&format!(
-        "{:<34} {:>12} {:>12} {:>12} {:>12}\n",
-        "workload", "t=1", "t=2", "t=4", "t=8"
+        "{:<34} {:>12} {:>12} {:>12} {:>12} {:>12} {:>10}\n",
+        "workload", "baseline t=1", "t=1", "t=2", "t=4", "t=8", "GFLOP/s"
     ));
     for job in &jobs {
-        txt.push_str(&format!("{:<34}", job.name));
+        txt.push_str(&format!(
+            "{:<34} {:>12}",
+            job.name,
+            ns_of(&job.name, 1, Isa::Baseline)
+        ));
         for &t in &THREAD_SWEEP {
-            let ns = cells
-                .iter()
-                .find(|c| c.workload == job.name && c.threads == t)
-                .map_or(0, |c| c.ns_per_iter);
-            txt.push_str(&format!(" {ns:>12}"));
+            txt.push_str(&format!(" {:>12}", ns_of(&job.name, t, isa)));
         }
-        txt.push('\n');
+        let gflops = cell(&job.name, 1, isa).map_or(0.0, |c| c.gflops);
+        txt.push_str(&format!(" {gflops:>10.2}\n"));
     }
     txt.push_str(&format!(
         "\nspeedup vs t=1 (bit-identical outputs asserted per cell)\n{:<34} {:>12} {:>12} {:>12} {:>12}\n",
@@ -269,12 +359,9 @@ fn main() {
     ));
     for job in &jobs {
         txt.push_str(&format!("{:<34}", job.name));
-        let base = baseline(job.name);
+        let base = ns_of(&job.name, 1, isa);
         for &t in &THREAD_SWEEP {
-            let ns = cells
-                .iter()
-                .find(|c| c.workload == job.name && c.threads == t)
-                .map_or(1, |c| c.ns_per_iter);
+            let ns = ns_of(&job.name, t, isa);
             txt.push_str(&format!(" {:>11.2}x", base as f64 / ns.max(1) as f64));
         }
         txt.push('\n');

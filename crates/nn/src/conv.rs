@@ -1,4 +1,6 @@
-use fademl_tensor::{conv2d, conv2d_backward, ConvSpec, Initializer, Tensor, TensorRng};
+use fademl_tensor::{
+    conv2d, conv2d_backward, conv2d_backward_input, ConvSpec, Initializer, Tensor, TensorRng,
+};
 
 use crate::{Layer, NnError, Param, Result};
 
@@ -88,6 +90,19 @@ impl Layer for Conv2d {
         Ok(grads.input)
     }
 
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
+        Ok(conv2d_backward_input(
+            input,
+            &self.weight.value,
+            grad_out,
+            &self.spec,
+        )?)
+    }
+
     fn params(&self) -> Vec<&Param> {
         vec![&self.weight, &self.bias]
     }
@@ -147,6 +162,25 @@ mod tests {
         {
             assert!((a - b).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn backward_input_matches_backward_and_leaves_param_grads_alone() {
+        let mut conv = layer();
+        let mut rng = TensorRng::seed_from_u64(4);
+        let x = rng.uniform(&[2, 2, 6, 6], -1.0, 1.0);
+        let y = conv.forward_train(&x).unwrap();
+        let g = rng.uniform(y.dims(), -1.0, 1.0);
+        let only = conv.backward_input(&g).unwrap();
+        assert_eq!(conv.params()[0].grad.norm_l2(), 0.0);
+        assert_eq!(conv.params()[1].grad.norm_l2(), 0.0);
+        let full = conv.backward(&g).unwrap();
+        assert_eq!(only, full);
+        let mut cold = layer();
+        assert!(matches!(
+            cold.backward_input(&g),
+            Err(NnError::NoForwardCache { .. })
+        ));
     }
 
     #[test]

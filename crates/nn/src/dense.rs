@@ -69,6 +69,17 @@ impl Dense {
         }
         Ok(())
     }
+
+    fn check_grad(&self, grad_out: &Tensor) -> Result<()> {
+        if grad_out.rank() != 2 || grad_out.dims()[1] != self.out_features {
+            return Err(NnError::Tensor(TensorError::shape_mismatch(
+                "dense_backward",
+                grad_out.dims(),
+                &[self.out_features],
+            )));
+        }
+        Ok(())
+    }
 }
 
 impl Layer for Dense {
@@ -94,13 +105,7 @@ impl Layer for Dense {
             .cached_input
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "dense" })?;
-        if grad_out.rank() != 2 || grad_out.dims()[1] != self.out_features {
-            return Err(NnError::Tensor(TensorError::shape_mismatch(
-                "dense_backward",
-                grad_out.dims(),
-                &[self.out_features],
-            )));
-        }
+        self.check_grad(grad_out)?;
         // ∂W = gᵀ·x  ([out, n] × [n, in]).
         let grad_w = grad_out.matmul_tn(input)?;
         self.weight.grad.add_scaled_inplace(&grad_w, 1.0)?;
@@ -110,6 +115,11 @@ impl Layer for Dense {
             .grad
             .add_scaled_inplace(&grad_b.reshape(&[self.out_features])?, 1.0)?;
         // ∂x = g·W  ([n, out] × [out, in]).
+        Ok(grad_out.matmul(&self.weight.value)?)
+    }
+
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.check_grad(grad_out)?;
         Ok(grad_out.matmul(&self.weight.value)?)
     }
 

@@ -75,6 +75,20 @@ pub trait Layer: Debug + Send + Sync {
     /// if `grad_out` does not match the cached forward output.
     fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::backward`] for callers that only want `∂L/∂input` — an
+    /// attack query differentiates with respect to the image, never the
+    /// weights. The returned gradient is bit-identical to `backward`'s;
+    /// whether parameter gradients are also accumulated is left to the
+    /// layer (this default simply calls `backward`; layers whose
+    /// parameter gradients cost real work skip them).
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward`].
+    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward(grad_out)
+    }
+
     /// The layer's trainable parameters (empty for stateless layers).
     fn params(&self) -> Vec<&Param> {
         Vec::new()

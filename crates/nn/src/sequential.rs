@@ -121,6 +121,22 @@ impl Sequential {
         Ok(g)
     }
 
+    /// [`Sequential::backward`] through every layer's
+    /// [`Layer::backward_input`]: the same `∂L/∂input`, bit for bit,
+    /// without the ∂weight/∂bias products of the conv and dense layers.
+    /// Parameter gradients are left in an unspecified state.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Sequential::backward`].
+    pub fn backward_input(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
+        let mut g = grad_logits.clone();
+        for layer in self.layers.iter_mut().rev() {
+            g = layer.backward_input(&g)?;
+        }
+        Ok(g)
+    }
+
     /// Softmax class probabilities `[n, classes]` for a batch.
     ///
     /// # Errors
@@ -266,6 +282,22 @@ mod tests {
         let y = m.forward_train(&x).unwrap();
         let gin = m.backward(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(gin.dims(), x.dims());
+    }
+
+    #[test]
+    fn backward_input_matches_backward_bit_for_bit() {
+        let mut rng = TensorRng::seed_from_u64(8);
+        let mut m = crate::vgg::VggConfig::tiny(3, 16, 4)
+            .build(&mut rng)
+            .unwrap();
+        let x = rng.uniform(&[2, 3, 16, 16], 0.0, 1.0);
+        let y = m.forward_train(&x).unwrap();
+        let g = rng.uniform(y.dims(), -1.0, 1.0);
+        let bits = |t: Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
+        let only = bits(m.backward_input(&g).unwrap());
+        // Conv and dense layers skipped their parameter gradients.
+        assert!(m.params().iter().all(|p| p.grad.norm_l2() == 0.0));
+        assert_eq!(only, bits(m.backward(&g).unwrap()));
     }
 
     #[test]

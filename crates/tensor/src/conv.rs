@@ -15,11 +15,23 @@
 //! per geometry key (`[N, C, H, W, F, KH, KW, stride, padding]`). The
 //! blueprint carries cap-checked scratch/output sizes (anything that
 //! would overflow `usize` surfaces as [`TensorError::Overflow`] before
-//! a byte is allocated), the GEMM blocking for the per-sample
-//! `weight × cols` product, and the hoisted parallel/serial decision.
-//! Per-sample im2col column matrices and packing panels come from the
-//! thread-local scratch arena, so steady-state serving reuses one
-//! high-water buffer per worker instead of allocating per call.
+//! a byte is allocated), the GEMM blocking, and the hoisted
+//! parallel/serial decision. Scratch comes from the thread-local arena,
+//! so steady-state serving reuses one high-water buffer per worker
+//! instead of allocating per call.
+//!
+//! # Batch-fused forward
+//!
+//! The forward pass lowers *tiles of whole samples* — as many as fit in
+//! [`FUSE_COLS`] columns — to one `[F, K] × [K, tile·OH·OW]` product:
+//! each sample is unfolded straight into its column range of the tile
+//! matrix (stride 1 moves whole row runs; padding is written as
+//! explicit zeros, so the scratch needs no clearing), and the GEMM
+//! micro-kernel stores every register tile into the NCHW output with
+//! the bias added. Deep layers, whose per-sample product is only 16 or
+//! 4 columns wide, thereby run full-width register tiles. A column's
+//! value does not depend on which columns sit beside it, so a batch of
+//! `n` equals `n` single-sample calls bit for bit.
 //!
 //! # Parallel decomposition
 //!
@@ -37,14 +49,26 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::matmul::{gemm_nt_block, gemm_rows_into, pack_b_into, transpose_into};
+use crate::matmul::{gemm_nt_block, gemm_rows_into, gemm_rows_to, transpose_into};
 use crate::plan::alloc;
 use crate::plan::blueprint::{
     blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint, OpKind,
-    ShapeKey,
+    ShapeKey, DEFAULT_BLOCKING,
 };
 use crate::plan::selector;
+use crate::simd::Dest;
 use crate::{par, Result, Shape, Tensor, TensorError};
+
+/// Column budget of one batch-fused forward tile: whole samples are
+/// unfolded side by side until the next would pass it (a single sample
+/// wider than this is a tile of its own).
+const FUSE_COLS: usize = 1024;
+
+/// Samples per forward tile for a batch of `n` with `ohw` output pixels
+/// per sample.
+fn fused_samples(n: usize, ohw: usize) -> usize {
+    (FUSE_COLS / ohw.max(1)).min(n).max(1)
+}
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -136,36 +160,51 @@ pub struct Conv2dGrads {
     pub bias: Tensor,
 }
 
-/// Core im2col fill: unfolds one `[C, H, W]` image (`src`) into `dst`
-/// (`[C·KH·KW, OH·OW]`, row-major). `dst` must arrive zeroed — padded
-/// positions are left untouched.
-fn im2col_into(
-    src: &[f32],
-    spec: &ConvSpec,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    dst: &mut [f32],
-) {
-    let cols = oh * ow;
-    let pad = spec.padding as isize;
+/// Core im2col fill: unfolds one `[C, H, W]` image (`src`) into columns
+/// `col0 .. col0 + OH·OW` of `dst`, a `[C·KH·KW, ld]` row-major matrix.
+/// Every element of those columns is written — padded positions as
+/// explicit zeros — so `dst` may arrive dirty. Stride 1 moves each
+/// output row as one run; other strides go pixel by pixel.
+fn unfold_into(src: &[f32], geom: &ConvGeom, dst: &mut [f32], ld: usize, col0: usize) {
+    let ConvGeom {
+        spec, h, w, oh, ow, ..
+    } = *geom;
+    let pad = spec.padding;
+    let mut row = 0usize;
     for ch in 0..spec.in_channels {
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
-                let row = (ch * spec.kernel_h + kh) * spec.kernel_w + kw;
-                let out_row = &mut dst[row * cols..(row + 1) * cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride) as isize + kh as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue; // zero padding: leave zeros in place
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride) as isize + kw as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let out_row = &mut dst[row * ld + col0..][..oh * ow];
+                row += 1;
+                for (oy, run) in out_row.chunks_exact_mut(ow).enumerate() {
+                    let iy = (oy * spec.stride + kh)
+                        .checked_sub(pad)
+                        .filter(|&iy| iy < h);
+                    let Some(iy) = iy else {
+                        run.fill(0.0);
+                        continue;
+                    };
+                    let src_row = &src[(ch * h + iy) * w..][..w];
+                    if spec.stride == 1 {
+                        // In range: pad ≤ ox + kw < w + pad.
+                        let lo = pad.saturating_sub(kw).min(ow);
+                        let hi = (w + pad).saturating_sub(kw).clamp(lo, ow);
+                        let (left, rest) = run.split_at_mut(lo);
+                        let (mid, right) = rest.split_at_mut(hi - lo);
+                        left.fill(0.0);
+                        right.fill(0.0);
+                        // `mid` is non-empty only when `lo` was not
+                        // clipped, i.e. `lo + kw ≥ pad`.
+                        let from = (lo + kw).saturating_sub(pad);
+                        match src_row.get(from..from + mid.len()) {
+                            Some(pixels) => mid.copy_from_slice(pixels),
+                            None => mid.fill(0.0),
                         }
-                        out_row[oy * ow + ox] = src[(ch * h + iy as usize) * w + ix as usize];
+                    } else {
+                        for (ox, o) in run.iter_mut().enumerate() {
+                            let ix = (ox * spec.stride + kw).checked_sub(pad);
+                            *o = ix.and_then(|ix| src_row.get(ix)).copied().unwrap_or(0.0);
+                        }
                     }
                 }
             }
@@ -173,7 +212,7 @@ fn im2col_into(
     }
 }
 
-/// Adjoint of [`im2col_into`]: folds `cols` back into `dst` (`[C, H, W]`,
+/// Adjoint of [`unfold_into`]: folds `cols` back into `dst` (`[C, H, W]`,
 /// must arrive zeroed), summing overlapping contributions.
 fn col2im_add(
     cols: &[f32],
@@ -238,7 +277,8 @@ pub fn im2col(image: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
     let rows = checked_product("im2col rows", &[c, spec.kernel_h, spec.kernel_w])?;
     let len = checked_product("im2col", &[rows, oh, ow])?;
     let mut out = alloc::fresh_vec(len);
-    im2col_into(image.as_slice(), spec, h, w, oh, ow, &mut out);
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING);
+    unfold_into(image.as_slice(), &geom, &mut out, oh * ow, 0);
     Tensor::from_vec(out, Shape::of(&[rows, oh * ow]))
 }
 
@@ -274,6 +314,11 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
             actual: input.rank(),
         });
     }
+    if spec.in_channels == 0 || spec.out_channels == 0 {
+        return Err(TensorError::InvalidGeometry {
+            reason: "channel counts must be positive".into(),
+        });
+    }
     if input.dims()[1] != spec.in_channels {
         return Err(TensorError::shape_mismatch(
             "conv2d",
@@ -286,8 +331,16 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
 
 /// Plans a convolution (forward or backward) through the selector: one
 /// cached blueprint per geometry key, carrying the cap-checked sizes,
-/// the blocking for the inner per-sample GEMM, and the hoisted
-/// parallel/serial decision.
+/// the blocking for the inner GEMM, and the hoisted parallel/serial
+/// decision.
+///
+/// Forward, the inner GEMM is the batch-fused `F × K × tile·OH·OW`
+/// product and `scratch` is its unfolded `[K, tile·OH·OW]` operand
+/// (`scratch2` is unused). Backward, it is the per-sample
+/// `K × F × OH·OW` ∂input product: `scratch` holds its `[K, OH·OW]`
+/// result and `scratch2` the transposed weight. Either way the
+/// blocking's `nc` is raised to the product's column count, so the
+/// row-major right-hand side is already in packed layout.
 fn plan_conv2d(
     spec: &ConvSpec,
     n: usize,
@@ -325,37 +378,49 @@ fn plan_conv2d(
             &[spec.in_channels, spec.kernel_h, spec.kernel_w],
         )?;
         let ohw = checked_product("conv2d output plane", &[oh, ow])?;
-        let cols_len = checked_product("conv2d im2col", &[k_flat, ohw])?;
-        let out_len = if backward {
-            checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?
+        let gemm_cols = if backward {
+            ohw
         } else {
-            checked_product("conv2d output", &[n, spec.out_channels, oh, ow])?
+            checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?
         };
-        // Forward: secondary scratch is the packed-cols panel (same
-        // element count as the cols matrix). Backward: the wᵀ buffer.
-        let scratch2 = if backward {
-            checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?
+        let scratch = checked_product("conv2d im2col", &[k_flat, gemm_cols])?;
+        let (scratch2, out_len) = if backward {
+            (
+                checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
+                checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?,
+            )
         } else {
-            cols_len
+            (
+                0,
+                checked_product("conv2d output", &[n, spec.out_channels, oh, ow])?,
+            )
         };
-        // Blocking is classified on the inner GEMM (F × k_flat × OH·OW);
-        // the dispatch threshold sees the whole batch. `work` only feeds
+        // Blocking is classified on the inner GEMM; the dispatch
+        // threshold sees the whole batch. Work figures only feed
         // thresholds, so saturation is fine.
-        let gemm_work = spec.out_channels.saturating_mul(k_flat).saturating_mul(ohw);
-        let work = n.saturating_mul(gemm_work);
-        let class = classify_gemm(spec.out_channels, ohw, gemm_work);
+        let per_column = spec.out_channels.saturating_mul(k_flat);
+        let class = classify_gemm(
+            spec.out_channels,
+            gemm_cols,
+            per_column.saturating_mul(gemm_cols),
+        );
+        let work = n.saturating_mul(per_column.saturating_mul(ohw));
         let rows_axis = if backward {
             n.max(spec.out_channels)
         } else {
             n
         };
+        let base = blocking_for(class);
         Ok(Blueprint {
             key,
             class,
-            blocking: blocking_for(class),
+            blocking: Blocking {
+                nc: base.nc.max(gemm_cols),
+                ..base
+            },
             parallel: par::should_parallelize(rows_axis, work),
             rows: n,
-            scratch: cols_len,
+            scratch,
             scratch2,
             out_len,
         })
@@ -377,6 +442,26 @@ struct ConvGeom {
 }
 
 impl ConvGeom {
+    /// `k_flat` is re-derived unchecked: callers have either planned the
+    /// shape (cap-checked inside the blueprint build) or sized the
+    /// unfolded matrix with `checked_product` already.
+    fn new(
+        spec: &ConvSpec,
+        (h, w): (usize, usize),
+        (oh, ow): (usize, usize),
+        bl: Blocking,
+    ) -> Self {
+        ConvGeom {
+            spec: *spec,
+            h,
+            w,
+            oh,
+            ow,
+            k_flat: spec.in_channels * spec.kernel_h * spec.kernel_w,
+            bl,
+        }
+    }
+
     fn image_len(&self) -> usize {
         self.spec.in_channels * self.h * self.w
     }
@@ -390,13 +475,17 @@ impl ConvGeom {
     }
 }
 
+/// The `i`-th `len`-element record of `data` (one sample's image,
+/// output plane or column block).
+fn record(data: &[f32], i: usize, len: usize) -> &[f32] {
+    &data[i * len..][..len]
+}
+
 /// Forward worker: convolves the samples in `range`, returning their
-/// `[len, F, OH, OW]` output block. The bias is fused into the
-/// cache-hot per-sample product block — there is no second batch-wide
-/// sweep (and no reorder copy; the per-sample GEMM output already has
-/// the `[F, OH·OW]` layout the NCHW output needs). The im2col matrix
-/// and packing panel lease from the calling thread's scratch arena, so
-/// a warm worker performs exactly one allocation: the returned block.
+/// `[len, F, OH, OW]` output block, one batch-fused tile at a time (see
+/// the module docs). The tile matrix leases from the calling thread's
+/// scratch arena — uncleared, the unfold writes every element — so a
+/// warm worker performs exactly one allocation: the returned block.
 fn conv2d_block(
     input: &[f32],
     w_mat: &[f32],
@@ -405,30 +494,30 @@ fn conv2d_block(
     range: Range<usize>,
 ) -> Vec<f32> {
     let ohw = geom.oh * geom.ow;
+    let plane = geom.out_plane_len();
     let len = range.end - range.start;
-    let mut out = alloc::fresh_vec(len * geom.out_plane_len());
-    let mut cols = alloc::scratch_f32(geom.cols_len());
-    let mut packed = alloc::scratch_f32(geom.cols_len());
-    for (block, sample) in out.chunks_exact_mut(geom.out_plane_len()).zip(range) {
-        let src = &input[sample * geom.image_len()..(sample + 1) * geom.image_len()];
-        cols.as_mut_slice().fill(0.0);
-        im2col_into(src, &geom.spec, geom.h, geom.w, geom.oh, geom.ow, &mut cols);
-        pack_b_into(&cols, geom.k_flat, ohw, geom.bl, &mut packed);
-        gemm_rows_into(
+    let tile = fused_samples(len, ohw);
+    let mut out = alloc::fresh_vec(len * plane);
+    let mut cols = alloc::scratch_stale(geom.k_flat * tile * ohw);
+    let mut samples = range;
+    for tile_out in out.chunks_mut(tile * plane) {
+        let in_tile = tile_out.len() / plane;
+        let n_cols = in_tile * ohw;
+        let cols = &mut cols[..geom.k_flat * n_cols];
+        for (slot, sample) in samples.by_ref().take(in_tile).enumerate() {
+            let image = record(input, sample, geom.image_len());
+            unfold_into(image, &geom, cols, n_cols, slot * ohw);
+        }
+        // A `[F, C, KH, KW]` weight is already `[F, K]` row-major.
+        gemm_rows_to(
             w_mat,
             geom.spec.out_channels,
             geom.k_flat,
-            &packed,
-            ohw,
+            cols,
+            n_cols,
             geom.bl,
-            block,
+            &mut Dest::nchw(tile_out, geom.spec.out_channels, ohw, bias),
         );
-        for (f, row) in block.chunks_exact_mut(ohw).enumerate() {
-            let b = bias[f];
-            for o in row {
-                *o += b;
-            }
-        }
     }
     out
 }
@@ -476,17 +565,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     }
     let (oh, ow) = spec.output_size(h, w)?;
     let bp = plan_conv2d(spec, n, h, w, oh, ow, false)?;
-    let geom = ConvGeom {
-        spec: *spec,
-        h,
-        w,
-        oh,
-        ow,
-        // Cap-checked inside the blueprint build; safe to re-derive.
-        k_flat: spec.in_channels * spec.kernel_h * spec.kernel_w,
-        bl: bp.blocking,
-    };
-    // A `[F, C, KH, KW]` weight is already `[F, K]` row-major.
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking);
     let out = if bp.parallel {
         // Cross-thread operands bypass the arena deliberately: a buffer
         // dropped on another thread would migrate into its pool.
@@ -528,10 +607,10 @@ fn conv_grad_filters_block(
     let mut grad_w = alloc::fresh_vec(len * geom.k_flat);
     let mut grad_b = alloc::fresh_vec(len);
     for sample in 0..n {
-        let g_sample = &grad_out[sample * geom.out_plane_len()..][..geom.out_plane_len()];
-        let cols = &cols_all[sample * geom.cols_len()..][..geom.cols_len()];
+        let g_sample = record(grad_out, sample, geom.out_plane_len());
+        let cols = record(cols_all, sample, geom.cols_len());
         for (slot, f) in range.clone().enumerate() {
-            let g_row = &g_sample[f * ohw..(f + 1) * ohw];
+            let g_row = record(g_sample, f, ohw);
             // ∂bias: sum over spatial positions, then across samples.
             if let Some(b) = grad_b.get_mut(slot) {
                 *b += g_row.iter().sum::<f32>();
@@ -546,8 +625,9 @@ fn conv_grad_filters_block(
 
 /// ∂input worker: for each sample in `range`, computes
 /// `col2im(w_matᵀ · g_mat)` and returns the concatenated image blocks.
-/// The packed panel and the unfolded gradient columns lease from this
-/// thread's scratch arena.
+/// `g_mat` (`[F, OH·OW]` row-major) is read in place — the blueprint's
+/// `nc ≥ OH·OW` makes that the packed layout — and the unfolded
+/// gradient columns lease from this thread's scratch arena.
 fn conv_grad_input_block(
     grad_out: &[f32],
     w_t: &[f32],
@@ -557,26 +637,29 @@ fn conv_grad_input_block(
     let ohw = geom.oh * geom.ow;
     let f = geom.spec.out_channels;
     let mut out = alloc::fresh_vec((range.end - range.start) * geom.image_len());
-    let mut packed = alloc::scratch_f32(geom.out_plane_len());
-    let mut gcols = alloc::scratch_f32(geom.cols_len());
+    let mut gcols = alloc::scratch_stale(geom.cols_len());
     for (slot, sample) in range.enumerate() {
-        let g_mat = &grad_out[sample * geom.out_plane_len()..][..geom.out_plane_len()];
-        pack_b_into(g_mat, f, ohw, geom.bl, &mut packed);
-        gcols.as_mut_slice().fill(0.0);
-        gemm_rows_into(w_t, geom.k_flat, f, &packed, ohw, geom.bl, &mut gcols);
+        let g_mat = record(grad_out, sample, geom.out_plane_len());
+        gemm_rows_into(w_t, geom.k_flat, f, g_mat, ohw, geom.bl, &mut gcols);
         let dst = &mut out[slot * geom.image_len()..(slot + 1) * geom.image_len()];
         col2im_add(&gcols, &geom.spec, geom.h, geom.w, geom.oh, geom.ow, dst);
     }
     out
 }
 
-/// Unfolds the samples in `range` into `dst` (their concatenated
-/// `[len · K, OH·OW]` column blocks; must arrive zeroed).
+/// Unfolds the samples in `range` into `dst`, their concatenated
+/// `[len · K, OH·OW]` column blocks.
 fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: &mut [f32]) {
+    let ohw = geom.oh * geom.ow;
     for (slot, sample) in range.enumerate() {
-        let src = &input[sample * geom.image_len()..(sample + 1) * geom.image_len()];
         let block = &mut dst[slot * geom.cols_len()..(slot + 1) * geom.cols_len()];
-        im2col_into(src, &geom.spec, geom.h, geom.w, geom.oh, geom.ow, block);
+        unfold_into(
+            record(input, sample, geom.image_len()),
+            &geom,
+            block,
+            ohw,
+            0,
+        );
     }
 }
 
@@ -585,6 +668,54 @@ fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: 
 fn im2col_samples_block(input: &[f32], geom: ConvGeom, range: Range<usize>) -> Vec<f32> {
     let mut out = alloc::fresh_vec((range.end - range.start) * geom.cols_len());
     im2col_samples_into(input, geom, range, &mut out);
+    out
+}
+
+/// Validates and plans a backward call: `(blueprint, geometry, N)`.
+fn plan_backward(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+) -> Result<(Blueprint, ConvGeom, usize)> {
+    let (n, h, w) = validate_conv_input(input, spec)?;
+    let (oh, ow) = spec.output_size(h, w)?;
+    if grad_out.dims() != [n, spec.out_channels, oh, ow] {
+        return Err(TensorError::shape_mismatch(
+            "conv2d_backward",
+            grad_out.dims(),
+            &[n, spec.out_channels, oh, ow],
+        ));
+    }
+    let bp = plan_conv2d(spec, n, h, w, oh, ow, true)?;
+    Ok((bp, ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking), n))
+}
+
+/// ∂input of a planned backward call, partitioned over samples when
+/// the blueprint says so: `col2im(wᵀ · g)` per sample.
+fn grad_input(
+    bp: &Blueprint,
+    geom: ConvGeom,
+    n: usize,
+    weight: &[f32],
+    grad_out: &[f32],
+) -> Vec<f32> {
+    let f = geom.spec.out_channels;
+    if !bp.parallel {
+        let mut w_t = alloc::scratch_f32(bp.scratch2);
+        transpose_into(weight, f, geom.k_flat, &mut w_t);
+        return conv_grad_input_block(grad_out, &w_t, geom, 0..n);
+    }
+    let mut w_t = alloc::fresh_vec(bp.scratch2);
+    transpose_into(weight, f, geom.k_flat, &mut w_t);
+    let w_t = Arc::new(w_t);
+    let g: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(grad_out));
+    let blocks = par::parallel_rows(n, move |range: Range<usize>| {
+        conv_grad_input_block(&g, &w_t, geom, range)
+    });
+    let mut out = alloc::fresh_with(bp.out_len);
+    for block in blocks {
+        out.extend_from_slice(&block);
+    }
     out
 }
 
@@ -605,89 +736,68 @@ pub fn conv2d_backward(
     grad_out: &Tensor,
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
-    let (n, h, w) = validate_conv_input(input, spec)?;
-    let (oh, ow) = spec.output_size(h, w)?;
-    if grad_out.dims() != [n, spec.out_channels, oh, ow] {
-        return Err(TensorError::shape_mismatch(
-            "conv2d_backward",
-            grad_out.dims(),
-            &[n, spec.out_channels, oh, ow],
-        ));
-    }
-    let bp = plan_conv2d(spec, n, h, w, oh, ow, true)?;
-    let geom = ConvGeom {
-        spec: *spec,
-        h,
-        w,
-        oh,
-        ow,
-        k_flat: spec.in_channels * spec.kernel_h * spec.kernel_w,
-        bl: bp.blocking,
-    };
-    let k_flat = geom.k_flat;
+    let (bp, geom, n) = plan_backward(input, grad_out, spec)?;
     let cols_total = checked_product("conv2d_backward cols", &[n, geom.cols_len()])?;
-
-    if !bp.parallel {
-        let input_data = input.as_slice();
-        let g_data = grad_out.as_slice();
-        let mut cols_all = alloc::scratch_f32(cols_total);
-        im2col_samples_into(input_data, geom, 0..n, &mut cols_all);
-        let (grad_w, grad_b) =
-            conv_grad_filters_block(g_data, &cols_all, geom, n, 0..spec.out_channels);
-        let mut w_t = alloc::scratch_f32(bp.scratch2);
-        transpose_into(weight.as_slice(), spec.out_channels, k_flat, &mut w_t);
-        let grad_input = conv_grad_input_block(g_data, &w_t, geom, 0..n);
-        return Ok(Conv2dGrads {
-            input: Tensor::from_vec(grad_input, input.shape().duplicate())?,
-            weight: Tensor::from_vec(grad_w, Shape::of(weight.dims()))?,
-            bias: Tensor::from_vec(grad_b, Shape::of(&[spec.out_channels]))?,
+    let (grad_w, grad_b) = if bp.parallel {
+        // Unfold every sample once (partitioned over samples); the
+        // column matrices are shared read-only by the ∂weight workers,
+        // which own whole filter rows.
+        let input_arc: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(input.as_slice()));
+        let col_blocks = par::parallel_rows(n, move |range: Range<usize>| {
+            im2col_samples_block(&input_arc, geom, range)
         });
-    }
-
-    let input_arc: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(input.as_slice()));
-    let g_arc: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(grad_out.as_slice()));
-
-    // Phase 1: unfold every sample once (partitioned over samples); the
-    // column matrices are shared read-only by the ∂weight workers.
-    let in_for_cols = Arc::clone(&input_arc);
-    let col_blocks = par::parallel_rows(n, move |range: Range<usize>| {
-        im2col_samples_block(&in_for_cols, geom, range)
-    });
-    let mut cols_all = alloc::fresh_with(cols_total);
-    for block in col_blocks {
-        cols_all.extend_from_slice(&block);
-    }
-    let cols_all = Arc::new(cols_all);
-
-    // Phase 2: ∂weight + ∂bias over filter rows.
-    let g_for_w = Arc::clone(&g_arc);
-    let grad_blocks = par::parallel_rows(spec.out_channels, move |range: Range<usize>| {
-        conv_grad_filters_block(&g_for_w, &cols_all, geom, n, range)
-    });
-    let mut grad_w = alloc::fresh_with(spec.out_channels * k_flat);
-    let mut grad_b = alloc::fresh_with(spec.out_channels);
-    for (w_block, b_block) in grad_blocks {
-        grad_w.extend_from_slice(&w_block);
-        grad_b.extend_from_slice(&b_block);
-    }
-
-    // Phase 3: ∂input over samples.
-    let mut w_t_buf = alloc::fresh_vec(bp.scratch2);
-    transpose_into(weight.as_slice(), spec.out_channels, k_flat, &mut w_t_buf);
-    let w_t = Arc::new(w_t_buf);
-    let in_blocks = par::parallel_rows(n, move |range: Range<usize>| {
-        conv_grad_input_block(&g_arc, &w_t, geom, range)
-    });
-    let mut grad_input = alloc::fresh_with(input.numel());
-    for block in in_blocks {
-        grad_input.extend_from_slice(&block);
-    }
-
+        let mut cols_all = alloc::fresh_with(cols_total);
+        for block in col_blocks {
+            cols_all.extend_from_slice(&block);
+        }
+        let cols_all = Arc::new(cols_all);
+        let g: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(grad_out.as_slice()));
+        let grad_blocks = par::parallel_rows(spec.out_channels, move |range: Range<usize>| {
+            conv_grad_filters_block(&g, &cols_all, geom, n, range)
+        });
+        let mut grad_w = alloc::fresh_with(spec.out_channels * geom.k_flat);
+        let mut grad_b = alloc::fresh_with(spec.out_channels);
+        for (w_block, b_block) in grad_blocks {
+            grad_w.extend_from_slice(&w_block);
+            grad_b.extend_from_slice(&b_block);
+        }
+        (grad_w, grad_b)
+    } else {
+        let mut cols_all = alloc::scratch_stale(cols_total);
+        im2col_samples_into(input.as_slice(), geom, 0..n, &mut cols_all);
+        conv_grad_filters_block(
+            grad_out.as_slice(),
+            &cols_all,
+            geom,
+            n,
+            0..spec.out_channels,
+        )
+    };
+    let grad_input = grad_input(&bp, geom, n, weight.as_slice(), grad_out.as_slice());
     Ok(Conv2dGrads {
         input: Tensor::from_vec(grad_input, input.shape().duplicate())?,
         weight: Tensor::from_vec(grad_w, Shape::of(weight.dims()))?,
         bias: Tensor::from_vec(grad_b, Shape::of(&[spec.out_channels]))?,
     })
+}
+
+/// The ∂input half of [`conv2d_backward`] alone — what an attack query
+/// needs. Skips the unfold of `input` (only its shape is read) and the
+/// whole ∂weight/∂bias product; the returned gradient is bit-identical
+/// to `conv2d_backward(..)?.input`.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_backward`].
+pub fn conv2d_backward_input(
+    input: &Tensor,
+    weight: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+) -> Result<Tensor> {
+    let (bp, geom, n) = plan_backward(input, grad_out, spec)?;
+    let grad = grad_input(&bp, geom, n, weight.as_slice(), grad_out.as_slice());
+    Tensor::from_vec(grad, input.shape().duplicate())
 }
 
 #[cfg(test)]
@@ -837,6 +947,78 @@ mod tests {
                 assert!((a - b).abs() < 1e-4, "{a} vs {b} for spec {spec:?}");
             }
         }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn batch_equals_single_sample_calls_bit_for_bit() {
+        // Batch sizes around the register tile (a 2×2 plane puts four
+        // samples in one 16-column tile; 17 samples leave a narrow
+        // strip) and around the fused tile (an 8×8 plane fuses 16
+        // samples; 17 spill into a second tile).
+        for (h, w) in [(2, 2), (8, 8), (5, 7)] {
+            for stride in [1, 2] {
+                for padding in [0, 1] {
+                    let spec = ConvSpec::new(3, 5, 3, stride, padding);
+                    if spec.output_size(h, w).is_err() {
+                        continue;
+                    }
+                    for n in [1, 2, 5, 16, 17] {
+                        let (input, weight, bias) = random_setup(n as u64, &spec, n, h, w);
+                        let batched = conv2d(&input, &weight, &bias, &spec).unwrap();
+                        let mut singles = Vec::new();
+                        for s in 0..n {
+                            let one = input.index_batch(s).unwrap().unsqueeze_batch();
+                            singles.extend(bits(&conv2d(&one, &weight, &bias, &spec).unwrap()));
+                        }
+                        assert_eq!(
+                            bits(&batched),
+                            singles,
+                            "{h}x{w} stride {stride} pad {padding} n {n}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn zero_channel_specs_are_typed_errors() {
+        let input = Tensor::zeros(&[1, 2, 4, 4]);
+        let spec = ConvSpec::new(2, 0, 3, 1, 1);
+        let err = conv2d(
+            &input,
+            &Tensor::zeros(&[0, 2, 3, 3]),
+            &Tensor::zeros(&[0]),
+            &spec,
+        );
+        assert!(matches!(err, Err(TensorError::InvalidGeometry { .. })));
+    }
+
+    #[test]
+    fn backward_input_equals_full_backward_bit_for_bit() {
+        for (spec, n, h, w) in [
+            (ConvSpec::new(2, 3, 3, 1, 1), 1, 5, 5),
+            (ConvSpec::new(3, 4, 3, 2, 0), 2, 7, 6),
+            (ConvSpec::new(48, 64, 3, 1, 1), 1, 2, 2),
+        ] {
+            let (input, weight, bias) = random_setup(3, &spec, n, h, w);
+            let out = conv2d(&input, &weight, &bias, &spec).unwrap();
+            let grad_out = TensorRng::seed_from_u64(4).uniform(out.dims(), -1.0, 1.0);
+            let full = conv2d_backward(&input, &weight, &grad_out, &spec).unwrap();
+            let only = conv2d_backward_input(&input, &weight, &grad_out, &spec).unwrap();
+            assert_eq!(only.dims(), input.dims());
+            assert_eq!(bits(&only), bits(&full.input), "{spec:?}");
+        }
+        let spec = ConvSpec::new(2, 3, 3, 1, 1);
+        let input = Tensor::zeros(&[1, 2, 5, 5]);
+        let weight = Tensor::zeros(&[3, 2, 3, 3]);
+        assert!(
+            conv2d_backward_input(&input, &weight, &Tensor::zeros(&[1, 3, 4, 4]), &spec).is_err()
+        );
     }
 
     #[test]

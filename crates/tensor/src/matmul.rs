@@ -10,15 +10,18 @@
 //! chunk and its `k`-accumulation runs in increasing-`p` order in a
 //! single `f32` accumulator — the same order as the reference
 //! three-loop kernel — so results are **bit-exact regardless of thread
-//! count or blocking choice**. That invariant is what keeps checkpoints
-//! byte-reproducible and the seed-sensitive statistical tests stable;
-//! see the proptests in `tests/par_invariance.rs`.
+//! count, blocking choice, register tile or instruction set**. That
+//! invariant is what keeps checkpoints byte-reproducible and the
+//! seed-sensitive statistical tests stable; see the proptests here and
+//! in `tests/par_invariance.rs`.
 //!
-//! `B` is repacked once per call into `kc × nc` panels so the innermost
-//! loop streams over contiguous memory even for wide right-hand sides.
-//! Packing copies values without arithmetic, so it cannot perturb the
-//! accumulation order. On the serial path the packing panel comes from
-//! the thread-local scratch arena, so steady-state serving re-uses one
+//! The `(mc, kc, nc)` loops choose which cache block is resident; the
+//! arithmetic inside a block is the register-tiled micro-kernel of
+//! [`crate::simd`]. `B` is repacked once per call into `kc × nc` panels
+//! so a block's rows are `nc`, not `n`, floats apart. Packing copies
+//! values without arithmetic, so it cannot perturb the accumulation
+//! order. On the serial path the packing panel comes from the
+//! thread-local scratch arena, so steady-state serving re-uses one
 //! high-water buffer instead of allocating per call.
 
 use std::ops::Range;
@@ -27,6 +30,7 @@ use std::sync::Arc;
 use crate::plan::alloc;
 use crate::plan::blueprint::{Blocking, Blueprint, OpKind};
 use crate::plan::selector;
+use crate::simd::{self, Block, Dest};
 use crate::{par, Result, Shape, Tensor, TensorError};
 
 /// Packs `b` (`[k, n]`, row-major) into `kc × nc` panels laid out so
@@ -48,15 +52,10 @@ pub(crate) fn pack_b_into(b: &[f32], k: usize, n: usize, bl: Blocking, packed: &
     }
 }
 
-/// Serial blocked kernel: multiplies `rows` rows of `A` (`a_block`,
+/// Serial blocked GEMM: multiplies `rows` rows of `A` (`a_block`,
 /// `[rows, k]` row-major) by a [`pack_b_into`]-packed `B` (`[k, n]`,
-/// packed with the same `bl`), accumulating into `out` (`[rows, n]`,
-/// which must arrive zeroed).
-///
-/// Per output element the `k` terms are added in increasing-`p` order
-/// into a single accumulator chain starting at `0.0` — identical to
-/// the naive i-k-j loop, so any `(mc, kc, nc)` blocking changes nothing
-/// numerically.
+/// packed with the same `bl`) into `out` (`[rows, n]` row-major, every
+/// element overwritten).
 pub(crate) fn gemm_rows_into(
     a_block: &[f32],
     rows: usize,
@@ -66,6 +65,38 @@ pub(crate) fn gemm_rows_into(
     bl: Blocking,
     out: &mut [f32],
 ) {
+    gemm_rows_to(
+        a_block,
+        rows,
+        k,
+        packed_b,
+        n,
+        bl,
+        &mut Dest::row_major(out, n),
+    );
+}
+
+/// [`gemm_rows_into`] with the store spelled out by `dest` (layout and
+/// fused bias). The `(mc, kc, nc)` loops here only choose which cache
+/// block is resident; the arithmetic is the register-tiled micro-kernel
+/// behind [`simd::gemm_block`]. Per output element the `k` terms are
+/// added in increasing-`p` order into a single accumulator chain
+/// starting at `0.0` — identical to the naive i-k-j loop, so any
+/// blocking changes nothing numerically.
+///
+/// A row-major `[k, n]` matrix *is* the packed layout whenever
+/// `bl.nc ≥ n` (one column panel, whose `k` panels are consecutive
+/// row ranges) — the batch-fused convolution relies on that to skip
+/// the packing copy.
+pub(crate) fn gemm_rows_to(
+    a_block: &[f32],
+    rows: usize,
+    k: usize,
+    packed_b: &[f32],
+    n: usize,
+    bl: Blocking,
+    dest: &mut Dest,
+) {
     for jc in (0..n).step_by(bl.nc) {
         let ncb = bl.nc.min(n - jc);
         for pc in (0..k).step_by(bl.kc) {
@@ -73,16 +104,20 @@ pub(crate) fn gemm_rows_into(
             let panel = &packed_b[jc * k + pc * ncb..][..kcb * ncb];
             for ic in (0..rows).step_by(bl.mc) {
                 let mcb = bl.mc.min(rows - ic);
-                for i in ic..ic + mcb {
-                    let a_row = &a_block[i * k + pc..][..kcb];
-                    let o_row = &mut out[i * n + jc..][..ncb];
-                    for (pp, &a_ip) in a_row.iter().enumerate() {
-                        let b_row = &panel[pp * ncb..][..ncb];
-                        for (o, &b_pj) in o_row.iter_mut().zip(b_row) {
-                            *o += a_ip * b_pj;
-                        }
-                    }
-                }
+                let blk = Block {
+                    a: &a_block[ic * k + pc..][..(mcb - 1) * k + kcb],
+                    lda: k,
+                    rows: mcb,
+                    b: panel,
+                    ldb: ncb,
+                    kc: kcb,
+                    cols: ncb,
+                    first: pc == 0,
+                    last: pc + kcb == k,
+                    row0: ic,
+                    col0: jc,
+                };
+                simd::gemm_block(&blk, dest);
             }
         }
     }
@@ -508,7 +543,73 @@ mod tests {
         assert!(a.matmul(&b).unwrap().as_slice()[0].is_nan());
     }
 
+    /// The numerics contract, spelled as code: one `f32` accumulator per
+    /// element from `0.0`, `k` ascending, multiply then add.
+    fn three_loop_reference(a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+        let mut out = vec![0.0f32; m * n];
+        for i in 0..m {
+            for j in 0..n {
+                let mut acc = 0.0f32;
+                for p in 0..k {
+                    acc += a[i * k + p] * b[p * n + j];
+                }
+                out[i * n + j] = acc;
+            }
+        }
+        out
+    }
+
     proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Both instantiations of the micro-kernel reproduce the
+        /// three-loop reference bit for bit. The ranges cover every
+        /// full/edge register tile (4×16 and 8×4, bottom and right
+        /// edges, 1–3 padded lanes) and the `kc` panel boundary; the
+        /// tight blocking adds `mc`/`nc` block edges. A NaN or ∞ in
+        /// either operand must stay non-finite wherever the reference
+        /// says so (NaN payloads are not compared: which operand's
+        /// payload survives `NaN + NaN` is the compiler's choice).
+        #[test]
+        fn micro_kernel_matches_three_loop_reference(
+            seed in 0u64..1_000_000,
+            m in 1usize..40,
+            k in 1usize..300,
+            n in 1usize..70,
+            poison in 0usize..4,
+        ) {
+            let mut rng = crate::TensorRng::seed_from_u64(seed);
+            let mut a = rng.uniform(&[m, k], -2.0, 2.0).into_vec();
+            let mut b = rng.uniform(&[k, n], -2.0, 2.0).into_vec();
+            if poison & 1 == 1 {
+                a[(seed as usize) % (m * k)] = f32::NAN;
+            }
+            if poison & 2 == 2 {
+                b[(seed as usize / 7) % (k * n)] = f32::INFINITY;
+            }
+            let want = three_loop_reference(&a, &b, m, k, n);
+            // The only test in this binary that pins the instantiation
+            // (a process-wide switch); the others are indifferent to it.
+            for baseline_only in [true, false] {
+                crate::simd::set_baseline_only(baseline_only);
+                for bl in [DEFAULT_BLOCKING, Blocking { mc: 8, kc: 32, nc: 24 }] {
+                    let mut packed = vec![0.0f32; k * n];
+                    pack_b_into(&b, k, n, bl, &mut packed);
+                    // Dirty on purpose: the kernel must overwrite, not add.
+                    let mut got = vec![f32::NAN; m * n];
+                    gemm_rows_into(&a, m, k, &packed, n, bl, &mut got);
+                    for (g, w) in got.iter().zip(&want) {
+                        if w.is_nan() {
+                            prop_assert!(g.is_nan(), "NaN laundered to {g} ({bl:?})");
+                        } else {
+                            prop_assert_eq!(g.to_bits(), w.to_bits());
+                        }
+                    }
+                }
+            }
+            crate::simd::set_baseline_only(false);
+        }
+
         /// (A·B)·C == A·(B·C) within tolerance.
         #[test]
         fn associativity(

@@ -150,13 +150,11 @@ fn take_best(pool: &mut Vec<Vec<f32>>, len: usize) -> Vec<f32> {
     }
 }
 
-/// Acquires a zeroed scratch buffer of exactly `len` elements from the
-/// current thread's arena. After warm-up on a shape key this never
-/// touches the heap: the pooled buffer is cleared and re-zeroed in
-/// place (`resize` on retained capacity is a pure memset).
-pub fn scratch_f32(len: usize) -> Scratch {
+/// Takes this thread's best pooled buffer for `len` and counts the
+/// acquisition; the buffer still holds its previous lease's contents.
+fn lease(len: usize) -> Vec<f32> {
     ACQUIRES.fetch_add(1, Ordering::Relaxed);
-    let mut buf = POOL
+    let buf = POOL
         .try_with(|p| take_best(&mut p.borrow_mut(), len))
         .unwrap_or_default();
     if buf.capacity() < len {
@@ -164,7 +162,26 @@ pub fn scratch_f32(len: usize) -> Scratch {
     } else {
         HITS.fetch_add(1, Ordering::Relaxed);
     }
+    buf
+}
+
+/// Acquires a zeroed scratch buffer of exactly `len` elements from the
+/// current thread's arena. After warm-up on a shape key this never
+/// touches the heap: the pooled buffer is cleared and re-zeroed in
+/// place (`resize` on retained capacity is a pure memset).
+pub fn scratch_f32(len: usize) -> Scratch {
+    let mut buf = lease(len);
     buf.clear();
+    buf.resize(len, 0.0);
+    Scratch { buf }
+}
+
+/// Like [`scratch_f32`] but with unspecified contents (whatever earlier
+/// leases left behind, zeros where the buffer had to grow): for a
+/// kernel that overwrites every element before reading any — the
+/// batch-fused im2col unfold — so a warm lease costs no memset.
+pub fn scratch_stale(len: usize) -> Scratch {
+    let mut buf = lease(len);
     buf.resize(len, 0.0);
     Scratch { buf }
 }

@@ -3,33 +3,23 @@
 //! on a warm key pays one read-locked hash lookup instead of
 //! re-deriving sizes and `should_parallelize` thresholds.
 //!
-//! The default path is fully deterministic: the same shape key yields
-//! the same blueprint in every process, which keeps `fit_durable`'s
-//! byte-exact crash/resume and the seed-sensitive figure sweeps stable
-//! across runs. Setting `FADEML_AUTOTUNE=1` enables a one-shot timed
-//! micro-autotune per shape key; its choice is cached (stable within
-//! the process) and bit-safe (all candidate blockings produce identical
-//! bits — see the blueprint module docs), but being timing-based it is
-//! not reproducible across processes, so it is opt-in.
+//! Planning is fully deterministic: the same shape key yields the same
+//! blueprint in every process, which keeps `fit_durable`'s byte-exact
+//! crash/resume and the seed-sensitive figure sweeps stable across
+//! runs.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::OnceLock;
-use std::time::Instant;
 
 use parking_lot::RwLock;
 
-use super::alloc;
-use super::blueprint::{
-    blocking_for, checked_product, classify_gemm, Blocking, Blueprint, OpKind, ShapeClass,
-    ShapeKey, DEFAULT_BLOCKING,
-};
+use super::blueprint::{blocking_for, checked_product, classify_gemm, Blueprint, OpKind, ShapeKey};
 use crate::error::TensorError;
 use crate::par;
 
-/// Cache size cap. Beyond it, plans are still computed (with the
-/// deterministic heuristic, never the autotuner) but not stored, so a
-/// shape-spraying client cannot grow the map without bound.
+/// Cache size cap. Beyond it, plans are still computed but not stored,
+/// so a shape-spraying client cannot grow the map without bound.
 const CACHE_CAP: usize = 1024;
 
 static HITS: AtomicU64 = AtomicU64::new(0);
@@ -113,12 +103,10 @@ pub fn plan_gemm(op: OpKind, m: usize, k: usize, n: usize) -> Result<Blueprint, 
             _ => 0,
         };
         let class = classify_gemm(m, n, work);
-        let cacheable = cache().read().len() < CACHE_CAP;
-        let blocking = choose_blocking(op, class, cacheable, m, k, n);
         Ok(Blueprint {
             key,
             class,
-            blocking,
+            blocking: blocking_for(class),
             parallel: par::should_parallelize(m, work),
             rows: m,
             scratch,
@@ -126,72 +114,6 @@ pub fn plan_gemm(op: OpKind, m: usize, k: usize, n: usize) -> Result<Blueprint, 
             out_len,
         })
     })
-}
-
-fn autotune_enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| std::env::var("FADEML_AUTOTUNE").is_ok_and(|v| v == "1"))
-}
-
-/// Heuristic blocking by default; timed micro-autotune when opted in,
-/// the shape is worth tuning, and the result will actually be cached
-/// (an uncacheable timed choice could differ on recomputation, which
-/// would violate the stable-blocking guarantee).
-fn choose_blocking(
-    op: OpKind,
-    class: ShapeClass,
-    cacheable: bool,
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Blocking {
-    let base = blocking_for(class);
-    let tunable = !matches!(op, OpKind::MatMulNt) && !matches!(class, ShapeClass::SmallSerial);
-    if !autotune_enabled() || !tunable || !cacheable {
-        return base;
-    }
-    microtune(base, m, k, n)
-}
-
-/// One-shot micro-autotune: times each candidate blocking on a
-/// zero-filled probe capped at one outer block per dimension and keeps
-/// the fastest. Runs once per shape key; buffers come from the arena.
-fn microtune(base: Blocking, m: usize, k: usize, n: usize) -> Blocking {
-    let pm = m.min(128);
-    let pk = k.min(512);
-    let pn = n.min(1024);
-    let a = alloc::scratch_f32(pm * pk);
-    let b = alloc::scratch_f32(pk * pn);
-    let mut packed = alloc::scratch_f32(pk * pn);
-    let mut out = alloc::scratch_f32(pm * pn);
-    let candidates = [
-        base,
-        DEFAULT_BLOCKING,
-        Blocking {
-            mc: 32,
-            kc: 128,
-            nc: 256,
-        },
-        Blocking {
-            mc: 128,
-            kc: 512,
-            nc: 512,
-        },
-    ];
-    let mut best = (u128::MAX, base);
-    for cand in candidates {
-        let mut cost = u128::MAX;
-        for _ in 0..2 {
-            let start = Instant::now();
-            crate::matmul::pack_b_into(&b, pk, pn, cand, &mut packed);
-            crate::matmul::gemm_rows_into(&a, pm, pk, &packed, pn, cand, &mut out);
-            cost = cost.min(start.elapsed().as_nanos());
-        }
-        if cost < best.0 {
-            best = (cost, cand);
-        }
-    }
-    best.1
 }
 
 #[cfg(test)]

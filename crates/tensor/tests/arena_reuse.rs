@@ -51,7 +51,9 @@ fn warm_matmul_makes_zero_scratch_allocations() {
 fn warm_conv2d_makes_zero_scratch_allocations() {
     let mut rng = TensorRng::seed_from_u64(43);
     let spec = ConvSpec::new(3, 8, 3, 1, 1);
-    let input = filled(&mut rng, &[2, 3, 16, 16]);
+    // 16×16 planes fuse four samples per tile, so a batch of six runs a
+    // full tile and a partial one out of the same lease.
+    let input = filled(&mut rng, &[6, 3, 16, 16]);
     let weight = filled(&mut rng, &[8, 3, 3, 3]);
     let bias = filled(&mut rng, &[8]);
     let (grows, hits, _) = measure_warm(
@@ -63,9 +65,39 @@ fn warm_conv2d_makes_zero_scratch_allocations() {
         10,
     );
     assert_eq!(grows, 0, "warm conv2d grew a scratch buffer");
-    // Forward conv leases the im2col matrix and the packing panel per
-    // call, so ten warm calls are at least twenty arena hits.
-    assert!(hits >= 20, "warm conv2d did not lease from the arena");
+    // Forward conv leases one fused tile matrix per call.
+    assert!(hits >= 10, "warm conv2d did not lease from the arena");
+}
+
+/// The fused tile matrix is leased *uncleared*: whatever an earlier
+/// call (here: a different geometry, then the same one) left in the
+/// buffer must never reach an output.
+#[test]
+fn dirty_fused_scratch_matches_fresh_thread_bit_for_bit() {
+    let mut rng = TensorRng::seed_from_u64(45);
+    let spec = ConvSpec::new(2, 5, 3, 1, 1);
+    let input = filled(&mut rng, &[3, 2, 9, 7]);
+    let weight = filled(&mut rng, &[5, 2, 3, 3]);
+    let bias = filled(&mut rng, &[5]);
+    let other_spec = ConvSpec::new(4, 3, 3, 2, 0);
+    let other = filled(&mut rng, &[2, 4, 11, 11]);
+    let other_w = filled(&mut rng, &[3, 4, 3, 3]);
+    let other_b = filled(&mut rng, &[3]);
+    let run = || {
+        conv2d(&input, &weight, &bias, &spec)
+            .expect("conv2d")
+            .into_vec()
+    };
+    let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    par::set_threads(1);
+    let _ = conv2d(&other, &other_w, &other_b, &other_spec).expect("conv2d");
+    let _ = run();
+    let warm: Vec<u32> = run().iter().map(|v| v.to_bits()).collect();
+    let fresh: Vec<u32> = std::thread::scope(|s| s.spawn(run).join().expect("fresh-arena thread"))
+        .iter()
+        .map(|v| v.to_bits())
+        .collect();
+    assert_eq!(warm, fresh, "stale scratch contents leaked into conv2d");
 }
 
 #[test]

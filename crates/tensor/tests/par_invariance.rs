@@ -1,17 +1,21 @@
-//! Thread-count invariance: every kernel routed through the
-//! `fademl_tensor::par` pool must produce **bit-identical** output at
-//! any thread count. This is the invariant that lets PR 4's byte-exact
-//! checkpoint/resume and the seed-sensitive statistical tests survive
-//! parallelisation — partitioning only ever splits independent outputs,
-//! never a reduction's association order.
+//! Thread-count and instruction-set invariance: every kernel routed
+//! through the `fademl_tensor::par` pool must produce **bit-identical**
+//! output at any thread count, and the GEMM micro-kernel's two
+//! instantiations (baseline and AVX2) must agree lane for lane. This is
+//! the invariant that lets PR 4's byte-exact checkpoint/resume and the
+//! seed-sensitive statistical tests survive parallelisation and
+//! vectorisation — partitioning only ever splits independent outputs,
+//! and neither instantiation fuses or re-associates a reduction.
 //!
-//! `set_threads` is a process-wide override, so every test here
-//! serialises on one mutex and restores the serial setting on exit.
+//! `set_threads` and `set_baseline_only` are process-wide overrides, so
+//! every test here serialises on one mutex and restores the defaults on
+//! exit.
 
 use std::sync::Mutex;
 
 use fademl_tensor::plan::blueprint::OpKind;
 use fademl_tensor::plan::selector;
+use fademl_tensor::simd::{self, Isa};
 use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -21,28 +25,43 @@ static THREADS_GUARD: Mutex<()> = Mutex::new(());
 /// and a prime count that never divides the row counts evenly.
 const SWEEP: [usize; 4] = [1, 2, 4, 7];
 
-/// Runs `op` once per thread count in [`SWEEP`] and returns the bit
-/// patterns of each run's output, serial first.
-fn sweep_bits(op: impl Fn() -> Vec<f32>) -> Vec<Vec<u32>> {
+/// The instantiations this host can run: baseline always, AVX2 when
+/// detected. Without AVX2 the ISA axis collapses and says so.
+fn isa_axis() -> Vec<Isa> {
+    if simd::detected() == Isa::Baseline {
+        static NOTICE: std::sync::Once = std::sync::Once::new();
+        NOTICE.call_once(|| {
+            eprintln!("par_invariance: host lacks AVX2 — ISA axis skipped, baseline only");
+        });
+        return vec![Isa::Baseline];
+    }
+    vec![Isa::Baseline, simd::detected()]
+}
+
+/// Runs `op` once per (instantiation, thread count) cell and returns
+/// each cell's label and output bit patterns, baseline-serial first.
+fn sweep_bits(op: impl Fn() -> Vec<f32>) -> Vec<(String, Vec<u32>)> {
     let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-    let runs = SWEEP
-        .iter()
-        .map(|&t| {
+    let mut runs = Vec::new();
+    for isa in isa_axis() {
+        simd::set_baseline_only(isa == Isa::Baseline);
+        for &t in &SWEEP {
             par::set_threads(t);
-            op().iter().map(|v| v.to_bits()).collect()
-        })
-        .collect();
+            let bits = op().iter().map(|v| v.to_bits()).collect();
+            runs.push((format!("{} × {t} threads", isa.name()), bits));
+        }
+    }
+    simd::set_baseline_only(false);
     par::set_threads(1);
     runs
 }
 
 fn assert_invariant(op: impl Fn() -> Vec<f32>, what: &str) {
     let runs = sweep_bits(op);
-    for (i, run) in runs.iter().enumerate().skip(1) {
+    for (cell, run) in &runs[1..] {
         assert_eq!(
-            run, &runs[0],
-            "{what}: output at {} threads diverged from serial",
-            SWEEP[i]
+            run, &runs[0].1,
+            "{what}: output at {cell} diverged from baseline serial"
         );
     }
 }
@@ -178,8 +197,8 @@ proptest! {
         let a = filled(&mut rng, &[m, k]);
         let b = filled(&mut rng, &[k, n]);
         let runs = sweep_bits(|| a.matmul(&b).expect("matmul").into_vec());
-        for run in &runs[1..] {
-            prop_assert_eq!(run, &runs[0]);
+        for (_, run) in &runs[1..] {
+            prop_assert_eq!(run, &runs[0].1);
         }
     }
 
@@ -209,9 +228,9 @@ proptest! {
             all.extend(grads.bias.into_vec());
             all
         });
-        for run in &runs[1..] {
-            prop_assert_eq!(run, &runs[0]);
+        for (_, run) in &runs[1..] {
+            prop_assert_eq!(run, &runs[0].1);
         }
-        prop_assert!(runs[0].iter().all(|bits| !f32::from_bits(*bits).is_nan()));
+        prop_assert!(runs[0].1.iter().all(|bits| !f32::from_bits(*bits).is_nan()));
     }
 }
