@@ -21,6 +21,11 @@ pub enum DataError {
     },
     /// Reading or writing image files failed.
     Io(std::io::Error),
+    /// A dataset file failed its magic, CRC or structural checks.
+    Corrupt {
+        /// What was wrong with the bytes.
+        reason: String,
+    },
 }
 
 impl DataError {
@@ -40,6 +45,7 @@ impl fmt::Display for DataError {
             }
             DataError::InvalidConfig { reason } => write!(f, "invalid configuration: {reason}"),
             DataError::Io(e) => write!(f, "i/o error: {e}"),
+            DataError::Corrupt { reason } => write!(f, "corrupt dataset file: {reason}"),
         }
     }
 }

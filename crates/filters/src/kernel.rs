@@ -9,9 +9,7 @@
 //!
 //! The renormalization plane depends only on the kernel geometry and
 //! the image size, so it is computed once per `(h, w)` and cached
-//! inside the kernel. The parallel/serial dispatch is planned once per
-//! `(planes, h, w, taps)` key through `fademl_tensor::plan`, and
-//! application is split into a bounds-check-free
+//! inside the kernel. Application is split into a bounds-check-free
 //! interior fast path (where every tap is in bounds and the divisor is
 //! the full weight sum) and a clamped border path, and partitioned over
 //! independent channel planes across the `fademl_tensor::par` pool —
@@ -24,10 +22,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use fademl_tensor::plan::alloc;
-use fademl_tensor::plan::blueprint::{
-    checked_product, Blueprint, OpKind, ShapeClass, ShapeKey, DEFAULT_BLOCKING,
-};
-use fademl_tensor::plan::selector;
+use fademl_tensor::plan::blueprint::checked_product;
 use fademl_tensor::{par, Tensor};
 
 use crate::filter::check_image_rank;
@@ -247,11 +242,10 @@ impl Kernel {
     pub fn apply(&self, image: &Tensor) -> Result<Tensor> {
         check_image_rank(image)?;
         let (planes, h, w) = Self::plane_geometry(image);
-        let bp = self.plan(planes, h, w)?;
         let sums = self.sums_for(h, w)?;
         let (yr, xr) = self.interior(h, w);
         let src = image.as_slice();
-        let out = self.run_planes(src, planes, h, w, sums, yr, xr, false, &bp);
+        let out = self.run_planes(src, planes, h, w, sums, yr, xr, false)?;
         Ok(Tensor::from_vec(out, image.shape().duplicate())?)
     }
 
@@ -267,40 +261,16 @@ impl Kernel {
     pub fn backward(&self, grad_out: &Tensor) -> Result<Tensor> {
         check_image_rank(grad_out)?;
         let (planes, h, w) = Self::plane_geometry(grad_out);
-        let bp = self.plan(planes, h, w)?;
         let sums = self.sums_for(h, w)?;
         let (yr, xr) = self.interior(h, w);
         let g = grad_out.as_slice();
-        let out = self.run_planes(g, planes, h, w, sums, yr, xr, true, &bp);
+        let out = self.run_planes(g, planes, h, w, sums, yr, xr, true)?;
         Ok(Tensor::from_vec(out, grad_out.shape().duplicate())?)
     }
 
-    /// One cached blueprint per `(planes, h, w, taps)` key: the
-    /// cap-checked output length and the hoisted parallel/serial
-    /// decision, identical for the forward and adjoint directions.
-    fn plan(&self, planes: usize, h: usize, w: usize) -> Result<Blueprint> {
-        let key = ShapeKey::new(OpKind::FilterPlane, &[planes, h, w, self.taps.len()]);
-        let taps = self.taps.len();
-        let bp = selector::plan_with(key, move || {
-            let out_len = checked_product("filter planes", &[planes, h, w])?;
-            let work = out_len.saturating_mul(taps);
-            Ok(Blueprint {
-                key,
-                class: ShapeClass::SmallSerial,
-                blocking: DEFAULT_BLOCKING,
-                parallel: par::should_parallelize(planes, work),
-                rows: planes,
-                scratch: 0,
-                scratch2: 0,
-                out_len,
-            })
-        })?;
-        Ok(bp)
-    }
-
     /// Runs the forward (`adjoint == false`) or backward plane kernel
-    /// over all planes, dispatched serial-or-pool by the blueprint's
-    /// hoisted decision.
+    /// over all planes, serial or on the pool as `should_parallelize`
+    /// decides — identically for both directions.
     #[allow(clippy::too_many_arguments)]
     fn run_planes(
         &self,
@@ -312,10 +282,11 @@ impl Kernel {
         yr: Range<i32>,
         xr: Range<i32>,
         adjoint: bool,
-        bp: &Blueprint,
-    ) -> Vec<f32> {
-        if !bp.parallel {
-            let mut out = alloc::fresh_vec(bp.out_len);
+    ) -> Result<Vec<f32>> {
+        let out_len = checked_product("filter planes", &[planes, h, w])?;
+        let work = out_len.saturating_mul(self.taps.len());
+        if !par::should_parallelize(planes, work) {
+            let mut out = alloc::fresh_vec(out_len);
             for p in 0..planes {
                 let plane_src = &src[p * h * w..(p + 1) * h * w];
                 let plane_dst = &mut out[p * h * w..(p + 1) * h * w];
@@ -323,13 +294,13 @@ impl Kernel {
                     &self.taps, plane_src, plane_dst, h, w, &sums, &yr, &xr, adjoint,
                 );
             }
-            return out;
+            return Ok(out);
         }
         // Cross-thread buffers deliberately bypass the arena: a buffer
         // dropped on another thread would migrate into its pool.
         let src: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(src));
         let taps = Arc::clone(&self.taps);
-        let blocks = par::parallel_rows(bp.rows, move |range: Range<usize>| {
+        let blocks = par::parallel_rows(planes, move |range: Range<usize>| {
             let mut block = alloc::fresh_vec((range.end - range.start) * h * w);
             for (slot, p) in range.enumerate() {
                 let plane_src = &src[p * h * w..(p + 1) * h * w];
@@ -338,11 +309,11 @@ impl Kernel {
             }
             block
         });
-        let mut out = alloc::fresh_with(bp.out_len);
+        let mut out = alloc::fresh_with(out_len);
         for block in blocks {
             out.extend_from_slice(&block);
         }
-        out
+        Ok(out)
     }
 
     /// The `count` offsets nearest the origin (excluding it), ordered by

@@ -588,6 +588,16 @@ mod tests {
         assert_eq!(report.serving.requests_completed, 3);
         assert_eq!(report.serving.requests_failed, 0);
         assert_eq!(report.serving.replicas.len(), 2);
+        // Both replicas snapshot the same process-wide arena counters:
+        // the router must report them once, not once per replica.
+        let arena = report.serving.arena.expect("kernels leased scratch");
+        let after = fademl_tensor::plan::alloc::stats();
+        assert!(
+            arena.scratch_acquires <= after.acquires,
+            "router reported {} scratch leases, the process made {}",
+            arena.scratch_acquires,
+            after.acquires
+        );
     }
 
     #[test]

@@ -9,14 +9,11 @@
 //! the weights are poured into it positionally, with every shape checked
 //! against the target model **before** any tensor data is allocated.
 //!
-//! Two format versions exist:
-//!
-//! - `FADEMLW2` (current): the body is followed by a CRC-32 trailer, so
-//!   truncation, torn writes and bit-flips are detected before a single
-//!   weight is interpreted. Writers always produce this version, and
-//!   [`save_weights_to_path`] writes it atomically (temp file + rename).
-//! - `FADEMLW1` (legacy): no trailer. Still readable; corruption in a
-//!   v1 file is only caught by the shape checks.
+//! The format is `FADEMLW2`: the body is followed by a CRC-32 trailer,
+//! so truncation, torn writes and bit-flips are detected before a single
+//! weight is interpreted, and [`save_weights_to_path`] writes it
+//! atomically (temp file + rename). Its CRC-less predecessor is refused
+//! by name: shape checks were its only guard, and nothing writes it.
 
 use std::io::{Read, Write};
 use std::path::Path;
@@ -26,8 +23,9 @@ use fademl_tensor::{Shape, Tensor};
 
 use crate::{NnError, Result, Sequential};
 
-const MAGIC_V1: &[u8; 8] = b"FADEMLW1";
 const MAGIC_V2: &[u8; 8] = b"FADEMLW2";
+/// Magic of the retired CRC-less format, kept only to refuse it by name.
+const MAGIC_V1: &[u8; 8] = b"FADEMLW1";
 
 /// Parsing cap: no real model in this workspace has parameters beyond
 /// rank 4, so anything larger is corruption, not data. Checked before
@@ -55,11 +53,15 @@ pub fn encode_weights(model: &Sequential) -> Vec<u8> {
             w.put_f32(x);
         }
     }
-    let body = w.into_bytes();
+    seal(&w.into_bytes())
+}
+
+/// Wraps parameter records in the magic and the CRC-32 trailer.
+fn seal(body: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(MAGIC_V2.len() + body.len() + 4);
     out.extend_from_slice(MAGIC_V2);
-    out.extend_from_slice(&body);
-    out.extend_from_slice(&crc32(&body).to_le_bytes());
+    out.extend_from_slice(body);
+    out.extend_from_slice(&crc32(body).to_le_bytes());
     out
 }
 
@@ -87,16 +89,17 @@ pub fn save_weights_to_path<P: AsRef<Path>>(model: &Sequential, path: P) -> Resu
     Ok(())
 }
 
-/// Parses a weight file (either version) into an existing model. The
-/// model must have been built with the same architecture — parameter
-/// count and every shape are verified against the model before any
-/// tensor data is allocated.
+/// Parses a weight file into an existing model. The model must have
+/// been built with the same architecture — parameter count and every
+/// shape are verified against the model before any tensor data is
+/// allocated.
 ///
 /// # Errors
 ///
-/// Returns [`NnError::Corrupt`] for bad magic, truncation or a CRC
-/// mismatch, and [`NnError::ArchMismatch`] when an intact file does not
-/// match the model's parameter list.
+/// Returns [`NnError::Corrupt`] for bad magic (the retired CRC-less
+/// format included), truncation or a CRC mismatch, and
+/// [`NnError::ArchMismatch`] when an intact file does not match the
+/// model's parameter list.
 pub fn decode_weights(bytes: &[u8], model: &mut Sequential) -> Result<()> {
     if bytes.len() < MAGIC_V2.len() {
         return Err(corrupt(format!(
@@ -117,27 +120,21 @@ pub fn decode_weights(bytes: &[u8], model: &mut Sequential) -> Result<()> {
                 "CRC mismatch: trailer {stored:#010x}, computed {actual:#010x}"
             )));
         }
-        parse_params(body, model, true)
+        parse_params(body, model)
     } else if magic == MAGIC_V1 {
-        // Legacy files have no trailer; shape checks are the only guard.
-        parse_params(rest, model, false)
+        Err(corrupt(
+            "legacy FADEMLW1 weight file: the CRC-less format is no longer read, retrain or re-export",
+        ))
     } else {
         Err(corrupt("not a FAdeML weight file (bad magic)"))
     }
 }
 
-/// Parses the parameter records shared by both format versions.
-/// `verified` marks a CRC-checked body, where any structural surprise
-/// is corruption the CRC somehow missed (reported as such) rather than
-/// an I/O condition.
-fn parse_params(body: &[u8], model: &mut Sequential, verified: bool) -> Result<()> {
-    let rd = |e: std::io::Error| {
-        if verified {
-            corrupt(e.to_string())
-        } else {
-            NnError::Io(e)
-        }
-    };
+/// Parses the parameter records of a CRC-checked body, where any
+/// structural surprise is corruption the CRC somehow missed (reported
+/// as such) rather than an I/O condition.
+fn parse_params(body: &[u8], model: &mut Sequential) -> Result<()> {
+    let rd = |e: std::io::Error| corrupt(e.to_string());
     let mut r = ByteReader::new(body);
     let count = r.get_u32().map_err(rd)? as usize;
     let mut params = model.params_mut();
@@ -184,7 +181,7 @@ fn parse_params(body: &[u8], model: &mut Sequential, verified: bool) -> Result<(
             .collect();
         staged.push(Tensor::from_vec(data, Shape::new(dims))?);
     }
-    if verified && r.remaining() != 0 {
+    if r.remaining() != 0 {
         return Err(corrupt(format!(
             "{} trailing bytes after the weight records",
             r.remaining()
@@ -233,25 +230,6 @@ mod tests {
             .push(Dense::new(6, 3, &mut rng))
     }
 
-    /// Handcrafts a legacy `FADEMLW1` file (no CRC trailer).
-    fn encode_v1(model: &Sequential) -> Vec<u8> {
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
-        let params = model.params();
-        buf.extend_from_slice(&(params.len() as u32).to_le_bytes());
-        for p in params {
-            let dims = p.value.dims();
-            buf.extend_from_slice(&(dims.len() as u32).to_le_bytes());
-            for &d in dims {
-                buf.extend_from_slice(&(d as u64).to_le_bytes());
-            }
-            for &x in p.value.as_slice() {
-                buf.extend_from_slice(&x.to_le_bytes());
-            }
-        }
-        buf
-    }
-
     #[test]
     fn round_trip_preserves_outputs() {
         let source = model(1);
@@ -266,20 +244,20 @@ mod tests {
     }
 
     #[test]
-    fn legacy_v1_files_still_load() {
-        let source = model(1);
-        let v1 = encode_v1(&source);
-        let mut target = model(2);
-        load_weights(&mut target, v1.as_slice()).unwrap();
-        let x = Tensor::ones(&[2, 4]);
-        assert_eq!(source.forward(&x).unwrap(), target.forward(&x).unwrap());
-    }
-
-    #[test]
     fn rejects_bad_magic() {
         let mut m = model(1);
         let err = load_weights(&mut m, &b"NOTMAGIC\x00\x00\x00\x00"[..]).unwrap_err();
         assert!(matches!(err, NnError::Corrupt { .. }));
+        // The retired CRC-less format is refused by name, intact or not.
+        let mut v1 = encode_weights(&m);
+        v1[..8].copy_from_slice(MAGIC_V1);
+        v1.truncate(v1.len() - 4);
+        let before = m.forward(&Tensor::ones(&[2, 4])).unwrap();
+        match decode_weights(&v1, &mut m) {
+            Err(NnError::Corrupt { reason }) => assert!(reason.contains("FADEMLW1"), "{reason}"),
+            other => panic!("expected Corrupt naming the legacy format, got {other:?}"),
+        }
+        assert_eq!(m.forward(&Tensor::ones(&[2, 4])).unwrap(), before);
     }
 
     #[test]
@@ -327,10 +305,10 @@ mod tests {
 
     #[test]
     fn failed_load_leaves_model_untouched() {
-        let source = model(1);
-        let mut buf = encode_v1(&source);
-        // Chop mid-payload: the v1 path fails partway through parsing.
-        buf.truncate(buf.len() - 10);
+        let clean = encode_weights(&model(1));
+        // Chop the records mid-payload under a valid CRC: parsing fails
+        // with the first parameters already staged.
+        let buf = seal(&clean[MAGIC_V2.len()..clean.len() - 14]);
         let mut target = model(2);
         let x = Tensor::ones(&[2, 4]);
         let before = target.forward(&x).unwrap();
@@ -343,18 +321,17 @@ mod tests {
     }
 
     #[test]
-    fn legacy_rank_bomb_is_rejected_before_allocating() {
-        // A v1 header claiming a rank in the millions used to drive a
-        // speculative allocation; now it is a typed corruption error.
-        let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC_V1);
-        buf.extend_from_slice(&4u32.to_le_bytes()); // matches model param count
-        buf.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd rank
+    fn rank_bomb_is_rejected_before_allocating() {
+        // A CRC-valid header claiming a rank in the millions must not
+        // drive a speculative allocation: typed corruption instead.
+        let mut body = Vec::new();
+        body.extend_from_slice(&4u32.to_le_bytes()); // matches model param count
+        body.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd rank
         let mut m = model(1);
-        assert!(matches!(
-            load_weights(&mut m, buf.as_slice()),
-            Err(NnError::Corrupt { .. })
-        ));
+        match decode_weights(&seal(&body), &mut m) {
+            Err(NnError::Corrupt { reason }) => assert!(reason.contains("rank"), "{reason}"),
+            other => panic!("expected a rank refusal, got {other:?}"),
+        }
     }
 
     #[test]

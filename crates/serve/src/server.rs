@@ -1420,12 +1420,18 @@ mod tests {
 
         let mut rng = TensorRng::seed_from_u64(99);
         let other = VggConfig::tiny(3, 16, 6).build(&mut rng).unwrap();
-        let mut artifact = fademl::serialize::encode_weights(&other);
-        let mid = artifact.len() / 2;
-        artifact[mid] ^= 0xFF; // break the CRC
-        let err = server.swap_weights(&artifact).unwrap_err();
-        assert!(matches!(err, ServeError::SwapFailed { .. }), "{err}");
-        assert_eq!(server.swap_generation(), 0);
+        let intact = fademl::serialize::encode_weights(&other);
+        let mut flipped = intact.clone();
+        flipped[intact.len() / 2] ^= 0xFF; // break the CRC
+
+        // The retired CRC-less format: old magic, records, no trailer.
+        let mut legacy = intact[..intact.len() - 4].to_vec();
+        legacy[..8].copy_from_slice(b"FADEMLW1");
+        for artifact in [flipped, legacy] {
+            let err = server.swap_weights(&artifact).unwrap_err();
+            assert!(matches!(err, ServeError::SwapFailed { .. }), "{err}");
+            assert_eq!(server.swap_generation(), 0);
+        }
 
         let after = server.classify(img, ThreatModel::II).unwrap();
         assert_eq!(before.probabilities, after.probabilities);

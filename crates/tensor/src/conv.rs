@@ -11,12 +11,12 @@
 //!
 //! # Planning
 //!
-//! Both entry points ask the plan selector for one cached [`Blueprint`]
-//! per geometry key (`[N, C, H, W, F, KH, KW, stride, padding]`). The
+//! Both entry points compute one [`Blueprint`] per call from the
+//! geometry (`[N, C, H, W, F, KH, KW, stride, padding]`). The
 //! blueprint carries cap-checked scratch/output sizes (anything that
 //! would overflow `usize` surfaces as [`TensorError::Overflow`] before
-//! a byte is allocated), the GEMM blocking, and the hoisted
-//! parallel/serial decision. Scratch comes from the thread-local arena,
+//! a byte is allocated), the GEMM blocking, and the parallel/serial
+//! decision. Scratch comes from the thread-local arena,
 //! so steady-state serving reuses one high-water buffer per worker
 //! instead of allocating per call.
 //!
@@ -52,10 +52,9 @@ use serde::{Deserialize, Serialize};
 use crate::matmul::{gemm_nt_block, gemm_rows_into, gemm_rows_to, transpose_into};
 use crate::plan::alloc;
 use crate::plan::blueprint::{
-    blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint, OpKind,
-    ShapeKey, DEFAULT_BLOCKING,
+    blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint,
+    DEFAULT_BLOCKING,
 };
-use crate::plan::selector;
 use crate::simd::Dest;
 use crate::{par, Result, Shape, Tensor, TensorError};
 
@@ -329,10 +328,8 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
     Ok((input.dims()[0], input.dims()[2], input.dims()[3]))
 }
 
-/// Plans a convolution (forward or backward) through the selector: one
-/// cached blueprint per geometry key, carrying the cap-checked sizes,
-/// the blocking for the inner GEMM, and the hoisted parallel/serial
-/// decision.
+/// Plans a convolution (forward or backward): the cap-checked sizes,
+/// the blocking for the inner GEMM, and the parallel/serial decision.
 ///
 /// Forward, the inner GEMM is the batch-fused `F × K × tile·OH·OW`
 /// product and `scratch` is its unfolded `[K, tile·OH·OW]` operand
@@ -350,80 +347,53 @@ fn plan_conv2d(
     ow: usize,
     backward: bool,
 ) -> Result<Blueprint> {
-    let op = if backward {
-        OpKind::Conv2dBackward
+    let k_flat = checked_product(
+        "conv2d weight",
+        &[spec.in_channels, spec.kernel_h, spec.kernel_w],
+    )?;
+    let ohw = checked_product("conv2d output plane", &[oh, ow])?;
+    let gemm_cols = if backward {
+        ohw
     } else {
-        OpKind::Conv2d
+        checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?
     };
-    let key = ShapeKey::new(
-        op,
-        &[
-            n,
-            spec.in_channels,
-            h,
-            w,
-            spec.out_channels,
-            spec.kernel_h,
-            spec.kernel_w,
-            spec.stride,
-            spec.padding,
-        ],
+    let scratch = checked_product("conv2d im2col", &[k_flat, gemm_cols])?;
+    let (scratch2, out_len) = if backward {
+        (
+            checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
+            checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?,
+        )
+    } else {
+        (
+            0,
+            checked_product("conv2d output", &[n, spec.out_channels, oh, ow])?,
+        )
+    };
+    // Blocking is classified on the inner GEMM; the dispatch threshold
+    // sees the whole batch. Work figures only feed thresholds, so
+    // saturation is fine.
+    let per_column = spec.out_channels.saturating_mul(k_flat);
+    let class = classify_gemm(
+        spec.out_channels,
+        gemm_cols,
+        per_column.saturating_mul(gemm_cols),
     );
-    // The spec is moved into the closure by value so the borrow does not
-    // outlive the memoizer call.
-    let spec = *spec;
-    selector::plan_with(key, move || {
-        let k_flat = checked_product(
-            "conv2d weight",
-            &[spec.in_channels, spec.kernel_h, spec.kernel_w],
-        )?;
-        let ohw = checked_product("conv2d output plane", &[oh, ow])?;
-        let gemm_cols = if backward {
-            ohw
-        } else {
-            checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?
-        };
-        let scratch = checked_product("conv2d im2col", &[k_flat, gemm_cols])?;
-        let (scratch2, out_len) = if backward {
-            (
-                checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
-                checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?,
-            )
-        } else {
-            (
-                0,
-                checked_product("conv2d output", &[n, spec.out_channels, oh, ow])?,
-            )
-        };
-        // Blocking is classified on the inner GEMM; the dispatch
-        // threshold sees the whole batch. Work figures only feed
-        // thresholds, so saturation is fine.
-        let per_column = spec.out_channels.saturating_mul(k_flat);
-        let class = classify_gemm(
-            spec.out_channels,
-            gemm_cols,
-            per_column.saturating_mul(gemm_cols),
-        );
-        let work = n.saturating_mul(per_column.saturating_mul(ohw));
-        let rows_axis = if backward {
-            n.max(spec.out_channels)
-        } else {
-            n
-        };
-        let base = blocking_for(class);
-        Ok(Blueprint {
-            key,
-            class,
-            blocking: Blocking {
-                nc: base.nc.max(gemm_cols),
-                ..base
-            },
-            parallel: par::should_parallelize(rows_axis, work),
-            rows: n,
-            scratch,
-            scratch2,
-            out_len,
-        })
+    let work = n.saturating_mul(per_column.saturating_mul(ohw));
+    let rows_axis = if backward {
+        n.max(spec.out_channels)
+    } else {
+        n
+    };
+    let base = blocking_for(class);
+    Ok(Blueprint {
+        blocking: Blocking {
+            nc: base.nc.max(gemm_cols),
+            ..base
+        },
+        parallel: par::should_parallelize(rows_axis, work),
+        scratch,
+        scratch2,
+        out_len,
     })
 }
 
@@ -437,13 +407,13 @@ struct ConvGeom {
     ow: usize,
     k_flat: usize,
     /// GEMM blocking from the blueprint; identical for every worker and
-    /// every call with the same shape key.
+    /// every call with the same shape.
     bl: Blocking,
 }
 
 impl ConvGeom {
     /// `k_flat` is re-derived unchecked: callers have either planned the
-    /// shape (cap-checked inside the blueprint build) or sized the
+    /// shape (cap-checked by `plan_conv2d`) or sized the
     /// unfolded matrix with `checked_product` already.
     fn new(
         spec: &ConvSpec,
@@ -527,8 +497,8 @@ fn conv2d_block(
 /// Samples are independent, so the batch is partitioned across the
 /// [`crate::par`] pool; per sample the result is identical to the
 /// serial path bit-for-bit (see the module docs). The serial-vs-pool
-/// decision and the GEMM blocking both come from one cached blueprint,
-/// so they can never disagree for a given shape key.
+/// decision and the GEMM blocking both come from one blueprint, so
+/// they can never disagree for a given shape.
 ///
 /// # Errors
 ///
@@ -572,7 +542,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
         let input: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(input.as_slice()));
         let w_mat: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(weight.as_slice()));
         let bias: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(bias.as_slice()));
-        let blocks = par::parallel_rows(bp.rows, move |range: Range<usize>| {
+        let blocks = par::parallel_rows(n, move |range: Range<usize>| {
             conv2d_block(&input, &w_mat, &bias, geom, range)
         });
         let mut out = alloc::fresh_with(bp.out_len);

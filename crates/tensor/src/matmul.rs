@@ -1,10 +1,10 @@
 //! Dense matrix multiplication: cache-blocked kernels with row-range
 //! parallelism, planned through `crate::plan`.
 //!
-//! All three entry points (`matmul`, `matmul_tn`, `matmul_nt`) ask the
-//! plan selector for one cached [`Blueprint`] per shape key — carrying
-//! the cap-checked scratch/output sizes, the blocking parameters, and
-//! the hoisted parallel/serial decision — then share a small set of
+//! All three entry points (`matmul`, `matmul_tn`, `matmul_nt`) compute
+//! one [`Blueprint`] per call — carrying the cap-checked scratch/output
+//! sizes, the blocking parameters, and the parallel/serial decision —
+//! then share a small set of
 //! serial block kernels and partition *rows of the output* across the
 //! [`crate::par`] pool. Each output element is owned by exactly one
 //! chunk and its `k`-accumulation runs in increasing-`p` order in a
@@ -28,8 +28,7 @@ use std::ops::Range;
 use std::sync::Arc;
 
 use crate::plan::alloc;
-use crate::plan::blueprint::{Blocking, Blueprint, OpKind};
-use crate::plan::selector;
+use crate::plan::blueprint::{plan_gemm, Blocking, Blueprint, OpKind};
 use crate::simd::{self, Block, Dest};
 use crate::{par, Result, Shape, Tensor, TensorError};
 
@@ -168,14 +167,14 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
 }
 
 /// Serial driver: packs `B` into an arena panel and runs the blocked
-/// kernel for all `bp.rows` rows. Zero heap allocation once the arena
+/// kernel for all `m` rows. Zero heap allocation once the arena
 /// is warm (the output buffer is the caller's, freshly allocated by
 /// design — it outlives the call as tensor data).
-fn gemm_serial(bp: &Blueprint, a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
+fn gemm_serial(bp: &Blueprint, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut packed = alloc::scratch_f32(bp.scratch);
     pack_b_into(b, k, n, bp.blocking, &mut packed);
     let mut out = alloc::fresh_vec(bp.out_len);
-    gemm_rows_into(a, bp.rows, k, &packed, n, bp.blocking, &mut out);
+    gemm_rows_into(a, m, k, &packed, n, bp.blocking, &mut out);
     out
 }
 
@@ -184,12 +183,19 @@ fn gemm_serial(bp: &Blueprint, a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<
 /// shared via `Arc` — one O(m·k + k·n) copy against O(m·k·n) compute.
 /// Those cross-thread buffers deliberately bypass the arena: a buffer
 /// dropped on another thread would migrate into that thread's pool.
-fn gemm_parallel(bp: &Blueprint, a: Arc<Vec<f32>>, b: &[f32], k: usize, n: usize) -> Vec<f32> {
+fn gemm_parallel(
+    bp: &Blueprint,
+    a: Arc<Vec<f32>>,
+    b: &[f32],
+    m: usize,
+    k: usize,
+    n: usize,
+) -> Vec<f32> {
     let mut packed_buf = alloc::fresh_vec(bp.scratch);
     pack_b_into(b, k, n, bp.blocking, &mut packed_buf);
     let packed = Arc::new(packed_buf);
     let blocking = bp.blocking;
-    let blocks = par::parallel_rows(bp.rows, move |rows: Range<usize>| {
+    let blocks = par::parallel_rows(m, move |rows: Range<usize>| {
         let len = rows.end - rows.start;
         let mut block = alloc::fresh_vec(len * n);
         gemm_rows_into(
@@ -226,8 +232,8 @@ fn check_rank2(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> Result<()> {
 impl Tensor {
     /// Matrix product of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
     ///
-    /// Cache-blocked over a packed `B` with blocking chosen by the plan
-    /// selector per shape class, partitioned by output rows across the
+    /// Cache-blocked over a packed `B` with blocking chosen per shape
+    /// class, partitioned by output rows across the
     /// [`crate::par`] pool, and bit-exact across thread counts and
     /// blocking choices (see the module docs). Non-finite values
     /// propagate: a `NaN`/`Inf` anywhere in either operand reaches
@@ -251,12 +257,12 @@ impl Tensor {
                 other.dims(),
             ));
         }
-        let bp = selector::plan_gemm(OpKind::MatMul, m, k, n)?;
+        let bp = plan_gemm(OpKind::MatMul, m, k, n)?;
         let out = if bp.parallel {
             let a = Arc::new(alloc::fresh_from(self.as_slice()));
-            gemm_parallel(&bp, a, other.as_slice(), k, n)
+            gemm_parallel(&bp, a, other.as_slice(), m, k, n)
         } else {
-            gemm_serial(&bp, self.as_slice(), other.as_slice(), k, n)
+            gemm_serial(&bp, self.as_slice(), other.as_slice(), m, k, n)
         };
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
@@ -285,15 +291,15 @@ impl Tensor {
                 other.dims(),
             ));
         }
-        let bp = selector::plan_gemm(OpKind::MatMulTn, m, k, n)?;
+        let bp = plan_gemm(OpKind::MatMulTn, m, k, n)?;
         let out = if bp.parallel {
             let mut at = alloc::fresh_vec(bp.scratch2);
             transpose_into(self.as_slice(), k, m, &mut at);
-            gemm_parallel(&bp, Arc::new(at), other.as_slice(), k, n)
+            gemm_parallel(&bp, Arc::new(at), other.as_slice(), m, k, n)
         } else {
             let mut at = alloc::scratch_f32(bp.scratch2);
             transpose_into(self.as_slice(), k, m, &mut at);
-            gemm_serial(&bp, &at, other.as_slice(), k, n)
+            gemm_serial(&bp, &at, other.as_slice(), m, k, n)
         };
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
@@ -305,9 +311,8 @@ impl Tensor {
     /// (`∂x = ∂y · Wᵀ` for a `[out, in]` weight laid out as `[n, k]`).
     /// Both operands are already row-major along `k`, so this stays a
     /// streaming dot-product kernel, row-partitioned across the pool.
-    /// The dispatch decision comes from the same cached blueprint as
-    /// the packed variants, so parallel/serial and blocking choices can
-    /// never disagree.
+    /// The dispatch decision comes from the same planning function as
+    /// the packed variants.
     ///
     /// # Errors
     ///
@@ -323,7 +328,7 @@ impl Tensor {
                 other.dims(),
             ));
         }
-        let bp = selector::plan_gemm(OpKind::MatMulNt, m, k, n)?;
+        let bp = plan_gemm(OpKind::MatMulNt, m, k, n)?;
         if !bp.parallel {
             let mut out = alloc::fresh_vec(bp.out_len);
             gemm_nt_block(self.as_slice(), m, other.as_slice(), k, n, &mut out, false);
@@ -420,7 +425,7 @@ mod tests {
 
     #[test]
     fn every_blocking_candidate_is_bit_identical() {
-        // The selector's bit-safety argument, checked directly: run the
+        // The blocking's bit-safety argument, checked directly: run the
         // raw kernel under several (mc, kc, nc) choices and demand
         // byte-identical output.
         let (m, k, n) = (37, 65, 41);

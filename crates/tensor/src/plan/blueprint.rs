@@ -1,25 +1,26 @@
-//! Kernel blueprints: the static description of how one (op, shape,
-//! thread-count) combination should execute — blocking parameters,
-//! parallel/serial dispatch, and cap-checked scratch/output sizes.
+//! Kernel blueprints: how one (op, shape, thread-count) combination
+//! should execute — blocking parameters, parallel/serial dispatch, and
+//! cap-checked scratch/output sizes.
 //!
-//! A [`Blueprint`] is computed once per [`ShapeKey`] by the selector
-//! and cached, so the blocking choice and the parallel/serial choice
-//! always come from the same decision point and can never disagree
-//! (previously each GEMM variant re-derived `work` and called
-//! `should_parallelize` independently of the blocking constants).
+//! A [`Blueprint`] is a pure function of the shape and of
+//! `par::threads()`, rebuilt on every call (a handful of checked
+//! multiplies and one threshold compare — cheaper than any lookup that
+//! could remember it, DESIGN.md §18.2). The blocking choice and the
+//! parallel/serial choice come out of that one function, so they can
+//! never disagree.
 //!
 //! **Bit-exactness:** every field here is a *free* performance knob.
 //! The GEMM accumulates each output element in a single `f32`
 //! accumulator in increasing-`p` order regardless of `(mc, kc, nc)` —
 //! panel loops visit `p` ascending within and across panels — and
 //! parallel partitioning only splits independent output rows. So any
-//! blueprint produces byte-identical output; caching merely makes the
-//! choice stable within a process.
+//! blueprint produces byte-identical output.
 
 use crate::error::TensorError;
+use crate::par;
 
-/// Which kernel a blueprint drives.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// Which GEMM variant a blueprint drives.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum OpKind {
     /// `C = A · B`.
     MatMul,
@@ -27,18 +28,10 @@ pub enum OpKind {
     MatMulTn,
     /// `C = A · Bᵀ`.
     MatMulNt,
-    /// Batched im2col conv2d forward.
-    Conv2d,
-    /// conv2d backward (grad input + grad filters + grad bias).
-    Conv2dBackward,
-    /// 2-D max pooling.
-    MaxPool2d,
-    /// Per-plane sliding-window filter (LAP/LAR/Gaussian kernels).
-    FilterPlane,
 }
 
 /// Shape classification driving the blocking heuristics. Mirrors the
-/// vecmat / square / tall-skinny split of cubek-matmul's selector.
+/// vecmat / square / tall-skinny split of cubek-matmul.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShapeClass {
     /// Work below the parallel threshold; defaults are fine, overhead
@@ -52,40 +45,6 @@ pub enum ShapeClass {
     WideFlat,
     /// Roughly balanced dimensions.
     Square,
-}
-
-/// Maximum dimensions captured in a [`ShapeKey`]. Conv keys use nine:
-/// `[n, c, h, w, f, kh, kw, stride, padding]`.
-pub const MAX_KEY_DIMS: usize = 10;
-
-/// Cache key for one kernel-shape combination. The worker-thread count
-/// is part of the key because the parallel/serial decision depends on
-/// it and `par::set_threads` can change at runtime.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub struct ShapeKey {
-    /// The kernel this key plans for.
-    pub op: OpKind,
-    /// The defining dimensions, zero-padded to [`MAX_KEY_DIMS`].
-    pub dims: [usize; MAX_KEY_DIMS],
-    /// `par::threads()` at planning time.
-    pub threads: usize,
-}
-
-impl ShapeKey {
-    /// Builds a key from the defining dimensions, capturing the current
-    /// worker-thread count.
-    pub fn new(op: OpKind, dims: &[usize]) -> Self {
-        debug_assert!(dims.len() <= MAX_KEY_DIMS, "shape key dims overflow");
-        let mut key_dims = [0usize; MAX_KEY_DIMS];
-        for (slot, &d) in key_dims.iter_mut().zip(dims.iter()) {
-            *slot = d;
-        }
-        ShapeKey {
-            op,
-            dims: key_dims,
-            threads: crate::par::threads(),
-        }
-    }
 }
 
 /// Cache-blocking parameters for the packed GEMM: row block, depth
@@ -108,26 +67,21 @@ pub const DEFAULT_BLOCKING: Blocking = Blocking {
     nc: 512,
 };
 
-/// One cached execution plan: everything the kernel drivers need to
-/// run without re-deriving sizes or dispatch decisions.
+/// One execution plan: everything the kernel drivers need to run
+/// without re-deriving sizes or dispatch decisions.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct Blueprint {
-    /// The key this blueprint was planned for.
-    pub key: ShapeKey,
-    /// Shape classification that chose the blocking.
-    pub class: ShapeClass,
-    /// GEMM blocking (ignored by kernels that don't pack).
+    /// GEMM blocking.
     pub blocking: Blocking,
-    /// Hoisted `should_parallelize` decision — the single source of
-    /// truth for serial-vs-pool dispatch for this shape.
+    /// The `should_parallelize` decision — the single source of truth
+    /// for serial-vs-pool dispatch for this shape at the current
+    /// `par::threads()`.
     pub parallel: bool,
-    /// Partition axis extent handed to `parallel_rows`.
-    pub rows: usize,
-    /// Primary scratch length (packing panel / im2col columns /
-    /// gather window), cap-checked.
+    /// Primary scratch length (packing panel / im2col columns),
+    /// cap-checked.
     pub scratch: usize,
-    /// Secondary scratch length (transpose buffer, per-sample packing),
-    /// cap-checked; zero when unused.
+    /// Secondary scratch length (transpose buffer), cap-checked; zero
+    /// when unused.
     pub scratch2: usize,
     /// Output buffer length, cap-checked.
     pub out_len: usize,
@@ -197,6 +151,31 @@ pub fn checked_add(op: &'static str, a: usize, b: usize) -> Result<usize, Tensor
         .ok_or_else(|| TensorError::overflow(op, &[a, b]))
 }
 
+/// Plans one of the three GEMM variants. `m`/`n` are the *output*
+/// dimensions (already transposed for Tn/Nt), `k` the shared depth.
+pub fn plan_gemm(op: OpKind, m: usize, k: usize, n: usize) -> Result<Blueprint, TensorError> {
+    // `work` only feeds the dispatch threshold, so saturation is fine;
+    // allocation sizes below are strictly cap-checked.
+    let work = m.saturating_mul(k).saturating_mul(n);
+    let out_len = checked_product("matmul output", &[m, n])?;
+    let scratch = match op {
+        // A·Bᵀ reads B directly, no packed panel.
+        OpKind::MatMulNt => 0,
+        _ => checked_product("matmul packing", &[k, n])?,
+    };
+    let scratch2 = match op {
+        OpKind::MatMulTn => checked_product("matmul_tn transpose", &[k, m])?,
+        _ => 0,
+    };
+    Ok(Blueprint {
+        blocking: blocking_for(classify_gemm(m, n, work)),
+        parallel: par::should_parallelize(m, work),
+        scratch,
+        scratch2,
+        out_len,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -244,10 +223,35 @@ mod tests {
     }
 
     #[test]
-    fn shape_key_pads_and_captures_threads() {
-        let key = ShapeKey::new(OpKind::MatMul, &[3, 4, 5]);
-        assert_eq!(&key.dims[..3], &[3, 4, 5]);
-        assert!(key.dims[3..].iter().all(|&d| d == 0));
-        assert_eq!(key.threads, crate::par::threads());
+    fn planning_twice_is_equal() {
+        let first = plan_gemm(OpKind::MatMul, 33, 47, 59).expect("plan");
+        let second = plan_gemm(OpKind::MatMul, 33, 47, 59).expect("plan");
+        assert_eq!(first, second);
+    }
+
+    #[test]
+    fn nt_variant_needs_no_packing_scratch() {
+        let bp = plan_gemm(OpKind::MatMulNt, 8, 9, 10).expect("plan");
+        assert_eq!(bp.scratch, 0);
+        assert_eq!(bp.out_len, 80);
+    }
+
+    #[test]
+    fn oversized_gemm_is_a_typed_overflow() {
+        let huge = usize::MAX / 2;
+        assert!(matches!(
+            plan_gemm(OpKind::MatMul, huge, 3, huge),
+            Err(TensorError::Overflow { .. })
+        ));
+    }
+
+    #[test]
+    fn parallel_and_blocking_come_from_one_plan() {
+        // A shape just past the work threshold gets both its dispatch
+        // bit and its blocking from the same call.
+        let work = 64 * 64 * 64;
+        let bp = plan_gemm(OpKind::MatMul, 64, 64, 64).expect("plan");
+        assert_eq!(bp.parallel, par::should_parallelize(64, work));
+        assert_eq!(bp.blocking, blocking_for(classify_gemm(64, 64, work)));
     }
 }

@@ -1,14 +1,12 @@
-//! The kernel plan layer: blueprints, the caching selector, and the
-//! thread-local scratch arena (DESIGN.md §18).
+//! The kernel plan layer: blueprints and the thread-local scratch arena
+//! (DESIGN.md §18).
 //!
-//! Every hot kernel — the three GEMM variants, conv2d forward/backward,
-//! max-pooling, and the filters' plane kernels — asks the
-//! [`selector`] for a cached [`blueprint::Blueprint`] (cap-checked
-//! sizes, blocking, and the parallel/serial decision in one place) and
-//! draws its scratch from the per-thread [`alloc`] arena, so
-//! steady-state serving performs zero kernel-scratch heap allocations
-//! after warm-up while preserving the PR-5 bit-exactness invariant.
+//! The GEMM variants and conv2d forward/backward compute a
+//! [`blueprint::Blueprint`] per call (cap-checked sizes, blocking, and
+//! the parallel/serial decision in one place); every hot kernel draws
+//! its scratch from the per-thread [`alloc`] arena, so steady-state
+//! serving performs zero kernel-scratch heap allocations after warm-up
+//! while preserving the PR-5 bit-exactness invariant.
 
 pub mod alloc;
 pub mod blueprint;
-pub mod selector;

@@ -3,10 +3,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::plan::alloc;
-use crate::plan::blueprint::{
-    checked_product, Blueprint, OpKind, ShapeClass, ShapeKey, DEFAULT_BLOCKING,
-};
-use crate::plan::selector;
+use crate::plan::blueprint::checked_product;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Geometry of a 2-D max-pool.
@@ -99,28 +96,12 @@ pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<MaxPoolOutput> {
         input.dims()[3],
     );
     let (oh, ow) = spec.output_size(h, w)?;
-    // One cached blueprint per geometry key carries the cap-checked
-    // output length; pooling is a memory-bound gather, so it stays
-    // serial and needs no packing scratch.
-    let key = ShapeKey::new(
-        OpKind::MaxPool2d,
-        &[n, c, h, w, spec.window_h, spec.window_w, spec.stride],
-    );
-    let bp = selector::plan_with(key, move || {
-        Ok(Blueprint {
-            key,
-            class: ShapeClass::SmallSerial,
-            blocking: DEFAULT_BLOCKING,
-            parallel: false,
-            rows: n,
-            scratch: 0,
-            scratch2: 0,
-            out_len: checked_product("max_pool2d output", &[n, c, oh, ow])?,
-        })
-    })?;
+    // Pooling is a memory-bound gather: it stays serial and needs no
+    // scratch, only the cap-checked output length.
+    let out_len = checked_product("max_pool2d output", &[n, c, oh, ow])?;
     let data = input.as_slice();
-    let mut out = alloc::fresh_with(bp.out_len);
-    let mut argmax: Vec<usize> = alloc::fresh_with(bp.out_len);
+    let mut out = alloc::fresh_with(out_len);
+    let mut argmax: Vec<usize> = alloc::fresh_with(out_len);
     for s in 0..n {
         for ch in 0..c {
             let plane = (s * c + ch) * h * w;

@@ -21,9 +21,9 @@ fn filled(rng: &mut TensorRng, dims: &[usize]) -> Tensor {
     rng.uniform(dims, -2.0, 2.0)
 }
 
-/// Runs `op` twice to warm the arena and the selector cache, then runs
-/// it `measured` more times and returns (grows delta, hits delta, last
-/// output). Holds the guard for the whole measurement.
+/// Runs `op` twice to warm the arena, then runs it `measured` more
+/// times and returns (grows delta, hits delta, last output). Holds the
+/// guard for the whole measurement.
 fn measure_warm(op: impl Fn() -> Vec<f32>, measured: usize) -> (u64, u64, Vec<f32>) {
     let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     par::set_threads(1);

@@ -13,8 +13,7 @@
 
 use std::sync::Mutex;
 
-use fademl_tensor::plan::blueprint::OpKind;
-use fademl_tensor::plan::selector;
+use fademl_tensor::plan::blueprint::{plan_gemm, OpKind};
 use fademl_tensor::simd::{self, Isa};
 use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
@@ -150,39 +149,26 @@ fn conv2d_invariant_on_adversarial_shapes() {
     }
 }
 
-// ------------------------------------------------------------- selector
+// ----------------------------------------------------------------- plan
 
-/// The plan layer must be invisible to the invariance guarantee: a warm
-/// selector cache replans the same shape key to the identical blueprint
-/// at every thread count, and a sweep over a warm cache reproduces the
-/// cold sweep bit-for-bit.
+/// A plan reads `par::threads()` itself, so a `set_threads` change shows
+/// in the very next plan of the same shape — nothing can serve it stale.
 #[test]
-fn selector_cache_preserves_sweep_bit_identity() {
-    let mut rng = TensorRng::seed_from_u64(13);
-    let (m, k, n) = (128usize, 256usize, 64usize);
-    let a = filled(&mut rng, &[m, k]);
-    let b = filled(&mut rng, &[k, n]);
-    // Cold sweep: warms one cache entry per thread count (the shape key
-    // captures the pool width, so dispatch can differ; bits cannot).
-    let cold = sweep_bits(|| a.matmul(&b).expect("matmul").into_vec());
-    {
-        let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
-        for &t in &SWEEP {
-            par::set_threads(t);
-            let first = selector::plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
-            let second = selector::plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
-            assert_eq!(first, second, "replan at {t} threads changed the blueprint");
-            assert_eq!(
-                selector::lookup(&first.key),
-                Some(first),
-                "warm key missing from the selector cache at {t} threads"
-            );
-        }
-        par::set_threads(1);
-    }
-    // Warm sweep: every plan is now a cache hit; output must not move.
-    let warm = sweep_bits(|| a.matmul(&b).expect("matmul").into_vec());
-    assert_eq!(warm, cold, "warm selector cache changed kernel output");
+fn plan_follows_set_threads_on_the_next_call() {
+    let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let (m, k, n) = (128, 256, 64); // well past the parallel threshold
+    par::set_threads(1);
+    let serial = plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
+    par::set_threads(4);
+    let pooled = plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
+    par::set_threads(1);
+    assert!(!serial.parallel, "one thread must plan serial");
+    assert!(pooled.parallel, "four threads must plan onto the pool");
+    assert_eq!(
+        (serial.blocking, serial.out_len),
+        (pooled.blocking, pooled.out_len),
+        "only the dispatch bit may depend on the pool width"
+    );
 }
 
 // ------------------------------------------------------------- proptest
