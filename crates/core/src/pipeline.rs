@@ -111,14 +111,8 @@ impl InferencePipeline {
     ///
     /// Propagates filter errors.
     pub fn stage_input(&self, image: &Tensor, threat: ThreatModel) -> Result<Tensor> {
-        let mut x = image.clone();
-        if threat.reacquires() {
-            x = self.reacquire(&x);
-        }
-        if threat.filter_applies() {
-            x = self.filter.apply(&x)?;
-        }
-        Ok(x)
+        let acquired = threat.reacquires().then(|| self.reacquire(image));
+        self.filter_stage(image, acquired, threat)
     }
 
     /// Runs the pipeline stages for a whole `[N, C, H, W]` batch under
@@ -139,7 +133,7 @@ impl InferencePipeline {
                 reason: format!("expected [N, C, H, W] images, got {:?}", images.dims()),
             });
         }
-        let mut x = images.clone();
+        let mut acquired = None;
         if threat.reacquires() {
             let n = images.dims()[0];
             let mut noised = Vec::with_capacity(images.numel());
@@ -147,12 +141,27 @@ impl InferencePipeline {
                 let image = images.index_batch(i)?;
                 noised.extend_from_slice(self.reacquire(&image).as_slice());
             }
-            x = Tensor::from_vec(noised, Shape::new(images.dims().to_vec()))?;
+            acquired = Some(Tensor::from_vec(
+                noised,
+                Shape::new(images.dims().to_vec()),
+            )?);
         }
+        self.filter_stage(images, acquired, threat)
+    }
+
+    /// The filter stage of `threat` over the re-acquired frames when
+    /// there are any, else over `images` as given. The input is copied
+    /// only when no stage ran to produce a tensor of its own.
+    fn filter_stage(
+        &self,
+        images: &Tensor,
+        acquired: Option<Tensor>,
+        threat: ThreatModel,
+    ) -> Result<Tensor> {
         if threat.filter_applies() {
-            x = self.filter.apply(&x)?;
+            return Ok(self.filter.apply(acquired.as_ref().unwrap_or(images))?);
         }
-        Ok(x)
+        Ok(acquired.unwrap_or_else(|| images.clone()))
     }
 
     /// TM-II re-acquisition: deterministic per-image sensor noise, seeded

@@ -24,21 +24,17 @@
 //! scores at every `fademl_tensor::par` thread count) holds trivially
 //! because no parallel kernel is involved.
 //!
-//! Geometry work is planned once, not per frame. A [`ScalePlan`]
-//! derives and validates the pyramid level dimensions for one
-//! `[C, H, W]` shape; a [`PlanCache`] memoizes plans per geometry the
-//! same way the filter kernels cache their renormalization sums, so a
-//! serving stream of same-sized frames re-derives nothing. Pixel
-//! buffers live in a per-thread [`PyramidScratch`] that is reused
+//! A [`ScalePlan`] derives and validates the pyramid level dimensions
+//! for one `[C, H, W]` shape: three compares and at most
+//! [`MAX_SCALES`] halvings on the stack, so it is built per frame
+//! (DESIGN.md §13.4 has the measurement against the memo it replaced).
+//! Pixel buffers live in a per-thread [`PyramidScratch`] that is reused
 //! across frames — after the first frame of a geometry the admission
 //! path performs no heap allocation.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::sync::Arc;
 
 use fademl_tensor::Tensor;
-use parking_lot::Mutex;
 
 use crate::error::{DetectError, Result};
 
@@ -71,10 +67,8 @@ pub struct LevelGeom {
     pub width: usize,
 }
 
-/// A validated per-geometry extraction plan: the pyramid level
-/// dimensions for one `[C, H, W]` input shape, derived (and the shape
-/// envelope checked) exactly once. Frames of the same geometry reuse
-/// the plan instead of re-deriving and re-validating per frame.
+/// A validated extraction plan: the pyramid level dimensions for one
+/// `[C, H, W]` input shape, with the shape envelope checked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScalePlan {
     scales: usize,
@@ -153,51 +147,6 @@ impl ScalePlan {
     }
 }
 
-/// Geometry-keyed memo of [`ScalePlan`]s, mirroring the filter kernels'
-/// renormalization-sum cache: one plan per distinct `[C, H, W]` shape,
-/// shared via `Arc` so concurrent scoring threads hold the lock only
-/// for the map probe.
-#[derive(Debug, Default)]
-pub struct PlanCache {
-    plans: Mutex<HashMap<(usize, usize, usize), Arc<ScalePlan>>>,
-}
-
-impl PlanCache {
-    /// The plan for `dims` at the given pyramid depth, building and
-    /// memoizing it on first sight of the geometry.
-    ///
-    /// # Errors
-    ///
-    /// Same envelope checks as [`ScalePlan::build`].
-    pub fn plan_for(&self, scales: usize, dims: &[usize]) -> Result<Arc<ScalePlan>> {
-        let key = match dims {
-            &[c, h, w] => (c, h, w),
-            _ => {
-                return Err(DetectError::InvalidInput {
-                    reason: format!("expected a [C, H, W] image, got shape {dims:?}"),
-                })
-            }
-        };
-        {
-            let plans = self.plans.lock();
-            if let Some(plan) = plans.get(&key) {
-                return Ok(Arc::clone(plan));
-            }
-        }
-        // Build outside the lock: construction is cheap but fallible,
-        // and a failed build must not poison concurrent lookups.
-        let plan = Arc::new(ScalePlan::build(scales, dims)?);
-        let mut plans = self.plans.lock();
-        Ok(Arc::clone(plans.entry(key).or_insert(plan)))
-    }
-
-    /// Number of distinct geometries planned so far (test hook, same
-    /// role as the kernel cache's geometry counter).
-    pub fn cached_geometries(&self) -> usize {
-        self.plans.lock().len()
-    }
-}
-
 /// Reusable pixel buffers for pyramid extraction. One instance per
 /// thread (see [`with_thread_scratch`]) keeps the steady-state
 /// admission path allocation-free: the buffers grow to the largest
@@ -264,8 +213,8 @@ pub fn extract_into(plan: &ScalePlan, image: &Tensor, scratch: &mut PyramidScrat
 /// Extracts the multi-scale feature vector of a `[C, H, W]` image.
 ///
 /// One-shot convenience over [`ScalePlan::build`] + [`extract_into`]:
-/// the experiment and fitting paths use this; the serving path goes
-/// through a [`PlanCache`] and the thread scratch instead.
+/// the experiment and fitting paths use this; the serving path reads
+/// the thread scratch in place instead of copying the vector out.
 ///
 /// # Errors
 ///
@@ -522,34 +471,16 @@ mod tests {
     }
 
     #[test]
-    fn plan_cache_memoizes_per_geometry() {
-        let cache = PlanCache::default();
-        let a = cache.plan_for(2, &[3, 16, 16]).unwrap();
-        let b = cache.plan_for(2, &[3, 16, 16]).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "same geometry must share one plan");
-        assert_eq!(cache.cached_geometries(), 1);
-        let c = cache.plan_for(2, &[3, 24, 24]).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.cached_geometries(), 2);
-        // Invalid geometries never enter the cache.
-        assert!(cache.plan_for(2, &[16, 16]).is_err());
-        assert!(cache.plan_for(4, &[3, 4, 4]).is_err());
-        assert_eq!(cache.cached_geometries(), 2);
-    }
-
-    #[test]
     fn planned_extraction_matches_one_shot_path() {
         let mut rng = TensorRng::seed_from_u64(42);
-        let cache = PlanCache::default();
         for _ in 0..4 {
             let img = image(&mut rng, 16);
             let expected = pyramid_features(&img, 3).unwrap();
-            let plan = cache.plan_for(3, img.dims()).unwrap();
+            let plan = ScalePlan::build(3, img.dims()).unwrap();
             let mut scratch = PyramidScratch::default();
             extract_into(&plan, &img, &mut scratch).unwrap();
             assert_eq!(scratch.features(), expected.as_slice());
         }
-        assert_eq!(cache.cached_geometries(), 1);
     }
 
     #[test]

@@ -26,7 +26,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{corrupt, DetectError, Result};
 use crate::features::{
-    extract_into, feature_dim, pyramid_features, with_thread_scratch, PlanCache,
+    extract_into, feature_dim, pyramid_features, with_thread_scratch, ScalePlan,
     FEATURES_PER_SCALE, MAX_SCALES,
 };
 
@@ -123,7 +123,7 @@ struct Tree {
 }
 
 /// A fitted multi-scale isolation forest.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Detector {
     scales: usize,
     feature_dim: usize,
@@ -131,37 +131,6 @@ pub struct Detector {
     subsample: u32,
     seed: u64,
     trees: Vec<Tree>,
-    /// Per-geometry scale plans, built lazily on first score of each
-    /// `[C, H, W]` shape and reused for every later frame of it.
-    plans: PlanCache,
-}
-
-impl Clone for Detector {
-    fn clone(&self) -> Self {
-        let mut trees = Vec::default();
-        trees.extend_from_slice(&self.trees);
-        Detector {
-            scales: self.scales,
-            feature_dim: self.feature_dim,
-            subsample: self.subsample,
-            seed: self.seed,
-            trees,
-            // The plan cache is per-instance warm-up state, rebuilt on
-            // demand; sharing it would entangle detector lifetimes.
-            plans: PlanCache::default(),
-        }
-    }
-}
-
-impl PartialEq for Detector {
-    fn eq(&self, other: &Self) -> bool {
-        // The plan cache is derived state and never part of identity.
-        self.scales == other.scales
-            && self.feature_dim == other.feature_dim
-            && self.subsample == other.subsample
-            && self.seed == other.seed
-            && self.trees == other.trees
-    }
 }
 
 impl Detector {
@@ -204,7 +173,6 @@ impl Detector {
             subsample: u32::try_from(psi).unwrap_or(u32::MAX),
             seed: config.seed,
             trees,
-            plans: PlanCache::default(),
         })
     }
 
@@ -244,11 +212,11 @@ impl Detector {
     /// Anomaly score of a `[C, H, W]` image (feature extraction at the
     /// detector's fitted pyramid depth, then [`Detector::score`]).
     ///
-    /// Geometry derivation is memoized per shape and pixel buffers are
-    /// reused per thread, so a stream of same-sized frames scores
+    /// The scale plan is a few compares on the stack and pixel buffers
+    /// are reused per thread, so a stream of same-sized frames scores
     /// without heap allocation.
     pub fn score_image(&self, image: &Tensor) -> Result<f32> {
-        let plan = self.plans.plan_for(self.scales, image.dims())?;
+        let plan = ScalePlan::build(self.scales, image.dims())?;
         with_thread_scratch(|scratch| {
             extract_into(&plan, image, scratch)?;
             self.score(scratch.features())
@@ -268,18 +236,13 @@ impl Detector {
         image: &Tensor,
         features_out: &mut Vec<f32>,
     ) -> Result<f32> {
-        let plan = self.plans.plan_for(self.scales, image.dims())?;
+        let plan = ScalePlan::build(self.scales, image.dims())?;
         with_thread_scratch(|scratch| {
             extract_into(&plan, image, scratch)?;
             features_out.clear();
             features_out.extend_from_slice(scratch.features());
             self.score(scratch.features())
         })
-    }
-
-    /// Number of distinct frame geometries planned so far (test hook).
-    pub fn cached_scale_plans(&self) -> usize {
-        self.plans.cached_geometries()
     }
 
     /// Pyramid depth the detector was fitted with.
@@ -459,7 +422,6 @@ impl Detector {
             subsample,
             seed,
             trees,
-            plans: PlanCache::default(),
         })
     }
 

@@ -56,8 +56,8 @@ pub use baseline::{BaselineConfig, TenantBaselines, MAX_TENANT_TABLE};
 pub use controller::{ControllerConfig, ThresholdController};
 pub use error::{DetectError, Result};
 pub use features::{
-    feature_dim, min_side, pyramid_features, with_thread_scratch, PlanCache, PyramidScratch,
-    ScalePlan, FEATURES_PER_SCALE, MAX_SCALES,
+    feature_dim, min_side, pyramid_features, with_thread_scratch, PyramidScratch, ScalePlan,
+    FEATURES_PER_SCALE, MAX_SCALES,
 };
 pub use forest::{Detector, DetectorConfig, DETECTOR_MAGIC, MAX_NODES, MAX_SUBSAMPLE, MAX_TREES};
 pub use reservoir::{

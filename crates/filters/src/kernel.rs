@@ -7,17 +7,18 @@
 //! per-output renormalization, making it the exact adjoint of the
 //! forward operator.
 //!
-//! The renormalization plane depends only on the kernel geometry and
-//! the image size, so it is computed once per `(h, w)` and cached
-//! inside the kernel. Application is split into a bounds-check-free
-//! interior fast path (where every tap is in bounds and the divisor is
-//! the full weight sum) and a clamped border path, and partitioned over
-//! independent channel planes across the `fademl_tensor::par` pool —
-//! per plane the arithmetic order is identical to the serial loop, so
-//! results are bit-exact regardless of thread count.
+//! The whole operator is one loop, [`accumulate`]: for each tap, a
+//! shifted-row `dst += weight · src` over the rectangle the tap can
+//! reach. Forward accumulates the image and divides by the
+//! renormalization plane; the plane is the same accumulation over a
+//! plane of ones, recomputed on every call, so a kernel holds no state
+//! and shares none; backward accumulates the divided gradient through
+//! the mirrored tap list. Independent channel planes are partitioned
+//! across the `fademl_tensor::par` pool — per plane the arithmetic
+//! order is identical to the serial loop, so results are bit-exact
+//! regardless of thread count (DESIGN.md §13.4 says what the order is
+//! and what would break it).
 
-use std::collections::HashMap;
-use std::fmt;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -28,44 +29,19 @@ use fademl_tensor::{par, Tensor};
 use crate::filter::check_image_rank;
 use crate::{FilterError, Result};
 
-/// Cached per-image-size renormalization data.
-struct SumsPlane {
-    /// Per-pixel in-bounds weight sums (`h × w`).
-    sums: Vec<f32>,
-    /// Full tap weight sum, accumulated in tap order — bitwise equal to
-    /// `sums` at interior pixels, used by the fast path.
-    full: f32,
-    /// First pixel whose taps all fall out of bounds, if any. Such a
-    /// geometry would divide by zero during renormalization.
-    degenerate_at: Option<(usize, usize)>,
-}
-
-/// A linear neighbourhood-averaging kernel.
-///
-/// The tap list and the renormalization cache both live behind `Arc`s:
-/// clones share them (the cache is geometry-only and immutable per
-/// entry), and the parallel plane workers borrow the taps without
-/// copying the list per call.
-#[derive(Clone)]
+/// A linear neighbourhood-averaging kernel: two immutable tap lists
+/// behind `Arc`s, so clones and the parallel plane workers share them
+/// without copying.
+#[derive(Clone, Debug, PartialEq)]
 pub struct Kernel {
+    /// Normalized taps in construction order — the order in which the
+    /// forward pass accumulates into each output pixel.
     taps: Arc<Vec<(i32, i32, f32)>>,
-    /// `(h, w) → SumsPlane` cache; geometry-only, so shared freely.
-    sums_cache: SumsCache,
-}
-
-/// Shared `(h, w) → SumsPlane` renormalization cache.
-type SumsCache = Arc<parking_lot::Mutex<HashMap<(usize, usize), Arc<SumsPlane>>>>;
-
-impl fmt::Debug for Kernel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("Kernel").field("taps", &self.taps).finish()
-    }
-}
-
-impl PartialEq for Kernel {
-    fn eq(&self, other: &Self) -> bool {
-        self.taps == other.taps
-    }
+    /// The same taps with both offsets negated, ascending by offset:
+    /// gathering through them reaches the sources of each gradient
+    /// element in raster order, exactly as a pixel-by-pixel scatter of
+    /// `taps` would.
+    adjoint: Arc<Vec<(i32, i32, f32)>>,
 }
 
 impl Kernel {
@@ -97,12 +73,16 @@ impl Kernel {
             sum += w;
         }
         let mut normalized = alloc::fresh_with(taps.len());
+        let mut adjoint = alloc::fresh_with(taps.len());
         for (dy, dx, w) in taps {
-            normalized.push((dy, dx, w / sum));
+            let w = w / sum;
+            normalized.push((dy, dx, w));
+            adjoint.push((dy.saturating_neg(), dx.saturating_neg(), w));
         }
+        adjoint.sort_by_key(|&(dy, dx, _)| (dy, dx));
         Ok(Kernel {
             taps: Arc::new(normalized),
-            sums_cache: Arc::new(parking_lot::Mutex::new(HashMap::new())),
+            adjoint: Arc::new(adjoint),
         })
     }
 
@@ -144,95 +124,8 @@ impl Kernel {
         })
     }
 
-    /// The cached renormalization plane for an `h × w` image, computing
-    /// and inserting it on first use. Geometry-only: every subsequent
-    /// `apply`/`backward` on the same image size reuses the plane
-    /// instead of recomputing and reallocating it.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FilterError::DegenerateGeometry`] when some pixel has
-    /// every tap out of bounds (renormalizing there would divide by
-    /// zero and emit `inf`/`NaN`).
-    fn sums_for(&self, h: usize, w: usize) -> Result<Arc<SumsPlane>> {
-        let plane = {
-            let mut cache = self.sums_cache.lock();
-            Arc::clone(cache.entry((h, w)).or_insert_with(|| {
-                let mut sums = alloc::fresh_vec(h * w);
-                let mut degenerate_at = None;
-                for y in 0..h as i32 {
-                    for x in 0..w as i32 {
-                        let mut s = 0.0;
-                        for &(dy, dx, wt) in self.taps.iter() {
-                            let (sy, sx) = (y + dy, x + dx);
-                            if sy >= 0 && sy < h as i32 && sx >= 0 && sx < w as i32 {
-                                s += wt;
-                            }
-                        }
-                        if s == 0.0 && degenerate_at.is_none() {
-                            degenerate_at = Some((y as usize, x as usize));
-                        }
-                        if let Some(slot) = sums.get_mut((y as usize) * w + x as usize) {
-                            *slot = s;
-                        }
-                    }
-                }
-                let mut full = 0.0f32;
-                for &(_, _, wt) in self.taps.iter() {
-                    full += wt;
-                }
-                Arc::new(SumsPlane {
-                    sums,
-                    full,
-                    degenerate_at,
-                })
-            }))
-        };
-        if let Some((y, x)) = plane.degenerate_at {
-            return Err(FilterError::DegenerateGeometry {
-                reason: format!(
-                    "every tap of this {}-tap kernel falls outside a {h}x{w} plane at pixel ({y}, {x})",
-                    self.taps.len()
-                ),
-            });
-        }
-        Ok(plane)
-    }
-
-    /// Interior rows/columns where *every* tap is in bounds (may be
-    /// empty for kernels wider than the image).
-    fn interior(&self, h: usize, w: usize) -> (Range<i32>, Range<i32>) {
-        let mut min_dy = 0i32;
-        let mut max_dy = 0i32;
-        let mut min_dx = 0i32;
-        let mut max_dx = 0i32;
-        for &(dy, dx, _) in self.taps.iter() {
-            min_dy = min_dy.min(dy);
-            max_dy = max_dy.max(dy);
-            min_dx = min_dx.min(dx);
-            max_dx = max_dx.max(dx);
-        }
-        let y_lo = (-min_dy).max(0);
-        let y_hi = (h as i32 - max_dy.max(0)).max(y_lo);
-        let x_lo = (-min_dx).max(0);
-        let x_hi = (w as i32 - max_dx.max(0)).max(x_lo);
-        (y_lo..y_hi, x_lo..x_hi)
-    }
-
-    fn plane_geometry(image: &Tensor) -> (usize, usize, usize) {
-        let dims = image.dims();
-        let (h, w) = (dims[dims.len() - 2], dims[dims.len() - 1]);
-        let planes = image.numel() / (h * w);
-        (planes, h, w)
-    }
-
     /// Applies the kernel to every channel plane of a `[C, H, W]` or
     /// `[N, C, H, W]` tensor.
-    ///
-    /// Planes are independent, so they are partitioned across the
-    /// compute pool; within a plane the interior runs bounds-check-free
-    /// and borders take the clamped path, in the same arithmetic order
-    /// as the serial loop (bit-exact across thread counts).
     ///
     /// # Errors
     ///
@@ -240,18 +133,11 @@ impl Kernel {
     /// [`FilterError::DegenerateGeometry`] when the kernel cannot reach
     /// any in-bounds pixel somewhere on a plane this small.
     pub fn apply(&self, image: &Tensor) -> Result<Tensor> {
-        check_image_rank(image)?;
-        let (planes, h, w) = Self::plane_geometry(image);
-        let sums = self.sums_for(h, w)?;
-        let (yr, xr) = self.interior(h, w);
-        let src = image.as_slice();
-        let out = self.run_planes(src, planes, h, w, sums, yr, xr, false)?;
-        Ok(Tensor::from_vec(out, image.shape().duplicate())?)
+        self.run_planes(image, false)
     }
 
-    /// Exact adjoint of [`Kernel::apply`]: scatters each output gradient
-    /// through the same renormalized taps. Parallel/caching structure
-    /// mirrors [`Kernel::apply`].
+    /// Exact adjoint of [`Kernel::apply`]: carries each output gradient
+    /// back through the same renormalized taps.
     ///
     /// # Errors
     ///
@@ -259,61 +145,76 @@ impl Kernel {
     /// [`FilterError::DegenerateGeometry`] exactly as in the forward
     /// direction.
     pub fn backward(&self, grad_out: &Tensor) -> Result<Tensor> {
-        check_image_rank(grad_out)?;
-        let (planes, h, w) = Self::plane_geometry(grad_out);
-        let sums = self.sums_for(h, w)?;
-        let (yr, xr) = self.interior(h, w);
-        let g = grad_out.as_slice();
-        let out = self.run_planes(g, planes, h, w, sums, yr, xr, true)?;
-        Ok(Tensor::from_vec(out, grad_out.shape().duplicate())?)
+        self.run_planes(grad_out, true)
     }
 
-    /// Runs the forward (`adjoint == false`) or backward plane kernel
-    /// over all planes, serial or on the pool as `should_parallelize`
-    /// decides — identically for both directions.
-    #[allow(clippy::too_many_arguments)]
-    fn run_planes(
-        &self,
-        src: &[f32],
-        planes: usize,
-        h: usize,
-        w: usize,
-        sums: Arc<SumsPlane>,
-        yr: Range<i32>,
-        xr: Range<i32>,
-        adjoint: bool,
-    ) -> Result<Vec<f32>> {
-        let out_len = checked_product("filter planes", &[planes, h, w])?;
-        let work = out_len.saturating_mul(self.taps.len());
-        if !par::should_parallelize(planes, work) {
-            let mut out = alloc::fresh_vec(out_len);
-            for p in 0..planes {
-                let plane_src = &src[p * h * w..(p + 1) * h * w];
-                let plane_dst = &mut out[p * h * w..(p + 1) * h * w];
-                run_plane(
-                    &self.taps, plane_src, plane_dst, h, w, &sums, &yr, &xr, adjoint,
-                );
-            }
-            return Ok(out);
+    /// Per-pixel in-bounds weight sums of an `h × w` plane — the taps
+    /// accumulated over a plane of ones (`wt · 1.0 == wt`), i.e. each
+    /// pixel's reachable weights summed in tap order.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FilterError::DegenerateGeometry`] when some pixel has
+    /// every tap out of bounds (renormalizing there would divide by
+    /// zero and emit `inf`/`NaN`).
+    fn sums_plane(&self, h: usize, w: usize) -> Result<alloc::Scratch> {
+        let mut ones = alloc::scratch_stale(h * w);
+        ones.fill(1.0);
+        let mut sums = alloc::scratch_f32(h * w);
+        accumulate(&self.taps, &ones, &mut sums, h, w);
+        if let Some(at) = sums.iter().position(|&s| s == 0.0) {
+            return Err(FilterError::DegenerateGeometry {
+                reason: format!(
+                    "every tap of this {}-tap kernel falls outside a {h}x{w} plane at pixel ({}, {})",
+                    self.taps.len(),
+                    at / w,
+                    at % w
+                ),
+            });
         }
-        // Cross-thread buffers deliberately bypass the arena: a buffer
-        // dropped on another thread would migrate into its pool.
-        let src: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(src));
-        let taps = Arc::clone(&self.taps);
-        let blocks = par::parallel_rows(planes, move |range: Range<usize>| {
-            let mut block = alloc::fresh_vec((range.end - range.start) * h * w);
-            for (slot, p) in range.enumerate() {
-                let plane_src = &src[p * h * w..(p + 1) * h * w];
-                let plane_dst = &mut block[slot * h * w..(slot + 1) * h * w];
-                run_plane(&taps, plane_src, plane_dst, h, w, &sums, &yr, &xr, adjoint);
-            }
-            block
-        });
-        let mut out = alloc::fresh_with(out_len);
-        for block in blocks {
-            out.extend_from_slice(&block);
+        Ok(sums)
+    }
+
+    /// Runs the forward (`adjoint == false`) or backward operator over
+    /// all planes of `image`, serial or on the pool as
+    /// `should_parallelize` decides — identically for both directions.
+    fn run_planes(&self, image: &Tensor, adjoint: bool) -> Result<Tensor> {
+        check_image_rank(image)?;
+        let src = image.as_slice();
+        let len = src.len();
+        if len == 0 {
+            return Ok(image.duplicate());
         }
-        Ok(out)
+        let dims = image.dims();
+        let (h, w) = (dims[dims.len() - 2], dims[dims.len() - 1]);
+        let area = checked_product("filter plane", &[h, w])?;
+        let planes = len / area;
+        let sums = self.sums_plane(h, w)?;
+        let taps = if adjoint { &self.adjoint } else { &self.taps };
+        let work = len.saturating_mul(taps.len());
+        let out = if par::should_parallelize(planes, work) {
+            // Cross-thread buffers deliberately bypass the arena: a buffer
+            // dropped on another thread would migrate into its pool.
+            let src: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(src));
+            let sums: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(&sums));
+            let taps = Arc::clone(taps);
+            let blocks = par::parallel_rows(planes, move |range: Range<usize>| {
+                let mut block = alloc::fresh_vec(range.len() * area);
+                let src = &src[range.start * area..range.end * area];
+                run_block(&taps, src, &mut block, h, w, &sums, adjoint);
+                block
+            });
+            let mut out = alloc::fresh_with(len);
+            for block in blocks {
+                out.extend_from_slice(&block);
+            }
+            out
+        } else {
+            let mut out = alloc::fresh_vec(len);
+            run_block(taps, src, &mut out, h, w, &sums, adjoint);
+            out
+        };
+        Ok(Tensor::from_vec(out, image.shape().duplicate())?)
     }
 
     /// The `count` offsets nearest the origin (excluding it), ordered by
@@ -342,11 +243,6 @@ impl Kernel {
         offsets
     }
 
-    /// Number of cached renormalization planes (test/introspection aid).
-    pub fn cached_geometries(&self) -> usize {
-        self.sums_cache.lock().len()
-    }
-
     /// All offsets within Euclidean distance `radius` of the origin
     /// (inclusive), the LAR disc construction.
     pub fn disc(radius: usize) -> Vec<(i32, i32)> {
@@ -364,107 +260,70 @@ impl Kernel {
     }
 }
 
-/// Gather (forward) for one border pixel: taps falling outside the
-/// plane are skipped and the accumulator is divided by that pixel's
-/// in-bounds weight sum.
-#[inline]
-fn border_gather(
-    taps: &[(i32, i32, f32)],
-    src: &[f32],
-    h: i32,
-    w_i: i32,
-    w: usize,
-    y: i32,
-    x: i32,
-) -> f32 {
-    let mut acc = 0.0f32;
-    for &(dy, dx, wt) in taps {
-        let (sy, sx) = (y + dy, x + dx);
-        if sy >= 0 && sy < h && sx >= 0 && sx < w_i {
-            acc += wt * src[(sy as usize) * w + sx as usize];
-        }
-    }
-    acc
-}
-
-/// One plane of the forward or adjoint operator. The interior (`yr` ×
-/// `xr`) runs without per-tap bounds checks and divides by the full
-/// weight sum (bitwise equal to the cached per-pixel sum there); the
-/// border runs the clamped path against `sums`. Tap iteration order —
-/// and therefore every accumulation order — matches the reference
-/// serial loop exactly.
-#[allow(clippy::too_many_arguments)]
-fn run_plane(
+/// Every `h × w` plane of `src` through `taps` into the matching plane
+/// of the zeroed `dst`. Forward accumulates, then divides each output
+/// pixel by its weight sum; the adjoint divides each incoming gradient
+/// by the same sum first, then accumulates.
+fn run_block(
     taps: &[(i32, i32, f32)],
     src: &[f32],
     dst: &mut [f32],
     h: usize,
     w: usize,
-    sums: &SumsPlane,
-    yr: &Range<i32>,
-    xr: &Range<i32>,
+    sums: &[f32],
     adjoint: bool,
 ) {
-    let (h_i, w_i) = (h as i32, w as i32);
-    for y in 0..h_i {
-        let fast_row = yr.contains(&y);
-        let row_base = (y as usize) * w;
-        let (x_lo, x_hi) = if fast_row {
-            (xr.start, xr.end)
-        } else {
-            (0, 0) // whole row takes the border path
-        };
-        for x in 0..x_lo {
-            run_border_pixel(taps, src, dst, h_i, w_i, w, y, x, sums, adjoint);
-        }
-        if !adjoint {
-            for x in x_lo..x_hi {
-                let mut acc = 0.0f32;
-                for &(dy, dx, wt) in taps {
-                    acc += wt * src[((y + dy) as usize) * w + (x + dx) as usize];
-                }
-                dst[row_base + x as usize] = acc / sums.full;
+    let planes = src
+        .chunks_exact(sums.len())
+        .zip(dst.chunks_exact_mut(sums.len()));
+    if adjoint {
+        let mut scaled = alloc::scratch_stale(sums.len());
+        for (grad, out) in planes {
+            for ((q, &g), &s) in scaled.iter_mut().zip(grad).zip(sums) {
+                *q = g / s;
             }
-        } else {
-            for x in x_lo..x_hi {
-                let scaled = src[row_base + x as usize] / sums.full;
-                for &(dy, dx, wt) in taps {
-                    dst[((y + dy) as usize) * w + (x + dx) as usize] += wt * scaled;
-                }
-            }
+            accumulate(taps, &scaled, out, h, w);
         }
-        for x in x_hi.max(0)..w_i {
-            run_border_pixel(taps, src, dst, h_i, w_i, w, y, x, sums, adjoint);
+    } else {
+        for (image, out) in planes {
+            accumulate(taps, image, out, h, w);
+            for (v, &s) in out.iter_mut().zip(sums) {
+                *v /= s;
+            }
         }
     }
 }
 
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn run_border_pixel(
-    taps: &[(i32, i32, f32)],
-    src: &[f32],
-    dst: &mut [f32],
-    h_i: i32,
-    w_i: i32,
-    w: usize,
-    y: i32,
-    x: i32,
-    sums: &SumsPlane,
-    adjoint: bool,
-) {
-    let idx = (y as usize) * w + x as usize;
-    if !adjoint {
-        let acc = border_gather(taps, src, h_i, w_i, w, y, x);
-        dst[idx] = acc / sums.sums[idx];
-    } else {
-        let scaled = src[idx] / sums.sums[idx];
-        for &(dy, dx, wt) in taps {
-            let (sy, sx) = (y + dy, x + dx);
-            if sy >= 0 && sy < h_i && sx >= 0 && sx < w_i {
-                dst[(sy as usize) * w + sx as usize] += wt * scaled;
+/// The one filter loop: for each tap in list order,
+/// `dst[y][x] += wt · src[y + dy][x + dx]` over every `(y, x)` whose
+/// source pixel is on the plane. Each `dst` element is a single `f32`
+/// accumulator that meets its taps in list order through a separate
+/// multiply and add — the order every bit-exactness pin rests on.
+fn accumulate(taps: &[(i32, i32, f32)], src: &[f32], dst: &mut [f32], h: usize, w: usize) {
+    for &(dy, dx, wt) in taps {
+        let (rows, src_row) = clip(dy, h);
+        let (cols, src_col) = clip(dx, w);
+        if cols.is_empty() {
+            continue;
+        }
+        for (y, sy) in rows.zip(src_row..) {
+            let d = &mut dst[y * w + cols.start..y * w + cols.end];
+            let s = &src[sy * w + src_col..][..d.len()];
+            for (d, &s) in d.iter_mut().zip(s) {
+                *d += wt * s;
             }
         }
+    }
+}
+
+/// The positions `i` on an axis of length `n` for which `i + d` is on
+/// the axis too, with the source position `i + d` of the first.
+fn clip(d: i32, n: usize) -> (Range<usize>, usize) {
+    let shift = d.unsigned_abs() as usize;
+    if d < 0 {
+        (shift.min(n)..n, 0)
+    } else {
+        (0..n.saturating_sub(shift), shift)
     }
 }
 
@@ -526,14 +385,37 @@ mod tests {
 
     #[test]
     fn backward_is_exact_adjoint() {
-        // <K x, y> == <x, Kᵀ y> for random x, y.
-        let k = Kernel::uniform(Kernel::nearest_neighbourhood(16)).unwrap();
+        // <K x, y> == <x, Kᵀ y> for random x, y — also on planes
+        // narrower than the kernel's reach.
+        let lap = |np| Kernel::uniform(Kernel::nearest_neighbourhood(np)).unwrap();
+        let kernels = [lap(16), lap(32), Kernel::uniform(Kernel::disc(3)).unwrap()];
+        let shapes: [&[usize]; 3] = [&[2, 7, 6], &[1, 13, 1], &[1, 9, 2]];
         let mut rng = TensorRng::seed_from_u64(3);
-        let x = rng.uniform(&[2, 7, 6], -1.0, 1.0);
-        let y = rng.uniform(&[2, 7, 6], -1.0, 1.0);
-        let lhs = k.apply(&x).unwrap().dot(&y).unwrap();
-        let rhs = x.dot(&k.backward(&y).unwrap()).unwrap();
-        assert!((lhs - rhs).abs() < 1e-4, "{lhs} vs {rhs}");
+        for k in &kernels {
+            for dims in shapes {
+                let x = rng.uniform(dims, -1.0, 1.0);
+                let y = rng.uniform(dims, -1.0, 1.0);
+                let lhs = k.apply(&x).unwrap().dot(&y).unwrap();
+                let rhs = x.dot(&k.backward(&y).unwrap()).unwrap();
+                assert!(
+                    (lhs - rhs).abs() < 1e-4,
+                    "{} taps on {dims:?}: {lhs} vs {rhs}",
+                    k.len()
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn plane_narrower_than_the_reach_is_ok() {
+        // The tap at dx = -3 reaches past a 1-wide plane from every
+        // pixel; an empty plane has no pixel to reach from.
+        let k = Kernel::new(vec![(0, -3, 1.0), (0, 0, 1.0)]).unwrap();
+        for dims in [[1, 4, 1], [1, 0, 4]] {
+            let x = Tensor::ones(&dims);
+            assert_eq!(k.apply(&x).unwrap(), x, "{dims:?}");
+            assert_eq!(k.backward(&x).unwrap(), x, "{dims:?}");
+        }
     }
 
     #[test]
@@ -589,23 +471,6 @@ mod tests {
     }
 
     #[test]
-    fn renorm_plane_is_cached_per_geometry() {
-        let k = box3();
-        assert_eq!(k.cached_geometries(), 0);
-        let img = Tensor::ones(&[1, 6, 6]);
-        k.apply(&img).unwrap();
-        assert_eq!(k.cached_geometries(), 1);
-        // Same geometry → no new plane; both directions share it.
-        k.apply(&img).unwrap();
-        k.backward(&img).unwrap();
-        assert_eq!(k.cached_geometries(), 1);
-        k.apply(&Tensor::ones(&[1, 7, 7])).unwrap();
-        assert_eq!(k.cached_geometries(), 2);
-        // Clones share the already-computed planes.
-        assert_eq!(k.clone().cached_geometries(), 2);
-    }
-
-    #[test]
     fn degenerate_geometry_is_typed_error_not_nan() {
         // Both taps sit 3 rows away, so on a 2×2 plane no pixel can
         // reach either — the old code divided by zero there.
@@ -623,37 +488,100 @@ mod tests {
         assert!(k.apply(&Tensor::ones(&[1, 8, 8])).is_ok());
     }
 
-    #[test]
-    fn interior_fast_path_matches_checked_reference() {
-        // Asymmetric kernel so interior bounds differ per side; compare
-        // against an all-checked reference computed tap-by-tap.
-        let k = Kernel::new(vec![(-2, 0, 1.0), (0, 1, 2.0), (1, -1, 0.5), (0, 0, 1.0)]).unwrap();
-        let mut rng = TensorRng::seed_from_u64(11);
-        let img = rng.uniform(&[2, 9, 8], -1.0, 1.0);
-        let out = k.apply(&img).unwrap();
-        let (h, w) = (9i32, 8i32);
-        let src = img.as_slice();
-        for p in 0..2usize {
-            let base = p * 72;
-            for y in 0..h {
-                for x in 0..w {
-                    let mut acc = 0.0f32;
-                    let mut sum = 0.0f32;
-                    for &(dy, dx, wt) in k.taps() {
-                        let (sy, sx) = (y + dy, x + dx);
-                        if sy >= 0 && sy < h && sx >= 0 && sx < w {
-                            acc += wt * src[base + (sy * w + sx) as usize];
-                            sum += wt;
-                        }
+    /// Per-pixel in-bounds weight sum, taps in list order.
+    fn reference_sum(taps: &[(i32, i32, f32)], h: i32, w: i32, y: i32, x: i32) -> f32 {
+        let mut sum = 0.0f32;
+        for &(dy, dx, wt) in taps {
+            if (0..h).contains(&(y + dy)) && (0..w).contains(&(x + dx)) {
+                sum += wt;
+            }
+        }
+        sum
+    }
+
+    /// Forward reference: each output pixel gathers its taps in list
+    /// order, every tap bounds-checked.
+    fn reference_apply(taps: &[(i32, i32, f32)], src: &[f32], h: i32, w: i32) -> Vec<f32> {
+        let mut out = Vec::new();
+        for y in 0..h {
+            for x in 0..w {
+                let mut acc = 0.0f32;
+                for &(dy, dx, wt) in taps {
+                    let (sy, sx) = (y + dy, x + dx);
+                    if (0..h).contains(&sy) && (0..w).contains(&sx) {
+                        acc += wt * src[(sy * w + sx) as usize];
                     }
-                    let idx = base + (y * w + x) as usize;
-                    let expect = acc / sum;
-                    assert_eq!(
-                        out.as_slice()[idx].to_bits(),
-                        expect.to_bits(),
-                        "mismatch at plane {p} ({y}, {x})"
-                    );
                 }
+                out.push(acc / reference_sum(taps, h, w, y, x));
+            }
+        }
+        out
+    }
+
+    /// Adjoint reference: source pixels scatter in raster order, taps in
+    /// list order, every tap bounds-checked.
+    fn reference_backward(taps: &[(i32, i32, f32)], grad: &[f32], h: i32, w: i32) -> Vec<f32> {
+        let mut out = vec![0.0f32; grad.len()];
+        for y in 0..h {
+            for x in 0..w {
+                let scaled = grad[(y * w + x) as usize] / reference_sum(taps, h, w, y, x);
+                for &(dy, dx, wt) in taps {
+                    let (sy, sx) = (y + dy, x + dx);
+                    if (0..h).contains(&sy) && (0..w).contains(&sx) {
+                        out[(sy * w + sx) as usize] += wt * scaled;
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn bits(values: &[f32]) -> Vec<u32> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random asymmetric kernels on planes narrower, shorter and
+        /// smaller than their reach: both directions equal the checked
+        /// per-pixel references bit for bit — the accumulation orders
+        /// every downstream golden value rests on — and a plane with an
+        /// unreachable pixel is the typed error in both.
+        #[test]
+        fn both_directions_match_checked_references_bitwise(
+            seed in 0u64..1_000_000,
+            dys in proptest::collection::vec(-4i32..5, 1..13),
+            dxs in proptest::collection::vec(-4i32..5, 12),
+            weights in proptest::collection::vec(0.1f32..3.0, 12),
+            h in 1usize..12,
+            w in 1usize..12,
+        ) {
+            let mut taps: Vec<(i32, i32, f32)> = Vec::new();
+            for ((&dy, &dx), &wt) in dys.iter().zip(&dxs).zip(&weights) {
+                if !taps.iter().any(|&(ey, ex, _)| (ey, ex) == (dy, dx)) {
+                    taps.push((dy, dx, wt));
+                }
+            }
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let x = rng.uniform(&[2, h, w], -1.0, 1.0);
+            let (hi, wi) = (h as i32, w as i32);
+            let mut k = Kernel::new(taps.clone()).unwrap();
+            if (0..hi * wi).any(|i| reference_sum(k.taps(), hi, wi, i / wi, i % wi) == 0.0) {
+                for result in [k.apply(&x), k.backward(&x)] {
+                    prop_assert!(matches!(result, Err(FilterError::DegenerateGeometry { .. })));
+                }
+                // The centre tap reaches every pixel; go on with it.
+                taps.push((0, 0, 1.0));
+                k = Kernel::new(taps).unwrap();
+            }
+            let (fwd, bwd) = (k.apply(&x).unwrap(), k.backward(&x).unwrap());
+            let planes = x.as_slice().chunks_exact(h * w);
+            let outs = fwd.as_slice().chunks_exact(h * w).zip(bwd.as_slice().chunks_exact(h * w));
+            for (plane, (f, b)) in planes.zip(outs) {
+                let what = format!("{h}x{w} plane, taps {:?}", k.taps());
+                prop_assert_eq!(bits(f), bits(&reference_apply(k.taps(), plane, hi, wi)), "apply: {}", what);
+                prop_assert_eq!(bits(b), bits(&reference_backward(k.taps(), plane, hi, wi)), "backward: {}", what);
             }
         }
     }

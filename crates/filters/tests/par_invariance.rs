@@ -50,15 +50,34 @@ fn paper_sweep_filters_invariant_on_batched_input() {
 #[test]
 fn single_plane_and_tiny_images_invariant() {
     let mut rng = TensorRng::seed_from_u64(5);
-    let lap = FilterSpec::Lap { np: 8 }.build().expect("LAP builds");
-    // Fewer planes than workers, and images where the border path
-    // dominates (no interior fast path at all on 3×3).
-    let shapes: [&[usize]; 3] = [&[1, 3, 3], &[1, 5, 7], &[2, 1, 4, 4]];
-    for dims in shapes {
-        let image = rng.uniform(dims, 0.0, 1.0);
-        let runs = sweep_bits(|| lap.apply(&image).expect("apply").into_vec());
-        for run in &runs[1..] {
-            assert_eq!(run, &runs[0], "{dims:?}: apply diverged across threads");
+    // Fewer planes than workers, images where every pixel loses taps to
+    // the border, and planes narrower than the kernel's reach (1 for
+    // LAP(8), 3 for LAP(32)).
+    let shapes: [&[usize]; 5] = [
+        &[1, 3, 3],
+        &[1, 5, 7],
+        &[2, 1, 4, 4],
+        &[1, 13, 1],
+        &[1, 9, 2],
+    ];
+    for np in [8, 32] {
+        let lap = FilterSpec::Lap { np }.build().expect("LAP builds");
+        for dims in shapes {
+            let image = rng.uniform(dims, 0.0, 1.0);
+            let fwd = sweep_bits(|| lap.apply(&image).expect("apply").into_vec());
+            let bwd = sweep_bits(|| lap.backward(&image, &image).expect("backward").into_vec());
+            for run in &fwd[1..] {
+                assert_eq!(
+                    run, &fwd[0],
+                    "LAP({np}) {dims:?}: apply diverged across threads"
+                );
+            }
+            for run in &bwd[1..] {
+                assert_eq!(
+                    run, &bwd[0],
+                    "LAP({np}) {dims:?}: backward diverged across threads"
+                );
+            }
         }
     }
 }
