@@ -4,8 +4,9 @@
 //! host has cores for are timed and recorded (more threads than cores
 //! measures the scheduler, not the kernel). Shapes mirror the paper's
 //! victims (VGG-ish CIFAR layer, GTSRB-ish mid layer), the five
-//! convolution stages of the served Compact victim at batch 1 and 16,
-//! and its classifier head.
+//! convolution stages of the served Compact victim at batch 1 and 16
+//! (forward) and at the training batch of 32 (backward), and its
+//! classifier head.
 //! GEMM-backed workloads also report GFLOP/s, and are timed once more
 //! on the baseline instantiation of the micro-kernel when the host
 //! runs the AVX2 one, so the ISA's share of a number is visible.
@@ -30,9 +31,13 @@ use fademl_filters::FilterSpec;
 use fademl_nn::vgg::VggProfile;
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};
-use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, TensorRng};
+use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
+
+/// `TrainConfig::default().batch_size`: the shape a training step's
+/// backward runs at.
+const TRAIN_BATCH: usize = 32;
 
 /// A named kernel workload returning its full output buffer (flattened)
 /// so cross-thread bit-identity can be checked on everything computed.
@@ -56,6 +61,17 @@ fn victim_stages() -> Vec<(usize, usize, usize)> {
         side /= 2;
     }
     stages
+}
+
+/// All three gradients of one `conv2d_backward` call, concatenated.
+fn backward_run(x: Tensor, w: Tensor, g: Tensor, spec: ConvSpec) -> Box<dyn Fn() -> Vec<f32>> {
+    Box::new(move || {
+        let grads = conv2d_backward(&x, &w, &g, &spec).expect("conv2d_backward");
+        let mut out = grads.input.into_vec();
+        out.extend(grads.weight.into_vec());
+        out.extend(grads.bias.into_vec());
+        out
+    })
 }
 
 fn workloads() -> Vec<Workload> {
@@ -100,17 +116,9 @@ fn workloads() -> Vec<Workload> {
         },
         Workload {
             name: "conv2d_backward_vgg".into(),
-            flops: 0.0,
-            run: {
-                let (x, w, g) = (vgg_x, vgg_w, vgg_g);
-                Box::new(move || {
-                    let grads = conv2d_backward(&x, &w, &g, &vgg_spec).expect("conv2d_backward");
-                    let mut out = grads.input.into_vec();
-                    out.extend(grads.weight.into_vec());
-                    out.extend(grads.bias.into_vec());
-                    out
-                })
-            },
+            // Two products of the forward's size: ∂weight and ∂input.
+            flops: 4.0 * (8 * 27 * 32 * 1024) as f64,
+            run: backward_run(vgg_x, vgg_w, vgg_g, vgg_spec),
         },
         Workload {
             name: "conv2d_gtsrb_8x32x16x16_f64".into(),
@@ -141,11 +149,11 @@ fn workloads() -> Vec<Workload> {
     ];
 
     // The served victim, stage by stage, as one frame and as a full
-    // serving batch.
+    // serving batch; then its backward at the batch it is trained with.
     let stages = victim_stages();
     for (stage, &(cin, cout, side)) in stages.iter().enumerate() {
+        let spec = ConvSpec::new(cin, cout, 3, 1, 1);
         for n in [1usize, 16] {
-            let spec = ConvSpec::new(cin, cout, 3, 1, 1);
             let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
             let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
             let bias = rng.uniform(&[cout], -0.1, 0.1);
@@ -155,6 +163,15 @@ fn workloads() -> Vec<Workload> {
                 run: Box::new(move || conv2d(&x, &w, &bias, &spec).expect("conv2d").into_vec()),
             });
         }
+        let n = TRAIN_BATCH;
+        let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
+        let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
+        let g = rng.uniform(&[n, cout, side, side], -1.0, 1.0);
+        jobs.push(Workload {
+            name: format!("conv2d_backward_victim_stage{}_b{n}", stage + 1),
+            flops: 4.0 * (n * cin * 9 * cout * side * side) as f64,
+            run: backward_run(x, w, g, spec),
+        });
     }
     let features = stages.last().map_or(1, |&(_, out, _)| out);
     let acts = rng.uniform(&[16, features], 0.0, 1.0);

@@ -1,6 +1,6 @@
 use fademl_data::NoiseModel;
 use fademl_filters::{Filter, FilterSpec};
-use fademl_nn::metrics::Prediction;
+use fademl_nn::metrics::{Prediction, EVAL_CHUNK};
 use fademl_nn::Sequential;
 use fademl_tensor::{Shape, Tensor, TensorRng};
 
@@ -287,23 +287,14 @@ impl InferencePipeline {
         // Batched evaluation in bounded chunks: each chunk pays one
         // filter pass and one forward, without materialising activations
         // for the entire dataset at once.
-        const CHUNK: usize = 64;
         let n = labels.len();
-        let sample_len = images.numel() / n;
-        let data = images.as_slice();
-        let mut sub_dims = images.dims().to_vec();
         let mut hits = 0usize;
-        for start in (0..n).step_by(CHUNK) {
-            let end = (start + CHUNK).min(n);
-            sub_dims[0] = end - start;
-            let chunk = Tensor::from_vec(
-                data[start * sample_len..end * sample_len].to_vec(),
-                Shape::new(sub_dims.clone()),
-            )?;
+        for (start, chunk_labels) in (0..n).step_by(EVAL_CHUNK).zip(labels.chunks(EVAL_CHUNK)) {
+            let chunk = images.select_batch(start..start + chunk_labels.len())?;
             let staged = self.stage_input_batch(&chunk, threat)?;
             let probabilities = self.model.predict_proba(&staged)?;
-            for (i, &label) in labels[start..end].iter().enumerate() {
-                if probabilities.row(i)?.top_k(k).contains(&label) {
+            for (i, label) in chunk_labels.iter().enumerate() {
+                if probabilities.row(i)?.top_k(k).contains(label) {
                     hits += 1;
                 }
             }

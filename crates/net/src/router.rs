@@ -20,6 +20,7 @@ use fademl_detect::Detector;
 use fademl_serve::error::{Result, ServeError};
 use fademl_serve::metrics::MetricsReport;
 use fademl_serve::{InferenceServer, ResponseHandle, ServerConfig, TriageConfig};
+use fademl_tensor::fnv1a;
 use serde::{Deserialize, Serialize};
 
 #[cfg(feature = "faults")]
@@ -527,17 +528,6 @@ fn threat_key(threat: ThreatModel) -> &'static str {
         ThreatModel::II => "threat-II",
         ThreatModel::III => "threat-III",
     }
-}
-
-/// FNV-1a 64-bit: tiny, dependency-free, and plenty uniform for a
-/// consistent-hash ring over a handful of replicas.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &byte in bytes {
-        hash ^= u64::from(byte);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
 }
 
 #[cfg(test)]

@@ -1,4 +1,4 @@
-use fademl_tensor::{max_pool2d, max_pool2d_backward, PoolSpec, Shape, Tensor};
+use fademl_tensor::{max_pool2d, max_pool2d_backward, max_pool2d_values, PoolSpec, Shape, Tensor};
 
 use crate::{Layer, NnError, Result};
 
@@ -32,7 +32,7 @@ impl Layer for MaxPool2d {
     }
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(max_pool2d(input, &self.spec)?.output)
+        Ok(max_pool2d_values(input, &self.spec)?)
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {

@@ -4,6 +4,12 @@ use fademl_tensor::Tensor;
 
 use crate::{Layer, NnError, Param, Result};
 
+fn empty_model() -> NnError {
+    NnError::InvalidConfig {
+        reason: "cannot run forward on an empty model".into(),
+    }
+}
+
 /// An ordered stack of layers forming a feed-forward network.
 ///
 /// `Sequential` is the whole-model abstraction used everywhere in the
@@ -75,13 +81,9 @@ impl Sequential {
     /// Returns [`NnError::InvalidConfig`] for an empty model or any layer
     /// error for incompatible shapes.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::InvalidConfig {
-                reason: "cannot run forward on an empty model".into(),
-            });
-        }
-        let mut x = input.clone();
-        for layer in &self.layers {
+        let (first, rest) = self.layers.split_first().ok_or_else(empty_model)?;
+        let mut x = first.forward(input)?;
+        for layer in rest {
             x = layer.forward(&x)?;
         }
         Ok(x)
@@ -93,13 +95,9 @@ impl Sequential {
     ///
     /// Same conditions as [`Sequential::forward`].
     pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        if self.layers.is_empty() {
-            return Err(NnError::InvalidConfig {
-                reason: "cannot run forward on an empty model".into(),
-            });
-        }
-        let mut x = input.clone();
-        for layer in &mut self.layers {
+        let (first, rest) = self.layers.split_first_mut().ok_or_else(empty_model)?;
+        let mut x = first.forward_train(input)?;
+        for layer in rest {
             x = layer.forward_train(&x)?;
         }
         Ok(x)
@@ -269,9 +267,21 @@ mod tests {
 
     #[test]
     fn empty_model_errors() {
-        let m = Sequential::new();
+        let mut m = Sequential::new();
         assert!(m.forward(&Tensor::zeros(&[1, 1])).is_err());
+        assert!(m.forward_train(&Tensor::zeros(&[1, 1])).is_err());
         assert!(m.is_empty());
+    }
+
+    #[test]
+    fn forward_reads_its_argument_and_both_passes_agree() {
+        let mut m = model();
+        let x = TensorRng::seed_from_u64(4).uniform(&[3, 6], -1.0, 1.0);
+        let before = x.clone();
+        let y = m.forward(&x).unwrap();
+        let y_train = m.forward_train(&x).unwrap();
+        assert_eq!(x, before);
+        assert_eq!(y, y_train);
     }
 
     #[test]

@@ -217,30 +217,8 @@ impl Trainer {
 
         for epoch in 0..self.config.epochs {
             rng.shuffle(&mut order);
-            let mut epoch_loss = 0.0f32;
-            let mut batches = 0usize;
-            for chunk in order.chunks(self.config.batch_size) {
-                let batch_images: Vec<Tensor> = chunk
-                    .iter()
-                    .map(|&i| images.index_batch(i))
-                    .collect::<std::result::Result<_, _>>()?;
-                let batch = Tensor::stack(&batch_images)?;
-                let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
-
-                model.zero_grad();
-                let logits = model.forward_train(&batch)?;
-                let lv = self.loss.compute(&logits, &batch_labels)?;
-                model.backward(&lv.grad)?;
-                optimizer.step(&mut model.params_mut())?;
-
-                epoch_loss += lv.loss;
-                batches += 1;
-            }
-            let train_accuracy = top1_accuracy(model, images, labels)?;
-            let stats = EpochStats {
-                loss: epoch_loss / batches.max(1) as f32,
-                train_accuracy,
-            };
+            let stats = self.run_pass(model, images, labels, optimizer.as_mut(), &order)?;
+            let train_accuracy = stats.train_accuracy;
             if self.config.verbose {
                 eprintln!(
                     "epoch {:>3}: loss {:.4}  train acc {:.1}%",
@@ -521,15 +499,27 @@ impl Trainer {
     ) -> Result<EpochStats> {
         let mut order: Vec<usize> = (0..n).collect();
         rng.shuffle(&mut order);
+        self.run_pass(model, images, labels, optimizer, &order)
+    }
+
+    /// One optimisation pass visiting the samples in `order`, one
+    /// mini-batch at a time, then the training accuracy it reached.
+    fn run_pass(
+        &mut self,
+        model: &mut Sequential,
+        images: &Tensor,
+        labels: &[usize],
+        optimizer: &mut dyn Optimizer,
+        order: &[usize],
+    ) -> Result<EpochStats> {
         let mut epoch_loss = 0.0f32;
         let mut batches = 0usize;
         for chunk in order.chunks(self.config.batch_size) {
-            let batch_images: Vec<Tensor> = chunk
+            let batch = images.select_batch(chunk.iter().copied())?;
+            let batch_labels: Vec<usize> = chunk
                 .iter()
-                .map(|&i| images.index_batch(i))
-                .collect::<std::result::Result<_, _>>()?;
-            let batch = Tensor::stack(&batch_images)?;
-            let batch_labels: Vec<usize> = chunk.iter().map(|&i| labels[i]).collect();
+                .filter_map(|&i| labels.get(i).copied())
+                .collect();
 
             model.zero_grad();
             let logits = model.forward_train(&batch)?;

@@ -33,6 +33,17 @@
 //! value does not depend on which columns sit beside it, so a batch of
 //! `n` equals `n` single-sample calls bit for bit.
 //!
+//! # Backward on the same kernel
+//!
+//! ∂input is `col2im(wᵀ · g)` per sample: the register-tiled GEMM, then
+//! a fold that for stride 1 adds each unfolded row onto its image row
+//! as one clipped run (the clip is [`clip_run`], shared with the
+//! unfold). ∂weight is, per sample, `cols · gᵀ` on the same GEMM — one
+//! fresh accumulator per element, then an ordered add onto the running
+//! sum — and one transpose at the end. Samples are never fused along
+//! the GEMM's `k`: that would re-associate the cross-sample sum, which
+//! byte-exact training resume rests on (DESIGN.md §18.5).
+//!
 //! # Parallel decomposition
 //!
 //! The forward pass partitions the *batch* across the [`crate::par`]
@@ -49,7 +60,7 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::matmul::{gemm_nt_block, gemm_rows_into, gemm_rows_to, transpose_into};
+use crate::matmul::{gemm_rows_into, gemm_rows_to, transpose_into};
 use crate::plan::alloc;
 use crate::plan::blueprint::{
     blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint,
@@ -159,6 +170,19 @@ pub struct Conv2dGrads {
     pub bias: Tensor,
 }
 
+/// Stride-1 clip of one unfolded row run against the image row it
+/// slides over: `(lo, hi, from)` such that output columns `lo..hi` of
+/// an `ow`-wide run are the input columns `from..from + (hi − lo)` and
+/// every other column is padding. In range means
+/// `pad ≤ ox + kw < w + pad`; the span is non-empty only when `lo` was
+/// not clipped, i.e. `lo + kw ≥ pad`. Shared by [`unfold_into`] and its
+/// adjoint [`col2im_add`], so the two cannot disagree about a border.
+fn clip_run(kw: usize, pad: usize, w: usize, ow: usize) -> (usize, usize, usize) {
+    let lo = pad.saturating_sub(kw).min(ow);
+    let hi = (w + pad).saturating_sub(kw).clamp(lo, ow);
+    (lo, hi, (lo + kw).saturating_sub(pad))
+}
+
 /// Core im2col fill: unfolds one `[C, H, W]` image (`src`) into columns
 /// `col0 .. col0 + OH·OW` of `dst`, a `[C·KH·KW, ld]` row-major matrix.
 /// Every element of those columns is written — padded positions as
@@ -185,16 +209,11 @@ fn unfold_into(src: &[f32], geom: &ConvGeom, dst: &mut [f32], ld: usize, col0: u
                     };
                     let src_row = &src[(ch * h + iy) * w..][..w];
                     if spec.stride == 1 {
-                        // In range: pad ≤ ox + kw < w + pad.
-                        let lo = pad.saturating_sub(kw).min(ow);
-                        let hi = (w + pad).saturating_sub(kw).clamp(lo, ow);
+                        let (lo, hi, from) = clip_run(kw, pad, w, ow);
                         let (left, rest) = run.split_at_mut(lo);
                         let (mid, right) = rest.split_at_mut(hi - lo);
                         left.fill(0.0);
                         right.fill(0.0);
-                        // `mid` is non-empty only when `lo` was not
-                        // clipped, i.e. `lo + kw ≥ pad`.
-                        let from = (lo + kw).saturating_sub(pad);
                         match src_row.get(from..from + mid.len()) {
                             Some(pixels) => mid.copy_from_slice(pixels),
                             None => mid.fill(0.0),
@@ -211,35 +230,42 @@ fn unfold_into(src: &[f32], geom: &ConvGeom, dst: &mut [f32], ld: usize, col0: u
     }
 }
 
-/// Adjoint of [`unfold_into`]: folds `cols` back into `dst` (`[C, H, W]`,
-/// must arrive zeroed), summing overlapping contributions.
-fn col2im_add(
-    cols: &[f32],
-    spec: &ConvSpec,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
-    dst: &mut [f32],
-) {
-    let n_cols = oh * ow;
-    let pad = spec.padding as isize;
+/// Adjoint of [`unfold_into`]: folds `cols` (`[C·KH·KW, OH·OW]`) back
+/// into `dst` (`[C, H, W]`, must arrive zeroed), summing overlapping
+/// contributions. Stride 1 adds each output row as one run, clipped by
+/// the same [`clip_run`] the unfold uses; other strides go pixel by
+/// pixel. Either way a destination element receives its ≤ `KH·KW`
+/// terms in `(kh, kw)` order.
+fn col2im_add(cols: &[f32], geom: &ConvGeom, dst: &mut [f32]) {
+    let ConvGeom {
+        spec, h, w, oh, ow, ..
+    } = *geom;
+    let pad = spec.padding;
+    let mut rows = cols.chunks_exact(oh * ow);
     for ch in 0..spec.in_channels {
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
-                let row = (ch * spec.kernel_h + kh) * spec.kernel_w + kw;
-                let in_row = &cols[row * n_cols..(row + 1) * n_cols];
-                for oy in 0..oh {
-                    let iy = (oy * spec.stride) as isize + kh as isize - pad;
-                    if iy < 0 || iy >= h as isize {
-                        continue;
-                    }
-                    for ox in 0..ow {
-                        let ix = (ox * spec.stride) as isize + kw as isize - pad;
-                        if ix < 0 || ix >= w as isize {
-                            continue;
+                let Some(in_row) = rows.next() else { return };
+                let clip = (spec.stride == 1).then(|| clip_run(kw, pad, w, ow));
+                for (oy, run) in in_row.chunks_exact(ow).enumerate() {
+                    let iy = (oy * spec.stride + kh)
+                        .checked_sub(pad)
+                        .filter(|&iy| iy < h);
+                    let Some(iy) = iy else { continue };
+                    let dst_row = &mut dst[(ch * h + iy) * w..][..w];
+                    if let Some((lo, hi, from)) = clip {
+                        if let Some(span) = dst_row.get_mut(from..from + (hi - lo)) {
+                            for (d, &v) in span.iter_mut().zip(&run[lo..hi]) {
+                                *d += v;
+                            }
                         }
-                        dst[(ch * h + iy as usize) * w + ix as usize] += in_row[oy * ow + ox];
+                    } else {
+                        for (ox, &v) in run.iter().enumerate() {
+                            let ix = (ox * spec.stride + kw).checked_sub(pad);
+                            if let Some(d) = ix.and_then(|ix| dst_row.get_mut(ix)) {
+                                *d += v;
+                            }
+                        }
                     }
                 }
             }
@@ -287,21 +313,24 @@ pub fn im2col(image: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
 /// # Errors
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `cols` does not have the
-/// `[C·KH·KW, OH·OW]` shape implied by `spec` and `(h, w)`, or
-/// [`TensorError::InvalidGeometry`] for impossible geometry.
+/// `[C·KH·KW, OH·OW]` shape implied by `spec` and `(h, w)`,
+/// [`TensorError::InvalidGeometry`] for impossible geometry, or
+/// [`TensorError::Overflow`] when a size implied by them overflows.
 pub fn col2im(cols: &Tensor, spec: &ConvSpec, h: usize, w: usize) -> Result<Tensor> {
     let (oh, ow) = spec.output_size(h, w)?;
     let c = spec.in_channels;
-    let rows = c * spec.kernel_h * spec.kernel_w;
-    if cols.dims() != [rows, oh * ow] {
+    let rows = checked_product("col2im rows", &[c, spec.kernel_h, spec.kernel_w])?;
+    let n_cols = checked_product("col2im columns", &[oh, ow])?;
+    if cols.dims() != [rows, n_cols] {
         return Err(TensorError::shape_mismatch(
             "col2im",
             cols.dims(),
-            &[rows, oh * ow],
+            &[rows, n_cols],
         ));
     }
-    let mut out = alloc::fresh_vec(c * h * w);
-    col2im_add(cols.as_slice(), spec, h, w, oh, ow, &mut out);
+    let mut out = alloc::fresh_vec(checked_product("col2im", &[c, h, w])?);
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING);
+    col2im_add(cols.as_slice(), &geom, &mut out);
     Tensor::from_vec(out, Shape::of(&[c, h, w]))
 }
 
@@ -335,9 +364,12 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
 /// product and `scratch` is its unfolded `[K, tile·OH·OW]` operand
 /// (`scratch2` is unused). Backward, it is the per-sample
 /// `K × F × OH·OW` ∂input product: `scratch` holds its `[K, OH·OW]`
-/// result and `scratch2` the transposed weight. Either way the
-/// blocking's `nc` is raised to the product's column count, so the
-/// row-major right-hand side is already in packed layout.
+/// result and `scratch2` the transposed weight — which is also the
+/// size of ∂weight's `[K, F]` per-sample product and of its running
+/// sum — and `scratch3` the transposed output-gradient plane
+/// `[OH·OW, F]` that product reads. Either way the blocking's `nc` is
+/// raised to the product's column count, so the row-major right-hand
+/// side is already in packed layout.
 fn plan_conv2d(
     spec: &ConvSpec,
     n: usize,
@@ -358,13 +390,15 @@ fn plan_conv2d(
         checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?
     };
     let scratch = checked_product("conv2d im2col", &[k_flat, gemm_cols])?;
-    let (scratch2, out_len) = if backward {
+    let (scratch2, scratch3, out_len) = if backward {
         (
             checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
+            checked_product("conv2d_backward grad transpose", &[ohw, spec.out_channels])?,
             checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?,
         )
     } else {
         (
+            0,
             0,
             checked_product("conv2d output", &[n, spec.out_channels, oh, ow])?,
         )
@@ -393,6 +427,7 @@ fn plan_conv2d(
         parallel: par::should_parallelize(rows_axis, work),
         scratch,
         scratch2,
+        scratch3,
         out_len,
     })
 }
@@ -562,9 +597,17 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     Tensor::from_vec(out, Shape::of(&[n, spec.out_channels, oh, ow]))
 }
 
-/// ∂weight/∂bias worker: computes gradient rows for the filters in
-/// `range`, looping samples in increasing order per element so the
-/// cross-sample accumulation matches the serial association.
+/// ∂weight/∂bias worker: gradient rows for the filters in `range`.
+///
+/// Per sample, `tmp[K, F′] = cols[K, OH·OW] × gᵀ[OH·OW, F′]` runs on the
+/// register-tiled kernel — every element one fresh accumulator from
+/// `0.0`, `o` ascending, multiply then add — and is then added onto the
+/// running `[K, F′]` sum, samples in increasing order: term for term
+/// the `acc = Σₒ g·col; grad += acc` of a scalar loop per element, so
+/// the cross-sample association is the serial one. `gᵀ` and the final
+/// `[K, F′] → [F′, K]` transpose are copies. The three scratch buffers
+/// lease from the calling thread's arena; the blueprint cap-checked
+/// their sizes for the whole filter range.
 fn conv_grad_filters_block(
     grad_out: &[f32],
     cols_all: &[f32],
@@ -574,22 +617,32 @@ fn conv_grad_filters_block(
 ) -> (Vec<f32>, Vec<f32>) {
     let ohw = geom.oh * geom.ow;
     let len = range.end - range.start;
-    let mut grad_w = alloc::fresh_vec(len * geom.k_flat);
+    // One column panel of `len` columns, so the row-major `gᵀ` is
+    // already in packed layout.
+    let bl = Blocking {
+        nc: geom.bl.nc.max(len),
+        ..geom.bl
+    };
     let mut grad_b = alloc::fresh_vec(len);
+    let mut g_t = alloc::scratch_stale(ohw * len);
+    let mut tmp = alloc::scratch_stale(geom.k_flat * len);
+    let mut sum = alloc::scratch_f32(geom.k_flat * len);
     for sample in 0..n {
         let g_sample = record(grad_out, sample, geom.out_plane_len());
+        let g_rows = &g_sample[range.start * ohw..range.end * ohw];
+        // ∂bias: sum over spatial positions, then across samples.
+        for (b, g_row) in grad_b.iter_mut().zip(g_rows.chunks_exact(ohw)) {
+            *b += g_row.iter().sum::<f32>();
+        }
+        transpose_into(g_rows, len, ohw, &mut g_t);
         let cols = record(cols_all, sample, geom.cols_len());
-        for (slot, f) in range.clone().enumerate() {
-            let g_row = record(g_sample, f, ohw);
-            // ∂bias: sum over spatial positions, then across samples.
-            if let Some(b) = grad_b.get_mut(slot) {
-                *b += g_row.iter().sum::<f32>();
-            }
-            // ∂weight row f += g_row · colsᵀ (dot per k, o-order).
-            let w_row = &mut grad_w[slot * geom.k_flat..(slot + 1) * geom.k_flat];
-            gemm_nt_block(g_row, 1, cols, ohw, geom.k_flat, w_row, true);
+        gemm_rows_into(cols, geom.k_flat, ohw, &g_t, len, bl, &mut tmp);
+        for (s, &t) in sum.iter_mut().zip(tmp.iter()) {
+            *s += t;
         }
     }
+    let mut grad_w = alloc::fresh_vec(len * geom.k_flat);
+    transpose_into(&sum, geom.k_flat, len, &mut grad_w);
     (grad_w, grad_b)
 }
 
@@ -612,7 +665,7 @@ fn conv_grad_input_block(
         let g_mat = record(grad_out, sample, geom.out_plane_len());
         gemm_rows_into(w_t, geom.k_flat, f, g_mat, ohw, geom.bl, &mut gcols);
         let dst = &mut out[slot * geom.image_len()..(slot + 1) * geom.image_len()];
-        col2im_add(&gcols, &geom.spec, geom.h, geom.w, geom.oh, geom.ow, dst);
+        col2im_add(&gcols, &geom, dst);
     }
     out
 }
@@ -773,6 +826,7 @@ pub fn conv2d_backward_input(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::matmul::gemm_nt_block;
     use crate::TensorRng;
     use proptest::prelude::*;
 
@@ -989,6 +1043,200 @@ mod tests {
         assert!(
             conv2d_backward_input(&input, &weight, &Tensor::zeros(&[1, 3, 4, 4]), &spec).is_err()
         );
+    }
+
+    /// The per-pixel fold `col2im_add` was before it moved whole row
+    /// runs, kept verbatim as the reference for ∂input's bits.
+    fn col2im_add_reference(
+        cols: &[f32],
+        spec: &ConvSpec,
+        h: usize,
+        w: usize,
+        oh: usize,
+        ow: usize,
+        dst: &mut [f32],
+    ) {
+        let n_cols = oh * ow;
+        let pad = spec.padding as isize;
+        for ch in 0..spec.in_channels {
+            for kh in 0..spec.kernel_h {
+                for kw in 0..spec.kernel_w {
+                    let row = (ch * spec.kernel_h + kh) * spec.kernel_w + kw;
+                    let in_row = &cols[row * n_cols..(row + 1) * n_cols];
+                    for oy in 0..oh {
+                        let iy = (oy * spec.stride) as isize + kh as isize - pad;
+                        if iy < 0 || iy >= h as isize {
+                            continue;
+                        }
+                        for ox in 0..ow {
+                            let ix = (ox * spec.stride) as isize + kw as isize - pad;
+                            if ix < 0 || ix >= w as isize {
+                                continue;
+                            }
+                            dst[(ch * h + iy as usize) * w + ix as usize] += in_row[oy * ow + ox];
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// The per-element dot-product ∂weight/∂bias worker
+    /// `conv_grad_filters_block` was before it moved to the register
+    /// tile, kept verbatim as the reference for its bits.
+    fn conv_grad_filters_reference(
+        grad_out: &[f32],
+        cols_all: &[f32],
+        geom: ConvGeom,
+        n: usize,
+        range: Range<usize>,
+    ) -> (Vec<f32>, Vec<f32>) {
+        let ohw = geom.oh * geom.ow;
+        let len = range.end - range.start;
+        let mut grad_w = vec![0.0f32; len * geom.k_flat];
+        let mut grad_b = vec![0.0f32; len];
+        for sample in 0..n {
+            let g_sample = record(grad_out, sample, geom.out_plane_len());
+            let cols = record(cols_all, sample, geom.cols_len());
+            for (slot, f) in range.clone().enumerate() {
+                let g_row = record(g_sample, f, ohw);
+                if let Some(b) = grad_b.get_mut(slot) {
+                    *b += g_row.iter().sum::<f32>();
+                }
+                let w_row = &mut grad_w[slot * geom.k_flat..(slot + 1) * geom.k_flat];
+                gemm_nt_block(g_row, 1, cols, ohw, geom.k_flat, w_row, true);
+            }
+        }
+        (grad_w, grad_b)
+    }
+
+    fn slice_bits(v: &[f32]) -> Vec<u32> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Checks one backward geometry against the scalar references:
+    /// the ∂weight/∂bias worker on whole and partial filter ranges, the
+    /// fold on one sample's gradient columns, and `conv2d_backward`
+    /// end to end at one and two compute threads.
+    fn assert_backward_matches_reference(spec: &ConvSpec, n: usize, h: usize, w: usize) {
+        let (input, weight, _) = random_setup((n * h + w) as u64, spec, n, h, w);
+        let (oh, ow) = spec.output_size(h, w).unwrap();
+        let f = spec.out_channels;
+        let grad_out = TensorRng::seed_from_u64(11).uniform(&[n, f, oh, ow], -1.0, 1.0);
+        let (bp, geom, _) = plan_backward(&input, &grad_out, spec).unwrap();
+        let mut cols_all = vec![0.0f32; n * geom.cols_len()];
+        im2col_samples_into(input.as_slice(), geom, 0..n, &mut cols_all);
+        let tag = format!("{spec:?} n {n} {h}x{w}");
+
+        let mut want_input = Vec::new();
+        let mut w_t = vec![0.0f32; bp.scratch2];
+        transpose_into(weight.as_slice(), f, geom.k_flat, &mut w_t);
+        let mut gcols = vec![0.0f32; geom.cols_len()];
+        for sample in 0..n {
+            let g_mat = record(grad_out.as_slice(), sample, geom.out_plane_len());
+            gemm_rows_into(&w_t, geom.k_flat, f, g_mat, oh * ow, geom.bl, &mut gcols);
+            let mut want = vec![0.0f32; geom.image_len()];
+            col2im_add_reference(&gcols, spec, h, w, oh, ow, &mut want);
+            let mut got = vec![0.0f32; geom.image_len()];
+            col2im_add(&gcols, &geom, &mut got);
+            assert_eq!(slice_bits(&got), slice_bits(&want), "fold, {tag}");
+            want_input.extend(want);
+        }
+
+        let (want_w, want_b) =
+            conv_grad_filters_reference(grad_out.as_slice(), &cols_all, geom, n, 0..f);
+        crate::simd::with_each_isa(|isa| {
+            for range in [0..f, 1..f, 0..f - 1] {
+                let (want_w, want_b) = conv_grad_filters_reference(
+                    grad_out.as_slice(),
+                    &cols_all,
+                    geom,
+                    n,
+                    range.clone(),
+                );
+                let (got_w, got_b) =
+                    conv_grad_filters_block(grad_out.as_slice(), &cols_all, geom, n, range.clone());
+                assert_eq!(
+                    slice_bits(&got_w),
+                    slice_bits(&want_w),
+                    "∂weight {range:?} on {isa:?}, {tag}"
+                );
+                assert_eq!(
+                    slice_bits(&got_b),
+                    slice_bits(&want_b),
+                    "∂bias {range:?} on {isa:?}, {tag}"
+                );
+            }
+            for threads in [1, 2] {
+                par::set_threads(threads);
+                let got = conv2d_backward(&input, &weight, &grad_out, spec).unwrap();
+                let at = format!("on {isa:?} at {threads} threads, {tag}");
+                assert_eq!(bits(&got.weight), slice_bits(&want_w), "∂weight {at}");
+                assert_eq!(bits(&got.bias), slice_bits(&want_b), "∂bias {at}");
+                assert_eq!(bits(&got.input), slice_bits(&want_input), "∂input {at}");
+            }
+            par::set_threads(0);
+        });
+    }
+
+    #[test]
+    fn backward_matches_scalar_references_on_victim_shapes() {
+        // The served victim's five stages (3×3, stride 1, "same") at an
+        // attack query, a small batch and the training batch.
+        let (mut cin, mut side) = (3, 32);
+        for cout in [8, 16, 32, 48, 64] {
+            for n in [1, 4, 32] {
+                assert_backward_matches_reference(
+                    &ConvSpec::new(cin, cout, 3, 1, 1),
+                    n,
+                    side,
+                    side,
+                );
+            }
+            (cin, side) = (cout, side / 2);
+        }
+    }
+
+    #[test]
+    fn backward_matches_scalar_references_on_odd_geometries() {
+        // Every padding against both kernels, on planes narrower and
+        // shorter than the kernel, with stride 2 on the pixel path.
+        for (h, w) in [(5, 7), (2, 9), (6, 1), (1, 1), (3, 3)] {
+            for kernel in [3, 5] {
+                for padding in [0, 1, 2] {
+                    for stride in [1, 2] {
+                        let spec = ConvSpec::new(2, 3, kernel, stride, padding);
+                        if spec.output_size(h, w).is_ok() {
+                            assert_backward_matches_reference(&spec, 3, h, w);
+                        }
+                    }
+                }
+            }
+        }
+        // Not square, padding wider than the kernel's reach.
+        let spec = ConvSpec {
+            kernel_h: 2,
+            kernel_w: 4,
+            ..ConvSpec::new(3, 5, 3, 1, 3)
+        };
+        assert_backward_matches_reference(&spec, 2, 4, 6);
+    }
+
+    #[test]
+    fn col2im_surfaces_overflow_not_panic() {
+        // `c·kh·kw` and `oh·ow` used to be bare products: a wrapped
+        // allocation in release, an arithmetic panic in debug.
+        let cols = Tensor::zeros(&[9, 16]);
+        let spec = ConvSpec::new(usize::MAX / 2, 1, 3, 1, 1);
+        assert!(matches!(
+            col2im(&cols, &spec, 4, 4),
+            Err(TensorError::Overflow { .. })
+        ));
+        let spec = ConvSpec::new(1, 1, 3, 1, 1);
+        assert!(matches!(
+            col2im(&cols, &spec, 1 << 33, 1 << 33),
+            Err(TensorError::Overflow { .. })
+        ));
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Durable-artifact IO shared by every crate that persists state.
 //!
-//! Three pieces live here because both `fademl-nn` (weights,
+//! Four pieces live here because both `fademl-nn` (weights,
 //! checkpoints) and `fademl-data` (frozen datasets) need them and this
 //! crate is their common root dependency:
 //!
@@ -8,6 +8,9 @@
 //!   polynomial) used as the integrity trailer of every on-disk format,
 //!   so a truncated or bit-flipped file is a **typed error**, never
 //!   silently-wrong numbers.
+//! - [`fnv1a`] / [`digest`] — FNV-1a over bytes and over the bits of an
+//!   `f32` slice: the hash ring's key function and the unit of the
+//!   cross-commit bit corpus (`results/bits.txt`).
 //! - [`atomic_write`] — the blessed write path for persisted artifacts:
 //!   full payload to a same-directory temp file, `sync_all`, then
 //!   `rename` over the destination. Readers never observe a torn file;
@@ -89,6 +92,31 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let mut h = Crc32::new();
     h.update(bytes);
     h.finish()
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+fn fnv1a_fold(hash: u64, bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(FNV_PRIME))
+}
+
+/// FNV-1a 64-bit: tiny, dependency-free, and plenty uniform for hash
+/// rings and change detection. Not an integrity check — on-disk
+/// formats use [`crc32`].
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_fold(FNV_OFFSET, bytes)
+}
+
+/// [`fnv1a`] over the little-endian `to_bits` of every value: equal
+/// digests mean equal bits (`-0.0` and `0.0` differ, as do NaN
+/// payloads), on any host. The currency of `results/bits.txt`.
+pub fn digest(values: &[f32]) -> u64 {
+    values
+        .iter()
+        .fold(FNV_OFFSET, |h, v| fnv1a_fold(h, &v.to_bits().to_le_bytes()))
 }
 
 /// The temp-file path `atomic_write` stages into: same directory as the
@@ -467,6 +495,18 @@ mod tests {
     fn crc32_known_answer() {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    #[test]
+    fn fnv1a_known_answers_and_digest_sees_bits() {
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        let bytes: Vec<u8> = [1.5f32, -2.0]
+            .iter()
+            .flat_map(|v| v.to_bits().to_le_bytes())
+            .collect();
+        assert_eq!(digest(&[1.5, -2.0]), fnv1a(&bytes));
+        assert_ne!(digest(&[0.0]), digest(&[-0.0]));
     }
 
     #[test]

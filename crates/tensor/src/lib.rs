@@ -56,7 +56,8 @@ pub use conv::{
 };
 pub use error::TensorError;
 pub use init::{Initializer, TensorRng};
-pub use pool::{max_pool2d, max_pool2d_backward, MaxPoolOutput, PoolSpec};
+pub use io::{digest, fnv1a};
+pub use pool::{max_pool2d, max_pool2d_backward, max_pool2d_values, MaxPoolOutput, PoolSpec};
 pub use shape::Shape;
 pub use tensor::Tensor;
 

@@ -4,9 +4,10 @@
 //! All three entry points (`matmul`, `matmul_tn`, `matmul_nt`) compute
 //! one [`Blueprint`] per call — carrying the cap-checked scratch/output
 //! sizes, the blocking parameters, and the parallel/serial decision —
-//! then share a small set of
-//! serial block kernels and partition *rows of the output* across the
-//! [`crate::par`] pool. Each output element is owned by exactly one
+//! then share one packed, register-tiled block kernel (`matmul_tn` and
+//! `matmul_nt` first transpose the operand that is not in the kernel's
+//! layout: a copy, no arithmetic) and partition *rows of the output*
+//! across the [`crate::par`] pool. Each output element is owned by exactly one
 //! chunk and its `k`-accumulation runs in increasing-`p` order in a
 //! single `f32` accumulator — the same order as the reference
 //! three-loop kernel — so results are **bit-exact regardless of thread
@@ -122,11 +123,12 @@ pub(crate) fn gemm_rows_to(
     }
 }
 
-/// Dot-product kernel for `A × Bᵀ`: `a_block` is `[rows, k]`, `b` is
-/// `[n, k]` (both row-major, so every dot streams two contiguous rows).
-/// When `accumulate` is false the result is stored; when true it is
-/// added onto `out` (used by `conv2d_backward`'s ∂weight accumulation
-/// across samples, matching the serial `grad += gw` association).
+/// The scalar `A × Bᵀ` loop `matmul_nt` and `conv2d_backward`'s ∂weight
+/// ran on before they moved to the register tile, kept verbatim as the
+/// reference their bit-equality tests compare against: `a_block` is
+/// `[rows, k]`, `b` is `[n, k]`, and the result is stored, or added
+/// onto `out` when `accumulate` is set (∂weight's `grad += gw`).
+#[cfg(test)]
 pub(crate) fn gemm_nt_block(
     a_block: &[f32],
     rows: usize,
@@ -304,15 +306,16 @@ impl Tensor {
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
 
-    /// `self × otherᵀ` without materializing the transpose.
-    ///
-    /// `self` is `[m, k]`, `other` is `[n, k]`, result is `[m, n]`.
+    /// `self × otherᵀ` without materializing the transpose for the
+    /// caller: `self` is `[m, k]`, `other` is `[n, k]`, result `[m, n]`.
     /// This shows up in the backward pass of dense layers
-    /// (`∂x = ∂y · Wᵀ` for a `[out, in]` weight laid out as `[n, k]`).
-    /// Both operands are already row-major along `k`, so this stays a
-    /// streaming dot-product kernel, row-partitioned across the pool.
-    /// The dispatch decision comes from the same planning function as
-    /// the packed variants.
+    /// (`∂x = ∂y · Wᵀ` for a `[out, in]` weight laid out as `[n, k]`)
+    /// and as the classifier head's forward product.
+    ///
+    /// The mirror image of [`Tensor::matmul_tn`]: `other` is transposed
+    /// into arena scratch (an O(k·n) copy) and the same packed,
+    /// register-tiled, row-parallel kernel runs — one accumulator per
+    /// element from `0.0`, `p` ascending.
     ///
     /// # Errors
     ///
@@ -329,31 +332,16 @@ impl Tensor {
             ));
         }
         let bp = plan_gemm(OpKind::MatMulNt, m, k, n)?;
-        if !bp.parallel {
-            let mut out = alloc::fresh_vec(bp.out_len);
-            gemm_nt_block(self.as_slice(), m, other.as_slice(), k, n, &mut out, false);
-            return Tensor::from_vec(out, Shape::of(&[m, n]));
-        }
-        let a = Arc::new(alloc::fresh_from(self.as_slice()));
-        let b = Arc::new(alloc::fresh_from(other.as_slice()));
-        let blocks = par::parallel_rows(m, move |rows: Range<usize>| {
-            let len = rows.end - rows.start;
-            let mut block = alloc::fresh_vec(len * n);
-            gemm_nt_block(
-                &a[rows.start * k..rows.end * k],
-                len,
-                &b,
-                k,
-                n,
-                &mut block,
-                false,
-            );
-            block
-        });
-        let mut out = alloc::fresh_with(bp.out_len);
-        for block in blocks {
-            out.extend_from_slice(&block);
-        }
+        // Packed (copied again) before any worker sees it, so the
+        // transpose can stay in this thread's arena on both paths.
+        let mut bt = alloc::scratch_stale(bp.scratch2);
+        transpose_into(other.as_slice(), n, k, &mut bt);
+        let out = if bp.parallel {
+            let a = Arc::new(alloc::fresh_from(self.as_slice()));
+            gemm_parallel(&bp, a, &bt, m, k, n)
+        } else {
+            gemm_serial(&bp, self.as_slice(), &bt, m, k, n)
+        };
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
 }
@@ -488,6 +476,39 @@ mod tests {
     }
 
     #[test]
+    fn matmul_nt_matches_scalar_reference_bit_for_bit() {
+        // The victim head, every register-tile edge, `k` past one and
+        // two `kc` panels (256; 512 for the vector-matrix class), and a
+        // product big enough for the pool.
+        for (m, k, n) in [
+            (16, 64, 43),
+            (1, 1030, 1),
+            (2, 700, 5),
+            (5, 257, 3),
+            (9, 300, 21),
+            (40, 513, 70),
+            (64, 96, 64),
+        ] {
+            let mut rng = crate::TensorRng::seed_from_u64((m * k * n) as u64);
+            let a = rng.uniform(&[m, k], -2.0, 2.0);
+            let b = rng.uniform(&[n, k], -2.0, 2.0);
+            let mut want = vec![f32::NAN; m * n];
+            gemm_nt_block(a.as_slice(), m, b.as_slice(), k, n, &mut want, false);
+            let want: Vec<u32> = want.iter().map(|v| v.to_bits()).collect();
+            crate::simd::with_each_isa(|isa| {
+                for threads in [1, 2] {
+                    par::set_threads(threads);
+                    let got = a.matmul_nt(&b).unwrap();
+                    assert_eq!(got.dims(), &[m, n]);
+                    let got: Vec<u32> = got.as_slice().iter().map(|v| v.to_bits()).collect();
+                    assert_eq!(got, want, "{m}x{k}x{n} on {isa:?} at {threads} threads");
+                }
+                par::set_threads(0);
+            });
+        }
+    }
+
+    #[test]
     fn nan_in_left_operand_reaches_output() {
         // Regression for the removed `a_ip == 0.0` sparse-skip: a NaN
         // multiplied by anything — and anything multiplied by 0 × NaN —
@@ -593,26 +614,26 @@ mod tests {
                 b[(seed as usize / 7) % (k * n)] = f32::INFINITY;
             }
             let want = three_loop_reference(&a, &b, m, k, n);
-            // The only test in this binary that pins the instantiation
-            // (a process-wide switch); the others are indifferent to it.
-            for baseline_only in [true, false] {
-                crate::simd::set_baseline_only(baseline_only);
+            let mut runs = Vec::new();
+            crate::simd::with_each_isa(|_| {
                 for bl in [DEFAULT_BLOCKING, Blocking { mc: 8, kc: 32, nc: 24 }] {
                     let mut packed = vec![0.0f32; k * n];
                     pack_b_into(&b, k, n, bl, &mut packed);
                     // Dirty on purpose: the kernel must overwrite, not add.
                     let mut got = vec![f32::NAN; m * n];
                     gemm_rows_into(&a, m, k, &packed, n, bl, &mut got);
-                    for (g, w) in got.iter().zip(&want) {
-                        if w.is_nan() {
-                            prop_assert!(g.is_nan(), "NaN laundered to {g} ({bl:?})");
-                        } else {
-                            prop_assert_eq!(g.to_bits(), w.to_bits());
-                        }
+                    runs.push((bl, got));
+                }
+            });
+            for (bl, got) in runs {
+                for (g, w) in got.iter().zip(&want) {
+                    if w.is_nan() {
+                        prop_assert!(g.is_nan(), "NaN laundered to {g} ({bl:?})");
+                    } else {
+                        prop_assert_eq!(g.to_bits(), w.to_bits());
                     }
                 }
             }
-            crate::simd::set_baseline_only(false);
         }
 
         /// (A·B)·C == A·(B·C) within tolerance.

@@ -83,6 +83,9 @@ pub struct Blueprint {
     /// Secondary scratch length (transpose buffer), cap-checked; zero
     /// when unused.
     pub scratch2: usize,
+    /// Tertiary scratch length (`conv2d_backward`'s transposed
+    /// output-gradient plane), cap-checked; zero when unused.
+    pub scratch3: usize,
     /// Output buffer length, cap-checked.
     pub out_len: usize,
 }
@@ -158,20 +161,19 @@ pub fn plan_gemm(op: OpKind, m: usize, k: usize, n: usize) -> Result<Blueprint, 
     // allocation sizes below are strictly cap-checked.
     let work = m.saturating_mul(k).saturating_mul(n);
     let out_len = checked_product("matmul output", &[m, n])?;
-    let scratch = match op {
-        // A·Bᵀ reads B directly, no packed panel.
-        OpKind::MatMulNt => 0,
-        _ => checked_product("matmul packing", &[k, n])?,
-    };
+    let scratch = checked_product("matmul packing", &[k, n])?;
+    // The transposed operand: `A` for Aᵀ·B, `B` for A·Bᵀ.
     let scratch2 = match op {
+        OpKind::MatMul => 0,
         OpKind::MatMulTn => checked_product("matmul_tn transpose", &[k, m])?,
-        _ => 0,
+        OpKind::MatMulNt => checked_product("matmul_nt transpose", &[k, n])?,
     };
     Ok(Blueprint {
         blocking: blocking_for(classify_gemm(m, n, work)),
         parallel: par::should_parallelize(m, work),
         scratch,
         scratch2,
+        scratch3: 0,
         out_len,
     })
 }
@@ -230,9 +232,10 @@ mod tests {
     }
 
     #[test]
-    fn nt_variant_needs_no_packing_scratch() {
+    fn nt_variant_plans_transpose_and_packing() {
         let bp = plan_gemm(OpKind::MatMulNt, 8, 9, 10).expect("plan");
-        assert_eq!(bp.scratch, 0);
+        assert_eq!(bp.scratch, 90);
+        assert_eq!(bp.scratch2, 90);
         assert_eq!(bp.out_len, 80);
     }
 

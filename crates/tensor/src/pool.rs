@@ -75,6 +75,120 @@ pub struct MaxPoolOutput {
     pub argmax: Vec<usize>,
 }
 
+/// Plane geometry shared by the two pooling loops.
+#[derive(Clone, Copy)]
+struct PoolGeom {
+    h: usize,
+    w: usize,
+    oh: usize,
+    ow: usize,
+}
+
+/// The maximum of one 2×2 window and its offset from the window's
+/// first element in a `w`-wide plane, scanning `(0,0), (0,1), (1,0),
+/// (1,1)` with a strict `>`: the first maximum wins and a leading NaN
+/// is never displaced (not `f32::max`).
+#[inline(always)]
+fn window_max([a0, a1]: [f32; 2], [b0, b1]: [f32; 2], w: usize) -> (f32, usize) {
+    let mut best = (a0, 0);
+    for candidate in [(a1, 1), (b0, w), (b1, w + 1)] {
+        if candidate.0 > best.0 {
+            best = candidate;
+        }
+    }
+    best
+}
+
+/// The 2×2 / stride-2 pool: walks two input rows and writes one output
+/// row through slices. `argmax`, when wanted, is filled in the same
+/// pass with flat indices into `data`.
+fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut [usize]>) {
+    let PoolGeom { h, w, oh, ow } = g;
+    let planes = data.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
+    for (p, (plane, out_plane)) in planes.enumerate() {
+        let row_pairs = plane
+            .chunks_exact(2 * w)
+            .zip(out_plane.chunks_exact_mut(ow));
+        for (oy, (rows, out_row)) in row_pairs.enumerate() {
+            let (top, bottom) = rows.split_at(w);
+            let windows = top.as_chunks().0.iter().zip(bottom.as_chunks().0);
+            let Some(arg) = argmax.as_deref_mut() else {
+                for (o, (&a, &b)) in out_row.iter_mut().zip(windows) {
+                    *o = window_max(a, b, w).0;
+                }
+                continue;
+            };
+            let arg_row = arg.get_mut((p * oh + oy) * ow..).unwrap_or_default();
+            let row0 = (p * h + 2 * oy) * w;
+            let cells = out_row.iter_mut().zip(arg_row).zip(windows);
+            for (ox, ((o, slot), (&a, &b))) in cells.enumerate() {
+                let (best, offset) = window_max(a, b, w);
+                *o = best;
+                *slot = row0 + 2 * ox + offset;
+            }
+        }
+    }
+}
+
+/// Any other window: an indexed scan per output element, same
+/// candidate order and the same strict `>`.
+fn pool_general(
+    data: &[f32],
+    spec: &PoolSpec,
+    g: PoolGeom,
+    out: &mut [f32],
+    mut argmax: Option<&mut [usize]>,
+) {
+    let PoolGeom { h, w, oh, ow } = g;
+    for (i, o) in out.iter_mut().enumerate() {
+        let (plane, oy, ox) = (i / (oh * ow), i / ow % oh, i % ow);
+        let y0 = oy * spec.stride;
+        let x0 = ox * spec.stride;
+        let mut best: Option<(f32, usize)> = None;
+        for ky in 0..spec.window_h {
+            let row0 = (plane * h + y0 + ky) * w + x0;
+            for (&v, idx) in data[row0..][..spec.window_w].iter().zip(row0..) {
+                if best.is_none_or(|(b, _)| v > b) {
+                    best = Some((v, idx));
+                }
+            }
+        }
+        let (best, best_idx) = best.unwrap_or_default();
+        *o = best;
+        if let Some(slot) = argmax.as_deref_mut().and_then(|arg| arg.get_mut(i)) {
+            *slot = best_idx;
+        }
+    }
+}
+
+/// Validates and pools: the `[N, C, OH, OW]` output, with `argmax`
+/// replaced by the winners' flat input indices when one is passed.
+fn pooled(input: &Tensor, spec: &PoolSpec, argmax: Option<&mut Vec<usize>>) -> Result<Tensor> {
+    let &[n, c, h, w] = input.dims() else {
+        return Err(TensorError::RankMismatch {
+            op: "max_pool2d",
+            expected: 4,
+            actual: input.rank(),
+        });
+    };
+    let (oh, ow) = spec.output_size(h, w)?;
+    // Pooling is a memory-bound gather: it stays serial and needs no
+    // scratch, only the cap-checked output length.
+    let out_len = checked_product("max_pool2d output", &[n, c, oh, ow])?;
+    let mut out = alloc::fresh_vec(out_len);
+    let argmax = argmax.map(|arg| {
+        *arg = alloc::fresh_filled(out_len, 0usize);
+        arg.as_mut_slice()
+    });
+    let g = PoolGeom { h, w, oh, ow };
+    if *spec == PoolSpec::half() {
+        pool_half(input.as_slice(), g, &mut out, argmax);
+    } else {
+        pool_general(input.as_slice(), spec, g, &mut out, argmax);
+    }
+    Tensor::from_vec(out, Shape::of(&[n, c, oh, ow]))
+}
+
 /// Batched 2-D max pooling over `[N, C, H, W]`.
 ///
 /// # Errors
@@ -82,54 +196,20 @@ pub struct MaxPoolOutput {
 /// Returns [`TensorError::RankMismatch`] for non-rank-4 input or
 /// [`TensorError::InvalidGeometry`] for impossible geometry.
 pub fn max_pool2d(input: &Tensor, spec: &PoolSpec) -> Result<MaxPoolOutput> {
-    if input.rank() != 4 {
-        return Err(TensorError::RankMismatch {
-            op: "max_pool2d",
-            expected: 4,
-            actual: input.rank(),
-        });
-    }
-    let (n, c, h, w) = (
-        input.dims()[0],
-        input.dims()[1],
-        input.dims()[2],
-        input.dims()[3],
-    );
-    let (oh, ow) = spec.output_size(h, w)?;
-    // Pooling is a memory-bound gather: it stays serial and needs no
-    // scratch, only the cap-checked output length.
-    let out_len = checked_product("max_pool2d output", &[n, c, oh, ow])?;
-    let data = input.as_slice();
-    let mut out = alloc::fresh_with(out_len);
-    let mut argmax: Vec<usize> = alloc::fresh_with(out_len);
-    for s in 0..n {
-        for ch in 0..c {
-            let plane = (s * c + ch) * h * w;
-            for oy in 0..oh {
-                for ox in 0..ow {
-                    let y0 = oy * spec.stride;
-                    let x0 = ox * spec.stride;
-                    let mut best_idx = plane + y0 * w + x0;
-                    let mut best = data[best_idx];
-                    for ky in 0..spec.window_h {
-                        for kx in 0..spec.window_w {
-                            let idx = plane + (y0 + ky) * w + (x0 + kx);
-                            if data[idx] > best {
-                                best = data[idx];
-                                best_idx = idx;
-                            }
-                        }
-                    }
-                    out.push(best);
-                    argmax.push(best_idx);
-                }
-            }
-        }
-    }
-    Ok(MaxPoolOutput {
-        output: Tensor::from_vec(out, Shape::of(&[n, c, oh, ow]))?,
-        argmax,
-    })
+    let mut argmax = Vec::default();
+    let output = pooled(input, spec, Some(&mut argmax))?;
+    Ok(MaxPoolOutput { output, argmax })
+}
+
+/// [`max_pool2d`]'s output alone, for inference: the same values bit
+/// for bit, without computing or allocating the argmax plane that only
+/// the backward pass reads.
+///
+/// # Errors
+///
+/// Same conditions as [`max_pool2d`].
+pub fn max_pool2d_values(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
+    pooled(input, spec, None)
 }
 
 /// Backward pass of [`max_pool2d`]: routes each output gradient to the
@@ -232,6 +312,66 @@ mod tests {
         }
     }
 
+    /// Both loops over the same planes: outputs and argmax.
+    fn both_loops(data: &[f32], planes: usize, h: usize, w: usize) -> [(Vec<u32>, Vec<usize>); 2] {
+        let spec = PoolSpec::half();
+        let (oh, ow) = spec.output_size(h, w).unwrap();
+        let g = PoolGeom { h, w, oh, ow };
+        let run = |half: bool| {
+            let mut out = vec![f32::NAN; planes * oh * ow];
+            let mut arg = vec![usize::MAX; out.len()];
+            if half {
+                pool_half(data, g, &mut out, Some(&mut arg));
+            } else {
+                pool_general(data, &spec, g, &mut out, Some(&mut arg));
+            }
+            (out.iter().map(|v| v.to_bits()).collect(), arg)
+        };
+        [run(true), run(false)]
+    }
+
+    #[test]
+    fn row_pair_loop_equals_general_loop_on_special_values() {
+        // Ties (first maximum wins), signed zeros, NaN leading and
+        // trailing a window, both infinities; 5×5 leaves an odd row and
+        // column that no window covers.
+        let (nan, inf) = (f32::NAN, f32::INFINITY);
+        #[rustfmt::skip]
+        let plane = [
+            1.0, 1.0,   -0.0, 0.0,   9.0,
+            1.0, 1.0,    0.0, -0.0,  9.0,
+            nan, 2.0,    3.0, nan,   9.0,
+            4.0, 5.0,    inf, -inf,  9.0,
+            9.0, 9.0,    9.0, 9.0,   9.0,
+        ];
+        let [(half_out, half_arg), (general_out, general_arg)] = both_loops(&plane, 1, 5, 5);
+        assert_eq!(half_out, general_out);
+        assert_eq!(half_arg, general_arg);
+        assert_eq!(half_arg, vec![0, 2, 10, 17]);
+        assert_eq!(half_out[1], (-0.0f32).to_bits());
+        assert!(f32::from_bits(half_out[2]).is_nan());
+        assert_eq!(half_out[3], inf.to_bits());
+
+        let all_neg_inf = [-inf; 4];
+        let [(out, arg), general] = both_loops(&all_neg_inf, 1, 2, 2);
+        assert_eq!((out.clone(), arg.clone()), general);
+        assert_eq!((out, arg), (vec![(-inf).to_bits()], vec![0]));
+    }
+
+    #[test]
+    fn values_only_variant_matches_and_general_windows_still_pool() {
+        let mut rng = TensorRng::seed_from_u64(5);
+        let input = rng.uniform(&[2, 3, 7, 6], -1.0, 1.0);
+        for spec in [PoolSpec::half(), PoolSpec::new(3, 2), PoolSpec::new(2, 1)] {
+            let full = max_pool2d(&input, &spec).unwrap();
+            assert_eq!(max_pool2d_values(&input, &spec).unwrap(), full.output);
+            for (&v, &idx) in full.output.as_slice().iter().zip(&full.argmax) {
+                assert_eq!(v, input.as_slice()[idx]);
+            }
+        }
+        assert!(max_pool2d_values(&Tensor::zeros(&[2, 2]), &PoolSpec::half()).is_err());
+    }
+
     #[test]
     fn rejects_bad_shapes() {
         assert!(max_pool2d(&Tensor::zeros(&[2, 2]), &PoolSpec::half()).is_err());
@@ -250,6 +390,25 @@ mod tests {
                 prop_assert_eq!(v, input.as_slice()[pooled.argmax[i]]);
             }
             prop_assert!(pooled.output.max().unwrap() <= input.max().unwrap() + 1e-6);
+        }
+
+        /// The row-pair loop and the general loop agree bit for bit,
+        /// outputs and argmax, on planes of every parity — with values
+        /// drawn from a handful so that ties are the common case.
+        #[test]
+        fn row_pair_loop_equals_general_loop(
+            seed in 0u64..10_000,
+            planes in 1usize..4,
+            h in 2usize..9,
+            w in 2usize..9,
+        ) {
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let palette = [-1.0f32, -0.0, 0.0, 0.5, 0.5, 2.0, f32::NAN, f32::NEG_INFINITY];
+            let data: Vec<f32> = (0..planes * h * w)
+                .map(|_| palette[rng.index(palette.len())])
+                .collect();
+            let [half, general] = both_loops(&data, planes, h, w);
+            prop_assert_eq!(half, general);
         }
 
         /// Pooling is monotone: adding a constant shifts the output by it.

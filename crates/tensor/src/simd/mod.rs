@@ -58,6 +58,20 @@ pub fn set_baseline_only(on: bool) {
     BASELINE_ONLY.store(on, Ordering::Relaxed);
 }
 
+/// Runs `body` once pinned to the baseline instantiation and once on
+/// the detected one, holding a lock so that tests sweeping the
+/// process-wide switch do not interleave. Tests that do not care which
+/// instantiation they get need no lock: the two are bit-identical.
+#[cfg(test)]
+pub(crate) fn with_each_isa(mut body: impl FnMut(Isa)) {
+    static SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    let _guard = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+    for baseline_only in [true, false] {
+        set_baseline_only(baseline_only);
+        body(active());
+    }
+}
+
 /// The instantiation the next kernel call will run.
 pub fn active() -> Isa {
     if BASELINE_ONLY.load(Ordering::Relaxed) {

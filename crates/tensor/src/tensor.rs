@@ -299,6 +299,38 @@ impl Tensor {
         )
     }
 
+    /// Copies the samples at `indices` of the leading (batch) axis, in
+    /// that order, into one new batch `[indices.len(), d...]`: a
+    /// contiguous chunk (`start..end`) of a dataset, or a shuffled
+    /// mini-batch, each pixel copied once.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`TensorError::EmptyTensor`] for rank-0 input or
+    /// [`TensorError::IndexOutOfBounds`] if an index exceeds the batch
+    /// size.
+    pub fn select_batch(&self, indices: impl IntoIterator<Item = usize>) -> Result<Tensor> {
+        let Some((&batch, inner_dims)) = self.dims().split_first() else {
+            return Err(TensorError::EmptyTensor { op: "select_batch" });
+        };
+        let inner: usize = inner_dims.iter().product();
+        let indices = indices.into_iter();
+        let mut data = alloc::fresh_with(indices.size_hint().0 * inner);
+        let mut count = 0usize;
+        for n in indices {
+            let sample = self.data.get(n * inner..(n + 1) * inner);
+            let Some(sample) = sample.filter(|_| n < batch) else {
+                return Err(TensorError::index_oob(&[n], self.dims()));
+            };
+            data.extend_from_slice(sample);
+            count += 1;
+        }
+        let mut dims = alloc::fresh_with(self.rank());
+        dims.push(count);
+        dims.extend_from_slice(inner_dims);
+        Tensor::from_vec(data, Shape::new(dims))
+    }
+
     /// Stacks same-shaped tensors along a new leading batch axis.
     ///
     /// # Errors
@@ -429,6 +461,34 @@ mod tests {
         assert!(s.index_batch(2).is_err());
         assert!(Tensor::stack(&[]).is_err());
         assert!(Tensor::stack(&[a, Tensor::zeros(&[3])]).is_err());
+    }
+
+    #[test]
+    fn select_batch_copies_chunks_and_gathers() {
+        let t = Tensor::from_vec((0..12).map(|v| v as f32).collect(), [4, 3].into()).unwrap();
+        let chunk = t.select_batch(1..3).unwrap();
+        assert_eq!(chunk.dims(), &[2, 3]);
+        assert_eq!(chunk.as_slice(), &[3.0, 4.0, 5.0, 6.0, 7.0, 8.0]);
+        let gathered = t.select_batch([3, 0, 3]).unwrap();
+        assert_eq!(gathered.dims(), &[3, 3]);
+        assert_eq!(
+            gathered,
+            Tensor::stack(&[
+                t.index_batch(3).unwrap(),
+                t.index_batch(0).unwrap(),
+                t.index_batch(3).unwrap()
+            ])
+            .unwrap()
+        );
+        assert_eq!(t.select_batch(2..2).unwrap().dims(), &[0, 3]);
+        assert!(matches!(
+            t.select_batch([0, 4]),
+            Err(TensorError::IndexOutOfBounds { .. })
+        ));
+        assert!(matches!(
+            Tensor::scalar(1.0).select_batch(0..1),
+            Err(TensorError::EmptyTensor { .. })
+        ));
     }
 
     #[test]
