@@ -48,6 +48,12 @@ cargo test -q --workspace
 echo "==> cargo test (FADEML_THREADS=2: kernels on the worker pool)"
 FADEML_THREADS=2 cargo test -q --workspace
 
+echo "==> results/bits.txt is the committed table (no stray FADEML_BLESS=1)"
+git diff --exit-code -- results/bits.txt || {
+  echo "results/bits.txt was rewritten by a test pass — a bit moved, or FADEML_BLESS was set; see tests/bits.rs" >&2
+  exit 1
+}
+
 echo "==> kernel bench smoke (bit-identity gate: 1/2/4/8 threads × baseline/AVX2 instantiation; arena zero-grow gate)"
 cargo bench -p fademl-bench --bench kernels -- --test
 

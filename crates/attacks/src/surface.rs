@@ -72,6 +72,15 @@ impl AttackSurface {
         Ok(())
     }
 
+    /// The batch of one the model reads for `x`: what the filter makes
+    /// of it, or `x` itself on a bare surface.
+    fn model_input(&self, x: &Tensor) -> Result<Tensor> {
+        Ok(match &self.filter {
+            Some(f) => f.apply(x)?.unsqueeze_batch(),
+            None => x.unsqueeze_batch(),
+        })
+    }
+
     /// Class logits for a single `[C, H, W]` image, through the filter
     /// if the surface has one.
     ///
@@ -82,11 +91,7 @@ impl AttackSurface {
     pub fn logits(&mut self, x: &Tensor) -> Result<Tensor> {
         Self::check_image(x)?;
         self.queries += 1;
-        let input = match &self.filter {
-            Some(f) => f.apply(x)?,
-            None => x.clone(),
-        };
-        let logits = self.model.forward(&input.unsqueeze_batch())?;
+        let logits = self.model.forward(&self.model_input(x)?)?;
         Ok(logits.row(0)?)
     }
 
@@ -128,11 +133,7 @@ impl AttackSurface {
     pub fn forward_train_logits(&mut self, x: &Tensor) -> Result<Tensor> {
         Self::check_image(x)?;
         self.queries += 1;
-        let filtered = match &self.filter {
-            Some(f) => f.apply(x)?,
-            None => x.clone(),
-        };
-        let logits = self.model.forward_train(&filtered.unsqueeze_batch())?;
+        let logits = self.model.forward_train(&self.model_input(x)?)?;
         Ok(logits.row(0)?)
     }
 
@@ -169,11 +170,7 @@ impl AttackSurface {
     pub fn loss_and_input_grad(&mut self, x: &Tensor, goal: AttackGoal) -> Result<(f32, Tensor)> {
         Self::check_image(x)?;
         self.queries += 1;
-        let filtered = match &self.filter {
-            Some(f) => f.apply(x)?,
-            None => x.clone(),
-        };
-        let batch = filtered.unsqueeze_batch();
+        let batch = self.model_input(x)?;
         let logits = self.model.forward_train(&batch)?;
         let classes = logits.dims()[1];
         let (label, sign) = match goal {

@@ -4,11 +4,13 @@
 
 use fademl_filters::FilterSpec;
 
-use super::grid::{class_name, for_each_scenario_parallel, scenario_cell, ScenarioCell};
+use super::grid::{
+    class_name, craft, demonstration_cell, for_each_parallel, scenario_image, ScenarioCell,
+};
 use super::AttackParams;
 use crate::report::{pct, Table};
 use crate::setup::PreparedSetup;
-use crate::{Result, Scenario, ThreatModel};
+use crate::{InferencePipeline, Result, Scenario, ThreatModel};
 
 /// Result of the Fig. 5 experiment.
 #[derive(Debug, Clone)]
@@ -66,27 +68,30 @@ impl Fig5Result {
 ///
 /// Propagates attack and pipeline errors.
 pub fn run(prepared: &PreparedSetup, params: &AttackParams) -> Result<Fig5Result> {
-    let scenarios = Scenario::paper_scenarios();
-    let per_scenario = for_each_scenario_parallel(&scenarios, |scenario| {
-        let mut cells = Vec::with_capacity(AttackParams::labels().len());
-        for attack_idx in 0..AttackParams::labels().len() {
-            cells.push(scenario_cell(
-                prepared,
-                params,
-                scenario,
-                attack_idx,
-                FilterSpec::None,
-                false,
-                // With FilterSpec::None the threat model only controls
-                // acquisition noise; III keeps the evaluation noise-free.
-                ThreatModel::III,
-            )?);
-        }
-        Ok(cells)
+    let per_scenario = for_each_parallel(&Scenario::paper_scenarios(), |scenario| {
+        scenario_cells(prepared, params, scenario)
     })?;
     Ok(Fig5Result {
         cells: per_scenario.into_iter().flatten().collect(),
     })
+}
+
+/// One scenario of Fig. 5: each library attack, no filter deployed.
+pub(crate) fn scenario_cells(
+    prepared: &PreparedSetup,
+    params: &AttackParams,
+    scenario: &Scenario,
+) -> Result<Vec<ScenarioCell>> {
+    let source = scenario_image(prepared, scenario.source)?;
+    let pipeline = InferencePipeline::new(prepared.model.clone(), FilterSpec::None)?;
+    (0..AttackParams::labels().len())
+        .map(|attack_idx| {
+            let adv = craft(prepared, params, attack_idx, None, &source, scenario.goal())?;
+            // With FilterSpec::None the threat model only controls
+            // acquisition noise; III keeps the evaluation noise-free.
+            demonstration_cell(scenario, attack_idx, &pipeline, ThreatModel::III, &adv)
+        })
+        .collect()
 }
 
 #[cfg(test)]

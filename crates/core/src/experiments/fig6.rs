@@ -5,7 +5,7 @@
 
 use fademl_filters::FilterSpec;
 
-use super::grid::{accuracy_grid, for_each_scenario_parallel, AccuracyGrid};
+use super::grid::{collect_stages, AccuracyGrid, Sweep};
 use super::AttackParams;
 use crate::report::{pct, Table};
 use crate::setup::PreparedSetup;
@@ -60,19 +60,9 @@ impl Fig6Result {
 ///
 /// Propagates attack and pipeline errors.
 pub fn run(prepared: &PreparedSetup, params: &AttackParams, eval_n: usize) -> Result<Fig6Result> {
-    let scenarios = Scenario::paper_scenarios();
     let filters = [FilterSpec::None];
-    let grids = for_each_scenario_parallel(&scenarios, |scenario| {
-        accuracy_grid(
-            prepared,
-            params,
-            scenario,
-            &filters,
-            false,
-            eval_n,
-            ThreatModel::III,
-        )
-    })?;
+    let sweep = Sweep::over(prepared, params, &filters, false, eval_n, ThreatModel::III)?;
+    let (_, grids) = collect_stages(sweep.run(&Scenario::paper_scenarios(), |_, _| Ok(()))?);
     Ok(Fig6Result { grids })
 }
 

@@ -7,11 +7,11 @@
 use fademl_filters::FilterSpec;
 
 use super::grid::{
-    accuracy_grid, class_name, for_each_scenario_parallel, scenario_cell, AccuracyGrid,
-    ScenarioCell,
+    accuracy_table, collect_stages, filtered_success_rate, require_filtered, verdict_table,
+    AccuracyGrid, ScenarioCell, Sweep,
 };
 use super::AttackParams;
-use crate::report::{pct, Table};
+use crate::report::Table;
 use crate::setup::PreparedSetup;
 use crate::{Result, Scenario, ThreatModel};
 
@@ -32,74 +32,31 @@ impl Fig9Result {
     /// survived the filter — the paper's headline: high for FAdeML where
     /// Fig. 7's classical attacks are near zero.
     pub fn filtered_success_rate(&self) -> f32 {
-        let filtered: Vec<&ScenarioCell> = self
-            .cells
-            .iter()
-            .filter(|c| c.filter != FilterSpec::None)
-            .collect();
-        if filtered.is_empty() {
-            return 0.0;
-        }
-        filtered.iter().filter(|c| c.success_tm23).count() as f32 / filtered.len() as f32
+        filtered_success_rate(&self.cells)
     }
 
     /// Renders one per-scenario demonstration table (FAdeML verdicts
     /// through each filter).
     pub fn scenario_table(&self, scenario_id: usize, filters: &[FilterSpec]) -> Table {
-        let mut header = vec!["FAdeML attack".to_owned()];
-        header.extend(filters.iter().map(|f| f.to_string()));
-        let mut table = Table::new(
-            format!(
-                "Fig. 9 — scenario {scenario_id}: FAdeML verdict through each filter ({})",
-                self.threat
-            ),
-            header,
+        let title = format!(
+            "Fig. 9 — scenario {scenario_id}: FAdeML verdict through each filter ({})",
+            self.threat
         );
-        for label in AttackParams::labels() {
-            let mut row = vec![format!("FAdeML[{label}]")];
-            for &filter in filters {
-                let cell = self.cells.iter().find(|c| {
-                    c.scenario_id == scenario_id && c.attack == label && c.filter == filter
-                });
-                row.push(match cell {
-                    Some(c) => format!(
-                        "{} ({}){}",
-                        class_name(c.tm23_class),
-                        pct(c.tm23_confidence),
-                        if c.success_tm23 { " ⚠" } else { "" }
-                    ),
-                    None => "-".to_owned(),
-                });
-            }
-            table.push_row(row);
-        }
-        table
+        let rows = AttackParams::labels().map(|label| (label, format!("FAdeML[{label}]")));
+        verdict_table(
+            title,
+            "FAdeML attack",
+            rows,
+            &self.cells,
+            scenario_id,
+            filters,
+        )
     }
 
     /// Renders the accuracy grid for one scenario.
     pub fn accuracy_table(&self, scenario_id: usize, filters: &[FilterSpec]) -> Table {
-        let mut header = vec!["Condition".to_owned()];
-        header.extend(filters.iter().map(|f| f.to_string()));
-        let mut table = Table::new(
-            format!("Fig. 9 — scenario {scenario_id}: top-5 accuracy vs filter (FAdeML)"),
-            header,
-        );
-        if let Some(grid) = self.grids.iter().find(|g| g.scenario.id == scenario_id) {
-            let mut conditions = vec!["No attack".to_owned()];
-            conditions.extend(AttackParams::labels().iter().map(|s| (*s).to_owned()));
-            for condition in conditions {
-                let mut row = vec![condition.clone()];
-                for &filter in filters {
-                    row.push(
-                        grid.accuracy(filter, &condition)
-                            .map(pct)
-                            .unwrap_or_else(|| "-".to_owned()),
-                    );
-                }
-                table.push_row(row);
-            }
-        }
-        table
+        let title = format!("Fig. 9 — scenario {scenario_id}: top-5 accuracy vs filter (FAdeML)");
+        accuracy_table(title, &self.grids, scenario_id, filters)
     }
 }
 
@@ -118,30 +75,10 @@ pub fn run(
     eval_n: usize,
     threat: ThreatModel,
 ) -> Result<Fig9Result> {
-    if !threat.filter_applies() {
-        return Err(crate::FademlError::InvalidConfig {
-            reason: "Fig. 9 requires Threat Model II or III".into(),
-        });
-    }
-    let scenarios = Scenario::paper_scenarios();
-    let per_scenario = for_each_scenario_parallel(&scenarios, |scenario| {
-        let mut cells = Vec::new();
-        for attack_idx in 0..AttackParams::labels().len() {
-            for &filter in filters {
-                cells.push(scenario_cell(
-                    prepared, params, scenario, attack_idx, filter, true, threat,
-                )?);
-            }
-        }
-        let grid = accuracy_grid(prepared, params, scenario, filters, true, eval_n, threat)?;
-        Ok((cells, grid))
-    })?;
-    let mut cells = Vec::new();
-    let mut grids = Vec::new();
-    for (c, g) in per_scenario {
-        cells.extend(c);
-        grids.push(g);
-    }
+    require_filtered("Fig. 9", threat)?;
+    let sweep = Sweep::over(prepared, params, filters, true, eval_n, threat)?;
+    let stages = sweep.run(&Scenario::paper_scenarios(), |_, _| Ok(()))?;
+    let (cells, grids) = collect_stages(stages);
     Ok(Fig9Result {
         cells,
         grids,

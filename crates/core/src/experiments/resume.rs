@@ -26,11 +26,11 @@ use fademl_filters::FilterSpec;
 use fademl_tensor::io::{crc32, ByteReader, ByteWriter, Crc32};
 use parking_lot::Mutex;
 
-use super::fig5::Fig5Result;
+use super::fig5::{self, Fig5Result};
 use super::fig6::Fig6Result;
 use super::fig7::Fig7Result;
 use super::fig9::Fig9Result;
-use super::grid::{accuracy_grid, for_each_scenario_parallel, scenario_cell};
+use super::grid::{collect_stages, for_each_parallel, require_filtered, Stage, Sweep};
 use super::{AccuracyCell, AccuracyGrid, AttackParams, ScenarioCell};
 use crate::setup::PreparedSetup;
 use crate::{FademlError, Result, Scenario, ThreatModel};
@@ -451,14 +451,14 @@ fn decode_grid_value(bytes: &[u8]) -> Result<AccuracyGrid> {
     finish_decode(&r, grid)
 }
 
-fn encode_stage_value(stage: &(Vec<ScenarioCell>, AccuracyGrid)) -> Vec<u8> {
+fn encode_stage_value(stage: &Stage) -> Vec<u8> {
     let mut w = ByteWriter::new();
     put_cells(&mut w, &stage.0);
     put_grid(&mut w, &stage.1);
     w.into_bytes()
 }
 
-fn decode_stage_value(bytes: &[u8]) -> Result<(Vec<ScenarioCell>, AccuracyGrid)> {
+fn decode_stage_value(bytes: &[u8]) -> Result<Stage> {
     let mut r = ByteReader::new(bytes);
     let cells = get_cells(&mut r)?;
     let grid = get_grid(&mut r)?;
@@ -480,9 +480,24 @@ pub struct ResumeReport<T> {
     pub stages_reused: usize,
 }
 
-/// Runs one stage per scenario, reusing recorded stages and appending
-/// each freshly computed one to the ledger *before* moving on, so a
-/// kill at any point preserves every finished stage.
+impl<T> ResumeReport<T> {
+    fn map<U>(self, f: impl FnOnce(T) -> U) -> ResumeReport<U> {
+        ResumeReport {
+            result: f(self.result),
+            stages_total: self.stages_total,
+            stages_reused: self.stages_reused,
+        }
+    }
+}
+
+/// Journals one finished stage; the resumable drivers' `finished` hook.
+type Journal<'a, T> = &'a (dyn Fn(&Scenario, &T) -> Result<()> + Sync);
+
+/// One stage per scenario, reusing recorded stages. `compute` runs the
+/// pending scenarios and calls the journal it is given on each stage as
+/// soon as that stage is whole, so each is appended to the ledger
+/// *before* the sweep moves on and a kill at any point preserves every
+/// finished stage.
 fn resumable_stages<T, D, E, C>(
     ledger: &StageLedger,
     prefix: &str,
@@ -491,18 +506,18 @@ fn resumable_stages<T, D, E, C>(
     compute: C,
 ) -> Result<(Vec<T>, usize)>
 where
-    T: Send,
     D: Fn(&[u8]) -> Result<T>,
     E: Fn(&T) -> Vec<u8> + Sync,
-    C: Fn(&Scenario) -> Result<T> + Sync,
+    C: FnOnce(&[Scenario], Journal<T>) -> Result<Vec<T>>,
 {
+    let key = |scenario: &Scenario| format!("{prefix}/s{}", scenario.id);
     let slots: Vec<(Scenario, Option<T>)> = Scenario::paper_scenarios()
         .into_iter()
         .map(|scenario| {
             // A record that fails to decode is treated as absent: the
             // worst case is recomputation, never a wrong figure.
             let cached = ledger
-                .get(&format!("{prefix}/s{}", scenario.id))
+                .get(&key(&scenario))
                 .and_then(|bytes| decode(&bytes).ok());
             (scenario, cached)
         })
@@ -513,10 +528,8 @@ where
         .filter(|(_, cached)| cached.is_none())
         .map(|(scenario, _)| *scenario)
         .collect();
-    let computed = for_each_scenario_parallel(&pending, |scenario| {
-        let value = compute(scenario)?;
-        ledger.record(&format!("{prefix}/s{}", scenario.id), &encode(&value))?;
-        Ok(value)
+    let computed = compute(&pending, &|scenario, value| {
+        ledger.record(&key(scenario), &encode(value))
     })?;
     let mut fresh = computed.into_iter();
     let results = slots
@@ -550,20 +563,12 @@ pub fn run_fig5_resumable(
         "fig5",
         decode_cells_value,
         |cells| encode_cells_value(cells),
-        |scenario| {
-            let mut cells = Vec::with_capacity(AttackParams::labels().len());
-            for attack_idx in 0..AttackParams::labels().len() {
-                cells.push(scenario_cell(
-                    prepared,
-                    params,
-                    scenario,
-                    attack_idx,
-                    FilterSpec::None,
-                    false,
-                    ThreatModel::III,
-                )?);
-            }
-            Ok(cells)
+        |pending, journal| {
+            for_each_parallel(pending, |scenario| {
+                let cells = fig5::scenario_cells(prepared, params, scenario)?;
+                journal(scenario, &cells)?;
+                Ok(cells)
+            })
         },
     )?;
     let stages_total = stages.len();
@@ -591,28 +596,44 @@ pub fn run_fig6_resumable(
     let fingerprint =
         experiment_fingerprint("fig6", prepared, params, &filters, eval_n, ThreatModel::III);
     let ledger = StageLedger::open(ledger_path, fingerprint)?;
-    let (grids, reused) = resumable_stages(
+    let sweep = Sweep::over(prepared, params, &filters, false, eval_n, ThreatModel::III)?;
+    // Fig. 6 keeps (and journals) the grid half of a stage only.
+    let (stages, reused) = resumable_stages(
         &ledger,
         "fig6",
-        decode_grid_value,
-        encode_grid_value,
-        |scenario| {
-            accuracy_grid(
-                prepared,
-                params,
-                scenario,
-                &filters,
-                false,
-                eval_n,
-                ThreatModel::III,
-            )
-        },
+        |bytes| Ok((Vec::new(), decode_grid_value(bytes)?)),
+        |(_, grid)| encode_grid_value(grid),
+        |pending, journal| sweep.run(pending, journal),
     )?;
+    let (_, grids) = collect_stages(stages);
     let stages_total = grids.len();
     Ok(ResumeReport {
         result: Fig6Result { grids },
         stages_total,
         stages_reused: reused,
+    })
+}
+
+/// The resumable form of a grid figure's sweep: one journaled
+/// [`Stage`] per scenario.
+fn grid_figure_resumable(
+    figure: &str,
+    sweep: &Sweep,
+    fingerprint: u64,
+    ledger_path: &Path,
+) -> Result<ResumeReport<(Vec<ScenarioCell>, Vec<AccuracyGrid>)>> {
+    let ledger = StageLedger::open(ledger_path, fingerprint)?;
+    let (stages, stages_reused) = resumable_stages(
+        &ledger,
+        figure,
+        decode_stage_value,
+        encode_stage_value,
+        |pending, journal| sweep.run(pending, journal),
+    )?;
+    Ok(ResumeReport {
+        stages_total: stages.len(),
+        stages_reused,
+        result: collect_stages(stages),
     })
 }
 
@@ -630,47 +651,15 @@ pub fn run_fig7_resumable(
     threat: ThreatModel,
     ledger_path: &Path,
 ) -> Result<ResumeReport<Fig7Result>> {
-    if !threat.filter_applies() {
-        return Err(FademlError::InvalidConfig {
-            reason: "Fig. 7 requires Threat Model II or III".into(),
-        });
-    }
+    require_filtered("Fig. 7", threat)?;
     let fingerprint = experiment_fingerprint("fig7", prepared, params, filters, eval_n, threat);
-    let ledger = StageLedger::open(ledger_path, fingerprint)?;
-    let (stages, reused) = resumable_stages(
-        &ledger,
-        "fig7",
-        decode_stage_value,
-        encode_stage_value,
-        |scenario| {
-            let mut cells = Vec::new();
-            for attack_idx in 0..AttackParams::labels().len() {
-                for &filter in filters {
-                    cells.push(scenario_cell(
-                        prepared, params, scenario, attack_idx, filter, false, threat,
-                    )?);
-                }
-            }
-            let grid = accuracy_grid(prepared, params, scenario, filters, false, eval_n, threat)?;
-            Ok((cells, grid))
-        },
-    )?;
-    let stages_total = stages.len();
-    let mut cells = Vec::new();
-    let mut grids = Vec::new();
-    for (c, g) in stages {
-        cells.extend(c);
-        grids.push(g);
-    }
-    Ok(ResumeReport {
-        result: Fig7Result {
-            cells,
-            grids,
-            threat,
-        },
-        stages_total,
-        stages_reused: reused,
-    })
+    let sweep = Sweep::over(prepared, params, filters, false, eval_n, threat)?;
+    let report = grid_figure_resumable("fig7", &sweep, fingerprint, ledger_path)?;
+    Ok(report.map(|(cells, grids)| Fig7Result {
+        cells,
+        grids,
+        threat,
+    }))
 }
 
 /// Resumable [`fig9`](super::fig9).
@@ -687,47 +676,15 @@ pub fn run_fig9_resumable(
     threat: ThreatModel,
     ledger_path: &Path,
 ) -> Result<ResumeReport<Fig9Result>> {
-    if !threat.filter_applies() {
-        return Err(FademlError::InvalidConfig {
-            reason: "Fig. 9 requires Threat Model II or III".into(),
-        });
-    }
+    require_filtered("Fig. 9", threat)?;
     let fingerprint = experiment_fingerprint("fig9", prepared, params, filters, eval_n, threat);
-    let ledger = StageLedger::open(ledger_path, fingerprint)?;
-    let (stages, reused) = resumable_stages(
-        &ledger,
-        "fig9",
-        decode_stage_value,
-        encode_stage_value,
-        |scenario| {
-            let mut cells = Vec::new();
-            for attack_idx in 0..AttackParams::labels().len() {
-                for &filter in filters {
-                    cells.push(scenario_cell(
-                        prepared, params, scenario, attack_idx, filter, true, threat,
-                    )?);
-                }
-            }
-            let grid = accuracy_grid(prepared, params, scenario, filters, true, eval_n, threat)?;
-            Ok((cells, grid))
-        },
-    )?;
-    let stages_total = stages.len();
-    let mut cells = Vec::new();
-    let mut grids = Vec::new();
-    for (c, g) in stages {
-        cells.extend(c);
-        grids.push(g);
-    }
-    Ok(ResumeReport {
-        result: Fig9Result {
-            cells,
-            grids,
-            threat,
-        },
-        stages_total,
-        stages_reused: reused,
-    })
+    let sweep = Sweep::over(prepared, params, filters, true, eval_n, threat)?;
+    let report = grid_figure_resumable("fig9", &sweep, fingerprint, ledger_path)?;
+    Ok(report.map(|(cells, grids)| Fig9Result {
+        cells,
+        grids,
+        threat,
+    }))
 }
 
 #[cfg(test)]
@@ -1041,6 +998,53 @@ mod tests {
         assert_eq!(second.result.cells, first.result.cells);
         assert_eq!(second.result.grids, first.result.grids);
         let _ = fs::remove_file(&path7);
+    }
+
+    /// Keeps the magic and the first `stages` records of a ledger, as
+    /// a kill right after the `stages`-th append would.
+    fn truncate_after(path: &Path, stages: usize) {
+        let bytes = fs::read(path).unwrap();
+        let mut keep = MAGIC.len();
+        for _ in 0..stages {
+            let len = u32::from_le_bytes(bytes[keep..keep + 4].try_into().unwrap()) as usize;
+            keep += 4 + len + 4;
+        }
+        atomic_write(path, &bytes[..keep]).unwrap();
+    }
+
+    /// From an empty ledger, then from one cut after two stages, the
+    /// resumable driver returns exactly the plain driver's result.
+    fn assert_resumes_to(
+        tag: &str,
+        want: (&[ScenarioCell], &[AccuracyGrid]),
+        resumable: impl Fn(&Path) -> (usize, Vec<ScenarioCell>, Vec<AccuracyGrid>),
+    ) {
+        let path = ledger_file(tag);
+        for expect_reused in [0, 2] {
+            let (reused, cells, grids) = resumable(&path);
+            assert_eq!(reused, expect_reused);
+            assert_eq!((&cells[..], &grids[..]), want);
+            truncate_after(&path, 2);
+        }
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn resumable_grid_figures_equal_the_plain_drivers() {
+        use super::super::{fig7, fig9};
+        let filters = [FilterSpec::Lap { np: 8 }, FilterSpec::Lar { r: 2 }];
+        let (p, params, threat) = (prepared(), cheap_params(), ThreatModel::III);
+
+        let want = fig7::run(p, &params, &filters, 3, threat).unwrap();
+        assert_resumes_to("fig7_eq", (&want.cells, &want.grids), |path| {
+            let got = run_fig7_resumable(p, &params, &filters, 3, threat, path).unwrap();
+            (got.stages_reused, got.result.cells, got.result.grids)
+        });
+        let want = fig9::run(p, &params, &filters, 3, threat).unwrap();
+        assert_resumes_to("fig9_eq", (&want.cells, &want.grids), |path| {
+            let got = run_fig9_resumable(p, &params, &filters, 3, threat, path).unwrap();
+            (got.stages_reused, got.result.cells, got.result.grids)
+        });
     }
 
     #[test]

@@ -157,13 +157,38 @@ pub(crate) fn gemm_nt_block(
 }
 
 /// Transposes `src` (`[rows, cols]` row-major) into `dst`
-/// (`[cols, rows]`, at least `rows * cols` elements).
+/// (`[cols, rows]`, at least `rows * cols` elements; a shorter buffer
+/// panics here instead of taking part of the transpose).
+///
+/// Four destination rows are written side by side, each front to back:
+/// one pass over the source rows takes four adjacent values from each
+/// (a strided read inside one cache line) and appends one to each of
+/// the four rows. A copy, so the order moves no bit — it moves the
+/// stride from the stores, where every element of a wide weight matrix
+/// opened its own cache line, to the loads.
 pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
-    for (r, row) in src.chunks_exact(cols).enumerate() {
-        for (c, &v) in row.iter().enumerate() {
-            if let Some(slot) = dst.get_mut(c * rows + r) {
+    let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
+    if dst.is_empty() {
+        return;
+    }
+    let mut quads = dst.chunks_exact_mut(4 * rows);
+    let mut col = 0;
+    for quad in &mut quads {
+        let (d0, rest) = quad.split_at_mut(rows);
+        let (d1, rest) = rest.split_at_mut(rows);
+        let (d2, d3) = rest.split_at_mut(rows);
+        let lanes = d0.iter_mut().zip(d1).zip(d2).zip(d3);
+        for ((((a, b), c), d), src_row) in lanes.zip(src.chunks_exact(cols)) {
+            for (slot, &v) in [a, b, c, d].into_iter().zip(&src_row[col..col + 4]) {
                 *slot = v;
             }
+        }
+        col += 4;
+    }
+    // The last `cols % 4` destination rows, one at a time.
+    for (dst_row, col) in quads.into_remainder().chunks_exact_mut(rows).zip(col..) {
+        for (slot, &v) in dst_row.iter_mut().zip(src[col..].iter().step_by(cols)) {
+            *slot = v;
         }
     }
 }
@@ -218,17 +243,16 @@ fn gemm_parallel(
     out
 }
 
-fn check_rank2(op: &'static str, lhs: &Tensor, rhs: &Tensor) -> Result<()> {
-    for t in [lhs, rhs] {
-        if t.rank() != 2 {
-            return Err(TensorError::RankMismatch {
-                op,
-                expected: 2,
-                actual: t.rank(),
-            });
-        }
+/// The `(rows, cols)` of a rank-2 operand.
+fn dims2(op: &'static str, t: &Tensor) -> Result<(usize, usize)> {
+    match *t.dims() {
+        [rows, cols] => Ok((rows, cols)),
+        _ => Err(TensorError::RankMismatch {
+            op,
+            expected: 2,
+            actual: t.rank(),
+        }),
     }
-    Ok(())
 }
 
 impl Tensor {
@@ -249,9 +273,7 @@ impl Tensor {
     /// disagree, or [`TensorError::Overflow`] if the output size would
     /// overflow `usize`.
     pub fn matmul(&self, other: &Tensor) -> Result<Tensor> {
-        check_rank2("matmul", self, other)?;
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
+        let ((m, k), (k2, n)) = (dims2("matmul", self)?, dims2("matmul", other)?);
         if k != k2 {
             return Err(TensorError::shape_mismatch(
                 "matmul",
@@ -283,9 +305,7 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_tn(&self, other: &Tensor) -> Result<Tensor> {
-        check_rank2("matmul_tn", self, other)?;
-        let (k, m) = (self.dims()[0], self.dims()[1]);
-        let (k2, n) = (other.dims()[0], other.dims()[1]);
+        let ((k, m), (k2, n)) = (dims2("matmul_tn", self)?, dims2("matmul_tn", other)?);
         if k != k2 {
             return Err(TensorError::shape_mismatch(
                 "matmul_tn",
@@ -321,9 +341,7 @@ impl Tensor {
     ///
     /// Same conditions as [`Tensor::matmul`].
     pub fn matmul_nt(&self, other: &Tensor) -> Result<Tensor> {
-        check_rank2("matmul_nt", self, other)?;
-        let (m, k) = (self.dims()[0], self.dims()[1]);
-        let (n, k2) = (other.dims()[0], other.dims()[1]);
+        let ((m, k), (n, k2)) = (dims2("matmul_nt", self)?, dims2("matmul_nt", other)?);
         if k != k2 {
             return Err(TensorError::shape_mismatch(
                 "matmul_nt",
@@ -354,6 +372,37 @@ mod tests {
 
     fn mat(rows: usize, cols: usize, v: &[f32]) -> Tensor {
         Tensor::from_vec(v.to_vec(), Shape::new(vec![rows, cols])).unwrap()
+    }
+
+    #[test]
+    fn transpose_into_equals_the_double_loop() {
+        for (rows, cols) in [
+            (1, 9),
+            (9, 1),
+            (7, 13),
+            (64, 432),
+            (432, 64),
+            (0, 5),
+            (5, 0),
+        ] {
+            let src: Vec<f32> = (0..rows * cols).map(|i| i as f32).collect();
+            // Two spare elements: a longer buffer keeps its tail.
+            let mut want = vec![-1.0f32; rows * cols + 2];
+            for r in 0..rows {
+                for c in 0..cols {
+                    want[c * rows + r] = src[r * cols + c];
+                }
+            }
+            let mut got = vec![-1.0f32; rows * cols + 2];
+            transpose_into(&src, rows, cols, &mut got);
+            assert_eq!(got, want, "{rows}x{cols}");
+        }
+    }
+
+    #[test]
+    #[should_panic]
+    fn transpose_into_a_short_buffer_is_loud() {
+        transpose_into(&[0.0; 6], 2, 3, &mut [0.0; 5]);
     }
 
     #[test]

@@ -11,9 +11,14 @@
 //! xoshiro output and only adds, multiplies and compares, so it is
 //! host-independent. The `[same-host]` group is downstream of `exp`,
 //! `ln` and `cos` (softmax, Box–Muller init, sensor noise) and is only
-//! stable on one platform's libm.
+//! stable on one platform's libm; it also holds what sits on top of the
+//! kernels — one FAdeML[BIM] example and the cells and accuracy bars of
+//! the Fig. 7 and Fig. 9 drivers.
 
-use fademl_attacks::{AttackGoal, AttackSurface};
+use fademl::experiments::{fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell};
+use fademl::setup::{ExperimentSetup, SetupProfile};
+use fademl::ThreatModel;
+use fademl_attacks::{Attack, AttackGoal, AttackSurface, Bim, Fademl};
 use fademl_data::{DatasetConfig, SignDataset, CLASS_COUNT};
 use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
@@ -103,7 +108,10 @@ fn same_host() -> Lines {
     let lap32 = FilterSpec::Lap { np: 32 }.build().expect("LAP(32) builds");
     for (name, mut surface) in [
         ("bare", AttackSurface::new(model.clone())),
-        ("lap32", AttackSurface::with_filter(model, lap32)),
+        (
+            "lap32",
+            AttackSurface::with_filter(model.clone(), lap32.clone()),
+        ),
     ] {
         let (loss, grad) = surface
             .loss_and_input_grad(&x, goal)
@@ -114,6 +122,17 @@ fn same_host() -> Lines {
             digest(grad.as_slice()),
         ));
     }
+
+    let params = AttackParams::default();
+    let bim = Bim::new(params.epsilon, params.bim_alpha, params.bim_iterations).expect("BIM");
+    let example = Fademl::new(Box::new(bim), params.fademl_rounds, params.fademl_eta)
+        .expect("FAdeML[BIM]")
+        .run(&mut AttackSurface::with_filter(model, lap32), &x, goal)
+        .expect("FAdeML[BIM] through LAP(32)");
+    lines.push((
+        "fademl_bim.lap32.adversarial".into(),
+        digest(example.adversarial.as_slice()),
+    ));
 
     let data = SignDataset::generate(&DatasetConfig {
         samples_per_class: 4,
@@ -143,7 +162,44 @@ fn same_host() -> Lines {
         .flat_map(|e| [e.loss, e.train_accuracy])
         .collect();
     lines.push(("fit.synsign43x4.epochs2.history".into(), digest(&stats)));
+
+    // The two figure drivers, as `repro_figs` calls them, on the Smoke
+    // victim: every float of every demonstration cell (classes ride
+    // along as floats) and every accuracy bar, one line per scenario.
+    let prepared = ExperimentSetup::profile(SetupProfile::Smoke)
+        .prepare()
+        .expect("smoke victim");
+    let sweep: Vec<FilterSpec> = FilterSpec::paper_sweep().into_iter().step_by(2).collect();
+    let blind = fig7::run(&prepared, &params, &sweep, FIG_EVAL_N, ThreatModel::III).expect("fig7");
+    let aware = fig9::run(&prepared, &params, &sweep, FIG_EVAL_N, ThreatModel::III).expect("fig9");
+    figure_lines(&mut lines, "fig7", &blind.cells, &blind.grids);
+    figure_lines(&mut lines, "fig9", &aware.cells, &aware.grids);
     lines
+}
+
+const FIG_EVAL_N: usize = 20;
+
+fn figure_lines(lines: &mut Lines, figure: &str, cells: &[ScenarioCell], grids: &[AccuracyGrid]) {
+    for grid in grids {
+        let id = grid.scenario.id;
+        let floats: Vec<f32> = cells
+            .iter()
+            .filter(|c| c.scenario_id == id)
+            .flat_map(|c| {
+                [
+                    c.tm1_class as f32,
+                    c.tm1_confidence,
+                    c.tm23_class as f32,
+                    c.tm23_confidence,
+                    c.cost,
+                    c.noise_linf,
+                ]
+            })
+            .collect();
+        lines.push((format!("{figure}.smoke.s{id}.cells"), digest(&floats)));
+        let bars: Vec<f32> = grid.cells.iter().map(|c| c.top5_accuracy).collect();
+        lines.push((format!("{figure}.smoke.s{id}.grid"), digest(&bars)));
+    }
 }
 
 fn render() -> String {
