@@ -184,8 +184,6 @@ mod tests {
             in_channels: 3,
             input_size: 16,
             classes: 43,
-            batch_norm: false,
-            dropout: None,
         }
         .build(&mut rng)
         .unwrap()

@@ -11,10 +11,10 @@
 //! (label, score) population is swept into a ROC curve and a
 //! rank-statistic AUC.
 //!
-//! The sweep is resumable through the same [`StageLedger`] journal the
-//! figure experiments use: the fitted detector and every scored segment
-//! are recorded as independent stages, so a killed run re-fits nothing
-//! and re-scores only the segment it died in.
+//! The sweep is resumable through the [`StageLedger`] journal: the
+//! fitted detector and every scored segment are recorded as
+//! independent stages, so a killed run re-fits nothing and re-scores
+//! only the segment it died in.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};

@@ -77,7 +77,7 @@ pub fn run(prepared: &PreparedSetup, params: &AttackParams) -> Result<Fig5Result
 }
 
 /// One scenario of Fig. 5: each library attack, no filter deployed.
-pub(crate) fn scenario_cells(
+fn scenario_cells(
     prepared: &PreparedSetup,
     params: &AttackParams,
     scenario: &Scenario,

@@ -62,7 +62,7 @@ impl Fig6Result {
 pub fn run(prepared: &PreparedSetup, params: &AttackParams, eval_n: usize) -> Result<Fig6Result> {
     let filters = [FilterSpec::None];
     let sweep = Sweep::over(prepared, params, &filters, false, eval_n, ThreatModel::III)?;
-    let (_, grids) = collect_stages(sweep.run(&Scenario::paper_scenarios(), |_, _| Ok(()))?);
+    let (_, grids) = collect_stages(sweep.run(&Scenario::paper_scenarios())?);
     Ok(Fig6Result { grids })
 }
 

@@ -71,7 +71,7 @@ pub fn run(
 ) -> Result<Fig7Result> {
     require_filtered("Fig. 7", threat)?;
     let sweep = Sweep::over(prepared, params, filters, false, eval_n, threat)?;
-    let stages = sweep.run(&Scenario::paper_scenarios(), |_, _| Ok(()))?;
+    let stages = sweep.run(&Scenario::paper_scenarios())?;
     let (cells, grids) = collect_stages(stages);
     Ok(Fig7Result {
         cells,

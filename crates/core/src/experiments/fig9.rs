@@ -77,7 +77,7 @@ pub fn run(
 ) -> Result<Fig9Result> {
     require_filtered("Fig. 9", threat)?;
     let sweep = Sweep::over(prepared, params, filters, true, eval_n, threat)?;
-    let stages = sweep.run(&Scenario::paper_scenarios(), |_, _| Ok(()))?;
+    let stages = sweep.run(&Scenario::paper_scenarios())?;
     let (cells, grids) = collect_stages(stages);
     Ok(Fig9Result {
         cells,

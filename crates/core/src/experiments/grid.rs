@@ -279,39 +279,26 @@ impl<'a> Sweep<'a> {
     /// The unit of parallel work is one (scenario, attack): five
     /// scenarios on two cores leave one of them idle for the last fifth
     /// of a call (a `repro_figs` pass read 0.84 s by scenario against
-    /// 0.77 s by attack, interleaved). The worker that finishes a scenario's last
-    /// attack puts its stage together and hands it to `finished` —
-    /// where the resumable drivers journal it — before taking more work.
+    /// 0.77 s by attack, interleaved).
     ///
     /// # Errors
     ///
-    /// Propagates setup, attack and pipeline errors and those of
-    /// `finished`.
-    pub(crate) fn run<F>(&self, scenarios: &[Scenario], finished: F) -> Result<Vec<Stage>>
-    where
-        F: Fn(&Scenario, &Stage) -> Result<()> + Sync,
-    {
+    /// Propagates setup, attack and pipeline errors.
+    pub(crate) fn run(&self, scenarios: &[Scenario]) -> Result<Vec<Stage>> {
         let attacks = AttackParams::labels().len();
-        let parts: Vec<_> = scenarios
-            .iter()
-            .map(|_| parking_lot::Mutex::new(Vec::with_capacity(attacks)))
-            .collect();
         let items: Vec<_> = scenarios
             .iter()
-            .zip(&parts)
-            .flat_map(|(scenario, part)| (0..attacks).map(move |idx| (scenario, part, idx)))
+            .flat_map(|scenario| (0..attacks).map(move |idx| (scenario, idx)))
             .collect();
-        let stages = for_each_parallel(&items, |&(scenario, part, attack_idx)| {
-            let rows = self.attack_rows(scenario, attack_idx)?;
-            let mut part = part.lock();
-            part.push((attack_idx, rows));
-            if part.len() < attacks {
-                return Ok(None);
-            }
-            part.sort_by_key(|(idx, _)| *idx);
+        let mut rows = for_each_parallel(&items, |&(scenario, attack_idx)| {
+            self.attack_rows(scenario, attack_idx)
+        })?
+        .into_iter();
+        let mut stages = Vec::with_capacity(scenarios.len());
+        for scenario in scenarios {
             let mut cells = Vec::new();
             let mut bars = self.baseline.clone();
-            for (_, (attack_cells, attack_bars)) in part.drain(..) {
+            for (attack_cells, attack_bars) in rows.by_ref().take(attacks) {
                 cells.extend(attack_cells);
                 bars.extend(attack_bars);
             }
@@ -319,12 +306,9 @@ impl<'a> Sweep<'a> {
                 scenario: *scenario,
                 cells: bars,
             };
-            let stage = (cells, grid);
-            finished(scenario, &stage)?;
-            Ok(Some(stage))
-        })?;
-        // Exactly one of a scenario's consecutive items completed it.
-        Ok(stages.into_iter().flatten().collect())
+            stages.push((cells, grid));
+        }
+        Ok(stages)
     }
 }
 
@@ -538,7 +522,7 @@ mod tests {
         let params = cheap_params();
         let sweep = Sweep::over(prepared(), &params, &filters, false, 4, ThreatModel::III).unwrap();
         let scenarios = &Scenario::paper_scenarios()[..1];
-        let (cells, grid) = sweep.run(scenarios, |_, _| Ok(())).unwrap().remove(0);
+        let (cells, grid) = sweep.run(scenarios).unwrap().remove(0);
         // 3 attacks × 2 filters, and (3 attacks + no-attack) × 2 filters.
         assert_eq!(cells.len(), 6);
         assert_eq!(grid.cells.len(), 8);
@@ -642,23 +626,11 @@ mod tests {
                 ThreatModel::III,
             )
             .unwrap();
-            // Each stage is handed to `finished` once, whole, and returned.
-            let seen = parking_lot::Mutex::new(Vec::new());
-            let stages = sweep
-                .run(scenarios, |scenario, stage| {
-                    seen.lock().push((scenario.id, stage.clone()));
-                    Ok(())
-                })
-                .unwrap();
-            let mut seen = seen.into_inner();
-            seen.sort_by_key(|(id, _)| *id);
-            assert_eq!(seen.len(), scenarios.len());
-            for ((scenario, stage), (seen_id, seen_stage)) in
-                scenarios.iter().zip(&stages).zip(&seen)
-            {
+            let stages = sweep.run(scenarios).unwrap();
+            assert_eq!(stages.len(), scenarios.len());
+            for (scenario, stage) in scenarios.iter().zip(&stages) {
                 let want = per_cell_stage(&params, scenario, &filters, filter_aware, 4);
                 assert_eq!(stage, &want, "filter_aware={filter_aware}");
-                assert_eq!((*seen_id, seen_stage), (scenario.id, stage));
             }
         }
     }

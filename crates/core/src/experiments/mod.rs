@@ -10,10 +10,6 @@
 //!   classical attacks; accuracy vs filter strength is hump-shaped.
 //! - [`fig9`] — the FAdeML filter-aware attacks survive the same filters.
 //!
-//! [`resume`] adds crash-resumable variants of every runner: completed
-//! per-scenario stages are journaled to a [`StageLedger`] so a killed
-//! sweep restarts at the first incomplete stage.
-//!
 //! [`detection`] extends the suite past the paper: a detect-under-attack
 //! sweep scoring the serving stack's triage detector (ROC/AUC) on a
 //! correlated frame stream with FGSM/FAdeML segments mixed in.
@@ -22,6 +18,10 @@
 //! and an online-refitting arm (reservoir, budgeted threshold
 //! controller, validated hot swap) is compared against the static
 //! detector it replaces.
+//!
+//! [`resume`] is the journal those two run on: completed stages are
+//! appended to a [`StageLedger`] so a killed sweep restarts at the
+//! first incomplete stage.
 
 pub mod adaptive;
 pub mod detection;

@@ -77,8 +77,6 @@ impl ExperimentSetup {
                     in_channels: 3,
                     input_size: 20,
                     classes: CLASS_COUNT,
-                    batch_norm: false,
-                    dropout: None,
                 },
                 train: TrainConfig {
                     epochs: 12,
@@ -159,10 +157,17 @@ impl ExperimentSetup {
             .to_bits()
             .hash(&mut hasher);
         self.dataset.blur_prob.to_bits().hash(&mut hasher);
-        self.vgg.stage_channels.hash(&mut hasher);
-        self.vgg.in_channels.hash(&mut hasher);
-        self.vgg.input_size.hash(&mut hasher);
-        self.vgg.classes.hash(&mut hasher);
+        // No `..`: a new `VggConfig` field does not compile until it is hashed.
+        let VggConfig {
+            stage_channels,
+            in_channels,
+            input_size,
+            classes,
+        } = &self.vgg;
+        stage_channels.hash(&mut hasher);
+        in_channels.hash(&mut hasher);
+        input_size.hash(&mut hasher);
+        classes.hash(&mut hasher);
         self.train.epochs.hash(&mut hasher);
         self.train.batch_size.hash(&mut hasher);
         self.train.seed.hash(&mut hasher);

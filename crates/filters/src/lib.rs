@@ -37,7 +37,6 @@
 #![warn(clippy::unwrap_used)]
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
-mod chain;
 mod error;
 mod filter;
 mod gaussian;
@@ -48,7 +47,6 @@ mod median;
 mod spec;
 mod squeeze;
 
-pub use chain::FilterChain;
 pub use error::FilterError;
 pub use filter::{Filter, Identity};
 pub use gaussian::Gaussian;

@@ -90,229 +90,3 @@ mod tests {
         assert_eq!(Relu::new().param_count(), 0);
     }
 }
-
-/// Logistic sigmoid activation: `y = 1 / (1 + e^{-x})`.
-///
-/// Included for library completeness (the paper's VGG uses ReLU).
-#[derive(Debug, Clone, Default)]
-pub struct Sigmoid {
-    cached_output: Option<Tensor>,
-}
-
-impl Sigmoid {
-    /// Creates a sigmoid layer.
-    pub fn new() -> Self {
-        Sigmoid::default()
-    }
-
-    fn activate(x: &Tensor) -> Tensor {
-        x.map(|v| 1.0 / (1.0 + (-v).exp()))
-    }
-}
-
-impl Layer for Sigmoid {
-    fn name(&self) -> &'static str {
-        "sigmoid"
-    }
-
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(Self::activate(input))
-    }
-
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = Self::activate(input);
-        self.cached_output = Some(out.duplicate());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let y = self
-            .cached_output
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "sigmoid" })?;
-        // dy/dx = y (1 - y), computable from the cached output alone.
-        let local = y.map(|v| v * (1.0 - v));
-        Ok(grad_out.mul(&local)?)
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Hyperbolic-tangent activation.
-#[derive(Debug, Clone, Default)]
-pub struct Tanh {
-    cached_output: Option<Tensor>,
-}
-
-impl Tanh {
-    /// Creates a tanh layer.
-    pub fn new() -> Self {
-        Tanh::default()
-    }
-}
-
-impl Layer for Tanh {
-    fn name(&self) -> &'static str {
-        "tanh"
-    }
-
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(input.map(f32::tanh))
-    }
-
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = input.map(f32::tanh);
-        self.cached_output = Some(out.duplicate());
-        Ok(out)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let y = self
-            .cached_output
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "tanh" })?;
-        // dy/dx = 1 - y².
-        let local = y.map(|v| 1.0 - v * v);
-        Ok(grad_out.mul(&local)?)
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-/// Leaky ReLU: `y = x` for `x > 0`, `y = slope·x` otherwise — keeps a
-/// small gradient alive on the negative side.
-#[derive(Debug, Clone)]
-pub struct LeakyRelu {
-    slope: f32,
-    cached_input: Option<Tensor>,
-}
-
-impl LeakyRelu {
-    /// Creates a leaky ReLU with the given negative-side slope
-    /// (commonly 0.01).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::InvalidConfig`] unless `0 <= slope < 1`.
-    pub fn new(slope: f32) -> Result<Self> {
-        if !slope.is_finite() || !(0.0..1.0).contains(&slope) {
-            return Err(NnError::InvalidConfig {
-                reason: format!("leaky slope must be in [0, 1), got {slope}"),
-            });
-        }
-        Ok(LeakyRelu {
-            slope,
-            cached_input: None,
-        })
-    }
-}
-
-impl Layer for LeakyRelu {
-    fn name(&self) -> &'static str {
-        "leaky_relu"
-    }
-
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let slope = self.slope;
-        Ok(input.map(|v| if v > 0.0 { v } else { slope * v }))
-    }
-
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cached_input = Some(input.duplicate());
-        self.forward(input)
-    }
-
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let x = self.cached_input.as_ref().ok_or(NnError::NoForwardCache {
-            layer: "leaky_relu",
-        })?;
-        let slope = self.slope;
-        let local = x.map(|v| if v > 0.0 { 1.0 } else { slope });
-        Ok(grad_out.mul(&local)?)
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
-    }
-}
-
-#[cfg(test)]
-mod extended_tests {
-    use super::*;
-    use fademl_tensor::{Shape, TensorRng};
-
-    fn grad_check(layer: &mut dyn Layer, x: &Tensor) {
-        let y = layer.forward_train(x).unwrap();
-        let gin = layer.backward(&Tensor::ones(y.dims())).unwrap();
-        let eps = 1e-3f32;
-        for idx in 0..x.numel() {
-            let mut plus = x.clone();
-            plus.as_mut_slice()[idx] += eps;
-            let mut minus = x.clone();
-            minus.as_mut_slice()[idx] -= eps;
-            let numeric = (layer.forward(&plus).unwrap().sum()
-                - layer.forward(&minus).unwrap().sum())
-                / (2.0 * eps);
-            let analytic = gin.as_slice()[idx];
-            assert!(
-                (numeric - analytic).abs() < 2e-2,
-                "{}: idx {idx} numeric {numeric} vs analytic {analytic}",
-                layer.name()
-            );
-        }
-    }
-
-    #[test]
-    fn sigmoid_range_and_gradient() {
-        let sig = Sigmoid::new();
-        let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], Shape::new(vec![3])).unwrap();
-        let y = sig.forward(&x).unwrap();
-        assert!(y.as_slice()[0] < 0.001);
-        assert!((y.as_slice()[1] - 0.5).abs() < 1e-6);
-        assert!(y.as_slice()[2] > 0.999);
-        let mut rng = TensorRng::seed_from_u64(1);
-        let x = rng.uniform(&[8], -2.0, 2.0);
-        grad_check(&mut Sigmoid::new(), &x);
-    }
-
-    #[test]
-    fn tanh_range_and_gradient() {
-        let t = Tanh::new();
-        let x = Tensor::from_vec(vec![-10.0, 0.0, 10.0], Shape::new(vec![3])).unwrap();
-        let y = t.forward(&x).unwrap();
-        assert!((y.as_slice()[0] + 1.0).abs() < 1e-3);
-        assert_eq!(y.as_slice()[1], 0.0);
-        assert!((y.as_slice()[2] - 1.0).abs() < 1e-3);
-        let mut rng = TensorRng::seed_from_u64(2);
-        let x = rng.uniform(&[8], -2.0, 2.0);
-        grad_check(&mut Tanh::new(), &x);
-    }
-
-    #[test]
-    fn leaky_relu_slope_and_gradient() {
-        assert!(LeakyRelu::new(-0.1).is_err());
-        assert!(LeakyRelu::new(1.0).is_err());
-        let leaky = LeakyRelu::new(0.1).unwrap();
-        let x = Tensor::from_vec(vec![-2.0, 3.0], Shape::new(vec![2])).unwrap();
-        let y = leaky.forward(&x).unwrap();
-        assert!((y.as_slice()[0] + 0.2).abs() < 1e-6);
-        assert_eq!(y.as_slice()[1], 3.0);
-        let mut rng = TensorRng::seed_from_u64(3);
-        let x = rng.uniform(&[8], -2.0, 2.0);
-        grad_check(&mut LeakyRelu::new(0.05).unwrap(), &x);
-    }
-
-    #[test]
-    fn backward_requires_forward_for_all() {
-        assert!(Sigmoid::new().backward(&Tensor::ones(&[1])).is_err());
-        assert!(Tanh::new().backward(&Tensor::ones(&[1])).is_err());
-        assert!(LeakyRelu::new(0.1)
-            .unwrap()
-            .backward(&Tensor::ones(&[1]))
-            .is_err());
-    }
-}

@@ -42,11 +42,9 @@
 #![cfg_attr(test, allow(clippy::unwrap_used))]
 
 mod activation;
-mod batchnorm;
 pub mod checkpoint;
 mod conv;
 mod dense;
-mod dropout;
 mod error;
 mod flatten;
 mod layer;
@@ -59,12 +57,10 @@ pub mod serialize;
 mod trainer;
 pub mod vgg;
 
-pub use activation::{LeakyRelu, Relu, Sigmoid, Tanh};
-pub use batchnorm::BatchNorm2d;
+pub use activation::Relu;
 pub use checkpoint::{CheckpointConfig, CheckpointStore, TrainState};
 pub use conv::Conv2d;
 pub use dense::Dense;
-pub use dropout::Dropout;
 pub use error::NnError;
 pub use flatten::Flatten;
 pub use layer::{Layer, Param};

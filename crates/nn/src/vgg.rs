@@ -61,13 +61,6 @@ pub struct VggConfig {
     pub input_size: usize,
     /// Number of output classes (43 for GTSRB).
     pub classes: usize,
-    /// Insert a [`BatchNorm2d`](crate::BatchNorm2d) after every
-    /// convolution (a modernization the original VGG lacks; used by the
-    /// ablation benches).
-    pub batch_norm: bool,
-    /// Dropout probability applied before the classification head
-    /// (`None` disables it).
-    pub dropout: Option<f32>,
 }
 
 impl VggConfig {
@@ -78,25 +71,7 @@ impl VggConfig {
             in_channels,
             input_size,
             classes,
-            batch_norm: false,
-            dropout: None,
         }
-    }
-
-    /// Enables batch normalization after every convolution (builder
-    /// style).
-    #[must_use]
-    pub fn with_batch_norm(mut self) -> Self {
-        self.batch_norm = true;
-        self
-    }
-
-    /// Enables dropout with probability `p` before the classification
-    /// head (builder style).
-    #[must_use]
-    pub fn with_dropout(mut self, p: f32) -> Self {
-        self.dropout = Some(p);
-        self
     }
 
     /// The test-sized two-stage network.
@@ -166,9 +141,6 @@ impl VggConfig {
                 ConvSpec::new(in_ch, out_ch, 3, 1, 1),
                 rng,
             )));
-            if self.batch_norm {
-                model.push_boxed(Box::new(crate::BatchNorm2d::new(out_ch)?));
-            }
             model.push_boxed(Box::new(Relu::new()));
             if pool {
                 model.push_boxed(Box::new(MaxPool2d::half()));
@@ -176,9 +148,6 @@ impl VggConfig {
             in_ch = out_ch;
         }
         model.push_boxed(Box::new(Flatten::new()));
-        if let Some(p) = self.dropout {
-            model.push_boxed(Box::new(crate::Dropout::new(p, 0x000d_1007)?));
-        }
         let features = in_ch * final_size * final_size;
         model.push_boxed(Box::new(Dense::new(features, self.classes, rng)));
         Ok(model)
@@ -261,45 +230,6 @@ mod tests {
         let model = config.build(&mut rng).unwrap();
         let logits = model.forward(&Tensor::zeros(&[1, 3, 30, 30])).unwrap();
         assert_eq!(logits.dims(), &[1, 10]);
-    }
-
-    #[test]
-    fn batch_norm_variant_inserts_layers() {
-        let mut rng = TensorRng::seed_from_u64(0);
-        let plain = VggConfig::tiny(3, 16, 4).build(&mut rng).unwrap();
-        let mut rng = TensorRng::seed_from_u64(0);
-        let bn = VggConfig::tiny(3, 16, 4)
-            .with_batch_norm()
-            .build(&mut rng)
-            .unwrap();
-        assert_eq!(bn.len(), plain.len() + 2); // one BN per conv stage
-        let logits = bn.forward(&Tensor::zeros(&[2, 3, 16, 16])).unwrap();
-        assert_eq!(logits.dims(), &[2, 4]);
-    }
-
-    #[test]
-    fn dropout_variant_trains_and_infers() {
-        let mut rng = TensorRng::seed_from_u64(0);
-        let mut model = VggConfig::tiny(3, 16, 4)
-            .with_dropout(0.3)
-            .build(&mut rng)
-            .unwrap();
-        let x = Tensor::ones(&[2, 3, 16, 16]);
-        // Inference is deterministic even with dropout present.
-        assert_eq!(model.forward(&x).unwrap(), model.forward(&x).unwrap());
-        // Training pass runs end to end.
-        let y = model.forward_train(&x).unwrap();
-        assert_eq!(y.dims(), &[2, 4]);
-        let gin = model
-            .backward(&fademl_tensor::Tensor::ones(y.dims()))
-            .unwrap();
-        assert_eq!(gin.dims(), x.dims());
-        // Invalid dropout probability is rejected at build time.
-        let mut rng = TensorRng::seed_from_u64(0);
-        assert!(VggConfig::tiny(3, 16, 4)
-            .with_dropout(1.5)
-            .build(&mut rng)
-            .is_err());
     }
 
     #[test]

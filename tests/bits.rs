@@ -13,11 +13,11 @@
 //! `ln` and `cos` (softmax, Box–Muller init, sensor noise) and is only
 //! stable on one platform's libm; it also holds what sits on top of the
 //! kernels — one FAdeML[BIM] example and the cells and accuracy bars of
-//! the Fig. 7 and Fig. 9 drivers.
+//! the Fig. 5, 6, 7 and 9 drivers.
 
-use fademl::experiments::{fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell};
+use fademl::experiments::{fig5, fig6, fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell};
 use fademl::setup::{ExperimentSetup, SetupProfile};
-use fademl::ThreatModel;
+use fademl::{Scenario, ThreatModel};
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Bim, Fademl};
 use fademl_data::{DatasetConfig, SignDataset, CLASS_COUNT};
 use fademl_filters::FilterSpec;
@@ -163,25 +163,32 @@ fn same_host() -> Lines {
         .collect();
     lines.push(("fit.synsign43x4.epochs2.history".into(), digest(&stats)));
 
-    // The two figure drivers, as `repro_figs` calls them, on the Smoke
-    // victim: every float of every demonstration cell (classes ride
-    // along as floats) and every accuracy bar, one line per scenario.
-    let prepared = ExperimentSetup::profile(SetupProfile::Smoke)
-        .prepare()
-        .expect("smoke victim");
+    // The figure drivers, Figs. 7 and 9 as `repro_figs` calls them, on
+    // the Smoke victim: every float of every demonstration cell (classes
+    // ride along as floats) and every accuracy bar, one line per
+    // scenario. The victim is trained here, by this build: a weights
+    // file an earlier build left in the temp directory pins nothing.
+    let mut setup = ExperimentSetup::profile(SetupProfile::Smoke);
+    setup.cache_weights = false;
+    let prepared = setup.prepare().expect("smoke victim");
     let sweep: Vec<FilterSpec> = FilterSpec::paper_sweep().into_iter().step_by(2).collect();
     let blind = fig7::run(&prepared, &params, &sweep, FIG_EVAL_N, ThreatModel::III).expect("fig7");
     let aware = fig9::run(&prepared, &params, &sweep, FIG_EVAL_N, ThreatModel::III).expect("fig9");
     figure_lines(&mut lines, "fig7", &blind.cells, &blind.grids);
     figure_lines(&mut lines, "fig9", &aware.cells, &aware.grids);
+    let fig5 = fig5::run(&prepared, &params).expect("fig5");
+    let fig6 = fig6::run(&prepared, &params, FIG_EVAL_N).expect("fig6");
+    figure_lines(&mut lines, "fig5", &fig5.cells, &[]);
+    figure_lines(&mut lines, "fig6", &[], &fig6.grids);
     lines
 }
 
 const FIG_EVAL_N: usize = 20;
 
+/// One `cells` and one `grid` line per scenario, for whichever of the
+/// two the figure has (Fig. 5 draws no grid, Fig. 6 no cells).
 fn figure_lines(lines: &mut Lines, figure: &str, cells: &[ScenarioCell], grids: &[AccuracyGrid]) {
-    for grid in grids {
-        let id = grid.scenario.id;
+    for Scenario { id, .. } in Scenario::paper_scenarios() {
         let floats: Vec<f32> = cells
             .iter()
             .filter(|c| c.scenario_id == id)
@@ -196,9 +203,13 @@ fn figure_lines(lines: &mut Lines, figure: &str, cells: &[ScenarioCell], grids: 
                 ]
             })
             .collect();
-        lines.push((format!("{figure}.smoke.s{id}.cells"), digest(&floats)));
-        let bars: Vec<f32> = grid.cells.iter().map(|c| c.top5_accuracy).collect();
-        lines.push((format!("{figure}.smoke.s{id}.grid"), digest(&bars)));
+        if !floats.is_empty() {
+            lines.push((format!("{figure}.smoke.s{id}.cells"), digest(&floats)));
+        }
+        if let Some(grid) = grids.iter().find(|g| g.scenario.id == id) {
+            let bars: Vec<f32> = grid.cells.iter().map(|c| c.top5_accuracy).collect();
+            lines.push((format!("{figure}.smoke.s{id}.grid"), digest(&bars)));
+        }
     }
 }
 
