@@ -54,7 +54,7 @@ git diff --exit-code -- results/bits.txt || {
   exit 1
 }
 
-echo "==> kernel bench smoke (bit-identity gate: 1/2/4/8 threads × baseline/AVX2 instantiation; arena zero-grow gate)"
+echo "==> kernel bench smoke (bit-identity gate: 1/2/4/8 threads × every instantiation the host runs — baseline/AVX2/AVX-512F; arena zero-grow gate)"
 cargo bench -p fademl-bench --bench kernels -- --test
 
 echo "==> cargo clippy (faults feature, deny warnings)"

@@ -7,17 +7,20 @@
 //! convolution stages of the served Compact victim at batch 1 and 16
 //! (forward) and at the training batch of 32 (backward), and its
 //! classifier head.
-//! GEMM-backed workloads also report GFLOP/s, and are timed once more
-//! on the baseline instantiation of the micro-kernel when the host
-//! runs the AVX2 one, so the ISA's share of a number is visible.
+//! One more cell runs the whole Compact victim forward at batch 16, so
+//! the fused conv+ReLU store and the recycled activations are under the
+//! same gate. GEMM-backed workloads also report GFLOP/s, and are timed
+//! serially once more on every narrower instantiation of the
+//! micro-kernel the host can run (baseline, AVX2), so each ISA's share
+//! of a number is visible.
 //!
 //! Unlike the criterion benches this one emits machine-readable
 //! artifacts — `BENCH_kernels.json` at the repo root and
 //! `results/kernels.txt` — because it is the first datapoint of the
 //! bench trajectory. It also asserts that every workload's output is
-//! bit-identical across thread counts *and* across the micro-kernel's
-//! instantiations (baseline vs AVX2) before timing it, so the numbers
-//! can never come from a divergent kernel.
+//! bit-identical across thread counts *and* across every instantiation
+//! the host can run before timing it, so the numbers can never come
+//! from a divergent kernel.
 //!
 //! `cargo bench -p fademl-bench --bench kernels` — full run.
 //! `cargo bench -p fademl-bench --bench kernels -- --test` — CI smoke:
@@ -28,7 +31,7 @@ use std::time::Instant;
 
 use fademl_data::CLASS_COUNT;
 use fademl_filters::FilterSpec;
-use fademl_nn::vgg::VggProfile;
+use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};
 use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
@@ -181,6 +184,22 @@ fn workloads() -> Vec<Workload> {
         flops: 2.0 * (16 * features * CLASS_COUNT) as f64,
         run: Box::new(move || acts.matmul_nt(&head_w).expect("matmul_nt").into_vec()),
     });
+
+    // The whole served victim at a full serving batch: conv+ReLU fused
+    // into the store, activations recycled between layers.
+    let model = VggConfig::new(VggProfile::Compact, 3, 32, CLASS_COUNT)
+        .build(&mut rng)
+        .expect("Compact victim builds");
+    let frames = rng.uniform(&[16, 3, 32, 32], 0.0, 1.0);
+    let conv_flops: usize = stages
+        .iter()
+        .map(|&(cin, cout, side)| cin * 9 * cout * side * side)
+        .sum();
+    jobs.push(Workload {
+        name: "victim_compact_forward_b16".into(),
+        flops: 2.0 * (16 * (conv_flops + features * CLASS_COUNT)) as f64,
+        run: Box::new(move || model.forward(&frames).expect("forward").into_vec()),
+    });
     jobs
 }
 
@@ -218,14 +237,17 @@ struct Cell {
 fn main() {
     let quick = std::env::args().any(|a| a == "--test");
     let host_cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+    let isas = simd::available();
     let isa = simd::detected();
+    let isa_names: Vec<&str> = isas.iter().map(|i| i.name()).collect();
     eprintln!(
-        "[kernels] host cores: {host_cores}, isa: {}, mode: {}",
+        "[kernels] host cores: {host_cores}, isa: {} (gate: {}), mode: {}",
         isa.name(),
+        isa_names.join(" = "),
         if quick { "smoke (--test)" } else { "full" }
     );
     if isa == Isa::Baseline {
-        eprintln!("[kernels] host lacks AVX2: baseline-vs-AVX2 gate skipped");
+        eprintln!("[kernels] host lacks AVX2 and AVX-512F: cross-instantiation gate skipped");
     }
 
     let jobs = workloads();
@@ -286,22 +308,33 @@ fn main() {
         };
 
         // Bit-identity gate: the serial baseline-instantiation output is
-        // the reference; every thread count and the detected
-        // instantiation must reproduce it exactly before being timed.
+        // the reference; every narrower instantiation the host runs, and
+        // the detected one at every thread count, must reproduce it
+        // exactly before being timed.
         par::set_threads(1);
-        simd::set_baseline_only(true);
-        let reference: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
-        if isa != Isa::Baseline {
-            cells.push(time(1, Isa::Baseline));
+        let mut reference: Option<Vec<u32>> = None;
+        for &narrow in isas.iter().filter(|&&i| i != isa) {
+            simd::pin(Some(narrow));
+            let got: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
+            let want = reference.get_or_insert_with(|| got.clone());
+            assert_eq!(
+                &got,
+                want,
+                "{} on {} diverged from the serial baseline reference",
+                job.name,
+                narrow.name()
+            );
+            cells.push(time(1, narrow));
         }
-        simd::set_baseline_only(false);
+        simd::pin(None);
 
         for &t in &THREAD_SWEEP {
             par::set_threads(t);
             let got: Vec<u32> = (job.run)().iter().map(|v| v.to_bits()).collect();
+            let want = reference.get_or_insert_with(|| got.clone());
             assert_eq!(
-                got,
-                reference,
+                &got,
+                want,
                 "{} at {t} threads on {} diverged from the serial baseline reference",
                 job.name,
                 isa.name()
@@ -335,7 +368,7 @@ fn main() {
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(&format!("  \"isa\": \"{}\",\n", isa.name()));
     json.push_str(
-        "  \"note\": \"bit-exact at 1/2/4/8 threads and across kernel instantiations; only threads <= host_cores are timed\",\n",
+        "  \"note\": \"bit-exact at 1/2/4/8 threads and across every kernel instantiation the host runs; narrower instantiations timed at t=1; only threads <= host_cores are timed\",\n",
     );
     let final_arena = alloc::stats();
     json.push_str(&format!(
@@ -363,20 +396,24 @@ fn main() {
         "kernel throughput (ns/iter, median of 5) — host cores: {host_cores}, isa: {}\n",
         isa.name()
     ));
+    let narrower: Vec<Isa> = isas.iter().copied().filter(|&i| i != isa).collect();
+    let isa_heads: String = narrower
+        .iter()
+        .map(|i| format!(" {:>12}", format!("{} t=1", i.name())))
+        .collect();
     let thread_heads: String = timed_threads
         .iter()
-        .map(|t| format!(" {:>12}", format!("t={t}")))
+        .map(|t| format!(" {:>12}", format!("{} t={t}", isa.name())))
         .collect();
     txt.push_str(&format!(
-        "{:<34} {:>12}{thread_heads} {:>10}\n",
-        "workload", "baseline t=1", "GFLOP/s"
+        "{:<34}{isa_heads}{thread_heads} {:>10}\n",
+        "workload", "GFLOP/s"
     ));
     for job in &jobs {
-        txt.push_str(&format!(
-            "{:<34} {:>12}",
-            job.name,
-            ns_of(&job.name, 1, Isa::Baseline)
-        ));
+        txt.push_str(&format!("{:<34}", job.name));
+        for &narrow in &narrower {
+            txt.push_str(&format!(" {:>12}", ns_of(&job.name, 1, narrow)));
+        }
         for &t in &timed_threads {
             txt.push_str(&format!(" {:>12}", ns_of(&job.name, t, isa)));
         }
@@ -384,7 +421,8 @@ fn main() {
         txt.push_str(&format!(" {gflops:>10.2}\n"));
     }
     txt.push_str(&format!(
-        "\nspeedup vs t=1 (bit-identical outputs asserted at 1/2/4/8 threads)\n{:<34}{thread_heads}\n",
+        "\nspeedup vs t=1 (bit-identical outputs asserted at 1/2/4/8 threads and on {})\n{:<34}{thread_heads}\n",
+        isa_names.join(", "),
         "workload"
     ));
     for job in &jobs {

@@ -261,6 +261,12 @@ impl InferencePipeline {
     /// Top-`k` accuracy of the pipeline over a batch entering under
     /// `threat` (the paper's headline metric uses `k = 5`).
     ///
+    /// Staging stays permissive, but an image [`classify`] would refuse
+    /// (a non-finite pixel) is a miss, and so is one whose probability
+    /// at its label is NaN: neither carries a prediction.
+    ///
+    /// [`classify`]: InferencePipeline::classify
+    ///
     /// # Errors
     ///
     /// Returns [`FademlError::InvalidConfig`] when labels and batch
@@ -293,8 +299,13 @@ impl InferencePipeline {
             let chunk = images.select_batch(start..start + chunk_labels.len())?;
             let staged = self.stage_input_batch(&chunk, threat)?;
             let probabilities = self.model.predict_proba(&staged)?;
-            for (i, label) in chunk_labels.iter().enumerate() {
-                if probabilities.row(i)?.top_k(k).contains(label) {
+            let frame_len = (chunk.numel() / chunk_labels.len()).max(1);
+            let frames = chunk.as_slice().chunks_exact(frame_len);
+            for ((i, label), frame) in chunk_labels.iter().enumerate().zip(frames) {
+                let row = probabilities.row(i)?;
+                let scored = frame.iter().all(|v| v.is_finite())
+                    && row.as_slice().get(*label).is_some_and(|p| !p.is_nan());
+                if scored && row.top_k(k).contains(label) {
                     hits += 1;
                 }
             }
@@ -381,6 +392,23 @@ mod tests {
         assert!(p
             .top_k_accuracy(&images, &[0, 1], ThreatModel::I, 5)
             .is_err());
+    }
+
+    #[test]
+    fn accuracy_counts_a_nan_image_as_a_miss() {
+        // Staging is permissive, so a NaN image reaches the ranking; the
+        // ReLU turns its NaN activations into zeros, so without the
+        // finiteness check it would score whatever the bias predicts.
+        // With top-6 of 6 classes every finite image hits.
+        let p = pipeline(FilterSpec::Lar { r: 2 });
+        let mut images = TensorRng::seed_from_u64(6).uniform(&[4, 3, 16, 16], 0.0, 1.0);
+        let frame = 3 * 16 * 16;
+        images.as_mut_slice()[frame..2 * frame].fill(f32::NAN);
+        images.as_mut_slice()[3 * frame + 17] = f32::NAN;
+        for threat in [ThreatModel::I, ThreatModel::III] {
+            let acc = p.top_k_accuracy(&images, &[0, 0, 1, 2], threat, 6).unwrap();
+            assert_eq!(acc, 0.5, "{threat:?}");
+        }
     }
 
     #[test]

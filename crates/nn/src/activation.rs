@@ -11,6 +11,9 @@ pub struct Relu {
 }
 
 impl Relu {
+    /// The [`Layer::name`] `Sequential::forward` fuses by.
+    pub const NAME: &'static str = "relu";
+
     /// Creates a ReLU layer.
     pub fn new() -> Self {
         Relu::default()
@@ -19,7 +22,7 @@ impl Relu {
 
 impl Layer for Relu {
     fn name(&self) -> &'static str {
-        "relu"
+        Relu::NAME
     }
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {

@@ -1,5 +1,6 @@
 use fademl_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_input, ConvSpec, Initializer, Tensor, TensorRng,
+    conv2d, conv2d_backward, conv2d_backward_input, conv2d_relu, ConvSpec, Initializer, Tensor,
+    TensorRng,
 };
 
 use crate::{Layer, NnError, Param, Result};
@@ -66,6 +67,15 @@ impl Layer for Conv2d {
 
     fn forward(&self, input: &Tensor) -> Result<Tensor> {
         Ok(conv2d(
+            input,
+            &self.weight.value,
+            &self.bias.value,
+            &self.spec,
+        )?)
+    }
+
+    fn forward_relu(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(conv2d_relu(
             input,
             &self.weight.value,
             &self.bias.value,

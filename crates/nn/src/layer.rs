@@ -57,6 +57,17 @@ pub trait Layer: Debug + Send + Sync {
     /// Returns an error if the input shape is incompatible with the layer.
     fn forward(&self, input: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::forward`] then a ReLU, bit for bit: what
+    /// [`Sequential::forward`](crate::Sequential::forward) runs when a
+    /// [`Relu`](crate::Relu) follows. `Conv2d` clamps as it stores.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::forward`].
+    fn forward_relu(&self, input: &Tensor) -> Result<Tensor> {
+        Ok(self.forward(input)?.relu())
+    }
+
     /// Forward pass that caches activations for a following
     /// [`Layer::backward`] call.
     ///

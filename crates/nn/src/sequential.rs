@@ -1,8 +1,9 @@
 use std::fmt;
 
+use fademl_tensor::plan::alloc;
 use fademl_tensor::Tensor;
 
-use crate::{Layer, NnError, Param, Result};
+use crate::{Layer, NnError, Param, Relu, Result};
 
 fn empty_model() -> NnError {
     NnError::InvalidConfig {
@@ -74,19 +75,31 @@ impl Sequential {
         &self.layers
     }
 
-    /// Pure inference pass producing logits.
+    /// Pure inference pass producing logits, bit for bit the
+    /// layer-by-layer [`Layer::forward`] loop: a layer followed by a
+    /// [`Relu`] runs as one [`Layer::forward_relu`], and each
+    /// intermediate activation goes back to this thread's activation
+    /// list (DESIGN.md §18.3) once the next layer has read it.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] for an empty model or any layer
     /// error for incompatible shapes.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let (first, rest) = self.layers.split_first().ok_or_else(empty_model)?;
-        let mut x = first.forward(input)?;
-        for layer in rest {
-            x = layer.forward(&x)?;
+        let mut layers = self.layers.iter().peekable();
+        let mut x: Option<Tensor> = None;
+        while let Some(layer) = layers.next() {
+            let src = x.as_ref().unwrap_or(input);
+            let y = if layers.next_if(|next| next.name() == Relu::NAME).is_some() {
+                layer.forward_relu(src)?
+            } else {
+                layer.forward(src)?
+            };
+            if let Some(read) = x.replace(y) {
+                alloc::recycle_activation(read.into_vec());
+            }
         }
-        Ok(x)
+        x.ok_or_else(empty_model)
     }
 
     /// Training forward pass (caches activations in every layer).
@@ -263,6 +276,66 @@ mod tests {
         let m = model();
         let y = m.forward(&Tensor::zeros(&[2, 6])).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.as_slice().iter().map(|v| v.to_bits()).collect()
+    }
+
+    /// The loop `forward` was before it fused the ReLU and recycled its
+    /// activations: every layer on its own, every output fresh.
+    fn layer_by_layer(m: &Sequential, x: &Tensor) -> Tensor {
+        let mut x = x.clone();
+        for layer in m.layers() {
+            x = layer.forward(&x).unwrap();
+        }
+        x
+    }
+
+    #[test]
+    fn forward_equals_the_layer_by_layer_loop_bit_for_bit() {
+        let mut rng = TensorRng::seed_from_u64(12);
+        let m = crate::vgg::VggConfig::new(crate::vgg::VggProfile::Compact, 3, 32, 43)
+            .build(&mut rng)
+            .unwrap();
+        // b1, b16 and b20, then b16 → b1 → b20 → b16 on this one thread:
+        // every later call draws its activations from buffers an earlier
+        // batch size left behind, so a value it failed to overwrite would
+        // show here.
+        for n in [1, 16, 20, 16, 1, 20, 16] {
+            let x = rng.uniform(&[n, 3, 32, 32], 0.0, 1.0);
+            let want = bits(&layer_by_layer(&m, &x));
+            assert_eq!(bits(&m.forward(&x).unwrap()), want, "batch of {n}");
+        }
+    }
+
+    #[test]
+    fn forward_equals_the_layer_by_layer_loop_on_nan_logits() {
+        // One +∞ pixel: the convolution spreads it with each weight's
+        // sign, the ReLU keeps the +∞ (and turns NaN into 0), and the
+        // dense layer's mixed-sign weights make the logits NaN.
+        let mut rng = TensorRng::seed_from_u64(13);
+        let m = Sequential::new()
+            .push(crate::Conv2d::new(
+                fademl_tensor::ConvSpec::new(3, 4, 3, 1, 1),
+                &mut rng,
+            ))
+            .push(Relu::new())
+            .push(crate::MaxPool2d::half())
+            .push(Flatten::new())
+            .push(Dense::new(4 * 4 * 4, 5, &mut rng));
+        let mut x = rng.uniform(&[2, 3, 8, 8], -1.0, 1.0);
+        x.as_mut_slice()[3 * 64 + 27] = f32::INFINITY;
+        let want = layer_by_layer(&m, &x);
+        assert!(want.as_slice().iter().any(|v| v.is_nan()), "logits not NaN");
+        let got = m.forward(&x).unwrap();
+        assert_eq!(got.dims(), want.dims());
+        for (g, w) in got.as_slice().iter().zip(want.as_slice()) {
+            assert!(
+                g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()),
+                "{g} vs {w}"
+            );
+        }
     }
 
     #[test]

@@ -25,20 +25,29 @@
 //! The forward pass lowers *tiles of whole samples* — as many as fit in
 //! [`FUSE_COLS`] columns — to one `[F, K] × [K, tile·OH·OW]` product:
 //! each sample is unfolded straight into its column range of the tile
-//! matrix (stride 1 moves whole row runs; padding is written as
-//! explicit zeros, so the scratch needs no clearing), and the GEMM
-//! micro-kernel stores every register tile into the NCHW output with
-//! the bias added. Deep layers, whose per-sample product is only 16 or
-//! 4 columns wide, thereby run full-width register tiles. A column's
-//! value does not depend on which columns sit beside it, so a batch of
-//! `n` equals `n` single-sample calls bit for bit.
+//! matrix (every element is written, so the scratch needs no clearing),
+//! and the GEMM micro-kernel stores every register tile into the NCHW
+//! output with the bias added — and, for [`conv2d_relu`], clamped at
+//! zero. Deep layers, whose per-sample product is only 16 or 4 columns
+//! wide, thereby run full-width register tiles. A column's value does
+//! not depend on which columns sit beside it, so a batch of `n` equals
+//! `n` single-sample calls bit for bit. The tile matrix's rows are
+//! [`tile_ld`] floats apart — an odd number of cache lines, so that
+//! 1024-float rows stop mapping to one L1 set.
+//!
+//! # The zero-bordered plane
+//!
+//! The unfold and the fold go through one `(H+2p) × (W+2p)` plane per
+//! call with a zero border: a channel is copied into its interior, and
+//! every unfolded row is `OH` runs read out of it — for stride 1 whole
+//! runs `plane[(oy+kh)·PW + kw ..][..OW]`, no clip, no border test. The
+//! fold adds the runs into a zeroed plane, then its interior onto the
+//! image: a pixel gets its ≤ `KH·KW` terms in `(kh, kw)` order from 0.
 //!
 //! # Backward on the same kernel
 //!
 //! ∂input is `col2im(wᵀ · g)` per sample: the register-tiled GEMM, then
-//! a fold that for stride 1 adds each unfolded row onto its image row
-//! as one clipped run (the clip is [`clip_run`], shared with the
-//! unfold). ∂weight is, per sample, `cols · gᵀ` on the same GEMM — one
+//! the fold. ∂weight is, per sample, `cols · gᵀ` on the same GEMM — one
 //! fresh accumulator per element, then an ordered add onto the running
 //! sum — and one transpose at the end. Samples are never fused along
 //! the GEMM's `k`: that would re-associate the cross-sample sum, which
@@ -74,10 +83,20 @@ use crate::{par, Result, Shape, Tensor, TensorError};
 /// wider than this is a tile of its own).
 const FUSE_COLS: usize = 1024;
 
+/// Floats per 64-byte cache line.
+const LINE: usize = 16;
+
 /// Samples per forward tile for a batch of `n` with `ohw` output pixels
 /// per sample.
 fn fused_samples(n: usize, ohw: usize) -> usize {
     (FUSE_COLS / ohw.max(1)).min(n).max(1)
+}
+
+/// Leading dimension of a forward tile matrix of `cols` columns: an odd
+/// number of cache lines (1024 → 1040), so rows of a power-of-two tile
+/// do not all map to one L1 set. Padding columns reach dropped lanes.
+fn tile_ld(cols: usize) -> usize {
+    (cols.div_ceil(LINE) | 1) * LINE
 }
 
 /// Geometry of a 2-D convolution.
@@ -170,58 +189,41 @@ pub struct Conv2dGrads {
     pub bias: Tensor,
 }
 
-/// Stride-1 clip of one unfolded row run against the image row it
-/// slides over: `(lo, hi, from)` such that output columns `lo..hi` of
-/// an `ow`-wide run are the input columns `from..from + (hi − lo)` and
-/// every other column is padding. In range means
-/// `pad ≤ ox + kw < w + pad`; the span is non-empty only when `lo` was
-/// not clipped, i.e. `lo + kw ≥ pad`. Shared by [`unfold_into`] and its
-/// adjoint [`col2im_add`], so the two cannot disagree about a border.
-fn clip_run(kw: usize, pad: usize, w: usize, ow: usize) -> (usize, usize, usize) {
-    let lo = pad.saturating_sub(kw).min(ow);
-    let hi = (w + pad).saturating_sub(kw).clamp(lo, ow);
-    (lo, hi, (lo + kw).saturating_sub(pad))
-}
-
 /// Core im2col fill: unfolds one `[C, H, W]` image (`src`) into columns
-/// `col0 .. col0 + OH·OW` of `dst`, a `[C·KH·KW, ld]` row-major matrix.
-/// Every element of those columns is written — padded positions as
-/// explicit zeros — so `dst` may arrive dirty. Stride 1 moves each
-/// output row as one run; other strides go pixel by pixel.
-fn unfold_into(src: &[f32], geom: &ConvGeom, dst: &mut [f32], ld: usize, col0: usize) {
+/// `col0 .. col0 + OH·OW` of `dst`, a `[C·KH·KW, ld]` row-major matrix,
+/// through `plane` — the zero-bordered `(H+2p) × (W+2p)` plane of the
+/// module docs, whose border must be zero on entry and stays so. Every
+/// element of those columns is written, so `dst` may arrive dirty.
+/// Stride 1 copies whole runs; other strides go pixel by pixel.
+fn unfold_into(
+    src: &[f32],
+    geom: &ConvGeom,
+    plane: &mut [f32],
+    dst: &mut [f32],
+    ld: usize,
+    col0: usize,
+) {
     let ConvGeom {
         spec, h, w, oh, ow, ..
     } = *geom;
-    let pad = spec.padding;
-    let mut row = 0usize;
-    for ch in 0..spec.in_channels {
+    let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
+    let mut rows = dst.chunks_mut(ld);
+    for image in (0..spec.in_channels).map(|ch| &src[ch * h * w..][..h * w]) {
+        let interior = plane.chunks_exact_mut(pw).skip(pad);
+        for (plane_row, image_row) in interior.zip(image.chunks_exact(w.max(1))) {
+            plane_row[pad..pad + w].copy_from_slice(image_row);
+        }
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
-                let out_row = &mut dst[row * ld + col0..][..oh * ow];
-                row += 1;
-                for (oy, run) in out_row.chunks_exact_mut(ow).enumerate() {
-                    let iy = (oy * spec.stride + kh)
-                        .checked_sub(pad)
-                        .filter(|&iy| iy < h);
-                    let Some(iy) = iy else {
-                        run.fill(0.0);
-                        continue;
-                    };
-                    let src_row = &src[(ch * h + iy) * w..][..w];
-                    if spec.stride == 1 {
-                        let (lo, hi, from) = clip_run(kw, pad, w, ow);
-                        let (left, rest) = run.split_at_mut(lo);
-                        let (mid, right) = rest.split_at_mut(hi - lo);
-                        left.fill(0.0);
-                        right.fill(0.0);
-                        match src_row.get(from..from + mid.len()) {
-                            Some(pixels) => mid.copy_from_slice(pixels),
-                            None => mid.fill(0.0),
-                        }
+                let Some(row) = rows.next() else { return };
+                let runs = row[col0..col0 + oh * ow].chunks_exact_mut(ow);
+                for (run, taps) in runs.zip(plane.chunks_exact(pw).skip(kh).step_by(stride)) {
+                    let taps = &taps[kw..];
+                    if stride == 1 {
+                        run.copy_from_slice(&taps[..ow]);
                     } else {
-                        for (ox, o) in run.iter_mut().enumerate() {
-                            let ix = (ox * spec.stride + kw).checked_sub(pad);
-                            *o = ix.and_then(|ix| src_row.get(ix)).copied().unwrap_or(0.0);
+                        for (o, &v) in run.iter_mut().zip(taps.iter().step_by(stride)) {
+                            *o = v;
                         }
                     }
                 }
@@ -231,46 +233,50 @@ fn unfold_into(src: &[f32], geom: &ConvGeom, dst: &mut [f32], ld: usize, col0: u
 }
 
 /// Adjoint of [`unfold_into`]: folds `cols` (`[C·KH·KW, OH·OW]`) back
-/// into `dst` (`[C, H, W]`, must arrive zeroed), summing overlapping
-/// contributions. Stride 1 adds each output row as one run, clipped by
-/// the same [`clip_run`] the unfold uses; other strides go pixel by
-/// pixel. Either way a destination element receives its ≤ `KH·KW`
-/// terms in `(kh, kw)` order.
-fn col2im_add(cols: &[f32], geom: &ConvGeom, dst: &mut [f32]) {
+/// into `dst` (`[C, H, W]`), summing overlapping contributions. Per
+/// channel the runs are added into `plane`, zeroed first, and its
+/// interior is then added onto `dst`: a destination pixel receives its
+/// ≤ `KH·KW` terms in `(kh, kw)` order, starting from `0.0`.
+fn col2im_add(cols: &[f32], geom: &ConvGeom, plane: &mut [f32], dst: &mut [f32]) {
     let ConvGeom {
         spec, h, w, oh, ow, ..
     } = *geom;
-    let pad = spec.padding;
+    let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
     let mut rows = cols.chunks_exact(oh * ow);
-    for ch in 0..spec.in_channels {
+    for image in dst.chunks_exact_mut((h * w).max(1)) {
+        plane.fill(0.0);
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
                 let Some(in_row) = rows.next() else { return };
-                let clip = (spec.stride == 1).then(|| clip_run(kw, pad, w, ow));
-                for (oy, run) in in_row.chunks_exact(ow).enumerate() {
-                    let iy = (oy * spec.stride + kh)
-                        .checked_sub(pad)
-                        .filter(|&iy| iy < h);
-                    let Some(iy) = iy else { continue };
-                    let dst_row = &mut dst[(ch * h + iy) * w..][..w];
-                    if let Some((lo, hi, from)) = clip {
-                        if let Some(span) = dst_row.get_mut(from..from + (hi - lo)) {
-                            for (d, &v) in span.iter_mut().zip(&run[lo..hi]) {
-                                *d += v;
-                            }
+                let windows = plane.chunks_exact_mut(pw).skip(kh).step_by(stride);
+                for (run, taps) in in_row.chunks_exact(ow).zip(windows) {
+                    let taps = &mut taps[kw..];
+                    if stride == 1 {
+                        for (t, &v) in taps.iter_mut().zip(run) {
+                            *t += v;
                         }
                     } else {
-                        for (ox, &v) in run.iter().enumerate() {
-                            let ix = (ox * spec.stride + kw).checked_sub(pad);
-                            if let Some(d) = ix.and_then(|ix| dst_row.get_mut(ix)) {
-                                *d += v;
-                            }
+                        for (t, &v) in taps.iter_mut().step_by(stride).zip(run) {
+                            *t += v;
                         }
                     }
                 }
             }
         }
+        let interior = plane.chunks_exact(pw).skip(pad);
+        for (image_row, plane_row) in image.chunks_exact_mut(w).zip(interior) {
+            for (d, &v) in image_row.iter_mut().zip(&plane_row[pad..]) {
+                *d += v;
+            }
+        }
     }
+}
+
+/// Cap-checked length of the zero-bordered `(H+2p) × (W+2p)` plane.
+/// The sums cannot overflow once `spec.output_size(h, w)` succeeded.
+fn plane_len(spec: &ConvSpec, h: usize, w: usize) -> Result<usize> {
+    let pad2 = 2 * spec.padding;
+    checked_product("conv2d padded plane", &[h + pad2, w + pad2])
 }
 
 /// Unfolds one `[C, H, W]` image into an im2col matrix
@@ -301,9 +307,11 @@ pub fn im2col(image: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
     let (oh, ow) = spec.output_size(h, w)?;
     let rows = checked_product("im2col rows", &[c, spec.kernel_h, spec.kernel_w])?;
     let len = checked_product("im2col", &[rows, oh, ow])?;
+    let plane_len = plane_len(spec, h, w)?;
+    let mut plane = alloc::scratch_f32(plane_len);
     let mut out = alloc::fresh_vec(len);
-    let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING);
-    unfold_into(image.as_slice(), &geom, &mut out, oh * ow, 0);
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING, plane_len);
+    unfold_into(image.as_slice(), &geom, &mut plane, &mut out, oh * ow, 0);
     Tensor::from_vec(out, Shape::of(&[rows, oh * ow]))
 }
 
@@ -329,8 +337,10 @@ pub fn col2im(cols: &Tensor, spec: &ConvSpec, h: usize, w: usize) -> Result<Tens
         ));
     }
     let mut out = alloc::fresh_vec(checked_product("col2im", &[c, h, w])?);
-    let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING);
-    col2im_add(cols.as_slice(), &geom, &mut out);
+    let plane_len = plane_len(spec, h, w)?;
+    let mut plane = alloc::scratch_stale(plane_len);
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING, plane_len);
+    col2im_add(cols.as_slice(), &geom, &mut plane, &mut out);
     Tensor::from_vec(out, Shape::of(&[c, h, w]))
 }
 
@@ -359,10 +369,12 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
 
 /// Plans a convolution (forward or backward): the cap-checked sizes,
 /// the blocking for the inner GEMM, and the parallel/serial decision.
+/// `plane` is the zero-bordered `(H+2p) × (W+2p)` plane both directions
+/// unfold or fold through.
 ///
 /// Forward, the inner GEMM is the batch-fused `F × K × tile·OH·OW`
-/// product and `scratch` is its unfolded `[K, tile·OH·OW]` operand
-/// (`scratch2` is unused). Backward, it is the per-sample
+/// product and `scratch` is its unfolded operand, `K` rows
+/// [`tile_ld`] apart (`scratch2` is unused). Backward, it is the per-sample
 /// `K × F × OH·OW` ∂input product: `scratch` holds its `[K, OH·OW]`
 /// result and `scratch2` the transposed weight — which is also the
 /// size of ∂weight's `[K, F]` per-sample product and of its running
@@ -389,7 +401,15 @@ fn plan_conv2d(
     } else {
         checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?
     };
-    let scratch = checked_product("conv2d im2col", &[k_flat, gemm_cols])?;
+    let scratch = if backward {
+        checked_product("conv2d im2col", &[k_flat, gemm_cols])?
+    } else {
+        // `tile_ld(gemm_cols)`, cap-checked.
+        checked_product(
+            "conv2d im2col",
+            &[k_flat, gemm_cols.div_ceil(LINE) | 1, LINE],
+        )?
+    };
     let (scratch2, scratch3, out_len) = if backward {
         (
             checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
@@ -428,6 +448,7 @@ fn plan_conv2d(
         scratch,
         scratch2,
         scratch3,
+        plane: plane_len(spec, h, w)?,
         out_len,
     })
 }
@@ -444,6 +465,8 @@ struct ConvGeom {
     /// GEMM blocking from the blueprint; identical for every worker and
     /// every call with the same shape.
     bl: Blocking,
+    /// Length of the zero-bordered plane, cap-checked by the caller.
+    plane: usize,
 }
 
 impl ConvGeom {
@@ -455,6 +478,7 @@ impl ConvGeom {
         (h, w): (usize, usize),
         (oh, ow): (usize, usize),
         bl: Blocking,
+        plane: usize,
     ) -> Self {
         ConvGeom {
             spec: *spec,
@@ -464,7 +488,13 @@ impl ConvGeom {
             ow,
             k_flat: spec.in_channels * spec.kernel_h * spec.kernel_w,
             bl,
+            plane,
         }
+    }
+
+    /// `W + 2p`: one row of the zero-bordered plane.
+    fn padded_width(&self) -> usize {
+        self.w + 2 * self.spec.padding
     }
 
     fn image_len(&self) -> usize {
@@ -486,45 +516,47 @@ fn record(data: &[f32], i: usize, len: usize) -> &[f32] {
     &data[i * len..][..len]
 }
 
-/// Forward worker: convolves the samples in `range`, returning their
+/// Forward worker: convolves the samples in `range` into `out`, their
 /// `[len, F, OH, OW]` output block, one batch-fused tile at a time (see
-/// the module docs). The tile matrix leases from the calling thread's
-/// scratch arena — uncleared, the unfold writes every element — so a
-/// warm worker performs exactly one allocation: the returned block.
+/// the module docs), clamping at zero when `relu` is set. Every element
+/// of `out` is written, so it may arrive dirty. The tile matrix
+/// (uncleared: the unfold writes every column the product reads) and
+/// the zero-bordered plane lease from the calling thread's scratch
+/// arena.
 fn conv2d_block(
     input: &[f32],
     w_mat: &[f32],
     bias: &[f32],
     geom: ConvGeom,
     range: Range<usize>,
-) -> Vec<f32> {
+    relu: bool,
+    out: &mut [f32],
+) {
     let ohw = geom.oh * geom.ow;
-    let plane = geom.out_plane_len();
-    let len = range.end - range.start;
-    let tile = fused_samples(len, ohw);
-    let mut out = alloc::fresh_vec(len * plane);
-    let mut cols = alloc::scratch_stale(geom.k_flat * tile * ohw);
+    let f = geom.spec.out_channels;
+    let out_plane = geom.out_plane_len();
+    let tile = fused_samples(range.len(), ohw);
+    let mut cols = alloc::scratch_stale(geom.k_flat * tile_ld(tile * ohw));
+    let mut plane = alloc::scratch_f32(geom.plane);
     let mut samples = range;
-    for tile_out in out.chunks_mut(tile * plane) {
-        let in_tile = tile_out.len() / plane;
-        let n_cols = in_tile * ohw;
-        let cols = &mut cols[..geom.k_flat * n_cols];
-        for (slot, sample) in samples.by_ref().take(in_tile).enumerate() {
+    for tile_out in out.chunks_mut(tile * out_plane) {
+        let n_cols = tile_out.len() / out_plane * ohw;
+        let ld = tile_ld(n_cols);
+        for (slot, sample) in samples.by_ref().take(n_cols / ohw).enumerate() {
             let image = record(input, sample, geom.image_len());
-            unfold_into(image, &geom, cols, n_cols, slot * ohw);
+            unfold_into(image, &geom, &mut plane, &mut cols, ld, slot * ohw);
         }
         // A `[F, C, KH, KW]` weight is already `[F, K]` row-major.
         gemm_rows_to(
             w_mat,
-            geom.spec.out_channels,
+            f,
             geom.k_flat,
-            cols,
-            n_cols,
+            &cols,
+            (n_cols, ld),
             geom.bl,
-            &mut Dest::nchw(tile_out, geom.spec.out_channels, ohw, bias),
+            &mut Dest::nchw(tile_out, f, ohw, bias, relu),
         );
     }
-    out
 }
 
 /// Batched 2-D convolution: `[N, C, H, W] → [N, F, OH, OW]`.
@@ -533,7 +565,8 @@ fn conv2d_block(
 /// [`crate::par`] pool; per sample the result is identical to the
 /// serial path bit-for-bit (see the module docs). The serial-vs-pool
 /// decision and the GEMM blocking both come from one blueprint, so
-/// they can never disagree for a given shape.
+/// they can never disagree for a given shape. On the serial path the
+/// output buffer comes from [`alloc::activation_vec`].
 ///
 /// # Errors
 ///
@@ -541,24 +574,43 @@ fn conv2d_block(
 /// disagree with `spec`, `weight`/`bias` have the wrong shapes, the
 /// geometry is impossible, or a buffer size overflows `usize`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
+    conv2d_with(input, weight, bias, spec, false)
+}
+
+/// [`conv2d`] then a ReLU in one pass, clamping as the kernel stores:
+/// bit for bit `conv2d(..)?.relu()`.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d`].
+pub fn conv2d_relu(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &ConvSpec,
+) -> Result<Tensor> {
+    conv2d_with(input, weight, bias, spec, true)
+}
+
+fn conv2d_with(
+    input: &Tensor,
+    weight: &Tensor,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    relu: bool,
+) -> Result<Tensor> {
     let (n, h, w) = validate_conv_input(input, spec)?;
-    if weight.dims()
-        != [
-            spec.out_channels,
-            spec.in_channels,
-            spec.kernel_h,
-            spec.kernel_w,
-        ]
-    {
+    let weight_dims = [
+        spec.out_channels,
+        spec.in_channels,
+        spec.kernel_h,
+        spec.kernel_w,
+    ];
+    if weight.dims() != weight_dims {
         return Err(TensorError::shape_mismatch(
             "conv2d",
             weight.dims(),
-            &[
-                spec.out_channels,
-                spec.in_channels,
-                spec.kernel_h,
-                spec.kernel_w,
-            ],
+            &weight_dims,
         ));
     }
     if bias.dims() != [spec.out_channels] {
@@ -570,7 +622,7 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
     }
     let (oh, ow) = spec.output_size(h, w)?;
     let bp = plan_conv2d(spec, n, h, w, oh, ow, false)?;
-    let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking);
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking, bp.plane);
     let out = if bp.parallel {
         // Cross-thread operands bypass the arena deliberately: a buffer
         // dropped on another thread would migrate into its pool.
@@ -578,7 +630,9 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
         let w_mat: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(weight.as_slice()));
         let bias: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(bias.as_slice()));
         let blocks = par::parallel_rows(n, move |range: Range<usize>| {
-            conv2d_block(&input, &w_mat, &bias, geom, range)
+            let mut block = alloc::fresh_vec(range.len() * geom.out_plane_len());
+            conv2d_block(&input, &w_mat, &bias, geom, range, relu, &mut block);
+            block
         });
         let mut out = alloc::fresh_with(bp.out_len);
         for block in blocks {
@@ -586,13 +640,10 @@ pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -
         }
         out
     } else {
-        conv2d_block(
-            input.as_slice(),
-            weight.as_slice(),
-            bias.as_slice(),
-            geom,
-            0..n,
-        )
+        let mut out = alloc::activation_vec(bp.out_len);
+        let (x, w_mat, bias) = (input.as_slice(), weight.as_slice(), bias.as_slice());
+        conv2d_block(x, w_mat, bias, geom, 0..n, relu, &mut out);
+        out
     };
     Tensor::from_vec(out, Shape::of(&[n, spec.out_channels, oh, ow]))
 }
@@ -650,7 +701,8 @@ fn conv_grad_filters_block(
 /// `col2im(w_matᵀ · g_mat)` and returns the concatenated image blocks.
 /// `g_mat` (`[F, OH·OW]` row-major) is read in place — the blueprint's
 /// `nc ≥ OH·OW` makes that the packed layout — and the unfolded
-/// gradient columns lease from this thread's scratch arena.
+/// gradient columns and the fold's plane lease from this thread's
+/// scratch arena.
 fn conv_grad_input_block(
     grad_out: &[f32],
     w_t: &[f32],
@@ -659,13 +711,14 @@ fn conv_grad_input_block(
 ) -> Vec<f32> {
     let ohw = geom.oh * geom.ow;
     let f = geom.spec.out_channels;
-    let mut out = alloc::fresh_vec((range.end - range.start) * geom.image_len());
+    let mut out = alloc::fresh_vec(range.len() * geom.image_len());
     let mut gcols = alloc::scratch_stale(geom.cols_len());
-    for (slot, sample) in range.enumerate() {
+    let mut plane = alloc::scratch_stale(geom.plane);
+    let images = out.chunks_exact_mut(geom.image_len().max(1));
+    for (dst, sample) in images.zip(range) {
         let g_mat = record(grad_out, sample, geom.out_plane_len());
         gemm_rows_into(w_t, geom.k_flat, f, g_mat, ohw, geom.bl, &mut gcols);
-        let dst = &mut out[slot * geom.image_len()..(slot + 1) * geom.image_len()];
-        col2im_add(&gcols, &geom, dst);
+        col2im_add(&gcols, &geom, &mut plane, dst);
     }
     out
 }
@@ -674,15 +727,10 @@ fn conv_grad_input_block(
 /// `[len · K, OH·OW]` column blocks.
 fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: &mut [f32]) {
     let ohw = geom.oh * geom.ow;
-    for (slot, sample) in range.enumerate() {
-        let block = &mut dst[slot * geom.cols_len()..(slot + 1) * geom.cols_len()];
-        unfold_into(
-            record(input, sample, geom.image_len()),
-            &geom,
-            block,
-            ohw,
-            0,
-        );
+    let mut plane = alloc::scratch_f32(geom.plane);
+    for (block, sample) in dst.chunks_exact_mut(geom.cols_len()).zip(range) {
+        let image = record(input, sample, geom.image_len());
+        unfold_into(image, &geom, &mut plane, block, ohw, 0);
     }
 }
 
@@ -710,7 +758,8 @@ fn plan_backward(
         ));
     }
     let bp = plan_conv2d(spec, n, h, w, oh, ow, true)?;
-    Ok((bp, ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking), n))
+    let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking, bp.plane);
+    Ok((bp, geom, n))
 }
 
 /// ∂input of a planned backward call, partitioned over samples when
@@ -1110,6 +1159,131 @@ mod tests {
         (grad_w, grad_b)
     }
 
+    /// The run-based stride-1 unfold `unfold_into` was before the
+    /// zero-bordered plane (pixel by pixel for other strides), kept as
+    /// the reference for the plane's bits: each unfolded row is clipped
+    /// against the image row it slides over by `clip_run`.
+    fn unfold_runs_reference(
+        src: &[f32],
+        geom: &ConvGeom,
+        dst: &mut [f32],
+        ld: usize,
+        col0: usize,
+    ) {
+        let ConvGeom {
+            spec, h, w, oh, ow, ..
+        } = *geom;
+        let pad = spec.padding;
+        let mut row = 0usize;
+        for ch in 0..spec.in_channels {
+            for kh in 0..spec.kernel_h {
+                for kw in 0..spec.kernel_w {
+                    let out_row = &mut dst[row * ld + col0..][..oh * ow];
+                    row += 1;
+                    for (oy, run) in out_row.chunks_exact_mut(ow).enumerate() {
+                        let iy = (oy * spec.stride + kh)
+                            .checked_sub(pad)
+                            .filter(|&iy| iy < h);
+                        let Some(iy) = iy else {
+                            run.fill(0.0);
+                            continue;
+                        };
+                        let src_row = &src[(ch * h + iy) * w..][..w];
+                        if spec.stride == 1 {
+                            let (lo, hi, from) = clip_run(kw, pad, w, ow);
+                            let (left, rest) = run.split_at_mut(lo);
+                            let (mid, right) = rest.split_at_mut(hi - lo);
+                            left.fill(0.0);
+                            right.fill(0.0);
+                            match src_row.get(from..from + mid.len()) {
+                                Some(pixels) => mid.copy_from_slice(pixels),
+                                None => mid.fill(0.0),
+                            }
+                        } else {
+                            for (ox, o) in run.iter_mut().enumerate() {
+                                let ix = (ox * spec.stride + kw).checked_sub(pad);
+                                *o = ix.and_then(|ix| src_row.get(ix)).copied().unwrap_or(0.0);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Adjoint of [`unfold_runs_reference`], the run-based fold as it
+    /// was: `dst` must arrive zeroed.
+    fn col2im_runs_reference(cols: &[f32], geom: &ConvGeom, dst: &mut [f32]) {
+        let ConvGeom {
+            spec, h, w, oh, ow, ..
+        } = *geom;
+        let pad = spec.padding;
+        let mut rows = cols.chunks_exact(oh * ow);
+        for ch in 0..spec.in_channels {
+            for kh in 0..spec.kernel_h {
+                for kw in 0..spec.kernel_w {
+                    let Some(in_row) = rows.next() else { return };
+                    let clip = (spec.stride == 1).then(|| clip_run(kw, pad, w, ow));
+                    for (oy, run) in in_row.chunks_exact(ow).enumerate() {
+                        let iy = (oy * spec.stride + kh)
+                            .checked_sub(pad)
+                            .filter(|&iy| iy < h);
+                        let Some(iy) = iy else { continue };
+                        let dst_row = &mut dst[(ch * h + iy) * w..][..w];
+                        if let Some((lo, hi, from)) = clip {
+                            if let Some(span) = dst_row.get_mut(from..from + (hi - lo)) {
+                                for (d, &v) in span.iter_mut().zip(&run[lo..hi]) {
+                                    *d += v;
+                                }
+                            }
+                        } else {
+                            for (ox, &v) in run.iter().enumerate() {
+                                let ix = (ox * spec.stride + kw).checked_sub(pad);
+                                if let Some(d) = ix.and_then(|ix| dst_row.get_mut(ix)) {
+                                    *d += v;
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Stride-1 clip of one unfolded row run against the image row it
+    /// slides over: `(lo, hi, from)` such that output columns `lo..hi`
+    /// of an `ow`-wide run are the input columns `from..from + (hi − lo)`
+    /// and every other column is padding.
+    fn clip_run(kw: usize, pad: usize, w: usize, ow: usize) -> (usize, usize, usize) {
+        let lo = pad.saturating_sub(kw).min(ow);
+        let hi = (w + pad).saturating_sub(kw).clamp(lo, ow);
+        (lo, hi, (lo + kw).saturating_sub(pad))
+    }
+
+    /// Bit-equal, or NaN on both sides: which payload survives
+    /// `NaN + NaN` is the compiler's choice of operand order.
+    fn same_bits(got: &[f32], want: &[f32]) -> bool {
+        got.len() == want.len()
+            && got
+                .iter()
+                .zip(want)
+                .all(|(g, w)| g.to_bits() == w.to_bits() || (g.is_nan() && w.is_nan()))
+    }
+
+    #[test]
+    fn tile_rows_sit_an_odd_number_of_lines_apart() {
+        for (cols, ld) in [
+            (1, 16),
+            (16, 16),
+            (17, 48),
+            (32, 48),
+            (1000, 1008),
+            (1024, 1040),
+        ] {
+            assert_eq!(tile_ld(cols), ld, "{cols} columns");
+        }
+    }
+
     fn slice_bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
@@ -1138,7 +1312,7 @@ mod tests {
             let mut want = vec![0.0f32; geom.image_len()];
             col2im_add_reference(&gcols, spec, h, w, oh, ow, &mut want);
             let mut got = vec![0.0f32; geom.image_len()];
-            col2im_add(&gcols, &geom, &mut got);
+            col2im_add(&gcols, &geom, &mut vec![f32::NAN; geom.plane], &mut got);
             assert_eq!(slice_bits(&got), slice_bits(&want), "fold, {tag}");
             want_input.extend(want);
         }
@@ -1314,6 +1488,77 @@ mod tests {
         assert!(conv2d(&input, &Tensor::zeros(&[3, 2, 2, 2]), &bias, &spec).is_err());
         assert!(conv2d(&input, &weight, &Tensor::zeros(&[4]), &spec).is_err());
         assert!(conv2d(&Tensor::zeros(&[2, 4, 4]), &weight, &bias, &spec).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The zero-bordered-plane unfold and fold against the run-based
+        /// references, stride 1: pad 0–3, kernels 1, 3 and 5, planes from
+        /// 1×1 to 9×7 (so narrower and shorter than the kernel), NaN and
+        /// ±∞ pixels. The unfold is a copy, so its bits match exactly,
+        /// into a dirty matrix with `ld` past the columns; the fold
+        /// starts from a dirty plane. Under every instantiation, the
+        /// fused-ReLU convolution is `conv2d(..).relu()` on the same
+        /// geometry.
+        #[test]
+        fn plane_unfold_and_fold_match_the_run_references(
+            seed in 0u64..1_000_000,
+            c in 1usize..3,
+            h in 1usize..10,
+            w in 1usize..8,
+            kernel_pick in 0usize..3,
+            pad in 0usize..4,
+            poison in 0usize..4,
+        ) {
+            let kernel = [1, 3, 5][kernel_pick];
+            let spec = ConvSpec::new(c, 2, kernel, 1, pad);
+            prop_assume!(spec.output_size(h, w).is_ok());
+            let (oh, ow) = spec.output_size(h, w).unwrap();
+            let geom = ConvGeom::new(
+                &spec,
+                (h, w),
+                (oh, ow),
+                DEFAULT_BLOCKING,
+                plane_len(&spec, h, w).unwrap(),
+            );
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let mut image = rng.uniform(&[1, c, h, w], -1.0, 1.0);
+            let mut cols = rng.uniform(&[geom.k_flat, oh * ow], -1.0, 1.0).into_vec();
+            let specials = [f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (i, special) in specials.into_iter().enumerate().take(poison) {
+                let at = (seed as usize + 7 * i) % image.numel();
+                image.as_mut_slice()[at] = special;
+                let at = (seed as usize / 3 + 5 * i) % cols.len();
+                cols[at] = special;
+            }
+
+            let ld = oh * ow + 3;
+            let mut want = vec![f32::NAN; geom.k_flat * ld];
+            unfold_runs_reference(image.as_slice(), &geom, &mut want, ld, 2);
+            let mut got = vec![f32::NAN; geom.k_flat * ld];
+            let mut plane = vec![0.0f32; geom.plane];
+            unfold_into(image.as_slice(), &geom, &mut plane, &mut got, ld, 2);
+            prop_assert_eq!(slice_bits(&got), slice_bits(&want));
+
+            let mut want = vec![0.0f32; geom.image_len()];
+            col2im_runs_reference(&cols, &geom, &mut want);
+            let mut got = vec![0.0f32; geom.image_len()];
+            col2im_add(&cols, &geom, &mut vec![f32::NAN; geom.plane], &mut got);
+            prop_assert!(same_bits(&got, &want), "fold {:?} vs {:?}", got, want);
+
+            let weight = rng.uniform(&[2, c, kernel, kernel], -1.0, 1.0);
+            let bias = rng.uniform(&[2], -0.5, 0.5);
+            let mut runs = Vec::new();
+            crate::simd::with_each_isa(|isa| {
+                let two_pass = conv2d(&image, &weight, &bias, &spec).unwrap().relu();
+                let fused = conv2d_relu(&image, &weight, &bias, &spec).unwrap();
+                runs.push((isa, bits(&fused), bits(&two_pass)));
+            });
+            for (isa, fused, two_pass) in runs {
+                prop_assert_eq!(fused, two_pass, "fused ReLU on {:?}", isa);
+            }
+        }
     }
 
     proptest! {

@@ -70,38 +70,43 @@ pub(crate) fn gemm_rows_into(
         rows,
         k,
         packed_b,
-        n,
+        (n, n),
         bl,
         &mut Dest::row_major(out, n),
     );
 }
 
 /// [`gemm_rows_into`] with the store spelled out by `dest` (layout and
-/// fused bias). The `(mc, kc, nc)` loops here only choose which cache
-/// block is resident; the arithmetic is the register-tiled micro-kernel
-/// behind [`simd::gemm_block`]. Per output element the `k` terms are
-/// added in increasing-`p` order into a single accumulator chain
-/// starting at `0.0` — identical to the naive i-k-j loop, so any
+/// fused bias/ReLU). The `(mc, kc, nc)` loops here only choose which
+/// cache block is resident; the arithmetic is the register-tiled
+/// micro-kernel behind [`simd::gemm_block`]. Per output element the `k`
+/// terms are added in increasing-`p` order into a single accumulator
+/// chain starting at `0.0` — identical to the naive i-k-j loop, so any
 /// blocking changes nothing numerically.
 ///
-/// A row-major `[k, n]` matrix *is* the packed layout whenever
+/// `(n, ld)` are the columns of `B` and its leading dimension. A
+/// row-major `[k, ld]` matrix *is* the packed layout whenever
 /// `bl.nc ≥ n` (one column panel, whose `k` panels are consecutive
 /// row ranges) — the batch-fused convolution relies on that to skip
-/// the packing copy.
+/// the packing copy, and on `ld > n` to keep its rows off a multiple of
+/// 4 KiB. With several column panels `B` must be [`pack_b_into`]'s
+/// layout, `ld = n`. Columns `n..ld` reach only lanes that are dropped.
 pub(crate) fn gemm_rows_to(
     a_block: &[f32],
     rows: usize,
     k: usize,
     packed_b: &[f32],
-    n: usize,
+    (n, ld): (usize, usize),
     bl: Blocking,
     dest: &mut Dest,
 ) {
+    debug_assert!(ld == n || bl.nc >= n, "a padded B must be one panel");
     for jc in (0..n).step_by(bl.nc) {
         let ncb = bl.nc.min(n - jc);
+        let ldb = if ncb == n { ld } else { ncb };
         for pc in (0..k).step_by(bl.kc) {
             let kcb = bl.kc.min(k - pc);
-            let panel = &packed_b[jc * k + pc * ncb..][..kcb * ncb];
+            let panel = &packed_b[jc * k + pc * ldb..][..(kcb - 1) * ldb + ncb];
             for ic in (0..rows).step_by(bl.mc) {
                 let mcb = bl.mc.min(rows - ic);
                 let blk = Block {
@@ -109,7 +114,7 @@ pub(crate) fn gemm_rows_to(
                     lda: k,
                     rows: mcb,
                     b: panel,
-                    ldb: ncb,
+                    ldb,
                     kc: kcb,
                     cols: ncb,
                     first: pc == 0,
@@ -637,7 +642,7 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// Both instantiations of the micro-kernel reproduce the
+        /// Every instantiation of the micro-kernel reproduces the
         /// three-loop reference bit for bit. The ranges cover every
         /// full/edge register tile (4×16 and 8×4, bottom and right
         /// edges, 1–3 padded lanes) and the `kc` panel boundary; the
@@ -645,6 +650,9 @@ mod tests {
         /// either operand must stay non-finite wherever the reference
         /// says so (NaN payloads are not compared: which operand's
         /// payload survives `NaN + NaN` is the compiler's choice).
+        /// The convolution's store rides along: `B` with its rows
+        /// `ldb > cols` apart and NaN in the padding columns, a bias per
+        /// row, and with and without the fused `max(0.0)`.
         #[test]
         fn micro_kernel_matches_three_loop_reference(
             seed in 0u64..1_000_000,
@@ -663,23 +671,38 @@ mod tests {
                 b[(seed as usize / 7) % (k * n)] = f32::INFINITY;
             }
             let want = three_loop_reference(&a, &b, m, k, n);
+            let bias: Vec<f32> = (0..m).map(|i| (i % 5) as f32 * 0.5 - 1.0).collect();
+            let biased: Vec<f32> = want.iter().enumerate().map(|(i, w)| w + bias[i / n]).collect();
+            let clamped: Vec<f32> = biased.iter().map(|x| x.max(0.0)).collect();
+            let ld = n + 1 + (seed as usize) % 17;
+            let mut b_padded = vec![f32::NAN; k * ld];
+            for (dst, src) in b_padded.chunks_exact_mut(ld).zip(b.chunks_exact(n)) {
+                dst[..n].copy_from_slice(src);
+            }
             let mut runs = Vec::new();
-            crate::simd::with_each_isa(|_| {
+            crate::simd::with_each_isa(|isa| {
                 for bl in [DEFAULT_BLOCKING, Blocking { mc: 8, kc: 32, nc: 24 }] {
                     let mut packed = vec![0.0f32; k * n];
                     pack_b_into(&b, k, n, bl, &mut packed);
                     // Dirty on purpose: the kernel must overwrite, not add.
                     let mut got = vec![f32::NAN; m * n];
                     gemm_rows_into(&a, m, k, &packed, n, bl, &mut got);
-                    runs.push((bl, got));
+                    runs.push((isa, bl, "plain", got, &want));
+                    let one_panel = Blocking { nc: bl.nc.max(n), ..bl };
+                    for (relu, what, reference) in [(false, "bias", &biased), (true, "relu", &clamped)] {
+                        let mut got = vec![f32::NAN; m * n];
+                        let mut dest = Dest::nchw(&mut got, m, n, &bias, relu);
+                        gemm_rows_to(&a, m, k, &b_padded, (n, ld), one_panel, &mut dest);
+                        runs.push((isa, bl, what, got, reference));
+                    }
                 }
             });
-            for (bl, got) in runs {
-                for (g, w) in got.iter().zip(&want) {
+            for (isa, bl, what, got, want) in runs {
+                for (g, w) in got.iter().zip(want) {
                     if w.is_nan() {
-                        prop_assert!(g.is_nan(), "NaN laundered to {g} ({bl:?})");
+                        prop_assert!(g.is_nan(), "NaN laundered to {g} ({what}, {isa:?}, {bl:?})");
                     } else {
-                        prop_assert_eq!(g.to_bits(), w.to_bits());
+                        prop_assert_eq!(g.to_bits(), w.to_bits(), "{} on {:?}, {:?}", what, isa, bl);
                     }
                 }
             }

@@ -22,6 +22,12 @@
 //! `fetch_add`s per kernel call) so both the test suite and the
 //! release-mode bench smoke can assert the arena path is actually
 //! engaged.
+//!
+//! Beside the arena sits a smaller per-thread list of *activations*
+//! (DESIGN.md §18.3): `conv2d` and `max_pool2d_values` draw their
+//! outputs from [`activation_vec`], and only `Sequential::forward`
+//! feeds it, through [`recycle_activation`]. It is not counted in
+//! [`stats`].
 
 use std::cell::RefCell;
 use std::ops::{Deref, DerefMut};
@@ -31,9 +37,15 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// (counted as evictions) so a burst of odd shapes can't pin memory.
 const MAX_POOLED: usize = 24;
 
+/// Per-thread cap on recycled activations: a forward pass holds two at
+/// a time (a layer's input and output).
+const MAX_ACTIVATIONS: usize = 4;
+
 thread_local! {
     /// This thread's free pool. Buffers keep their high-water capacity.
     static POOL: RefCell<Vec<Vec<f32>>> = RefCell::new(Vec::default());
+    /// Activations `Sequential::forward` handed back on this thread.
+    static ACTIVATIONS: RefCell<Vec<Vec<f32>>> = RefCell::new(Vec::default());
 }
 
 static ACQUIRES: AtomicU64 = AtomicU64::new(0);
@@ -184,6 +196,31 @@ pub fn scratch_stale(len: usize) -> Scratch {
     let mut buf = lease(len);
     buf.resize(len, 0.0);
     Scratch { buf }
+}
+
+/// A `len`-element output for a kernel that overwrites every element:
+/// the best fit this thread recycled (stale, so no page faults, no
+/// memset), else a fresh zeroed buffer.
+pub(crate) fn activation_vec(len: usize) -> Vec<f32> {
+    match ACTIVATIONS.try_with(|list| take_best(&mut list.borrow_mut(), len)) {
+        Ok(mut buf) if buf.capacity() > 0 => {
+            buf.resize(len, 0.0);
+            buf
+        }
+        _ => fresh_vec(len),
+    }
+}
+
+/// Hands an intermediate activation back to this thread's list (full:
+/// dropped). Only `Sequential::forward` calls this, on its own thread.
+pub fn recycle_activation(buf: Vec<f32>) {
+    // best-effort: a full list, or a thread tearing down, frees it.
+    let _ = ACTIVATIONS.try_with(|list| {
+        let mut list = list.borrow_mut();
+        if list.len() < MAX_ACTIVATIONS {
+            list.push(buf);
+        }
+    });
 }
 
 // ---------------------------------------------------------------------

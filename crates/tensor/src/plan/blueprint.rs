@@ -86,6 +86,9 @@ pub struct Blueprint {
     /// Tertiary scratch length (`conv2d_backward`'s transposed
     /// output-gradient plane), cap-checked; zero when unused.
     pub scratch3: usize,
+    /// A convolution's zero-bordered `(H+2p) × (W+2p)` plane,
+    /// cap-checked; zero for a GEMM.
+    pub plane: usize,
     /// Output buffer length, cap-checked.
     pub out_len: usize,
 }
@@ -174,6 +177,7 @@ pub fn plan_gemm(op: OpKind, m: usize, k: usize, n: usize) -> Result<Blueprint, 
         scratch,
         scratch2,
         scratch3: 0,
+        plane: 0,
         out_len,
     })
 }

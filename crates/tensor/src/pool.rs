@@ -173,9 +173,10 @@ fn pooled(input: &Tensor, spec: &PoolSpec, argmax: Option<&mut Vec<usize>>) -> R
     };
     let (oh, ow) = spec.output_size(h, w)?;
     // Pooling is a memory-bound gather: it stays serial and needs no
-    // scratch, only the cap-checked output length.
+    // scratch, only the cap-checked output length. Both loops write
+    // every output element, so a recycled activation will do.
     let out_len = checked_product("max_pool2d output", &[n, c, oh, ow])?;
-    let mut out = alloc::fresh_vec(out_len);
+    let mut out = alloc::activation_vec(out_len);
     let argmax = argmax.map(|arg| {
         *arg = alloc::fresh_filled(out_len, 0usize);
         arg.as_mut_slice()

@@ -109,18 +109,24 @@ impl Tensor {
     }
 
     /// Indices of the `k` largest elements, descending by value
-    /// (ties broken by lower index first). If `k` exceeds the element
-    /// count, all indices are returned.
+    /// (ties broken by lower index first; `-0.0` ties `+0.0`). A NaN
+    /// ranks after every number. If `k` exceeds the element count, all
+    /// indices are returned.
     ///
     /// This drives the paper's *top-5* accuracy metric and the Eq. 2 cost
     /// function over the top-5 predicted classes.
     pub fn top_k(&self, k: usize) -> Vec<usize> {
-        let mut idx: Vec<usize> = crate::plan::alloc::fresh_with(self.numel());
-        idx.extend(0..self.numel());
+        let data = self.as_slice();
+        let mut idx: Vec<usize> = crate::plan::alloc::fresh_with(data.len());
+        idx.extend(0..data.len());
+        // A total order, as `sort_by` requires: NaN last, then value
+        // descending, then index. `partial_cmp` is `None` only for two
+        // NaNs, which the first key has already called equal.
         idx.sort_by(|&a, &b| {
-            let (va, vb) = (self.as_slice()[a], self.as_slice()[b]);
-            vb.partial_cmp(&va)
-                .unwrap_or(std::cmp::Ordering::Equal)
+            let (va, vb) = (data[a], data[b]);
+            va.is_nan()
+                .cmp(&vb.is_nan())
+                .then(vb.partial_cmp(&va).unwrap_or(std::cmp::Ordering::Equal))
                 .then(a.cmp(&b))
         });
         idx.truncate(k);
@@ -205,6 +211,38 @@ mod tests {
     }
 
     #[test]
+    fn top_k_ranks_nan_after_every_number() {
+        // A NaN at each position of a 43-wide row (the victim's class
+        // count), alone and beside a second NaN: the comparator used to
+        // call NaN equal to everything, which is no order, and
+        // `sort_by` panics on that.
+        let base: Vec<f32> = (0..43).map(|i| ((i * 17) % 43) as f32 - 21.0).collect();
+        for at in 0..43 {
+            for second in [None, Some((at + 7) % 43)] {
+                let mut row = base.clone();
+                row[at] = f32::NAN;
+                if let Some(j) = second {
+                    row[j] = f32::NAN;
+                }
+                let nans = 1 + usize::from(second.is_some());
+                let ranked = t(&row).top_k(43);
+                let (numbers, tail) = ranked.split_at(43 - nans);
+                assert!(numbers.iter().all(|&i| !row[i].is_nan()), "NaN at {at}");
+                assert!(numbers.windows(2).all(|w| row[w[0]] > row[w[1]]));
+                assert!(tail.windows(2).all(|w| w[0] < w[1]), "NaNs by index");
+                assert!(tail.iter().all(|&i| row[i].is_nan()));
+            }
+        }
+        assert_eq!(
+            t(&[f32::NAN, 1.0, f32::NAN, 2.0]).top_k(4),
+            vec![3, 1, 0, 2]
+        );
+        // Signed zeros still tie, so the lower index leads.
+        assert_eq!(t(&[0.0, -0.0, -1.0]).top_k(3), vec![0, 1, 2]);
+        assert_eq!(t(&[-0.0, 0.0, -1.0]).top_k(3), vec![0, 1, 2]);
+    }
+
+    #[test]
     fn sum_batch_collapses_first_axis() {
         let x = Tensor::from_vec(vec![1.0, 2.0, 10.0, 20.0], [2, 2].into()).unwrap();
         let s = x.sum_batch().unwrap();
@@ -217,6 +255,25 @@ mod tests {
         #[test]
         fn top1_is_argmax(vals in proptest::collection::vec(-10.0f32..10.0, 1..20)) {
             let x = t(&vals);
+            prop_assert_eq!(x.top_k(1)[0], x.argmax().unwrap());
+        }
+
+        /// Rows without NaN rank exactly as under the comparator that
+        /// preceded the NaN fix: ties and signed zeros by index, and
+        /// `top_k(1)` is still `argmax`.
+        #[test]
+        fn nan_free_rows_rank_as_before(picks in proptest::collection::vec(0usize..6, 1..30)) {
+            let palette = [-1.0f32, -0.0, 0.0, 0.5, 2.0, f32::INFINITY];
+            let vals: Vec<f32> = picks.iter().map(|&p| palette[p]).collect();
+            let mut before: Vec<usize> = (0..vals.len()).collect();
+            before.sort_by(|&a, &b| {
+                vals[b]
+                    .partial_cmp(&vals[a])
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b))
+            });
+            let x = t(&vals);
+            prop_assert_eq!(x.top_k(vals.len()), before);
             prop_assert_eq!(x.top_k(1)[0], x.argmax().unwrap());
         }
 

@@ -14,13 +14,16 @@
 //! at `0.0` on the first `k` panel (later panels reload the stored
 //! partial sum — an exact round trip), takes `a·b` terms in ascending
 //! `k` as a separate multiply and a separate add, and receives the bias
-//! once, after the last term. That is the three-loop reference,
-//! element for element. Vector lanes never interact (there is no
-//! horizontal operation), padded edge lanes are computed and dropped,
-//! and neither instantiation enables `fma`, so nothing can be
-//! contracted or re-associated. What would break it: `mul_add`, a
-//! second accumulator per element (splitting `k`), or a reduction
-//! across lanes.
+//! once, after the last term (then, for a fused ReLU, `max(0.0)`).
+//! That is the three-loop reference, element for element. Vector lanes
+//! never interact (there is no horizontal operation) and padded edge
+//! lanes are computed and dropped. The AVX-512F instantiation does
+//! enable LLVM's `fma` feature (`avx512f` implies it), but Rust never
+//! contracts `c += a * b` into a fused multiply-add — only an explicit
+//! `mul_add` would, and the body has none — so every term is still one
+//! rounded multiply and one rounded add. What would break it:
+//! `mul_add`, a second accumulator per element (splitting `k`), or a
+//! reduction across lanes.
 
 /// Register tile for wide column strips: `MR_WIDE × NR_WIDE`
 /// accumulators (eight 256-bit or sixteen 128-bit registers).
@@ -32,8 +35,8 @@ const NR_WIDE: usize = 16;
 const MR_NARROW: usize = 8;
 const NR_NARROW: usize = 4;
 
-/// Where a product is stored, and whether a bias is fused into the
-/// store.
+/// Where a product is stored, and whether a bias and a ReLU are fused
+/// into the store.
 ///
 /// Columns are grouped into segments of `seg` columns; element
 /// `(row, col)` lives at
@@ -47,6 +50,9 @@ pub(crate) struct Dest<'a> {
     row_stride: usize,
     seg_stride: usize,
     bias: Option<&'a [f32]>,
+    /// `x.max(0.0)` after the bias, as `Tensor::relu` (a sum from `+0.0`
+    /// is never `-0.0`, so `max`'s freedom on signed zeros cannot show).
+    relu: bool,
 }
 
 impl<'a> Dest<'a> {
@@ -58,19 +64,28 @@ impl<'a> Dest<'a> {
             row_stride: n,
             seg_stride: 0,
             bias: None,
+            relu: false,
         }
     }
 
     /// `out` holds whole samples `[samples, F, plane]`; column
     /// `s · plane + p` of row `f` is sample `s`, pixel `p` of filter
-    /// `f`, stored with `bias[f]` added.
-    pub(crate) fn nchw(out: &'a mut [f32], filters: usize, plane: usize, bias: &'a [f32]) -> Self {
+    /// `f`, stored with `bias[f]` added and, when `relu` is set,
+    /// clamped at zero.
+    pub(crate) fn nchw(
+        out: &'a mut [f32],
+        filters: usize,
+        plane: usize,
+        bias: &'a [f32],
+        relu: bool,
+    ) -> Self {
         Dest {
             out,
             seg: plane.max(1),
             row_stride: plane,
             seg_stride: filters * plane,
             bias: Some(bias),
+            relu,
         }
     }
 
@@ -212,6 +227,11 @@ fn strip<const MR: usize, const NR: usize>(blk: &Block, j: usize, nr: usize, des
                 if let Some(&bias) = dest.bias.and_then(|b| b.get(r)) {
                     for c in acc_row.iter_mut() {
                         *c += bias;
+                    }
+                }
+                if dest.relu {
+                    for c in acc_row.iter_mut() {
+                        *c = c.max(0.0);
                     }
                 }
             }

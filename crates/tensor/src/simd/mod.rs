@@ -2,15 +2,17 @@
 //! runtime detection — the one module where the `unsafe-confinement`
 //! lint admits `unsafe`.
 //!
-//! [`kernel`] holds the kernel body as safe Rust. It is compiled twice:
-//! once for the target's baseline features and, on x86-64, once under
-//! `#[target_feature(enable = "avx2")]`, where the same loops get
-//! 256-bit lanes. Nothing is fused or re-associated in either (see the
-//! `kernel` docs), so the two are bit-identical lane for lane and no
-//! `-C target-cpu`/`target-feature` flag is needed anywhere. Targets
-//! other than x86-64 compile and run the baseline instantiation.
+//! [`kernel`] holds the kernel body as safe Rust. It is compiled three
+//! times: once for the target's baseline features and, on x86-64, once
+//! under `#[target_feature(enable = "avx2")]` and once under
+//! `#[target_feature(enable = "avx512f")]`, where the same loops get
+//! 256- and 512-bit lanes. Nothing is fused or re-associated in any of
+//! them (see the `kernel` docs), so all three are bit-identical lane for
+//! lane and no `-C target-cpu`/`target-feature` flag is needed anywhere.
+//! Targets other than x86-64 compile and run the baseline instantiation.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::OnceLock;
 
 mod kernel;
 
@@ -23,62 +25,91 @@ pub enum Isa {
     Baseline,
     /// x86-64 with AVX2, detected at run time.
     Avx2,
+    /// x86-64 with AVX-512F, detected at run time.
+    Avx512,
 }
 
 impl Isa {
+    /// Every instantiation, narrowest first.
+    pub(crate) const ALL: [Isa; 3] = [Isa::Baseline, Isa::Avx2, Isa::Avx512];
+
     /// Lower-case name for bench artifacts and logs.
     pub fn name(self) -> &'static str {
         match self {
             Isa::Baseline => "baseline",
             Isa::Avx2 => "avx2",
+            Isa::Avx512 => "avx512",
+        }
+    }
+
+    /// Whether this host can run the instantiation.
+    pub(crate) fn supported(self) -> bool {
+        match self {
+            Isa::Baseline => true,
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Isa::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
+            #[cfg(not(target_arch = "x86_64"))]
+            _ => false,
         }
     }
 }
 
-/// The best instantiation this host can run (detected once, cached).
+/// Every instantiation this host can run, narrowest first.
+pub fn available() -> Vec<Isa> {
+    Isa::ALL.into_iter().filter(|isa| isa.supported()).collect()
+}
+
+/// The widest instantiation this host can run (detected once, cached).
 pub fn detected() -> Isa {
-    #[cfg(target_arch = "x86_64")]
-    {
-        static AVX2: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-        if *AVX2.get_or_init(|| std::arch::is_x86_feature_detected!("avx2")) {
-            return Isa::Avx2;
-        }
-    }
-    Isa::Baseline
+    static WIDEST: OnceLock<Isa> = OnceLock::new();
+    *WIDEST.get_or_init(|| available().pop().unwrap_or(Isa::Baseline))
 }
 
-static BASELINE_ONLY: AtomicBool = AtomicBool::new(false);
+/// `0` follows detection; `1 + i` pins `Isa::ALL[i]`.
+static PINNED: AtomicUsize = AtomicUsize::new(0);
 
 /// Test and bench hook: pins every later kernel call in the process to
-/// the baseline instantiation (`true`) or returns to detection
-/// (`false`), so the two instantiations can be compared bit for bit on
-/// one host. Not a tuning knob — production code never calls it.
+/// `isa` (`Some`) or returns to detection (`None`), so the
+/// instantiations can be compared bit for bit on one host. One the host
+/// cannot run is refused (`false`). Not a tuning knob — production code
+/// never calls it.
 #[doc(hidden)]
-pub fn set_baseline_only(on: bool) {
-    BASELINE_ONLY.store(on, Ordering::Relaxed);
+pub fn pin(isa: Option<Isa>) -> bool {
+    let code = match isa {
+        None => 0,
+        Some(isa) if isa.supported() => {
+            Isa::ALL.iter().position(|&i| i == isa).map_or(0, |i| i + 1)
+        }
+        Some(_) => return false,
+    };
+    PINNED.store(code, Ordering::Relaxed);
+    true
 }
 
-/// Runs `body` once pinned to the baseline instantiation and once on
-/// the detected one, holding a lock so that tests sweeping the
-/// process-wide switch do not interleave. Tests that do not care which
-/// instantiation they get need no lock: the two are bit-identical.
+/// Runs `body` once pinned to each instantiation the host can run,
+/// holding a lock so that tests sweeping the process-wide pin do not
+/// interleave. Tests that do not care which instantiation they get need
+/// no lock: all of them are bit-identical.
 #[cfg(test)]
 pub(crate) fn with_each_isa(mut body: impl FnMut(Isa)) {
     static SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
     let _guard = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
-    for baseline_only in [true, false] {
-        set_baseline_only(baseline_only);
+    for isa in available() {
+        pin(Some(isa));
         body(active());
     }
+    pin(None);
 }
 
 /// The instantiation the next kernel call will run.
 pub fn active() -> Isa {
-    if BASELINE_ONLY.load(Ordering::Relaxed) {
-        Isa::Baseline
-    } else {
-        detected()
-    }
+    PINNED
+        .load(Ordering::Relaxed)
+        .checked_sub(1)
+        .and_then(|i| Isa::ALL.get(i).copied())
+        .unwrap_or_else(detected)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -87,15 +118,24 @@ fn block_avx2(blk: &Block, dest: &mut Dest) {
     kernel::block_body(blk, dest);
 }
 
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn block_avx512(blk: &Block, dest: &mut Dest) {
+    kernel::block_body(blk, dest);
+}
+
 /// Multiplies one cache block into `dest` with the active instantiation.
 #[allow(unsafe_code)]
 pub(crate) fn gemm_block(blk: &Block, dest: &mut Dest) {
     #[cfg(target_arch = "x86_64")]
-    if active() == Isa::Avx2 {
-        // SAFETY: `block_avx2` is safe code that only requires AVX2, and
-        // `active()` is `Avx2` only once `is_x86_feature_detected!` saw it.
-        unsafe { block_avx2(blk, dest) };
-        return;
+    match active() {
+        // SAFETY: `block_avx512` is safe code that only requires
+        // AVX-512F, and `active()` is `Avx512` only once `supported()`
+        // saw it through `is_x86_feature_detected!`.
+        Isa::Avx512 => return unsafe { block_avx512(blk, dest) },
+        // SAFETY: as above, for `block_avx2` and AVX2.
+        Isa::Avx2 => return unsafe { block_avx2(blk, dest) },
+        Isa::Baseline => {}
     }
     kernel::block_body(blk, dest);
 }

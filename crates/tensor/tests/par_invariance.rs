@@ -1,20 +1,19 @@
 //! Thread-count and instruction-set invariance: every kernel routed
 //! through the `fademl_tensor::par` pool must produce **bit-identical**
-//! output at any thread count, and the GEMM micro-kernel's two
-//! instantiations (baseline and AVX2) must agree lane for lane. This is
-//! the invariant that lets PR 4's byte-exact checkpoint/resume and the
-//! seed-sensitive statistical tests survive parallelisation and
+//! output at any thread count, and the GEMM micro-kernel's
+//! instantiations (baseline, AVX2, AVX-512F) must agree lane for lane.
+//! This is the invariant that lets byte-exact checkpoint/resume
+//! and the seed-sensitive statistical tests survive parallelisation and
 //! vectorisation — partitioning only ever splits independent outputs,
-//! and neither instantiation fuses or re-associates a reduction.
+//! and no instantiation fuses or re-associates a reduction.
 //!
-//! `set_threads` and `set_baseline_only` are process-wide overrides, so
-//! every test here serialises on one mutex and restores the defaults on
-//! exit.
+//! `set_threads` and `simd::pin` are process-wide overrides, so every
+//! test here serialises on one mutex and restores the defaults on exit.
 
 use std::sync::Mutex;
 
 use fademl_tensor::plan::blueprint::{plan_gemm, OpKind};
-use fademl_tensor::simd::{self, Isa};
+use fademl_tensor::simd;
 use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
 use proptest::{prop_assert, prop_assert_eq, proptest, ProptestConfig};
 
@@ -24,33 +23,21 @@ static THREADS_GUARD: Mutex<()> = Mutex::new(());
 /// and a prime count that never divides the row counts evenly.
 const SWEEP: [usize; 4] = [1, 2, 4, 7];
 
-/// The instantiations this host can run: baseline always, AVX2 when
-/// detected. Without AVX2 the ISA axis collapses and says so.
-fn isa_axis() -> Vec<Isa> {
-    if simd::detected() == Isa::Baseline {
-        static NOTICE: std::sync::Once = std::sync::Once::new();
-        NOTICE.call_once(|| {
-            eprintln!("par_invariance: host lacks AVX2 — ISA axis skipped, baseline only");
-        });
-        return vec![Isa::Baseline];
-    }
-    vec![Isa::Baseline, simd::detected()]
-}
-
-/// Runs `op` once per (instantiation, thread count) cell and returns
-/// each cell's label and output bit patterns, baseline-serial first.
+/// Runs `op` once per (instantiation, thread count) cell — every
+/// instantiation this host can run — and returns each cell's label and
+/// output bit patterns, baseline-serial first.
 fn sweep_bits(op: impl Fn() -> Vec<f32>) -> Vec<(String, Vec<u32>)> {
     let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
     let mut runs = Vec::new();
-    for isa in isa_axis() {
-        simd::set_baseline_only(isa == Isa::Baseline);
+    for isa in simd::available() {
+        assert!(simd::pin(Some(isa)), "{isa:?} is available but refused");
         for &t in &SWEEP {
             par::set_threads(t);
             let bits = op().iter().map(|v| v.to_bits()).collect();
             runs.push((format!("{} × {t} threads", isa.name()), bits));
         }
     }
-    simd::set_baseline_only(false);
+    simd::pin(None);
     par::set_threads(1);
     runs
 }

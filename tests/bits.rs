@@ -24,7 +24,8 @@ use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_nn::{Sequential, TrainConfig, Trainer};
 use fademl_tensor::{
-    conv2d_backward, digest, fnv1a, max_pool2d, par, simd, ConvSpec, PoolSpec, TensorRng,
+    col2im, conv2d, conv2d_backward, digest, fnv1a, im2col, max_pool2d, par, simd, ConvSpec,
+    PoolSpec, TensorRng,
 };
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bits.txt");
@@ -53,6 +54,9 @@ fn arithmetic() -> Lines {
             let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
             let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
             let g = rng.uniform(&[n, cout, side, side], -1.0, 1.0);
+            let b = rng.uniform(&[cout], -0.1, 0.1);
+            let out = conv2d(&x, &w, &b, &spec).expect("conv2d");
+            lines.push((format!("conv2d.stage{stage}.b{n}"), digest(out.as_slice())));
             let grads = conv2d_backward(&x, &w, &g, &spec).expect("conv2d_backward");
             for (part, t) in [
                 ("input", &grads.input),
@@ -88,13 +92,35 @@ fn arithmetic() -> Lines {
     lines.push(("max_pool2d.stage1.b16.argmax".into(), fnv1a(&argmax)));
 
     let model = uniform_victim(&mut rng);
-    for n in [1usize, 16] {
+    for n in [1usize, 16, 20] {
         let x = rng.uniform(&[n, 3, 32, 32], 0.0, 1.0);
         let logits = model.forward(&x).expect("victim forward");
         lines.push((
             format!("victim.compact.logits.b{n}"),
             digest(logits.as_slice()),
         ));
+    }
+
+    // The unfold and its adjoint off the victim's geometry: pad 0 and 2,
+    // kernels 1 and 5, a plane narrower than the kernel, stride 2.
+    let mut rng = TensorRng::seed_from_u64(11);
+    for (c, h, w, kernel, stride, pad) in [
+        (2, 5, 7, 1, 1, 0),
+        (2, 5, 7, 3, 1, 2),
+        (2, 5, 7, 5, 1, 0),
+        (2, 5, 7, 5, 1, 2),
+        (2, 2, 3, 5, 1, 2),
+        (3, 9, 7, 3, 2, 1),
+        (2, 6, 5, 5, 2, 2),
+    ] {
+        let spec = ConvSpec::new(c, 1, kernel, stride, pad);
+        let tag = format!("c{c}.{h}x{w}.k{kernel}.s{stride}.p{pad}");
+        let x = rng.uniform(&[c, h, w], -1.0, 1.0);
+        let cols = im2col(&x, &spec).expect("im2col");
+        lines.push((format!("im2col.{tag}"), digest(cols.as_slice())));
+        let y = rng.uniform(cols.dims(), -1.0, 1.0);
+        let folded = col2im(&y, &spec, h, w).expect("col2im");
+        lines.push((format!("col2im.{tag}"), digest(folded.as_slice())));
     }
     lines
 }
@@ -240,22 +266,25 @@ fn render() -> String {
 #[test]
 fn bits_match_the_committed_table() {
     // The only test in this binary, so the process-wide switches are
-    // its own: every (instantiation, thread count) must print one table.
+    // its own: every (instantiation the host can run, thread count) must
+    // print one table.
     let mut tables = Vec::new();
-    for baseline_only in [true, false] {
-        simd::set_baseline_only(baseline_only);
+    for isa in simd::available() {
+        assert!(simd::pin(Some(isa)), "{isa:?} is available but refused");
         for threads in [1, 2] {
             par::set_threads(threads);
-            tables.push((baseline_only, threads, render()));
+            tables.push((isa, threads, render()));
         }
     }
-    simd::set_baseline_only(false);
+    simd::pin(None);
     par::set_threads(0);
     let (_, _, first) = &tables[0];
-    for (baseline_only, threads, table) in &tables {
+    for (isa, threads, table) in &tables {
         assert_eq!(
-            table, first,
-            "table differs at baseline_only={baseline_only}, threads={threads}"
+            table,
+            first,
+            "table differs on {} at {threads} threads",
+            isa.name()
         );
     }
     if std::env::var_os("FADEML_BLESS").is_some() {
