@@ -7,19 +7,28 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy (deny warnings)"
+echo "==> cargo clippy (deny warnings: the panic surface, unsafe hygiene, std locks, in-place writes, stale #[expect]s)"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> unsafe_code opts back in once under crates/, on tensor's mod simd"
+unsafe_allows=$(grep -rn --include='*.rs' 'allow(unsafe_code' crates/ || true)
+after_allow=$(grep -A1 -F 'allow(unsafe_code' crates/tensor/src/lib.rs | tail -n 1)
+if [ "$(grep -c . <<<"$unsafe_allows")" -ne 1 ] || [ "$after_allow" != "pub mod simd;" ]; then
+  echo "allow(unsafe_code) must appear exactly once under crates/, on tensor's mod simd; found:" >&2
+  echo "$unsafe_allows" >&2
+  exit 1
+fi
 
 echo "==> fademl-lint self-check suite (unit, property-fuzz, seeded violations)"
 cargo test -q -p fademl-lint
 
-echo "==> fademl-lint (8 passes: locks, panics, invariants, unsafe, hot-alloc, lock-io, swallowed, wire-cap)"
+echo "==> fademl-lint (6 passes: locks, invariants, hot-alloc, lock-io, swallowed, wire-cap)"
 lint_started=$(date +%s)
 cargo run -p fademl-lint --release
 lint_elapsed=$(( $(date +%s) - lint_started ))
 
 echo "==> fademl-lint wall-clock budget (analysis must stay fast enough to never be skipped)"
-# Generous bound: the full 8-pass run takes well under a second; the
+# Generous bound: the full 6-pass run takes well under a second; the
 # budget catches an accidental quadratic blow-up, not normal variance.
 if [ "$lint_elapsed" -gt 30 ]; then
   echo "fademl-lint took ${lint_elapsed}s (> 30s budget)" >&2

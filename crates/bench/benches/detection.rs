@@ -17,6 +17,7 @@
 //! smoke: smaller stream and burst; an entry is still appended (tagged
 //! `"mode": "smoke"`) so the artifact pipeline is exercised.
 
+use std::path::Path;
 use std::time::Instant;
 
 use fademl::experiments::{
@@ -29,6 +30,7 @@ use fademl_data::{ClassId, DriftSpec, FrameStream, StreamConfig};
 use fademl_detect::{ControllerConfig, Detector, DetectorConfig};
 use fademl_filters::FilterSpec;
 use fademl_serve::{InferenceServer, ServerConfig, TriageConfig};
+use fademl_tensor::io::atomic_write;
 use fademl_tensor::Tensor;
 
 /// Trajectory entries retained in `BENCH_detection.json`.
@@ -388,7 +390,7 @@ fn main() {
         ));
     }
     let roc_path = format!("{root}/results/detection_roc.txt");
-    std::fs::write(&roc_path, roc_txt).expect("write detection_roc.txt");
+    atomic_write(Path::new(&roc_path), roc_txt.as_bytes()).expect("write detection_roc.txt");
     eprintln!("[detection] wrote {roc_path}");
 
     let unix_time = std::time::SystemTime::now()
@@ -518,7 +520,7 @@ fn main() {
     json.push_str("  \"trajectory\": [\n    ");
     json.push_str(&entries.join(",\n    "));
     json.push_str("\n  ]\n}\n");
-    std::fs::write(&json_path, json).expect("write BENCH_detection.json");
+    atomic_write(Path::new(&json_path), json.as_bytes()).expect("write BENCH_detection.json");
     eprintln!(
         "[detection] wrote {json_path} ({} trajectory entries)",
         entries.len()

@@ -27,11 +27,13 @@
 //! one iteration per cell, artifacts not written.
 
 use std::hint::black_box;
+use std::path::Path;
 use std::time::Instant;
 
 use fademl_data::CLASS_COUNT;
 use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
+use fademl_tensor::io::atomic_write;
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};
 use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
@@ -435,7 +437,7 @@ fn main() {
         txt.push('\n');
     }
 
-    std::fs::write(&json_path, json).expect("write BENCH_kernels.json");
-    std::fs::write(&txt_path, txt).expect("write results/kernels.txt");
+    atomic_write(Path::new(&json_path), json.as_bytes()).expect("write BENCH_kernels.json");
+    atomic_write(Path::new(&txt_path), txt.as_bytes()).expect("write results/kernels.txt");
     eprintln!("[kernels] wrote {json_path} and {txt_path}");
 }

@@ -54,7 +54,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![cfg_attr(test, allow(clippy::unwrap_used, reason = "tests assert by panicking"))]
 
 pub mod analysis;
 pub mod cost;

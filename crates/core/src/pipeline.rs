@@ -1,3 +1,23 @@
+// The deployed pipeline is the one file of `fademl` on the serving path,
+// so it alone is held to the serving crates' panic lints (their roots
+// explain them); experiment drivers may panic.
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::indexing_slicing)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "tests assert by panicking on fixtures they built"
+    )
+)]
+
 use fademl_data::NoiseModel;
 use fademl_filters::{Filter, FilterSpec};
 use fademl_nn::metrics::{Prediction, EVAL_CHUNK};
@@ -128,14 +148,13 @@ impl InferencePipeline {
     /// Returns [`FademlError::InvalidConfig`] for non-rank-4 input, plus
     /// any filter error.
     pub fn stage_input_batch(&self, images: &Tensor, threat: ThreatModel) -> Result<Tensor> {
-        if images.rank() != 4 {
+        let &[n, _, _, _] = images.dims() else {
             return Err(FademlError::InvalidConfig {
                 reason: format!("expected [N, C, H, W] images, got {:?}", images.dims()),
             });
-        }
+        };
         let mut acquired = None;
         if threat.reacquires() {
-            let n = images.dims()[0];
             let mut noised = Vec::with_capacity(images.numel());
             for i in 0..n {
                 let image = images.index_batch(i)?;
@@ -196,6 +215,10 @@ impl InferencePipeline {
     }
 
     /// Builds a [`Verdict`] from one row of class probabilities.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "top_k ranks indices of this very row"
+    )]
     fn verdict_from_probabilities(probabilities: Tensor) -> Verdict {
         let top_classes = probabilities.top_k(5);
         let probs = probabilities.as_slice();
@@ -250,7 +273,7 @@ impl InferencePipeline {
         Self::validate_input(images)?;
         let staged = self.stage_input_batch(images, threat)?;
         let probabilities = self.model.predict_proba(&staged)?; // [N, classes]
-        let n = images.dims()[0];
+        let n = probabilities.dims().first().copied().unwrap_or(0);
         let mut verdicts = Vec::with_capacity(n);
         for i in 0..n {
             verdicts.push(Self::verdict_from_probabilities(probabilities.row(i)?));
@@ -278,7 +301,7 @@ impl InferencePipeline {
         threat: ThreatModel,
         k: usize,
     ) -> Result<f32> {
-        if images.rank() != 4 || images.dims()[0] != labels.len() {
+        if !matches!(*images.dims(), [n, _, _, _] if n == labels.len()) {
             return Err(FademlError::InvalidConfig {
                 reason: format!(
                     "need [n, c, h, w] images matching {} labels, got {:?}",

@@ -68,13 +68,15 @@ pub fn save_dataset_to_path<P: AsRef<Path>>(dataset: &SignDataset, path: P) -> R
 /// before a single label is interpreted, and the header caps and the
 /// exact payload length before anything is allocated.
 fn decode_dataset(bytes: &[u8]) -> Result<SignDataset> {
-    if bytes.len() < MAGIC.len() + 4 {
+    let Some((body, tail)) = bytes
+        .split_last_chunk::<4>()
+        .filter(|(body, _)| body.len() >= MAGIC.len())
+    else {
         return Err(corrupt(format!(
             "file too small for a dataset ({} bytes)",
             bytes.len()
         )));
-    }
-    let (body, tail) = bytes.split_at(bytes.len() - 4);
+    };
     let mut r = ByteReader::new(body);
     let eof = |e: std::io::Error| corrupt(e.to_string());
     let magic = r.get_bytes(MAGIC.len()).map_err(eof)?;
@@ -87,7 +89,7 @@ fn decode_dataset(bytes: &[u8]) -> Result<SignDataset> {
     if magic != MAGIC {
         return Err(corrupt("not a FAdeML dataset file (bad magic)"));
     }
-    let stored = u32::from_le_bytes([tail[0], tail[1], tail[2], tail[3]]);
+    let stored = u32::from_le_bytes(*tail);
     let actual = crc32(body);
     if stored != actual {
         return Err(corrupt(format!(
@@ -153,6 +155,10 @@ pub fn load_dataset_from_path<P: AsRef<Path>>(path: P) -> Result<SignDataset> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "plants a staging file on purpose, to prove it is refused"
+)]
 mod tests {
     use super::*;
     use crate::{DatasetConfig, NoiseModel};

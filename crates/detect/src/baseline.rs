@@ -200,6 +200,10 @@ impl QuantileSketch {
     }
 
     /// The current quantile estimate, or `None` while priming.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates, and the rank is clamped into 1..=n"
+    )]
     fn quantile(&self) -> Option<f64> {
         if self.count == 0 {
             return None;
@@ -291,6 +295,10 @@ impl TenantBaselines {
     /// clean-score quantile and the global one, clamped to
     /// `±max_shift`. Zero until both sketches are warm — an unknown or
     /// cold tenant gets the global threshold, never a guess.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "the sketches run in f64; the shift rounds to the f32 thresholds"
+    )]
     pub fn shift(&self, tenant: &str) -> f32 {
         let global_warm = self.global.count() >= self.config.min_samples;
         let Some(entry) = self.tenants.get(tenant) else {

@@ -107,6 +107,10 @@ impl ControllerConfig {
     /// Most hardened dispatches tolerated per window before the
     /// serving layer sheds the excess: twice the budget, never below
     /// one so legitimate flags always have a path through.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-int `as` saturates, and the cap is re-fitted into u32"
+    )]
     pub fn shed_cap(&self) -> u32 {
         let cap = (2.0 * self.budget * self.window as f32).ceil();
         let cap = u32::try_from(cap as u64).unwrap_or(u32::MAX);

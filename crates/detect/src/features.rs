@@ -231,6 +231,10 @@ pub fn pyramid_features(image: &Tensor, scales: usize) -> Result<Vec<f32>> {
 
 /// The six per-scale statistics over `channels` planes of `h*w` pixels.
 /// Pure streaming scalar code: no allocation, no indexing.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the sums run in f64; each feature rounds to the f32 the forest scores"
+)]
 fn scale_stats(planes: &[f32], h: usize, w: usize) -> [f32; FEATURES_PER_SCALE] {
     let plane_len = h * w;
     let total = planes.len() as f64;

@@ -189,6 +189,10 @@ impl Detector {
 
     /// Anomaly score of a pre-extracted feature vector, in `(0, 1)`.
     /// Higher ⇒ more isolated from the training distribution.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "path lengths average in f64; the score rounds to f32"
+    )]
     pub fn score(&self, features: &[f32]) -> Result<f32> {
         if features.len() != self.feature_dim {
             return Err(DetectError::InvalidInput {
@@ -310,17 +314,16 @@ impl Detector {
     /// reference, or non-finite threshold is a typed
     /// [`DetectError::Corrupt`] — never a panic or a large allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Detector> {
-        if bytes.len() < DETECTOR_MAGIC.len() + 4 {
+        let Some((body, tail)) = bytes
+            .split_last_chunk::<4>()
+            .filter(|(body, _)| body.len() >= DETECTOR_MAGIC.len())
+        else {
             return Err(corrupt(format!(
                 "artifact too short ({} bytes)",
                 bytes.len()
             )));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = tail
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| corrupt("missing crc trailer"))?;
+        };
+        let stored = u32::from_le_bytes(*tail);
         let actual = crc32(body);
         if stored != actual {
             return Err(corrupt(format!(

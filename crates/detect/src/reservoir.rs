@@ -215,17 +215,16 @@ impl FeatureReservoir {
     /// bit flips, and over-cap structural fields are typed
     /// [`DetectError::Corrupt`] — never a panic or an over-allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<FeatureReservoir> {
-        if bytes.len() < RESERVOIR_MAGIC.len() + 4 {
+        let Some((body, tail)) = bytes
+            .split_last_chunk::<4>()
+            .filter(|(body, _)| body.len() >= RESERVOIR_MAGIC.len())
+        else {
             return Err(corrupt(format!(
                 "reservoir artifact too short ({} bytes)",
                 bytes.len()
             )));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 4);
-        let stored = tail
-            .try_into()
-            .map(u32::from_le_bytes)
-            .map_err(|_| corrupt("missing crc trailer"))?;
+        };
+        let stored = u32::from_le_bytes(*tail);
         let actual = crc32(body);
         if stored != actual {
             return Err(corrupt(format!(
@@ -315,6 +314,10 @@ fn read_field(r: &mut ByteReader<'_>, what: &str) -> Result<usize> {
 ///
 /// [`DetectError::InvalidInput`] if either side is empty, or any
 /// scoring error from the detector (e.g. a dimension mismatch).
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the rank sums run in f64; the AUC rounds to f32"
+)]
 pub fn holdout_auc(
     detector: &Detector,
     clean: &[Vec<f32>],

@@ -7,7 +7,7 @@
 //! suite pins that property the same way `par_invariance` pins the
 //! kernels.
 
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 use fademl_detect::{pyramid_features, Detector, DetectorConfig};
 use fademl_tensor::{par, Tensor, TensorRng};
@@ -36,7 +36,7 @@ fn frames(seed: u64, n: usize, side: usize) -> Vec<Tensor> {
 /// Fits on `train`, scores `probe`, at each thread count in the sweep;
 /// returns (detector bytes, score bits) per run.
 fn sweep(seed: u64, train: &[Tensor], probe: &[Tensor]) -> Vec<(Vec<u8>, Vec<u32>)> {
-    let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = THREADS_GUARD.lock();
     let config = DetectorConfig {
         trees: 16,
         subsample: 16,

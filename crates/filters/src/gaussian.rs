@@ -22,6 +22,10 @@ impl Gaussian {
     /// Returns [`FilterError::InvalidParameter`] for non-finite or
     /// non-positive `sigma`, or `sigma > 3.0` (kernel would exceed the
     /// supported window).
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "radius = ceil(3·sigma) ≤ 9: sigma is validated to (0, 3] first"
+    )]
     pub fn new(sigma: f32) -> Result<Self> {
         if !sigma.is_finite() || sigma <= 0.0 {
             return Err(FilterError::InvalidParameter {

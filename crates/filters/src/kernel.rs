@@ -178,6 +178,10 @@ impl Kernel {
     /// Runs the forward (`adjoint == false`) or backward operator over
     /// all planes of `image`, serial or on the pool as
     /// `should_parallelize` decides — identically for both directions.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the two trailing dims after check_image_rank, and each worker's plane range inside the image"
+    )]
     fn run_planes(&self, image: &Tensor, adjoint: bool) -> Result<Tensor> {
         check_image_rank(image)?;
         let src = image.as_slice();
@@ -245,6 +249,11 @@ impl Kernel {
 
     /// All offsets within Euclidean distance `radius` of the origin
     /// (inclusive), the LAR disc construction.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "the disc radius is validated small by Lar and Gaussian"
+    )]
     pub fn disc(radius: usize) -> Vec<(i32, i32)> {
         let r = radius as i32;
         let r2 = r * r;
@@ -299,6 +308,10 @@ fn run_block(
 /// source pixel is on the plane. Each `dst` element is a single `f32`
 /// accumulator that meets its taps in list order through a separate
 /// multiply and add — the order every bit-exactness pin rests on.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the row ranges come from clip, inside the plane by construction"
+)]
 fn accumulate(taps: &[(i32, i32, f32)], src: &[f32], dst: &mut [f32], h: usize, w: usize) {
     for &(dy, dx, wt) in taps {
         let (rows, src_row) = clip(dy, h);

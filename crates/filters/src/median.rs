@@ -44,6 +44,12 @@ impl Filter for Median {
         format!("Median({})", self.window)
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "signed neighbourhood offsets over validated small images, the gather clamped to the image bounds before indexing"
+    )]
     fn apply(&self, image: &Tensor) -> Result<Tensor> {
         check_image_rank(image)?;
         let dims = image.dims();

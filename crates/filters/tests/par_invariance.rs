@@ -4,7 +4,7 @@
 //! pipeline's predictions (and the paper's figure sweeps) may never
 //! depend on the host's core count.
 
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 use fademl_filters::FilterSpec;
 use fademl_tensor::{par, TensorRng};
@@ -15,7 +15,7 @@ static THREADS_GUARD: Mutex<()> = Mutex::new(());
 const SWEEP: [usize; 4] = [1, 2, 4, 7];
 
 fn sweep_bits(op: impl Fn() -> Vec<f32>) -> Vec<Vec<u32>> {
-    let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = THREADS_GUARD.lock();
     let runs = SWEEP
         .iter()
         .map(|&t| {

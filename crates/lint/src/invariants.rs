@@ -1,24 +1,16 @@
-//! Pass 3 — project invariants clippy cannot express.
+//! Pass — project invariants clippy cannot express.
 //!
-//! 1. `std-sync-lock` — `fademl-serve` mandates `parking_lot` locks;
-//!    `std::sync::Mutex`/`RwLock` appear only where a `Condvar` forces
-//!    the std pairing (budgeted in `lint.allow` with a justification).
-//! 2. `batcher-wall-clock` — the dynamic batcher is a *pure* state
+//! 1. `batcher-wall-clock` — the dynamic batcher is a *pure* state
 //!    machine driven by an injected `now`; reading `Instant::now()` /
 //!    `SystemTime` inside it would make the coalescing policy
 //!    untestable and racy.
-//! 3. `nan-ordering` — metrics percentile code must not use NaN-unsafe
+//! 2. `nan-ordering` — metrics percentile code must not use NaN-unsafe
 //!    float comparisons (`partial_cmp`, `sort_by` on floats); latencies
 //!    are integer microseconds, and any float keys must use `total_cmp`.
-//! 4. `dead-variant` — every public error variant of the serving crate
+//! 3. `dead-variant` — every public error variant of the serving crate
 //!    is constructed somewhere in non-test code; an unconstructible
 //!    variant is dead API surface that callers still have to match on.
-//! 5. `direct-overwrite` — production code must not clobber files in
-//!    place (`File::create` / `fs::write`): a crash mid-write leaves a
-//!    torn artifact. Durable writes go through
-//!    `fademl_tensor::io::atomic_write` (stage + fsync + rename), whose
-//!    own implementation file is the single blessed exception.
-//! 6. `raw-thread-spawn` — compute parallelism goes through the
+//! 4. `raw-thread-spawn` — compute parallelism goes through the
 //!    persistent worker pool in `fademl_tensor::par` (one pool, caller
 //!    participates, bit-exact partitioning); serving owns its worker
 //!    lifecycle in `fademl-serve`, and the network front owns its
@@ -26,59 +18,34 @@
 //!    `std::thread::spawn` / `thread::Builder` anywhere else creates
 //!    unpooled threads with no panic isolation and per-call spawn cost
 //!    on the hot path.
-//! 7. `raw-socket` — all TCP construction (`TcpListener::bind`,
+//! 5. `raw-socket` — all TCP construction (`TcpListener::bind`,
 //!    `TcpStream::connect`) lives in `fademl-net`, behind the framed
 //!    wire protocol with its length caps and CRC checks. A socket
 //!    opened anywhere else bypasses admission control, quotas and the
 //!    typed error mapping, and widens the attack surface.
+//!
+//! The std-lock mandate and the in-place-overwrite ban are clippy's
+//! `disallowed_types` / `disallowed_methods` (`clippy.toml`).
 
 use crate::report::Finding;
-use crate::source::{is_ident_byte, SourceFile};
+use crate::source::SourceFile;
 
 const SERVE_PREFIX: &str = "crates/serve/src/";
 const BATCHER: &str = "crates/serve/src/batcher.rs";
 const METRICS: &str = "crates/serve/src/metrics.rs";
 const ERRORS: &str = "crates/serve/src/error.rs";
-const ATOMIC_IMPL: &str = "crates/tensor/src/io.rs";
 const THREAD_POOL_IMPL: &str = "crates/tensor/src/par.rs";
 const NET_PREFIX: &str = "crates/net/src/";
 
 /// Runs every invariant lint.
 pub fn check(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = Vec::new();
-    std_sync_lock(files, &mut findings);
     batcher_wall_clock(files, &mut findings);
     nan_ordering(files, &mut findings);
     dead_variants(files, &mut findings);
-    direct_overwrite(files, &mut findings);
     raw_thread_spawn(files, &mut findings);
     raw_socket(files, &mut findings);
     findings
-}
-
-fn std_sync_lock(files: &[SourceFile], out: &mut Vec<Finding>) {
-    for file in files.iter().filter(|f| f.path.starts_with(SERVE_PREFIX)) {
-        for (line_no, line) in file.code_lines() {
-            if !line.code.contains("std::sync") {
-                continue;
-            }
-            for what in ["Mutex", "RwLock"] {
-                if has_word(&line.code, what) {
-                    out.push(Finding::new(
-                        "std-sync-lock",
-                        &file.path,
-                        line_no,
-                        format!(
-                            "`std::sync::{what}` in fademl-serve — parking_lot is mandated \
-                             (no poisoning, smaller guards); std locks are budgeted only \
-                             where a Condvar forces the pairing"
-                        ),
-                        &line.raw,
-                    ));
-                }
-            }
-        }
-    }
 }
 
 fn batcher_wall_clock(files: &[SourceFile], out: &mut Vec<Finding>) {
@@ -160,29 +127,6 @@ fn dead_variants(files: &[SourceFile], out: &mut Vec<Finding>) {
                 ),
                 "",
             ));
-        }
-    }
-}
-
-fn direct_overwrite(files: &[SourceFile], out: &mut Vec<Finding>) {
-    for file in files.iter().filter(|f| f.path != ATOMIC_IMPL) {
-        for (line_no, line) in file.code_lines() {
-            for what in ["File::create(", "fs::write("] {
-                if line.code.contains(what) {
-                    out.push(Finding::new(
-                        "direct-overwrite",
-                        &file.path,
-                        line_no,
-                        format!(
-                            "`{}` overwrites the destination in place — a crash mid-write \
-                             leaves a torn file; route artifact writes through \
-                             `fademl_tensor::io::atomic_write` (stage + fsync + rename)",
-                            what.trim_end_matches('(')
-                        ),
-                        &line.raw,
-                    ));
-                }
-            }
         }
     }
 }
@@ -314,23 +258,6 @@ fn parse_variants(file: &SourceFile) -> Vec<Variant> {
     out
 }
 
-/// Whole-word occurrence check: `Mutex` matches in `sync::{Mutex}` but
-/// not inside `MutexGuard` (guard types imply the lock import anyway).
-fn has_word(code: &str, word: &str) -> bool {
-    let bytes = code.as_bytes();
-    let mut from = 0;
-    while let Some(rel) = code[from..].find(word) {
-        let idx = from + rel;
-        let before_ok = idx == 0 || !is_ident_byte(bytes[idx - 1]);
-        let after_ok = idx + word.len() >= bytes.len() || !is_ident_byte(bytes[idx + word.len()]);
-        if before_ok && after_ok {
-            return true;
-        }
-        from = idx + word.len();
-    }
-    false
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -338,38 +265,6 @@ mod tests {
 
     fn rules(findings: &[Finding]) -> Vec<&str> {
         findings.iter().map(|f| f.rule.as_str()).collect()
-    }
-
-    #[test]
-    fn std_sync_mutex_import_is_flagged() {
-        let f = SourceFile::from_source(
-            "crates/serve/src/queue.rs",
-            "use std::sync::{Arc, Condvar, Mutex};\n",
-        );
-        let found = check(&[f]);
-        assert_eq!(rules(&found), vec!["std-sync-lock"]);
-        assert_eq!(found[0].line, 1);
-    }
-
-    #[test]
-    fn std_sync_arc_alone_is_fine_and_scope_is_serve_only() {
-        let serve = SourceFile::from_source(
-            "crates/serve/src/server.rs",
-            "use std::sync::Arc;\nuse std::sync::atomic::AtomicBool;\n",
-        );
-        assert!(check(&[serve]).is_empty());
-        let elsewhere =
-            SourceFile::from_source("crates/nn/src/trainer.rs", "use std::sync::Mutex;\n");
-        assert!(check(&[elsewhere]).is_empty());
-    }
-
-    #[test]
-    fn qualified_std_mutex_path_is_flagged() {
-        let f = SourceFile::from_source(
-            "crates/serve/src/server.rs",
-            "fn f() { let m = std::sync::Mutex::new(0u32); }\n",
-        );
-        assert_eq!(rules(&check(&[f])), vec!["std-sync-lock"]);
     }
 
     #[test]
@@ -409,36 +304,6 @@ mod tests {
         assert_eq!(rules(&found), vec!["dead-variant"]);
         assert!(found[0].message.contains("NeverMade"));
         assert_eq!(found[0].line, 5);
-    }
-
-    #[test]
-    fn direct_overwrite_is_flagged_everywhere_in_production_code() {
-        let ppm = SourceFile::from_source(
-            "crates/data/src/ppm.rs",
-            "fn save() {\n    let mut file = std::fs::File::create(path)?;\n}\n",
-        );
-        assert_eq!(rules(&check(&[ppm])), vec!["direct-overwrite"]);
-        let setup = SourceFile::from_source(
-            "crates/core/src/setup.rs",
-            "fn cache() {\n    fs::write(&path, &bytes)?;\n}\n",
-        );
-        let found = check(&[setup]);
-        assert_eq!(rules(&found), vec!["direct-overwrite"]);
-        assert_eq!(found[0].line, 2);
-    }
-
-    #[test]
-    fn atomic_write_impl_and_test_code_are_exempt_from_overwrite_rule() {
-        let blessed = SourceFile::from_source(
-            "crates/tensor/src/io.rs",
-            "pub fn atomic_write() {\n    let mut f = fs::File::create(tmp)?;\n}\n",
-        );
-        assert!(check(&[blessed]).is_empty());
-        let test_only = SourceFile::from_source(
-            "crates/nn/src/checkpoint.rs",
-            "#[cfg(test)]\nmod tests {\n    fn t() { std::fs::write(&p, b\"x\").unwrap(); }\n}\n",
-        );
-        assert!(check(&[test_only]).is_empty());
     }
 
     #[test]

@@ -2,29 +2,26 @@
 //!
 //! Two layers. The **shared IR** ([`ir`]) parses every file once into
 //! a delimiter-balanced token tree and a lightweight function-body AST
-//! (fn items, blocks, statements, call sites, `let` bindings, `unsafe`
-//! blocks); the **workspace call graph** ([`callgraph`]) resolves call
-//! sites by name across all crates, with a strict policy for
-//! precision-sensitive passes and a permissive one for reachability.
+//! (fn items, blocks, statements, call sites, `let` bindings); the
+//! **workspace call graph** ([`callgraph`]) resolves call sites by name
+//! across all crates, with a strict policy for precision-sensitive
+//! passes and a permissive one for reachability.
 //!
-//! Eight passes run on top:
+//! Six passes run on top, each checking what rustc and clippy cannot
+//! see (the panic surface, `unsafe` hygiene, std locks and in-place file
+//! writes are compiler lints; DESIGN.md §11):
 //!
 //! 1. [`locks`] — inter-procedural lock-order analysis of the
 //!    detector, serving engine and network front: acquisition-order
 //!    cycles (potential deadlocks) and double-acquisitions.
-//! 2. [`panics`] — panic-surface audit of the hot-path crates
-//!    (`unwrap`/`expect`/`panic!`/`unreachable!`, unchecked indexing,
-//!    narrowing `as` casts).
-//! 3. [`invariants`] — project invariants clippy cannot express
-//!    (parking_lot mandate, pure batcher, NaN-safe metrics, dead error
-//!    variants, raw sockets/threads).
-//! 4. [`unsafe_confinement`] — `unsafe` confined to `tensor::simd`
-//!    with mandatory `// SAFETY:` comments (ROADMAP item 1's gate).
-//! 5. [`hot_alloc`] — allocations in compute code reachable from the
+//! 2. [`invariants`] — project invariants clippy cannot express (pure
+//!    batcher, NaN-safe metrics, dead error variants, raw
+//!    sockets/threads).
+//! 3. [`hot_alloc`] — allocations in compute code reachable from the
 //!    serve worker loop (ratcheted scratch-arena debt, DESIGN.md §18).
-//! 6. [`lock_io`] — lock guards held across blocking I/O in serve/net.
-//! 7. [`swallowed`] — silently discarded `Result`s.
-//! 8. [`wire_cap`] — wire-decoded lengths must be cap-checked before
+//! 4. [`lock_io`] — lock guards held across blocking I/O in serve/net.
+//! 5. [`swallowed`] — silently discarded `Result`s.
+//! 6. [`wire_cap`] — wire-decoded lengths must be cap-checked before
 //!    they reach an allocation in the framed codecs.
 //!
 //! All findings flow through the [`baseline`] ratchet (`lint.allow`)
@@ -43,11 +40,9 @@ pub mod invariants;
 pub mod ir;
 pub mod lock_io;
 pub mod locks;
-pub mod panics;
 pub mod report;
 pub mod source;
 pub mod swallowed;
-pub mod unsafe_confinement;
 pub mod wire_cap;
 
 use std::io;
@@ -127,16 +122,8 @@ pub fn collect_findings_with_stats(files: &[SourceFile]) -> (Vec<Finding>, Vec<P
     pass("locks", out, t, &mut findings, &mut stats);
 
     let t = Instant::now();
-    let out = panics::audit(files, panics::HOT_PATH_SCOPE);
-    pass("panics", out, t, &mut findings, &mut stats);
-
-    let t = Instant::now();
     let out = invariants::check(files);
     pass("invariants", out, t, &mut findings, &mut stats);
-
-    let t = Instant::now();
-    let out = unsafe_confinement::check(files);
-    pass("unsafe-confinement", out, t, &mut findings, &mut stats);
 
     let t = Instant::now();
     let out = hot_alloc::audit(&ir, files, &graph);

@@ -22,7 +22,7 @@ const DEFAULT_JSON: &str = "results/lint.json";
 const STATS_FILE: &str = "results/lint_stats.txt";
 
 const BASELINE_HEADER: &str = "\
-# fademl-lint allowlist — the panic/lock/invariant ratchet.
+# fademl-lint allowlist — the ratchet for what rustc and clippy cannot see.
 #
 # One budget per line: <rule> <path> <count>   # justification
 # Missing entries allow nothing. Counts may only go DOWN: lower them
@@ -83,6 +83,11 @@ fn find_workspace_root(start: &Path) -> Option<PathBuf> {
     }
 }
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the CLI's own outputs (baseline regen, report JSON, pass stats) are regenerated \
+              wholesale on every run, and this crate has no fademl-tensor dependency"
+)]
 fn real_main() -> Result<bool, String> {
     let opts = parse_args()?;
     let root = match opts.root {

@@ -374,7 +374,7 @@ pub fn word_bounded(code: &str, idx: usize, len: usize) -> bool {
 }
 
 /// True when the byte at `idx` is part of an identifier.
-pub fn is_ident_byte(b: u8) -> bool {
+fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 

@@ -59,36 +59,10 @@ fn committed_report_matches_current_sources() {
     );
 }
 
-#[test]
-fn seeded_std_mutex_in_serve_fails_the_gate() {
-    // End-to-end proof of the acceptance criterion: a deliberate
-    // `std::sync::Mutex` added to crates/serve makes the gate fail.
-    let root = workspace_root();
-    let baseline_text = fs::read_to_string(root.join("lint.allow")).expect("lint.allow exists");
-    let baseline = Baseline::parse(&baseline_text).expect("lint.allow parses");
-    let mut files = source::load_workspace(&root).expect("workspace scan succeeds");
-    files.push(source::SourceFile::from_source(
-        "crates/serve/src/injected.rs",
-        "use std::sync::Mutex;\npub fn sneaky(m: &Mutex<u32>) -> u32 {\n    *m.lock().unwrap()\n}\n",
-    ));
-    let count = files.len();
-    let report = baseline.apply(collect_findings(&files), count);
-    assert!(!report.is_clean());
-    assert!(report
-        .new_finding_details
-        .iter()
-        .any(|f| f.rule == "std-sync-lock" && f.path == "crates/serve/src/injected.rs"));
-    // The hidden unwrap in the injected file is caught too.
-    assert!(report
-        .new_finding_details
-        .iter()
-        .any(|f| f.rule == "unwrap" && f.path == "crates/serve/src/injected.rs"));
-}
-
 /// Injects one extra source file into the real workspace scan and
 /// returns the post-baseline report — the seeded-violation harness for
-/// the five new passes. Each seeded file must break the gate with a
-/// new finding for the expected rule at the expected path.
+/// the dataflow passes. Each seeded file must break the gate with a new
+/// finding for the expected rule at the expected path.
 fn report_with_injected(path: &str, src: &str) -> fademl_lint::report::LintReport {
     let root = workspace_root();
     let baseline_text = fs::read_to_string(root.join("lint.allow")).expect("lint.allow exists");
@@ -112,15 +86,6 @@ fn assert_gate_breaks(report: &fademl_lint::report::LintReport, rule: &str, path
         "expected a new `{rule}` finding at {path}; got:\n{}",
         report.render()
     );
-}
-
-#[test]
-fn seeded_unsafe_outside_simd_fails_the_gate() {
-    let report = report_with_injected(
-        "crates/nn/src/injected.rs",
-        "pub fn sneaky(p: *const f32) -> f32 {\n    unsafe { *p }\n}\n",
-    );
-    assert_gate_breaks(&report, "unsafe-confinement", "crates/nn/src/injected.rs");
 }
 
 #[test]
@@ -171,10 +136,7 @@ fn update_baseline_is_idempotent_on_the_live_workspace() {
     // stable, and no count drifts.
     let root = workspace_root();
     let committed = fs::read_to_string(root.join("lint.allow")).expect("lint.allow exists");
-    let header_end = committed
-        .find("\nas-int")
-        .or_else(|| committed.find("\ndirect-overwrite"))
-        .map_or(0, |i| i + 1);
+    let header_end = committed.find("\nhot-path-alloc").map_or(0, |i| i + 1);
     let header = &committed[..header_end];
     let baseline = Baseline::parse(&committed).expect("lint.allow parses");
     let files = source::load_workspace(&root).expect("workspace scan succeeds");

@@ -60,8 +60,25 @@
 //! ```
 
 #![forbid(unsafe_code)]
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+// The serving path's panic surface, held to zero by clippy outside
+// tests; an exemption is an `#[expect(lint, reason = …)]` on the
+// smallest item that needs it (DESIGN.md §11).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::indexing_slicing)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "tests assert by panicking on fixtures they built"
+    )
+)]
 
 pub mod client;
 pub mod error;

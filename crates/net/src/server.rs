@@ -42,7 +42,10 @@ type FaultHandle = Option<NetFaultPlan>;
 /// Zero-sized stand-in when the feature is off.
 #[cfg(not(feature = "faults"))]
 #[derive(Debug, Clone)]
-#[allow(dead_code)]
+#[allow(
+    dead_code,
+    reason = "constructed only so call sites match the faults build"
+)]
 struct FaultHandle;
 
 #[cfg(feature = "faults")]
@@ -119,7 +122,10 @@ struct NetShared {
     conns_rejected: AtomicU64,
     /// Read only by the `faults`-gated reply path; carried (zero-sized)
     /// in production builds so construction sites stay identical.
-    #[cfg_attr(not(feature = "faults"), allow(dead_code))]
+    #[cfg_attr(
+        not(feature = "faults"),
+        allow(dead_code, reason = "read only by the faults-gated reply path")
+    )]
     faults: FaultHandle,
 }
 

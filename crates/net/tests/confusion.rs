@@ -99,6 +99,10 @@ fn artifacts(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
 /// loader's own typed error. Any other error is a test failure.
 type Loader = fn(&[u8]) -> Result<(), String>;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the ledger loader offers the bytes as a file, overwritten per case"
+)]
 fn loaders() -> Vec<(&'static str, Loader)> {
     vec![
         ("checkpoint", |bytes| match TrainState::decode(bytes) {

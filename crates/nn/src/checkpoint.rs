@@ -171,6 +171,11 @@ impl TrainState {
         Ok(())
     }
 
+    /// `epochs_done` as a count this host can index.
+    pub(crate) fn epochs_resumed(&self) -> Result<usize> {
+        usize::try_from(self.epochs_done).map_err(|_| corrupt("epoch counter overflows usize"))
+    }
+
     /// A trainer RNG positioned exactly where the snapshot left off.
     pub fn resume_rng(&self) -> TensorRng {
         TensorRng::from_state(self.rng_state)
@@ -185,7 +190,7 @@ impl TrainState {
             w.put_u64(s);
         }
         w.put_f32(self.learning_rate);
-        w.put_u32(self.params.len() as u32);
+        w.put_count(self.params.len());
         for t in &self.params {
             put_tensor(&mut w, t);
         }
@@ -221,7 +226,7 @@ impl TrainState {
                 put_tensor_list(&mut w, v);
             }
         }
-        w.put_u32(self.history.epochs.len() as u32);
+        w.put_count(self.history.epochs.len());
         for e in &self.history.epochs {
             w.put_f32(e.loss);
             w.put_f32(e.train_accuracy);
@@ -247,12 +252,13 @@ impl TrainState {
                 bytes.len()
             )));
         }
-        if &bytes[..MAGIC.len()] != MAGIC {
+        let Some((body, trailer)) = bytes
+            .strip_prefix(MAGIC)
+            .and_then(|framed| framed.split_last_chunk::<4>())
+        else {
             return Err(corrupt("not a FAdeML checkpoint (bad magic)"));
-        }
-        let body = &bytes[MAGIC.len()..bytes.len() - 4];
-        let trailer = &bytes[bytes.len() - 4..];
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+        };
+        let stored = u32::from_le_bytes(*trailer);
         let actual = crc32(body);
         if stored != actual {
             return Err(corrupt(format!(
@@ -331,7 +337,8 @@ fn parse_body(r: &mut ByteReader<'_>) -> Result<TrainState> {
 }
 
 fn put_tensor(w: &mut ByteWriter, t: &Tensor) {
-    w.put_u8(t.dims().len() as u8);
+    // A rank past `u8::MAX` saturates, which the decoder's rank cap refuses.
+    w.put_u8(u8::try_from(t.dims().len()).unwrap_or(u8::MAX));
     for &d in t.dims() {
         w.put_u64(d as u64);
     }
@@ -341,7 +348,7 @@ fn put_tensor(w: &mut ByteWriter, t: &Tensor) {
 }
 
 fn put_tensor_list(w: &mut ByteWriter, list: &[Tensor]) {
-    w.put_u32(list.len() as u32);
+    w.put_count(list.len());
     for t in list {
         put_tensor(w, t);
     }
@@ -358,7 +365,7 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor> {
     let mut dims = Vec::with_capacity(rank);
     let mut numel: usize = 1;
     for _ in 0..rank {
-        let d = r.get_u64().map_err(rd)? as usize;
+        let d = r.get_usize().map_err(rd)?;
         numel = numel
             .checked_mul(d)
             .ok_or_else(|| corrupt("tensor dims overflow"))?;
@@ -375,8 +382,10 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor> {
     }
     let raw = r.get_bytes(byte_len).map_err(rd)?;
     let data: Vec<f32> = raw
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+        .as_chunks()
+        .0
+        .iter()
+        .map(|c| f32::from_le_bytes(*c))
         .collect();
     Tensor::from_vec(data, Shape::new(dims)).map_err(NnError::from)
 }
@@ -471,11 +480,9 @@ impl CheckpointStore {
         let path = self.generation_path(state.epochs_done);
         atomic_write(&path, &state.encode())?;
         if let Ok(gens) = self.generations() {
-            if gens.len() > self.retain {
-                for (_, old) in &gens[..gens.len() - self.retain] {
-                    // best-effort: pruning a vanished generation is fine.
-                    let _ = fs::remove_file(old);
-                }
+            for (_, old) in gens.iter().take(gens.len().saturating_sub(self.retain)) {
+                // best-effort: pruning a vanished generation is fine.
+                let _ = fs::remove_file(old);
             }
         }
         Ok(path)
@@ -517,6 +524,10 @@ impl CheckpointStore {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "rots a committed generation in place on purpose"
+)]
 mod tests {
     use super::*;
     use crate::{Adam, Dense, Relu, Sgd};

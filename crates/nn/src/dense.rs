@@ -60,7 +60,7 @@ impl Dense {
     }
 
     fn check_input(&self, input: &Tensor) -> Result<()> {
-        if input.rank() != 2 || input.dims()[1] != self.in_features {
+        if !matches!(*input.dims(), [_, f] if f == self.in_features) {
             return Err(NnError::Tensor(TensorError::shape_mismatch(
                 "dense",
                 input.dims(),
@@ -71,7 +71,7 @@ impl Dense {
     }
 
     fn check_grad(&self, grad_out: &Tensor) -> Result<()> {
-        if grad_out.rank() != 2 || grad_out.dims()[1] != self.out_features {
+        if !matches!(*grad_out.dims(), [_, f] if f == self.out_features) {
             return Err(NnError::Tensor(TensorError::shape_mismatch(
                 "dense_backward",
                 grad_out.dims(),
@@ -145,13 +145,18 @@ impl Layer for Dense {
 pub(crate) fn one_hot(labels: &[usize], classes: usize) -> Result<Tensor> {
     let mut data = fademl_tensor::plan::alloc::fresh_vec(labels.len() * classes);
     for (i, &label) in labels.iter().enumerate() {
-        if label >= classes {
+        let cell = if label < classes {
+            data.get_mut(i * classes + label)
+        } else {
+            None
+        };
+        let Some(cell) = cell else {
             return Err(NnError::Tensor(TensorError::index_oob(
                 &[label],
                 &[classes],
             )));
-        }
-        data[i * classes + label] = 1.0;
+        };
+        *cell = 1.0;
     }
     Ok(Tensor::from_vec(data, Shape::of(&[labels.len(), classes]))?)
 }

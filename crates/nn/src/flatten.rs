@@ -17,15 +17,18 @@ impl Flatten {
     }
 
     fn flatten(input: &Tensor) -> Result<Tensor> {
-        if input.rank() < 2 {
+        let Some((&n, rest)) = input
+            .dims()
+            .split_first()
+            .filter(|(_, rest)| !rest.is_empty())
+        else {
             return Err(NnError::Tensor(TensorError::RankMismatch {
                 op: "flatten",
                 expected: 2,
                 actual: input.rank(),
             }));
-        }
-        let n = input.dims()[0];
-        let inner: usize = input.dims()[1..].iter().product();
+        };
+        let inner: usize = rest.iter().product();
         Ok(input.reshape(&[n, inner])?)
     }
 }

@@ -39,14 +39,13 @@ impl CrossEntropyLoss {
 }
 
 fn check_batch(logits: &Tensor, labels: &[usize]) -> Result<(usize, usize)> {
-    if logits.rank() != 2 {
+    let &[n, k] = logits.dims() else {
         return Err(NnError::Tensor(TensorError::RankMismatch {
             op: "loss",
             expected: 2,
             actual: logits.rank(),
         }));
-    }
-    let (n, k) = (logits.dims()[0], logits.dims()[1]);
+    };
     if labels.len() != n {
         return Err(NnError::ArchMismatch {
             reason: format!("{} labels for a batch of {n}", labels.len()),

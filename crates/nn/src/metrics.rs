@@ -16,11 +16,19 @@ pub struct Prediction {
 
 impl Prediction {
     /// The winning class.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a ranking holds at least one class; an empty one is the caller's bug"
+    )]
     pub fn class(&self) -> usize {
         self.top_classes[0]
     }
 
     /// The winning class's probability — the paper's "confidence".
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "a ranking holds at least one class; an empty one is the caller's bug"
+    )]
     pub fn confidence(&self) -> f32 {
         self.top_probs[0]
     }
@@ -39,6 +47,10 @@ impl Prediction {
 pub const EVAL_CHUNK: usize = 64;
 
 /// Appends the top-`k` ranking of every row of `probs`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "a rank-2 matrix from predict_proba, and top_k ranks indices of its row"
+)]
 fn rank_rows(probs: &Tensor, k: usize, out: &mut Vec<Prediction>) -> Result<()> {
     for i in 0..probs.dims()[0] {
         let row = probs.row(i)?;
@@ -156,14 +168,14 @@ pub fn per_class_accuracy(
     let mut hits = vec![0usize; classes];
     let mut totals = vec![0usize; classes];
     for (&t, &p) in labels.iter().zip(&preds) {
-        if t >= classes {
+        let (Some(total), Some(hit)) = (totals.get_mut(t), hits.get_mut(t)) else {
             return Err(NnError::ArchMismatch {
                 reason: format!("label {t} out of range {classes}"),
             });
-        }
-        totals[t] += 1;
+        };
+        *total += 1;
         if p == t {
-            hits[t] += 1;
+            *hit += 1;
         }
     }
     Ok(hits
@@ -201,12 +213,12 @@ pub fn confusion_matrix(
     let preds = model.predict(inputs)?;
     let mut matrix = vec![vec![0usize; classes]; classes];
     for (&t, &p) in labels.iter().zip(&preds) {
-        if t >= classes || p >= classes {
+        let Some(cell) = matrix.get_mut(t).and_then(|row| row.get_mut(p)) else {
             return Err(NnError::ArchMismatch {
                 reason: format!("label {t} or prediction {p} out of range {classes}"),
             });
-        }
-        matrix[t][p] += 1;
+        };
+        *cell += 1;
     }
     Ok(matrix)
 }

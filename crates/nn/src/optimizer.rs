@@ -237,19 +237,19 @@ impl Optimizer for Adam {
             self.t = 0;
         }
         self.t += 1;
-        let bc1 = 1.0 - self.beta1.powi(self.t as i32);
-        let bc2 = 1.0 - self.beta2.powi(self.t as i32);
+        // Past `i32::MAX` steps both powers are 0 in f32 anyway.
+        let t = i32::try_from(self.t).unwrap_or(i32::MAX);
+        let bc1 = 1.0 - self.beta1.powi(t);
+        let bc2 = 1.0 - self.beta2.powi(t);
         for ((p, m), v) in params.iter_mut().zip(&mut self.m).zip(&mut self.v) {
-            let g = p.grad.as_slice();
-            let value = p.value.as_mut_slice();
-            for i in 0..g.len() {
-                let mi = self.beta1 * m.as_slice()[i] + (1.0 - self.beta1) * g[i];
-                let vi = self.beta2 * v.as_slice()[i] + (1.0 - self.beta2) * g[i] * g[i];
-                m.as_mut_slice()[i] = mi;
-                v.as_mut_slice()[i] = vi;
-                let m_hat = mi / bc1;
-                let v_hat = vi / bc2;
-                value[i] -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
+            let (value, g) = (p.value.as_mut_slice(), p.grad.as_slice());
+            let moments = m.as_mut_slice().iter_mut().zip(v.as_mut_slice());
+            for ((w, &gi), (mi, vi)) in value.iter_mut().zip(g).zip(moments) {
+                *mi = self.beta1 * *mi + (1.0 - self.beta1) * gi;
+                *vi = self.beta2 * *vi + (1.0 - self.beta2) * gi * gi;
+                let m_hat = *mi / bc1;
+                let v_hat = *vi / bc2;
+                *w -= self.lr * m_hat / (v_hat.sqrt() + self.eps);
             }
         }
         Ok(())

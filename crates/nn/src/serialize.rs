@@ -42,10 +42,10 @@ fn corrupt(reason: impl Into<String>) -> NnError {
 pub fn encode_weights(model: &Sequential) -> Vec<u8> {
     let mut w = ByteWriter::new();
     let params = model.params();
-    w.put_u32(params.len() as u32);
+    w.put_count(params.len());
     for p in params {
         let dims = p.value.dims();
-        w.put_u32(dims.len() as u32);
+        w.put_count(dims.len());
         for &d in dims {
             w.put_u64(d as u64);
         }
@@ -109,11 +109,10 @@ pub fn decode_weights(bytes: &[u8], model: &mut Sequential) -> Result<()> {
     }
     let (magic, rest) = bytes.split_at(MAGIC_V2.len());
     if magic == MAGIC_V2 {
-        if rest.len() < 4 {
+        let Some((body, trailer)) = rest.split_last_chunk::<4>() else {
             return Err(corrupt("missing CRC trailer"));
-        }
-        let (body, trailer) = rest.split_at(rest.len() - 4);
-        let stored = u32::from_le_bytes([trailer[0], trailer[1], trailer[2], trailer[3]]);
+        };
+        let stored = u32::from_le_bytes(*trailer);
         let actual = crc32(body);
         if stored != actual {
             return Err(corrupt(format!(
@@ -158,7 +157,7 @@ fn parse_params(body: &[u8], model: &mut Sequential) -> Result<()> {
         }
         let mut dims = Vec::with_capacity(rank);
         for _ in 0..rank {
-            dims.push(r.get_u64().map_err(rd)? as usize);
+            dims.push(r.get_usize().map_err(rd)?);
         }
         if dims != p.value.dims() {
             return Err(NnError::ArchMismatch {
@@ -176,8 +175,10 @@ fn parse_params(body: &[u8], model: &mut Sequential) -> Result<()> {
             .ok_or_else(|| corrupt("tensor byte length overflows"))?;
         let raw = r.get_bytes(byte_len).map_err(rd)?;
         let data: Vec<f32> = raw
-            .chunks_exact(4)
-            .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
+            .as_chunks()
+            .0
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
             .collect();
         staged.push(Tensor::from_vec(data, Shape::new(dims))?);
     }
@@ -217,6 +218,10 @@ pub fn load_weights_from_path<P: AsRef<Path>>(model: &mut Sequential, path: P) -
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "plants a staging file on purpose, to prove it is refused"
+)]
 mod tests {
     use super::*;
     use crate::{Dense, Relu};

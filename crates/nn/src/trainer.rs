@@ -342,7 +342,7 @@ impl Trainer {
             optimizer.import_state(state.optimizer.clone())?;
             rng = state.resume_rng();
             history = state.history.clone();
-            epochs_done = state.epochs_done as usize;
+            epochs_done = state.epochs_resumed()?;
             resumed_from_epoch = Some(gen);
             if self.config.verbose {
                 eprintln!("resumed from checkpoint generation {gen}");
@@ -394,7 +394,7 @@ impl Trainer {
                     optimizer.set_learning_rate(state.learning_rate * lr_scale);
                     rng = state.resume_rng();
                     history = state.history.clone();
-                    epochs_done = state.epochs_done as usize;
+                    epochs_done = state.epochs_resumed()?;
                     prev_loss = history.epochs.last().map(|e| e.loss);
                     (best_accuracy, stale_epochs) = replay_patience(&history);
                     if self.config.verbose {

@@ -121,6 +121,10 @@ impl FaultPlan {
 
     /// Supervisor-side hook, called once per refit attempt inside the
     /// refit's panic isolation. May panic.
+    #[expect(
+        clippy::panic,
+        reason = "injects the panic the caller's isolation must contain"
+    )]
     pub(crate) fn on_refit(&self) {
         let seq = self.refit_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if self.refit_panics.contains(&seq) {
@@ -130,6 +134,10 @@ impl FaultPlan {
 
     /// Triage-side hook, called once per scoring attempt inside the
     /// triage stage's panic isolation. May sleep or panic.
+    #[expect(
+        clippy::panic,
+        reason = "injects the panic the caller's isolation must contain"
+    )]
     pub(crate) fn on_score(&self) {
         let seq = self.score_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some((_, delay)) = self.score_delays.iter().find(|(s, _)| *s == seq) {
@@ -142,6 +150,10 @@ impl FaultPlan {
 
     /// Worker-side hook, called once per batch inside the engine's
     /// panic isolation. May sleep, panic, or demand the worker's death.
+    #[expect(
+        clippy::panic,
+        reason = "injects the panic the caller's isolation must contain"
+    )]
     pub(crate) fn on_batch_start(&self) {
         let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
         if let Some((_, delay)) = self.batch_delays.iter().find(|(s, _)| *s == seq) {

@@ -1,18 +1,18 @@
 //! In-flight request plumbing: the queued request, the slot a worker
 //! fills, and the handle a client waits on.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use fademl::{ThreatModel, Verdict};
 use fademl_tensor::Tensor;
+use parking_lot::{Condvar, Mutex};
 
 use crate::error::{Result, ServeError};
 use crate::triage::TriageVerdict;
 
 /// One-shot rendezvous between a worker (producer) and a client
-/// (consumer). Std primitives on purpose: the wait side needs a
-/// `Condvar`, and poisoning is handled by taking the inner value.
+/// (consumer).
 #[derive(Debug)]
 pub struct ResponseSlot {
     outcome: Mutex<Option<Result<Verdict>>>,
@@ -33,7 +33,7 @@ impl ResponseSlot {
     /// when failure paths race (e.g. a panic handler and the mid-batch
     /// drop guard both answering the same request).
     pub(crate) fn fill(&self, result: Result<Verdict>) -> bool {
-        let mut guard = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.outcome.lock();
         if guard.is_none() {
             *guard = Some(result);
             self.ready.notify_all();
@@ -44,39 +44,35 @@ impl ResponseSlot {
     }
 
     fn wait(&self) -> Result<Verdict> {
-        let mut guard = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        let mut guard = self.outcome.lock();
         loop {
             if let Some(outcome) = guard.clone() {
                 return outcome;
             }
-            guard = self.ready.wait(guard).unwrap_or_else(|e| e.into_inner());
+            self.ready.wait(&mut guard);
         }
     }
 
+    /// A `timeout` too long to add to `Instant::now()` waits as [`wait`](Self::wait).
     fn wait_timeout(&self, timeout: Duration) -> Option<Result<Verdict>> {
-        let deadline = Instant::now() + timeout;
-        let mut guard = self.outcome.lock().unwrap_or_else(|e| e.into_inner());
+        let deadline = Instant::now().checked_add(timeout);
+        let mut guard = self.outcome.lock();
         loop {
             if let Some(outcome) = guard.clone() {
                 return Some(outcome);
             }
-            let remaining = deadline.saturating_duration_since(Instant::now());
-            if remaining.is_zero() {
-                return None;
+            match deadline {
+                None => self.ready.wait(&mut guard),
+                Some(at) if Instant::now() < at => {
+                    self.ready.wait_until(&mut guard, at);
+                }
+                Some(_) => return None,
             }
-            guard = self
-                .ready
-                .wait_timeout(guard, remaining)
-                .unwrap_or_else(|e| e.into_inner())
-                .0;
         }
     }
 
     fn try_get(&self) -> Option<Result<Verdict>> {
-        self.outcome
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
+        self.outcome.lock().clone()
     }
 }
 
@@ -231,6 +227,17 @@ mod tests {
             Some(Err(ServeError::DeadlineExceeded {
                 stage: DeadlineStage::Batch,
             }))
+        );
+    }
+
+    #[test]
+    fn wait_timeout_without_a_representable_deadline_still_answers() {
+        let slot = ResponseSlot::new();
+        let handle = ResponseHandle::new(Arc::clone(&slot));
+        slot.fill(Ok(dummy_verdict()));
+        assert_eq!(
+            handle.wait_timeout(Duration::MAX).unwrap().unwrap().class,
+            1
         );
     }
 

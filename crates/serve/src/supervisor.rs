@@ -286,11 +286,12 @@ pub(crate) fn spawn_refit_loop(
 ) -> Result<JoinHandle<()>> {
     spawn_thread("fademl-serve-refit".into(), move || {
         let slice = Duration::from_millis(5);
-        let mut next_refit = Instant::now() + config.interval;
+        // An interval too long to add to `Instant::now()` never comes due.
+        let mut next_refit = Instant::now().checked_add(config.interval);
         while !shutting_down.load(Ordering::Acquire) {
-            if Instant::now() >= next_refit {
+            if next_refit.is_some_and(|at| Instant::now() >= at) {
                 run_refit(&triage, &metrics, &config, &faults);
-                next_refit = Instant::now() + config.interval;
+                next_refit = Instant::now().checked_add(config.interval);
             }
             std::thread::sleep(slice);
         }

@@ -551,6 +551,10 @@ fn build_hardened(base: &InferencePipeline, filter: FilterSpec) -> Result<Infere
 /// Anomaly score in integer basis points for histogram recording —
 /// integer microsecond/basis-point reservoirs keep NaN out of the
 /// percentile math by construction.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "the score is clamped to [0, 1] first, and a float-to-int `as` maps NaN to 0"
+)]
 fn score_basis_points(score: f32) -> u64 {
     (score.clamp(0.0, 1.0) * 10_000.0) as u64
 }

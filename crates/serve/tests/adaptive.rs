@@ -3,6 +3,7 @@
 //! refits with held-out validation, detector hot swaps under sustained
 //! concurrent load, and reservoir warm-resume across server restarts.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 use fademl::{InferencePipeline, ThreatModel};
@@ -515,4 +516,47 @@ fn background_refit_loop_swaps_without_manual_triggers() {
     let d = report.detection.expect("detection section present");
     assert!(d.refits_swapped >= 1);
     assert_eq!(report.requests_failed, 0);
+}
+
+#[test]
+fn an_interval_past_the_clock_never_refits_but_serves() {
+    // The refit thread's panic would be swallowed by shutdown's join, so
+    // count it on the way out.
+    static REFIT_PANICS: AtomicUsize = AtomicUsize::new(0);
+    let previous = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if std::thread::current().name() == Some("fademl-serve-refit") {
+            REFIT_PANICS.fetch_add(1, Ordering::SeqCst);
+        }
+        previous(info);
+    }));
+    let supervisor = SupervisorConfig {
+        interval: Duration::MAX,
+        ..manual_supervisor(98)
+    };
+    let (triage, adaptive) = all_clean_triage();
+    let server = InferenceServer::start_adaptive(
+        pipeline(),
+        single_worker_config(),
+        detector(99),
+        triage,
+        adaptive,
+        Some(supervisor),
+    )
+    .unwrap();
+    for img in images(4, 100) {
+        server.classify(img, ThreatModel::II).unwrap();
+    }
+    assert_eq!(server.detector_generation(), 0);
+    let report = server.shutdown();
+    assert_eq!(
+        REFIT_PANICS.load(Ordering::SeqCst),
+        0,
+        "the refit loop panicked"
+    );
+    assert_eq!(report.requests_failed, 0);
+    assert_eq!(
+        report.detection.expect("detection section present").clean,
+        4
+    );
 }

@@ -13,6 +13,10 @@ use crate::{Result, Shape, Tensor, TensorError};
 ///
 /// Returns [`TensorError::ShapeMismatch`] when the shapes are not
 /// broadcast-compatible.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "i runs below the longer operand's rank, and the shorter one is read past its padding"
+)]
 pub(crate) fn broadcast_shape(op: &'static str, lhs: &Shape, rhs: &Shape) -> Result<Shape> {
     let a = lhs.dims();
     let b = rhs.dims();
@@ -41,6 +45,10 @@ pub(crate) fn broadcast_shape(op: &'static str, lhs: &Shape, rhs: &Shape) -> Res
 }
 
 /// Applies `f` elementwise over the broadcast of `lhs` and `rhs`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "stride-mapped elementwise loop, in bounds by shape compatibility"
+)]
 pub(crate) fn broadcast_zip(
     op: &'static str,
     lhs: &Tensor,
@@ -85,6 +93,10 @@ pub(crate) fn broadcast_zip(
 /// Strides of `shape` padded with leading broadcast axes to `rank`
 /// dimensions; broadcast axes (extent 1) get stride 0 so the same
 /// element is reused along them.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "rank is the broadcast rank, at least the shape's own"
+)]
 fn padded_broadcast_strides(shape: &Shape, rank: usize) -> Vec<usize> {
     let dims = shape.dims();
     let strides = shape.strides();
@@ -106,6 +118,10 @@ fn padded_broadcast_strides(shape: &Shape, rank: usize) -> Vec<usize> {
 ///
 /// Returns [`TensorError::ShapeMismatch`] if `grad`'s shape could not
 /// have arisen from broadcasting `target`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "stride-mapped reduction, in bounds by the shape compatibility checked at entry"
+)]
 pub fn reduce_to_shape(grad: &Tensor, target: &Shape) -> Result<Tensor> {
     if grad.shape() == target {
         return Ok(grad.duplicate());

@@ -195,6 +195,10 @@ pub struct Conv2dGrads {
 /// module docs, whose border must be zero on entry and stays so. Every
 /// element of those columns is written, so `dst` may arrive dirty.
 /// Stride 1 copies whole runs; other strides go pixel by pixel.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "im2col runs at offsets derived from the validated conv geometry"
+)]
 fn unfold_into(
     src: &[f32],
     geom: &ConvGeom,
@@ -237,6 +241,10 @@ fn unfold_into(
 /// channel the runs are added into `plane`, zeroed first, and its
 /// interior is then added onto `dst`: a destination pixel receives its
 /// ≤ `KH·KW` terms in `(kh, kw)` order, starting from `0.0`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "col2im runs at offsets derived from the validated conv geometry"
+)]
 fn col2im_add(cols: &[f32], geom: &ConvGeom, plane: &mut [f32], dst: &mut [f32]) {
     let ConvGeom {
         spec, h, w, oh, ow, ..
@@ -288,6 +296,10 @@ fn plane_len(spec: &ConvSpec, h: usize, w: usize) -> Result<usize> {
 /// [`TensorError::ShapeMismatch`] when the channel count disagrees with
 /// the spec, [`TensorError::InvalidGeometry`] for impossible geometry,
 /// or [`TensorError::Overflow`] when the unfolded size overflows.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the three dims after the rank check"
+)]
 pub fn im2col(image: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
     if image.rank() != 3 {
         return Err(TensorError::RankMismatch {
@@ -344,6 +356,10 @@ pub fn col2im(cols: &Tensor, spec: &ConvSpec, h: usize, w: usize) -> Result<Tens
     Tensor::from_vec(out, Shape::of(&[c, h, w]))
 }
 
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the four dims after the rank check"
+)]
 fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize, usize)> {
     if input.rank() != 4 {
         return Err(TensorError::RankMismatch {
@@ -512,6 +528,10 @@ impl ConvGeom {
 
 /// The `i`-th `len`-element record of `data` (one sample's image,
 /// output plane or column block).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "record i of a buffer sized by the validated conv geometry"
+)]
 fn record(data: &[f32], i: usize, len: usize) -> &[f32] {
     &data[i * len..][..len]
 }
@@ -659,6 +679,10 @@ fn conv2d_with(
 /// `[K, F′] → [F′, K]` transpose are copies. The three scratch buffers
 /// lease from the calling thread's arena; the blueprint cap-checked
 /// their sizes for the whole filter range.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "one worker's channel range, inside the validated output planes"
+)]
 fn conv_grad_filters_block(
     grad_out: &[f32],
     cols_all: &[f32],

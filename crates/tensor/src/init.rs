@@ -9,7 +9,7 @@
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
-use crate::{Shape, Tensor};
+use crate::Tensor;
 
 /// Weight-initialization schemes for neural-network layers.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -77,6 +77,10 @@ impl TensorRng {
     }
 
     /// Samples a single standard-normal value via Box–Muller.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Box–Muller runs in f64 for the log; the sample rounds to the f32 tensors hold"
+    )]
     pub fn normal_scalar(&mut self) -> f32 {
         // Box–Muller transform: two uniforms → one normal. u1 must be
         // strictly positive for the log.
@@ -110,22 +114,12 @@ impl TensorRng {
 
     /// A tensor of uniform samples in `[lo, hi)`.
     pub fn uniform(&mut self, dims: &[usize], lo: f32, hi: f32) -> Tensor {
-        let shape = Shape::from(dims);
-        let mut data = crate::plan::alloc::fresh_with(shape.numel());
-        for _ in 0..shape.numel() {
-            data.push(self.uniform_scalar(lo, hi));
-        }
-        Tensor::from_vec(data, shape).expect("generated buffer matches shape")
+        Tensor::from_fn(dims, || self.uniform_scalar(lo, hi))
     }
 
     /// A tensor of Gaussian samples with the given mean and std.
     pub fn normal(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
-        let shape = Shape::from(dims);
-        let mut data = crate::plan::alloc::fresh_with(shape.numel());
-        for _ in 0..shape.numel() {
-            data.push(mean + std * self.normal_scalar());
-        }
-        Tensor::from_vec(data, shape).expect("generated buffer matches shape")
+        Tensor::from_fn(dims, || mean + std * self.normal_scalar())
     }
 
     /// A tensor drawn according to an [`Initializer`].

@@ -35,6 +35,11 @@ use std::path::{Path, PathBuf};
 /// compile time.
 const CRC_TABLE: [u32; 256] = build_crc_table();
 
+#[expect(
+    clippy::indexing_slicing,
+    clippy::cast_possible_truncation,
+    reason = "a const loop: `i` runs over 0..256, the table's length"
+)]
 const fn build_crc_table() -> [u32; 256] {
     let mut table = [0u32; 256];
     let mut i = 0;
@@ -74,6 +79,10 @@ impl Crc32 {
     }
 
     /// Feeds bytes into the running checksum.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`& 0xFF` keeps the index inside the 256-entry table"
+    )]
     pub fn update(&mut self, bytes: &[u8]) {
         for &b in bytes {
             let idx = ((self.state ^ u32::from(b)) & 0xFF) as usize;
@@ -161,6 +170,10 @@ pub fn atomic_write(path: &Path, bytes: &[u8]) -> io::Result<()> {
 }
 
 /// Writes and fsyncs the staged temp file (shared with the fault layer).
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the staging half of atomic_write: a fresh temp file, renamed only once synced"
+)]
 fn write_staged(tmp: &Path, bytes: &[u8]) -> io::Result<()> {
     let mut f = fs::File::create(tmp)?;
     f.write_all(bytes)?;
@@ -226,9 +239,16 @@ impl ByteWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Appends a `u32` count or length prefix. A count past `u32::MAX`
+    /// saturates, so a decoder refuses the record rather than misreading
+    /// a wrapped prefix.
+    pub fn put_count(&mut self, n: usize) {
+        self.put_u32(u32::try_from(n).unwrap_or(u32::MAX));
+    }
+
     /// Appends a length-prefixed (`u32`) UTF-8 string.
     pub fn put_str(&mut self, v: &str) {
-        self.put_u32(v.len() as u32);
+        self.put_count(v.len());
         self.buf.extend_from_slice(v.as_bytes());
     }
 
@@ -263,23 +283,38 @@ impl<'a> ByteReader<'a> {
         ByteReader { buf, pos: 0 }
     }
 
+    /// The bytes not yet consumed.
+    fn unread(&self) -> &'a [u8] {
+        self.buf.get(self.pos..).unwrap_or_default()
+    }
+
+    fn short(&self, n: usize) -> io::Error {
+        io::Error::new(
+            io::ErrorKind::UnexpectedEof,
+            format!(
+                "truncated record: wanted {n} bytes at offset {}, have {}",
+                self.pos,
+                self.remaining()
+            ),
+        )
+    }
+
     fn take(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        let end = self.pos.checked_add(n).ok_or_else(|| {
-            io::Error::new(io::ErrorKind::UnexpectedEof, "length overflows the buffer")
-        })?;
-        if end > self.buf.len() {
-            return Err(io::Error::new(
-                io::ErrorKind::UnexpectedEof,
-                format!(
-                    "truncated record: wanted {n} bytes at offset {}, have {}",
-                    self.pos,
-                    self.buf.len() - self.pos
-                ),
-            ));
-        }
-        let slice = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(slice)
+        let (head, _) = self
+            .unread()
+            .split_at_checked(n)
+            .ok_or_else(|| self.short(n))?;
+        self.pos += n;
+        Ok(head)
+    }
+
+    fn take_array<const N: usize>(&mut self) -> io::Result<[u8; N]> {
+        let head = *self
+            .unread()
+            .first_chunk::<N>()
+            .ok_or_else(|| self.short(N))?;
+        self.pos += N;
+        Ok(head)
     }
 
     /// Reads one byte.
@@ -288,7 +323,8 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`io::ErrorKind::UnexpectedEof`] past the end of the buffer.
     pub fn get_u8(&mut self) -> io::Result<u8> {
-        Ok(self.take(1)?[0])
+        let [b] = self.take_array()?;
+        Ok(b)
     }
 
     /// Reads a little-endian `u32`.
@@ -297,8 +333,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`io::ErrorKind::UnexpectedEof`] past the end of the buffer.
     pub fn get_u32(&mut self) -> io::Result<u32> {
-        let b = self.take(4)?;
-        Ok(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(u32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads a little-endian `u64`.
@@ -307,10 +342,18 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`io::ErrorKind::UnexpectedEof`] past the end of the buffer.
     pub fn get_u64(&mut self) -> io::Result<u64> {
-        let b = self.take(8)?;
-        Ok(u64::from_le_bytes([
-            b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7],
-        ]))
+        Ok(u64::from_le_bytes(self.take_array()?))
+    }
+
+    /// Reads a little-endian `u64` that must fit in `usize`.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::UnexpectedEof`] past the end of the buffer,
+    /// [`io::ErrorKind::InvalidData`] for a value past `usize::MAX`.
+    pub fn get_usize(&mut self) -> io::Result<usize> {
+        usize::try_from(self.get_u64()?)
+            .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "u64 field overflows usize"))
     }
 
     /// Reads a little-endian `f32`.
@@ -319,8 +362,7 @@ impl<'a> ByteReader<'a> {
     ///
     /// [`io::ErrorKind::UnexpectedEof`] past the end of the buffer.
     pub fn get_f32(&mut self) -> io::Result<f32> {
-        let b = self.take(4)?;
-        Ok(f32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+        Ok(f32::from_le_bytes(self.take_array()?))
     }
 
     /// Reads `n` raw bytes.
@@ -348,7 +390,7 @@ impl<'a> ByteReader<'a> {
 
     /// Bytes not yet consumed.
     pub fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+        self.unread().len()
     }
 }
 
@@ -444,6 +486,10 @@ pub mod faults {
     /// Consulted by `atomic_write`. `None` → proceed normally;
     /// `Some(result)` → the write was intercepted and `result` is its
     /// outcome.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "injects the torn and rotted files atomic_write exists to prevent"
+    )]
     pub(super) fn intercept_write(
         path: &Path,
         tmp: &Path,
@@ -456,7 +502,7 @@ pub mod faults {
         if plan.short_writes.contains(&seq) {
             // Crash mid-staging: half the payload in the temp file, the
             // destination untouched.
-            fs::write(tmp, &bytes[..bytes.len() / 2])?;
+            fs::write(tmp, bytes.split_at(bytes.len() / 2).0)?;
             return Ok(Some(Err(io::Error::other(format!(
                 "{INJECTED}: short write (crash while staging, write {seq})"
             )))));
@@ -464,7 +510,7 @@ pub mod faults {
         if let Some((_, keep)) = plan.torn_renames.iter().find(|(s, _)| *s == seq) {
             // Crash mid-replace on a non-atomic filesystem: the
             // destination holds a prefix of the new payload.
-            fs::write(path, &bytes[..(*keep).min(bytes.len())])?;
+            fs::write(path, bytes.get(..*keep).unwrap_or(bytes))?;
             return Ok(Some(Err(io::Error::other(format!(
                 "{INJECTED}: torn rename (crash while replacing, write {seq})"
             )))));
@@ -474,9 +520,9 @@ pub mod faults {
             super::write_staged(tmp, bytes)?;
             fs::rename(tmp, path)?;
             let mut data = fs::read(path)?;
-            if !data.is_empty() {
-                let at = offset % data.len();
-                data[at] ^= 1;
+            let at = offset.checked_rem(data.len());
+            if let Some(byte) = at.and_then(|at| data.get_mut(at)) {
+                *byte ^= 1;
             }
             fs::write(path, &data)?;
             return Ok(Some(Ok(())));
@@ -486,6 +532,10 @@ pub mod faults {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "plants a staging file on purpose, to prove it is refused"
+)]
 mod tests {
     use super::*;
 

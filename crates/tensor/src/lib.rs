@@ -29,11 +29,29 @@
 //! ```
 
 // `deny`, not `forbid`: `simd` alone opts back in, for the one call
-// into its `#[target_feature]` kernel instantiation (fademl-lint's
-// `unsafe-confinement` pass holds every other file to zero `unsafe`).
+// into its `#[target_feature]` kernel instantiation (`ci.sh` fails if any
+// other item under `crates/` does).
 #![deny(unsafe_code)]
-#![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used))]
+#![warn(clippy::undocumented_unsafe_blocks)]
+// The serving path's panic surface, held to zero by clippy outside
+// tests; an exemption is an `#[expect(lint, reason = …)]` on the
+// smallest item that needs it (DESIGN.md §11).
+#![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![warn(clippy::unreachable, clippy::indexing_slicing)]
+#![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable,
+        clippy::indexing_slicing,
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        reason = "tests assert by panicking on fixtures they built"
+    )
+)]
 
 mod broadcast;
 mod conv;
@@ -47,6 +65,7 @@ pub mod plan;
 mod pool;
 mod reduce;
 mod shape;
+#[allow(unsafe_code, reason = "calls its target_feature kernels")]
 pub mod simd;
 mod tensor;
 

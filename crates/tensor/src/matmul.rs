@@ -37,6 +37,10 @@ use crate::{par, Result, Shape, Tensor, TensorError};
 /// panel `(jc, pc)` starts at `jc * k + pc * ncb` and stores its `kcb`
 /// rows contiguously (`ncb` floats each). Pure data movement. `packed`
 /// must hold exactly `k * n` elements; every slot is overwritten.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "blocked GEMM panels, bounds fixed by the (k, n) checks at entry"
+)]
 pub(crate) fn pack_b_into(b: &[f32], k: usize, n: usize, bl: Blocking, packed: &mut [f32]) {
     for jc in (0..n).step_by(bl.nc) {
         let ncb = bl.nc.min(n - jc);
@@ -91,6 +95,10 @@ pub(crate) fn gemm_rows_into(
 /// the packing copy, and on `ld > n` to keep its rows off a multiple of
 /// 4 KiB. With several column panels `B` must be [`pack_b_into`]'s
 /// layout, `ld = n`. Columns `n..ld` reach only lanes that are dropped.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "blocked GEMM panels, bounds fixed by the (m, k, n) checks at entry"
+)]
 pub(crate) fn gemm_rows_to(
     a_block: &[f32],
     rows: usize,
@@ -171,6 +179,10 @@ pub(crate) fn gemm_nt_block(
 /// the four rows. A copy, so the order moves no bit — it moves the
 /// stride from the stores, where every element of a wide weight matrix
 /// opened its own cache line, to the loads.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "the up-front rows·cols slices (a short buffer must panic) and column offsets below cols"
+)]
 pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f32]) {
     let (src, dst) = (&src[..rows * cols], &mut dst[..rows * cols]);
     if dst.is_empty() {
@@ -215,6 +227,10 @@ fn gemm_serial(bp: &Blueprint, a: &[f32], b: &[f32], m: usize, k: usize, n: usiz
 /// shared via `Arc` — one O(m·k + k·n) copy against O(m·k·n) compute.
 /// Those cross-thread buffers deliberately bypass the arena: a buffer
 /// dropped on another thread would migrate into that thread's pool.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "each worker's row range lies inside the m rows checked at entry"
+)]
 fn gemm_parallel(
     bp: &Blueprint,
     a: Arc<Vec<f32>>,

@@ -115,6 +115,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::RankMismatch`](crate::TensorError::RankMismatch)
     /// if the tensor is not rank 2.
+    #[expect(clippy::indexing_slicing, reason = "row slices after the rank check")]
     pub fn softmax_rows(&self) -> Result<Tensor> {
         if self.rank() != 2 {
             return Err(crate::TensorError::RankMismatch {

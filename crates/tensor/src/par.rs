@@ -250,14 +250,14 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Mutex;
+    use parking_lot::Mutex;
 
     /// `set_threads` is process-global; tests that touch it run under
     /// this lock so they cannot race each other's overrides.
     static THREADS_GUARD: Mutex<()> = Mutex::new(());
 
     fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
-        let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = THREADS_GUARD.lock();
         set_threads(n);
         let out = f();
         set_threads(0);
@@ -345,7 +345,7 @@ mod tests {
 
     #[test]
     fn override_beats_auto() {
-        let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = THREADS_GUARD.lock();
         set_threads(3);
         assert_eq!(threads(), 3);
         set_threads(0);

@@ -132,6 +132,10 @@ fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut
 
 /// Any other window: an indexed scan per output element, same
 /// candidate order and the same strict `>`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "every window lies inside the input by the validated pool geometry"
+)]
 fn pool_general(
     data: &[f32],
     spec: &PoolSpec,
@@ -220,6 +224,10 @@ pub fn max_pool2d_values(input: &Tensor, spec: &PoolSpec) -> Result<Tensor> {
 ///
 /// Returns [`TensorError::LengthMismatch`] if `grad_out` and `argmax`
 /// disagree in length.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "argmax holds the input offsets the forward pass recorded"
+)]
 pub fn max_pool2d_backward(
     grad_out: &Tensor,
     argmax: &[usize],

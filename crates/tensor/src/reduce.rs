@@ -79,6 +79,7 @@ impl Tensor {
     ///
     /// Returns [`TensorError::RankMismatch`] if not rank 2, or
     /// [`TensorError::EmptyTensor`] if a row is empty.
+    #[expect(clippy::indexing_slicing, reason = "row slices after the rank check")]
     pub fn argmax_rows(&self) -> Result<Vec<usize>> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
@@ -115,6 +116,10 @@ impl Tensor {
     ///
     /// This drives the paper's *top-5* accuracy metric and the Eq. 2 cost
     /// function over the top-5 predicted classes.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the sort compares indices of this very slice"
+    )]
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         let data = self.as_slice();
         let mut idx: Vec<usize> = crate::plan::alloc::fresh_with(data.len());
@@ -138,6 +143,10 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::EmptyTensor`] for a rank-0 tensor.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the batch records after the rank check"
+    )]
     pub fn sum_batch(&self) -> Result<Tensor> {
         if self.rank() == 0 {
             return Err(TensorError::EmptyTensor { op: "sum_batch" });

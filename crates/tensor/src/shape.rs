@@ -89,6 +89,10 @@ impl Shape {
     }
 
     /// Row-major strides, in elements.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i runs over 0..rank-1, so i + 1 stays in bounds"
+    )]
     pub fn strides(&self) -> Vec<usize> {
         let mut strides = crate::plan::alloc::fresh_filled(self.dims.len(), 1usize);
         for i in (0..self.dims.len().saturating_sub(1)).rev() {

@@ -94,8 +94,8 @@ pub fn pin(isa: Option<Isa>) -> bool {
 /// no lock: all of them are bit-identical.
 #[cfg(test)]
 pub(crate) fn with_each_isa(mut body: impl FnMut(Isa)) {
-    static SWEEP: std::sync::Mutex<()> = std::sync::Mutex::new(());
-    let _guard = SWEEP.lock().unwrap_or_else(|e| e.into_inner());
+    static SWEEP: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
+    let _guard = SWEEP.lock();
     for isa in available() {
         pin(Some(isa));
         body(active());
@@ -125,7 +125,6 @@ fn block_avx512(blk: &Block, dest: &mut Dest) {
 }
 
 /// Multiplies one cache block into `dest` with the active instantiation.
-#[allow(unsafe_code)]
 pub(crate) fn gemm_block(blk: &Block, dest: &mut Dest) {
     #[cfg(target_arch = "x86_64")]
     match active() {

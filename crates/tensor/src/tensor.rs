@@ -68,6 +68,15 @@ impl Tensor {
         }
     }
 
+    /// A tensor whose elements, in row-major order, are successive
+    /// results of `next`.
+    pub(crate) fn from_fn(dims: &[usize], next: impl FnMut() -> f32) -> Self {
+        let shape = Shape::of(dims);
+        let mut data = alloc::fresh_with(shape.numel());
+        data.extend(std::iter::repeat_with(next).take(shape.numel()));
+        Tensor { data, shape }
+    }
+
     /// Creates a tensor of ones with the given dimensions.
     pub fn ones(dims: &[usize]) -> Self {
         Self::full(dims, 1.0)
@@ -140,6 +149,10 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] for invalid indices.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offset() validates the index first"
+    )]
     pub fn get(&self, index: &[usize]) -> Result<f32> {
         Ok(self.data[self.shape.offset(index)?])
     }
@@ -149,6 +162,10 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::IndexOutOfBounds`] for invalid indices.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "offset() validates the index first"
+    )]
     pub fn set(&mut self, index: &[usize], value: f32) -> Result<()> {
         let off = self.shape.offset(index)?;
         self.data[off] = value;
@@ -235,6 +252,10 @@ impl Tensor {
     /// # Errors
     ///
     /// Returns [`TensorError::RankMismatch`] if the tensor is not rank 2.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the two dims after the rank check bound both loops"
+    )]
     pub fn transpose(&self) -> Result<Tensor> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
@@ -259,6 +280,10 @@ impl Tensor {
     ///
     /// Returns [`TensorError::RankMismatch`] if the tensor is not rank 2,
     /// or [`TensorError::IndexOutOfBounds`] if the row does not exist.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the two dims after the rank check, and a row already checked below them"
+    )]
     pub fn row(&self, row: usize) -> Result<Tensor> {
         if self.rank() != 2 {
             return Err(TensorError::RankMismatch {
@@ -284,6 +309,10 @@ impl Tensor {
     ///
     /// Returns [`TensorError::EmptyTensor`] for rank-0 input or
     /// [`TensorError::IndexOutOfBounds`] if `n` exceeds the batch size.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the batch dim after the rank check, and a sample already checked below it"
+    )]
     pub fn index_batch(&self, n: usize) -> Result<Tensor> {
         if self.rank() == 0 {
             return Err(TensorError::EmptyTensor { op: "index_batch" });
@@ -383,6 +412,7 @@ impl Default for Tensor {
 }
 
 impl fmt::Display for Tensor {
+    #[expect(clippy::indexing_slicing, reason = "shown is at most data.len()")]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "Tensor{} ", self.shape)?;
         const MAX: usize = 8;

@@ -9,7 +9,7 @@
 //! counters then reflect exactly the acquisitions made by the kernel
 //! under measurement.
 
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 use fademl_tensor::plan::alloc;
 use fademl_tensor::{conv2d, par, ConvSpec, Tensor, TensorRng};
@@ -25,7 +25,7 @@ fn filled(rng: &mut TensorRng, dims: &[usize]) -> Tensor {
 /// times and returns (grows delta, hits delta, last output). Holds the
 /// guard for the whole measurement.
 fn measure_warm(op: impl Fn() -> Vec<f32>, measured: usize) -> (u64, u64, Vec<f32>) {
-    let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = ARENA_GUARD.lock();
     par::set_threads(1);
     let _ = op();
     let mut out = op();
@@ -88,7 +88,7 @@ fn dirty_fused_scratch_matches_fresh_thread_bit_for_bit() {
             .expect("conv2d")
             .into_vec()
     };
-    let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = ARENA_GUARD.lock();
     par::set_threads(1);
     let _ = conv2d(&other, &other_w, &other_b, &other_spec).expect("conv2d");
     let _ = run();
@@ -109,7 +109,7 @@ fn warm_arena_output_matches_fresh_thread_bit_for_bit() {
     let (_, _, warm) = measure_warm(|| a.matmul(&b).expect("matmul").into_vec(), 4);
     // Fresh path: a brand-new thread starts with an empty pool, so every
     // buffer is newly zero-allocated.
-    let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = ARENA_GUARD.lock();
     par::set_threads(1);
     let fresh = std::thread::scope(|s| {
         s.spawn(|| a.matmul(&b).expect("matmul").into_vec())
@@ -139,7 +139,7 @@ proptest! {
         // Under the guard like every other kernel call here: a cold lease
         // on this thread would show up in a concurrent test's `grows`.
         let reference: Vec<u32> = {
-            let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+            let _guard = ARENA_GUARD.lock();
             a.matmul(&b).expect("matmul").into_vec()
                 .iter().map(|v| v.to_bits()).collect()
         };
@@ -166,7 +166,7 @@ proptest! {
         let bits = |t: &Tensor| -> Vec<u32> {
             t.as_slice().iter().map(|v| v.to_bits()).collect()
         };
-        let _guard = ARENA_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+        let _guard = ARENA_GUARD.lock();
         par::set_threads(1);
         let ref_a = bits(&a1.matmul(&b1).expect("matmul A"));
         let ref_b = bits(&a2.matmul(&b2).expect("matmul B"));

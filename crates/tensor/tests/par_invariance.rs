@@ -10,7 +10,7 @@
 //! `set_threads` and `simd::pin` are process-wide overrides, so every
 //! test here serialises on one mutex and restores the defaults on exit.
 
-use std::sync::Mutex;
+use parking_lot::Mutex;
 
 use fademl_tensor::plan::blueprint::{plan_gemm, OpKind};
 use fademl_tensor::simd;
@@ -27,7 +27,7 @@ const SWEEP: [usize; 4] = [1, 2, 4, 7];
 /// instantiation this host can run — and returns each cell's label and
 /// output bit patterns, baseline-serial first.
 fn sweep_bits(op: impl Fn() -> Vec<f32>) -> Vec<(String, Vec<u32>)> {
-    let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = THREADS_GUARD.lock();
     let mut runs = Vec::new();
     for isa in simd::available() {
         assert!(simd::pin(Some(isa)), "{isa:?} is available but refused");
@@ -142,7 +142,7 @@ fn conv2d_invariant_on_adversarial_shapes() {
 /// in the very next plan of the same shape — nothing can serve it stale.
 #[test]
 fn plan_follows_set_threads_on_the_next_call() {
-    let _guard = THREADS_GUARD.lock().unwrap_or_else(|e| e.into_inner());
+    let _guard = THREADS_GUARD.lock();
     let (m, k, n) = (128, 256, 64); // well past the parallel threshold
     par::set_threads(1);
     let serial = plan_gemm(OpKind::MatMul, m, k, n).expect("plan");

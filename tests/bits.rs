@@ -15,6 +15,8 @@
 //! kernels — one FAdeML[BIM] example and the cells and accuracy bars of
 //! the Fig. 5, 6, 7 and 9 drivers.
 
+use std::path::Path;
+
 use fademl::experiments::{fig5, fig6, fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell};
 use fademl::setup::{ExperimentSetup, SetupProfile};
 use fademl::{Scenario, ThreatModel};
@@ -23,6 +25,7 @@ use fademl_data::{DatasetConfig, SignDataset, CLASS_COUNT};
 use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_nn::{Sequential, TrainConfig, Trainer};
+use fademl_tensor::io::atomic_write;
 use fademl_tensor::{
     col2im, conv2d, conv2d_backward, digest, fnv1a, im2col, max_pool2d, par, simd, ConvSpec,
     PoolSpec, TensorRng,
@@ -121,6 +124,38 @@ fn arithmetic() -> Lines {
         let y = rng.uniform(cols.dims(), -1.0, 1.0);
         let folded = col2im(&y, &spec, h, w).expect("col2im");
         lines.push((format!("col2im.{tag}"), digest(folded.as_slice())));
+    }
+
+    // The head's two backward products (∂input and ∂weight of `Dense`),
+    // then every filter of the paper's sweep, forward and adjoint, on
+    // one image and on a b16 batch. LAP/LAR taps are sums and quotients.
+    let mut rng = TensorRng::seed_from_u64(12);
+    let acts = rng.uniform(&[16, cin], 0.0, 1.0);
+    let head = rng.uniform(&[CLASS_COUNT, cin], -0.1, 0.1);
+    let grad = rng.uniform(&[16, CLASS_COUNT], -1.0, 1.0);
+    let product = grad.matmul(&head).expect("matmul");
+    lines.push(("matmul.head.b16".into(), digest(product.as_slice())));
+    let product = grad.matmul_tn(&acts).expect("matmul_tn");
+    lines.push(("matmul_tn.head.b16".into(), digest(product.as_slice())));
+    for spec in FilterSpec::paper_sweep() {
+        let filter = spec.build().expect("paper filter builds");
+        let tag = spec.to_string().to_lowercase().replace(['(', ')'], "");
+        for dims in [&[3, 32, 32][..], &[16, 3, 32, 32]] {
+            let shape = dims.iter().map(usize::to_string).collect::<Vec<_>>();
+            let shape = shape.join("x");
+            let x = rng.uniform(dims, 0.0, 1.0);
+            let g = rng.uniform(dims, -1.0, 1.0);
+            let out = filter.apply(&x).expect("filter apply");
+            lines.push((
+                format!("filter.{tag}.{shape}.apply"),
+                digest(out.as_slice()),
+            ));
+            let back = filter.backward(&x, &g).expect("filter backward");
+            lines.push((
+                format!("filter.{tag}.{shape}.backward"),
+                digest(back.as_slice()),
+            ));
+        }
     }
     lines
 }
@@ -288,7 +323,7 @@ fn bits_match_the_committed_table() {
         );
     }
     if std::env::var_os("FADEML_BLESS").is_some() {
-        std::fs::write(TABLE, first).expect("write results/bits.txt");
+        atomic_write(Path::new(TABLE), first.as_bytes()).expect("write results/bits.txt");
         return;
     }
     let committed = std::fs::read_to_string(TABLE).expect("results/bits.txt is committed");
