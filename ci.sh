@@ -7,6 +7,19 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> every file tracked under results/ has a row in results/README.md"
+unlisted=""
+for path in $(git ls-files results); do
+  name=${path#results/}
+  if [ "$name" != README.md ] && ! grep -qF "| \`$name\` |" results/README.md; then
+    unlisted="$unlisted $path"
+  fi
+done
+if [ -n "$unlisted" ]; then
+  echo "missing from results/README.md's table (add a row with the command that regenerates it, or delete the file):$unlisted" >&2
+  exit 1
+fi
+
 echo "==> cargo clippy (deny warnings: the panic surface, unsafe hygiene, std locks, in-place writes, stale #[expect]s)"
 cargo clippy --workspace --all-targets -- -D warnings
 

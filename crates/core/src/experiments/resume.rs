@@ -268,18 +268,6 @@ fn put_filter(w: &mut ByteWriter, filter: FilterSpec) {
             w.put_u8(2);
             w.put_u64(r as u64);
         }
-        FilterSpec::Gaussian { sigma } => {
-            w.put_u8(3);
-            w.put_f32(sigma);
-        }
-        FilterSpec::Median { window } => {
-            w.put_u8(4);
-            w.put_u64(window as u64);
-        }
-        FilterSpec::BitDepth { bits } => {
-            w.put_u8(5);
-            w.put_u8(bits);
-        }
         // Future variants get an opaque tag: the fingerprint still
         // distinguishes them (via the display string).
         other => {

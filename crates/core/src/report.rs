@@ -48,34 +48,6 @@ impl Table {
         &self.rows
     }
 
-    /// Renders the table as RFC-4180-style CSV (fields containing
-    /// commas, quotes or newlines are quoted; quotes are doubled) for
-    /// downstream plotting.
-    pub fn to_csv(&self) -> String {
-        let escape = |cell: &str| -> String {
-            if cell.contains([',', '"', '\n']) {
-                format!("\"{}\"", cell.replace('"', "\"\""))
-            } else {
-                cell.to_owned()
-            }
-        };
-        let mut out = String::new();
-        out.push_str(
-            &self
-                .header
-                .iter()
-                .map(|h| escape(h))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            out.push('\n');
-        }
-        out
-    }
-
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
         let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
@@ -153,19 +125,6 @@ mod tests {
         assert_eq!(t.rows()[1].len(), 2);
         assert_eq!(t.len(), 2);
         assert!(!t.is_empty());
-    }
-
-    #[test]
-    fn csv_escapes_specials() {
-        let mut t = Table::new("t", vec!["a".into(), "b".into()]);
-        t.push_row(vec!["plain".into(), "has,comma".into()]);
-        t.push_row(vec!["quote\"d".into(), "multi\nline".into()]);
-        let csv = t.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines[0], "a,b");
-        assert_eq!(lines[1], "plain,\"has,comma\"");
-        assert!(lines[2].starts_with("\"quote\"\"d\""));
-        assert!(csv.contains("\"multi\nline\""));
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Victim preparation: dataset generation, VGG training and weight
-//! caching, shared by every experiment binary, example and test.
+//! caching, shared by the reproduction, the examples and the tests.
 
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
@@ -16,14 +16,11 @@ use crate::Result;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum SetupProfile {
-    /// Tiny model, 16×16 images, few samples — seconds, for tests and
+    /// Tiny model, 20×20 images, few samples — seconds, for tests and
     /// doc examples. Not accurate enough for paper-shaped results.
     Smoke,
-    /// Compact VGG, 24×24 images, enough data to reach high clean
-    /// accuracy — the default for the figure-regeneration binaries.
-    Standard,
-    /// Compact VGG on 32×32 with more data per class; slower, closer to
-    /// paper scale.
+    /// Compact VGG on 32×32 — the victim of the `reproduce` command and
+    /// of the benchmark.
     Full,
 }
 
@@ -85,30 +82,6 @@ impl ExperimentSetup {
                     seed: 7,
                     lr_decay: 1.0,
                     verbose: false,
-                    patience: None,
-                    divergence: None,
-                    compute_threads: 0,
-                },
-                test_fraction: 0.25,
-                seed: 7,
-                cache_weights: true,
-            },
-            SetupProfile::Standard => ExperimentSetup {
-                dataset: DatasetConfig {
-                    samples_per_class: 40,
-                    image_size: 24,
-                    seed: 7,
-                    noise: NoiseModel::sensor(),
-                    blur_prob: 0.5,
-                },
-                vgg: VggConfig::new(VggProfile::Compact, 3, 24, CLASS_COUNT),
-                train: TrainConfig {
-                    epochs: 25,
-                    batch_size: 32,
-                    optimizer: OptimizerKind::Adam { lr: 3e-3 },
-                    seed: 7,
-                    lr_decay: 0.9,
-                    verbose: true,
                     patience: None,
                     divergence: None,
                     compute_threads: 0,
@@ -309,11 +282,7 @@ mod tests {
 
     #[test]
     fn profiles_are_well_formed() {
-        for profile in [
-            SetupProfile::Smoke,
-            SetupProfile::Standard,
-            SetupProfile::Full,
-        ] {
+        for profile in [SetupProfile::Smoke, SetupProfile::Full] {
             let setup = ExperimentSetup::profile(profile);
             assert_eq!(setup.vgg.classes, CLASS_COUNT);
             assert_eq!(setup.vgg.input_size, setup.dataset.image_size);

@@ -9,7 +9,7 @@ use fademl_tensor::TensorError;
 pub enum FilterError {
     /// An underlying tensor operation failed.
     Tensor(TensorError),
-    /// A filter parameter was invalid (e.g. `np = 0`, even median window).
+    /// A filter parameter was invalid (e.g. `np = 0`, `r = 0`).
     InvalidParameter {
         /// Human-readable description of the invalid value.
         reason: String,

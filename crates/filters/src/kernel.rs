@@ -252,7 +252,7 @@ impl Kernel {
     #[expect(
         clippy::cast_possible_truncation,
         clippy::cast_possible_wrap,
-        reason = "the disc radius is validated small by Lar and Gaussian"
+        reason = "the disc radius is validated small by Lar"
     )]
     pub fn disc(radius: usize) -> Vec<(i32, i32)> {
         let r = radius as i32;

@@ -12,9 +12,7 @@
 //!
 //! Both are linear operators, so their vector-Jacobian products
 //! ([`Filter::backward`]) are exact — which is precisely the property
-//! the FAdeML attack exploits. [`Gaussian`] is provided as a third
-//! linear smoother and [`Median`] as a *non-linear* one whose backward
-//! pass falls back to a straight-through (BPDA-style) estimate.
+//! the FAdeML attack exploits.
 //!
 //! # Example
 //!
@@ -56,23 +54,17 @@
 
 mod error;
 mod filter;
-mod gaussian;
 mod kernel;
 mod lap;
 mod lar;
-mod median;
 mod spec;
-mod squeeze;
 
 pub use error::FilterError;
 pub use filter::{Filter, Identity};
-pub use gaussian::Gaussian;
 pub use kernel::Kernel;
 pub use lap::Lap;
 pub use lar::Lar;
-pub use median::Median;
 pub use spec::FilterSpec;
-pub use squeeze::BitDepth;
 
 /// Convenient result alias for fallible filter operations.
 pub type Result<T> = std::result::Result<T, FilterError>;

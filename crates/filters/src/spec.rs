@@ -2,7 +2,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::{BitDepth, Filter, Gaussian, Identity, Lap, Lar, Median, Result};
+use crate::{Filter, Identity, Lap, Lar, Result};
 
 /// A declarative filter configuration — the unit of the paper's filter
 /// sweeps (`No Filter, LAP(4..64), LAR(1..5)` in Figs. 7 and 9).
@@ -35,21 +35,6 @@ pub enum FilterSpec {
         /// Disc radius in pixels.
         r: usize,
     },
-    /// Gaussian blur.
-    Gaussian {
-        /// Standard deviation in pixels.
-        sigma: f32,
-    },
-    /// Median over a square window.
-    Median {
-        /// Window edge length (odd).
-        window: usize,
-    },
-    /// Bit-depth feature squeezing (Xu et al., the paper's reference 10).
-    BitDepth {
-        /// Bits per channel (1..=7).
-        bits: u8,
-    },
 }
 
 impl FilterSpec {
@@ -65,9 +50,6 @@ impl FilterSpec {
             FilterSpec::None => boxed(Identity::new()),
             FilterSpec::Lap { np } => boxed(Lap::new(np)?),
             FilterSpec::Lar { r } => boxed(Lar::new(r)?),
-            FilterSpec::Gaussian { sigma } => boxed(Gaussian::new(sigma)?),
-            FilterSpec::Median { window } => boxed(Median::new(window)?),
-            FilterSpec::BitDepth { bits } => boxed(BitDepth::new(bits)?),
         })
     }
 
@@ -111,9 +93,6 @@ impl fmt::Display for FilterSpec {
             FilterSpec::None => write!(f, "None"),
             FilterSpec::Lap { np } => write!(f, "LAP({np})"),
             FilterSpec::Lar { r } => write!(f, "LAR({r})"),
-            FilterSpec::Gaussian { sigma } => write!(f, "Gauss({sigma:.2})"),
-            FilterSpec::Median { window } => write!(f, "Median({window})"),
-            FilterSpec::BitDepth { bits } => write!(f, "BitDepth({bits})"),
         }
     }
 }
@@ -128,9 +107,6 @@ mod tests {
             FilterSpec::None,
             FilterSpec::Lap { np: 8 },
             FilterSpec::Lar { r: 2 },
-            FilterSpec::Gaussian { sigma: 1.0 },
-            FilterSpec::Median { window: 3 },
-            FilterSpec::BitDepth { bits: 4 },
         ] {
             let filter = spec.build().unwrap();
             assert!(!filter.name().is_empty());
@@ -141,10 +117,6 @@ mod tests {
     fn invalid_parameters_propagate() {
         assert!(FilterSpec::Lap { np: 0 }.build().is_err());
         assert!(FilterSpec::Lar { r: 0 }.build().is_err());
-        assert!(FilterSpec::Gaussian { sigma: -1.0 }.build().is_err());
-        assert!(FilterSpec::Median { window: 4 }.build().is_err());
-        assert!(FilterSpec::BitDepth { bits: 0 }.build().is_err());
-        assert!(FilterSpec::BitDepth { bits: 8 }.build().is_err());
     }
 
     #[test]

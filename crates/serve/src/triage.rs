@@ -585,7 +585,7 @@ mod tests {
     #[test]
     fn bad_hardened_filter_is_refused() {
         let config = TriageConfig {
-            hardened_filter: FilterSpec::Median { window: 2 }, // even window
+            hardened_filter: FilterSpec::Lar { r: 0 }, // radius below 1
             ..TriageConfig::default()
         };
         assert!(matches!(

@@ -1,7 +1,7 @@
 //! Thread-local scratch arena + the workspace's allocation chokepoints.
 //!
 //! Every kernel scratch buffer (GEMM packing panels, im2col columns,
-//! median gather windows) is acquired through [`scratch_f32`], which
+//! transpose scratch) is acquired through [`scratch_f32`], which
 //! hands out buffers from a per-thread free pool with high-water-mark
 //! capacity reuse: after the first call on a given shape key the pool
 //! holds a buffer big enough, and steady-state serving performs zero

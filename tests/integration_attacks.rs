@@ -236,41 +236,6 @@ fn gradient_free_attacks_also_die_at_the_filter() {
 }
 
 #[test]
-fn bit_depth_squeezing_removes_small_noise() {
-    // The feature-squeezing extension (paper ref [10]): quantizing to
-    // 3 bits collapses an FGSM perturbation smaller than half a
-    // quantization step, so the squeezed pipeline sees (almost) the
-    // clean image.
-    let p = prepared();
-    let spec = FilterSpec::BitDepth { bits: 3 };
-    let squeezer = spec.build().unwrap();
-    let pipeline = InferencePipeline::new(p.model.clone(), spec).unwrap();
-    let scenario = Scenario::paper_scenarios()[0];
-    // Start from an image already on the 3-bit grid: every pixel then
-    // sits 1/14 ≈ 0.071 away from its rounding boundary, so an ε = 0.03
-    // perturbation is absorbed *exactly* by re-quantization.
-    let source = squeezer
-        .apply(&p.test.first_of_class(scenario.source).unwrap())
-        .unwrap();
-    let mut surface = AttackSurface::new(p.model.clone());
-    let adv = Fgsm::new(0.03)
-        .unwrap()
-        .run(&mut surface, &source, scenario.goal())
-        .unwrap();
-    let squeezed_adv = squeezer.apply(&adv.adversarial).unwrap();
-    assert_eq!(
-        squeezed_adv, source,
-        "3-bit squeezing failed to absorb ε=0.03 noise on a grid-aligned image"
-    );
-    // And therefore the pipeline verdicts coincide.
-    let clean_verdict = pipeline.classify(&source, ThreatModel::III).unwrap();
-    let adv_verdict = pipeline
-        .classify(&adv.adversarial, ThreatModel::III)
-        .unwrap();
-    assert_eq!(clean_verdict.class, adv_verdict.class);
-}
-
-#[test]
 fn universal_noise_erodes_accuracy_like_fig6() {
     // The universal-perturbation extension formalizes the Fig. 6
     // transfer mechanism: one shared noise pattern, optimized over a few

@@ -157,12 +157,23 @@ fn key_insights_are_derivable_and_directionally_right() {
     let insights = KeyInsights::derive(&blind, &aware).unwrap();
     // Insight 1: filters drive blind success towards zero.
     assert!(insights.blind_filtered_success < 0.5);
-    // Insight 2 machinery produced peaks for every (scenario, attack).
+    // Insight 2 machinery produced peaks for every (scenario, attack),
+    // each row's maximum among its own strengths.
     assert_eq!(insights.lap_peaks.len(), 15);
     assert_eq!(insights.lar_peaks.len(), 15);
+    for row in insights.lap_peaks.iter().chain(&insights.lar_peaks) {
+        assert!(!row.peak.params.is_empty());
+        assert!(row.peak.over_weakest >= 0.0 && row.peak.over_strongest >= 0.0);
+    }
     // Insight 3: filter awareness pays (or at worst ties).
     assert!(insights.fademl_filtered_success >= insights.blind_filtered_success);
     assert!(!insights.summary().is_empty());
+    // Claim 1 is exactly "no blind cell survives LAP(16+) / LAR(2+)".
+    let [blind_claim, _, _] = insights.claims();
+    assert_eq!(
+        blind_claim.held,
+        insights.strong_filter_survivors.is_empty()
+    );
 }
 
 #[test]
