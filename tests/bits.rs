@@ -17,18 +17,28 @@
 
 use std::path::Path;
 
-use fademl::experiments::{fig5, fig6, fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell};
+use fademl::experiments::{
+    fig5, fig6, fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell, StageLedger,
+};
 use fademl::setup::{ExperimentSetup, SetupProfile};
-use fademl::{Scenario, ThreatModel};
+use fademl::{Detection, Scenario, ThreatModel, Verdict};
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Bim, Fademl};
-use fademl_data::{DatasetConfig, SignDataset, CLASS_COUNT};
+use fademl_data::{save_dataset, DatasetConfig, SignDataset, CLASS_COUNT};
+use fademl_detect::features::feature_dim;
+use fademl_detect::{Detector, DetectorConfig, FeatureReservoir};
 use fademl_filters::FilterSpec;
+use fademl_net::wire::encode_frame;
+use fademl_net::{Frame, WireRequest, WireResponse};
+use fademl_nn::metrics::Prediction;
+use fademl_nn::serialize::encode_weights;
 use fademl_nn::vgg::{VggConfig, VggProfile};
-use fademl_nn::{Sequential, TrainConfig, Trainer};
+use fademl_nn::{
+    EpochStats, OptimizerState, Sequential, TrainConfig, TrainHistory, TrainState, Trainer,
+};
 use fademl_tensor::io::atomic_write;
 use fademl_tensor::{
     col2im, conv2d, conv2d_backward, digest, fnv1a, im2col, max_pool2d, par, simd, ConvSpec,
-    PoolSpec, TensorRng,
+    PoolSpec, Tensor, TensorRng,
 };
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bits.txt");
@@ -157,7 +167,120 @@ fn arithmetic() -> Lines {
             ));
         }
     }
+    artifact_lines(&mut lines);
     lines
+}
+
+/// One encoded instance of every persisted or framed artifact, each
+/// field a uniform draw: the proof that every byte an earlier encoder
+/// wrote is the byte today's writes (and so still loads).
+fn artifact_lines(lines: &mut Lines) {
+    let mut rng = TensorRng::seed_from_u64(13);
+    let model = uniform_victim(&mut rng);
+    lines.push(("artifact.weights".into(), fnv1a(&encode_weights(&model))));
+
+    let tensors = |rng: &mut TensorRng| -> Vec<Tensor> {
+        [&[5][..], &[2, 3], &[2, 1, 2, 3]]
+            .iter()
+            .map(|dims| rng.uniform(dims, -1.0, 1.0))
+            .collect()
+    };
+    let state = TrainState {
+        epochs_done: 3,
+        rng_state: rng.state(),
+        learning_rate: rng.uniform_scalar(0.0, 0.1),
+        params: tensors(&mut rng),
+        optimizer: OptimizerState::Adam {
+            lr: rng.uniform_scalar(0.0, 0.1),
+            beta1: rng.uniform_scalar(0.8, 0.9),
+            beta2: rng.uniform_scalar(0.9, 1.0),
+            eps: rng.uniform_scalar(0.0, 1e-6),
+            t: 7,
+            m: tensors(&mut rng),
+            v: tensors(&mut rng),
+        },
+        history: TrainHistory {
+            epochs: (0..3)
+                .map(|_| EpochStats {
+                    loss: rng.uniform_scalar(0.0, 4.0),
+                    train_accuracy: rng.uniform_scalar(0.0, 1.0),
+                })
+                .collect(),
+        },
+    };
+    lines.push(("artifact.checkpoint".into(), fnv1a(&state.encode())));
+
+    let labels = (0..4).map(|_| rng.index(CLASS_COUNT)).collect();
+    let dataset = SignDataset::from_parts(rng.uniform(&[4, 3, 8, 8], 0.0, 1.0), labels)
+        .expect("uniform dataset");
+    let mut bytes = Vec::new();
+    save_dataset(&dataset, &mut bytes).expect("dataset encodes");
+    lines.push(("artifact.dataset".into(), fnv1a(&bytes)));
+
+    let config = DetectorConfig {
+        trees: 6,
+        subsample: 16,
+        scales: 2,
+        seed: 14,
+    };
+    let dim = feature_dim(config.scales);
+    let rows: Vec<Vec<f32>> = (0..24)
+        .map(|_| rng.uniform(&[dim], 0.0, 1.0).as_slice().to_vec())
+        .collect();
+    let detector = Detector::fit(&rows, &config).expect("uniform forest");
+    lines.push(("artifact.detector".into(), fnv1a(&detector.to_bytes())));
+    let mut reservoir = FeatureReservoir::new(8, dim, 15).expect("reservoir");
+    for _ in 0..20 {
+        reservoir
+            .offer(rng.uniform(&[dim], 0.0, 1.0).as_slice())
+            .expect("offer");
+    }
+    lines.push(("artifact.reservoir".into(), fnv1a(&reservoir.to_bytes())));
+
+    let path = std::env::temp_dir().join(format!("fademl_bits_{}.ledger", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    let ledger = StageLedger::open(&path, 0xFADE).expect("ledger opens");
+    for key in ["fig7/s1", "fig7/s2", "fig9/s1"] {
+        let value: Vec<u8> = rng
+            .uniform(&[4], 0.0, 1.0)
+            .as_slice()
+            .iter()
+            .flat_map(|v| v.to_le_bytes())
+            .collect();
+        ledger.record(key, &value).expect("ledger record");
+    }
+    let bytes = std::fs::read(&path).expect("ledger reads back");
+    std::fs::remove_file(&path).ok();
+    lines.push(("artifact.ledger".into(), fnv1a(&bytes)));
+
+    let request = Frame::Request(WireRequest {
+        id: 21,
+        threat: ThreatModel::II,
+        deadline_us: 5_000,
+        tenant: "tenant-a".into(),
+        image: rng.uniform(&[3, 8, 8], 0.0, 1.0),
+    });
+    let bytes = encode_frame(&request).expect("request encodes");
+    lines.push(("artifact.request".into(), fnv1a(&bytes)));
+    let response = Frame::Response(WireResponse {
+        id: 21,
+        verdict: Verdict {
+            class: 3,
+            confidence: rng.uniform_scalar(0.0, 1.0),
+            top5: Prediction {
+                top_classes: vec![3, 1, 4],
+                top_probs: (0..3).map(|_| rng.uniform_scalar(0.0, 1.0)).collect(),
+            },
+            probabilities: rng.uniform(&[1, CLASS_COUNT], 0.0, 1.0),
+            detection: Some(Detection {
+                score: rng.uniform_scalar(0.0, 1.0),
+                flagged: true,
+                hardened: false,
+            }),
+        },
+    });
+    let bytes = encode_frame(&response).expect("response encodes");
+    lines.push(("artifact.response".into(), fnv1a(&bytes)));
 }
 
 fn same_host() -> Lines {
