@@ -32,9 +32,6 @@ if [ "$(grep -c . <<<"$unsafe_allows")" -ne 1 ] || [ "$after_allow" != "pub mod 
   exit 1
 fi
 
-echo "==> fademl-lint self-check suite (unit, property-fuzz, seeded violations)"
-cargo test -q -p fademl-lint
-
 echo "==> fademl-lint (6 passes: locks, invariants, hot-alloc, lock-io, swallowed, wire-cap)"
 lint_started=$(date +%s)
 cargo run -p fademl-lint --release
@@ -79,29 +76,20 @@ git diff --exit-code -- results/bits.txt || {
 echo "==> kernel bench smoke (bit-identity gate: 1/2/4/8 threads × every instantiation the host runs — baseline/AVX2/AVX-512F; arena zero-grow gate)"
 cargo bench -p fademl-bench --bench kernels -- --test
 
-echo "==> cargo clippy (faults feature, deny warnings)"
-cargo clippy -p fademl-serve --features faults --all-targets -- -D warnings
+echo "==> cargo clippy (faults feature: serve, nn, net; deny warnings)"
+cargo clippy -p fademl-serve -p fademl-nn -p fademl-net --features faults --all-targets -- -D warnings
 
-echo "==> fault-injection suite (chaos tests)"
-cargo test -q -p fademl-serve --features faults --test faults
+echo "==> serving chaos suites (panics, worker kills, stalls; triage fail-open; refit containment)"
+cargo test -q -p fademl-serve --features faults --test faults --test triage_chaos --test refit_chaos
 
 echo "==> chaos stress run"
 cargo test -q -p fademl-serve --release --features faults --test faults chaos_stress_every_handle_resolves
 
-echo "==> cargo clippy (checkpoint faults feature, deny warnings)"
-cargo clippy -p fademl-nn --features faults --all-targets -- -D warnings
-
 echo "==> checkpoint IO fault-injection suite"
 cargo test -q -p fademl-nn --features faults --test checkpoint_faults
 
-echo "==> cargo clippy (net faults feature, deny warnings)"
-cargo clippy -p fademl-net --features faults --all-targets -- -D warnings
-
 echo "==> network chaos suite (torn frames, drops, slow-loris, replica death)"
 cargo test -q -p fademl-net --features faults --test chaos
-
-echo "==> detection triage chaos suite (score panics, blown budgets, fail-open)"
-cargo test -q -p fademl-serve --features faults --test triage_chaos
 
 echo "==> detection bench smoke (appends a BENCH_detection.json trajectory entry)"
 entries_before=$(python3 -c "
@@ -136,8 +124,5 @@ print(f"    {len(trajectory)} entries; latest: static AUC {adaptive['static_auc'
       f"vs adaptive {adaptive['adaptive_auc']:.3f}, "
       f"{adaptive['refits_swapped']} refits swapped")
 EOF
-
-echo "==> refit chaos suite (torn reservoir writes, bit rot, injected refit panics)"
-cargo test -q -p fademl-serve --features faults --test refit_chaos
 
 echo "CI OK"

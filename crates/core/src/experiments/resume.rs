@@ -21,7 +21,7 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 
 use fademl_filters::FilterSpec;
-use fademl_tensor::io::{crc32, ByteReader, ByteWriter, Crc32};
+use fademl_tensor::io::{open_record, seal_record, ByteReader, ByteWriter, Crc32};
 use parking_lot::Mutex;
 
 use super::AttackParams;
@@ -123,10 +123,7 @@ impl StageLedger {
                 reason: format!("stage value for {key:?} exceeds {MAX_PAYLOAD} bytes"),
             });
         }
-        let mut record = Vec::with_capacity(payload.len() + 8);
-        record.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        record.extend_from_slice(&payload);
-        record.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let record = seal_record(&payload);
 
         // The lock covers the file append so parallel stage workers
         // never interleave partial records.
@@ -154,7 +151,7 @@ fn scan_records(
     fingerprint: u64,
     entries: &mut HashMap<String, Vec<u8>>,
 ) -> Result<usize> {
-    if bytes.len() < MAGIC.len() {
+    let Some(mut rest) = bytes.strip_prefix(MAGIC) else {
         // A prefix of the magic is a crash during ledger creation;
         // anything else is a foreign file we must not append to.
         return if MAGIC.starts_with(bytes) {
@@ -162,25 +159,8 @@ fn scan_records(
         } else {
             Err(corrupt("not a FAdeML stage ledger (bad magic)"))
         };
-    }
-    if &bytes[..MAGIC.len()] != MAGIC {
-        return Err(corrupt("not a FAdeML stage ledger (bad magic)"));
-    }
-    let mut offset = MAGIC.len();
-    loop {
-        let rest = &bytes[offset..];
-        if rest.len() < 4 {
-            break;
-        }
-        let len = u32::from_le_bytes([rest[0], rest[1], rest[2], rest[3]]) as usize;
-        if len > MAX_PAYLOAD || rest.len() < 4 + len + 4 {
-            break;
-        }
-        let payload = &rest[4..4 + len];
-        let stored = &rest[4 + len..4 + len + 4];
-        if crc32(payload) != u32::from_le_bytes([stored[0], stored[1], stored[2], stored[3]]) {
-            break;
-        }
+    };
+    while let Some((payload, after)) = open_record(rest, MAX_PAYLOAD) {
         let mut r = ByteReader::new(payload);
         let parsed = (|| -> std::io::Result<(u64, String, Vec<u8>)> {
             let fp = r.get_u64()?;
@@ -198,9 +178,9 @@ fn scan_records(
             // treat it and everything after as untrusted.
             Err(_) => break,
         }
-        offset += 4 + len + 4;
+        rest = after;
     }
-    Ok(offset)
+    Ok(bytes.len() - rest.len())
 }
 
 // ---------------------------------------------------------------------------

@@ -6,12 +6,17 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use fademl_tensor::io::{atomic_write, crc32, ByteReader, ByteWriter};
+use fademl_tensor::io::{atomic_write, ByteReader, CrcScope, Envelope, Refusal};
 use fademl_tensor::{Shape, Tensor};
 
 use crate::{DataError, Result, SignDataset};
 
-const MAGIC: &[u8; 8] = b"FADEMLS1";
+/// The `FADEMLS1` framing: the CRC covers everything before it,
+/// magic included.
+const DATASET: Envelope = Envelope {
+    magic: b"FADEMLS1",
+    crc: CrcScope::FromStart,
+};
 /// Magic of the retired CRC-less dataset layout — and of detector
 /// artifacts, which is why datasets no longer use it.
 const RETIRED_MAGIC: &[u8; 8] = b"FADEMLD1";
@@ -26,8 +31,7 @@ fn corrupt(reason: impl Into<String>) -> DataError {
 /// labels, pixels, CRC-32 trailer over all of it) — the single encoder
 /// behind both [`save_dataset`] and [`save_dataset_to_path`].
 pub fn encode_dataset(dataset: &SignDataset) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    w.put_bytes(MAGIC);
+    let mut w = DATASET.writer();
     w.put_u64(dataset.len() as u64);
     w.put_u64(dataset.image_size() as u64);
     for &label in dataset.labels() {
@@ -36,10 +40,7 @@ pub fn encode_dataset(dataset: &SignDataset) -> Vec<u8> {
     for &x in dataset.images().as_slice() {
         w.put_f32(x);
     }
-    let mut bytes = w.into_bytes();
-    let crc = crc32(&bytes);
-    bytes.extend_from_slice(&crc.to_le_bytes());
-    bytes
+    DATASET.seal(w)
 }
 
 /// Writes the dataset to `writer` in the FAdeML binary dataset format.
@@ -68,34 +69,15 @@ pub fn save_dataset_to_path<P: AsRef<Path>>(dataset: &SignDataset, path: P) -> R
 /// before a single label is interpreted, and the header caps and the
 /// exact payload length before anything is allocated.
 fn decode_dataset(bytes: &[u8]) -> Result<SignDataset> {
-    let Some((body, tail)) = bytes
-        .split_last_chunk::<4>()
-        .filter(|(body, _)| body.len() >= MAGIC.len())
-    else {
-        return Err(corrupt(format!(
-            "file too small for a dataset ({} bytes)",
-            bytes.len()
-        )));
-    };
-    let mut r = ByteReader::new(body);
-    let eof = |e: std::io::Error| corrupt(e.to_string());
-    let magic = r.get_bytes(MAGIC.len()).map_err(eof)?;
-    if magic == RETIRED_MAGIC {
-        return Err(corrupt(
+    let body = DATASET.open(bytes).map_err(|refusal| match refusal {
+        Refusal::BadMagic { found } if &found == RETIRED_MAGIC => corrupt(
             "FADEMLD1 is a detector artifact or the retired CRC-less dataset layout, \
              which is no longer read: regenerate the dataset from its config",
-        ));
-    }
-    if magic != MAGIC {
-        return Err(corrupt("not a FAdeML dataset file (bad magic)"));
-    }
-    let stored = u32::from_le_bytes(*tail);
-    let actual = crc32(body);
-    if stored != actual {
-        return Err(corrupt(format!(
-            "CRC mismatch: trailer {stored:#010x}, computed {actual:#010x}"
-        )));
-    }
+        ),
+        other => corrupt(format!("not a FAdeML dataset file: {other}")),
+    })?;
+    let mut r = ByteReader::new(body);
+    let eof = |e: std::io::Error| corrupt(e.to_string());
     let n = r.get_u64().map_err(eof)? as usize;
     let size = r.get_u64().map_err(eof)? as usize;
     // A light sanity cap keeps a hostile header from asking for a
@@ -192,11 +174,11 @@ mod tests {
         }
     }
 
-    /// `body` under a valid CRC trailer.
-    fn sealed(mut body: Vec<u8>) -> Vec<u8> {
-        let crc = crc32(&body);
-        body.extend_from_slice(&crc.to_le_bytes());
-        body
+    /// `body` (the bytes after the magic) under a valid magic and CRC.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut w = DATASET.writer();
+        w.put_bytes(body);
+        DATASET.seal(w)
     }
 
     #[test]
@@ -236,13 +218,12 @@ mod tests {
 
     #[test]
     fn rejects_implausible_header_and_wrong_payload_length() {
-        let mut bomb = MAGIC.to_vec();
-        bomb.extend_from_slice(&u64::MAX.to_le_bytes()); // absurd n
+        let mut bomb = u64::MAX.to_le_bytes().to_vec(); // absurd n
         bomb.extend_from_slice(&12u64.to_le_bytes());
-        assert_corrupt(&sealed(bomb), "implausible");
+        assert_corrupt(&sealed(&bomb), "implausible");
         // A plausible header over a payload one pixel short.
         let clean = encode_dataset(&dataset());
-        assert_corrupt(&sealed(clean[..clean.len() - 8].to_vec()), "payload bytes");
+        assert_corrupt(&sealed(&clean[8..clean.len() - 8]), "payload bytes");
     }
 
     #[test]

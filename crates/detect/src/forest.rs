@@ -9,18 +9,18 @@
 //! bit-identical trees and scores at every compute-thread count
 //! (scoring is serial scalar code, no parallel kernels involved).
 //!
-//! Persistence follows the workspace artifact discipline
-//! (`FADEMLC1`/`FADEMLW2`): magic `FADEMLD1`, little-endian fields via
-//! [`fademl_tensor::io::ByteWriter`], a CRC-32 trailer over everything
-//! before it, and **every structural field cap-checked before any
-//! allocation** so hostile bytes produce typed [`DetectError::Corrupt`]
-//! instead of panics or over-allocation. Tree topology is validated on
-//! load: children strictly follow their parent (preorder), so a loaded
-//! tree cannot cycle and scoring always terminates.
+//! Persistence is a [`fademl_tensor::io::Envelope`] like every other
+//! workspace artifact: magic `FADEMLD1`, little-endian fields, a CRC-32
+//! trailer over everything before it, and **every structural field
+//! cap-checked before any allocation** so hostile bytes produce typed
+//! [`DetectError::Corrupt`] instead of panics or over-allocation. Tree
+//! topology is validated on load: children strictly follow their parent
+//! (preorder), so a loaded tree cannot cycle and scoring always
+//! terminates.
 
 use std::path::Path;
 
-use fademl_tensor::io::{atomic_write, crc32, read_artifact, ByteReader, ByteWriter};
+use fademl_tensor::io::{atomic_write, read_artifact, ByteReader, CrcScope, Envelope};
 use fademl_tensor::{Tensor, TensorRng};
 use serde::{Deserialize, Serialize};
 
@@ -32,6 +32,13 @@ use crate::features::{
 
 /// Magic bytes of the serialized detector format.
 pub const DETECTOR_MAGIC: &[u8; 8] = b"FADEMLD1";
+
+/// The `FADEMLD1` framing: the CRC covers everything before it, magic
+/// included.
+const DETECTOR: Envelope = Envelope {
+    magic: DETECTOR_MAGIC,
+    crc: CrcScope::FromStart,
+};
 
 /// Most trees a detector artifact may carry.
 pub const MAX_TREES: usize = 1024;
@@ -273,8 +280,7 @@ impl Detector {
     /// included). The encoding is canonical: equal detectors produce
     /// equal bytes.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(DETECTOR_MAGIC);
+        let mut w = DETECTOR.writer();
         w.put_u32(u32::try_from(self.scales).unwrap_or(u32::MAX));
         w.put_u32(u32::try_from(self.feature_dim).unwrap_or(u32::MAX));
         w.put_u32(self.subsample);
@@ -303,10 +309,7 @@ impl Detector {
                 }
             }
         }
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        DETECTOR.seal(w)
     }
 
     /// Parses and fully validates a `FADEMLD1` artifact. Any
@@ -314,29 +317,10 @@ impl Detector {
     /// reference, or non-finite threshold is a typed
     /// [`DetectError::Corrupt`] — never a panic or a large allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<Detector> {
-        let Some((body, tail)) = bytes
-            .split_last_chunk::<4>()
-            .filter(|(body, _)| body.len() >= DETECTOR_MAGIC.len())
-        else {
-            return Err(corrupt(format!(
-                "artifact too short ({} bytes)",
-                bytes.len()
-            )));
-        };
-        let stored = u32::from_le_bytes(*tail);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(corrupt(format!(
-                "crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
+        let body = DETECTOR
+            .open(bytes)
+            .map_err(|refusal| corrupt(format!("detector artifact: {refusal}")))?;
         let mut r = ByteReader::new(body);
-        let magic = r
-            .get_bytes(DETECTOR_MAGIC.len())
-            .map_err(|_| corrupt("truncated magic"))?;
-        if magic != DETECTOR_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
         let scales = read_usize(&mut r, "scales")?;
         let dim = read_usize(&mut r, "feature_dim")?;
         let subsample = r.get_u32().map_err(|_| corrupt("truncated subsample"))?;
@@ -735,17 +719,13 @@ mod tests {
     fn oversized_structural_fields_are_refused_before_allocation() {
         // Hand-build a header claiming u32::MAX trees with a valid CRC:
         // the cap check must fire, not an allocation.
-        let mut w = ByteWriter::new();
-        w.put_bytes(DETECTOR_MAGIC);
+        let mut w = DETECTOR.writer();
         w.put_u32(2); // scales
         w.put_u32(12); // feature dim
         w.put_u32(8); // subsample
         w.put_u32(u32::MAX); // tree count
         w.put_u64(0); // seed
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        match Detector::from_bytes(&bytes) {
+        match Detector::from_bytes(&DETECTOR.seal(w)) {
             Err(DetectError::Corrupt { reason }) => {
                 assert!(reason.contains("tree count"), "{reason}")
             }
@@ -755,8 +735,7 @@ mod tests {
 
     #[test]
     fn dangling_children_are_refused() {
-        let mut w = ByteWriter::new();
-        w.put_bytes(DETECTOR_MAGIC);
+        let mut w = DETECTOR.writer();
         w.put_u32(1); // scales
         w.put_u32(6); // feature dim
         w.put_u32(4); // subsample
@@ -773,10 +752,7 @@ mod tests {
         w.put_u32(1);
         w.put_u8(0);
         w.put_u32(1);
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        match Detector::from_bytes(&bytes) {
+        match Detector::from_bytes(&DETECTOR.seal(w)) {
             Err(DetectError::Corrupt { reason }) => {
                 assert!(reason.contains("children"), "{reason}")
             }

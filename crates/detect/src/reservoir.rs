@@ -12,7 +12,7 @@
 //! allocation-free: storage is reserved up front and replacement
 //! copies in place. The cold half (refit, persistence) may allocate.
 //!
-//! Persistence follows the workspace artifact discipline: magic
+//! Persistence is a [`fademl_tensor::io::Envelope`]: magic
 //! `FADEMLR1`, little-endian fields, the full RNG state (so a reloaded
 //! reservoir continues the *exact* sampling stream), a CRC-32 trailer,
 //! and every structural field cap-checked before any allocation. The
@@ -22,7 +22,7 @@
 
 use std::path::Path;
 
-use fademl_tensor::io::{atomic_write, crc32, read_artifact, ByteReader, ByteWriter};
+use fademl_tensor::io::{atomic_write, read_artifact, ByteReader, CrcScope, Envelope};
 use fademl_tensor::TensorRng;
 
 use crate::error::{corrupt, DetectError, Result};
@@ -31,6 +31,13 @@ use crate::forest::{Detector, DetectorConfig};
 
 /// Magic bytes of the serialized reservoir format.
 pub const RESERVOIR_MAGIC: &[u8; 8] = b"FADEMLR1";
+
+/// The `FADEMLR1` framing: the CRC covers everything before it, magic
+/// included.
+const RESERVOIR: Envelope = Envelope {
+    magic: RESERVOIR_MAGIC,
+    crc: CrcScope::FromStart,
+};
 
 /// Most samples a reservoir may be configured to hold.
 pub const MAX_RESERVOIR: usize = 1 << 16;
@@ -193,8 +200,7 @@ impl FeatureReservoir {
     /// included), capturing the full RNG state so a reloaded reservoir
     /// continues the exact sampling stream.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
-        w.put_bytes(RESERVOIR_MAGIC);
+        let mut w = RESERVOIR.writer();
         w.put_u32(u32::try_from(self.capacity).unwrap_or(u32::MAX));
         w.put_u32(u32::try_from(self.feature_dim).unwrap_or(u32::MAX));
         w.put_u32(u32::try_from(self.len()).unwrap_or(u32::MAX));
@@ -205,39 +211,17 @@ impl FeatureReservoir {
         for &v in &self.samples {
             w.put_f32(v);
         }
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        bytes
+        RESERVOIR.seal(w)
     }
 
     /// Parses and fully validates a `FADEMLR1` artifact. Truncations,
     /// bit flips, and over-cap structural fields are typed
     /// [`DetectError::Corrupt`] — never a panic or an over-allocation.
     pub fn from_bytes(bytes: &[u8]) -> Result<FeatureReservoir> {
-        let Some((body, tail)) = bytes
-            .split_last_chunk::<4>()
-            .filter(|(body, _)| body.len() >= RESERVOIR_MAGIC.len())
-        else {
-            return Err(corrupt(format!(
-                "reservoir artifact too short ({} bytes)",
-                bytes.len()
-            )));
-        };
-        let stored = u32::from_le_bytes(*tail);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(corrupt(format!(
-                "crc mismatch: stored {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
+        let body = RESERVOIR
+            .open(bytes)
+            .map_err(|refusal| corrupt(format!("reservoir artifact: {refusal}")))?;
         let mut r = ByteReader::new(body);
-        let magic = r
-            .get_bytes(RESERVOIR_MAGIC.len())
-            .map_err(|_| corrupt("truncated magic"))?;
-        if magic != RESERVOIR_MAGIC {
-            return Err(corrupt("bad magic"));
-        }
         let capacity = read_field(&mut r, "capacity")?;
         let dim = read_field(&mut r, "feature_dim")?;
         let filled = read_field(&mut r, "filled count")?;
@@ -499,8 +483,7 @@ mod tests {
 
     #[test]
     fn oversized_structural_fields_are_refused_before_allocation() {
-        let mut w = ByteWriter::new();
-        w.put_bytes(RESERVOIR_MAGIC);
+        let mut w = RESERVOIR.writer();
         w.put_u32(u32::MAX); // capacity: hostile
         w.put_u32(6);
         w.put_u32(0);
@@ -508,10 +491,7 @@ mod tests {
         for _ in 0..4 {
             w.put_u64(0);
         }
-        let mut bytes = w.into_bytes();
-        let crc = crc32(&bytes);
-        bytes.extend_from_slice(&crc.to_le_bytes());
-        match FeatureReservoir::from_bytes(&bytes) {
+        match FeatureReservoir::from_bytes(&RESERVOIR.seal(w)) {
             Err(DetectError::Corrupt { reason }) => {
                 assert!(reason.contains("capacity"), "{reason}")
             }

@@ -9,11 +9,6 @@ use crate::{FilterError, Result};
 ///
 /// Filters accept `[C, H, W]` single images or `[N, C, H, W]` batches
 /// and operate on each channel independently.
-///
-/// For linear filters ([`Filter::is_linear`] `== true`) the backward
-/// pass is the exact adjoint; for non-linear filters it is a documented
-/// approximation (straight-through / BPDA), mirroring how real
-/// preprocessing-aware attacks handle non-differentiable defenses.
 pub trait Filter: Debug + Send + Sync {
     /// Human-readable name including parameters, e.g. `"LAP(32)"`.
     fn name(&self) -> String;
@@ -37,10 +32,6 @@ pub trait Filter: Debug + Send + Sync {
     /// Returns [`FilterError::UnsupportedRank`] for tensors that are not
     /// rank 3 or 4, or a shape error if `grad_out` and `input` disagree.
     fn backward(&self, input: &Tensor, grad_out: &Tensor) -> Result<Tensor>;
-
-    /// Whether the filter is a linear operator (making
-    /// [`Filter::backward`] exact).
-    fn is_linear(&self) -> bool;
 
     /// Clones into a boxed trait object.
     fn clone_box(&self) -> Box<dyn Filter>;
@@ -94,10 +85,6 @@ impl Filter for Identity {
         Ok(grad_out.duplicate())
     }
 
-    fn is_linear(&self) -> bool {
-        true
-    }
-
     fn clone_box(&self) -> Box<dyn Filter> {
         boxed(*self)
     }
@@ -114,7 +101,6 @@ mod tests {
         assert_eq!(f.apply(&x).unwrap(), x);
         let g = Tensor::full(&[3, 4, 4], 0.5);
         assert_eq!(f.backward(&x, &g).unwrap(), g);
-        assert!(f.is_linear());
         assert_eq!(f.name(), "None");
     }
 

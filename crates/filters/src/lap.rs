@@ -75,10 +75,6 @@ impl Filter for Lap {
         self.kernel.backward(grad_out)
     }
 
-    fn is_linear(&self) -> bool {
-        true
-    }
-
     fn clone_box(&self) -> Box<dyn Filter> {
         crate::filter::boxed(self.clone())
     }
@@ -139,7 +135,6 @@ mod tests {
     #[test]
     fn is_linear_and_named() {
         let lap = Lap::new(16).unwrap();
-        assert!(lap.is_linear());
         assert_eq!(lap.name(), "LAP(16)");
         assert_eq!(lap.np(), 16);
     }

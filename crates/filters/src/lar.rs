@@ -72,10 +72,6 @@ impl Filter for Lar {
         self.kernel.backward(grad_out)
     }
 
-    fn is_linear(&self) -> bool {
-        true
-    }
-
     fn clone_box(&self) -> Box<dyn Filter> {
         crate::filter::boxed(self.clone())
     }
@@ -154,7 +150,6 @@ mod tests {
     #[test]
     fn is_linear_and_named() {
         let lar = Lar::new(5).unwrap();
-        assert!(lar.is_linear());
         assert_eq!(lar.name(), "LAR(5)");
         assert_eq!(lar.radius(), 5);
     }

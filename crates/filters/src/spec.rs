@@ -62,22 +62,6 @@ impl FilterSpec {
         specs.extend(Lar::PAPER_SWEEP.iter().map(|&r| FilterSpec::Lar { r }));
         specs
     }
-
-    /// Just the LAP sweep with a leading `None` (one paper sub-plot).
-    pub fn lap_sweep() -> Vec<FilterSpec> {
-        let mut specs = Vec::default();
-        specs.push(FilterSpec::None);
-        specs.extend(Lap::PAPER_SWEEP.iter().map(|&np| FilterSpec::Lap { np }));
-        specs
-    }
-
-    /// Just the LAR sweep with a leading `None` (one paper sub-plot).
-    pub fn lar_sweep() -> Vec<FilterSpec> {
-        let mut specs = Vec::default();
-        specs.push(FilterSpec::None);
-        specs.extend(Lar::PAPER_SWEEP.iter().map(|&r| FilterSpec::Lar { r }));
-        specs
-    }
 }
 
 impl Default for FilterSpec {
@@ -128,12 +112,6 @@ mod tests {
         assert_eq!(sweep[5], FilterSpec::Lap { np: 64 });
         assert_eq!(sweep[6], FilterSpec::Lar { r: 1 });
         assert_eq!(sweep[10], FilterSpec::Lar { r: 5 });
-    }
-
-    #[test]
-    fn sub_sweeps() {
-        assert_eq!(FilterSpec::lap_sweep().len(), 6);
-        assert_eq!(FilterSpec::lar_sweep().len(), 6);
     }
 
     #[test]

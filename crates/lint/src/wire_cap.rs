@@ -2,12 +2,13 @@
 //! untrusted byte stream must be compared against a cap before it
 //! flows into an allocation.
 //!
-//! Scope: the four framed codecs (`FADEMLN` wire frames, `FADEMLC1`
-//! checkpoints, `FADEMLW2` weights, `FADEMLD1` detector artifacts) and
-//! the dataset cache — the files in [`CODEC_FILES`]. `ByteReader`
-//! itself (`crates/tensor/src/io.rs`) is the blessed primitive: its
-//! `get_bytes`/`get_str` validate against the remaining buffer
-//! internally and are not allocation sinks here.
+//! Scope: the seven framed codecs (`FADEMLN` wire frames, `FADEMLC1`
+//! checkpoints, `FADEMLW2` weights, `FADEMLS1` datasets, `FADEMLD1`
+//! detector artifacts, `FADEMLR1` reservoirs, the `FADEMLL1` stage
+//! ledger) — the files in [`CODEC_FILES`]. `ByteReader` and the
+//! envelope (`crates/tensor/src/io.rs`) are the blessed primitives:
+//! `get_bytes`/`get_str` and `open_record` validate against the
+//! remaining buffer internally and are not allocation sinks here.
 //!
 //! Per-function taint dataflow over the IR statement list:
 //!
@@ -40,7 +41,9 @@ pub const CODEC_FILES: &[&str] = &[
     "crates/nn/src/checkpoint.rs",
     "crates/nn/src/serialize.rs",
     "crates/detect/src/forest.rs",
+    "crates/detect/src/reservoir.rs",
     "crates/data/src/persist.rs",
+    "crates/core/src/experiments/resume.rs",
 ];
 
 const INT_DECODES: &[&str] = &["get_u8()", "get_u16()", "get_u32()", "get_u64()"];

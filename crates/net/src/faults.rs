@@ -1,12 +1,12 @@
-//! Deterministic network fault injection, mirroring `serve::faults`.
+//! Deterministic network fault injection, on the same
+//! [`Schedule`] core as `serve::faults`.
 //!
 //! A [`NetFaultPlan`] scripts *which* response frames are wounded, by
 //! 1-based response sequence number counted across the whole server.
 //! Compiled only with `--features faults`; production builds carry
 //! zero injection code.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use fademl_tensor::io::faults::Schedule;
 
 /// What to do to the current response frame.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,9 +24,7 @@ pub enum ResponseFault {
 /// over every response the server attempts to send.
 #[derive(Debug, Clone, Default)]
 pub struct NetFaultPlan {
-    tear_response: Option<(u64, usize)>,
-    drop_response: Option<u64>,
-    response_seq: Arc<AtomicU64>,
+    responses: Schedule<ResponseFault>,
 }
 
 impl NetFaultPlan {
@@ -38,30 +36,22 @@ impl NetFaultPlan {
     /// Tear response number `seq` after `keep_bytes` bytes.
     #[must_use]
     pub fn tear_response_on(mut self, seq: u64, keep_bytes: usize) -> Self {
-        self.tear_response = Some((seq, keep_bytes));
+        self.responses.on(seq, ResponseFault::Tear(keep_bytes));
         self
     }
 
     /// Drop response number `seq` entirely (cut before any byte).
     #[must_use]
     pub fn drop_response_on(mut self, seq: u64) -> Self {
-        self.drop_response = Some(seq);
+        self.responses.on(seq, ResponseFault::Drop);
         self
     }
 
     /// Called by the server once per response it is about to send;
-    /// returns the scripted fault for this sequence number.
+    /// returns the first fault scripted on this sequence number.
     pub fn on_response(&self) -> ResponseFault {
-        let seq = self.response_seq.fetch_add(1, Ordering::AcqRel) + 1;
-        if let Some((at, keep)) = self.tear_response {
-            if at == seq {
-                return ResponseFault::Tear(keep);
-            }
-        }
-        if self.drop_response == Some(seq) {
-            return ResponseFault::Drop;
-        }
-        ResponseFault::None
+        let (_, mut due) = self.responses.tick();
+        due.next().copied().unwrap_or(ResponseFault::None)
     }
 }
 
@@ -78,6 +68,18 @@ mod tests {
         assert_eq!(plan.on_response(), ResponseFault::Tear(5));
         assert_eq!(plan.on_response(), ResponseFault::Drop);
         assert_eq!(plan.on_response(), ResponseFault::None);
+    }
+
+    #[test]
+    fn every_scripted_fault_of_a_kind_fires() {
+        let plan = NetFaultPlan::new().drop_response_on(1).drop_response_on(3);
+        let fired: Vec<_> = (0..3).map(|_| plan.on_response()).collect();
+        let expected = [
+            ResponseFault::Drop,
+            ResponseFault::None,
+            ResponseFault::Drop,
+        ];
+        assert_eq!(fired, expected);
     }
 
     #[test]

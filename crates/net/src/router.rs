@@ -142,7 +142,10 @@ impl ReplicaRouter {
     /// [`ServeError::InvalidConfig`] for unusable settings, or
     /// whatever a replica's [`InferenceServer::start`] fails with.
     pub fn start(pipeline: InferencePipeline, config: RouterConfig) -> Result<Self> {
-        Self::launch(pipeline, config, Vec::new())
+        let replica = config.replica.clone();
+        Self::launch(config, |_| {
+            InferenceServer::start(pipeline.clone(), replica.clone())
+        })
     }
 
     /// Starts `config.replicas` serving engines with adversarial triage:
@@ -161,22 +164,15 @@ impl ReplicaRouter {
         detector: Detector,
         triage: TriageConfig,
     ) -> Result<Self> {
-        config.validate()?;
-        let mut replicas = Vec::with_capacity(config.replicas);
-        for id in 0..config.replicas {
-            let server = InferenceServer::start_with_triage(
+        let replica = config.replica.clone();
+        Self::launch(config, |_| {
+            InferenceServer::start_with_triage(
                 pipeline.clone(),
-                config.replica.clone(),
+                replica.clone(),
                 detector.clone(),
                 triage.clone(),
-            )?;
-            replicas.push(ReplicaSlot {
-                id: id as u64,
-                server,
-                consecutive_failures: AtomicU32::new(0),
-            });
-        }
-        Ok(Self::assemble(replicas, config))
+            )
+        })
     }
 
     /// Starts the router with per-replica fault plans (chaos testing):
@@ -192,45 +188,28 @@ impl ReplicaRouter {
         config: RouterConfig,
         plans: Vec<FaultPlan>,
     ) -> Result<Self> {
-        Self::launch(pipeline, config, plans)
+        let replica = config.replica.clone();
+        let mut plans = plans.into_iter();
+        Self::launch(config, |_| match plans.next() {
+            Some(plan) => {
+                InferenceServer::start_with_faults(pipeline.clone(), replica.clone(), plan)
+            }
+            None => InferenceServer::start(pipeline.clone(), replica.clone()),
+        })
     }
 
-    #[cfg(feature = "faults")]
+    /// Validates `config`, starts replica `id` for every `id` in
+    /// `0..config.replicas` with `start_replica`, and builds the ring.
     fn launch(
-        pipeline: InferencePipeline,
         config: RouterConfig,
-        plans: Vec<FaultPlan>,
+        mut start_replica: impl FnMut(usize) -> Result<InferenceServer>,
     ) -> Result<Self> {
         config.validate()?;
-        let mut plans = plans.into_iter();
         let mut replicas = Vec::with_capacity(config.replicas);
         for id in 0..config.replicas {
-            let server = match plans.next() {
-                Some(plan) => InferenceServer::start_with_faults(
-                    pipeline.clone(),
-                    config.replica.clone(),
-                    plan,
-                )?,
-                None => InferenceServer::start(pipeline.clone(), config.replica.clone())?,
-            };
             replicas.push(ReplicaSlot {
                 id: id as u64,
-                server,
-                consecutive_failures: AtomicU32::new(0),
-            });
-        }
-        Ok(Self::assemble(replicas, config))
-    }
-
-    #[cfg(not(feature = "faults"))]
-    fn launch(pipeline: InferencePipeline, config: RouterConfig, _plans: Vec<()>) -> Result<Self> {
-        config.validate()?;
-        let mut replicas = Vec::with_capacity(config.replicas);
-        for id in 0..config.replicas {
-            let server = InferenceServer::start(pipeline.clone(), config.replica.clone())?;
-            replicas.push(ReplicaSlot {
-                id: id as u64,
-                server,
+                server: start_replica(id)?,
                 consecutive_failures: AtomicU32::new(0),
             });
         }

@@ -34,28 +34,14 @@ use crate::wire::{read_frame, write_frame, Frame, WireFault, WireResponse};
 #[cfg(feature = "faults")]
 use crate::faults::{NetFaultPlan, ResponseFault};
 
-/// Network fault hook; a unit type when the `faults` feature is off so
-/// every hook call compiles to nothing.
-#[cfg(feature = "faults")]
+/// Network fault hook: `None` unless a chaos test armed a plan.
 type FaultHandle = Option<NetFaultPlan>;
 
-/// Zero-sized stand-in when the feature is off.
+/// Without the `faults` feature no plan can exist, so every handle is
+/// `None` and every hook compiles to nothing.
 #[cfg(not(feature = "faults"))]
-#[derive(Debug, Clone)]
-#[allow(
-    dead_code,
-    reason = "constructed only so call sites match the faults build"
-)]
-struct FaultHandle;
-
-#[cfg(feature = "faults")]
-fn no_faults() -> FaultHandle {
-    None
-}
-#[cfg(not(feature = "faults"))]
-fn no_faults() -> FaultHandle {
-    FaultHandle
-}
+#[derive(Debug)]
+enum NetFaultPlan {}
 
 /// TCP front configuration.
 #[derive(Debug, Clone)]
@@ -151,7 +137,7 @@ impl NetServer {
         net_config: NetConfig,
     ) -> Result<Self, NetError> {
         let router = ReplicaRouter::start(pipeline, router_config)?;
-        Self::serve(router, net_config, no_faults())
+        Self::serve(router, net_config, None)
     }
 
     /// Starts the front over an already-running router (lets chaos
@@ -161,7 +147,7 @@ impl NetServer {
     ///
     /// Same as [`start`](NetServer::start), minus router startup.
     pub fn serve_router(router: ReplicaRouter, net_config: NetConfig) -> Result<Self, NetError> {
-        Self::serve(router, net_config, no_faults())
+        Self::serve(router, net_config, None)
     }
 
     /// Starts the front with an armed network fault plan (chaos

@@ -13,10 +13,12 @@
 //!  13+len     4  crc32   over bytes [8 .. 13+len]  (kind+len+payload)
 //! ```
 //!
-//! The CRC covers the kind and length as well as the payload, so a
-//! bit-flip anywhere after the version byte is detected. The magic and
-//! version sit *outside* the CRC on purpose: they are validated first
-//! and gate how the rest of the header is even interpreted.
+//! A frame is an [`Envelope`] like every persisted artifact: the magic
+//! and version are its 8-byte magic, kind + len + payload its body. The
+//! CRC covers the kind and length as well as the payload, so a bit-flip
+//! anywhere after the version byte is detected. The magic and version
+//! sit *outside* the CRC on purpose: they are validated first and gate
+//! how the rest of the header is even interpreted.
 //!
 //! Every length field is capped and checked **before** any allocation
 //! sized by it — a hostile peer can declare a 4 GiB payload but the
@@ -28,7 +30,7 @@ use std::io::{self, Read, Write};
 use fademl::{Detection, ThreatModel, Verdict};
 use fademl_nn::metrics::Prediction;
 use fademl_serve::error::{DeadlineStage, ServeError};
-use fademl_tensor::io::{crc32, ByteReader, ByteWriter};
+use fademl_tensor::io::{ByteReader, ByteWriter, CrcScope, Envelope, Refusal};
 use fademl_tensor::{Shape, Tensor};
 
 use crate::error::NetError;
@@ -37,6 +39,12 @@ use crate::error::NetError;
 pub const WIRE_MAGIC: &[u8; 7] = b"FADEMLN";
 /// Current protocol version byte.
 pub const WIRE_VERSION: u8 = b'1';
+/// The frame's framing: [`WIRE_MAGIC`] and [`WIRE_VERSION`] are its
+/// 8-byte magic, and the CRC covers everything after them.
+const FRAME: Envelope = Envelope {
+    magic: b"FADEMLN1",
+    crc: CrcScope::AfterMagic,
+};
 /// Fixed frame header size: magic + version + kind + payload length.
 pub const HEADER_LEN: usize = 13;
 /// Hard cap on a frame's payload; declared lengths beyond this are
@@ -195,55 +203,71 @@ pub enum Frame {
 /// exceeds its protocol cap (tensor rank or size, string length,
 /// top-k entries) — nothing is sent that the decoder would refuse.
 pub fn encode_frame(frame: &Frame) -> Result<Vec<u8>, FrameError> {
-    let (kind, payload) = match frame {
-        Frame::Request(req) => (KIND_REQUEST, encode_request(req)?),
-        Frame::Response(resp) => (KIND_RESPONSE, encode_response(resp)?),
-        Frame::Error(fault) => (KIND_ERROR, encode_fault(fault)?),
-        Frame::Goodbye => (KIND_GOODBYE, Vec::new()),
+    let (kind, numel) = match frame {
+        Frame::Request(req) => (KIND_REQUEST, req.image.numel()),
+        Frame::Response(resp) => (KIND_RESPONSE, resp.verdict.probabilities.numel()),
+        Frame::Error(_) => (KIND_ERROR, 0),
+        Frame::Goodbye => (KIND_GOODBYE, 0),
     };
-    if payload.len() > MAX_PAYLOAD {
+    // One buffer, allocated once and written once: the tensor dominates,
+    // 1 KiB covers the other fields of any frame short of a near-cap
+    // string, the length prefix is patched in after the payload, and the
+    // trailer lands in place.
+    let mut w = FRAME.writer();
+    w.reserve(numel.saturating_mul(4).min(MAX_PAYLOAD) + 1024);
+    w.put_u8(kind);
+    w.put_u32(0);
+    match frame {
+        Frame::Request(req) => encode_request(&mut w, req)?,
+        Frame::Response(resp) => encode_response(&mut w, resp)?,
+        Frame::Error(fault) => encode_fault(&mut w, fault)?,
+        Frame::Goodbye => {}
+    }
+    let payload_len = w.len() - HEADER_LEN;
+    if payload_len > MAX_PAYLOAD {
         return Err(FrameError::TooLarge {
-            declared: payload.len() as u64,
+            declared: payload_len as u64,
             cap: MAX_PAYLOAD as u64,
         });
     }
-    let mut out = ByteWriter::new();
-    out.put_bytes(WIRE_MAGIC);
-    out.put_u8(WIRE_VERSION);
-    out.put_u8(kind);
-    out.put_u32(u32::try_from(payload.len()).unwrap_or(u32::MAX));
-    out.put_bytes(&payload);
-    let bytes = out.into_bytes();
-    // CRC covers kind + len + payload: everything after the version.
-    let (_, covered) = bytes.split_at(WIRE_MAGIC.len() + 1);
-    let crc = crc32(covered);
-    let mut out = ByteWriter::new();
-    out.put_bytes(&bytes);
-    out.put_u32(crc);
-    Ok(out.into_bytes())
+    w.patch_u32(
+        HEADER_LEN - 4,
+        u32::try_from(payload_len).unwrap_or(u32::MAX),
+    );
+    Ok(FRAME.seal(w))
+}
+
+/// A refusal of the envelope as the wire reports it: a recognized
+/// magic with another version byte is `UnsupportedVersion`, anything
+/// else `BadMagic`.
+fn refused(refusal: Refusal) -> FrameError {
+    match refusal {
+        Refusal::TooShort { len } => FrameError::Truncated {
+            needed: HEADER_LEN,
+            have: len,
+        },
+        Refusal::BadMagic { found } => match found.split_last() {
+            Some((&version, magic)) if magic == WIRE_MAGIC => {
+                FrameError::UnsupportedVersion { found: version }
+            }
+            _ => FrameError::BadMagic,
+        },
+        Refusal::CrcMismatch { stored, computed } => FrameError::CrcMismatch { stored, computed },
+    }
 }
 
 /// Validates a frame header and returns the declared payload length.
 /// Shared by the buffer decoder and the stream reader so the length
 /// cap is enforced before either allocates.
 fn parse_header(header: &[u8]) -> Result<(u8, usize), FrameError> {
-    if header.len() < HEADER_LEN {
+    let Some(&[.., kind, l0, l1, l2, l3]) = header.first_chunk::<HEADER_LEN>() else {
         return Err(FrameError::Truncated {
             needed: HEADER_LEN,
             have: header.len(),
         });
-    }
-    let mut r = ByteReader::new(header);
-    let magic = read_or_truncated(r.get_bytes(WIRE_MAGIC.len()), header.len())?;
-    if magic != WIRE_MAGIC {
-        return Err(FrameError::BadMagic);
-    }
-    let version = read_or_truncated(r.get_u8(), header.len())?;
-    if version != WIRE_VERSION {
-        return Err(FrameError::UnsupportedVersion { found: version });
-    }
-    let kind = read_or_truncated(r.get_u8(), header.len())?;
-    let declared = read_or_truncated(r.get_u32(), header.len())?;
+    };
+    FRAME.check_magic(header).map_err(refused)?;
+    let declared = u32::from_le_bytes([l0, l1, l2, l3]);
     let len = usize::try_from(declared).unwrap_or(usize::MAX);
     if len > MAX_PAYLOAD {
         return Err(FrameError::TooLarge {
@@ -265,23 +289,13 @@ fn parse_header(header: &[u8]) -> Result<(u8, usize), FrameError> {
 pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
     let (kind, len) = parse_header(buf)?;
     let total = HEADER_LEN + len + 4;
-    if buf.len() < total {
-        return Err(FrameError::Truncated {
-            needed: total,
-            have: buf.len(),
-        });
-    }
+    let framed = buf.get(..total).ok_or(FrameError::Truncated {
+        needed: total,
+        have: buf.len(),
+    })?;
     // CRC check before any payload interpretation.
-    let (_, after_version) = buf.split_at(WIRE_MAGIC.len() + 1);
-    let (covered, trailer) = after_version.split_at(1 + 4 + len);
-    let mut tr = ByteReader::new(trailer);
-    let stored = read_or_truncated(tr.get_u32(), trailer.len())?;
-    let computed = crc32(covered);
-    if stored != computed {
-        return Err(FrameError::CrcMismatch { stored, computed });
-    }
-    let (_, body) = buf.split_at(HEADER_LEN);
-    let (payload, _) = body.split_at(len);
+    let body = FRAME.open(framed).map_err(refused)?;
+    let payload = body.get(1 + 4..).unwrap_or_default();
     let frame = match kind {
         KIND_REQUEST => Frame::Request(decode_request(payload)?),
         KIND_RESPONSE => Frame::Response(decode_response(payload)?),
@@ -328,11 +342,12 @@ pub fn read_frame<R: Read>(stream: &mut R) -> Result<Frame, NetError> {
     let mut header = [0u8; HEADER_LEN];
     read_exact_ctx(stream, &mut header, "frame header")?;
     let (_, len) = parse_header(&header)?;
-    let mut rest = vec![0u8; len + 4];
-    read_exact_ctx(stream, &mut rest, "frame body")?;
-    let mut full = Vec::with_capacity(HEADER_LEN + rest.len());
-    full.extend_from_slice(&header);
-    full.extend_from_slice(&rest);
+    // The whole frame in one buffer: the body is read in behind the
+    // header, never concatenated.
+    let mut full = vec![0u8; HEADER_LEN + len + 4];
+    let (head, rest) = full.split_at_mut(HEADER_LEN);
+    head.copy_from_slice(&header);
+    read_exact_ctx(stream, rest, "frame body")?;
     let (frame, _) = decode_frame(&full)?;
     Ok(frame)
 }
@@ -357,15 +372,13 @@ fn map_io(err: io::Error, context: &str) -> NetError {
 
 // ── payload codecs ──────────────────────────────────────────────────
 
-fn encode_request(req: &WireRequest) -> Result<Vec<u8>, FrameError> {
+fn encode_request(w: &mut ByteWriter, req: &WireRequest) -> Result<(), FrameError> {
     check_string(&req.tenant, "tenant")?;
-    let mut w = ByteWriter::new();
     w.put_u64(req.id);
     w.put_u8(threat_tag(req.threat));
     w.put_u64(req.deadline_us);
     w.put_str(&req.tenant);
-    put_tensor(&mut w, &req.image)?;
-    Ok(w.into_bytes())
+    put_tensor(w, &req.image)
 }
 
 fn decode_request(payload: &[u8]) -> Result<WireRequest, FrameError> {
@@ -385,7 +398,7 @@ fn decode_request(payload: &[u8]) -> Result<WireRequest, FrameError> {
     })
 }
 
-fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, FrameError> {
+fn encode_response(w: &mut ByteWriter, resp: &WireResponse) -> Result<(), FrameError> {
     let v = &resp.verdict;
     let k = v.top5.top_classes.len();
     if k != v.top5.top_probs.len() {
@@ -399,7 +412,6 @@ fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, FrameError> {
             cap: MAX_TOPK as u64,
         });
     }
-    let mut w = ByteWriter::new();
     w.put_u64(resp.id);
     w.put_u64(v.class as u64);
     w.put_f32(v.confidence);
@@ -408,7 +420,7 @@ fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, FrameError> {
         w.put_u64(class as u64);
         w.put_f32(prob);
     }
-    put_tensor(&mut w, &v.probabilities)?;
+    put_tensor(w, &v.probabilities)?;
     // Version-tolerant trailing extension: only emitted when present,
     // so detection-free responses stay byte-identical to the original
     // format (see DETECTION_PRESENT).
@@ -423,7 +435,7 @@ fn encode_response(resp: &WireResponse) -> Result<Vec<u8>, FrameError> {
         w.put_u8(u8::from(d.flagged));
         w.put_u8(u8::from(d.hardened));
     }
-    Ok(w.into_bytes())
+    Ok(())
 }
 
 fn decode_response(payload: &[u8]) -> Result<WireResponse, FrameError> {
@@ -512,8 +524,7 @@ const ERR_SWAP_FAILED: u8 = 9;
 const STAGE_QUEUE: u8 = 1;
 const STAGE_BATCH: u8 = 2;
 
-fn encode_fault(fault: &WireFault) -> Result<Vec<u8>, FrameError> {
-    let mut w = ByteWriter::new();
+fn encode_fault(w: &mut ByteWriter, fault: &WireFault) -> Result<(), FrameError> {
     w.put_u64(fault.id);
     match &fault.error {
         ServeError::Overloaded { capacity } => {
@@ -523,11 +534,11 @@ fn encode_fault(fault: &WireFault) -> Result<Vec<u8>, FrameError> {
         ServeError::ShuttingDown => w.put_u8(ERR_SHUTTING_DOWN),
         ServeError::Pipeline { message } => {
             w.put_u8(ERR_PIPELINE);
-            put_reason(&mut w, message)?;
+            put_reason(w, message)?;
         }
         ServeError::BatchFailed { reason } => {
             w.put_u8(ERR_BATCH_FAILED);
-            put_reason(&mut w, reason)?;
+            put_reason(w, reason)?;
         }
         ServeError::DeadlineExceeded { stage } => {
             w.put_u8(ERR_DEADLINE);
@@ -538,22 +549,22 @@ fn encode_fault(fault: &WireFault) -> Result<Vec<u8>, FrameError> {
         }
         ServeError::InvalidInput { reason } => {
             w.put_u8(ERR_INVALID_INPUT);
-            put_reason(&mut w, reason)?;
+            put_reason(w, reason)?;
         }
         ServeError::InvalidConfig { reason } => {
             w.put_u8(ERR_INVALID_CONFIG);
-            put_reason(&mut w, reason)?;
+            put_reason(w, reason)?;
         }
         ServeError::Internal { reason } => {
             w.put_u8(ERR_INTERNAL);
-            put_reason(&mut w, reason)?;
+            put_reason(w, reason)?;
         }
         ServeError::SwapFailed { reason } => {
             w.put_u8(ERR_SWAP_FAILED);
-            put_reason(&mut w, reason)?;
+            put_reason(w, reason)?;
         }
     }
-    Ok(w.into_bytes())
+    Ok(())
 }
 
 fn decode_fault(payload: &[u8]) -> Result<WireFault, FrameError> {
@@ -722,13 +733,6 @@ fn usize_field(value: u64, what: &str) -> Result<usize, FrameError> {
 fn read_payload<T>(result: io::Result<T>) -> Result<T, FrameError> {
     result.map_err(|err| FrameError::BadPayload {
         reason: format!("payload record: {err}"),
-    })
-}
-
-fn read_or_truncated<T>(result: io::Result<T>, have: usize) -> Result<T, FrameError> {
-    result.map_err(|_| FrameError::Truncated {
-        needed: HEADER_LEN,
-        have,
     })
 }
 
@@ -904,21 +908,8 @@ mod tests {
         w.put_u8(2); // rank 2
         w.put_u32(1 << 15);
         w.put_u32(1 << 15);
-        let payload = w.into_bytes();
-        let mut f = ByteWriter::new();
-        f.put_bytes(WIRE_MAGIC);
-        f.put_u8(WIRE_VERSION);
-        f.put_u8(1);
-        f.put_u32(u32::try_from(payload.len()).unwrap());
-        f.put_bytes(&payload);
-        let framed = f.into_bytes();
-        let (_, covered) = framed.split_at(8);
-        let crc = crc32(covered);
-        let mut f = ByteWriter::new();
-        f.put_bytes(&framed);
-        f.put_u32(crc);
         assert!(matches!(
-            decode_frame(&f.into_bytes()).unwrap_err(),
+            decode_frame(&frame_raw(KIND_REQUEST, &w.into_bytes())).unwrap_err(),
             FrameError::TooLarge { .. }
         ));
     }
@@ -929,21 +920,8 @@ mod tests {
         w.put_u64(3);
         w.put_u8(ERR_SHUTTING_DOWN);
         w.put_u8(0xAA); // junk
-        let payload = w.into_bytes();
-        let mut f = ByteWriter::new();
-        f.put_bytes(WIRE_MAGIC);
-        f.put_u8(WIRE_VERSION);
-        f.put_u8(KIND_ERROR);
-        f.put_u32(u32::try_from(payload.len()).unwrap());
-        f.put_bytes(&payload);
-        let framed = f.into_bytes();
-        let (_, covered) = framed.split_at(8);
-        let crc = crc32(covered);
-        let mut f = ByteWriter::new();
-        f.put_bytes(&framed);
-        f.put_u32(crc);
         assert!(matches!(
-            decode_frame(&f.into_bytes()).unwrap_err(),
+            decode_frame(&frame_raw(KIND_ERROR, &w.into_bytes())).unwrap_err(),
             FrameError::BadPayload { .. }
         ));
     }
@@ -971,19 +949,21 @@ mod tests {
     /// so payload-level corruption tests get past the frame check and
     /// actually exercise the payload decoder.
     fn frame_raw(kind: u8, payload: &[u8]) -> Vec<u8> {
-        let mut f = ByteWriter::new();
-        f.put_bytes(WIRE_MAGIC);
-        f.put_u8(WIRE_VERSION);
+        let mut f = FRAME.writer();
         f.put_u8(kind);
-        f.put_u32(u32::try_from(payload.len()).unwrap());
+        f.put_count(payload.len());
         f.put_bytes(payload);
-        let framed = f.into_bytes();
-        let (_, covered) = framed.split_at(8);
-        let crc = crc32(covered);
-        let mut f = ByteWriter::new();
-        f.put_bytes(&framed);
-        f.put_u32(crc);
-        f.into_bytes()
+        FRAME.seal(f)
+    }
+
+    #[test]
+    fn envelope_magic_is_the_wire_magic_and_version() {
+        assert_eq!(&FRAME.magic[..7], WIRE_MAGIC);
+        assert_eq!(FRAME.magic[7], WIRE_VERSION);
+        assert_eq!(
+            frame_raw(KIND_GOODBYE, &[]),
+            encode_frame(&Frame::Goodbye).unwrap()
+        );
     }
 
     fn response_with_detection() -> Frame {

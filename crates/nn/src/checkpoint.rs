@@ -42,14 +42,19 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use fademl_tensor::io::{
-    atomic_write, crc32, is_staging_file, read_artifact, ByteReader, ByteWriter,
+    atomic_write, is_staging_file, read_artifact, ByteReader, ByteWriter, CrcScope, Envelope,
 };
 use fademl_tensor::{Shape, Tensor, TensorRng};
 
+use crate::error::corrupt;
 use crate::{EpochStats, Optimizer};
 use crate::{NnError, OptimizerState, Result, Sequential, TrainHistory};
 
-const MAGIC: &[u8; 8] = b"FADEMLC1";
+/// The `FADEMLC1` framing: the CRC covers everything after the magic.
+const CHECKPOINT: Envelope = Envelope {
+    magic: b"FADEMLC1",
+    crc: CrcScope::AfterMagic,
+};
 const VERSION: u32 = 1;
 
 /// Hard caps applied while parsing, before any allocation: a corrupt
@@ -183,7 +188,7 @@ impl TrainState {
 
     /// Serializes the snapshot to the `FADEMLC1` format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = ByteWriter::new();
+        let mut w = CHECKPOINT.writer();
         w.put_u32(VERSION);
         w.put_u64(self.epochs_done);
         for &s in &self.rng_state {
@@ -231,12 +236,7 @@ impl TrainState {
             w.put_f32(e.loss);
             w.put_f32(e.train_accuracy);
         }
-        let body = w.into_bytes();
-        let mut out = Vec::with_capacity(MAGIC.len() + body.len() + 4);
-        out.extend_from_slice(MAGIC);
-        out.extend_from_slice(&body);
-        out.extend_from_slice(&crc32(&body).to_le_bytes());
-        out
+        CHECKPOINT.seal(w)
     }
 
     /// Parses and verifies a `FADEMLC1` checkpoint.
@@ -246,25 +246,9 @@ impl TrainState {
     /// Returns [`NnError::Corrupt`] for bad magic, unsupported version,
     /// CRC mismatch, truncation or any structurally invalid field.
     pub fn decode(bytes: &[u8]) -> Result<TrainState> {
-        if bytes.len() < MAGIC.len() + 4 + 4 {
-            return Err(corrupt(format!(
-                "file too small for a checkpoint ({} bytes)",
-                bytes.len()
-            )));
-        }
-        let Some((body, trailer)) = bytes
-            .strip_prefix(MAGIC)
-            .and_then(|framed| framed.split_last_chunk::<4>())
-        else {
-            return Err(corrupt("not a FAdeML checkpoint (bad magic)"));
-        };
-        let stored = u32::from_le_bytes(*trailer);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(corrupt(format!(
-                "CRC mismatch: trailer {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
+        let body = CHECKPOINT
+            .open(bytes)
+            .map_err(|refusal| corrupt(format!("not a FAdeML checkpoint: {refusal}")))?;
         let mut r = ByteReader::new(body);
         let state = parse_body(&mut r)?;
         if r.remaining() != 0 {
@@ -274,12 +258,6 @@ impl TrainState {
             )));
         }
         Ok(state)
-    }
-}
-
-fn corrupt(reason: impl Into<String>) -> NnError {
-    NnError::Corrupt {
-        reason: reason.into(),
     }
 }
 
@@ -708,7 +686,7 @@ mod tests {
         ));
         // A payload claiming an absurd tensor rank must fail before
         // allocating.
-        let mut w = ByteWriter::new();
+        let mut w = CHECKPOINT.writer();
         w.put_u32(VERSION);
         w.put_u64(0);
         for _ in 0..4 {
@@ -717,13 +695,8 @@ mod tests {
         w.put_f32(0.0);
         w.put_u32(1); // one param tensor
         w.put_u8(255); // rank 255 ≫ MAX_RANK
-        let body = w.into_bytes();
-        let mut file = Vec::new();
-        file.extend_from_slice(MAGIC);
-        file.extend_from_slice(&body);
-        file.extend_from_slice(&crc32(&body).to_le_bytes());
         assert!(matches!(
-            TrainState::decode(&file),
+            TrainState::decode(&CHECKPOINT.seal(w)),
             Err(NnError::Corrupt { .. })
         ));
     }

@@ -74,6 +74,13 @@ impl Error for NnError {
     }
 }
 
+/// A [`NnError::Corrupt`]: the artifact codecs' one refusal.
+pub(crate) fn corrupt(reason: impl Into<String>) -> NnError {
+    NnError::Corrupt {
+        reason: reason.into(),
+    }
+}
+
 impl From<TensorError> for NnError {
     fn from(e: TensorError) -> Self {
         NnError::Tensor(e)

@@ -18,12 +18,17 @@
 use std::io::{Read, Write};
 use std::path::Path;
 
-use fademl_tensor::io::{atomic_write, crc32, read_artifact, ByteReader, ByteWriter};
+use fademl_tensor::io::{atomic_write, read_artifact, ByteReader, CrcScope, Envelope, Refusal};
 use fademl_tensor::{Shape, Tensor};
 
+use crate::error::corrupt;
 use crate::{NnError, Result, Sequential};
 
-const MAGIC_V2: &[u8; 8] = b"FADEMLW2";
+/// The `FADEMLW2` framing: the CRC covers the parameter records only.
+const WEIGHTS: Envelope = Envelope {
+    magic: b"FADEMLW2",
+    crc: CrcScope::AfterMagic,
+};
 /// Magic of the retired CRC-less format, kept only to refuse it by name.
 const MAGIC_V1: &[u8; 8] = b"FADEMLW1";
 
@@ -32,15 +37,9 @@ const MAGIC_V1: &[u8; 8] = b"FADEMLW1";
 /// the dims vector is allocated.
 const MAX_RANK: usize = 8;
 
-fn corrupt(reason: impl Into<String>) -> NnError {
-    NnError::Corrupt {
-        reason: reason.into(),
-    }
-}
-
 /// Serializes all model parameters to the current (`FADEMLW2`) format.
 pub fn encode_weights(model: &Sequential) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+    let mut w = WEIGHTS.writer();
     let params = model.params();
     w.put_count(params.len());
     for p in params {
@@ -53,16 +52,7 @@ pub fn encode_weights(model: &Sequential) -> Vec<u8> {
             w.put_f32(x);
         }
     }
-    seal(&w.into_bytes())
-}
-
-/// Wraps parameter records in the magic and the CRC-32 trailer.
-fn seal(body: &[u8]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(MAGIC_V2.len() + body.len() + 4);
-    out.extend_from_slice(MAGIC_V2);
-    out.extend_from_slice(body);
-    out.extend_from_slice(&crc32(body).to_le_bytes());
-    out
+    WEIGHTS.seal(w)
 }
 
 /// Writes all model parameters to `writer` in the `FADEMLW2` format.
@@ -101,32 +91,13 @@ pub fn save_weights_to_path<P: AsRef<Path>>(model: &Sequential, path: P) -> Resu
 /// [`NnError::ArchMismatch`] when an intact file does not match the
 /// model's parameter list.
 pub fn decode_weights(bytes: &[u8], model: &mut Sequential) -> Result<()> {
-    if bytes.len() < MAGIC_V2.len() {
-        return Err(corrupt(format!(
-            "file too small for a weight file ({} bytes)",
-            bytes.len()
-        )));
-    }
-    let (magic, rest) = bytes.split_at(MAGIC_V2.len());
-    if magic == MAGIC_V2 {
-        let Some((body, trailer)) = rest.split_last_chunk::<4>() else {
-            return Err(corrupt("missing CRC trailer"));
-        };
-        let stored = u32::from_le_bytes(*trailer);
-        let actual = crc32(body);
-        if stored != actual {
-            return Err(corrupt(format!(
-                "CRC mismatch: trailer {stored:#010x}, computed {actual:#010x}"
-            )));
-        }
-        parse_params(body, model)
-    } else if magic == MAGIC_V1 {
-        Err(corrupt(
+    let body = WEIGHTS.open(bytes).map_err(|refusal| match refusal {
+        Refusal::BadMagic { found } if &found == MAGIC_V1 => corrupt(
             "legacy FADEMLW1 weight file: the CRC-less format is no longer read, retrain or re-export",
-        ))
-    } else {
-        Err(corrupt("not a FAdeML weight file (bad magic)"))
-    }
+        ),
+        other => corrupt(format!("not a FAdeML weight file: {other}")),
+    })?;
+    parse_params(body, model)
 }
 
 /// Parses the parameter records of a CRC-checked body, where any
@@ -235,6 +206,13 @@ mod tests {
             .push(Dense::new(6, 3, &mut rng))
     }
 
+    /// Parameter records under a valid magic and CRC.
+    fn sealed(body: &[u8]) -> Vec<u8> {
+        let mut w = WEIGHTS.writer();
+        w.put_bytes(body);
+        WEIGHTS.seal(w)
+    }
+
     #[test]
     fn round_trip_preserves_outputs() {
         let source = model(1);
@@ -313,7 +291,7 @@ mod tests {
         let clean = encode_weights(&model(1));
         // Chop the records mid-payload under a valid CRC: parsing fails
         // with the first parameters already staged.
-        let buf = seal(&clean[MAGIC_V2.len()..clean.len() - 14]);
+        let buf = sealed(&clean[8..clean.len() - 14]);
         let mut target = model(2);
         let x = Tensor::ones(&[2, 4]);
         let before = target.forward(&x).unwrap();
@@ -333,7 +311,7 @@ mod tests {
         body.extend_from_slice(&4u32.to_le_bytes()); // matches model param count
         body.extend_from_slice(&u32::MAX.to_le_bytes()); // absurd rank
         let mut m = model(1);
-        match decode_weights(&seal(&body), &mut m) {
+        match decode_weights(&sealed(&body), &mut m) {
             Err(NnError::Corrupt { reason }) => assert!(reason.contains("rank"), "{reason}"),
             other => panic!("expected a rank refusal, got {other:?}"),
         }

@@ -22,33 +22,38 @@
 //!   exercising refit containment — the incumbent detector must keep
 //!   serving and the attempt must be counted as panicked.
 //!
-//! Batch and dequeue sequence numbers are 1-based and counted by the
-//! plan itself (shared across clones), so a single-worker server is
-//! fully deterministic. Chaos tests assert the engine's invariant:
-//! *every submitted request's handle resolves* — with a verdict or a
-//! typed error — no matter which plan is armed.
+//! Every hook counts its own events on a
+//! [`Schedule`](fademl_tensor::io::faults::Schedule) (1-based, shared
+//! across clones), so a single-worker server is fully deterministic.
+//! Chaos tests assert the engine's invariant: *every submitted
+//! request's handle resolves* — with a verdict or a typed error — no
+//! matter which plan is armed.
 
 use std::any::Any;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Once};
+use std::sync::Once;
 use std::time::Duration;
+
+use fademl_tensor::io::faults::Schedule;
+
+use crate::server::FaultSite;
+
+/// What a scripted event does, in this order: sleep, then die or panic.
+#[derive(Debug, Clone, Copy)]
+enum Fault {
+    Sleep(Duration),
+    Panic,
+    Kill,
+}
 
 /// A scripted set of faults, cloned into every worker.
 /// Clones share the sequence counters, so a plan describes one global
 /// schedule regardless of how many threads consult it.
 #[derive(Debug, Clone, Default)]
 pub struct FaultPlan {
-    panic_batches: Vec<u64>,
-    kill_batches: Vec<u64>,
-    batch_delays: Vec<(u64, Duration)>,
-    dequeue_stalls: Vec<(u64, Duration)>,
-    score_panics: Vec<u64>,
-    score_delays: Vec<(u64, Duration)>,
-    refit_panics: Vec<u64>,
-    batch_seq: Arc<AtomicU64>,
-    dequeue_seq: Arc<AtomicU64>,
-    score_seq: Arc<AtomicU64>,
-    refit_seq: Arc<AtomicU64>,
+    batches: Schedule<Fault>,
+    dequeues: Schedule<Fault>,
+    scores: Schedule<Fault>,
+    refits: Schedule<Fault>,
 }
 
 impl FaultPlan {
@@ -61,7 +66,7 @@ impl FaultPlan {
     /// order at the pool) panics mid-execution.
     #[must_use]
     pub fn panic_on_batch(mut self, seq: u64) -> Self {
-        self.panic_batches.push(seq);
+        self.batches.on(seq, Fault::Panic);
         self
     }
 
@@ -70,7 +75,7 @@ impl FaultPlan {
     /// exits uncleanly and the supervisor must respawn it.
     #[must_use]
     pub fn kill_worker_on_batch(mut self, seq: u64) -> Self {
-        self.kill_batches.push(seq);
+        self.batches.on(seq, Fault::Kill);
         self
     }
 
@@ -78,7 +83,7 @@ impl FaultPlan {
     /// before touching the pipeline.
     #[must_use]
     pub fn delay_batch(mut self, seq: u64, delay: Duration) -> Self {
-        self.batch_delays.push((seq, delay));
+        self.batches.on(seq, Fault::Sleep(delay));
         self
     }
 
@@ -88,7 +93,7 @@ impl FaultPlan {
     /// queued waits for it or for another free worker.
     #[must_use]
     pub fn stall_dequeue(mut self, seq: u64, stall: Duration) -> Self {
-        self.dequeue_stalls.push((seq, stall));
+        self.dequeues.on(seq, Fault::Sleep(stall));
         self
     }
 
@@ -97,7 +102,7 @@ impl FaultPlan {
     /// request is served unscored, never failed.
     #[must_use]
     pub fn panic_on_score(mut self, seq: u64) -> Self {
-        self.score_panics.push(seq);
+        self.scores.on(seq, Fault::Panic);
         self
     }
 
@@ -106,7 +111,7 @@ impl FaultPlan {
     /// timeout fail-open path fires.
     #[must_use]
     pub fn delay_score(mut self, seq: u64, delay: Duration) -> Self {
-        self.score_delays.push((seq, delay));
+        self.scores.on(seq, Fault::Sleep(delay));
         self
     }
 
@@ -115,63 +120,38 @@ impl FaultPlan {
     /// detector keeps serving and the refit is counted as panicked.
     #[must_use]
     pub fn panic_on_refit(mut self, seq: u64) -> Self {
-        self.refit_panics.push(seq);
+        self.refits.on(seq, Fault::Panic);
         self
     }
 
-    /// Supervisor-side hook, called once per refit attempt inside the
-    /// refit's panic isolation. May panic.
+    /// The engine's hook, called once per event at `site`: counts it on
+    /// that site's schedule and carries out what is scripted there —
+    /// every sleep first, then a worker kill over a plain panic.
     #[expect(
         clippy::panic,
         reason = "injects the panic the caller's isolation must contain"
     )]
-    pub(crate) fn on_refit(&self) {
-        let seq = self.refit_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if self.refit_panics.contains(&seq) {
-            std::panic::panic_any(InjectedPanic { seq });
+    pub(crate) fn on(&self, site: FaultSite) {
+        let schedule = match site {
+            FaultSite::Dequeue => &self.dequeues,
+            FaultSite::Batch => &self.batches,
+            FaultSite::Score => &self.scores,
+            FaultSite::Refit => &self.refits,
+        };
+        let (seq, due) = schedule.tick();
+        let (mut panic, mut kill) = (false, false);
+        for &fault in due {
+            match fault {
+                Fault::Sleep(delay) => std::thread::sleep(delay),
+                Fault::Panic => panic = true,
+                Fault::Kill => kill = true,
+            }
         }
-    }
-
-    /// Triage-side hook, called once per scoring attempt inside the
-    /// triage stage's panic isolation. May sleep or panic.
-    #[expect(
-        clippy::panic,
-        reason = "injects the panic the caller's isolation must contain"
-    )]
-    pub(crate) fn on_score(&self) {
-        let seq = self.score_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some((_, delay)) = self.score_delays.iter().find(|(s, _)| *s == seq) {
-            std::thread::sleep(*delay);
-        }
-        if self.score_panics.contains(&seq) {
-            std::panic::panic_any(InjectedPanic { seq });
-        }
-    }
-
-    /// Worker-side hook, called once per batch inside the engine's
-    /// panic isolation. May sleep, panic, or demand the worker's death.
-    #[expect(
-        clippy::panic,
-        reason = "injects the panic the caller's isolation must contain"
-    )]
-    pub(crate) fn on_batch_start(&self) {
-        let seq = self.batch_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some((_, delay)) = self.batch_delays.iter().find(|(s, _)| *s == seq) {
-            std::thread::sleep(*delay);
-        }
-        if self.kill_batches.contains(&seq) {
+        if kill {
             std::panic::panic_any(WorkerKill { seq });
         }
-        if self.panic_batches.contains(&seq) {
+        if panic {
             std::panic::panic_any(InjectedPanic { seq });
-        }
-    }
-
-    /// Worker-side hook, called before each pull from the queue.
-    pub(crate) fn on_dequeue(&self) {
-        let seq = self.dequeue_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if let Some((_, stall)) = self.dequeue_stalls.iter().find(|(s, _)| *s == seq) {
-            std::thread::sleep(*stall);
         }
     }
 }
@@ -237,32 +217,32 @@ mod tests {
             .kill_worker_on_batch(3)
             .delay_batch(1, Duration::from_millis(1));
         // Batch 1: delayed but quiet.
-        assert!(catch_unwind(AssertUnwindSafe(|| plan.on_batch_start())).is_ok());
+        assert!(catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Batch))).is_ok());
         // Batch 2: injected panic.
-        let payload = catch_unwind(AssertUnwindSafe(|| plan.on_batch_start())).unwrap_err();
+        let payload = catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Batch))).unwrap_err();
         assert_eq!(
             describe_payload(payload.as_ref()).unwrap(),
             "injected panic on batch 2"
         );
         assert!(!is_worker_kill(payload.as_ref()));
         // Batch 3: worker kill.
-        let payload = catch_unwind(AssertUnwindSafe(|| plan.on_batch_start())).unwrap_err();
+        let payload = catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Batch))).unwrap_err();
         assert!(is_worker_kill(payload.as_ref()));
         assert_eq!(
             describe_payload(payload.as_ref()).unwrap(),
             "injected worker kill on batch 3"
         );
         // Batch 4: nothing scheduled.
-        assert!(catch_unwind(AssertUnwindSafe(|| plan.on_batch_start())).is_ok());
+        assert!(catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Batch))).is_ok());
     }
 
     #[test]
     fn clones_share_one_schedule() {
         let plan = FaultPlan::new().panic_on_batch(2);
         let clone = plan.clone();
-        assert!(catch_unwind(AssertUnwindSafe(|| plan.on_batch_start())).is_ok());
+        assert!(catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Batch))).is_ok());
         // The clone sees the shared counter: its first call is batch 2.
-        assert!(catch_unwind(AssertUnwindSafe(|| clone.on_batch_start())).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| clone.on(FaultSite::Batch))).is_err());
     }
 
     #[test]
@@ -278,22 +258,22 @@ mod tests {
             .panic_on_score(2)
             .delay_score(1, Duration::from_millis(2));
         let start = std::time::Instant::now();
-        assert!(catch_unwind(AssertUnwindSafe(|| plan.on_score())).is_ok());
+        assert!(catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Score))).is_ok());
         assert!(start.elapsed() >= Duration::from_millis(2));
-        let payload = catch_unwind(AssertUnwindSafe(|| plan.on_score())).unwrap_err();
+        let payload = catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Score))).unwrap_err();
         assert!(payload.is::<InjectedPanic>());
         // The batch counter is untouched by score events.
-        assert!(catch_unwind(AssertUnwindSafe(|| plan.on_batch_start())).is_ok());
+        assert!(catch_unwind(AssertUnwindSafe(|| plan.on(FaultSite::Batch))).is_ok());
     }
 
     #[test]
     fn dequeue_stall_counts_independently() {
         let plan = FaultPlan::new().stall_dequeue(1, Duration::from_millis(5));
         let start = std::time::Instant::now();
-        plan.on_dequeue();
+        plan.on(FaultSite::Dequeue);
         assert!(start.elapsed() >= Duration::from_millis(5));
         let start = std::time::Instant::now();
-        plan.on_dequeue();
+        plan.on(FaultSite::Dequeue);
         assert!(start.elapsed() < Duration::from_millis(5));
     }
 }

@@ -49,61 +49,39 @@ use crate::triage::{hardened_threat, AdaptiveConfig, TriageConfig, TriageRuntime
 #[cfg(feature = "faults")]
 use crate::faults::{self, FaultPlan};
 
-/// The fault-injection hook threaded through the engine. Without the
-/// `faults` feature it is a unit type and every hook call compiles to
-/// nothing.
-#[cfg(feature = "faults")]
+/// The fault-injection hook threaded through the engine: `None` unless
+/// a chaos test armed a plan.
 pub(crate) type FaultHandle = Option<FaultPlan>;
 
-/// Zero-sized stand-in when the feature is off; deliberately not
-/// `Copy` so both configurations use identical `clone()` plumbing.
+/// Without the `faults` feature no plan can exist, so every handle is
+/// `None` and every hook compiles to nothing. Deliberately not `Copy`,
+/// so both configurations use identical `clone()` plumbing.
 #[cfg(not(feature = "faults"))]
 #[derive(Debug, Clone)]
-pub(crate) struct FaultHandle;
+pub(crate) enum FaultPlan {}
 
-#[cfg(feature = "faults")]
-fn no_faults() -> FaultHandle {
-    None
-}
-#[cfg(not(feature = "faults"))]
-fn no_faults() -> FaultHandle {
-    FaultHandle
+/// A point in the engine an armed [`FaultPlan`] can wound.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum FaultSite {
+    /// A worker about to pull from the queue.
+    Dequeue,
+    /// A worker starting a batch, inside its panic isolation.
+    Batch,
+    /// The triage detector scoring one image, inside its isolation.
+    Score,
+    /// The detector supervisor attempting a refit, inside its isolation.
+    Refit,
 }
 
-fn fault_on_dequeue(faults: &FaultHandle) {
+/// Counts one event at `site` on the armed plan, if any; compiles to
+/// nothing without the `faults` feature.
+pub(crate) fn fault_at(faults: &FaultHandle, site: FaultSite) {
     #[cfg(feature = "faults")]
     if let Some(plan) = faults {
-        plan.on_dequeue();
+        plan.on(site);
     }
     #[cfg(not(feature = "faults"))]
-    let _ = faults;
-}
-
-fn fault_on_batch_start(faults: &FaultHandle) {
-    #[cfg(feature = "faults")]
-    if let Some(plan) = faults {
-        plan.on_batch_start();
-    }
-    #[cfg(not(feature = "faults"))]
-    let _ = faults;
-}
-
-pub(crate) fn fault_on_score(faults: &FaultHandle) {
-    #[cfg(feature = "faults")]
-    if let Some(plan) = faults {
-        plan.on_score();
-    }
-    #[cfg(not(feature = "faults"))]
-    let _ = faults;
-}
-
-pub(crate) fn fault_on_refit(faults: &FaultHandle) {
-    #[cfg(feature = "faults")]
-    if let Some(plan) = faults {
-        plan.on_refit();
-    }
-    #[cfg(not(feature = "faults"))]
-    let _ = faults;
+    let _ = (faults, site);
 }
 
 /// A running inference server wrapping one [`InferencePipeline`].
@@ -202,7 +180,7 @@ impl InferenceServer {
     /// Returns [`ServeError::InvalidConfig`] for unusable settings and
     /// [`ServeError::Internal`] if a thread cannot be spawned.
     pub fn start(pipeline: InferencePipeline, config: ServerConfig) -> Result<Self> {
-        Self::launch(pipeline, config, TriageSpec::Off, no_faults())
+        Self::launch(pipeline, config, TriageSpec::Off, None)
     }
 
     /// Starts the engine with an adversarial-detection triage stage:
@@ -220,12 +198,7 @@ impl InferenceServer {
         detector: Detector,
         triage: TriageConfig,
     ) -> Result<Self> {
-        Self::launch(
-            pipeline,
-            config,
-            TriageSpec::Static(detector, triage),
-            no_faults(),
-        )
+        Self::launch(pipeline, config, TriageSpec::Static(detector, triage), None)
     }
 
     /// Starts the engine with the *adaptive* detection stage: static
@@ -254,7 +227,7 @@ impl InferenceServer {
             pipeline,
             config,
             TriageSpec::Adaptive(detector, triage, adaptive, supervisor.map(Box::new)),
-            no_faults(),
+            None,
         )
     }
 
@@ -739,7 +712,7 @@ fn spawn_worker(
             clean: false,
         };
         loop {
-            fault_on_dequeue(&shared.faults);
+            fault_at(&shared.faults, FaultSite::Dequeue);
             let Some(batch) = shared.queue.take(&shared.metrics) else {
                 break;
             };
@@ -923,7 +896,7 @@ fn process_batch(shared: &WorkerShared, batch: Batch) {
     // started with — no request can observe torn weights.
     let pipeline = pipeline_snapshot(&shared.pipeline);
     let outcome = catch_unwind(AssertUnwindSafe(|| {
-        fault_on_batch_start(&shared.faults);
+        fault_at(&shared.faults, FaultSite::Batch);
         if !waiters.is_empty() {
             match mode {
                 BatchMode::Batched { probe } => {
@@ -1218,7 +1191,7 @@ mod tests {
             metrics: Arc::new(ServerMetrics::new(config.max_batch_size)),
             breaker: Arc::new(CircuitBreaker::new(3, 4)),
             queue: Arc::new(SubmissionQueue::new(&config)),
-            faults: no_faults(),
+            faults: None,
             triage: None,
         };
         let mut imgs = images(2, 32).into_iter();

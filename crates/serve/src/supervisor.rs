@@ -27,7 +27,7 @@ use fademl_detect::{holdout_auc, DetectorConfig};
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServerMetrics;
-use crate::server::{fault_on_refit, spawn_thread, FaultHandle};
+use crate::server::{fault_at, spawn_thread, FaultHandle, FaultSite};
 use crate::triage::TriageRuntime;
 
 /// Held-out feature vectors the supervisor validates candidates on.
@@ -209,7 +209,7 @@ fn attempt_refit(
         .seed
         .wrapping_add(metrics.detector_generation().wrapping_add(1));
     let trained = catch_unwind(AssertUnwindSafe(|| {
-        fault_on_refit(faults);
+        fault_at(faults, FaultSite::Refit);
         reservoir.refit(&detector_config)
     }));
     let candidate = match trained {

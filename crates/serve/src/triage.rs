@@ -38,7 +38,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServerMetrics;
-use crate::server::{fault_on_score, FaultHandle};
+use crate::server::{fault_at, FaultHandle, FaultSite};
 
 /// Configuration for the triage stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -438,7 +438,7 @@ impl TriageRuntime {
     ) -> TriageVerdict {
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fault_on_score(faults);
+            fault_at(faults, FaultSite::Score);
             detector.score_image(image)
         }));
         let took_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
@@ -476,7 +476,7 @@ impl TriageRuntime {
         // borrow disjoint fields of the same guard.
         let inner = &mut *inner;
         let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fault_on_score(faults);
+            fault_at(faults, FaultSite::Score);
             detector.score_image_with_features(image, &mut inner.features)
         }));
         let took_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);

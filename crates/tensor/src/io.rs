@@ -1,13 +1,17 @@
 //! Durable-artifact IO shared by every crate that persists state.
 //!
-//! Four pieces live here because both `fademl-nn` (weights,
-//! checkpoints) and `fademl-data` (frozen datasets) need them and this
-//! crate is their common root dependency:
+//! These pieces live here because every crate that writes an artifact
+//! (weights, checkpoints, datasets, detectors, reservoirs, the stage
+//! ledger, wire frames) needs them and this crate is their common root
+//! dependency:
 //!
+//! - [`Envelope`] — the one framing of all seven formats: an 8-byte
+//!   magic, a body, a CRC-32 trailer ([`seal_record`] / [`open_record`]
+//!   frame the ledger's appended records the same way). A truncated,
+//!   bit-flipped or foreign file is a **typed [`Refusal`]**, never
+//!   silently-wrong numbers. [`crc32`] is called nowhere else.
 //! - [`Crc32`] / [`crc32`] — a pure-Rust CRC-32 (IEEE, the zlib
-//!   polynomial) used as the integrity trailer of every on-disk format,
-//!   so a truncated or bit-flipped file is a **typed error**, never
-//!   silently-wrong numbers.
+//!   polynomial), the envelope's trailer.
 //! - [`fnv1a`] / [`digest`] — FNV-1a over bytes and over the bits of an
 //!   `f32` slice: the hash ring's key function and the unit of the
 //!   cross-commit bit corpus (`results/bits.txt`).
@@ -22,10 +26,12 @@
 //!   clean `io::Error` instead of panicking or over-allocating on
 //!   corrupt headers.
 //!
-//! With the `faults` cargo feature the [`faults`] module adds a
-//! deterministic IO fault-injection layer (short writes, torn renames,
-//! bit-flips) that wounds [`atomic_write`] on scripted write sequence
-//! numbers — production builds carry zero injection code.
+//! With the `faults` cargo feature the [`faults`] module adds the
+//! workspace's one fault schedule (`Schedule`, "act on the N-th event",
+//! which serve's and net's fault plans are built on) and a deterministic
+//! IO fault-injection layer (short writes, torn renames, bit-flips) that
+//! wounds [`atomic_write`] on scripted write sequence numbers —
+//! production builds carry zero injection code.
 
 use std::fs;
 use std::io::{self, Read, Write};
@@ -239,6 +245,21 @@ impl ByteWriter {
         self.buf.extend_from_slice(v);
     }
 
+    /// Makes room for `additional` more bytes in one growth step.
+    pub fn reserve(&mut self, additional: usize) {
+        self.buf.reserve(additional);
+    }
+
+    /// Overwrites the little-endian `u32` at byte `at` — a length prefix
+    /// whose value is known only once the record after it is written.
+    /// Out of range, it writes nothing.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        let slot = at.checked_add(4).and_then(|end| self.buf.get_mut(at..end));
+        if let Some(slot) = slot {
+            slot.copy_from_slice(&v.to_le_bytes());
+        }
+    }
+
     /// Appends a `u32` count or length prefix. A count past `u32::MAX`
     /// saturates, so a decoder refuses the record rather than misreading
     /// a wrapped prefix.
@@ -394,13 +415,162 @@ impl<'a> ByteReader<'a> {
     }
 }
 
+/// Where a format's CRC-32 trailer starts counting; both scopes are on
+/// disk (DESIGN.md §12.1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CrcScope {
+    /// The body alone: everything between the magic and the trailer.
+    AfterMagic,
+    /// The magic and the body: everything before the trailer.
+    FromStart,
+}
+
+/// One artifact format's framing: an 8-byte magic, a body, then a
+/// little-endian CRC-32 trailer. Every persisted or wire-framed artifact
+/// in the workspace is one of these, so a truncated, torn, bit-flipped
+/// or foreign file is a [`Refusal`] before one body byte is parsed.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Envelope {
+    /// The first eight bytes of every instance.
+    pub magic: &'static [u8; 8],
+    /// What the trailer covers; fixed per format.
+    pub crc: CrcScope,
+}
+
+/// Why [`Envelope::open`] refused its input.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Refusal {
+    /// Too short to hold a magic and a trailer.
+    TooShort {
+        /// Bytes offered.
+        len: usize,
+    },
+    /// Another format's magic, or none: the eight bytes found, so a
+    /// caller can refuse a retired or sibling format by name.
+    BadMagic {
+        /// The leading eight bytes.
+        found: [u8; 8],
+    },
+    /// The trailer does not match the bytes it covers.
+    CrcMismatch {
+        /// CRC stored in the trailer.
+        stored: u32,
+        /// CRC of the bytes as received.
+        computed: u32,
+    },
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refusal::TooShort { len } => {
+                write!(f, "too small for a magic and a CRC trailer ({len} bytes)")
+            }
+            Refusal::BadMagic { found } => write!(f, "bad magic \"{}\"", found.escape_ascii()),
+            Refusal::CrcMismatch { stored, computed } => write!(
+                f,
+                "CRC mismatch: trailer {stored:#010x}, computed {computed:#010x}"
+            ),
+        }
+    }
+}
+
+impl Envelope {
+    /// An encoder already holding the magic: write the body into it,
+    /// then [`seal`](Envelope::seal) it.
+    pub fn writer(&self) -> ByteWriter {
+        let mut w = ByteWriter::new();
+        w.put_bytes(self.magic);
+        w
+    }
+
+    /// Appends the CRC-32 trailer to an encoder begun by
+    /// [`writer`](Envelope::writer), yielding the finished artifact.
+    pub fn seal(&self, mut w: ByteWriter) -> Vec<u8> {
+        w.put_u32(crc32(self.covered(&w.buf)));
+        w.buf
+    }
+
+    /// Checks the magic alone: for a reader that must vet a header
+    /// before it reads (or allocates for) the rest.
+    ///
+    /// # Errors
+    ///
+    /// [`Refusal::TooShort`] under eight bytes, else
+    /// [`Refusal::BadMagic`] for any other magic.
+    pub fn check_magic(&self, bytes: &[u8]) -> Result<(), Refusal> {
+        match bytes.first_chunk::<8>() {
+            None => Err(Refusal::TooShort { len: bytes.len() }),
+            Some(found) if found != self.magic => Err(Refusal::BadMagic { found: *found }),
+            Some(_) => Ok(()),
+        }
+    }
+
+    /// Verifies magic and trailer, in that order, and returns the body
+    /// between them.
+    ///
+    /// # Errors
+    ///
+    /// A [`Refusal`]; nothing of the body has been interpreted.
+    pub fn open<'a>(&self, bytes: &'a [u8]) -> Result<&'a [u8], Refusal> {
+        self.check_magic(bytes)?;
+        let (framed, trailer) = bytes
+            .split_last_chunk::<4>()
+            .filter(|(framed, _)| framed.len() >= self.magic.len())
+            .ok_or(Refusal::TooShort { len: bytes.len() })?;
+        let stored = u32::from_le_bytes(*trailer);
+        let computed = crc32(self.covered(framed));
+        if stored != computed {
+            return Err(Refusal::CrcMismatch { stored, computed });
+        }
+        Ok(framed.get(self.magic.len()..).unwrap_or_default())
+    }
+
+    /// The bytes of `framed` (magic + body) the trailer covers.
+    fn covered<'a>(&self, framed: &'a [u8]) -> &'a [u8] {
+        match self.crc {
+            CrcScope::FromStart => framed,
+            CrcScope::AfterMagic => framed.get(self.magic.len()..).unwrap_or_default(),
+        }
+    }
+}
+
+/// Frames one record of an append-only journal: a `u32` length, the
+/// payload, and the payload's CRC-32. A crash mid-append leaves a torn
+/// record that [`open_record`] refuses, never a wrong one.
+pub fn seal_record(payload: &[u8]) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    w.put_count(payload.len());
+    w.put_bytes(payload);
+    w.put_u32(crc32(payload));
+    w.into_bytes()
+}
+
+/// Splits the first record written by [`seal_record`] off `bytes`:
+/// its payload and the bytes after it. `None` for a torn record, a
+/// length past `max_payload` or a CRC mismatch — everything from there
+/// on is untrusted.
+pub fn open_record(bytes: &[u8], max_payload: usize) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = bytes.split_first_chunk::<4>()?;
+    let len = u32::from_le_bytes(*len) as usize;
+    if len > max_payload {
+        return None;
+    }
+    let (payload, rest) = rest.split_at_checked(len)?;
+    let (crc, rest) = rest.split_first_chunk::<4>()?;
+    (u32::from_le_bytes(*crc) == crc32(payload)).then_some((payload, rest))
+}
+
 #[cfg(feature = "faults")]
 pub mod faults {
-    //! Deterministic IO fault injection, mirroring `serve::faults`.
+    //! Deterministic fault injection: one [`Schedule`] core, and the IO
+    //! plan built on it.
     //!
-    //! An [`IoFaultPlan`] scripts *which* [`atomic_write`](super::atomic_write)
-    //! calls are wounded, by 1-based write sequence number counted by the
-    //! plan itself:
+    //! A [`Schedule`] counts events (writes here; batches, dequeues,
+    //! scores and refits in `serve::faults`; responses in
+    //! `net::faults`) from 1, on a counter every clone shares, and hands
+    //! back the actions scripted on each one. An [`IoFaultPlan`] scripts
+    //! which [`atomic_write`](super::atomic_write) calls are wounded:
     //!
     //! - **short write**: the process "crashes" after writing only half
     //!   the payload to the *staging* file — the destination is never
@@ -413,7 +583,7 @@ pub mod faults {
     //! - **bit flip**: the write fully succeeds, then one bit of the
     //!   destination file is flipped (silent media corruption).
     //!
-    //! Plans are armed per-thread ([`arm`]/[`disarm`]), so concurrently
+    //! IO plans are armed per-thread ([`arm`]/[`disarm`]), so concurrently
     //! running tests never wound each other's writes.
 
     use std::cell::RefCell;
@@ -423,14 +593,51 @@ pub mod faults {
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
 
-    /// A scripted set of IO faults. Clones share the write counter, so
-    /// one plan describes one global schedule.
+    /// "Act on the N-th event": actions scripted on 1-based sequence
+    /// numbers, and the event counter. Clones share the counter, so one
+    /// schedule is one global sequence however many threads consult it.
+    #[derive(Debug, Clone)]
+    pub struct Schedule<A> {
+        scripted: Vec<(u64, A)>,
+        seq: Arc<AtomicU64>,
+    }
+
+    impl<A> Default for Schedule<A> {
+        fn default() -> Self {
+            Schedule {
+                scripted: Vec::default(),
+                seq: Arc::default(),
+            }
+        }
+    }
+
+    impl<A> Schedule<A> {
+        /// Scripts `action` on event number `seq`; an event may carry
+        /// several.
+        pub fn on(&mut self, seq: u64, action: A) {
+            self.scripted.push((seq, action));
+        }
+
+        /// Counts one event: its sequence number, and the actions
+        /// scripted on it in the order they were scripted.
+        pub fn tick(&self) -> (u64, impl Iterator<Item = &A>) {
+            let seq = self.seq.fetch_add(1, Ordering::AcqRel) + 1;
+            let due = self.scripted.iter().filter(move |(s, _)| *s == seq);
+            (seq, due.map(|(_, action)| action))
+        }
+    }
+
+    #[derive(Debug, Clone, Copy)]
+    enum IoFault {
+        ShortWrite,
+        TornRename(usize),
+        BitFlip(usize),
+    }
+
+    /// A scripted set of IO faults on `atomic_write`'s write sequence.
     #[derive(Debug, Clone, Default)]
     pub struct IoFaultPlan {
-        short_writes: Vec<u64>,
-        torn_renames: Vec<(u64, usize)>,
-        bit_flips: Vec<(u64, usize)>,
-        write_seq: Arc<AtomicU64>,
+        writes: Schedule<IoFault>,
     }
 
     impl IoFaultPlan {
@@ -443,7 +650,7 @@ pub mod faults {
         /// the payload; the destination is untouched.
         #[must_use]
         pub fn short_write_on(mut self, seq: u64) -> Self {
-            self.short_writes.push(seq);
+            self.writes.on(seq, IoFault::ShortWrite);
             self
         }
 
@@ -451,7 +658,7 @@ pub mod faults {
         /// `keep_bytes` of the payload reach the destination.
         #[must_use]
         pub fn torn_rename_on(mut self, seq: u64, keep_bytes: usize) -> Self {
-            self.torn_renames.push((seq, keep_bytes));
+            self.writes.on(seq, IoFault::TornRename(keep_bytes));
             self
         }
 
@@ -459,7 +666,7 @@ pub mod faults {
         /// the destination file is flipped (offsets past the end wrap).
         #[must_use]
         pub fn bit_flip_on(mut self, seq: u64, byte_offset: usize) -> Self {
-            self.bit_flips.push((seq, byte_offset));
+            self.writes.on(seq, IoFault::BitFlip(byte_offset));
             self
         }
     }
@@ -485,7 +692,7 @@ pub mod faults {
 
     /// Consulted by `atomic_write`. `None` → proceed normally;
     /// `Some(result)` → the write was intercepted and `result` is its
-    /// outcome.
+    /// outcome. The first fault scripted on a write is the one it gets.
     #[expect(
         clippy::disallowed_methods,
         reason = "injects the torn and rotted files atomic_write exists to prevent"
@@ -498,36 +705,38 @@ pub mod faults {
         let Some(plan) = ARMED.with(|a| a.borrow().clone()) else {
             return Ok(None);
         };
-        let seq = plan.write_seq.fetch_add(1, Ordering::Relaxed) + 1;
-        if plan.short_writes.contains(&seq) {
-            // Crash mid-staging: half the payload in the temp file, the
-            // destination untouched.
-            fs::write(tmp, bytes.split_at(bytes.len() / 2).0)?;
-            return Ok(Some(Err(io::Error::other(format!(
-                "{INJECTED}: short write (crash while staging, write {seq})"
-            )))));
-        }
-        if let Some((_, keep)) = plan.torn_renames.iter().find(|(s, _)| *s == seq) {
-            // Crash mid-replace on a non-atomic filesystem: the
-            // destination holds a prefix of the new payload.
-            fs::write(path, bytes.get(..*keep).unwrap_or(bytes))?;
-            return Ok(Some(Err(io::Error::other(format!(
-                "{INJECTED}: torn rename (crash while replacing, write {seq})"
-            )))));
-        }
-        if let Some((_, offset)) = plan.bit_flips.iter().find(|(s, _)| *s == seq) {
-            // Silent corruption: the write succeeds, one bit rots.
-            super::write_staged(tmp, bytes)?;
-            fs::rename(tmp, path)?;
-            let mut data = fs::read(path)?;
-            let at = offset.checked_rem(data.len());
-            if let Some(byte) = at.and_then(|at| data.get_mut(at)) {
-                *byte ^= 1;
+        let (seq, mut due) = plan.writes.tick();
+        match due.next().copied() {
+            None => Ok(None),
+            Some(IoFault::ShortWrite) => {
+                // Crash mid-staging: half the payload in the temp file,
+                // the destination untouched.
+                fs::write(tmp, bytes.split_at(bytes.len() / 2).0)?;
+                Ok(Some(Err(io::Error::other(format!(
+                    "{INJECTED}: short write (crash while staging, write {seq})"
+                )))))
             }
-            fs::write(path, &data)?;
-            return Ok(Some(Ok(())));
+            Some(IoFault::TornRename(keep)) => {
+                // Crash mid-replace on a non-atomic filesystem: the
+                // destination holds a prefix of the new payload.
+                fs::write(path, bytes.get(..keep).unwrap_or(bytes))?;
+                Ok(Some(Err(io::Error::other(format!(
+                    "{INJECTED}: torn rename (crash while replacing, write {seq})"
+                )))))
+            }
+            Some(IoFault::BitFlip(offset)) => {
+                // Silent corruption: the write succeeds, one bit rots.
+                super::write_staged(tmp, bytes)?;
+                fs::rename(tmp, path)?;
+                let mut data = fs::read(path)?;
+                let at = offset.checked_rem(data.len());
+                if let Some(byte) = at.and_then(|at| data.get_mut(at)) {
+                    *byte ^= 1;
+                }
+                fs::write(path, &data)?;
+                Ok(Some(Ok(())))
+            }
         }
-        Ok(None)
     }
 }
 
@@ -638,5 +847,52 @@ mod tests {
         assert!(r.get_str().is_err());
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_bytes(usize::MAX).is_err());
+    }
+
+    #[test]
+    fn envelope_scopes_its_crc_and_types_every_refusal() {
+        let seal = |envelope: Envelope, body: &[u8]| {
+            let mut w = envelope.writer();
+            w.put_bytes(body);
+            envelope.seal(w)
+        };
+        let after = Envelope {
+            magic: b"FADEMLT1",
+            crc: CrcScope::AfterMagic,
+        };
+        let from_start = Envelope {
+            magic: b"FADEMLT2",
+            crc: CrcScope::FromStart,
+        };
+        let bytes = seal(after, b"body");
+        assert_eq!(bytes[12..], crc32(b"body").to_le_bytes());
+        let whole = seal(from_start, b"body");
+        assert_eq!(whole[12..], crc32(b"FADEMLT2body").to_le_bytes());
+        assert_eq!(after.open(&bytes), Ok(&b"body"[..]));
+        assert_eq!(from_start.open(&seal(from_start, b"")), Ok(&b""[..]));
+        let found = *b"FADEMLT1";
+        assert_eq!(from_start.open(&bytes), Err(Refusal::BadMagic { found }));
+        assert_eq!(after.open(&bytes[..11]), Err(Refusal::TooShort { len: 11 }));
+        for at in 8..bytes.len() {
+            let mut bad = bytes.clone();
+            bad[at] ^= 0x01;
+            assert!(matches!(after.open(&bad), Err(Refusal::CrcMismatch { .. })));
+        }
+    }
+
+    #[test]
+    fn records_split_off_until_the_first_torn_one() {
+        let mut log = seal_record(b"one");
+        log.extend_from_slice(&seal_record(b""));
+        let whole = log.len();
+        log.extend_from_slice(&seal_record(b"torn")[..6]);
+        let (first, rest) = open_record(&log, 16).unwrap();
+        let (second, rest) = open_record(rest, 16).unwrap();
+        assert_eq!((first, second), (&b"one"[..], &b""[..]));
+        assert_eq!(rest.len(), log.len() - whole);
+        assert_eq!(open_record(rest, 16), None);
+        assert_eq!(open_record(&log, 2), None, "over the payload cap");
+        log[5] ^= 0x01;
+        assert_eq!(open_record(&log, 16), None, "CRC mismatch");
     }
 }
