@@ -2,12 +2,11 @@
 //! measured end to end. Three artifacts per run:
 //!
 //! 1. `BENCH_detection.json` at the repo root — a **trajectory** of
-//!    runs. Each run appends one entry carrying the static
-//!    detect-under-attack AUC, the static-vs-adaptive comparison under
-//!    drift (AUCs, hardened budget adherence, refit accounting), and
-//!    the live triaged server's economics. The newest 20 entries are
-//!    kept, so the file shows how detection quality moves across PRs
-//!    instead of a single snapshot.
+//!    runs. Each run appends one entry carrying the detect-under-attack
+//!    AUC, the Youden operating threshold, and the live triaged
+//!    server's economics. The newest 20 entries are kept, so the file
+//!    shows how detection quality moves across PRs instead of a single
+//!    snapshot.
 //! 2. `results/detection_roc.txt` — the full ROC sweep plus the chosen
 //!    operating point.
 //! 3. A stage ledger exercising the resumable experiment paths.
@@ -20,14 +19,12 @@
 use std::path::Path;
 use std::time::Instant;
 
-use fademl::experiments::{
-    run_adaptive_resumable, run_detection_resumable, AdaptiveParams, AttackParams, DetectionParams,
-};
+use fademl::experiments::{run_detection_resumable, AttackParams, DetectionParams};
 use fademl::setup::{ExperimentSetup, SetupProfile};
 use fademl::{InferencePipeline, ThreatModel};
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Fgsm};
-use fademl_data::{ClassId, DriftSpec, FrameStream, StreamConfig};
-use fademl_detect::{ControllerConfig, Detector, DetectorConfig};
+use fademl_data::{ClassId, FrameStream, StreamConfig};
+use fademl_detect::{Detector, DetectorConfig};
 use fademl_filters::FilterSpec;
 use fademl_serve::{InferenceServer, ServerConfig, TriageConfig};
 use fademl_tensor::io::atomic_write;
@@ -270,103 +267,6 @@ fn main() {
         cell.requests, cell.triage_overhead_us, cell.flagged, cell.hardened_hit_rate, cell.throughput_rps,
     );
 
-    // Static vs adaptive under drift: the same stream now darkens and
-    // gets noisier mid-sweep, with attack bursts landing post-drift.
-    let adaptive_params = if quick {
-        // The core crate's seeded-regression configuration: small and
-        // deterministic, with a demonstrated adaptive-over-static win.
-        AdaptiveParams {
-            fit_frames: 48,
-            segments: 6,
-            frames_per_segment: 24,
-            burst_from: 3,
-            detector: DetectorConfig {
-                trees: 16,
-                subsample: 16,
-                scales: 2,
-                seed: 9,
-            },
-            controller: ControllerConfig {
-                budget: 0.1,
-                step: 0.05,
-                floor: 0.3,
-                ceiling: 0.95,
-                window: 12,
-                ..ControllerConfig::default()
-            },
-            initial_threshold: 0.52,
-            reservoir_capacity: 96,
-            reservoir_seed: 0x5EED,
-            min_refit_samples: 24,
-            auc_margin: 0.1,
-            holdout_cap: 8,
-            drift: DriftSpec {
-                at_frame: 1,
-                ramp_frames: 2,
-                brightness_shift: -0.35,
-                noise_gain: 2.5,
-            },
-            ..AdaptiveParams::default()
-        }
-    } else {
-        AdaptiveParams {
-            controller: ControllerConfig {
-                budget: 0.1,
-                step: 0.05,
-                floor: 0.3,
-                window: 16,
-                ..ControllerConfig::default()
-            },
-            ..AdaptiveParams::default()
-        }
-    };
-    // The smoke's tiny segments need a stronger burst for a stable
-    // above-chance signal; the full run keeps the shared parameters.
-    let adaptive_attack = if quick {
-        AttackParams {
-            epsilon: 0.15,
-            fademl_rounds: 1,
-            ..attack
-        }
-    } else {
-        attack
-    };
-    let adaptive_ledger =
-        std::env::temp_dir().join(format!("fademl_bench_adaptive_{}.fjl", std::process::id()));
-    let _ = std::fs::remove_file(&adaptive_ledger);
-    let adaptive_started = Instant::now();
-    let adaptive = run_adaptive_resumable(
-        &prepared,
-        &adaptive_params,
-        &adaptive_attack,
-        &adaptive_ledger,
-    )
-    .expect("adaptive sweep")
-    .result;
-    let adaptive_ms = adaptive_started.elapsed().as_millis();
-    let _ = std::fs::remove_file(&adaptive_ledger);
-    assert!(
-        adaptive.adaptive_auc > 0.5,
-        "adaptive arm must beat chance under drift, got AUC {}",
-        adaptive.adaptive_auc
-    );
-    assert!(
-        adaptive.adaptive_auc >= adaptive.static_auc,
-        "refitting must not lose to the static detector it replaces: {} vs {}",
-        adaptive.adaptive_auc,
-        adaptive.static_auc
-    );
-    eprintln!(
-        "[detection] drift sweep: static AUC {:.3} vs adaptive AUC {:.3}; clean hardened load {:.3} (budget {:.2}); {} refits swapped / {} rejected ({} ms)",
-        adaptive.static_auc,
-        adaptive.adaptive_auc,
-        adaptive.adaptive_clean_flagged_frac,
-        adaptive.budget,
-        adaptive.refits.swapped,
-        adaptive.refits.rejected,
-        adaptive_ms,
-    );
-
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
 
     let mut roc_txt =
@@ -426,46 +326,6 @@ fn main() {
     ));
     entry.push_str(&format!("      \"sweep_ms\": {sweep_ms},\n"));
     entry.push_str(&format!("      \"threshold\": {threshold:.4},\n"));
-    entry.push_str("      \"adaptive\": {\n");
-    entry.push_str(&format!(
-        "        \"static_auc\": {:.4},\n",
-        adaptive.static_auc
-    ));
-    entry.push_str(&format!(
-        "        \"adaptive_auc\": {:.4},\n",
-        adaptive.adaptive_auc
-    ));
-    entry.push_str(&format!("        \"budget\": {:.4},\n", adaptive.budget));
-    entry.push_str(&format!(
-        "        \"static_clean_flagged_frac\": {:.4},\n",
-        adaptive.static_clean_flagged_frac
-    ));
-    entry.push_str(&format!(
-        "        \"adaptive_clean_flagged_frac\": {:.4},\n",
-        adaptive.adaptive_clean_flagged_frac
-    ));
-    entry.push_str(&format!(
-        "        \"refits_attempted\": {},\n",
-        adaptive.refits.attempted
-    ));
-    entry.push_str(&format!(
-        "        \"refits_swapped\": {},\n",
-        adaptive.refits.swapped
-    ));
-    entry.push_str(&format!(
-        "        \"refits_rejected\": {},\n",
-        adaptive.refits.rejected
-    ));
-    entry.push_str(&format!(
-        "        \"final_generation\": {},\n",
-        adaptive.final_generation
-    ));
-    entry.push_str(&format!(
-        "        \"final_threshold\": {:.4},\n",
-        adaptive.final_threshold
-    ));
-    entry.push_str(&format!("        \"sweep_ms\": {adaptive_ms}\n"));
-    entry.push_str("      },\n");
     entry.push_str("      \"serving\": {\n");
     entry.push_str(&format!("        \"requests\": {},\n", cell.requests));
     entry.push_str(&format!(
@@ -513,9 +373,9 @@ fn main() {
     }
     let mut json = String::from("{\n  \"bench\": \"detection\",\n");
     json.push_str(
-        "  \"note\": \"one entry per run, newest last (cap 20): static detect-under-attack AUC, \
-         static-vs-adaptive comparison under drift + attack bursts, and live triaged-server \
-         economics on a 1/3-adversarial frame stream\",\n",
+        "  \"note\": \"one entry per run, newest last (cap 20): detect-under-attack AUC and \
+         Youden operating threshold on a clean/FGSM/FAdeML frame stream, and live \
+         triaged-server economics on a 1/3-adversarial frame stream\",\n",
     );
     json.push_str("  \"trajectory\": [\n    ");
     json.push_str(&entries.join(",\n    "));

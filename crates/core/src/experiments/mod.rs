@@ -14,16 +14,10 @@
 //! sweep scoring the serving stack's triage detector (ROC/AUC) on a
 //! correlated frame stream with FGSM/FAdeML segments mixed in.
 //!
-//! [`adaptive`] closes the loop: the same stream now drifts mid-sweep
-//! and an online-refitting arm (reservoir, budgeted threshold
-//! controller, validated hot swap) is compared against the static
-//! detector it replaces.
-//!
-//! [`resume`] is the journal those two run on: completed stages are
+//! [`resume`] is the journal it runs on: completed stages are
 //! appended to a [`StageLedger`] so a killed sweep restarts at the
 //! first incomplete stage.
 
-pub mod adaptive;
 pub mod detection;
 pub mod fig5;
 pub mod fig6;
@@ -32,9 +26,6 @@ pub mod fig9;
 mod grid;
 pub mod resume;
 
-pub use adaptive::{
-    run_adaptive_resumable, AdaptiveParams, AdaptiveResult, AdaptiveSegment, RefitStats,
-};
 pub use detection::{
     run_detection_resumable, DetectionParams, DetectionResult, RocPoint, SegmentKind,
     SegmentOutcome,

@@ -1,6 +1,6 @@
 //! Experiment-level resumability: a per-stage completion ledger so a
-//! killed detection or adaptive sweep restarts at the first incomplete
-//! stage instead of from scratch.
+//! killed detection sweep restarts at the first incomplete stage
+//! instead of from scratch.
 //!
 //! The [`StageLedger`] is an append-only journal: every
 //! completed stage is appended as a length-prefixed record carrying its

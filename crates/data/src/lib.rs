@@ -54,7 +54,7 @@ pub use generator::{DatasetConfig, SignDataset, TrainTestSplit};
 pub use noise::{box_blur3, NoiseModel};
 pub use persist::{load_dataset, load_dataset_from_path, save_dataset, save_dataset_to_path};
 pub use ppm::{from_ppm, save_ppm, to_ppm};
-pub use stream::{DriftSpec, FrameStream, StreamConfig};
+pub use stream::{FrameStream, StreamConfig};
 pub use templates::{render_sign, RenderJitter};
 
 /// Convenient result alias for fallible dataset operations.

@@ -11,11 +11,7 @@
 //! [`FrameStream`] evolves a [`RenderJitter`] by a bounded random walk
 //! (temporal correlation) and re-applies the sensor noise model each
 //! frame (temporal independence of the noise), all deterministic from
-//! one seed. An optional [`DriftSpec`] schedules *covariate shift*
-//! mid-stream — an exposure change plus a noise-floor change, ramped in
-//! over a configurable window — which is the workload the adaptive
-//! detection experiments need: a detector fitted on pre-drift traffic
-//! sees its clean-score distribution move under it.
+//! one seed.
 
 use fademl_tensor::{Tensor, TensorRng};
 
@@ -23,76 +19,6 @@ use crate::classes::ClassId;
 use crate::noise::NoiseModel;
 use crate::templates::{render_sign, RenderJitter};
 use crate::{DataError, Result};
-
-/// Scheduled covariate shift: from frame `at_frame` on, the stream's
-/// photometric conditions move away from the opening regime, ramping
-/// linearly to full strength over `ramp_frames` frames. Deliberately
-/// *benign* — no adversarial perturbation, just the world changing —
-/// so it exercises exactly the false-positive inflation a static
-/// detector suffers under drift.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DriftSpec {
-    /// Index (0-based, in production order) of the first drifted frame.
-    pub at_frame: u64,
-    /// Frames over which the shift ramps from 0 to full strength;
-    /// `0` means a step change.
-    pub ramp_frames: u64,
-    /// Additive shift to the brightness multiplier at full strength
-    /// (`|x| ≤ 0.5`; the render clamp still applies).
-    pub brightness_shift: f32,
-    /// Multiplier on the sensor-noise magnitude at full strength
-    /// (`[0, 4]`; `1.0` leaves the noise floor unchanged).
-    pub noise_gain: f32,
-}
-
-impl Default for DriftSpec {
-    fn default() -> Self {
-        DriftSpec {
-            at_frame: 0,
-            ramp_frames: 0,
-            brightness_shift: -0.3,
-            noise_gain: 2.0,
-        }
-    }
-}
-
-impl DriftSpec {
-    fn validate(&self) -> Result<()> {
-        if !self.brightness_shift.is_finite() || self.brightness_shift.abs() > 0.5 {
-            return Err(DataError::InvalidConfig {
-                reason: format!(
-                    "drift brightness_shift must be finite with |x| <= 0.5, got {}",
-                    self.brightness_shift
-                ),
-            });
-        }
-        if !self.noise_gain.is_finite() || !(0.0..=4.0).contains(&self.noise_gain) {
-            return Err(DataError::InvalidConfig {
-                reason: format!(
-                    "drift noise_gain must be a finite value in [0, 4], got {}",
-                    self.noise_gain
-                ),
-            });
-        }
-        Ok(())
-    }
-
-    /// Drift strength in `[0, 1]` for the frame with production index
-    /// `frame`: zero before `at_frame`, then a linear ramp reaching 1
-    /// after `ramp_frames` frames (immediately if the ramp is zero).
-    /// Experiments reuse this schedule at coarser granularities (e.g.
-    /// per segment) by passing their own index.
-    pub fn level(&self, frame: u64) -> f32 {
-        if frame < self.at_frame {
-            return 0.0;
-        }
-        if self.ramp_frames == 0 {
-            return 1.0;
-        }
-        let into = (frame - self.at_frame).saturating_add(1);
-        ((into as f64 / self.ramp_frames as f64).min(1.0)) as f32
-    }
-}
 
 /// Configuration of a correlated frame stream.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -106,9 +32,6 @@ pub struct StreamConfig {
     pub walk_step: f32,
     /// Whether to apply the per-frame sensor noise model.
     pub sensor_noise: bool,
-    /// Optional scheduled covariate shift; `None` leaves the stream
-    /// bit-identical to a pre-drift-era stream with the same seed.
-    pub drift: Option<DriftSpec>,
     /// Seed for the walk and the noise.
     pub seed: u64,
 }
@@ -120,7 +43,6 @@ impl Default for StreamConfig {
             image_size: 32,
             walk_step: 0.02,
             sensor_noise: true,
-            drift: None,
             seed: 0,
         }
     }
@@ -140,9 +62,6 @@ impl StreamConfig {
                     self.walk_step
                 ),
             });
-        }
-        if let Some(drift) = &self.drift {
-            drift.validate()?;
         }
         Ok(())
     }
@@ -177,9 +96,7 @@ impl FrameStream {
     }
 
     /// Renders the next frame: one random-walk step of the jitter, a
-    /// fresh render (with any scheduled drift applied on top of the
-    /// walk, so the walk state itself never absorbs the shift), and
-    /// (if configured) fresh sensor noise at the drift-scaled floor.
+    /// fresh render, and (if configured) fresh sensor noise.
     ///
     /// # Errors
     ///
@@ -196,35 +113,13 @@ impl FrameStream {
         // Clamp after every step so the walk reflects at the canvas
         // margins instead of wandering off-frame.
         .clamped();
-        let level = self.drift_level();
-        let mut pose = self.jitter;
-        let mut noise = self.noise;
-        if let Some(drift) = &self.config.drift {
-            if level > 0.0 {
-                pose.brightness += level * drift.brightness_shift;
-                pose = pose.clamped();
-                let gain = 1.0 + level * (drift.noise_gain - 1.0);
-                noise.gaussian_std *= gain;
-                noise.salt_pepper_prob = (noise.salt_pepper_prob * gain).min(1.0);
-            }
-        }
-        let clean = render_sign(self.config.class, self.config.image_size, &pose)?;
+        let clean = render_sign(self.config.class, self.config.image_size, &self.jitter)?;
         self.produced += 1;
         if self.config.sensor_noise {
-            Ok(noise.apply(&clean, &mut self.rng))
+            Ok(self.noise.apply(&clean, &mut self.rng))
         } else {
             Ok(clean)
         }
-    }
-
-    /// Drift strength in `[0, 1]` of the *next* frame
-    /// ([`next_frame`](Self::next_frame) will produce it); `0.0` when no
-    /// drift is scheduled or the stream has not reached it yet.
-    pub fn drift_level(&self) -> f32 {
-        self.config
-            .drift
-            .map(|drift| drift.level(self.produced))
-            .unwrap_or(0.0)
     }
 
     /// Renders the next `n` frames.
@@ -327,142 +222,6 @@ mod tests {
                 .all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()));
         }
         assert_eq!(stream.produced(), 5);
-    }
-
-    #[test]
-    fn drift_none_is_bit_identical_to_the_undrifted_stream() {
-        let base = StreamConfig {
-            seed: 21,
-            ..StreamConfig::default()
-        };
-        let plain = FrameStream::new(base).unwrap().take_frames(6).unwrap();
-        let with_field = FrameStream::new(StreamConfig {
-            drift: None,
-            ..base
-        })
-        .unwrap()
-        .take_frames(6)
-        .unwrap();
-        for (a, b) in plain.iter().zip(&with_field) {
-            assert_eq!(a.as_slice(), b.as_slice());
-        }
-    }
-
-    #[test]
-    fn drift_ramps_in_on_schedule_and_darkens_frames() {
-        let drift = DriftSpec {
-            at_frame: 10,
-            ramp_frames: 5,
-            brightness_shift: -0.4,
-            noise_gain: 1.0,
-        };
-        let config = StreamConfig {
-            sensor_noise: false,
-            drift: Some(drift),
-            seed: 33,
-            ..StreamConfig::default()
-        };
-        let mut drifted = FrameStream::new(config).unwrap();
-        let mut clean = FrameStream::new(StreamConfig {
-            drift: None,
-            ..config
-        })
-        .unwrap();
-        // Pre-drift: the two streams are the same pixels.
-        assert_eq!(drifted.drift_level(), 0.0);
-        for _ in 0..10 {
-            assert_eq!(
-                drifted.next_frame().unwrap().as_slice(),
-                clean.next_frame().unwrap().as_slice()
-            );
-        }
-        // Mid-ramp the level is fractional; past it, saturated at 1.
-        assert!(drifted.drift_level() > 0.0 && drifted.drift_level() < 1.0);
-        let mut last_level = drifted.drift_level();
-        for _ in 0..5 {
-            let dark = drifted.next_frame().unwrap();
-            let bright = clean.next_frame().unwrap();
-            assert!(drifted.drift_level() >= last_level, "ramp is monotone");
-            last_level = drifted.drift_level();
-            let mean = |t: &Tensor| t.as_slice().iter().sum::<f32>() / t.numel() as f32;
-            assert!(
-                mean(&dark) < mean(&bright),
-                "drifted exposure must darken the frame"
-            );
-        }
-        assert_eq!(drifted.drift_level(), 1.0);
-    }
-
-    #[test]
-    fn drift_raises_the_noise_floor() {
-        let config = StreamConfig {
-            drift: Some(DriftSpec {
-                at_frame: 0,
-                ramp_frames: 0,
-                brightness_shift: 0.0,
-                noise_gain: 4.0,
-            }),
-            seed: 44,
-            ..StreamConfig::default()
-        };
-        let noisy = FrameStream::new(config).unwrap().take_frames(4).unwrap();
-        let calm = FrameStream::new(StreamConfig {
-            drift: None,
-            ..config
-        })
-        .unwrap()
-        .take_frames(4)
-        .unwrap();
-        // Same walk, same render; only the noise magnitude differs — so
-        // frame-to-frame high-frequency energy must be visibly larger.
-        let wiggle = |frames: &[Tensor]| -> f32 {
-            frames
-                .windows(2)
-                .map(|pair| l2(&pair[0], &pair[1]))
-                .sum::<f32>()
-        };
-        assert!(
-            wiggle(&noisy) > wiggle(&calm) * 1.2,
-            "gain-4 noise floor must dominate: {} vs {}",
-            wiggle(&noisy),
-            wiggle(&calm)
-        );
-        for frame in &noisy {
-            assert!(frame
-                .as_slice()
-                .iter()
-                .all(|&v| (0.0..=1.0).contains(&v) && v.is_finite()));
-        }
-    }
-
-    #[test]
-    fn invalid_drift_specs_are_refused() {
-        for drift in [
-            DriftSpec {
-                brightness_shift: 0.6,
-                ..DriftSpec::default()
-            },
-            DriftSpec {
-                brightness_shift: f32::NAN,
-                ..DriftSpec::default()
-            },
-            DriftSpec {
-                noise_gain: -0.5,
-                ..DriftSpec::default()
-            },
-            DriftSpec {
-                noise_gain: 4.5,
-                ..DriftSpec::default()
-            },
-        ] {
-            assert!(matches!(
-                FrameStream::new(StreamConfig {
-                    drift: Some(drift),
-                    ..StreamConfig::default()
-                }),
-                Err(DataError::InvalidConfig { .. })
-            ));
-        }
     }
 
     #[test]

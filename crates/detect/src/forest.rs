@@ -234,28 +234,6 @@ impl Detector {
         })
     }
 
-    /// Like [`Detector::score_image`], but also leaves the extracted
-    /// feature vector in `features_out` (cleared and refilled) so the
-    /// caller can reuse it — e.g. to offer the frame to a refit
-    /// reservoir — without a second extraction pass.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Detector::score_image`].
-    pub fn score_image_with_features(
-        &self,
-        image: &Tensor,
-        features_out: &mut Vec<f32>,
-    ) -> Result<f32> {
-        let plan = ScalePlan::build(self.scales, image.dims())?;
-        with_thread_scratch(|scratch| {
-            extract_into(&plan, image, scratch)?;
-            features_out.clear();
-            features_out.extend_from_slice(scratch.features());
-            self.score(scratch.features())
-        })
-    }
-
     /// Pyramid depth the detector was fitted with.
     pub fn scales(&self) -> usize {
         self.scales

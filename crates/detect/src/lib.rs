@@ -32,15 +32,6 @@
 //!   (magic + CRC-32 trailer, every structural field cap-checked
 //!   before allocation) via `fademl_tensor::io`, like `FADEMLC1`
 //!   checkpoints and `FADEMLW2` weights.
-//!
-//! On top of the static detector, the crate carries the *adaptive*
-//! building blocks the serving layer composes into online refit:
-//! a bounded deterministic sample of served-clean features
-//! ([`FeatureReservoir`], persisted as `FADEMLR1`), per-tenant
-//! score baselines over streaming quantile sketches
-//! ([`TenantBaselines`]), and a budget-feedback threshold controller
-//! ([`ThresholdController`]) that holds hardened-path load at a
-//! configured fraction of capacity instead of trusting a magic score.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -64,21 +55,13 @@
     )
 )]
 
-pub mod baseline;
-pub mod controller;
 pub mod error;
 pub mod features;
 pub mod forest;
-pub mod reservoir;
 
-pub use baseline::{BaselineConfig, TenantBaselines, MAX_TENANT_TABLE};
-pub use controller::{ControllerConfig, ThresholdController};
 pub use error::{DetectError, Result};
 pub use features::{
     feature_dim, min_side, pyramid_features, with_thread_scratch, PyramidScratch, ScalePlan,
     FEATURES_PER_SCALE, MAX_SCALES,
 };
 pub use forest::{Detector, DetectorConfig, DETECTOR_MAGIC, MAX_NODES, MAX_SUBSAMPLE, MAX_TREES};
-pub use reservoir::{
-    holdout_auc, FeatureReservoir, MAX_RESERVOIR, MAX_RESERVOIR_DIM, RESERVOIR_MAGIC,
-};

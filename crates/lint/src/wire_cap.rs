@@ -2,10 +2,10 @@
 //! untrusted byte stream must be compared against a cap before it
 //! flows into an allocation.
 //!
-//! Scope: the seven framed codecs (`FADEMLN` wire frames, `FADEMLC1`
+//! Scope: the six framed codecs (`FADEMLN` wire frames, `FADEMLC1`
 //! checkpoints, `FADEMLW2` weights, `FADEMLS1` datasets, `FADEMLD1`
-//! detector artifacts, `FADEMLR1` reservoirs, the `FADEMLL1` stage
-//! ledger) — the files in [`CODEC_FILES`]. `ByteReader` and the
+//! detector artifacts, the `FADEMLL1` stage ledger) — the files in
+//! [`CODEC_FILES`]. `ByteReader` and the
 //! envelope (`crates/tensor/src/io.rs`) are the blessed primitives:
 //! `get_bytes`/`get_str` and `open_record` validate against the
 //! remaining buffer internally and are not allocation sinks here.
@@ -41,7 +41,6 @@ pub const CODEC_FILES: &[&str] = &[
     "crates/nn/src/checkpoint.rs",
     "crates/nn/src/serialize.rs",
     "crates/detect/src/forest.rs",
-    "crates/detect/src/reservoir.rs",
     "crates/data/src/persist.rs",
     "crates/core/src/experiments/resume.rs",
 ];

@@ -27,8 +27,8 @@
 //!    traffic. Detectors swap the same way: a router started with
 //!    triage ([`ReplicaRouter::start_with_triage`]) rolls a fresh
 //!    `FADEMLD1` artifact across the fleet via
-//!    [`swap_detectors`](ReplicaRouter::swap_detectors), so refitted
-//!    detectors deploy with zero downtime and the fleet is never blind.
+//!    [`swap_detectors`](ReplicaRouter::swap_detectors), so a new
+//!    detector deploys with zero downtime and the fleet is never blind.
 //!
 //! On the client side, [`RetryingClient`] wraps [`NetClient`] with
 //! reconnect-on-demand and bounded retry under exponential backoff with

@@ -7,7 +7,7 @@
 use fademl::experiments::StageLedger;
 use fademl::{FademlError, InferencePipeline, ThreatModel};
 use fademl_data::{DataError, DatasetConfig, NoiseModel, SignDataset};
-use fademl_detect::{DetectError, Detector, DetectorConfig, FeatureReservoir};
+use fademl_detect::{DetectError, Detector, DetectorConfig};
 use fademl_filters::FilterSpec;
 use fademl_net::wire::{decode_frame, encode_frame};
 use fademl_net::{Frame, FrameError, WireRequest};
@@ -61,9 +61,6 @@ fn artifacts(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
         .unwrap();
     let ledger = std::fs::read(&ledger_path).unwrap();
 
-    let mut reservoir = FeatureReservoir::new(4, 3, 1).unwrap();
-    reservoir.offer(&[0.1, 0.2, 0.3]).unwrap();
-
     let dataset = SignDataset::generate(&DatasetConfig {
         samples_per_class: 1,
         image_size: 12,
@@ -89,7 +86,6 @@ fn artifacts(tag: &str) -> Vec<(&'static str, Vec<u8>)> {
         ("weights", encode_weights(&net)),
         ("ledger", ledger),
         ("detector", detector().to_bytes()),
-        ("reservoir", reservoir.to_bytes()),
         ("dataset", dataset_bytes),
         ("frame", frame),
     ]
@@ -133,13 +129,6 @@ fn loaders() -> Vec<(&'static str, Loader)> {
             Ok(_) => Ok(()),
             Err(DetectError::Corrupt { reason }) => Err(reason),
             Err(other) => panic!("Detector::from_bytes: untyped refusal {other:?}"),
-        }),
-        ("reservoir", |bytes| {
-            match FeatureReservoir::from_bytes(bytes) {
-                Ok(_) => Ok(()),
-                Err(DetectError::Corrupt { reason }) => Err(reason),
-                Err(other) => panic!("FeatureReservoir::from_bytes: untyped refusal {other:?}"),
-            }
         }),
         ("dataset", |bytes| match fademl_data::load_dataset(bytes) {
             Ok(_) => Ok(()),

@@ -17,10 +17,7 @@
 //! - **panic-on-Nth-score** / **delay-on-Nth-score**: the triage
 //!   detector panics (or sleeps past its budget) while scoring the Nth
 //!   admitted image, exercising the fail-open guarantees of the
-//!   detection stage;
-//! - **panic-on-Nth-refit**: the detector supervisor panics mid-refit,
-//!   exercising refit containment — the incumbent detector must keep
-//!   serving and the attempt must be counted as panicked.
+//!   detection stage.
 //!
 //! Every hook counts its own events on a
 //! [`Schedule`](fademl_tensor::io::faults::Schedule) (1-based, shared
@@ -53,7 +50,6 @@ pub struct FaultPlan {
     batches: Schedule<Fault>,
     dequeues: Schedule<Fault>,
     scores: Schedule<Fault>,
-    refits: Schedule<Fault>,
 }
 
 impl FaultPlan {
@@ -115,15 +111,6 @@ impl FaultPlan {
         self
     }
 
-    /// The detector supervisor panics during refit attempt number `seq`
-    /// (1-based). The supervisor must contain the panic: the incumbent
-    /// detector keeps serving and the refit is counted as panicked.
-    #[must_use]
-    pub fn panic_on_refit(mut self, seq: u64) -> Self {
-        self.refits.on(seq, Fault::Panic);
-        self
-    }
-
     /// The engine's hook, called once per event at `site`: counts it on
     /// that site's schedule and carries out what is scripted there —
     /// every sleep first, then a worker kill over a plain panic.
@@ -136,7 +123,6 @@ impl FaultPlan {
             FaultSite::Dequeue => &self.dequeues,
             FaultSite::Batch => &self.batches,
             FaultSite::Score => &self.scores,
-            FaultSite::Refit => &self.refits,
         };
         let (seq, due) = schedule.tick();
         let (mut panic, mut kill) = (false, false);

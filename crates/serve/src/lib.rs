@@ -44,16 +44,12 @@
 //!   scoring panic, error or budget overrun yields a typed
 //!   [`TriageVerdict::FailOpen`] and normal-path service, never a
 //!   failed request (see [`triage`]).
-//! - **Adaptive detection**: started via
-//!   [`start_adaptive`](InferenceServer::start_adaptive), the triage
-//!   stage additionally keeps per-tenant score baselines, holds
-//!   hardened-path load at a budget with a feedback
-//!   [`ThresholdController`](fademl_detect::ThresholdController)
-//!   (flooding degrades to typed load-shedding, never to a blinded
-//!   detector), samples served-clean features into a bounded reservoir,
-//!   and — with a [`SupervisorConfig`] — retrains the detector in the
-//!   background, validates each candidate on a held-out slice, and
-//!   hot-swaps it only if its AUC holds up (see [`supervisor`]).
+//! - **Detector hot swap**:
+//!   [`swap_detector`](InferenceServer::swap_detector) deploys a
+//!   serialized `FADEMLD1` detector the way
+//!   [`swap_weights`](InferenceServer::swap_weights) deploys weights —
+//!   validated first, then one pointer flip, with scores in flight
+//!   finishing on the detector they started with.
 //! - **Graceful shutdown**: [`shutdown`](InferenceServer::shutdown)
 //!   (and `Drop`) closes the queue, wakes every parked worker and
 //!   drains every queued and in-flight request before the threads exit
@@ -111,7 +107,6 @@ pub mod metrics;
 mod queue;
 pub mod request;
 pub mod server;
-pub mod supervisor;
 pub mod triage;
 
 pub use breaker::{BatchMode, CircuitBreaker};
@@ -122,5 +117,4 @@ pub use faults::FaultPlan;
 pub use metrics::{ArenaReport, DetectionReport, MetricsReport, ServerMetrics};
 pub use request::ResponseHandle;
 pub use server::InferenceServer;
-pub use supervisor::{RefitOutcome, RefitReport, SupervisorConfig, ValidationSet};
-pub use triage::{AdaptiveConfig, FailOpenKind, TriageConfig, TriageVerdict};
+pub use triage::{FailOpenKind, TriageConfig, TriageVerdict};

@@ -56,7 +56,8 @@ pub struct ServerMetrics {
     swap_generation: AtomicU64,
     // Adversarial-triage counters (all zero when triage is disabled;
     // the report's `detection` section materializes only once any of
-    // them moves, so non-triage reports stay schema-identical).
+    // them, or the detector generation, moves, so non-triage reports
+    // stay schema-identical).
     triage_clean: AtomicU64,
     triage_flagged: AtomicU64,
     triage_fail_open_panics: AtomicU64,
@@ -70,21 +71,9 @@ pub struct ServerMetrics {
     /// End-to-end latencies of hardened-path requests, kept separately
     /// so the hardened/normal latency split is visible.
     hardened_latencies_us: Mutex<LatencyReservoir>,
-    // Adaptive-detection counters (zero on static-triage servers).
-    /// Flagged requests shed because the hardened path was already at
-    /// its per-window budget cap (the anti-flooding rail).
-    triage_shed: AtomicU64,
     /// Completed detector hot swaps; doubles as the detector
     /// generation, mirroring `swap_generation` for weights.
     detector_generation: AtomicU64,
-    refits_swapped: AtomicU64,
-    refits_rejected: AtomicU64,
-    refits_failed: AtomicU64,
-    refit_panics: AtomicU64,
-    /// Current effective triage threshold in basis points (gauge).
-    threshold_bp: AtomicU64,
-    /// Tenants currently tracked by the baseline table (gauge).
-    tenants_tracked: AtomicU64,
 }
 
 #[derive(Debug, Default)]
@@ -312,12 +301,6 @@ impl ServerMetrics {
         self.hardened_latencies_us.lock().record(latency_us);
     }
 
-    /// Records one flagged request shed because the hardened path hit
-    /// its per-window budget cap.
-    pub fn record_triage_shed(&self) {
-        self.triage_shed.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Records one completed detector hot swap, returning the new
     /// detector generation (1-based; 0 = the detector the server
     /// started with). Monotone under concurrent swaps, mirroring
@@ -329,40 +312,6 @@ impl ServerMetrics {
     /// Generation of the currently deployed detector.
     pub fn detector_generation(&self) -> u64 {
         self.detector_generation.load(Ordering::Acquire)
-    }
-
-    /// Records one background refit that validated and was deployed.
-    pub fn record_refit_swapped(&self) {
-        self.refits_swapped.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one refit rejected because the candidate's held-out AUC
-    /// regressed against the incumbent's.
-    pub fn record_refit_rejected(&self) {
-        self.refits_rejected.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one refit that failed with a typed error (cold
-    /// reservoir, training failure, validation scoring error).
-    pub fn record_refit_failed(&self) {
-        self.refits_failed.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one refit attempt that panicked (caught; the incumbent
-    /// keeps serving).
-    pub fn record_refit_panic(&self) {
-        self.refit_panics.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Publishes the controller's current effective threshold (basis
-    /// points) to the gauge.
-    pub fn record_threshold_bp(&self, bp: u64) {
-        self.threshold_bp.store(bp, Ordering::Relaxed);
-    }
-
-    /// Publishes the baseline table's tracked-tenant count to the gauge.
-    pub fn record_tenants_tracked(&self, tenants: u64) {
-        self.tenants_tracked.store(tenants, Ordering::Relaxed);
     }
 
     /// Records one completed hot weight swap, returning the new
@@ -446,8 +395,8 @@ impl ServerMetrics {
     }
 
     /// The `detection` report section, or `None` when triage never ran
-    /// (so reports from servers without a detector stay byte-identical
-    /// to the pre-triage schema).
+    /// and no detector was swapped in (so reports from servers without
+    /// a detector stay byte-identical to the pre-triage schema).
     fn detection_report(&self) -> Option<DetectionReport> {
         let clean = self.triage_clean.load(Ordering::Relaxed);
         let flagged = self.triage_flagged.load(Ordering::Relaxed);
@@ -455,13 +404,9 @@ impl ServerMetrics {
         let fail_open_timeouts = self.triage_fail_open_timeouts.load(Ordering::Relaxed);
         let fail_open_errors = self.triage_fail_open_errors.load(Ordering::Relaxed);
         let hardened_served = self.hardened_served.load(Ordering::Relaxed);
-        let shed = self.triage_shed.load(Ordering::Relaxed);
-        let refits = self.refits_swapped.load(Ordering::Relaxed)
-            + self.refits_rejected.load(Ordering::Relaxed)
-            + self.refits_failed.load(Ordering::Relaxed)
-            + self.refit_panics.load(Ordering::Relaxed);
+        let detector_generation = self.detector_generation();
         let activity = clean + flagged + fail_open_panics + fail_open_timeouts + fail_open_errors;
-        if activity == 0 && hardened_served == 0 && shed == 0 && refits == 0 {
+        if activity == 0 && hardened_served == 0 && detector_generation == 0 {
             return None;
         }
         let scored = clean + flagged;
@@ -484,14 +429,7 @@ impl ServerMetrics {
             hardened_served,
             hardened_latency_p50_us: percentile(&hardened, 5_000),
             hardened_latency_p99_us: percentile(&hardened, 9_900),
-            shed,
-            detector_generation: self.detector_generation(),
-            refits_swapped: self.refits_swapped.load(Ordering::Relaxed),
-            refits_rejected: self.refits_rejected.load(Ordering::Relaxed),
-            refits_failed: self.refits_failed.load(Ordering::Relaxed),
-            refit_panics: self.refit_panics.load(Ordering::Relaxed),
-            threshold_bp: self.threshold_bp.load(Ordering::Relaxed),
-            tenants_tracked: self.tenants_tracked.load(Ordering::Relaxed),
+            detector_generation,
         })
     }
 }
@@ -500,9 +438,10 @@ impl ServerMetrics {
 /// only on servers that ran the detection stage; absent from (and
 /// ignored in) legacy reports.
 ///
-/// The adaptive-detection fields (`shed` onward) were added after the
-/// first triage reports shipped, so they are `#[serde(default)]`:
-/// reports from that era keep parsing, with those fields at zero.
+/// `detector_generation` was added after the first triage reports
+/// shipped, so it is `#[serde(default)]`: reports from that era keep
+/// parsing, with the generation at zero. Keys of retired fields are
+/// ignored.
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct DetectionReport {
     /// Images scored below the flagging threshold.
@@ -529,35 +468,11 @@ pub struct DetectionReport {
     pub hardened_latency_p50_us: u64,
     /// 99th-percentile end-to-end latency of hardened-path requests (µs).
     pub hardened_latency_p99_us: u64,
-    /// Flagged requests shed because the hardened path hit its
-    /// per-window budget cap.
-    #[serde(default)]
-    pub shed: u64,
     /// Generation of the deployed detector (0 = as started; bumped once
     /// per completed detector swap). Aggregated as the minimum across
     /// replicas, like `swap_generation`.
     #[serde(default)]
     pub detector_generation: u64,
-    /// Background refits that validated and were deployed.
-    #[serde(default)]
-    pub refits_swapped: u64,
-    /// Refits rejected because held-out AUC regressed.
-    #[serde(default)]
-    pub refits_rejected: u64,
-    /// Refits that failed with a typed error.
-    #[serde(default)]
-    pub refits_failed: u64,
-    /// Refit attempts that panicked (caught; incumbent kept serving).
-    #[serde(default)]
-    pub refit_panics: u64,
-    /// Current effective triage threshold in basis points (gauge; the
-    /// worst — highest — replica in an aggregated report).
-    #[serde(default)]
-    pub threshold_bp: u64,
-    /// Tenants tracked by the baseline table (gauge; summed across
-    /// replicas).
-    #[serde(default)]
-    pub tenants_tracked: u64,
 }
 
 /// Point-in-time snapshot of [`ServerMetrics`], ready for JSON or text.
@@ -790,15 +705,6 @@ impl MetricsReport {
                 merged.hardened_latency_p99_us = merged
                     .hardened_latency_p99_us
                     .max(detection.hardened_latency_p99_us);
-                merged.shed += detection.shed;
-                merged.refits_swapped += detection.refits_swapped;
-                merged.refits_rejected += detection.refits_rejected;
-                merged.refits_failed += detection.refits_failed;
-                merged.refit_panics += detection.refit_panics;
-                // Highest threshold = the most defensive replica; the
-                // fleet is at least this far from its floor.
-                merged.threshold_bp = merged.threshold_bp.max(detection.threshold_bp);
-                merged.tenants_tracked += detection.tenants_tracked;
                 score_time_weight += detection.clean + detection.flagged;
                 score_time_weighted_sum += u128::from(detection.mean_score_time_us)
                     * u128::from(detection.clean + detection.flagged);
@@ -927,18 +833,12 @@ impl MetricsReport {
                 d.score_p50_bp, d.score_p90_bp, d.score_p99_bp,
             ));
             out.push_str(&format!(
-                "  hardened: {} served, {} shed, latency p50 {}µs, p99 {}µs\n",
-                d.hardened_served, d.shed, d.hardened_latency_p50_us, d.hardened_latency_p99_us,
+                "  hardened: {} served, latency p50 {}µs, p99 {}µs\n",
+                d.hardened_served, d.hardened_latency_p50_us, d.hardened_latency_p99_us,
             ));
             out.push_str(&format!(
-                "  adaptive: detector gen {}, refits [{} swapped, {} rejected, {} failed, {} panicked], threshold {}bp, {} tenants\n",
-                d.detector_generation,
-                d.refits_swapped,
-                d.refits_rejected,
-                d.refits_failed,
-                d.refit_panics,
-                d.threshold_bp,
-                d.tenants_tracked,
+                "  detector: generation {}\n",
+                d.detector_generation
             ));
         }
         if let Some(a) = &self.arena {
@@ -1283,11 +1183,14 @@ mod tests {
         a.record_triage_clean(4_000, 10);
         a.record_triage_flagged(8_000, 30);
         a.record_hardened(500);
+        a.record_detector_swap();
+        a.record_detector_swap();
         let b = ServerMetrics::new(4);
         b.record_submitted(); // no triage on this replica
         let c = ServerMetrics::new(4);
         c.record_triage_clean(3_000, 50);
         c.record_triage_fail_open(FailOpenKind::Panic);
+        c.record_detector_swap();
         let merged = MetricsReport::aggregate(&[
             (0, true, a.report()),
             (1, true, b.report()),
@@ -1302,78 +1205,46 @@ mod tests {
         assert_eq!(d.mean_score_time_us, 30);
         // Worst replica wins the score tail.
         assert_eq!(d.score_p99_bp, 8_000);
+        // a reached detector gen 2, c only gen 1 → the fleet has proven
+        // gen 1; b, without a detection section, does not count.
+        assert_eq!(d.detector_generation, 1);
         // Replicas without triage leave the merged section untouched.
         let plain = MetricsReport::aggregate(&[(0, true, b.report())]);
         assert!(plain.detection.is_none());
     }
 
     #[test]
-    fn adaptive_counters_accumulate_and_round_trip() {
+    fn detection_section_materializes_on_a_detector_swap_alone() {
+        // A triaged server that has hot-swapped its detector but not yet
+        // scored anything must still report the generation it serves.
         let m = ServerMetrics::new(4);
-        m.record_triage_clean(4_000, 10);
-        m.record_triage_shed();
-        m.record_triage_shed();
         assert_eq!(m.record_detector_swap(), 1);
-        assert_eq!(m.record_detector_swap(), 2);
-        assert_eq!(m.detector_generation(), 2);
-        m.record_refit_swapped();
-        m.record_refit_swapped();
-        m.record_refit_rejected();
-        m.record_refit_failed();
-        m.record_refit_panic();
-        m.record_threshold_bp(6_200);
-        m.record_tenants_tracked(3);
         let report = m.report();
-        let d = report.detection.as_ref().expect("triage ran");
-        assert_eq!(d.shed, 2);
-        assert_eq!(d.detector_generation, 2);
-        assert_eq!(d.refits_swapped, 2);
-        assert_eq!(d.refits_rejected, 1);
-        assert_eq!(d.refits_failed, 1);
-        assert_eq!(d.refit_panics, 1);
-        assert_eq!(d.threshold_bp, 6_200);
-        assert_eq!(d.tenants_tracked, 3);
+        let d = report
+            .detection
+            .as_ref()
+            .expect("a detector swap is reported");
+        assert_eq!(d.detector_generation, 1);
+        assert_eq!(d.clean, 0);
         let back: MetricsReport = serde::json::from_str(&report.to_json()).unwrap();
         assert_eq!(back, report);
     }
 
     #[test]
-    fn detection_section_materializes_on_refit_activity_alone() {
-        // A freshly started adaptive server that has refitted but not
-        // yet scored anything must still report the refit outcome.
-        let m = ServerMetrics::new(4);
-        m.record_refit_rejected();
-        let d = m.report().detection.expect("refit activity reported");
-        assert_eq!(d.refits_rejected, 1);
-        assert_eq!(d.clean, 0);
-    }
-
-    #[test]
     fn static_triage_era_detection_section_still_parses() {
-        // PR 7-era reports carry only the original twelve detection
-        // fields. Strip the adaptive-era keys and the report must parse
-        // with those fields at zero.
+        // Reports from before detector swaps carry no
+        // `detector_generation`: it defaults to zero. Reports from
+        // adaptive-detection servers carry counters this schema no
+        // longer has: their keys are ignored.
         let m = ServerMetrics::new(4);
         m.record_triage_clean(4_000, 10);
         m.record_triage_flagged(9_000, 20);
         m.record_hardened(800);
         m.record_detector_swap();
-        m.record_refit_swapped();
-        m.record_threshold_bp(6_000);
         let report = m.report();
         let serde::Value::Map(fields) = report.to_value() else {
             panic!("report must serialize to a map");
         };
-        let adaptive_keys = [
-            "shed",
-            "detector_generation",
-            "refits_swapped",
-            "refits_rejected",
-            "refits_failed",
-            "refit_panics",
-            "threshold_bp",
-            "tenants_tracked",
-        ];
         let legacy: Vec<(String, serde::Value)> = fields
             .into_iter()
             .map(|(name, value)| {
@@ -1383,7 +1254,7 @@ mod tests {
                     };
                     let stripped: Vec<(String, serde::Value)> = inner
                         .into_iter()
-                        .filter(|(key, _)| !adaptive_keys.contains(&key.as_str()))
+                        .filter(|(key, _)| key != "detector_generation")
                         .collect();
                     (name, serde::Value::Map(stripped))
                 } else {
@@ -1394,57 +1265,20 @@ mod tests {
         let back = MetricsReport::from_value(&serde::Value::Map(legacy))
             .expect("static-triage-era schema parses");
         let d = back.detection.expect("detection section survives");
-        // Original fields intact, adaptive fields defaulted.
         assert_eq!(d.clean, 1);
         assert_eq!(d.flagged, 1);
         assert_eq!(d.hardened_served, 1);
-        assert_eq!(d.shed, 0);
         assert_eq!(d.detector_generation, 0);
-        assert_eq!(d.refits_swapped, 0);
-        assert_eq!(d.threshold_bp, 0);
-        assert_eq!(d.tenants_tracked, 0);
-    }
 
-    #[test]
-    fn aggregate_merges_adaptive_fields() {
-        let a = ServerMetrics::new(4);
-        a.record_triage_clean(4_000, 10);
-        a.record_triage_shed();
-        a.record_detector_swap();
-        a.record_detector_swap();
-        a.record_refit_swapped();
-        a.record_threshold_bp(7_000);
-        a.record_tenants_tracked(2);
-        let b = ServerMetrics::new(4);
-        b.record_triage_clean(3_000, 10);
-        b.record_detector_swap();
-        b.record_refit_rejected();
-        b.record_threshold_bp(6_000);
-        b.record_tenants_tracked(3);
-        let merged = MetricsReport::aggregate(&[(0, true, a.report()), (1, true, b.report())]);
-        let d = merged.detection.as_ref().expect("both replicas triaged");
-        assert_eq!(d.shed, 1);
-        // a reached gen 2, b only gen 1 → the fleet has proven gen 1.
-        assert_eq!(d.detector_generation, 1);
-        assert_eq!(d.refits_swapped, 1);
-        assert_eq!(d.refits_rejected, 1);
-        assert_eq!(d.threshold_bp, 7_000);
-        assert_eq!(d.tenants_tracked, 5);
-    }
-
-    #[test]
-    fn render_mentions_adaptive_numbers() {
-        let m = ServerMetrics::new(4);
-        m.record_triage_clean(4_000, 10);
-        m.record_triage_shed();
-        m.record_detector_swap();
-        m.record_refit_swapped();
-        m.record_threshold_bp(6_100);
-        let text = m.report().render();
-        assert!(text.contains("1 shed"));
-        assert!(text.contains("detector gen 1"));
-        assert!(text.contains("1 swapped"));
-        assert!(text.contains("6100bp"));
+        let now = report.to_json();
+        let adaptive_era = now.replace(
+            "\"detector_generation\"",
+            "\"shed\": 2, \"refits_swapped\": 1, \"threshold_bp\": 6000, \"tenants_tracked\": 3, \"detector_generation\"",
+        );
+        assert_ne!(adaptive_era, now);
+        let back: MetricsReport =
+            serde::json::from_str(&adaptive_era).expect("adaptive-era schema parses");
+        assert_eq!(back, report);
     }
 
     #[test]
@@ -1453,9 +1287,11 @@ mod tests {
         m.record_triage_clean(4_000, 10);
         m.record_triage_flagged(9_000, 20);
         m.record_hardened(800);
+        m.record_detector_swap();
         let text = m.report().render();
         assert!(text.contains("1 clean, 1 flagged"));
         assert!(text.contains("1 served"));
+        assert!(text.contains("detector: generation 1"));
         let plain = ServerMetrics::new(4);
         assert!(!plain.report().render().contains("triage"));
     }

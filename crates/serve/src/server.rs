@@ -43,8 +43,7 @@ use crate::error::{DeadlineStage, Result, ServeError};
 use crate::metrics::{MetricsReport, ServerMetrics};
 use crate::queue::SubmissionQueue;
 use crate::request::{Batch, Request, ResponseHandle, ResponseSlot};
-use crate::supervisor::{self, RefitReport, SupervisorConfig};
-use crate::triage::{hardened_threat, AdaptiveConfig, TriageConfig, TriageRuntime, TriageVerdict};
+use crate::triage::{hardened_threat, TriageConfig, TriageRuntime, TriageVerdict};
 
 #[cfg(feature = "faults")]
 use crate::faults::{self, FaultPlan};
@@ -69,8 +68,6 @@ pub(crate) enum FaultSite {
     Batch,
     /// The triage detector scoring one image, inside its isolation.
     Score,
-    /// The detector supervisor attempting a refit, inside its isolation.
-    Refit,
 }
 
 /// Counts one event at `site` on the armed plan, if any; compiles to
@@ -91,7 +88,7 @@ pub(crate) fn fault_at(faults: &FaultHandle, site: FaultSite) {
 #[derive(Debug)]
 pub struct InferenceServer {
     queue: Arc<SubmissionQueue>,
-    shutting_down: Arc<AtomicBool>,
+    shutting_down: AtomicBool,
     metrics: Arc<ServerMetrics>,
     breaker: Arc<CircuitBreaker>,
     /// The deployed pipeline behind a swap point. Workers snapshot the
@@ -105,32 +102,16 @@ pub struct InferenceServer {
     /// Fault-injection handle consulted by the admission-time scoring
     /// path (workers hold their own clones).
     faults: FaultHandle,
-    /// The refit supervisor's configuration, when the server was
-    /// started adaptive with one. Shared with the background refit
-    /// loop and used by manual [`refit_detector`] calls.
-    ///
-    /// [`refit_detector`]: InferenceServer::refit_detector
-    refit: Option<Arc<SupervisorConfig>>,
     config: ServerConfig,
     supervisor_handle: Option<JoinHandle<()>>,
-    refit_handle: Option<JoinHandle<()>>,
 }
 
 /// How the triage stage is configured at launch.
 enum TriageSpec {
     /// No detection: the plain serving engine.
     Off,
-    /// PR 7's static triage: fixed threshold, no online state.
+    /// Static triage: a fitted detector behind a fixed threshold.
     Static(Detector, TriageConfig),
-    /// Adaptive triage, optionally with a refit supervisor. The
-    /// supervisor config is boxed to keep the enum small — it only
-    /// lives for the duration of launch.
-    Adaptive(
-        Detector,
-        TriageConfig,
-        AdaptiveConfig,
-        Option<Box<SupervisorConfig>>,
-    ),
 }
 
 /// Everything a worker thread needs; shared so the supervisor can
@@ -201,36 +182,6 @@ impl InferenceServer {
         Self::launch(pipeline, config, TriageSpec::Static(detector, triage), None)
     }
 
-    /// Starts the engine with the *adaptive* detection stage: static
-    /// triage plus per-tenant score baselines, the budget-driven
-    /// threshold controller with its anti-flooding shed rail, and the
-    /// refit reservoir. With a [`SupervisorConfig`], a background loop
-    /// periodically retrains the detector from the reservoir and
-    /// hot-swaps validated candidates; with `supervisor: None` (or a
-    /// zero interval) the reservoir still fills but refits only run via
-    /// [`refit_detector`](InferenceServer::refit_detector).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`start_with_triage`](InferenceServer::start_with_triage),
-    /// plus [`ServeError::InvalidConfig`] for unusable adaptive or
-    /// supervisor knobs.
-    pub fn start_adaptive(
-        pipeline: InferencePipeline,
-        config: ServerConfig,
-        detector: Detector,
-        triage: TriageConfig,
-        adaptive: AdaptiveConfig,
-        supervisor: Option<SupervisorConfig>,
-    ) -> Result<Self> {
-        Self::launch(
-            pipeline,
-            config,
-            TriageSpec::Adaptive(detector, triage, adaptive, supervisor.map(Box::new)),
-            None,
-        )
-    }
-
     /// Starts the engine with an armed [`FaultPlan`] (chaos testing).
     /// Also installs the quiet panic hook so injected panics don't spam
     /// stderr.
@@ -271,31 +222,6 @@ impl InferenceServer {
         )
     }
 
-    /// Adaptive detection plus an armed [`FaultPlan`]: the
-    /// configuration the refit chaos suite runs under.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`start_adaptive`](InferenceServer::start_adaptive).
-    #[cfg(feature = "faults")]
-    pub fn start_adaptive_with_faults(
-        pipeline: InferencePipeline,
-        config: ServerConfig,
-        detector: Detector,
-        triage: TriageConfig,
-        adaptive: AdaptiveConfig,
-        supervisor: Option<SupervisorConfig>,
-        plan: FaultPlan,
-    ) -> Result<Self> {
-        faults::install_quiet_panic_hook();
-        Self::launch(
-            pipeline,
-            config,
-            TriageSpec::Adaptive(detector, triage, adaptive, supervisor.map(Box::new)),
-            Some(plan),
-        )
-    }
-
     fn launch(
         pipeline: InferencePipeline,
         config: ServerConfig,
@@ -306,37 +232,13 @@ impl InferenceServer {
         if config.compute_threads > 0 {
             fademl_tensor::par::set_threads(config.compute_threads);
         }
-        let (triage, refit) = match triage {
-            TriageSpec::Off => (None, None),
-            TriageSpec::Static(detector, triage_config) => (
-                Some(Arc::new(TriageRuntime::new(
-                    detector,
-                    triage_config,
-                    &pipeline,
-                )?)),
-                None,
-            ),
-            TriageSpec::Adaptive(detector, triage_config, adaptive, refit) => {
-                let refit = refit.map(|boxed| Arc::new(*boxed));
-                if let Some(refit) = &refit {
-                    refit.validate()?;
-                }
-                let runtime = Arc::new(TriageRuntime::new_adaptive(
-                    detector,
-                    triage_config,
-                    adaptive,
-                    &pipeline,
-                )?);
-                // Warm-resume the reservoir from a prior run's persisted
-                // artifact. Strictly best-effort: a missing, torn or
-                // mismatched artifact just means a cold reservoir.
-                if let Some(path) = refit.as_ref().and_then(|r| r.reservoir_path.as_deref()) {
-                    if let Ok(restored) = fademl_detect::FeatureReservoir::load(path) {
-                        let _ = runtime.restore_reservoir(restored); // best-effort: cold start on mismatch
-                    }
-                }
-                (Some(runtime), refit)
-            }
+        let triage = match triage {
+            TriageSpec::Off => None,
+            TriageSpec::Static(detector, triage_config) => Some(Arc::new(TriageRuntime::new(
+                detector,
+                triage_config,
+                &pipeline,
+            )?)),
         };
         let pipeline = Arc::new(RwLock::new(Arc::new(pipeline)));
         let metrics = Arc::new(ServerMetrics::new(config.max_batch_size));
@@ -364,34 +266,16 @@ impl InferenceServer {
             run_supervisor(&shared, &exit_rx, &exit_tx, worker_handles);
         })?;
 
-        let shutting_down = Arc::new(AtomicBool::new(false));
-        // The background refit loop only exists for adaptive servers
-        // with a positive interval; manual refits need no thread.
-        let refit_handle = match (&triage, &refit) {
-            (Some(runtime), Some(refit_config)) if !refit_config.interval.is_zero() => {
-                Some(supervisor::spawn_refit_loop(
-                    Arc::clone(runtime),
-                    Arc::clone(&metrics),
-                    Arc::clone(refit_config),
-                    Arc::clone(&shutting_down),
-                    faults.clone(),
-                )?)
-            }
-            _ => None,
-        };
-
         Ok(InferenceServer {
             queue,
-            shutting_down,
+            shutting_down: AtomicBool::new(false),
             metrics,
             breaker,
             pipeline,
             triage,
             faults,
-            refit,
             config,
             supervisor_handle: Some(supervisor_handle),
-            refit_handle,
         })
     }
 
@@ -426,30 +310,6 @@ impl InferenceServer {
         threat: ThreatModel,
         deadline: Option<Duration>,
     ) -> Result<ResponseHandle> {
-        self.submit_for_tenant(image, threat, "", deadline)
-    }
-
-    /// Full-form submission carrying a tenant identity. On adaptive
-    /// servers the tenant selects its score baseline (so one tenant's
-    /// unusual-but-legitimate traffic does not eat the shared hardened
-    /// budget); elsewhere the tenant is ignored. Anonymous callers pass
-    /// `""` and share one baseline.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`submit`](InferenceServer::submit). Additionally, on
-    /// adaptive servers a flagged request past the hardened path's
-    /// per-window shed cap is refused with [`ServeError::Overloaded`] —
-    /// the anti-flooding rail sheds excess hardened load instead of
-    /// letting an attacker blind the detector or saturate the hardened
-    /// pipeline.
-    pub fn submit_for_tenant(
-        &self,
-        image: Tensor,
-        threat: ThreatModel,
-        tenant: &str,
-        deadline: Option<Duration>,
-    ) -> Result<ResponseHandle> {
         if self.shutting_down.load(Ordering::Acquire) {
             return Err(ServeError::ShuttingDown);
         }
@@ -460,17 +320,11 @@ impl InferenceServer {
         // Admission-adjacent triage: score before the request can join
         // a shared batch, so routing is settled at enqueue time. A
         // detector failure resolves to a fail-open verdict — scoring
-        // can never reject the request. Only the adaptive shed rail
-        // refuses work here, and only with a typed error.
+        // can never reject the request.
         let triage = self
             .triage
             .as_ref()
-            .map(|runtime| runtime.score(&image, tenant, &self.metrics, &self.faults));
-        if matches!(triage, Some(TriageVerdict::Shed { .. })) {
-            return Err(ServeError::Overloaded {
-                capacity: self.config.queue_capacity,
-            });
-        }
+            .map(|runtime| runtime.score(&image, &self.metrics, &self.faults));
         let slot = ResponseSlot::new();
         let handle = ResponseHandle::new(Arc::clone(&slot));
         let submitted_at = Instant::now();
@@ -547,27 +401,10 @@ impl InferenceServer {
         self.triage.is_some()
     }
 
-    /// Whether this server runs the *adaptive* detection stage
-    /// (reservoir, baselines, threshold controller).
-    pub fn adaptive_enabled(&self) -> bool {
-        self.triage
-            .as_ref()
-            .is_some_and(|runtime| runtime.adaptive_enabled())
-    }
-
     /// Generation of the deployed detector (0 = the detector the server
     /// started with; bumped once per completed detector swap).
     pub fn detector_generation(&self) -> u64 {
         self.metrics.detector_generation()
-    }
-
-    /// The triage stage's current effective base threshold: the
-    /// controller's value on adaptive servers, the configured static
-    /// threshold otherwise, `None` without triage.
-    pub fn triage_threshold(&self) -> Option<f32> {
-        self.triage
-            .as_ref()
-            .map(|runtime| runtime.current_threshold())
     }
 
     /// Hot detector swap from a serialized `FADEMLD1` artifact: CRC and
@@ -590,32 +427,6 @@ impl InferenceServer {
             reason: err.to_string(),
         })?;
         triage.swap_detector(candidate, &self.metrics)
-    }
-
-    /// Runs one refit attempt now, on the caller's thread: snapshot the
-    /// reservoir, train a candidate, validate it against the held-out
-    /// slice, swap only if the AUC holds up. Useful for tests and for
-    /// deployments that drive refits from their own scheduler
-    /// (supervisor `interval: Duration::ZERO`).
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] when the server was not started
-    /// via [`start_adaptive`](InferenceServer::start_adaptive) with a
-    /// supervisor config. Refit failures themselves do not error — they
-    /// resolve inside the returned [`RefitReport`].
-    pub fn refit_detector(&self) -> Result<RefitReport> {
-        let (Some(triage), Some(refit)) = (&self.triage, &self.refit) else {
-            return Err(ServeError::InvalidConfig {
-                reason: "refit requires an adaptive server with a supervisor config".into(),
-            });
-        };
-        Ok(supervisor::run_refit(
-            triage,
-            &self.metrics,
-            refit,
-            &self.faults,
-        ))
     }
 
     /// Hot weight swap from a serialized `FADEMLW2` artifact (see
@@ -660,15 +471,11 @@ impl InferenceServer {
 
     fn stop(&mut self) {
         self.shutting_down.store(true, Ordering::Release);
-        if let Some(handle) = self.refit_handle.take() {
-            // best-effort: a panicked refit loop still counts as stopped.
-            let _ = handle.join();
-        }
         // Closing the queue wakes every parked worker; they drain all
         // buckets regardless of linger, exit, and the supervisor follows.
         self.queue.close();
         if let Some(handle) = self.supervisor_handle.take() {
-            // best-effort: same for the supervisor during teardown.
+            // best-effort: a panicked supervisor still counts as stopped.
             let _ = handle.join();
         }
     }
@@ -676,7 +483,7 @@ impl InferenceServer {
 
 impl Drop for InferenceServer {
     fn drop(&mut self) {
-        if self.supervisor_handle.is_some() || self.refit_handle.is_some() {
+        if self.supervisor_handle.is_some() {
             self.stop();
         }
     }

@@ -27,13 +27,10 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use fademl::{Detection, InferencePipeline, ThreatModel};
-use fademl_detect::{
-    BaselineConfig, ControllerConfig, Detector, FeatureReservoir, TenantBaselines,
-    ThresholdController, MAX_RESERVOIR,
-};
+use fademl_detect::Detector;
 use fademl_filters::FilterSpec;
 use fademl_tensor::Tensor;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, ServeError};
@@ -90,61 +87,6 @@ impl TriageConfig {
     }
 }
 
-/// Knobs for the *adaptive* triage stage: the reservoir feeding online
-/// refits, the per-tenant baseline table, and the budget-feedback
-/// threshold controller. See
-/// [`InferenceServer::start_adaptive`](crate::InferenceServer::start_adaptive).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveConfig {
-    /// Budget-feedback loop holding hardened-path load at its target.
-    pub controller: ControllerConfig,
-    /// Per-tenant clean-score baseline table.
-    pub baselines: BaselineConfig,
-    /// Clean-verdict feature vectors the refit reservoir holds.
-    pub reservoir_capacity: usize,
-    /// Seed of the reservoir's deterministic sampling stream.
-    pub reservoir_seed: u64,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> Self {
-        AdaptiveConfig {
-            controller: ControllerConfig::default(),
-            baselines: BaselineConfig::default(),
-            reservoir_capacity: 1_024,
-            reservoir_seed: 0x5EED_F00D,
-        }
-    }
-}
-
-impl AdaptiveConfig {
-    /// Validates every sub-config.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::InvalidConfig`] naming the offending knob.
-    pub fn validate(&self) -> Result<()> {
-        self.controller.validate().map_err(invalid_config)?;
-        self.baselines.validate().map_err(invalid_config)?;
-        if !(2..=MAX_RESERVOIR).contains(&self.reservoir_capacity) {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "reservoir capacity must be in 2..={MAX_RESERVOIR}, got {}",
-                    self.reservoir_capacity
-                ),
-            });
-        }
-        Ok(())
-    }
-}
-
-/// Maps a detect-crate config error onto the serving error surface.
-fn invalid_config(err: fademl_detect::DetectError) -> ServeError {
-    ServeError::InvalidConfig {
-        reason: err.to_string(),
-    }
-}
-
 /// Why a triage scoring attempt failed open.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailOpenKind {
@@ -176,16 +118,6 @@ pub enum TriageVerdict {
         /// What went wrong.
         kind: FailOpenKind,
     },
-    /// Flagged, but the hardened path already absorbed its per-window
-    /// budget cap: the request is *shed* with a typed
-    /// [`ServeError::Overloaded`] instead of being served. This is the
-    /// anti-flooding rail — an attacker saturating the detector
-    /// degrades to load-shedding, never to a blinded detector or an
-    /// overwhelmed hardened path.
-    Shed {
-        /// The anomaly score that flagged the request.
-        score: f32,
-    },
 }
 
 impl TriageVerdict {
@@ -205,9 +137,7 @@ impl TriageVerdict {
                 flagged: true,
                 hardened,
             }),
-            // Shed requests are answered with a typed error at
-            // admission; they never carry a verdict to annotate.
-            TriageVerdict::FailOpen { .. } | TriageVerdict::Shed { .. } => None,
+            TriageVerdict::FailOpen { .. } => None,
         }
     }
 }
@@ -223,30 +153,9 @@ pub(crate) fn hardened_threat(threat: ThreatModel) -> ThreatModel {
     }
 }
 
-/// Mutable adaptive state behind one mutex: the refit reservoir, the
-/// tenant baseline table, the threshold controller, and a reusable
-/// feature buffer. One lock per scored frame keeps the controller's
-/// window accounting and the reservoir's sampling stream strictly
-/// sequential — which is what makes adaptive runs reproducible.
-#[derive(Debug)]
-struct AdaptiveInner {
-    reservoir: FeatureReservoir,
-    baselines: TenantBaselines,
-    controller: ThresholdController,
-    /// Reused across frames so the admission path never reallocates.
-    features: Vec<f32>,
-}
-
-/// The adaptive half of the triage stage, present only on servers
-/// started via `start_adaptive`.
-#[derive(Debug)]
-pub(crate) struct AdaptiveState {
-    inner: Mutex<AdaptiveInner>,
-}
-
 /// The live triage stage: the fitted detector (behind its own swap
-/// point, so background refits hot-swap it like weights) plus the
-/// hardened pipeline it routes flagged inputs to. The hardened
+/// point, so it hot-swaps like weights) plus the hardened pipeline it
+/// routes flagged inputs to. The hardened
 /// pipeline tracks weight swaps (same model, stronger filter) behind
 /// its own swap point, mirroring the engine's main pipeline slot.
 #[derive(Debug)]
@@ -258,11 +167,10 @@ pub(crate) struct TriageRuntime {
     detector: RwLock<Arc<Detector>>,
     config: TriageConfig,
     hardened: RwLock<Arc<InferencePipeline>>,
-    adaptive: Option<AdaptiveState>,
 }
 
 impl TriageRuntime {
-    /// Builds the static runtime, constructing the hardened pipeline
+    /// Builds the runtime, constructing the hardened pipeline
     /// from the base pipeline's model and the configured stronger
     /// filter.
     pub(crate) fn new(
@@ -276,92 +184,13 @@ impl TriageRuntime {
             detector: RwLock::new(Arc::new(detector)),
             config,
             hardened: RwLock::new(Arc::new(hardened)),
-            adaptive: None,
         })
-    }
-
-    /// Builds the adaptive runtime: static triage plus the reservoir,
-    /// baseline table and threshold controller. The controller starts
-    /// at the configured static threshold and adjusts from there.
-    pub(crate) fn new_adaptive(
-        detector: Detector,
-        config: TriageConfig,
-        adaptive: AdaptiveConfig,
-        base: &InferencePipeline,
-    ) -> Result<Self> {
-        adaptive.validate()?;
-        let reservoir = FeatureReservoir::new(
-            adaptive.reservoir_capacity,
-            detector.feature_dim(),
-            adaptive.reservoir_seed,
-        )
-        .map_err(invalid_config)?;
-        let baselines = TenantBaselines::new(adaptive.baselines).map_err(invalid_config)?;
-        let controller = ThresholdController::new(adaptive.controller, config.threshold)
-            .map_err(invalid_config)?;
-        let mut runtime = Self::new(detector, config, base)?;
-        let mut features = Vec::default();
-        features.reserve_exact(reservoir.feature_dim());
-        runtime.adaptive = Some(AdaptiveState {
-            inner: Mutex::new(AdaptiveInner {
-                reservoir,
-                baselines,
-                controller,
-                features,
-            }),
-        });
-        Ok(runtime)
-    }
-
-    /// Whether this runtime carries adaptive state.
-    pub(crate) fn adaptive_enabled(&self) -> bool {
-        self.adaptive.is_some()
     }
 
     /// Snapshot of the deployed detector (one `Arc` clone, guard
     /// dropped immediately).
     pub(crate) fn detector_snapshot(&self) -> Arc<Detector> {
         Arc::clone(&self.detector.read())
-    }
-
-    /// Clone of the current reservoir, for a refit to train from
-    /// outside the admission lock. `None` on static runtimes.
-    pub(crate) fn reservoir_snapshot(&self) -> Option<FeatureReservoir> {
-        self.adaptive
-            .as_ref()
-            .map(|state| state.inner.lock().reservoir.clone())
-    }
-
-    /// The controller's current triage threshold (the static configured
-    /// threshold on non-adaptive runtimes).
-    pub(crate) fn current_threshold(&self) -> f32 {
-        self.adaptive
-            .as_ref()
-            .map(|state| state.inner.lock().controller.threshold())
-            .unwrap_or(self.config.threshold)
-    }
-
-    /// Replaces the reservoir with one restored from a persisted
-    /// `FADEMLR1` artifact (startup warm-resume). Refused on a
-    /// feature-dimension mismatch.
-    pub(crate) fn restore_reservoir(&self, restored: FeatureReservoir) -> Result<()> {
-        let Some(state) = &self.adaptive else {
-            return Err(ServeError::InvalidConfig {
-                reason: "reservoir restore on a non-adaptive triage stage".to_string(),
-            });
-        };
-        let mut inner = state.inner.lock();
-        if restored.feature_dim() != inner.reservoir.feature_dim() {
-            return Err(ServeError::InvalidConfig {
-                reason: format!(
-                    "restored reservoir holds {}-dim features, detector wants {}",
-                    restored.feature_dim(),
-                    inner.reservoir.feature_dim()
-                ),
-            });
-        }
-        inner.reservoir = restored;
-        Ok(())
     }
 
     /// Atomically deploys `candidate` as the triage detector and
@@ -410,32 +239,16 @@ impl TriageRuntime {
         }
     }
 
-    /// Scores one admitted image under full fault isolation. Always
-    /// returns a verdict — panics, errors and budget overruns all
-    /// resolve to [`TriageVerdict::FailOpen`]; only the adaptive
-    /// anti-flooding rail produces [`TriageVerdict::Shed`].
+    /// Scores one admitted image under full fault isolation against a
+    /// fixed threshold. Always returns a verdict — panics, errors and
+    /// budget overruns all resolve to [`TriageVerdict::FailOpen`].
     pub(crate) fn score(
         &self,
         image: &Tensor,
-        tenant: &str,
         metrics: &ServerMetrics,
         faults: &FaultHandle,
     ) -> TriageVerdict {
         let detector = self.detector_snapshot();
-        match &self.adaptive {
-            Some(state) => self.score_adaptive(&detector, state, image, tenant, metrics, faults),
-            None => self.score_static(&detector, image, metrics, faults),
-        }
-    }
-
-    /// PR 7's static triage: fixed threshold, no per-tenant state.
-    fn score_static(
-        &self,
-        detector: &Detector,
-        image: &Tensor,
-        metrics: &ServerMetrics,
-        faults: &FaultHandle,
-    ) -> TriageVerdict {
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault_at(faults, FaultSite::Score);
@@ -451,58 +264,6 @@ impl TriageRuntime {
             metrics.record_triage_flagged(score_bp, took_us);
             TriageVerdict::Flagged { score }
         } else {
-            metrics.record_triage_clean(score_bp, took_us);
-            TriageVerdict::Clean { score }
-        }
-    }
-
-    /// Adaptive triage: the effective threshold is the controller's
-    /// current value plus the tenant's baseline shift (clamped into the
-    /// controller's rails), clean frames feed the refit reservoir and
-    /// the tenant baselines, and flagged frames past the per-window
-    /// shed cap are shed instead of served.
-    fn score_adaptive(
-        &self,
-        detector: &Detector,
-        state: &AdaptiveState,
-        image: &Tensor,
-        tenant: &str,
-        metrics: &ServerMetrics,
-        faults: &FaultHandle,
-    ) -> TriageVerdict {
-        let started = Instant::now();
-        let mut inner = state.inner.lock();
-        // Reborrow so the closure and the post-score bookkeeping can
-        // borrow disjoint fields of the same guard.
-        let inner = &mut *inner;
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            fault_at(faults, FaultSite::Score);
-            detector.score_image_with_features(image, &mut inner.features)
-        }));
-        let took_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-        let score = match resolve_score(outcome, took_us, self.config.score_budget_us, metrics) {
-            Ok(score) => score,
-            Err(verdict) => return verdict,
-        };
-        let rails = *inner.controller.config();
-        let threshold = (inner.controller.threshold() + inner.baselines.shift(tenant))
-            .clamp(rails.floor, rails.ceiling);
-        let flagged = score >= threshold;
-        if let Some(adjusted) = inner.controller.observe(flagged) {
-            metrics.record_threshold_bp(score_basis_points(adjusted));
-        }
-        let score_bp = score_basis_points(score);
-        if flagged {
-            metrics.record_triage_flagged(score_bp, took_us);
-            if inner.controller.window_flagged() > rails.shed_cap() {
-                metrics.record_triage_shed();
-                return TriageVerdict::Shed { score };
-            }
-            TriageVerdict::Flagged { score }
-        } else {
-            inner.baselines.observe(tenant, score);
-            metrics.record_tenants_tracked(inner.baselines.tenants() as u64);
-            let _ = inner.reservoir.offer(&inner.features); // best-effort: dims fixed at construction, only a length mismatch errors
             metrics.record_triage_clean(score_bp, took_us);
             TriageVerdict::Clean { score }
         }
@@ -638,26 +399,6 @@ mod tests {
             .detection(false),
             None
         );
-        assert_eq!(TriageVerdict::Shed { score: 0.9 }.detection(true), None);
-    }
-
-    #[test]
-    fn default_adaptive_config_validates() {
-        assert!(AdaptiveConfig::default().validate().is_ok());
-    }
-
-    #[test]
-    fn adaptive_config_refuses_bad_reservoir_capacity() {
-        for capacity in [0, 1, MAX_RESERVOIR + 1] {
-            let config = AdaptiveConfig {
-                reservoir_capacity: capacity,
-                ..AdaptiveConfig::default()
-            };
-            assert!(
-                matches!(config.validate(), Err(ServeError::InvalidConfig { .. })),
-                "capacity {capacity} must be refused"
-            );
-        }
     }
 
     #[test]

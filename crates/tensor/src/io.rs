@@ -1,11 +1,11 @@
 //! Durable-artifact IO shared by every crate that persists state.
 //!
 //! These pieces live here because every crate that writes an artifact
-//! (weights, checkpoints, datasets, detectors, reservoirs, the stage
-//! ledger, wire frames) needs them and this crate is their common root
+//! (weights, checkpoints, datasets, detectors, the stage ledger, wire
+//! frames) needs them and this crate is their common root
 //! dependency:
 //!
-//! - [`Envelope`] — the one framing of all seven formats: an 8-byte
+//! - [`Envelope`] — the one framing of all six formats: an 8-byte
 //!   magic, a body, a CRC-32 trailer ([`seal_record`] / [`open_record`]
 //!   frame the ledger's appended records the same way). A truncated,
 //!   bit-flipped or foreign file is a **typed [`Refusal`]**, never
@@ -566,8 +566,8 @@ pub mod faults {
     //! Deterministic fault injection: one [`Schedule`] core, and the IO
     //! plan built on it.
     //!
-    //! A [`Schedule`] counts events (writes here; batches, dequeues,
-    //! scores and refits in `serve::faults`; responses in
+    //! A [`Schedule`] counts events (writes here; batches, dequeues
+    //! and scores in `serve::faults`; responses in
     //! `net::faults`) from 1, on a counter every clone shares, and hands
     //! back the actions scripted on each one. An [`IoFaultPlan`] scripts
     //! which [`atomic_write`](super::atomic_write) calls are wounded:

@@ -25,7 +25,7 @@ use fademl::{Detection, Scenario, ThreatModel, Verdict};
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Bim, Fademl};
 use fademl_data::{save_dataset, DatasetConfig, SignDataset, CLASS_COUNT};
 use fademl_detect::features::feature_dim;
-use fademl_detect::{Detector, DetectorConfig, FeatureReservoir};
+use fademl_detect::{Detector, DetectorConfig};
 use fademl_filters::FilterSpec;
 use fademl_net::wire::encode_frame;
 use fademl_net::{Frame, WireRequest, WireResponse};
@@ -229,13 +229,11 @@ fn artifact_lines(lines: &mut Lines) {
         .collect();
     let detector = Detector::fit(&rows, &config).expect("uniform forest");
     lines.push(("artifact.detector".into(), fnv1a(&detector.to_bytes())));
-    let mut reservoir = FeatureReservoir::new(8, dim, 15).expect("reservoir");
+    // The lines below are pinned on an RNG stream that has drawn these
+    // 20 feature rows.
     for _ in 0..20 {
-        reservoir
-            .offer(rng.uniform(&[dim], 0.0, 1.0).as_slice())
-            .expect("offer");
+        rng.uniform(&[dim], 0.0, 1.0);
     }
-    lines.push(("artifact.reservoir".into(), fnv1a(&reservoir.to_bytes())));
 
     let path = std::env::temp_dir().join(format!("fademl_bits_{}.ledger", std::process::id()));
     std::fs::remove_file(&path).ok();
@@ -397,7 +395,7 @@ fn figure_lines(lines: &mut Lines, figure: &str, cells: &[ScenarioCell], grids: 
     }
 }
 
-fn render() -> String {
+fn render(arithmetic: &Lines, same_host: &Lines) -> String {
     let mut out = String::from(
         "# FNV-1a digests of the bits this repository's kernels produce (tests/bits.rs).\n\
          # A changed line is a changed bit: name it, with its reason, in CHANGES.md.\n\
@@ -406,11 +404,11 @@ fn render() -> String {
     for (header, lines) in [
         (
             "[arithmetic] uniform xoshiro inputs; add, multiply, compare only: host-independent",
-            arithmetic(),
+            arithmetic,
         ),
         (
             "[same-host] downstream of libm (exp, ln, cos): stable on one platform only",
-            same_host(),
+            same_host,
         ),
     ] {
         out.push_str(&format!("\n{header}\n"));
@@ -424,26 +422,30 @@ fn render() -> String {
 #[test]
 fn bits_match_the_committed_table() {
     // The only test in this binary, so the process-wide switches are
-    // its own: every (instantiation the host can run, thread count) must
-    // print one table.
+    // its own. Every instantiation the host can run must print one
+    // table. The kernel lines are also computed at 1 and 2 threads; the
+    // `[same-host]` lines (victim training and the figure drivers,
+    // most of the cost) once per instantiation.
     let mut tables = Vec::new();
     for isa in simd::available() {
         assert!(simd::pin(Some(isa)), "{isa:?} is available but refused");
-        for threads in [1, 2] {
-            par::set_threads(threads);
-            tables.push((isa, threads, render()));
-        }
+        par::set_threads(1);
+        let serial = arithmetic();
+        par::set_threads(2);
+        let pooled = arithmetic();
+        assert_eq!(
+            serial,
+            pooled,
+            "[arithmetic] differs between 1 and 2 threads on {}",
+            isa.name()
+        );
+        tables.push((isa, render(&pooled, &same_host())));
     }
     simd::pin(None);
     par::set_threads(0);
-    let (_, _, first) = &tables[0];
-    for (isa, threads, table) in &tables {
-        assert_eq!(
-            table,
-            first,
-            "table differs on {} at {threads} threads",
-            isa.name()
-        );
+    let (_, first) = &tables[0];
+    for (isa, table) in &tables {
+        assert_eq!(table, first, "table differs on {}", isa.name());
     }
     if std::env::var_os("FADEML_BLESS").is_some() {
         atomic_write(Path::new(TABLE), first.as_bytes()).expect("write results/bits.txt");
