@@ -9,6 +9,8 @@
 //! cargo run --release -p fademl-bench --bin reproduce
 //! ```
 
+#![warn(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+
 use std::path::Path;
 use std::time::Instant;
 

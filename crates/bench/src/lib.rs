@@ -11,8 +11,19 @@
 //! two results.
 
 #![forbid(unsafe_code)]
+// Discarded `Result`s, held to zero by clippy outside tests; an
+// exemption is an `#[expect(lint, reason = …)]` on the smallest item
+// that needs it (DESIGN.md §11).
+#![warn(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        reason = "tests discard what they do not check"
+    )
+)]
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use fademl::defense::{adversarial_fit, robust_accuracy, AdversarialTrainingConfig};
@@ -111,11 +122,10 @@ fn fig6_text(prepared: &PreparedSetup, params: &AttackParams, eval_n: usize) -> 
 
 /// A grid figure's five per-scenario verdict and accuracy tables.
 fn scenario_tables(tables: impl Fn(usize) -> [Table; 2]) -> String {
-    let mut out = String::new();
-    for [verdicts, accuracy] in (1..=5).map(tables) {
-        let _ = write!(out, "{verdicts}\n{accuracy}\n");
-    }
-    out
+    (1..=5)
+        .map(tables)
+        .map(|[verdicts, accuracy]| format!("{verdicts}\n{accuracy}\n"))
+        .collect()
 }
 
 /// **Fig. 7**: the LAP/LAR filters neutralize the classical attacks.
@@ -220,10 +230,9 @@ fn model_info_text() -> Result<String> {
         let model = config.build(&mut TensorRng::seed_from_u64(0))?;
         let (channels, size) = (config.in_channels, config.input_size);
         let summary = model.summary();
-        let _ = write!(
-            out,
+        out.push_str(&format!(
             "## {label}\ninput: {channels}x{size}x{size}\n{summary}\n\n"
-        );
+        ));
     }
     Ok(out)
 }
@@ -331,7 +340,7 @@ fn hump_text(prepared: &PreparedSetup, params: &AttackParams) -> Result<String> 
             }
             table.push_row(row);
         }
-        let _ = writeln!(out, "{table}");
+        out.push_str(&format!("{table}\n"));
     }
     out.push_str(
         "(paper insight 2: accuracy rises with smoothing to an interior optimum, then falls)\n",

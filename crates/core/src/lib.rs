@@ -53,8 +53,19 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// `unwrap` and discarded `Result`s, held to zero by clippy outside
+// tests (DESIGN.md §11).
 #![warn(clippy::unwrap_used)]
-#![cfg_attr(test, allow(clippy::unwrap_used, reason = "tests assert by panicking"))]
+#![warn(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        reason = "tests assert by panicking, and discard what they do not check"
+    )
+)]
 
 pub mod analysis;
 pub mod cost;

@@ -1,8 +1,6 @@
 //! Plain-text table rendering for experiment output, matching the
 //! row/column layout of the paper's figures.
 
-use std::fmt::Write as _;
-
 /// A simple column-aligned text table.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct Table {
@@ -50,31 +48,7 @@ impl Table {
 
     /// Renders the table as aligned plain text.
     pub fn render(&self) -> String {
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate() {
-                widths[i] = widths[i].max(cell.chars().count());
-            }
-        }
-        let mut out = String::new();
-        let _ = writeln!(out, "## {}", self.title);
-        let line = |cells: &[String], widths: &[usize]| -> String {
-            let mut s = String::from("| ");
-            for (cell, w) in cells.iter().zip(widths) {
-                let pad = w - cell.chars().count();
-                s.push_str(cell);
-                s.push_str(&" ".repeat(pad));
-                s.push_str(" | ");
-            }
-            s.trim_end().to_owned()
-        };
-        let _ = writeln!(out, "{}", line(&self.header, &widths));
-        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
-        let _ = writeln!(out, "{}", line(&sep, &widths));
-        for row in &self.rows {
-            let _ = writeln!(out, "{}", line(row, &widths));
-        }
-        out
+        self.to_string()
     }
 }
 
@@ -88,7 +62,30 @@ impl Extend<Vec<String>> for Table {
 
 impl std::fmt::Display for Table {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}", self.render())
+        let mut widths: Vec<usize> = self.header.iter().map(|h| h.chars().count()).collect();
+        for row in &self.rows {
+            for (i, cell) in row.iter().enumerate() {
+                widths[i] = widths[i].max(cell.chars().count());
+            }
+        }
+        writeln!(f, "## {}", self.title)?;
+        let line = |cells: &[String], widths: &[usize]| -> String {
+            let mut s = String::from("| ");
+            for (cell, w) in cells.iter().zip(widths) {
+                let pad = w - cell.chars().count();
+                s.push_str(cell);
+                s.push_str(&" ".repeat(pad));
+                s.push_str(" | ");
+            }
+            s.trim_end().to_owned()
+        };
+        writeln!(f, "{}", line(&self.header, &widths))?;
+        let sep: Vec<String> = widths.iter().map(|w| "-".repeat(*w)).collect();
+        writeln!(f, "{}", line(&sep, &widths))?;
+        for row in &self.rows {
+            writeln!(f, "{}", line(row, &widths))?;
+        }
+        Ok(())
     }
 }
 

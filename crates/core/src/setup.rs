@@ -206,7 +206,10 @@ impl ExperimentSetup {
         if self.cache_weights {
             // save_weights_to_path stages and renames internally, so
             // concurrent readers never see a half-written file.
-            // best-effort: a failed cache write only costs future time.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: a failed cache write only costs future time"
+            )]
             let _ = serialize::save_weights_to_path(&model, self.cache_path());
         }
         Ok(PreparedSetup {

@@ -35,6 +35,18 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Discarded `Result`s, held to zero by clippy outside tests; an
+// exemption is an `#[expect(lint, reason = …)]` on the smallest item
+// that needs it (DESIGN.md §11).
+#![warn(clippy::let_underscore_must_use, clippy::unused_result_ok)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        reason = "tests discard what they do not check"
+    )
+)]
 
 mod canvas;
 mod classes;

@@ -187,7 +187,7 @@ impl Detector {
     /// multi-scale features of each, then fits.
     pub fn fit_images(images: &[Tensor], config: &DetectorConfig) -> Result<Detector> {
         config.validate()?;
-        let mut feats = fademl_tensor::plan::alloc::fresh_with(images.len());
+        let mut feats = Vec::with_capacity(images.len());
         for image in images {
             feats.push(pyramid_features(image, config.scales)?);
         }

@@ -43,13 +43,6 @@ impl Clone for Box<dyn Filter> {
     }
 }
 
-/// The one `Box::new` chokepoint for filter trait objects: every
-/// `clone_box` implementation and construction site routes through
-/// here, keeping the boxing allocation out of the per-filter files.
-pub fn boxed<F: Filter + 'static>(f: F) -> Box<dyn Filter> {
-    Box::new(f)
-}
-
 /// Validates that `t` is `[C, H, W]` or `[N, C, H, W]`.
 pub(crate) fn check_image_rank(t: &Tensor) -> Result<()> {
     match t.rank() {
@@ -77,16 +70,16 @@ impl Filter for Identity {
 
     fn apply(&self, image: &Tensor) -> Result<Tensor> {
         check_image_rank(image)?;
-        Ok(image.duplicate())
+        Ok(image.clone())
     }
 
     fn backward(&self, input: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
         check_image_rank(input)?;
-        Ok(grad_out.duplicate())
+        Ok(grad_out.clone())
     }
 
     fn clone_box(&self) -> Box<dyn Filter> {
-        boxed(*self)
+        Box::new(*self)
     }
 }
 

@@ -72,8 +72,8 @@ impl Kernel {
             }
             sum += w;
         }
-        let mut normalized = alloc::fresh_with(taps.len());
-        let mut adjoint = alloc::fresh_with(taps.len());
+        let mut normalized = Vec::with_capacity(taps.len());
+        let mut adjoint = Vec::with_capacity(taps.len());
         for (dy, dx, w) in taps {
             let w = w / sum;
             normalized.push((dy, dx, w));
@@ -92,7 +92,7 @@ impl Kernel {
     ///
     /// Same conditions as [`Kernel::new`].
     pub fn uniform(offsets: Vec<(i32, i32)>) -> Result<Self> {
-        let mut taps = alloc::fresh_with(offsets.len());
+        let mut taps = Vec::with_capacity(offsets.len());
         for (dy, dx) in offsets {
             taps.push((dy, dx, 1.0));
         }
@@ -187,7 +187,7 @@ impl Kernel {
         let src = image.as_slice();
         let len = src.len();
         if len == 0 {
-            return Ok(image.duplicate());
+            return Ok(image.clone());
         }
         let dims = image.dims();
         let (h, w) = (dims[dims.len() - 2], dims[dims.len() - 1]);
@@ -199,26 +199,26 @@ impl Kernel {
         let out = if par::should_parallelize(planes, work) {
             // Cross-thread buffers deliberately bypass the arena: a buffer
             // dropped on another thread would migrate into its pool.
-            let src: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(src));
-            let sums: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(&sums));
+            let src: Arc<Vec<f32>> = Arc::new(src.to_vec());
+            let sums: Arc<Vec<f32>> = Arc::new(sums.to_vec());
             let taps = Arc::clone(taps);
             let blocks = par::parallel_rows(planes, move |range: Range<usize>| {
-                let mut block = alloc::fresh_vec(range.len() * area);
+                let mut block = vec![0.0f32; range.len() * area];
                 let src = &src[range.start * area..range.end * area];
                 run_block(&taps, src, &mut block, h, w, &sums, adjoint);
                 block
             });
-            let mut out = alloc::fresh_with(len);
+            let mut out = Vec::with_capacity(len);
             for block in blocks {
                 out.extend_from_slice(&block);
             }
             out
         } else {
-            let mut out = alloc::fresh_vec(len);
+            let mut out = vec![0.0f32; len];
             run_block(taps, src, &mut out, h, w, &sums, adjoint);
             out
         };
-        Ok(Tensor::from_vec(out, image.shape().duplicate())?)
+        Ok(Tensor::from_vec(out, image.shape().clone())?)
     }
 
     /// The `count` offsets nearest the origin (excluding it), ordered by
@@ -241,7 +241,7 @@ impl Kernel {
             let db = b.0 * b.0 + b.1 * b.1;
             da.cmp(&db).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1))
         });
-        let mut offsets = alloc::fresh_with(count + 1);
+        let mut offsets = Vec::with_capacity(count + 1);
         offsets.push((0, 0));
         offsets.extend(candidates.into_iter().take(count));
         offsets

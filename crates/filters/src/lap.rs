@@ -76,7 +76,7 @@ impl Filter for Lap {
     }
 
     fn clone_box(&self) -> Box<dyn Filter> {
-        crate::filter::boxed(self.clone())
+        Box::new(self.clone())
     }
 }
 

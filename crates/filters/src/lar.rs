@@ -73,7 +73,7 @@ impl Filter for Lar {
     }
 
     fn clone_box(&self) -> Box<dyn Filter> {
-        crate::filter::boxed(self.clone())
+        Box::new(self.clone())
     }
 }
 

@@ -45,11 +45,10 @@ impl FilterSpec {
     /// Propagates parameter-validation errors from the filter
     /// constructors.
     pub fn build(&self) -> Result<Box<dyn Filter>> {
-        use crate::filter::boxed;
         Ok(match *self {
-            FilterSpec::None => boxed(Identity::new()),
-            FilterSpec::Lap { np } => boxed(Lap::new(np)?),
-            FilterSpec::Lar { r } => boxed(Lar::new(r)?),
+            FilterSpec::None => Box::new(Identity::new()),
+            FilterSpec::Lap { np } => Box::new(Lap::new(np)?),
+            FilterSpec::Lar { r } => Box::new(Lar::new(r)?),
         })
     }
 

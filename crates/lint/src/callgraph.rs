@@ -1,45 +1,26 @@
 //! The workspace call graph, generalized out of the original intra-
-//! crate graph in [`crate::locks`] and shared by every inter-procedural
-//! pass.
+//! crate graph in [`crate::locks`]: the lock passes propagate over it,
+//! and [`CallGraph::reachable`] answers reachability from named roots.
 //!
 //! Resolution is name-based and deliberately conservative in the same
 //! way the lock pass always was: functions with the same name across
 //! files and impls are merged into one node, so reachability and
-//! transitive property sets over-approximate rather than miss. Two
-//! [`Policy`] levels control which call shapes create edges:
-//!
-//! * [`Policy::Strict`] — free calls (`f(…)`), path calls
-//!   (`Type::f(…)`), and `self.f(…)` methods. This matches the
-//!   precision the lock-order pass shipped with: a method call through
-//!   an arbitrary receiver (`conn.f(…)`) is *not* resolved, because a
-//!   same-named method on an unrelated type would manufacture edges
-//!   (the condvar `guard.wait(…)` false-cycle class).
-//! * [`Policy::Permissive`] — additionally resolves `recv.f(…)` by
-//!   method name. Used for reachability questions (hot-path-alloc)
-//!   where missing an edge hides real findings and a spurious edge
-//!   merely widens an audit scope.
+//! transitive property sets over-approximate rather than miss. Only
+//! free calls (`f(…)`), path calls (`Type::f(…)`) and `self.f(…)`
+//! methods create edges. A method call through an arbitrary receiver
+//! (`conn.f(…)`) is *not* resolved, because a same-named method on an
+//! unrelated type would manufacture edges (the condvar `guard.wait(…)`
+//! false-cycle class).
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::ir::{FnItem, Ir, Receiver};
 use crate::source::SourceFile;
 
-/// Which call shapes create graph edges.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Policy {
-    /// Free, path, and `self.` calls only.
-    Strict,
-    /// Also resolve arbitrary `recv.method(…)` calls by name.
-    Permissive,
-}
-
-/// Whether a call site resolves to a workspace function under `policy`
-/// (assuming the name is defined somewhere in scope).
-pub fn resolves(recv: &Receiver, policy: Policy) -> bool {
-    match recv {
-        Receiver::Bare | Receiver::SelfDot | Receiver::Path(_) => true,
-        Receiver::Dot(_) => policy == Policy::Permissive,
-    }
+/// Whether a call site resolves to a workspace function (assuming the
+/// name is defined somewhere in scope).
+pub fn resolves(recv: &Receiver) -> bool {
+    !matches!(recv, Receiver::Dot(_))
 }
 
 /// Location of one function item: `(file index, fn index)` into the
@@ -59,7 +40,7 @@ impl CallGraph {
     /// Builds the graph over every non-test function in `ir` whose file
     /// path starts with one of `scope` prefixes (empty scope = whole
     /// workspace). `files` must be the slice `ir` was parsed from.
-    pub fn build(ir: &Ir, files: &[SourceFile], scope: &[&str], policy: Policy) -> CallGraph {
+    pub fn build(ir: &Ir, files: &[SourceFile], scope: &[&str]) -> CallGraph {
         let mut graph = CallGraph::default();
         let in_scope = |path: &str| scope.is_empty() || scope.iter().any(|p| path.starts_with(p));
         for (fi, file) in ir.files.iter().enumerate() {
@@ -84,7 +65,7 @@ impl CallGraph {
                 let entry = graph.edges.entry(f.name.clone()).or_default();
                 for stmt in f.stmts() {
                     for call in &stmt.calls {
-                        if resolves(&call.recv, policy) && graph.defs.contains_key(&call.name) {
+                        if resolves(&call.recv) && graph.defs.contains_key(&call.name) {
                             entry.insert(call.name.clone());
                         }
                     }
@@ -156,10 +137,10 @@ mod tests {
     use crate::ir::Ir;
     use crate::source::SourceFile;
 
-    fn graph(src: &str, policy: Policy) -> (Ir, Vec<SourceFile>, CallGraph) {
+    fn graph(src: &str) -> (Ir, Vec<SourceFile>, CallGraph) {
         let files = vec![SourceFile::from_source("crates/x/src/a.rs", src)];
         let ir = Ir::parse(&files);
-        let g = CallGraph::build(&ir, &files, &[], policy);
+        let g = CallGraph::build(&ir, &files, &[]);
         (ir, files, g)
     }
 
@@ -179,21 +160,18 @@ fn helper() {}
 fn through_receiver() {}
 mod util { impl Util { fn assoc() {} } }
 ";
-        let (_, _, g) = graph(src, Policy::Strict);
+        let (_, _, g) = graph(src);
         let callees = &g.edges["root"];
         assert!(callees.contains("helper"));
         assert!(callees.contains("assoc"));
         assert!(callees.contains("method"));
         assert!(!callees.contains("through_receiver"));
-
-        let (_, _, gp) = graph(src, Policy::Permissive);
-        assert!(gp.edges["root"].contains("through_receiver"));
     }
 
     #[test]
     fn reachability_is_transitive() {
         let src = "fn a() { b(); }\nfn b() { c(); }\nfn c() {}\nfn island() {}\n";
-        let (_, _, g) = graph(src, Policy::Strict);
+        let (_, _, g) = graph(src);
         let r = g.reachable(["a"]);
         assert!(r.contains("a") && r.contains("b") && r.contains("c"));
         assert!(!r.contains("island"));
@@ -202,7 +180,7 @@ mod util { impl Util { fn assoc() {} } }
     #[test]
     fn test_functions_are_excluded() {
         let src = "fn live() {}\n#[cfg(test)]\nmod tests {\n    fn shadow() { live(); }\n}\n";
-        let (_, _, g) = graph(src, Policy::Strict);
+        let (_, _, g) = graph(src);
         assert!(g.defs.contains_key("live"));
         assert!(!g.defs.contains_key("shadow"));
     }
@@ -210,7 +188,7 @@ mod util { impl Util { fn assoc() {} } }
     #[test]
     fn propagate_reaches_fixpoint() {
         let src = "fn a() { b(); }\nfn b() { c(); }\nfn c() {}\n";
-        let (_, _, g) = graph(src, Policy::Strict);
+        let (_, _, g) = graph(src);
         let mut seed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
         seed.entry("c".into()).or_default().insert("io".to_string());
         let sets = g.propagate(seed);

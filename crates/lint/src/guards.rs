@@ -9,7 +9,9 @@
 //! * A temporary guard (`self.m.lock().push(x)`) is held for its
 //!   statement only — including the statement's child blocks, so a
 //!   guard kept alive by `for x in m.lock().drain(..) { … }` is live
-//!   across the loop body.
+//!   across the loop body. Each `match` arm is its own statement (an
+//!   arm body is a temporary scope), while the scrutinee's temporaries
+//!   belong to the `match` statement and so live across every arm.
 //! * `self.lock()` (no named receiver) and free `lock(…)` calls are
 //!   not acquisitions.
 

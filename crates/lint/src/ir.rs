@@ -315,8 +315,6 @@ pub struct FnItem {
     pub impl_type: Option<String>,
     /// 1-indexed line of the `fn` keyword.
     pub line: usize,
-    /// Whether the signature's return type mentions `Result`.
-    pub returns_result: bool,
     /// The parsed body.
     pub body: Block,
 }
@@ -456,46 +454,36 @@ fn parse_fn(
         Some(Tok::Ident { text, .. }) => text.clone(),
         _ => return None, // `fn(...)` pointer type — not an item.
     };
-    let mut returns_result = false;
-    let mut saw_arrow = false;
-    let mut j = fn_idx + 2;
-    while j < toks.len() {
-        match &toks[j] {
+    for (j, tok) in toks.iter().enumerate().skip(fn_idx + 2) {
+        match tok {
             Tok::Group(g) if g.delim == Delim::Brace => {
-                let body = build_block(g);
                 let item = FnItem {
                     name,
                     impl_type: impl_type.map(str::to_string),
                     line: fn_line,
-                    returns_result,
-                    body,
+                    body: build_block(g, false),
                 };
                 return Some((item, j + 1));
             }
             Tok::Punct { ch: ';', .. } => return None,
-            Tok::Punct { ch: '>', .. } if j > 0 && toks[j - 1].is_punct('-') => {
-                saw_arrow = true;
-            }
-            Tok::Ident { text, .. } if saw_arrow && text == "Result" => {
-                returns_result = true;
-            }
             _ => {}
         }
-        j += 1;
     }
     None
 }
 
 /// Builds a [`Block`] from a brace group by splitting its tokens into
-/// statements.
-fn build_block(group: &Group) -> Block {
+/// statements. The arms of a `match` (`arms`) split at top-level commas
+/// too, so each arm is its own statement: an arm body is a temporary
+/// scope, and its temporaries die before the next arm.
+fn build_block(group: &Group, arms: bool) -> Block {
     let mut stmts = Vec::new();
     let mut start = 0;
     let toks = &group.toks;
     let mut i = 0;
     while i < toks.len() {
         match &toks[i] {
-            Tok::Punct { ch: ';', .. } => {
+            Tok::Punct { ch, .. } if *ch == ';' || (arms && *ch == ',') => {
                 stmts.push(build_stmt(&toks[start..=i]));
                 start = i + 1;
             }
@@ -749,9 +737,14 @@ fn classify_receiver(toks: &[Tok], i: usize) -> Receiver {
 /// Collects child brace blocks reachable without crossing another brace
 /// group.
 fn collect_children(toks: &[Tok], blocks: &mut Vec<Block>) {
+    // The first brace group after `match` holds the arms.
+    let mut after_match = false;
     for t in toks {
         match t {
-            Tok::Group(g) if g.delim == Delim::Brace => blocks.push(build_block(g)),
+            Tok::Ident { text, .. } if text == "match" => after_match = true,
+            Tok::Group(g) if g.delim == Delim::Brace => {
+                blocks.push(build_block(g, std::mem::take(&mut after_match)));
+            }
             Tok::Group(g) => collect_children(&g.toks, blocks),
             _ => {}
         }
@@ -793,8 +786,6 @@ mod tests {
         let names: Vec<_> = file.fns.iter().map(|f| f.name.as_str()).collect();
         assert_eq!(names, vec!["start", "free", "drop"]);
         assert_eq!(file.fns[0].impl_type.as_deref(), Some("Server"));
-        assert!(file.fns[0].returns_result);
-        assert!(!file.fns[1].returns_result);
         assert_eq!(file.fns[2].impl_type.as_deref(), Some("Guard"));
     }
 

@@ -14,14 +14,14 @@
 //!   (`read_frame`/`write_frame`), and channel `recv`/`recv_timeout` —
 //!   made while any guard is held;
 //! * calls to in-scope workspace functions that transitively perform
-//!   such I/O (fixpoint over the [`Policy::Strict`] call graph).
+//!   such I/O (fixpoint over the call graph).
 //!
 //! Condvar `wait` is *not* an I/O sink: parking a condvar releases its
 //! mutex by design (`request.rs` relies on this).
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{is_test_fn, resolves, CallGraph, Policy};
+use crate::callgraph::{is_test_fn, resolves, CallGraph};
 use crate::guards::{walk_fn, Event, ACQUIRE_METHODS};
 use crate::ir::{CallSite, Ir, Receiver};
 use crate::report::Finding;
@@ -52,7 +52,7 @@ const IO_PATHS: &[&str] = &["fs", "File", "TcpStream", "TcpListener", "OpenOptio
 
 /// Runs the pass over every file in [`IO_SCOPE`].
 pub fn check(ir: &Ir, files: &[SourceFile]) -> Vec<Finding> {
-    let graph = CallGraph::build(ir, files, IO_SCOPE, Policy::Strict);
+    let graph = CallGraph::build(ir, files, IO_SCOPE);
 
     // Transitive "does blocking I/O" property per function name.
     let mut seed: BTreeMap<String, BTreeSet<String>> = BTreeMap::new();
@@ -91,7 +91,7 @@ pub fn check(ir: &Ir, files: &[SourceFile]) -> Vec<Finding> {
                     return;
                 }
                 let transitive = !is_direct_io(call)
-                    && resolves(&call.recv, Policy::Strict)
+                    && resolves(&call.recv)
                     && !ACQUIRE_METHODS.contains(&call.name.as_str())
                     && graph.defs.contains_key(&call.name)
                     && does_io.get(&call.name).is_some_and(|s| s.contains("io"));

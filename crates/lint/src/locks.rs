@@ -8,7 +8,7 @@
 //! `let`-bound guard is held until the end of its enclosing block (or
 //! an explicit `drop(g)`), a temporary guard for its statement. While
 //! A is held, acquiring B adds the order edge `A → B`; calls resolved
-//! under [`Policy::Strict`] propagate the callee's transitively-
+//! by the call graph propagate the callee's transitively-
 //! acquired locks under the caller's held set. Any cycle in the
 //! resulting lock-order graph is a potential deadlock and is reported
 //! with the source location of every edge; re-acquiring a held lock is
@@ -21,7 +21,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::callgraph::{is_test_fn, resolves, CallGraph, Policy};
+use crate::callgraph::{is_test_fn, resolves, CallGraph};
 use crate::guards::{walk_fn, Event, ACQUIRE_METHODS};
 use crate::ir::Ir;
 use crate::report::Finding;
@@ -46,7 +46,7 @@ struct Edge {
 
 /// Runs the lock-order analysis over every file inside `scope`.
 pub fn analyze(ir: &Ir, files: &[SourceFile], scope: &[&str]) -> Vec<Finding> {
-    let graph = CallGraph::build(ir, files, scope, Policy::Strict);
+    let graph = CallGraph::build(ir, files, scope);
 
     // Transitive lock set per function name (names merged across
     // impls — a conservative over-approximation).
@@ -92,7 +92,7 @@ pub fn analyze(ir: &Ir, files: &[SourceFile], scope: &[&str]) -> Vec<Finding> {
             }
             Event::Call(call) => {
                 if held.is_empty()
-                    || !resolves(&call.recv, Policy::Strict)
+                    || !resolves(&call.recv)
                     || ACQUIRE_METHODS.contains(&call.name.as_str())
                     || !graph.defs.contains_key(&call.name)
                 {
@@ -270,6 +270,30 @@ impl S {
         // Both acquisition locations are reported.
         assert!(msg.contains(":3") || msg.contains(":4"), "{msg}");
         assert!(msg.contains(":7") || msg.contains(":8"), "{msg}");
+    }
+
+    #[test]
+    fn match_arm_temporary_does_not_order_sibling_arms() {
+        // An arm body is a temporary scope: `a`'s guard dies with its
+        // arm, before the `Err` arm runs. A scrutinee temporary would
+        // live across every arm.
+        let src = "\
+impl S {
+    fn accept(&self, r: Result<H, E>) {
+        match r {
+            Ok(h) => self.a.lock().push(h),
+            Err(_) => {
+                self.b.lock().clear();
+            }
+        }
+    }
+    fn other(&self) {
+        let g = self.b.lock();
+        self.a.lock().clear();
+    }
+}
+";
+        assert!(run(src).is_empty(), "{:?}", run(src));
     }
 
     #[test]

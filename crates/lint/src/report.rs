@@ -1,11 +1,11 @@
-//! Findings, the allowlist-aware summary, and the human/JSON reports.
+//! Findings and their human rendering.
 
-use serde::Serialize;
+use std::fmt;
 
-/// One raw finding produced by a pass.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+/// One finding produced by a pass.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `unwrap`, `lock-cycle`).
+    /// Stable rule identifier (e.g. `lock-cycle`, `wire-cap-check`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub path: String,
@@ -15,15 +15,10 @@ pub struct Finding {
     pub message: String,
     /// Trimmed source excerpt of the offending line.
     pub excerpt: String,
-    /// Stable identity: FNV-1a of rule + path + the whitespace-
-    /// normalized excerpt (digit-stripped message when no excerpt), so
-    /// the identity survives pure line-number drift.
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// Convenience constructor trimming the excerpt and stamping the
-    /// fingerprint.
+    /// Convenience constructor trimming the excerpt.
     pub fn new(
         rule: &str,
         path: &str,
@@ -31,141 +26,22 @@ impl Finding {
         message: impl Into<String>,
         excerpt: &str,
     ) -> Self {
-        let message = message.into();
-        let excerpt: String = excerpt.trim().chars().take(120).collect();
-        let content = if excerpt.is_empty() {
-            message.chars().filter(|c| !c.is_ascii_digit()).collect()
-        } else {
-            normalize_ws(&excerpt)
-        };
-        let fingerprint = format!("{:016x}", fnv1a64(&[rule, path, &content]));
         Finding {
             rule: rule.to_string(),
             path: path.to_string(),
             line,
-            message,
-            excerpt,
-            fingerprint,
+            message: message.into(),
+            excerpt: excerpt.trim().chars().take(120).collect(),
         }
     }
 }
 
-/// Collapses whitespace runs to single spaces.
-fn normalize_ws(s: &str) -> String {
-    s.split_whitespace().collect::<Vec<_>>().join(" ")
-}
-
-/// 64-bit FNV-1a over the parts with a separator byte between them.
-fn fnv1a64(parts: &[&str]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut step = |b: u8| {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    };
-    for p in parts {
-        for b in p.bytes() {
-            step(b);
-        }
-        step(0);
-    }
-    h
-}
-
-/// Per-(rule, path) tally after the baseline is applied.
-#[derive(Debug, Clone, Serialize)]
-pub struct GroupSummary {
-    /// Rule identifier.
-    pub rule: String,
-    /// File the findings were grouped under.
-    pub path: String,
-    /// Findings the passes produced.
-    pub found: usize,
-    /// Budget granted by `lint.allow`.
-    pub allowed: usize,
-    /// `max(0, found - allowed)` — what fails the gate.
-    pub new: usize,
-}
-
-/// The serializable outcome of a full lint run (`results/lint.json`).
-///
-/// Only *new* findings are listed individually; baselined ones are
-/// rolled up into their group so the committed report stays small and
-/// deterministic.
-#[derive(Debug, Clone, Serialize)]
-pub struct LintReport {
-    /// Report format version (2 = findings carry fingerprints).
-    pub schema: u32,
-    /// Source files analysed.
-    pub files_scanned: usize,
-    /// Total findings across all rules.
-    pub total_findings: usize,
-    /// Findings covered by the `lint.allow` baseline.
-    pub baselined: usize,
-    /// Findings exceeding the baseline — nonzero fails CI.
-    pub new_findings: usize,
-    /// (rule, path) groups with at least one finding, sorted.
-    pub groups: Vec<GroupSummary>,
-    /// The findings exceeding the baseline, sorted.
-    pub new_finding_details: Vec<Finding>,
-    /// Baseline entries whose budget exceeds current findings — the
-    /// ratchet should be tightened (warning, not failure).
-    pub ratchet_slack: Vec<GroupSummary>,
-}
-
-impl LintReport {
-    /// Whether the run passes the gate.
-    pub fn is_clean(&self) -> bool {
-        self.new_findings == 0
-    }
-
-    /// Pretty JSON rendering.
-    pub fn to_json(&self) -> String {
-        serde::json::to_string_pretty(self)
-    }
-
-    /// Human-readable multi-line rendering.
-    pub fn render(&self) -> String {
-        let mut out = String::new();
-        out.push_str(&format!(
-            "fademl-lint: {} files, {} findings ({} baselined, {} new)\n",
-            self.files_scanned, self.total_findings, self.baselined, self.new_findings
-        ));
-        if !self.groups.is_empty() {
-            out.push_str("  per-file tallies (rule path found/allowed):\n");
-            for g in &self.groups {
-                let marker = if g.new > 0 { "  !!" } else { "    " };
-                out.push_str(&format!(
-                    "{marker} {:<16} {:<44} {}/{}\n",
-                    g.rule, g.path, g.found, g.allowed
-                ));
-            }
-        }
-        if !self.new_finding_details.is_empty() {
-            out.push_str("  new findings (fix or add to lint.allow with a justification):\n");
-            for f in &self.new_finding_details {
-                out.push_str(&format!(
-                    "    {}:{}: [{}] {}\n        {}\n",
-                    f.path, f.line, f.rule, f.message, f.excerpt
-                ));
-            }
-        }
-        if !self.ratchet_slack.is_empty() {
-            out.push_str("  ratchet: baseline slack — tighten lint.allow:\n");
-            for g in &self.ratchet_slack {
-                out.push_str(&format!(
-                    "    {:<16} {:<44} allows {}, only {} found\n",
-                    g.rule, g.path, g.allowed, g.found
-                ));
-            }
-        }
-        if self.is_clean() {
-            out.push_str("  OK: no findings beyond the checked-in baseline\n");
-        } else {
-            out.push_str(&format!(
-                "  FAIL: {} finding(s) beyond the baseline\n",
-                self.new_findings
-            ));
-        }
-        out
+impl fmt::Display for Finding {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [{}] {}\n    {}",
+            self.path, self.line, self.rule, self.message, self.excerpt
+        )
     }
 }

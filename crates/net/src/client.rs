@@ -30,7 +30,10 @@ impl NetClient {
     /// [`NetError::Io`] if the connection fails.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
         let stream = TcpStream::connect(addr).map_err(NetError::Io)?;
-        // best-effort: socket tuning failures degrade latency, not correctness.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: socket tuning failures degrade latency, not correctness"
+        )]
         let _ = stream.set_nodelay(true);
         Ok(NetClient {
             stream,
@@ -115,8 +118,15 @@ impl NetClient {
 
     /// Orderly hang-up: sends `Goodbye` and closes the connection.
     pub fn goodbye(mut self) {
-        // best-effort: Goodbye is advisory; the connection closes regardless.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: Goodbye is advisory; the connection closes regardless"
+        )]
         let _ = write_frame(&mut self.stream, &Frame::Goodbye);
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: the socket closes when the stream drops either way"
+        )]
         let _ = self.stream.shutdown(std::net::Shutdown::Both);
     }
 }

@@ -256,10 +256,16 @@ impl NetServer {
         self.shared.shutting_down.store(true, Ordering::Release);
         // Unblock the accept thread: it is parked in accept(); a
         // throwaway self-connection wakes it to observe the flag.
-        // best-effort: the wake-up poke may race the listener closing.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: the wake-up poke may race the listener closing"
+        )]
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_handle.take() {
-            // best-effort: a panicked accept thread still counts as stopped.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: a panicked accept thread still counts as stopped"
+            )]
             let _ = handle.join();
         }
         // Drain: handlers answer their in-flight request and exit.
@@ -272,12 +278,18 @@ impl NetServer {
         // mid-register must not contend with a socket syscall.
         let streams: Vec<(u64, TcpStream)> = self.shared.conns.lock().drain(..).collect();
         for (_, stream) in streams {
-            // best-effort: the peer may already be gone; shutdown is a nudge.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: the peer may already be gone; shutdown is a nudge"
+            )]
             let _ = stream.shutdown(Shutdown::Both);
         }
         let handlers: Vec<JoinHandle<()>> = self.shared.handlers.lock().drain(..).collect();
         for handle in handlers {
-            // best-effort: a panicked handler must not abort the shutdown.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: a panicked handler must not abort the shutdown"
+            )]
             let _ = handle.join();
         }
     }
@@ -338,15 +350,28 @@ fn refuse_connection(shared: &NetShared, mut stream: TcpStream) {
             capacity: shared.router.queue_capacity(),
         },
     });
-    // best-effort: the refusal notice is a courtesy; the peer may have hung up.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: the refusal notice is a courtesy; the peer may have hung up"
+    )]
     let _ = write_frame(&mut stream, &frame);
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: the socket closes when the stream drops either way"
+    )]
     let _ = stream.shutdown(Shutdown::Both);
 }
 
 fn run_handler(shared: &NetShared, mut stream: TcpStream, _conn_id: u64) {
-    // best-effort: socket tuning failures degrade latency, not correctness.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: socket tuning failures degrade latency, not correctness"
+    )]
     let _ = stream.set_nodelay(true);
-    // best-effort: without the timeout the read blocks until shutdown's nudge.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: without the timeout the read blocks until shutdown's nudge"
+    )]
     let _ = stream.set_read_timeout(Some(Duration::from_millis(shared.config.read_timeout_ms)));
     loop {
         match read_frame(&mut stream) {
@@ -375,7 +400,10 @@ fn run_handler(shared: &NetShared, mut stream: TcpStream, _conn_id: u64) {
                 // The in-flight request was answered before honoring
                 // shutdown — now say goodbye and close.
                 if shared.shutting_down.load(Ordering::Acquire) {
-                    // best-effort: Goodbye is advisory; close either way.
+                    #[expect(
+                        clippy::let_underscore_must_use,
+                        reason = "best-effort: Goodbye is advisory; close either way"
+                    )]
                     let _ = write_frame(&mut stream, &Frame::Goodbye);
                     break;
                 }
@@ -385,7 +413,10 @@ fn run_handler(shared: &NetShared, mut stream: TcpStream, _conn_id: u64) {
                 // A client sending server-side frames is violating the
                 // protocol; answer typed and close.
                 shared.frame_errors.fetch_add(1, Ordering::Relaxed);
-                // best-effort: we are closing on them regardless.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort: we are closing on them regardless"
+                )]
                 let _ = write_frame(
                     &mut stream,
                     &Frame::Error(WireFault {
@@ -399,7 +430,10 @@ fn run_handler(shared: &NetShared, mut stream: TcpStream, _conn_id: u64) {
             }
             Err(NetError::Frame(frame_error)) => {
                 shared.frame_errors.fetch_add(1, Ordering::Relaxed);
-                // best-effort: the stream is already suspect; close after.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort: the stream is already suspect; close after"
+                )]
                 let _ = write_frame(
                     &mut stream,
                     &Frame::Error(WireFault {
@@ -420,6 +454,10 @@ fn run_handler(shared: &NetShared, mut stream: TcpStream, _conn_id: u64) {
             Err(_) => break,
         }
     }
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: the peer may already be gone; this closes the socket the registry's clone holds open"
+    )]
     let _ = stream.shutdown(Shutdown::Both);
 }
 
@@ -427,6 +465,10 @@ fn run_handler(shared: &NetShared, mut stream: TcpStream, _conn_id: u64) {
 /// `false` when the connection should close.
 fn send_reply(shared: &NetShared, stream: &mut TcpStream, reply: &Frame) -> bool {
     #[cfg(feature = "faults")]
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: fault injection tears or drops the stream on purpose"
+    )]
     if let Some(plan) = &shared.faults {
         match plan.on_response() {
             ResponseFault::Tear(keep_bytes) => {
@@ -436,9 +478,7 @@ fn send_reply(shared: &NetShared, stream: &mut TcpStream, reply: &Frame) -> bool
                     use std::io::Write;
                     let keep = keep_bytes.min(bytes.len());
                     let (head, _) = bytes.split_at(keep);
-                    // best-effort: fault injection tears the stream on purpose.
                     let _ = stream.write_all(head);
-                    // best-effort: same — the torn prefix may or may not land.
                     let _ = stream.flush();
                 }
                 let _ = stream.shutdown(Shutdown::Both);

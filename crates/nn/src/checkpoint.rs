@@ -459,7 +459,10 @@ impl CheckpointStore {
         atomic_write(&path, &state.encode())?;
         if let Ok(gens) = self.generations() {
             for (_, old) in gens.iter().take(gens.len().saturating_sub(self.retain)) {
-                // best-effort: pruning a vanished generation is fine.
+                #[expect(
+                    clippy::let_underscore_must_use,
+                    reason = "best-effort: pruning a vanished generation is fine"
+                )]
                 let _ = fs::remove_file(old);
             }
         }

@@ -85,7 +85,7 @@ impl Layer for Conv2d {
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
         let out = self.forward(input)?;
-        self.cached_input = Some(input.duplicate());
+        self.cached_input = Some(input.clone());
         Ok(out)
     }
 

@@ -96,7 +96,7 @@ impl Layer for Dense {
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
         let out = self.forward(input)?;
-        self.cached_input = Some(input.duplicate());
+        self.cached_input = Some(input.clone());
         Ok(out)
     }
 
@@ -143,7 +143,7 @@ impl Layer for Dense {
 /// Returns [`TensorError::IndexOutOfBounds`] (wrapped) if any label is
 /// `>= classes`.
 pub(crate) fn one_hot(labels: &[usize], classes: usize) -> Result<Tensor> {
-    let mut data = fademl_tensor::plan::alloc::fresh_vec(labels.len() * classes);
+    let mut data = vec![0.0f32; labels.len() * classes];
     for (i, &label) in labels.iter().enumerate() {
         let cell = if label < classes {
             data.get_mut(i * classes + label)

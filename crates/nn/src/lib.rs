@@ -38,12 +38,14 @@
 //! ```
 
 #![forbid(unsafe_code)]
-// The serving path's panic surface, held to zero by clippy outside
-// tests; an exemption is an `#[expect(lint, reason = …)]` on the
-// smallest item that needs it (DESIGN.md §11).
+// The serving path's panic surface and discarded `Result`s, held to
+// zero by clippy outside tests; an exemption is an
+// `#[expect(lint, reason = …)]` on the smallest item that needs it
+// (DESIGN.md §11).
 #![warn(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 #![warn(clippy::unreachable, clippy::indexing_slicing)]
 #![warn(clippy::cast_possible_truncation, clippy::cast_possible_wrap)]
+#![warn(clippy::let_underscore_must_use, clippy::unused_result_ok)]
 #![cfg_attr(
     test,
     allow(
@@ -54,7 +56,9 @@
         clippy::indexing_slicing,
         clippy::cast_possible_truncation,
         clippy::cast_possible_wrap,
-        reason = "tests assert by panicking on fixtures they built"
+        clippy::let_underscore_must_use,
+        clippy::unused_result_ok,
+        reason = "tests assert by panicking on fixtures they built, and discard what they do not check"
     )
 )]
 

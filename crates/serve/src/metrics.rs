@@ -171,7 +171,10 @@ impl ServerMetrics {
     /// (e.g. an enqueue that failed because the server is stopping).
     pub fn release_queue_slot(&self) {
         // Saturating: a racing reader must never see usize::MAX depth.
-        // best-effort: Err only means the depth was already zero.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: Err only means the depth was already zero"
+        )]
         let _ = self
             .queue_depth
             .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |d| d.checked_sub(1));

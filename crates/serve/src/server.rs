@@ -144,7 +144,10 @@ struct ExitNotice {
 
 impl Drop for ExitNotice {
     fn drop(&mut self) {
-        // best-effort: if the supervisor is gone there is nobody to notify.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: if the supervisor is gone there is nobody to notify"
+        )]
         let _ = self.tx.send(WorkerExit {
             idx: self.idx,
             clean: self.clean,
@@ -475,7 +478,10 @@ impl InferenceServer {
         // buckets regardless of linger, exit, and the supervisor follows.
         self.queue.close();
         if let Some(handle) = self.supervisor_handle.take() {
-            // best-effort: a panicked supervisor still counts as stopped.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: a panicked supervisor still counts as stopped"
+            )]
             let _ = handle.join();
         }
     }
@@ -566,7 +572,10 @@ fn run_supervisor(
         }
     }
     for handle in handles {
-        // best-effort: a panicked worker was already counted as failed.
+        #[expect(
+            clippy::let_underscore_must_use,
+            reason = "best-effort: a panicked worker was already counted as failed"
+        )]
         let _ = handle.join();
     }
 }

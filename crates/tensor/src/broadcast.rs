@@ -4,7 +4,6 @@
 //! every pair of extents is equal or one of them is 1. The broadcast
 //! result takes the larger extent in each position.
 
-use crate::plan::alloc;
 use crate::{Result, Shape, Tensor, TensorError};
 
 /// Computes the broadcast shape of two operand shapes.
@@ -21,7 +20,7 @@ pub(crate) fn broadcast_shape(op: &'static str, lhs: &Shape, rhs: &Shape) -> Res
     let a = lhs.dims();
     let b = rhs.dims();
     let rank = a.len().max(b.len());
-    let mut out = alloc::fresh_filled(rank, 0usize);
+    let mut out = vec![0usize; rank];
     for i in 0..rank {
         let da = if i < rank - a.len() {
             1
@@ -66,8 +65,8 @@ pub(crate) fn broadcast_zip(
     let rhs_strides = padded_broadcast_strides(rhs.shape(), rank);
 
     let numel = out_shape.numel();
-    let mut data = alloc::fresh_with(numel);
-    let mut index = alloc::fresh_filled(rank, 0usize);
+    let mut data = Vec::with_capacity(numel);
+    let mut index = vec![0usize; rank];
     let la = lhs.as_slice();
     let lb = rhs.as_slice();
     for _ in 0..numel {
@@ -101,7 +100,7 @@ fn padded_broadcast_strides(shape: &Shape, rank: usize) -> Vec<usize> {
     let dims = shape.dims();
     let strides = shape.strides();
     let pad = rank - dims.len();
-    let mut out = alloc::fresh_filled(rank, 0usize);
+    let mut out = vec![0usize; rank];
     for i in 0..dims.len() {
         out[pad + i] = if dims[i] == 1 { 0 } else { strides[i] };
     }
@@ -124,7 +123,7 @@ fn padded_broadcast_strides(shape: &Shape, rank: usize) -> Vec<usize> {
 )]
 pub fn reduce_to_shape(grad: &Tensor, target: &Shape) -> Result<Tensor> {
     if grad.shape() == target {
-        return Ok(grad.duplicate());
+        return Ok(grad.clone());
     }
     // Validate compatibility.
     let combined = broadcast_shape("reduce_to_shape", grad.shape(), target)?;
@@ -140,14 +139,14 @@ pub fn reduce_to_shape(grad: &Tensor, target: &Shape) -> Result<Tensor> {
     let grad_dims = grad.dims();
     let target_strides = {
         let strides = target.strides();
-        let mut out = alloc::fresh_filled(rank, 0usize);
+        let mut out = vec![0usize; rank];
         for i in 0..target.rank() {
             out[pad + i] = if target.dims()[i] == 1 { 0 } else { strides[i] };
         }
         out
     };
-    let mut out = alloc::fresh_vec(target.numel());
-    let mut index = alloc::fresh_filled(rank, 0usize);
+    let mut out = vec![0.0f32; target.numel()];
+    let mut index = vec![0usize; rank];
     for &g in grad.as_slice() {
         let mut off = 0usize;
         for d in 0..rank {
@@ -162,7 +161,7 @@ pub fn reduce_to_shape(grad: &Tensor, target: &Shape) -> Result<Tensor> {
             index[d] = 0;
         }
     }
-    Tensor::from_vec(out, target.duplicate())
+    Tensor::from_vec(out, target.clone())
 }
 
 #[cfg(test)]

@@ -321,7 +321,7 @@ pub fn im2col(image: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
     let len = checked_product("im2col", &[rows, oh, ow])?;
     let plane_len = plane_len(spec, h, w)?;
     let mut plane = alloc::scratch_f32(plane_len);
-    let mut out = alloc::fresh_vec(len);
+    let mut out = vec![0.0f32; len];
     let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING, plane_len);
     unfold_into(image.as_slice(), &geom, &mut plane, &mut out, oh * ow, 0);
     Tensor::from_vec(out, Shape::of(&[rows, oh * ow]))
@@ -348,7 +348,7 @@ pub fn col2im(cols: &Tensor, spec: &ConvSpec, h: usize, w: usize) -> Result<Tens
             &[rows, n_cols],
         ));
     }
-    let mut out = alloc::fresh_vec(checked_product("col2im", &[c, h, w])?);
+    let mut out = vec![0.0f32; checked_product("col2im", &[c, h, w])?];
     let plane_len = plane_len(spec, h, w)?;
     let mut plane = alloc::scratch_stale(plane_len);
     let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING, plane_len);
@@ -646,15 +646,15 @@ fn conv2d_with(
     let out = if bp.parallel {
         // Cross-thread operands bypass the arena deliberately: a buffer
         // dropped on another thread would migrate into its pool.
-        let input: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(input.as_slice()));
-        let w_mat: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(weight.as_slice()));
-        let bias: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(bias.as_slice()));
+        let input: Arc<Vec<f32>> = Arc::new(input.as_slice().to_vec());
+        let w_mat: Arc<Vec<f32>> = Arc::new(weight.as_slice().to_vec());
+        let bias: Arc<Vec<f32>> = Arc::new(bias.as_slice().to_vec());
         let blocks = par::parallel_rows(n, move |range: Range<usize>| {
-            let mut block = alloc::fresh_vec(range.len() * geom.out_plane_len());
+            let mut block = vec![0.0f32; range.len() * geom.out_plane_len()];
             conv2d_block(&input, &w_mat, &bias, geom, range, relu, &mut block);
             block
         });
-        let mut out = alloc::fresh_with(bp.out_len);
+        let mut out = Vec::with_capacity(bp.out_len);
         for block in blocks {
             out.extend_from_slice(&block);
         }
@@ -698,7 +698,7 @@ fn conv_grad_filters_block(
         nc: geom.bl.nc.max(len),
         ..geom.bl
     };
-    let mut grad_b = alloc::fresh_vec(len);
+    let mut grad_b = vec![0.0f32; len];
     let mut g_t = alloc::scratch_stale(ohw * len);
     let mut tmp = alloc::scratch_stale(geom.k_flat * len);
     let mut sum = alloc::scratch_f32(geom.k_flat * len);
@@ -716,7 +716,7 @@ fn conv_grad_filters_block(
             *s += t;
         }
     }
-    let mut grad_w = alloc::fresh_vec(len * geom.k_flat);
+    let mut grad_w = vec![0.0f32; len * geom.k_flat];
     transpose_into(&sum, geom.k_flat, len, &mut grad_w);
     (grad_w, grad_b)
 }
@@ -735,7 +735,7 @@ fn conv_grad_input_block(
 ) -> Vec<f32> {
     let ohw = geom.oh * geom.ow;
     let f = geom.spec.out_channels;
-    let mut out = alloc::fresh_vec(range.len() * geom.image_len());
+    let mut out = vec![0.0f32; range.len() * geom.image_len()];
     let mut gcols = alloc::scratch_stale(geom.cols_len());
     let mut plane = alloc::scratch_stale(geom.plane);
     let images = out.chunks_exact_mut(geom.image_len().max(1));
@@ -761,7 +761,7 @@ fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: 
 /// im2col worker for the parallel path: returns a freshly allocated
 /// (cross-thread) column block.
 fn im2col_samples_block(input: &[f32], geom: ConvGeom, range: Range<usize>) -> Vec<f32> {
-    let mut out = alloc::fresh_vec((range.end - range.start) * geom.cols_len());
+    let mut out = vec![0.0f32; (range.end - range.start) * geom.cols_len()];
     im2col_samples_into(input, geom, range, &mut out);
     out
 }
@@ -801,14 +801,14 @@ fn grad_input(
         transpose_into(weight, f, geom.k_flat, &mut w_t);
         return conv_grad_input_block(grad_out, &w_t, geom, 0..n);
     }
-    let mut w_t = alloc::fresh_vec(bp.scratch2);
+    let mut w_t = vec![0.0f32; bp.scratch2];
     transpose_into(weight, f, geom.k_flat, &mut w_t);
     let w_t = Arc::new(w_t);
-    let g: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(grad_out));
+    let g: Arc<Vec<f32>> = Arc::new(grad_out.to_vec());
     let blocks = par::parallel_rows(n, move |range: Range<usize>| {
         conv_grad_input_block(&g, &w_t, geom, range)
     });
-    let mut out = alloc::fresh_with(bp.out_len);
+    let mut out = Vec::with_capacity(bp.out_len);
     for block in blocks {
         out.extend_from_slice(&block);
     }
@@ -838,21 +838,21 @@ pub fn conv2d_backward(
         // Unfold every sample once (partitioned over samples); the
         // column matrices are shared read-only by the ∂weight workers,
         // which own whole filter rows.
-        let input_arc: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(input.as_slice()));
+        let input_arc: Arc<Vec<f32>> = Arc::new(input.as_slice().to_vec());
         let col_blocks = par::parallel_rows(n, move |range: Range<usize>| {
             im2col_samples_block(&input_arc, geom, range)
         });
-        let mut cols_all = alloc::fresh_with(cols_total);
+        let mut cols_all = Vec::with_capacity(cols_total);
         for block in col_blocks {
             cols_all.extend_from_slice(&block);
         }
         let cols_all = Arc::new(cols_all);
-        let g: Arc<Vec<f32>> = Arc::new(alloc::fresh_from(grad_out.as_slice()));
+        let g: Arc<Vec<f32>> = Arc::new(grad_out.as_slice().to_vec());
         let grad_blocks = par::parallel_rows(spec.out_channels, move |range: Range<usize>| {
             conv_grad_filters_block(&g, &cols_all, geom, n, range)
         });
-        let mut grad_w = alloc::fresh_with(spec.out_channels * geom.k_flat);
-        let mut grad_b = alloc::fresh_with(spec.out_channels);
+        let mut grad_w = Vec::with_capacity(spec.out_channels * geom.k_flat);
+        let mut grad_b = Vec::with_capacity(spec.out_channels);
         for (w_block, b_block) in grad_blocks {
             grad_w.extend_from_slice(&w_block);
             grad_b.extend_from_slice(&b_block);
@@ -871,7 +871,7 @@ pub fn conv2d_backward(
     };
     let grad_input = grad_input(&bp, geom, n, weight.as_slice(), grad_out.as_slice());
     Ok(Conv2dGrads {
-        input: Tensor::from_vec(grad_input, input.shape().duplicate())?,
+        input: Tensor::from_vec(grad_input, input.shape().clone())?,
         weight: Tensor::from_vec(grad_w, Shape::of(weight.dims()))?,
         bias: Tensor::from_vec(grad_b, Shape::of(&[spec.out_channels]))?,
     })
@@ -893,7 +893,7 @@ pub fn conv2d_backward_input(
 ) -> Result<Tensor> {
     let (bp, geom, n) = plan_backward(input, grad_out, spec)?;
     let grad = grad_input(&bp, geom, n, weight.as_slice(), grad_out.as_slice());
-    Tensor::from_vec(grad, input.shape().duplicate())
+    Tensor::from_vec(grad, input.shape().clone())
 }
 
 #[cfg(test)]

@@ -77,36 +77,29 @@ pub enum TensorError {
     },
 }
 
-/// The one place error construction copies dimension slices. Errors are
-/// cold by definition; concentrating the copies here keeps the
-/// hot-path-alloc lint budget out of every `return Err(...)` site.
-fn owned_dims(dims: &[usize]) -> Vec<usize> {
-    dims.to_vec()
-}
-
 impl TensorError {
     /// Builds [`TensorError::ShapeMismatch`] from borrowed shapes.
     pub fn shape_mismatch(op: &'static str, lhs: &[usize], rhs: &[usize]) -> Self {
         TensorError::ShapeMismatch {
             op,
-            lhs: owned_dims(lhs),
-            rhs: owned_dims(rhs),
+            lhs: lhs.to_vec(),
+            rhs: rhs.to_vec(),
         }
     }
 
     /// Builds [`TensorError::IndexOutOfBounds`] from borrowed slices.
     pub fn index_oob(index: &[usize], shape: &[usize]) -> Self {
         TensorError::IndexOutOfBounds {
-            index: owned_dims(index),
-            shape: owned_dims(shape),
+            index: index.to_vec(),
+            shape: shape.to_vec(),
         }
     }
 
     /// Builds [`TensorError::ReshapeMismatch`] from borrowed shapes.
     pub fn reshape_mismatch(from: &[usize], to: &[usize]) -> Self {
         TensorError::ReshapeMismatch {
-            from: owned_dims(from),
-            to: owned_dims(to),
+            from: from.to_vec(),
+            to: to.to_vec(),
         }
     }
 
@@ -114,7 +107,7 @@ impl TensorError {
     pub fn overflow(op: &'static str, dims: &[usize]) -> Self {
         TensorError::Overflow {
             op,
-            dims: owned_dims(dims),
+            dims: dims.to_vec(),
         }
     }
 }

@@ -217,7 +217,7 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
 fn gemm_serial(bp: &Blueprint, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
     let mut packed = alloc::scratch_f32(bp.scratch);
     pack_b_into(b, k, n, bp.blocking, &mut packed);
-    let mut out = alloc::fresh_vec(bp.out_len);
+    let mut out = vec![0.0f32; bp.out_len];
     gemm_rows_into(a, m, k, &packed, n, bp.blocking, &mut out);
     out
 }
@@ -239,13 +239,13 @@ fn gemm_parallel(
     k: usize,
     n: usize,
 ) -> Vec<f32> {
-    let mut packed_buf = alloc::fresh_vec(bp.scratch);
+    let mut packed_buf = vec![0.0f32; bp.scratch];
     pack_b_into(b, k, n, bp.blocking, &mut packed_buf);
     let packed = Arc::new(packed_buf);
     let blocking = bp.blocking;
     let blocks = par::parallel_rows(m, move |rows: Range<usize>| {
         let len = rows.end - rows.start;
-        let mut block = alloc::fresh_vec(len * n);
+        let mut block = vec![0.0f32; len * n];
         gemm_rows_into(
             &a[rows.start * k..rows.end * k],
             len,
@@ -257,7 +257,7 @@ fn gemm_parallel(
         );
         block
     });
-    let mut out = alloc::fresh_with(bp.out_len);
+    let mut out = Vec::with_capacity(bp.out_len);
     for block in blocks {
         out.extend_from_slice(&block);
     }
@@ -304,7 +304,7 @@ impl Tensor {
         }
         let bp = plan_gemm(OpKind::MatMul, m, k, n)?;
         let out = if bp.parallel {
-            let a = Arc::new(alloc::fresh_from(self.as_slice()));
+            let a = Arc::new(self.as_slice().to_vec());
             gemm_parallel(&bp, a, other.as_slice(), m, k, n)
         } else {
             gemm_serial(&bp, self.as_slice(), other.as_slice(), m, k, n)
@@ -336,7 +336,7 @@ impl Tensor {
         }
         let bp = plan_gemm(OpKind::MatMulTn, m, k, n)?;
         let out = if bp.parallel {
-            let mut at = alloc::fresh_vec(bp.scratch2);
+            let mut at = vec![0.0f32; bp.scratch2];
             transpose_into(self.as_slice(), k, m, &mut at);
             gemm_parallel(&bp, Arc::new(at), other.as_slice(), m, k, n)
         } else {
@@ -376,7 +376,7 @@ impl Tensor {
         let mut bt = alloc::scratch_stale(bp.scratch2);
         transpose_into(other.as_slice(), n, k, &mut bt);
         let out = if bp.parallel {
-            let a = Arc::new(alloc::fresh_from(self.as_slice()));
+            let a = Arc::new(self.as_slice().to_vec());
             gemm_parallel(&bp, a, &bt, m, k, n)
         } else {
             gemm_serial(&bp, self.as_slice(), &bt, m, k, n)

@@ -125,7 +125,7 @@ impl Tensor {
             });
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut out = crate::plan::alloc::fresh_vec(rows * cols);
+        let mut out = vec![0.0f32; rows * cols];
         let data = self.as_slice();
         for r in 0..rows {
             let row = &data[r * cols..(r + 1) * cols];
@@ -141,7 +141,7 @@ impl Tensor {
                 *o *= inv;
             }
         }
-        Tensor::from_vec(out, self.shape().duplicate())
+        Tensor::from_vec(out, self.shape().clone())
     }
 
     /// Squared Euclidean (L2²) norm of the whole tensor.

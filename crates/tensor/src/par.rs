@@ -141,7 +141,7 @@ pub fn should_parallelize(rows: usize, work: usize) -> bool {
 fn partition(rows: usize, chunks: usize) -> Vec<Range<usize>> {
     let base = rows / chunks;
     let extra = rows % chunks;
-    let mut ranges = crate::plan::alloc::fresh_with(chunks);
+    let mut ranges = Vec::with_capacity(chunks);
     let mut start = 0;
     for c in 0..chunks {
         let len = base + usize::from(c < extra);
@@ -169,9 +169,7 @@ where
 {
     let t = threads();
     if t <= 1 || rows <= 1 {
-        let mut only = crate::plan::alloc::fresh_with(1);
-        only.push(job(0..rows));
-        return only;
+        return vec![job(0..rows)];
     }
     let chunks = t.min(rows);
     let ranges = partition(rows, chunks);
@@ -190,7 +188,10 @@ where
         let done = done_tx.clone();
         let boxed: Job = Box::new(move || {
             let result = catch_unwind(AssertUnwindSafe(|| job(range)));
-            // best-effort: the collector hanging up means the caller bailed.
+            #[expect(
+                clippy::let_underscore_must_use,
+                reason = "best-effort: the collector hanging up means the caller bailed"
+            )]
             let _ = done.send((index, result));
         });
         if let Err(rejected) = pool.tx.send(boxed) {
@@ -231,7 +232,7 @@ where
         }
     }
 
-    let mut out = crate::plan::alloc::fresh_with(chunks);
+    let mut out = Vec::with_capacity(chunks);
     let mut panic_payload = None;
     for slot in slots {
         match slot {

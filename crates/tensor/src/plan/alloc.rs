@@ -1,4 +1,4 @@
-//! Thread-local scratch arena + the workspace's allocation chokepoints.
+//! Thread-local scratch arena and recycled activations.
 //!
 //! Every kernel scratch buffer (GEMM packing panels, im2col columns,
 //! transpose scratch) is acquired through [`scratch_f32`], which
@@ -14,9 +14,9 @@
 //! cross threads (parallel-dispatch operand copies, per-chunk result
 //! blocks) must NOT come from the arena: a buffer dropped on a
 //! different thread would migrate into that thread's pool and slowly
-//! drain the owner's. Those go through [`fresh_vec`] / [`fresh_with`] /
-//! [`fresh_from`] instead — per-call by design, and the only places in
-//! the compute crates where the `hot-path-alloc` lint budget lives.
+//! drain the owner's. Those are plain `vec![…]` / `Vec::with_capacity`
+//! / `to_vec` allocations, per call by design; `tests/allocs.rs` pins
+//! how many the served frame makes.
 //!
 //! Counters are always-on relaxed atomics (a handful of uncontended
 //! `fetch_add`s per kernel call) so both the test suite and the
@@ -207,50 +207,23 @@ pub(crate) fn activation_vec(len: usize) -> Vec<f32> {
             buf.resize(len, 0.0);
             buf
         }
-        _ => fresh_vec(len),
+        _ => vec![0.0f32; len],
     }
 }
 
 /// Hands an intermediate activation back to this thread's list (full:
 /// dropped). Only `Sequential::forward` calls this, on its own thread.
 pub fn recycle_activation(buf: Vec<f32>) {
-    // best-effort: a full list, or a thread tearing down, frees it.
+    #[expect(
+        clippy::let_underscore_must_use,
+        reason = "best-effort: a full list, or a thread tearing down, frees it"
+    )]
     let _ = ACTIVATIONS.try_with(|list| {
         let mut list = list.borrow_mut();
         if list.len() < MAX_ACTIVATIONS {
             list.push(buf);
         }
     });
-}
-
-// ---------------------------------------------------------------------
-// Fresh-allocation chokepoints. These are the budgeted hot-path-alloc
-// sites for the whole compute path: every output buffer and every
-// cross-thread buffer in the tensor/filters crates is built through one
-// of these three functions, so the lint budget measures real debt in
-// one place instead of ~200 scattered call sites.
-
-/// A fresh `len`-element vector filled with `value`. Output buffers
-/// only — scratch goes through [`scratch_f32`].
-pub fn fresh_filled<T: Clone>(len: usize, value: T) -> Vec<T> {
-    vec![value; len]
-}
-
-/// A fresh zeroed `f32` output buffer.
-pub fn fresh_vec(len: usize) -> Vec<f32> {
-    fresh_filled(len, 0.0)
-}
-
-/// A fresh empty vector with `cap` reserved — for outputs assembled by
-/// `push`/`extend_from_slice`.
-pub fn fresh_with<T>(cap: usize) -> Vec<T> {
-    Vec::with_capacity(cap)
-}
-
-/// A fresh owned copy of `src` — for operand copies that must cross
-/// threads (`Arc`-shared parallel dispatch) or outlive the call.
-pub fn fresh_from<T: Clone>(src: &[T]) -> Vec<T> {
-    src.to_vec()
 }
 
 #[cfg(test)]
@@ -307,14 +280,5 @@ mod tests {
         b.as_mut_slice().fill(2.0);
         assert!(a.iter().all(|&v| v == 1.0));
         assert!(b.iter().all(|&v| v == 2.0));
-    }
-
-    #[test]
-    fn fresh_helpers_shape() {
-        assert_eq!(fresh_vec(3), [0.0, 0.0, 0.0]);
-        assert_eq!(fresh_filled(2, 7usize), [7, 7]);
-        let v: Vec<u8> = fresh_with(9);
-        assert_eq!(v.capacity(), 9);
-        assert_eq!(fresh_from(&[1.0f32, 2.0]), [1.0, 2.0]);
     }
 }

@@ -182,7 +182,7 @@ fn pooled(input: &Tensor, spec: &PoolSpec, argmax: Option<&mut Vec<usize>>) -> R
     let out_len = checked_product("max_pool2d output", &[n, c, oh, ow])?;
     let mut out = alloc::activation_vec(out_len);
     let argmax = argmax.map(|arg| {
-        *arg = alloc::fresh_filled(out_len, 0usize);
+        *arg = vec![0usize; out_len];
         arg.as_mut_slice()
     });
     let g = PoolGeom { h, w, oh, ow };
@@ -239,11 +239,11 @@ pub fn max_pool2d_backward(
             expected: grad_out.numel(),
         });
     }
-    let mut grad_in = alloc::fresh_vec(input_shape.numel());
+    let mut grad_in = vec![0.0f32; input_shape.numel()];
     for (&g, &idx) in grad_out.as_slice().iter().zip(argmax) {
         grad_in[idx] += g;
     }
-    Tensor::from_vec(grad_in, input_shape.duplicate())
+    Tensor::from_vec(grad_in, input_shape.clone())
 }
 
 #[cfg(test)]

@@ -93,7 +93,7 @@ impl Tensor {
             return Err(TensorError::EmptyTensor { op: "argmax_rows" });
         }
         let data = self.as_slice();
-        let mut out = crate::plan::alloc::fresh_with(rows);
+        let mut out = Vec::with_capacity(rows);
         for r in 0..rows {
             let row = &data[r * cols..(r + 1) * cols];
             let mut best = 0usize;
@@ -122,7 +122,7 @@ impl Tensor {
     )]
     pub fn top_k(&self, k: usize) -> Vec<usize> {
         let data = self.as_slice();
-        let mut idx: Vec<usize> = crate::plan::alloc::fresh_with(data.len());
+        let mut idx: Vec<usize> = Vec::with_capacity(data.len());
         idx.extend(0..data.len());
         // A total order, as `sort_by` requires: NaN last, then value
         // descending, then index. `partial_cmp` is `None` only for two
@@ -153,7 +153,7 @@ impl Tensor {
         }
         let batch = self.dims()[0];
         let inner: usize = self.dims()[1..].iter().product();
-        let mut out = crate::plan::alloc::fresh_vec(inner);
+        let mut out = vec![0.0f32; inner];
         let data = self.as_slice();
         for n in 0..batch {
             for (o, &x) in out.iter_mut().zip(&data[n * inner..(n + 1) * inner]) {

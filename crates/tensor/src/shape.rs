@@ -49,15 +49,6 @@ impl Shape {
         }
     }
 
-    /// An explicit owned copy; the rank-vector clone chokepoint used by
-    /// kernels that must hand out an owned `Shape` (e.g. identity
-    /// filters and elementwise outputs).
-    pub fn duplicate(&self) -> Self {
-        Shape {
-            dims: self.dims.clone(),
-        }
-    }
-
     /// The dimension extents.
     pub fn dims(&self) -> &[usize] {
         &self.dims
@@ -94,7 +85,7 @@ impl Shape {
         reason = "i runs over 0..rank-1, so i + 1 stays in bounds"
     )]
     pub fn strides(&self) -> Vec<usize> {
-        let mut strides = crate::plan::alloc::fresh_filled(self.dims.len(), 1usize);
+        let mut strides = vec![1usize; self.dims.len()];
         for i in (0..self.dims.len().saturating_sub(1)).rev() {
             strides[i] = strides[i + 1] * self.dims[i + 1];
         }

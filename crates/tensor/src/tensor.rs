@@ -2,7 +2,6 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-use crate::plan::alloc;
 use crate::{Result, Shape, TensorError};
 
 /// A dense, owned, row-major `f32` n-dimensional array.
@@ -54,7 +53,7 @@ impl Tensor {
     /// Creates a rank-0 tensor holding a single value.
     pub fn scalar(value: f32) -> Self {
         Tensor {
-            data: alloc::fresh_filled(1, value),
+            data: vec![value],
             shape: Shape::scalar(),
         }
     }
@@ -63,7 +62,7 @@ impl Tensor {
     pub fn zeros(dims: &[usize]) -> Self {
         let shape = Shape::of(dims);
         Tensor {
-            data: alloc::fresh_vec(shape.numel()),
+            data: vec![0.0f32; shape.numel()],
             shape,
         }
     }
@@ -72,7 +71,7 @@ impl Tensor {
     /// results of `next`.
     pub(crate) fn from_fn(dims: &[usize], next: impl FnMut() -> f32) -> Self {
         let shape = Shape::of(dims);
-        let mut data = alloc::fresh_with(shape.numel());
+        let mut data = Vec::with_capacity(shape.numel());
         data.extend(std::iter::repeat_with(next).take(shape.numel()));
         Tensor { data, shape }
     }
@@ -86,7 +85,7 @@ impl Tensor {
     pub fn full(dims: &[usize], value: f32) -> Self {
         let shape = Shape::of(dims);
         Tensor {
-            data: alloc::fresh_filled(shape.numel(), value),
+            data: vec![value; shape.numel()],
             shape,
         }
     }
@@ -94,18 +93,8 @@ impl Tensor {
     /// Creates a tensor of zeros with the same shape as `other`.
     pub fn zeros_like(other: &Tensor) -> Self {
         Tensor {
-            data: alloc::fresh_vec(other.numel()),
-            shape: other.shape.duplicate(),
-        }
-    }
-
-    /// An explicit owned copy built through the plan layer's allocation
-    /// chokepoints. Hot paths use this instead of `Clone` so per-call
-    /// data copies stay measurable at a single budgeted site.
-    pub fn duplicate(&self) -> Tensor {
-        Tensor {
-            data: alloc::fresh_from(&self.data),
-            shape: self.shape.duplicate(),
+            data: vec![0.0f32; other.numel()],
+            shape: other.shape.clone(),
         }
     }
 
@@ -183,18 +172,18 @@ impl Tensor {
             return Err(TensorError::reshape_mismatch(self.dims(), dims));
         }
         Ok(Tensor {
-            data: alloc::fresh_from(&self.data),
+            data: self.data.to_vec(),
             shape,
         })
     }
 
     /// Applies `f` to every element, producing a new tensor.
     pub fn map<F: Fn(f32) -> f32>(&self, f: F) -> Tensor {
-        let mut data = alloc::fresh_with(self.data.len());
+        let mut data = Vec::with_capacity(self.data.len());
         data.extend(self.data.iter().map(|&x| f(x)));
         Tensor {
             data,
-            shape: self.shape.duplicate(),
+            shape: self.shape.clone(),
         }
     }
 
@@ -219,11 +208,11 @@ impl Tensor {
                 other.dims(),
             ));
         }
-        let mut data = alloc::fresh_with(self.data.len());
+        let mut data = Vec::with_capacity(self.data.len());
         data.extend(self.data.iter().zip(&other.data).map(|(&a, &b)| f(a, b)));
         Ok(Tensor {
             data,
-            shape: self.shape.duplicate(),
+            shape: self.shape.clone(),
         })
     }
 
@@ -265,7 +254,7 @@ impl Tensor {
             });
         }
         let (rows, cols) = (self.dims()[0], self.dims()[1]);
-        let mut out = alloc::fresh_vec(rows * cols);
+        let mut out = vec![0.0f32; rows * cols];
         for r in 0..rows {
             for c in 0..cols {
                 out[c * rows + r] = self.data[r * cols + c];
@@ -297,7 +286,7 @@ impl Tensor {
             return Err(TensorError::index_oob(&[row], self.dims()));
         }
         Tensor::from_vec(
-            alloc::fresh_from(&self.data[row * cols..(row + 1) * cols]),
+            self.data[row * cols..(row + 1) * cols].to_vec(),
             Shape::of(&[cols]),
         )
     }
@@ -323,7 +312,7 @@ impl Tensor {
         }
         let inner: usize = self.dims()[1..].iter().product();
         Tensor::from_vec(
-            alloc::fresh_from(&self.data[n * inner..(n + 1) * inner]),
+            self.data[n * inner..(n + 1) * inner].to_vec(),
             Shape::of(&self.dims()[1..]),
         )
     }
@@ -344,7 +333,7 @@ impl Tensor {
         };
         let inner: usize = inner_dims.iter().product();
         let indices = indices.into_iter();
-        let mut data = alloc::fresh_with(indices.size_hint().0 * inner);
+        let mut data = Vec::with_capacity(indices.size_hint().0 * inner);
         let mut count = 0usize;
         for n in indices {
             let sample = self.data.get(n * inner..(n + 1) * inner);
@@ -354,7 +343,7 @@ impl Tensor {
             data.extend_from_slice(sample);
             count += 1;
         }
-        let mut dims = alloc::fresh_with(self.rank());
+        let mut dims = Vec::with_capacity(self.rank());
         dims.push(count);
         dims.extend_from_slice(inner_dims);
         Tensor::from_vec(data, Shape::new(dims))
@@ -370,7 +359,7 @@ impl Tensor {
         let first = items
             .first()
             .ok_or(TensorError::EmptyTensor { op: "stack" })?;
-        let mut data = alloc::fresh_with(first.numel() * items.len());
+        let mut data = Vec::with_capacity(first.numel() * items.len());
         for item in items {
             if item.shape != first.shape {
                 return Err(TensorError::shape_mismatch(
@@ -381,7 +370,7 @@ impl Tensor {
             }
             data.extend_from_slice(&item.data);
         }
-        let mut dims = alloc::fresh_with(1 + first.rank());
+        let mut dims = Vec::with_capacity(1 + first.rank());
         dims.push(items.len());
         dims.extend_from_slice(first.dims());
         Tensor::from_vec(data, Shape::new(dims))
@@ -389,11 +378,11 @@ impl Tensor {
 
     /// Inserts a leading batch axis of extent 1 (`[d...]` → `[1, d...]`).
     pub fn unsqueeze_batch(&self) -> Tensor {
-        let mut dims = alloc::fresh_with(1 + self.rank());
+        let mut dims = Vec::with_capacity(1 + self.rank());
         dims.push(1usize);
         dims.extend_from_slice(self.dims());
         Tensor {
-            data: alloc::fresh_from(&self.data),
+            data: self.data.to_vec(),
             shape: Shape::new(dims),
         }
     }
