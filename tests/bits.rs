@@ -17,6 +17,7 @@
 
 use std::path::Path;
 
+use fademl::defense::{adversarial_fit, AdversarialTrainingConfig};
 use fademl::experiments::{
     fig5, fig6, fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell, StageLedger,
 };
@@ -33,7 +34,8 @@ use fademl_nn::metrics::Prediction;
 use fademl_nn::serialize::encode_weights;
 use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_nn::{
-    EpochStats, OptimizerState, Sequential, TrainConfig, TrainHistory, TrainState, Trainer,
+    CheckpointConfig, EpochStats, OptimizerState, Sequential, TrainConfig, TrainHistory,
+    TrainSignal, TrainState, Trainer,
 };
 use fademl_tensor::io::atomic_write;
 use fademl_tensor::{
@@ -322,28 +324,82 @@ fn same_host() -> Lines {
         ..DatasetConfig::default()
     })
     .expect("SynSign slice");
-    let mut model = VggConfig::new(VggProfile::Compact, 3, 32, CLASS_COUNT)
-        .build(&mut TensorRng::seed_from_u64(9))
-        .expect("compact victim builds");
-    let history = Trainer::new(TrainConfig {
+    let victim = || {
+        VggConfig::new(VggProfile::Compact, 3, 32, CLASS_COUNT)
+            .build(&mut TensorRng::seed_from_u64(9))
+            .expect("compact victim builds")
+    };
+    let two_epochs = TrainConfig {
         epochs: 2,
         seed: 10,
         ..TrainConfig::default()
-    })
-    .fit(&mut model, data.images(), data.labels())
-    .expect("two epochs");
-    let weights: Vec<f32> = model
-        .params()
-        .iter()
-        .flat_map(|p| p.value.as_slice().iter().copied())
-        .collect();
-    lines.push(("fit.synsign43x4.epochs2.weights".into(), digest(&weights)));
-    let stats: Vec<f32> = history
-        .epochs
-        .iter()
-        .flat_map(|e| [e.loss, e.train_accuracy])
-        .collect();
-    lines.push(("fit.synsign43x4.epochs2.history".into(), digest(&stats)));
+    };
+    let mut model = victim();
+    let history = Trainer::new(two_epochs.clone())
+        .fit(&mut model, data.images(), data.labels())
+        .expect("two epochs");
+    lines.push(("fit.synsign43x4.epochs2.weights".into(), weights(&model)));
+    lines.push(("fit.synsign43x4.epochs2.history".into(), history_digest(&history)));
+
+    // The resume path: straight through, then halted after epoch 1 and
+    // resumed from its checkpoint; both runs must agree to the bit.
+    let mut durable = Vec::new();
+    for halt_after in [None, Some(1)] {
+        let dir = std::env::temp_dir().join(format!(
+            "fademl_bits_fit_durable_{}_{halt_after:?}",
+            std::process::id()
+        ));
+        remove_dir(&dir);
+        let ckpt = CheckpointConfig::new(&dir).every(1);
+        let mut model = victim();
+        if let Some(epoch) = halt_after {
+            let report = Trainer::new(two_epochs.clone())
+                .fit_durable_with(&mut model, data.images(), data.labels(), &ckpt, |e, _| {
+                    if e >= epoch {
+                        TrainSignal::Halt
+                    } else {
+                        TrainSignal::Continue
+                    }
+                })
+                .expect("halted run");
+            assert!(!report.completed, "the halted run ran to its end");
+            model = victim();
+        }
+        let report = Trainer::new(two_epochs.clone())
+            .fit_durable(&mut model, data.images(), data.labels(), &ckpt)
+            .expect("durable run");
+        assert_eq!(report.resumed_from_epoch, halt_after.map(|e| e as u64));
+        remove_dir(&dir);
+        durable.push((weights(&model), history_digest(&report.history)));
+    }
+    assert_eq!(
+        durable[0], durable[1],
+        "halt after epoch 1 and resume differs from the straight run"
+    );
+    let (weights_digest, history) = durable[0];
+    lines.push(("fit_durable.synsign43x4.epochs2.weights".into(), weights_digest));
+    lines.push(("fit_durable.synsign43x4.epochs2.history".into(), history));
+
+    // The hardened twin's loop, the other caller of `Sequential::backward`.
+    let mut model = victim();
+    adversarial_fit(
+        &mut model,
+        data.images(),
+        data.labels(),
+        &AdversarialTrainingConfig {
+            base: TrainConfig {
+                epochs: 1,
+                seed: 10,
+                ..TrainConfig::default()
+            },
+            ..AdversarialTrainingConfig::default()
+        },
+    )
+    .expect("one adversarial epoch");
+    lines.push((
+        "adversarial_fit.synsign43x4.epochs1.weights".into(),
+        weights(&model),
+    ));
 
     // The figure drivers, Figs. 7 and 9 as `repro_figs` calls them, on
     // the Smoke victim: every float of every demonstration cell (classes
@@ -366,6 +422,33 @@ fn same_host() -> Lines {
 }
 
 const FIG_EVAL_N: usize = 20;
+
+/// Digest of every parameter value, in layer order.
+fn weights(model: &Sequential) -> u64 {
+    let values: Vec<f32> = model
+        .params()
+        .iter()
+        .flat_map(|p| p.value.as_slice().iter().copied())
+        .collect();
+    digest(&values)
+}
+
+/// Digest of each epoch's loss and training accuracy.
+fn history_digest(history: &TrainHistory) -> u64 {
+    let stats: Vec<f32> = history
+        .epochs
+        .iter()
+        .flat_map(|e| [e.loss, e.train_accuracy])
+        .collect();
+    digest(&stats)
+}
+
+/// Removes a checkpoint directory this test wrote, if it exists.
+fn remove_dir(dir: &Path) {
+    if dir.exists() {
+        std::fs::remove_dir_all(dir).expect("remove checkpoint directory");
+    }
+}
 
 /// One `cells` and one `grid` line per scenario, for whichever of the
 /// two the figure has (Fig. 5 draws no grid, Fig. 6 no cells).
