@@ -7,9 +7,10 @@
 //! convolution stages of the served Compact victim at batch 1 and 16
 //! (forward) and at the training batch of 32 (backward), and its
 //! classifier head.
-//! One more cell runs the whole Compact victim forward at batch 16, so
-//! the fused conv+ReLU store and the recycled activations are under the
-//! same gate. GEMM-backed workloads also report GFLOP/s, and are timed
+//! Two more cells run the whole Compact victim: its forward at batch 16,
+//! so the fused conv+ReLU store and the recycled activations are under
+//! the same gate, and one training step at batch 32 (forward, backward
+//! and Adam from fixed weights), so every kernel a step runs is. GEMM-backed workloads also report GFLOP/s, and are timed
 //! serially once more on every narrower instantiation of the
 //! micro-kernel the host can run (baseline, AVX2), so each ISA's share
 //! of a number is visible.
@@ -33,6 +34,7 @@ use std::time::Instant;
 use fademl_data::CLASS_COUNT;
 use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
+use fademl_nn::{Adam, CrossEntropyLoss, Loss, Optimizer};
 use fademl_tensor::io::atomic_write;
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};
@@ -197,10 +199,42 @@ fn workloads() -> Vec<Workload> {
         .iter()
         .map(|&(cin, cout, side)| cin * 9 * cout * side * side)
         .sum();
+    let head_flops = features * CLASS_COUNT;
+    let step_model = model.clone();
     jobs.push(Workload {
         name: "victim_compact_forward_b16".into(),
-        flops: 2.0 * (16 * (conv_flops + features * CLASS_COUNT)) as f64,
+        flops: 2.0 * (16 * (conv_flops + head_flops)) as f64,
         run: Box::new(move || model.forward(&frames).expect("forward").into_vec()),
+    });
+
+    // One whole training step of the served victim at its training
+    // batch, from the same weights every call: zero_grad, forward_train,
+    // cross-entropy, backward, Adam. Returns the updated parameters.
+    let batch = rng.uniform(&[TRAIN_BATCH, 3, 32, 32], 0.0, 1.0);
+    let labels: Vec<usize> = (0..TRAIN_BATCH).map(|i| i % CLASS_COUNT).collect();
+    let stage1_flops = stages
+        .first()
+        .map_or(0, |&(cin, cout, side)| cin * 9 * cout * side * side);
+    jobs.push(Workload {
+        name: format!("victim_compact_train_step_b{TRAIN_BATCH}"),
+        // Forward, ∂weight, and ∂input below the first layer.
+        flops: 2.0 * (TRAIN_BATCH * (3 * (conv_flops + head_flops) - stage1_flops)) as f64,
+        run: Box::new(move || {
+            let mut model = step_model.clone();
+            let mut adam = Adam::new(1e-3);
+            model.zero_grad();
+            let logits = model.forward_train(&batch).expect("forward_train");
+            let loss = CrossEntropyLoss::new()
+                .compute(&logits, &labels)
+                .expect("cross-entropy");
+            model.backward(&loss.grad).expect("backward");
+            adam.step(&mut model.params_mut()).expect("Adam step");
+            model
+                .params()
+                .iter()
+                .flat_map(|p| p.value.as_slice().iter().copied())
+                .collect()
+        }),
     });
     jobs
 }

@@ -1,6 +1,6 @@
 use fademl_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_input, conv2d_relu, ConvSpec, Initializer, Tensor,
-    TensorRng,
+    conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_params, conv2d_relu, ConvSpec,
+    Initializer, Tensor, TensorRng,
 };
 
 use crate::{Layer, NnError, Param, Result};
@@ -58,6 +58,13 @@ impl Conv2d {
     pub fn spec(&self) -> &ConvSpec {
         &self.spec
     }
+
+    /// The input the backward pass differentiates at.
+    fn input(&self) -> Result<&Tensor> {
+        self.cached_input
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "conv2d" })
+    }
 }
 
 impl Layer for Conv2d {
@@ -84,33 +91,44 @@ impl Layer for Conv2d {
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = self.forward(input)?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
+        self.cached_input = None;
+        self.forward(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
-        let grads = conv2d_backward(input, &self.weight.value, grad_out, &self.spec)?;
+    fn forward_train_relu(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.cached_input = None;
+        self.forward_relu(input)
+    }
+
+    fn keeps_input(&self) -> bool {
+        true
+    }
+
+    fn keep_input(&mut self, input: Tensor) {
+        self.cached_input = Some(input);
+    }
+
+    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        let grads = conv2d_backward(self.input()?, &self.weight.value, &grad_out, &self.spec)?;
         self.weight.grad.add_scaled_inplace(&grads.weight, 1.0)?;
         self.bias.grad.add_scaled_inplace(&grads.bias, 1.0)?;
         Ok(grads.input)
     }
 
-    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "conv2d" })?;
+    fn backward_input(&mut self, grad_out: Tensor) -> Result<Tensor> {
         Ok(conv2d_backward_input(
-            input,
+            self.input()?,
             &self.weight.value,
-            grad_out,
+            &grad_out,
             &self.spec,
         )?)
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor) -> Result<()> {
+        let (weight, bias) = conv2d_backward_params(self.input()?, &grad_out, &self.spec)?;
+        self.weight.grad.add_scaled_inplace(&weight, 1.0)?;
+        self.bias.grad.add_scaled_inplace(&bias, 1.0)?;
+        Ok(())
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -129,6 +147,7 @@ impl Layer for Conv2d {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::train_forward;
 
     fn layer() -> Conv2d {
         let mut rng = TensorRng::seed_from_u64(1);
@@ -145,7 +164,7 @@ mod tests {
     #[test]
     fn backward_without_forward_errors() {
         let mut conv = layer();
-        let err = conv.backward(&Tensor::zeros(&[1, 3, 8, 8])).unwrap_err();
+        let err = conv.backward(Tensor::zeros(&[1, 3, 8, 8])).unwrap_err();
         assert!(matches!(err, NnError::NoForwardCache { .. }));
     }
 
@@ -154,15 +173,15 @@ mod tests {
         let mut conv = layer();
         let mut rng = TensorRng::seed_from_u64(2);
         let x = rng.uniform(&[1, 2, 6, 6], -1.0, 1.0);
-        let y = conv.forward_train(&x).unwrap();
-        let gin = conv.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = train_forward(&mut conv, &x);
+        let gin = conv.backward(Tensor::ones(y.dims())).unwrap();
         assert_eq!(gin.dims(), x.dims());
         assert!(conv.params()[0].grad.norm_l2() > 0.0);
         assert!(conv.params()[1].grad.norm_l2() > 0.0);
         // Second backward accumulates (doubles) the gradient.
         let w_grad_once = conv.params()[0].grad.clone();
-        conv.forward_train(&x).unwrap();
-        conv.backward(&Tensor::ones(y.dims())).unwrap();
+        train_forward(&mut conv, &x);
+        conv.backward(Tensor::ones(y.dims())).unwrap();
         let doubled = w_grad_once.scale(2.0);
         for (a, b) in conv.params()[0]
             .grad
@@ -179,16 +198,16 @@ mod tests {
         let mut conv = layer();
         let mut rng = TensorRng::seed_from_u64(4);
         let x = rng.uniform(&[2, 2, 6, 6], -1.0, 1.0);
-        let y = conv.forward_train(&x).unwrap();
+        let y = train_forward(&mut conv, &x);
         let g = rng.uniform(y.dims(), -1.0, 1.0);
-        let only = conv.backward_input(&g).unwrap();
+        let only = conv.backward_input(g.clone()).unwrap();
         assert_eq!(conv.params()[0].grad.norm_l2(), 0.0);
         assert_eq!(conv.params()[1].grad.norm_l2(), 0.0);
-        let full = conv.backward(&g).unwrap();
+        let full = conv.backward(g.clone()).unwrap();
         assert_eq!(only, full);
         let mut cold = layer();
         assert!(matches!(
-            cold.backward_input(&g),
+            cold.backward_input(g.clone()),
             Err(NnError::NoForwardCache { .. })
         ));
     }
@@ -197,8 +216,8 @@ mod tests {
     fn zero_grad_clears() {
         let mut conv = layer();
         let x = Tensor::ones(&[1, 2, 6, 6]);
-        let y = conv.forward_train(&x).unwrap();
-        conv.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = train_forward(&mut conv, &x);
+        conv.backward(Tensor::ones(y.dims())).unwrap();
         conv.zero_grad();
         assert_eq!(conv.params()[0].grad.norm_l2(), 0.0);
     }
@@ -209,7 +228,7 @@ mod tests {
         let mut rng = TensorRng::seed_from_u64(3);
         let x = rng.uniform(&[1, 2, 5, 5], -1.0, 1.0);
         let pure = conv.forward(&x).unwrap();
-        let train = conv.forward_train(&x).unwrap();
+        let train = train_forward(&mut conv, &x);
         assert_eq!(pure, train);
     }
 

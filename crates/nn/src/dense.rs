@@ -70,6 +70,24 @@ impl Dense {
         Ok(())
     }
 
+    /// Adds this batch's `∂W = gᵀ·x` and `∂b = Σ g` onto the gradients.
+    fn accumulate_params(&mut self, grad_out: &Tensor) -> Result<()> {
+        let input = self
+            .cached_input
+            .as_ref()
+            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
+        self.check_grad(grad_out)?;
+        // ∂W = gᵀ·x  ([out, n] × [n, in]).
+        let grad_w = grad_out.matmul_tn(input)?;
+        self.weight.grad.add_scaled_inplace(&grad_w, 1.0)?;
+        // ∂b = column sums of g.
+        let grad_b = grad_out.sum_batch()?;
+        self.bias
+            .grad
+            .add_scaled_inplace(&grad_b.reshape(&[self.out_features])?, 1.0)?;
+        Ok(())
+    }
+
     fn check_grad(&self, grad_out: &Tensor) -> Result<()> {
         if !matches!(*grad_out.dims(), [_, f] if f == self.out_features) {
             return Err(NnError::Tensor(TensorError::shape_mismatch(
@@ -95,32 +113,31 @@ impl Layer for Dense {
     }
 
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let out = self.forward(input)?;
-        self.cached_input = Some(input.clone());
-        Ok(out)
+        self.cached_input = None;
+        self.forward(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
-        self.check_grad(grad_out)?;
-        // ∂W = gᵀ·x  ([out, n] × [n, in]).
-        let grad_w = grad_out.matmul_tn(input)?;
-        self.weight.grad.add_scaled_inplace(&grad_w, 1.0)?;
-        // ∂b = column sums of g.
-        let grad_b = grad_out.sum_batch()?;
-        self.bias
-            .grad
-            .add_scaled_inplace(&grad_b.reshape(&[self.out_features])?, 1.0)?;
+    fn keeps_input(&self) -> bool {
+        true
+    }
+
+    fn keep_input(&mut self, input: Tensor) {
+        self.cached_input = Some(input);
+    }
+
+    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        self.accumulate_params(&grad_out)?;
         // ∂x = g·W  ([n, out] × [out, in]).
         Ok(grad_out.matmul(&self.weight.value)?)
     }
 
-    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
-        self.check_grad(grad_out)?;
+    fn backward_input(&mut self, grad_out: Tensor) -> Result<Tensor> {
+        self.check_grad(&grad_out)?;
         Ok(grad_out.matmul(&self.weight.value)?)
+    }
+
+    fn backward_params(&mut self, grad_out: Tensor) -> Result<()> {
+        self.accumulate_params(&grad_out)
     }
 
     fn params(&self) -> Vec<&Param> {
@@ -164,6 +181,7 @@ pub(crate) fn one_hot(labels: &[usize], classes: usize) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::layer::train_forward;
 
     fn layer() -> Dense {
         let mut rng = TensorRng::seed_from_u64(5);
@@ -194,8 +212,8 @@ mod tests {
         let mut fc = layer();
         let mut rng = TensorRng::seed_from_u64(6);
         let x = rng.uniform(&[3, 4], -1.0, 1.0);
-        let y = fc.forward_train(&x).unwrap();
-        let gin = fc.backward(&Tensor::ones(y.dims())).unwrap();
+        let y = train_forward(&mut fc, &x);
+        let gin = fc.backward(Tensor::ones(y.dims())).unwrap();
 
         let eps = 1e-3f32;
         // Input gradient check.
@@ -237,7 +255,7 @@ mod tests {
     fn backward_requires_forward() {
         let mut fc = layer();
         assert!(matches!(
-            fc.backward(&Tensor::zeros(&[1, 3])),
+            fc.backward(Tensor::zeros(&[1, 3])),
             Err(NnError::NoForwardCache { .. })
         ));
     }

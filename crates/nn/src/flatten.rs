@@ -47,12 +47,12 @@ impl Layer for Flatten {
         Self::flatten(input)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let shape = self
             .cached_shape
             .as_ref()
             .ok_or(NnError::NoForwardCache { layer: "flatten" })?;
-        Ok(grad_out.reshape(shape.dims())?)
+        Ok(Tensor::from_vec(grad_out.into_vec(), shape.clone())?)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -76,7 +76,7 @@ mod tests {
         let mut flat = Flatten::new();
         let x = Tensor::ones(&[2, 3, 2, 2]);
         let y = flat.forward_train(&x).unwrap();
-        let gin = flat.backward(&Tensor::ones(y.dims())).unwrap();
+        let gin = flat.backward(Tensor::ones(y.dims())).unwrap();
         assert_eq!(gin.dims(), x.dims());
     }
 
@@ -89,7 +89,7 @@ mod tests {
     fn backward_requires_forward() {
         let mut flat = Flatten::new();
         assert!(matches!(
-            flat.backward(&Tensor::zeros(&[1, 4])),
+            flat.backward(Tensor::zeros(&[1, 4])),
             Err(NnError::NoForwardCache { .. })
         ));
     }

@@ -21,9 +21,14 @@ impl Param {
         Param { value, grad }
     }
 
-    /// Resets the accumulated gradient to zero.
+    /// Resets the accumulated gradient to zero, in place when it already
+    /// has the value's shape.
     pub fn zero_grad(&mut self) {
-        self.grad = Tensor::zeros_like(&self.value);
+        if self.grad.shape() == self.value.shape() {
+            self.grad.as_mut_slice().fill(0.0);
+        } else {
+            self.grad = Tensor::zeros_like(&self.value);
+        }
     }
 
     /// Number of scalar parameters.
@@ -39,12 +44,17 @@ impl Param {
 /// - [`Layer::forward`] is pure inference — it takes `&self` and caches
 ///   nothing, so a shared model can serve concurrent evaluation threads.
 /// - [`Layer::forward_train`] caches whatever the backward pass needs
-///   and must precede every [`Layer::backward`] call.
+///   apart from the input itself, and must precede every backward call.
+///   A layer whose backward reads its input says so
+///   ([`Layer::keeps_input`]) and is handed the input afterwards
+///   ([`Layer::keep_input`]) — moved, not copied, once nothing later
+///   reads it. [`Sequential`](crate::Sequential) does that hand-off.
 ///
 /// [`Layer::backward`] consumes `∂L/∂output`, *accumulates* parameter
-/// gradients into the layer's [`Param`]s, and returns `∂L/∂input`. The
-/// returned input gradient is what both the optimizer chain and the
-/// adversarial attacks are built on.
+/// gradients into the layer's [`Param`]s, and returns `∂L/∂input`.
+/// [`Layer::backward_input`] returns only `∂L/∂input` — what attacks are
+/// built on — and [`Layer::backward_params`] only accumulates the
+/// parameter gradients — what the first layer of a training step needs.
 pub trait Layer: Debug + Send + Sync {
     /// Short static name, e.g. `"conv2d"` (used in error messages and
     /// model summaries).
@@ -68,23 +78,52 @@ pub trait Layer: Debug + Send + Sync {
         Ok(self.forward(input)?.relu())
     }
 
-    /// Forward pass that caches activations for a following
-    /// [`Layer::backward`] call.
+    /// Forward pass that caches what a following backward call needs,
+    /// except the input: that comes through [`Layer::keep_input`].
     ///
     /// # Errors
     ///
     /// Returns an error if the input shape is incompatible with the layer.
     fn forward_train(&mut self, input: &Tensor) -> Result<Tensor>;
 
+    /// [`Layer::forward_train`] then a ReLU, bit for bit: what
+    /// [`Sequential::forward_train`](crate::Sequential::forward_train)
+    /// runs when a [`Relu`](crate::Relu) follows. `Conv2d` clamps as it
+    /// stores; the default clamps in place.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::forward_train`].
+    fn forward_train_relu(&mut self, input: &Tensor) -> Result<Tensor> {
+        let mut out = self.forward_train(input)?;
+        out.map_inplace(|x| x.max(0.0));
+        Ok(out)
+    }
+
+    /// Whether the backward pass reads the input of the last
+    /// [`Layer::forward_train`], so that it must be handed over through
+    /// [`Layer::keep_input`].
+    fn keeps_input(&self) -> bool {
+        false
+    }
+
+    /// Takes the input the last [`Layer::forward_train`] read, for the
+    /// backward pass. Layers whose [`Layer::keeps_input`] is `false` drop
+    /// it.
+    fn keep_input(&mut self, input: Tensor) {
+        drop(input);
+    }
+
     /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the layer input.
+    /// gradient with respect to the layer input. `grad_out` is taken by
+    /// value, so a layer may compute in place.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::NoForwardCache`](crate::NnError::NoForwardCache)
     /// if no [`Layer::forward_train`] preceded this call, or a shape error
     /// if `grad_out` does not match the cached forward output.
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor>;
+    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor>;
 
     /// [`Layer::backward`] for callers that only want `∂L/∂input` — an
     /// attack query differentiates with respect to the image, never the
@@ -96,8 +135,20 @@ pub trait Layer: Debug + Send + Sync {
     /// # Errors
     ///
     /// Same conditions as [`Layer::backward`].
-    fn backward_input(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward_input(&mut self, grad_out: Tensor) -> Result<Tensor> {
         self.backward(grad_out)
+    }
+
+    /// [`Layer::backward`] for the first layer of a training step, whose
+    /// `∂L/∂input` nothing reads: accumulates the same parameter
+    /// gradients, bit for bit. This default calls `backward` and drops
+    /// its result; layers whose input gradient costs real work skip it.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Layer::backward`].
+    fn backward_params(&mut self, grad_out: Tensor) -> Result<()> {
+        self.backward(grad_out).map(drop)
     }
 
     /// The layer's trainable parameters (empty for stateless layers).
@@ -134,6 +185,16 @@ impl Clone for Box<dyn Layer> {
     }
 }
 
+/// What [`Sequential::forward_train`](crate::Sequential::forward_train)
+/// does for one unfused layer: the training forward, then the input
+/// handed over.
+#[cfg(test)]
+pub(crate) fn train_forward(layer: &mut dyn Layer, input: &Tensor) -> Tensor {
+    let out = layer.forward_train(input).expect("training forward");
+    layer.keep_input(input.clone());
+    out
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -151,5 +212,9 @@ mod tests {
         p.grad = Tensor::full(&[2], 5.0);
         p.zero_grad();
         assert_eq!(p.grad, Tensor::zeros(&[2]));
+        // A value reshaped under its gradient gets a gradient of its shape.
+        p.value = Tensor::ones(&[3]);
+        p.zero_grad();
+        assert_eq!(p.grad, Tensor::zeros(&[3]));
     }
 }

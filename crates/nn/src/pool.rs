@@ -41,11 +41,11 @@ impl Layer for MaxPool2d {
         Ok(pooled.output)
     }
 
-    fn backward(&mut self, grad_out: &Tensor) -> Result<Tensor> {
+    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
         let (argmax, in_shape) = self.cache.as_ref().ok_or(NnError::NoForwardCache {
             layer: "max_pool2d",
         })?;
-        Ok(max_pool2d_backward(grad_out, argmax, in_shape)?)
+        Ok(max_pool2d_backward(&grad_out, argmax, in_shape)?)
     }
 
     fn clone_box(&self) -> Box<dyn Layer> {
@@ -71,7 +71,7 @@ mod tests {
         let mut rng = TensorRng::seed_from_u64(1);
         let x = rng.uniform(&[2, 3, 6, 6], -1.0, 1.0);
         let y = pool.forward_train(&x).unwrap();
-        let gin = pool.backward(&Tensor::ones(y.dims())).unwrap();
+        let gin = pool.backward(Tensor::ones(y.dims())).unwrap();
         assert_eq!(gin.dims(), x.dims());
         // Gradient mass is conserved: one unit per output element.
         assert!((gin.sum() - y.numel() as f32).abs() < 1e-4);
@@ -81,7 +81,7 @@ mod tests {
     fn backward_requires_forward() {
         let mut pool = MaxPool2d::half();
         assert!(matches!(
-            pool.backward(&Tensor::zeros(&[1, 1, 2, 2])),
+            pool.backward(Tensor::zeros(&[1, 1, 2, 2])),
             Err(NnError::NoForwardCache { .. })
         ));
     }

@@ -102,40 +102,75 @@ impl Sequential {
         x.ok_or_else(empty_model)
     }
 
-    /// Training forward pass (caches activations in every layer).
+    /// Training forward pass: every layer caches what its backward
+    /// reads. As in [`Sequential::forward`], a layer followed by a
+    /// [`Relu`] runs as one [`Layer::forward_train_relu`]. Each
+    /// activation, once the next layer has read it, moves into the
+    /// cache of the layers whose backward reads it — that next layer's
+    /// input ([`Layer::keeps_input`]) and a fused ReLU's output — and is
+    /// copied only when both want it.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Sequential::forward`].
     pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        let (first, rest) = self.layers.split_first_mut().ok_or_else(empty_model)?;
-        let mut x = first.forward_train(input)?;
-        for layer in rest {
-            x = layer.forward_train(&x)?;
+        if self.layers.is_empty() {
+            return Err(empty_model());
+        }
+        let mut layers = self.layers.iter_mut().peekable();
+        let mut x = input.clone();
+        // The ReLU fused into the layer that wrote `x`.
+        let mut fused: Option<&mut Box<dyn Layer>> = None;
+        while let Some(layer) = layers.next() {
+            let relu = layers.next_if(|next| next.name() == Relu::NAME);
+            let y = if relu.is_some() {
+                layer.forward_train_relu(&x)?
+            } else {
+                layer.forward_train(&x)?
+            };
+            let read = std::mem::replace(&mut x, y);
+            match (fused.take(), layer.keeps_input()) {
+                (Some(relu), true) => {
+                    relu.keep_input(read.clone());
+                    layer.keep_input(read);
+                }
+                (Some(relu), false) => relu.keep_input(read),
+                (None, true) => layer.keep_input(read),
+                (None, false) => {}
+            }
+            fused = relu;
+        }
+        if let Some(relu) = fused {
+            relu.keep_input(x.clone());
         }
         Ok(x)
     }
 
-    /// Backward pass through the whole stack. Accumulates parameter
-    /// gradients and returns `∂L/∂input` — the quantity adversarial
-    /// attacks are built on.
+    /// Backward pass through the whole stack: accumulates every
+    /// parameter gradient. The first layer runs
+    /// [`Layer::backward_params`], so `∂L/∂input` — which a training
+    /// step never reads — is not computed; [`Sequential::backward_input`]
+    /// is the pass that returns it.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::NoForwardCache`] if [`Sequential::forward_train`]
     /// did not precede this call.
-    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
+    pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
+        let Some((first, rest)) = self.layers.split_first_mut() else {
+            return Ok(());
+        };
         let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward(&g)?;
+        for layer in rest.iter_mut().rev() {
+            g = layer.backward(g)?;
         }
-        Ok(g)
+        first.backward_params(g)
     }
 
-    /// [`Sequential::backward`] through every layer's
-    /// [`Layer::backward_input`]: the same `∂L/∂input`, bit for bit,
-    /// without the ∂weight/∂bias products of the conv and dense layers.
-    /// Parameter gradients are left in an unspecified state.
+    /// `∂L/∂input` through every layer's [`Layer::backward_input`] — the
+    /// quantity adversarial attacks are built on — without the
+    /// ∂weight/∂bias products of the conv and dense layers. Parameter
+    /// gradients are left in an unspecified state.
     ///
     /// # Errors
     ///
@@ -143,7 +178,7 @@ impl Sequential {
     pub fn backward_input(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
         let mut g = grad_logits.clone();
         for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_input(&g)?;
+            g = layer.backward_input(g)?;
         }
         Ok(g)
     }
@@ -358,29 +393,100 @@ mod tests {
     }
 
     #[test]
-    fn backward_returns_input_grad() {
+    fn backward_input_returns_input_grad() {
         let mut m = model();
         let mut rng = TensorRng::seed_from_u64(4);
         let x = rng.uniform(&[2, 6], -1.0, 1.0);
         let y = m.forward_train(&x).unwrap();
-        let gin = m.backward(&Tensor::ones(y.dims())).unwrap();
+        let gin = m.backward_input(&Tensor::ones(y.dims())).unwrap();
         assert_eq!(gin.dims(), x.dims());
+    }
+
+    /// The training step as it was before ReLU fused into the layer
+    /// before it, caches moved, and the first layer skipped its
+    /// `∂L/∂input`: every layer's own training forward, its input
+    /// handed over as a copy, then every layer's full backward. Returns
+    /// that `∂L/∂input` and every parameter gradient.
+    fn layer_by_layer_step(m: &mut Sequential, x: &Tensor, g: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let mut x = x.clone();
+        for layer in &mut m.layers {
+            x = crate::layer::train_forward(layer.as_mut(), &x);
+        }
+        let mut g = g.clone();
+        for layer in m.layers.iter_mut().rev() {
+            g = layer.backward(g).unwrap();
+        }
+        (g, m.params().iter().map(|p| p.grad.clone()).collect())
     }
 
     #[test]
     fn backward_input_matches_backward_bit_for_bit() {
         let mut rng = TensorRng::seed_from_u64(8);
-        let mut m = crate::vgg::VggConfig::tiny(3, 16, 4)
-            .build(&mut rng)
-            .unwrap();
-        let x = rng.uniform(&[2, 3, 16, 16], 0.0, 1.0);
-        let y = m.forward_train(&x).unwrap();
-        let g = rng.uniform(y.dims(), -1.0, 1.0);
-        let bits = |t: Tensor| -> Vec<u32> { t.as_slice().iter().map(|v| v.to_bits()).collect() };
-        let only = bits(m.backward_input(&g).unwrap());
-        // Conv and dense layers skipped their parameter gradients.
-        assert!(m.params().iter().all(|p| p.grad.norm_l2() == 0.0));
-        assert_eq!(only, bits(m.backward(&g).unwrap()));
+        for (mut m, dims) in [
+            (
+                crate::vgg::VggConfig::tiny(3, 16, 4)
+                    .build(&mut rng)
+                    .unwrap(),
+                vec![2, 3, 16, 16],
+            ),
+            (
+                crate::vgg::VggConfig::new(crate::vgg::VggProfile::Compact, 3, 32, 43)
+                    .build(&mut rng)
+                    .unwrap(),
+                vec![3, 3, 32, 32],
+            ),
+            (model(), vec![3, 6]),
+        ] {
+            let x = rng.uniform(&dims, -0.5, 1.0);
+            let y = m.forward_train(&x).unwrap();
+            let g = rng.uniform(y.dims(), -1.0, 1.0);
+            let only = bits(&m.backward_input(&g).unwrap());
+            // Conv and dense layers skipped their parameter gradients.
+            assert!(m.params().iter().all(|p| p.grad.norm_l2() == 0.0));
+            m.zero_grad();
+            m.forward_train(&x).unwrap();
+            m.backward(&g).unwrap();
+            let fused: Vec<Vec<u32>> = m.params().iter().map(|p| bits(&p.grad)).collect();
+            m.zero_grad();
+            let (input_grad, param_grads) = layer_by_layer_step(&mut m, &x, &g);
+            assert_eq!(only, bits(&input_grad), "∂input of {dims:?}");
+            let want: Vec<Vec<u32>> = param_grads.iter().map(bits).collect();
+            assert_eq!(fused, want, "parameter gradients of {dims:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+
+        /// Each sample's `∂L/∂input` does not know its neighbours: row
+        /// `i` of a batched `backward_input` on the Compact victim is the
+        /// batch-1 call on sample `i`, bit for bit, on every kernel
+        /// instantiation — at batches that fill one fused ∂input tile
+        /// partway (2, 5), whole (16) and past it (33).
+        #[test]
+        fn backward_input_rows_equal_single_sample_calls(seed in 0u64..10_000, pick in 0usize..4) {
+            let n = [2, 5, 16, 33][pick];
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let mut m = crate::vgg::VggConfig::new(crate::vgg::VggProfile::Compact, 3, 32, 43)
+                .build(&mut rng)
+                .unwrap();
+            let x = rng.uniform(&[n, 3, 32, 32], 0.0, 1.0);
+            let g = rng.uniform(&[n, 43], -1.0, 1.0);
+            for isa in fademl_tensor::simd::available() {
+                proptest::prop_assert!(fademl_tensor::simd::pin(Some(isa)));
+                m.forward_train(&x).unwrap();
+                let batched = m.backward_input(&g).unwrap();
+                for i in 0..n {
+                    let one = x.index_batch(i).unwrap().unsqueeze_batch();
+                    m.forward_train(&one).unwrap();
+                    let g_one = g.row(i).unwrap().unsqueeze_batch();
+                    let single = m.backward_input(&g_one).unwrap();
+                    let row = batched.index_batch(i).unwrap().unsqueeze_batch();
+                    proptest::prop_assert_eq!(bits(&row), bits(&single), "row {} of b{} on {:?}", i, n, isa);
+                }
+            }
+            fademl_tensor::simd::pin(None);
+        }
     }
 
     #[test]
@@ -389,7 +495,7 @@ mod tests {
         let mut rng = TensorRng::seed_from_u64(5);
         let x = rng.uniform(&[1, 6], -1.0, 1.0);
         let y = m.forward_train(&x).unwrap();
-        let gin = m.backward(&Tensor::ones(y.dims())).unwrap();
+        let gin = m.backward_input(&Tensor::ones(y.dims())).unwrap();
         let eps = 1e-3f32;
         for idx in 0..6 {
             let mut plus = x.clone();

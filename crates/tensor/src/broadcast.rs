@@ -44,10 +44,6 @@ pub(crate) fn broadcast_shape(op: &'static str, lhs: &Shape, rhs: &Shape) -> Res
 }
 
 /// Applies `f` elementwise over the broadcast of `lhs` and `rhs`.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "stride-mapped elementwise loop, in bounds by shape compatibility"
-)]
 pub(crate) fn broadcast_zip(
     op: &'static str,
     lhs: &Tensor,
@@ -58,6 +54,33 @@ pub(crate) fn broadcast_zip(
     if lhs.shape() == rhs.shape() {
         return lhs.zip_map(rhs, f);
     }
+    // Fast path: `rhs` is `lhs`'s trailing dimensions (a bias row, one
+    // image's noise over a batch, a scalar), so it repeats whole along
+    // `lhs`, in `lhs`'s element order.
+    let lead = lhs.rank().checked_sub(rhs.rank());
+    if lead.and_then(|lead| lhs.dims().get(lead..)) == Some(rhs.dims()) {
+        let (a, b) = (lhs.as_slice(), rhs.as_slice());
+        let mut data = Vec::with_capacity(a.len());
+        for block in a.chunks_exact(b.len().max(1)) {
+            data.extend(block.iter().zip(b).map(|(&x, &y)| f(x, y)));
+        }
+        return Tensor::from_vec(data, lhs.shape().clone());
+    }
+    broadcast_generic(op, lhs, rhs, f)
+}
+
+/// [`broadcast_zip`] by rank-`N` index arithmetic, for any compatible
+/// pair of shapes.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "stride-mapped elementwise loop, in bounds by shape compatibility"
+)]
+fn broadcast_generic(
+    op: &'static str,
+    lhs: &Tensor,
+    rhs: &Tensor,
+    f: impl Fn(f32, f32) -> f32,
+) -> Result<Tensor> {
     let out_shape = broadcast_shape(op, lhs.shape(), rhs.shape())?;
     let rank = out_shape.rank();
     let out_dims = out_shape.dims();
@@ -237,6 +260,35 @@ mod tests {
             let via_broadcast = broadcast_zip("add", &ta, &tb, |x, y| x + y).unwrap();
             let via_zip = ta.zip_map(&tb, |x, y| x + y).unwrap();
             prop_assert_eq!(via_broadcast, via_zip);
+        }
+
+        /// Both fast paths equal the rank-N index loop bit for bit, and
+        /// every shape pair reaches one of the three: `rhs` is a suffix
+        /// of `lhs`'s dims with some extents turned to 1 (or `lhs` one of
+        /// `rhs`'s), extents 0 to 3, so size-1 and empty dims occur.
+        #[test]
+        fn fast_paths_match_the_index_loop(
+            dims in proptest::collection::vec(0usize..4, 0..5),
+            keep in 0usize..5,
+            ones in proptest::collection::vec(0u8..2, 5),
+            swap in 0u8..2,
+            seed in 0u64..1000,
+        ) {
+            let tail = dims.len() - keep.min(dims.len());
+            let other: Vec<usize> = dims[tail..]
+                .iter()
+                .zip(&ones)
+                .map(|(&d, &one)| if one == 1 { 1 } else { d })
+                .collect();
+            let mut rng = crate::TensorRng::seed_from_u64(seed);
+            let (a, b) = (rng.uniform(&dims, -2.0, 2.0), rng.uniform(&other, -2.0, 2.0));
+            let (lhs, rhs) = if swap == 1 { (&b, &a) } else { (&a, &b) };
+            let f = |x: f32, y: f32| x * 3.0 - y;
+            let fast = broadcast_zip("t", lhs, rhs, f).unwrap();
+            let slow = broadcast_generic("t", lhs, rhs, f).unwrap();
+            prop_assert_eq!(fast.dims(), slow.dims());
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            prop_assert_eq!(bits(&fast), bits(&slow));
         }
 
         /// Sum is preserved by reduce_to_shape (it only reorganizes mass).

@@ -46,12 +46,22 @@
 //!
 //! # Backward on the same kernel
 //!
-//! ∂input is `col2im(wᵀ · g)` per sample: the register-tiled GEMM, then
-//! the fold. ∂weight is, per sample, `cols · gᵀ` on the same GEMM — one
-//! fresh accumulator per element, then an ordered add onto the running
-//! sum — and one transpose at the end. Samples are never fused along
-//! the GEMM's `k`: that would re-associate the cross-sample sum, which
-//! byte-exact training resume rests on (DESIGN.md §18.5).
+//! ∂input lowers tiles of whole samples, like the forward: each
+//! sample's `[F, OH·OW]` output gradient is gathered into its column
+//! range of one `[F, tile·OH·OW]` matrix ([`tile_ld`] apart), one
+//! `wᵀ · G` product runs on the register-tiled GEMM, and each sample's
+//! columns are folded back. A column's sum over `f` does not know its
+//! neighbours, so a batch equals single-sample calls bit for bit.
+//! ∂weight is `Σₛ colsₛ · gₛᵀ`: per sample one fresh accumulator per
+//! element, added onto the running sum in sample order — inside the
+//! register tile ([`crate::simd::sample_sum`]) where a sample's plane
+//! fits one depth panel, through a blocked per-sample product past it —
+//! and one transpose at the end. Each sample's unfolded rows are
+//! [`cols_ld`] apart, off a multiple of 4 KiB. Samples are never fused
+//! along the GEMM's `k`: that would re-associate the cross-sample sum,
+//! which byte-exact training resume rests on (DESIGN.md §18.5). [`conv2d_backward_params`] is ∂weight and ∂bias
+//! alone: the first layer of a training step, whose ∂input nothing
+//! reads.
 //!
 //! # Parallel decomposition
 //!
@@ -69,13 +79,13 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use crate::matmul::{gemm_rows_into, gemm_rows_to, transpose_into};
+use crate::matmul::{gemm_rows_to, transpose_into};
 use crate::plan::alloc;
 use crate::plan::blueprint::{
     blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint,
     DEFAULT_BLOCKING,
 };
-use crate::simd::Dest;
+use crate::simd::{self, Dest, Samples};
 use crate::{par, Result, Shape, Tensor, TensorError};
 
 /// Column budget of one batch-fused forward tile: whole samples are
@@ -98,6 +108,22 @@ fn fused_samples(n: usize, ohw: usize) -> usize {
 fn tile_ld(cols: usize) -> usize {
     (cols.div_ceil(LINE) | 1) * LINE
 }
+
+/// Leading dimension of one sample's unfolded `[K, OH·OW]` block in
+/// ∂weight's operand: [`tile_ld`] for a plane of a cache line or more
+/// (1024 → 1040), packed below that, where rows share lines anyway.
+fn cols_ld(ohw: usize) -> usize {
+    if ohw < LINE {
+        ohw
+    } else {
+        tile_ld(ohw)
+    }
+}
+
+/// Floats of ∂weight operands — unfolded blocks and transposed output
+/// gradients — one sample-summed group spans (256 KiB, so a group stays
+/// in L2 while every register tile walks it).
+const SUM_GROUP_FLOATS: usize = 64 * 1024;
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -236,21 +262,29 @@ fn unfold_into(
     }
 }
 
-/// Adjoint of [`unfold_into`]: folds `cols` (`[C·KH·KW, OH·OW]`) back
-/// into `dst` (`[C, H, W]`), summing overlapping contributions. Per
-/// channel the runs are added into `plane`, zeroed first, and its
-/// interior is then added onto `dst`: a destination pixel receives its
-/// ≤ `KH·KW` terms in `(kh, kw)` order, starting from `0.0`.
+/// Adjoint of [`unfold_into`]: folds columns `col0 .. col0 + OH·OW` of
+/// `cols` (a `[C·KH·KW, ld]` row-major matrix) back into `dst`
+/// (`[C, H, W]`), summing overlapping contributions. Per channel the
+/// runs are added into `plane`, zeroed first, and its interior is then
+/// added onto `dst`: a destination pixel receives its ≤ `KH·KW` terms
+/// in `(kh, kw)` order, starting from `0.0`.
 #[expect(
     clippy::indexing_slicing,
     reason = "col2im runs at offsets derived from the validated conv geometry"
 )]
-fn col2im_add(cols: &[f32], geom: &ConvGeom, plane: &mut [f32], dst: &mut [f32]) {
+fn col2im_add(
+    cols: &[f32],
+    ld: usize,
+    col0: usize,
+    geom: &ConvGeom,
+    plane: &mut [f32],
+    dst: &mut [f32],
+) {
     let ConvGeom {
         spec, h, w, oh, ow, ..
     } = *geom;
     let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
-    let mut rows = cols.chunks_exact(oh * ow);
+    let mut rows = cols.chunks(ld.max(1)).map(|row| &row[col0..col0 + oh * ow]);
     for image in dst.chunks_exact_mut((h * w).max(1)) {
         plane.fill(0.0);
         for kh in 0..spec.kernel_h {
@@ -352,7 +386,7 @@ pub fn col2im(cols: &Tensor, spec: &ConvSpec, h: usize, w: usize) -> Result<Tens
     let plane_len = plane_len(spec, h, w)?;
     let mut plane = alloc::scratch_stale(plane_len);
     let geom = ConvGeom::new(spec, (h, w), (oh, ow), DEFAULT_BLOCKING, plane_len);
-    col2im_add(cols.as_slice(), &geom, &mut plane, &mut out);
+    col2im_add(cols.as_slice(), n_cols, 0, &geom, &mut plane, &mut out);
     Tensor::from_vec(out, Shape::of(&[c, h, w]))
 }
 
@@ -388,16 +422,16 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
 /// `plane` is the zero-bordered `(H+2p) × (W+2p)` plane both directions
 /// unfold or fold through.
 ///
-/// Forward, the inner GEMM is the batch-fused `F × K × tile·OH·OW`
-/// product and `scratch` is its unfolded operand, `K` rows
-/// [`tile_ld`] apart (`scratch2` is unused). Backward, it is the per-sample
-/// `K × F × OH·OW` ∂input product: `scratch` holds its `[K, OH·OW]`
-/// result and `scratch2` the transposed weight — which is also the
-/// size of ∂weight's `[K, F]` per-sample product and of its running
-/// sum — and `scratch3` the transposed output-gradient plane
-/// `[OH·OW, F]` that product reads. Either way the blocking's `nc` is
-/// raised to the product's column count, so the row-major right-hand
-/// side is already in packed layout.
+/// Either way the inner GEMM runs on tiles of whole samples,
+/// `tile·OH·OW` columns [`tile_ld`] apart. Forward it is the
+/// `F × K × tile·OH·OW` product and `scratch` is its unfolded operand
+/// (`scratch2` and `scratch3` are unused). Backward it is the ∂input
+/// product `K × F × tile·OH·OW`: `scratch` holds its unfolded result,
+/// `scratch3` the gathered output gradient it reads, and `scratch2` the
+/// transposed weight — which is also the size of ∂weight's running
+/// `[K, F]` sum. Either way the blocking's `nc` is raised to the
+/// product's column count, so the row-major right-hand side is already
+/// in packed layout.
 fn plan_conv2d(
     spec: &ConvSpec,
     n: usize,
@@ -412,24 +446,17 @@ fn plan_conv2d(
         &[spec.in_channels, spec.kernel_h, spec.kernel_w],
     )?;
     let ohw = checked_product("conv2d output plane", &[oh, ow])?;
-    let gemm_cols = if backward {
-        ohw
-    } else {
-        checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?
-    };
-    let scratch = if backward {
-        checked_product("conv2d im2col", &[k_flat, gemm_cols])?
-    } else {
-        // `tile_ld(gemm_cols)`, cap-checked.
-        checked_product(
-            "conv2d im2col",
-            &[k_flat, gemm_cols.div_ceil(LINE) | 1, LINE],
-        )?
-    };
+    let gemm_cols = checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?;
+    // `tile_ld(gemm_cols)` floats per row, cap-checked.
+    let tile_row = [gemm_cols.div_ceil(LINE) | 1, LINE];
+    let scratch = checked_product("conv2d im2col", &[k_flat, tile_row[0], tile_row[1]])?;
     let (scratch2, scratch3, out_len) = if backward {
         (
             checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
-            checked_product("conv2d_backward grad transpose", &[ohw, spec.out_channels])?,
+            checked_product(
+                "conv2d_backward gathered gradient",
+                &[spec.out_channels, tile_row[0], tile_row[1]],
+            )?,
             checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?,
         )
     } else {
@@ -517,8 +544,10 @@ impl ConvGeom {
         self.spec.in_channels * self.h * self.w
     }
 
+    /// One sample's unfolded block in ∂weight's operand: `K` rows
+    /// [`cols_ld`] apart.
     fn cols_len(&self) -> usize {
-        self.k_flat * self.oh * self.ow
+        self.k_flat * cols_ld(self.oh * self.ow)
     }
 
     fn out_plane_len(&self) -> usize {
@@ -569,7 +598,7 @@ fn conv2d_block(
         // A `[F, C, KH, KW]` weight is already `[F, K]` row-major.
         gemm_rows_to(
             w_mat,
-            f,
+            (f, geom.k_flat),
             geom.k_flat,
             &cols,
             (n_cols, ld),
@@ -670,15 +699,18 @@ fn conv2d_with(
 
 /// ∂weight/∂bias worker: gradient rows for the filters in `range`.
 ///
-/// Per sample, `tmp[K, F′] = cols[K, OH·OW] × gᵀ[OH·OW, F′]` runs on the
-/// register-tiled kernel — every element one fresh accumulator from
-/// `0.0`, `o` ascending, multiply then add — and is then added onto the
-/// running `[K, F′]` sum, samples in increasing order: term for term
-/// the `acc = Σₒ g·col; grad += acc` of a scalar loop per element, so
-/// the cross-sample association is the serial one. `gᵀ` and the final
-/// `[K, F′] → [F′, K]` transpose are copies. The three scratch buffers
-/// lease from the calling thread's arena; the blueprint cap-checked
-/// their sizes for the whole filter range.
+/// `sum[K, F′]` accumulates `colsₛ[K, OH·OW] × gₛᵀ[OH·OW, F′]` over the
+/// samples, in increasing order, onto zeros: every element of a
+/// sample's product is one fresh accumulator from `0.0`, `o` ascending,
+/// multiply then add, and is then added onto the running sum — term for
+/// term the `acc = Σₒ g·col; grad += acc` of a scalar loop per element,
+/// so the cross-sample association is the serial one. Where a sample's
+/// `OH·OW` fits one depth panel, the running sums stay in the register
+/// tile across a group of samples ([`crate::simd::sample_sum`], whose
+/// operands stay within [`SUM_GROUP_FLOATS`]); past it, the blocked
+/// product into `tmp` keeps its panels in L1, and `tmp` is added onto
+/// the sum. `gᵀ` and the final `[K, F′] → [F′, K]` transpose are
+/// copies. The scratch buffers lease from the calling thread's arena.
 #[expect(
     clippy::indexing_slicing,
     reason = "one worker's channel range, inside the validated output planes"
@@ -692,6 +724,13 @@ fn conv_grad_filters_block(
 ) -> (Vec<f32>, Vec<f32>) {
     let ohw = geom.oh * geom.ow;
     let len = range.end - range.start;
+    let g_len = ohw * len;
+    let in_registers = ohw <= geom.bl.kc;
+    let group = if in_registers {
+        (SUM_GROUP_FLOATS / (geom.cols_len() + g_len).max(1)).clamp(1, n.max(1))
+    } else {
+        1
+    };
     // One column panel of `len` columns, so the row-major `gᵀ` is
     // already in packed layout.
     let bl = Blocking {
@@ -699,19 +738,46 @@ fn conv_grad_filters_block(
         ..geom.bl
     };
     let mut grad_b = vec![0.0f32; len];
-    let mut g_t = alloc::scratch_stale(ohw * len);
-    let mut tmp = alloc::scratch_stale(geom.k_flat * len);
+    let mut g_t = alloc::scratch_stale(group * g_len);
+    let mut tmp = (!in_registers).then(|| alloc::scratch_stale(geom.k_flat * len));
     let mut sum = alloc::scratch_f32(geom.k_flat * len);
-    for sample in 0..n {
-        let g_sample = record(grad_out, sample, geom.out_plane_len());
-        let g_rows = &g_sample[range.start * ohw..range.end * ohw];
-        // ∂bias: sum over spatial positions, then across samples.
-        for (b, g_row) in grad_b.iter_mut().zip(g_rows.chunks_exact(ohw)) {
-            *b += g_row.iter().sum::<f32>();
+    for first in (0..n).step_by(group) {
+        let count = group.min(n - first);
+        for (slot, sample) in (first..first + count).enumerate() {
+            let g_sample = record(grad_out, sample, geom.out_plane_len());
+            let g_rows = &g_sample[range.start * ohw..range.end * ohw];
+            // ∂bias: sum over spatial positions, then across samples.
+            for (b, g_row) in grad_b.iter_mut().zip(g_rows.chunks_exact(ohw)) {
+                *b += g_row.iter().sum::<f32>();
+            }
+            transpose_into(g_rows, len, ohw, &mut g_t[slot * g_len..]);
         }
-        transpose_into(g_rows, len, ohw, &mut g_t);
-        let cols = record(cols_all, sample, geom.cols_len());
-        gemm_rows_into(cols, geom.k_flat, ohw, &g_t, len, bl, &mut tmp);
+        let cols = &cols_all[first * geom.cols_len()..];
+        let Some(tmp) = &mut tmp else {
+            let samples = Samples {
+                a: cols,
+                a_step: geom.cols_len(),
+                lda: cols_ld(ohw),
+                rows: geom.k_flat,
+                b: &g_t,
+                b_step: g_len,
+                ldb: len,
+                k: ohw,
+                cols: len,
+                count,
+            };
+            simd::sample_sum(&samples, &mut sum);
+            continue;
+        };
+        gemm_rows_to(
+            cols,
+            (geom.k_flat, cols_ld(ohw)),
+            ohw,
+            &g_t,
+            (len, len),
+            bl,
+            &mut Dest::row_major(tmp, len, len),
+        );
         for (s, &t) in sum.iter_mut().zip(tmp.iter()) {
             *s += t;
         }
@@ -721,12 +787,19 @@ fn conv_grad_filters_block(
     (grad_w, grad_b)
 }
 
-/// ∂input worker: for each sample in `range`, computes
-/// `col2im(w_matᵀ · g_mat)` and returns the concatenated image blocks.
-/// `g_mat` (`[F, OH·OW]` row-major) is read in place — the blueprint's
-/// `nc ≥ OH·OW` makes that the packed layout — and the unfolded
-/// gradient columns and the fold's plane lease from this thread's
-/// scratch arena.
+/// ∂input worker: `col2im(wᵀ · g)` for each sample in `range`, returned
+/// as the concatenated image blocks. Tiles of whole samples — as many
+/// as the forward fuses — are gathered into one `[F, tile·OH·OW]`
+/// matrix ([`tile_ld`] apart, so it is the packed layout), multiplied
+/// once into `[K, tile·OH·OW]`, and each sample's columns are folded; a
+/// tile of one sample reads its `[F, OH·OW]` plane in place. The
+/// gathered and unfolded tiles and the fold's plane lease from this
+/// thread's scratch arena (uncleared: each is written before it is
+/// read).
+#[expect(
+    clippy::indexing_slicing,
+    reason = "column ranges of one tile, sized by the validated conv geometry"
+)]
 fn conv_grad_input_block(
     grad_out: &[f32],
     w_t: &[f32],
@@ -735,26 +808,54 @@ fn conv_grad_input_block(
 ) -> Vec<f32> {
     let ohw = geom.oh * geom.ow;
     let f = geom.spec.out_channels;
+    let image_len = geom.image_len().max(1);
     let mut out = vec![0.0f32; range.len() * geom.image_len()];
-    let mut gcols = alloc::scratch_stale(geom.cols_len());
+    let tile = fused_samples(range.len(), ohw);
+    let ld_of = |n_cols: usize| if tile > 1 { tile_ld(n_cols) } else { n_cols };
+    let mut gathered = (tile > 1).then(|| alloc::scratch_stale(f * tile_ld(tile * ohw)));
+    let mut gcols = alloc::scratch_stale(geom.k_flat * ld_of(tile * ohw));
     let mut plane = alloc::scratch_stale(geom.plane);
-    let images = out.chunks_exact_mut(geom.image_len().max(1));
-    for (dst, sample) in images.zip(range) {
-        let g_mat = record(grad_out, sample, geom.out_plane_len());
-        gemm_rows_into(w_t, geom.k_flat, f, g_mat, ohw, geom.bl, &mut gcols);
-        col2im_add(&gcols, &geom, &mut plane, dst);
+    for (first, tile_out) in range.step_by(tile).zip(out.chunks_mut(tile * image_len)) {
+        let count = tile_out.len() / image_len;
+        let n_cols = count * ohw;
+        let ld = ld_of(n_cols);
+        let g: &[f32] = match &mut gathered {
+            None => record(grad_out, first, geom.out_plane_len()),
+            Some(gathered) => {
+                for slot in 0..count {
+                    let g_mat = record(grad_out, first + slot, geom.out_plane_len());
+                    let rows = gathered.chunks_mut(ld).zip(g_mat.chunks_exact(ohw.max(1)));
+                    for (row, g_row) in rows {
+                        row[slot * ohw..][..ohw].copy_from_slice(g_row);
+                    }
+                }
+                gathered
+            }
+        };
+        gemm_rows_to(
+            w_t,
+            (geom.k_flat, f),
+            f,
+            g,
+            (n_cols, ld),
+            geom.bl,
+            &mut Dest::row_major(&mut gcols, n_cols, ld),
+        );
+        for (slot, dst) in tile_out.chunks_exact_mut(image_len).enumerate() {
+            col2im_add(&gcols, ld, slot * ohw, &geom, &mut plane, dst);
+        }
     }
     out
 }
 
 /// Unfolds the samples in `range` into `dst`, their concatenated
-/// `[len · K, OH·OW]` column blocks.
+/// `[K, OH·OW]` column blocks, each `K` rows [`cols_ld`] apart.
 fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: &mut [f32]) {
-    let ohw = geom.oh * geom.ow;
+    let ld = cols_ld(geom.oh * geom.ow);
     let mut plane = alloc::scratch_f32(geom.plane);
-    for (block, sample) in dst.chunks_exact_mut(geom.cols_len()).zip(range) {
+    for (block, sample) in dst.chunks_exact_mut(geom.cols_len().max(1)).zip(range) {
         let image = record(input, sample, geom.image_len());
-        unfold_into(image, &geom, &mut plane, block, ohw, 0);
+        unfold_into(image, &geom, &mut plane, block, ld, 0);
     }
 }
 
@@ -787,7 +888,8 @@ fn plan_backward(
 }
 
 /// ∂input of a planned backward call, partitioned over samples when
-/// the blueprint says so: `col2im(wᵀ · g)` per sample.
+/// the blueprint says so: `col2im(wᵀ · g)`, a tile of samples per
+/// product.
 fn grad_input(
     bp: &Blueprint,
     geom: ConvGeom,
@@ -815,6 +917,47 @@ fn grad_input(
     out
 }
 
+/// ∂weight and ∂bias of a planned backward call, `([F, K], [F])`,
+/// partitioned over filters when the blueprint says so.
+fn grad_params(
+    bp: &Blueprint,
+    geom: ConvGeom,
+    n: usize,
+    input: &[f32],
+    grad_out: &[f32],
+) -> Result<(Vec<f32>, Vec<f32>)> {
+    let f = geom.spec.out_channels;
+    let cols_total = checked_product("conv2d_backward cols", &[n, geom.cols_len()])?;
+    if !bp.parallel {
+        let mut cols_all = alloc::scratch_stale(cols_total);
+        im2col_samples_into(input, geom, 0..n, &mut cols_all);
+        return Ok(conv_grad_filters_block(grad_out, &cols_all, geom, n, 0..f));
+    }
+    // Unfold every sample once (partitioned over samples); the column
+    // matrices are shared read-only by the ∂weight workers, which own
+    // whole filter rows.
+    let input: Arc<Vec<f32>> = Arc::new(input.to_vec());
+    let col_blocks = par::parallel_rows(n, move |range: Range<usize>| {
+        im2col_samples_block(&input, geom, range)
+    });
+    let mut cols_all = Vec::with_capacity(cols_total);
+    for block in col_blocks {
+        cols_all.extend_from_slice(&block);
+    }
+    let cols_all = Arc::new(cols_all);
+    let g: Arc<Vec<f32>> = Arc::new(grad_out.to_vec());
+    let grad_blocks = par::parallel_rows(f, move |range: Range<usize>| {
+        conv_grad_filters_block(&g, &cols_all, geom, n, range)
+    });
+    let mut grad_w = Vec::with_capacity(f * geom.k_flat);
+    let mut grad_b = Vec::with_capacity(f);
+    for (w_block, b_block) in grad_blocks {
+        grad_w.extend_from_slice(&w_block);
+        grad_b.extend_from_slice(&b_block);
+    }
+    Ok((grad_w, grad_b))
+}
+
 /// Backward pass of [`conv2d`].
 ///
 /// `grad_out` must have the forward output's shape `[N, F, OH, OW]`.
@@ -833,48 +976,41 @@ pub fn conv2d_backward(
     spec: &ConvSpec,
 ) -> Result<Conv2dGrads> {
     let (bp, geom, n) = plan_backward(input, grad_out, spec)?;
-    let cols_total = checked_product("conv2d_backward cols", &[n, geom.cols_len()])?;
-    let (grad_w, grad_b) = if bp.parallel {
-        // Unfold every sample once (partitioned over samples); the
-        // column matrices are shared read-only by the ∂weight workers,
-        // which own whole filter rows.
-        let input_arc: Arc<Vec<f32>> = Arc::new(input.as_slice().to_vec());
-        let col_blocks = par::parallel_rows(n, move |range: Range<usize>| {
-            im2col_samples_block(&input_arc, geom, range)
-        });
-        let mut cols_all = Vec::with_capacity(cols_total);
-        for block in col_blocks {
-            cols_all.extend_from_slice(&block);
-        }
-        let cols_all = Arc::new(cols_all);
-        let g: Arc<Vec<f32>> = Arc::new(grad_out.as_slice().to_vec());
-        let grad_blocks = par::parallel_rows(spec.out_channels, move |range: Range<usize>| {
-            conv_grad_filters_block(&g, &cols_all, geom, n, range)
-        });
-        let mut grad_w = Vec::with_capacity(spec.out_channels * geom.k_flat);
-        let mut grad_b = Vec::with_capacity(spec.out_channels);
-        for (w_block, b_block) in grad_blocks {
-            grad_w.extend_from_slice(&w_block);
-            grad_b.extend_from_slice(&b_block);
-        }
-        (grad_w, grad_b)
-    } else {
-        let mut cols_all = alloc::scratch_stale(cols_total);
-        im2col_samples_into(input.as_slice(), geom, 0..n, &mut cols_all);
-        conv_grad_filters_block(
-            grad_out.as_slice(),
-            &cols_all,
-            geom,
-            n,
-            0..spec.out_channels,
-        )
-    };
+    let (grad_w, grad_b) = grad_params(&bp, geom, n, input.as_slice(), grad_out.as_slice())?;
     let grad_input = grad_input(&bp, geom, n, weight.as_slice(), grad_out.as_slice());
     Ok(Conv2dGrads {
         input: Tensor::from_vec(grad_input, input.shape().clone())?,
         weight: Tensor::from_vec(grad_w, Shape::of(weight.dims()))?,
         bias: Tensor::from_vec(grad_b, Shape::of(&[spec.out_channels]))?,
     })
+}
+
+/// The ∂weight/∂bias half of [`conv2d_backward`] alone, `(∂weight,
+/// ∂bias)` — what the first layer of a training step needs, since
+/// nothing reads the gradient of the image. Skips the ∂input product
+/// and the fold; both gradients are bit-identical to
+/// `conv2d_backward`'s.
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d_backward`].
+pub fn conv2d_backward_params(
+    input: &Tensor,
+    grad_out: &Tensor,
+    spec: &ConvSpec,
+) -> Result<(Tensor, Tensor)> {
+    let (bp, geom, n) = plan_backward(input, grad_out, spec)?;
+    let (grad_w, grad_b) = grad_params(&bp, geom, n, input.as_slice(), grad_out.as_slice())?;
+    let weight_dims = [
+        spec.out_channels,
+        spec.in_channels,
+        spec.kernel_h,
+        spec.kernel_w,
+    ];
+    Ok((
+        Tensor::from_vec(grad_w, Shape::of(&weight_dims))?,
+        Tensor::from_vec(grad_b, Shape::of(&[spec.out_channels]))?,
+    ))
 }
 
 /// The ∂input half of [`conv2d_backward`] alone — what an attack query
@@ -899,7 +1035,7 @@ pub fn conv2d_backward_input(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::matmul::gemm_nt_block;
+    use crate::matmul::{gemm_nt_block, gemm_rows_into};
     use crate::TensorRng;
     use proptest::prelude::*;
 
@@ -1156,7 +1292,8 @@ mod tests {
 
     /// The per-element dot-product ∂weight/∂bias worker
     /// `conv_grad_filters_block` was before it moved to the register
-    /// tile, kept verbatim as the reference for its bits.
+    /// tile, kept as the reference for its bits; `cols_all` holds each
+    /// sample's `[K, OH·OW]` block packed.
     fn conv_grad_filters_reference(
         grad_out: &[f32],
         cols_all: &[f32],
@@ -1170,7 +1307,7 @@ mod tests {
         let mut grad_b = vec![0.0f32; len];
         for sample in 0..n {
             let g_sample = record(grad_out, sample, geom.out_plane_len());
-            let cols = record(cols_all, sample, geom.cols_len());
+            let cols = record(cols_all, sample, geom.k_flat * ohw);
             for (slot, f) in range.clone().enumerate() {
                 let g_row = record(g_sample, f, ohw);
                 if let Some(b) = grad_b.get_mut(slot) {
@@ -1322,32 +1459,48 @@ mod tests {
         let f = spec.out_channels;
         let grad_out = TensorRng::seed_from_u64(11).uniform(&[n, f, oh, ow], -1.0, 1.0);
         let (bp, geom, _) = plan_backward(&input, &grad_out, spec).unwrap();
-        let mut cols_all = vec![0.0f32; n * geom.cols_len()];
+        let ohw = oh * ow;
+        // ∂weight's padded operand, and the references' packed one.
+        let mut cols_all = vec![f32::NAN; n * geom.cols_len()];
         im2col_samples_into(input.as_slice(), geom, 0..n, &mut cols_all);
+        let mut packed = vec![0.0f32; n * geom.k_flat * ohw];
+        let mut plane = vec![0.0f32; geom.plane];
+        for (block, sample) in packed.chunks_exact_mut(geom.k_flat * ohw).zip(0..n) {
+            let image = record(input.as_slice(), sample, geom.image_len());
+            unfold_into(image, &geom, &mut plane, block, ohw, 0);
+        }
         let tag = format!("{spec:?} n {n} {h}x{w}");
 
+        // ∂input per sample: one `wᵀ · g` product, then the scalar fold.
         let mut want_input = Vec::new();
         let mut w_t = vec![0.0f32; bp.scratch2];
         transpose_into(weight.as_slice(), f, geom.k_flat, &mut w_t);
-        let mut gcols = vec![0.0f32; geom.cols_len()];
+        let mut gcols = vec![0.0f32; geom.k_flat * ohw];
         for sample in 0..n {
             let g_mat = record(grad_out.as_slice(), sample, geom.out_plane_len());
-            gemm_rows_into(&w_t, geom.k_flat, f, g_mat, oh * ow, geom.bl, &mut gcols);
+            gemm_rows_into(&w_t, geom.k_flat, f, g_mat, ohw, geom.bl, &mut gcols);
             let mut want = vec![0.0f32; geom.image_len()];
             col2im_add_reference(&gcols, spec, h, w, oh, ow, &mut want);
             let mut got = vec![0.0f32; geom.image_len()];
-            col2im_add(&gcols, &geom, &mut vec![f32::NAN; geom.plane], &mut got);
+            col2im_add(
+                &gcols,
+                ohw,
+                0,
+                &geom,
+                &mut vec![f32::NAN; geom.plane],
+                &mut got,
+            );
             assert_eq!(slice_bits(&got), slice_bits(&want), "fold, {tag}");
             want_input.extend(want);
         }
 
         let (want_w, want_b) =
-            conv_grad_filters_reference(grad_out.as_slice(), &cols_all, geom, n, 0..f);
+            conv_grad_filters_reference(grad_out.as_slice(), &packed, geom, n, 0..f);
         crate::simd::with_each_isa(|isa| {
             for range in [0..f, 1..f, 0..f - 1] {
                 let (want_w, want_b) = conv_grad_filters_reference(
                     grad_out.as_slice(),
-                    &cols_all,
+                    &packed,
                     geom,
                     n,
                     range.clone(),
@@ -1372,6 +1525,14 @@ mod tests {
                 assert_eq!(bits(&got.weight), slice_bits(&want_w), "∂weight {at}");
                 assert_eq!(bits(&got.bias), slice_bits(&want_b), "∂bias {at}");
                 assert_eq!(bits(&got.input), slice_bits(&want_input), "∂input {at}");
+                let (weight_only, bias_only) =
+                    conv2d_backward_params(&input, &grad_out, spec).unwrap();
+                assert_eq!(
+                    bits(&weight_only),
+                    slice_bits(&want_w),
+                    "params ∂weight {at}"
+                );
+                assert_eq!(bits(&bias_only), slice_bits(&want_b), "params ∂bias {at}");
             }
             par::set_threads(0);
         });
@@ -1380,10 +1541,11 @@ mod tests {
     #[test]
     fn backward_matches_scalar_references_on_victim_shapes() {
         // The served victim's five stages (3×3, stride 1, "same") at an
-        // attack query, a small batch and the training batch.
+        // attack query, a small batch, the training batch, and one past
+        // it (a ragged last ∂input tile and ∂weight group).
         let (mut cin, mut side) = (3, 32);
         for cout in [8, 16, 32, 48, 64] {
-            for n in [1, 4, 32] {
+            for n in [1, 4, 32, 33] {
                 assert_backward_matches_reference(
                     &ConvSpec::new(cin, cout, 3, 1, 1),
                     n,
@@ -1418,6 +1580,9 @@ mod tests {
             ..ConvSpec::new(3, 5, 3, 1, 3)
         };
         assert_backward_matches_reference(&spec, 2, 4, 6);
+        // Sixteen filters and more over a plane deeper than one depth
+        // panel: ∂weight's `[K, F′]` sum through the blocked product.
+        assert_backward_matches_reference(&ConvSpec::new(3, 32, 3, 1, 1), 3, 32, 32);
     }
 
     #[test]
@@ -1568,7 +1733,7 @@ mod tests {
             let mut want = vec![0.0f32; geom.image_len()];
             col2im_runs_reference(&cols, &geom, &mut want);
             let mut got = vec![0.0f32; geom.image_len()];
-            col2im_add(&cols, &geom, &mut vec![f32::NAN; geom.plane], &mut got);
+            col2im_add(&cols, oh * ow, 0, &geom, &mut vec![f32::NAN; geom.plane], &mut got);
             prop_assert!(same_bits(&got, &want), "fold {:?} vs {:?}", got, want);
 
             let weight = rng.uniform(&[2, c, kernel, kernel], -1.0, 1.0);

@@ -71,12 +71,12 @@ pub(crate) fn gemm_rows_into(
 ) {
     gemm_rows_to(
         a_block,
-        rows,
+        (rows, k),
         k,
         packed_b,
         (n, n),
         bl,
-        &mut Dest::row_major(out, n),
+        &mut Dest::row_major(out, n, n),
     );
 }
 
@@ -88,7 +88,9 @@ pub(crate) fn gemm_rows_into(
 /// chain starting at `0.0` — identical to the naive i-k-j loop, so any
 /// blocking changes nothing numerically.
 ///
-/// `(n, ld)` are the columns of `B` and its leading dimension. A
+/// `(rows, lda)` are the rows of `A` and its leading dimension
+/// (`lda ≥ k`); `(n, ld)` are the columns of `B` and its leading
+/// dimension. A
 /// row-major `[k, ld]` matrix *is* the packed layout whenever
 /// `bl.nc ≥ n` (one column panel, whose `k` panels are consecutive
 /// row ranges) — the batch-fused convolution relies on that to skip
@@ -101,7 +103,7 @@ pub(crate) fn gemm_rows_into(
 )]
 pub(crate) fn gemm_rows_to(
     a_block: &[f32],
-    rows: usize,
+    (rows, lda): (usize, usize),
     k: usize,
     packed_b: &[f32],
     (n, ld): (usize, usize),
@@ -118,8 +120,8 @@ pub(crate) fn gemm_rows_to(
             for ic in (0..rows).step_by(bl.mc) {
                 let mcb = bl.mc.min(rows - ic);
                 let blk = Block {
-                    a: &a_block[ic * k + pc..][..(mcb - 1) * k + kcb],
-                    lda: k,
+                    a: &a_block[ic * lda + pc..][..(mcb - 1) * lda + kcb],
+                    lda,
                     rows: mcb,
                     b: panel,
                     ldb,
@@ -708,7 +710,7 @@ mod tests {
                     for (relu, what, reference) in [(false, "bias", &biased), (true, "relu", &clamped)] {
                         let mut got = vec![f32::NAN; m * n];
                         let mut dest = Dest::nchw(&mut got, m, n, &bias, relu);
-                        gemm_rows_to(&a, m, k, &b_padded, (n, ld), one_panel, &mut dest);
+                        gemm_rows_to(&a, (m, k), k, &b_padded, (n, ld), one_panel, &mut dest);
                         runs.push((isa, bl, what, got, reference));
                     }
                 }

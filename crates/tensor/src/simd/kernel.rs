@@ -3,10 +3,12 @@
 //! [`block_body`] multiplies one cache block: `rows × kc` of `A` by
 //! `kc × cols` of `B`, walking the block in register tiles whose
 //! accumulators stay live across the whole `kc` panel (the old kernel
-//! loaded and stored the output row once per `k`). The body is written
-//! once and instantiated per instruction set by `super::gemm_block`;
-//! the compiler vectorizes the fixed-size accumulator arrays with
-//! whatever lanes the instantiation may use.
+//! loaded and stored the output row once per `k`). [`sample_sum_body`]
+//! walks the same tiles over a sum of per-sample products, keeping the
+//! running sums in registers across the samples. Each body is written
+//! once and instantiated per instruction set by `super`; the compiler
+//! vectorizes the fixed-size accumulator arrays with whatever lanes the
+//! instantiation may use.
 //!
 //! # Why no tile shape, lane width or ISA can change a bit
 //!
@@ -29,9 +31,14 @@
 /// accumulators (eight 256-bit or sixteen 128-bit registers).
 const MR_WIDE: usize = 4;
 const NR_WIDE: usize = 16;
-/// Register tile for the columns left after the wide strips — and for
-/// products that are narrow to begin with (a batch-1 `2 × 2` output
-/// plane is a 4-column product), so they are not a scalar loop.
+/// Register tile for eight or more columns left after the wide strips
+/// — and for products that are eight to fifteen columns wide to begin
+/// with (∂weight of a layer with eight filters).
+const MR_MID: usize = 8;
+const NR_MID: usize = 8;
+/// Register tile for the columns left after that — and for products
+/// that are narrow to begin with (a batch-1 `2 × 2` output plane is a
+/// 4-column product), so they are not a scalar loop.
 const MR_NARROW: usize = 8;
 const NR_NARROW: usize = 4;
 
@@ -56,12 +63,13 @@ pub(crate) struct Dest<'a> {
 }
 
 impl<'a> Dest<'a> {
-    /// A plain row-major `[rows, n]` destination, no bias.
-    pub(crate) fn row_major(out: &'a mut [f32], n: usize) -> Self {
+    /// A plain row-major `[rows, n]` destination whose rows are `ld ≥ n`
+    /// floats apart, no bias.
+    pub(crate) fn row_major(out: &'a mut [f32], n: usize, ld: usize) -> Self {
         Dest {
             out,
             seg: n.max(1),
-            row_stride: n,
+            row_stride: ld,
             seg_stride: 0,
             bias: None,
             relu: false,
@@ -253,9 +261,110 @@ pub(super) fn block_body(blk: &Block, dest: &mut Dest) {
         strip::<MR_WIDE, NR_WIDE>(blk, j, NR_WIDE, dest);
         j += NR_WIDE;
     }
+    if blk.cols - j >= NR_MID {
+        strip::<MR_MID, NR_MID>(blk, j, NR_MID, dest);
+        j += NR_MID;
+    }
     while j < blk.cols {
         let nr = NR_NARROW.min(blk.cols - j);
         strip::<MR_NARROW, NR_NARROW>(blk, j, nr, dest);
         j += nr;
+    }
+}
+
+/// A sum of per-sample products `Σₛ Aₛ · Bₛ`, added onto a running
+/// row-major `[rows, cols]` sum. Sample `s`'s `Aₛ` (`rows × k`, rows
+/// `lda` apart) starts at `a[s · a_step]` and its `Bₛ` (`k × cols`,
+/// rows `ldb` apart) at `b[s · b_step]`.
+pub(crate) struct Samples<'a> {
+    pub a: &'a [f32],
+    pub a_step: usize,
+    pub lda: usize,
+    pub rows: usize,
+    pub b: &'a [f32],
+    pub b_step: usize,
+    pub ldb: usize,
+    pub k: usize,
+    pub cols: usize,
+    pub count: usize,
+}
+
+/// [`Samples`] onto `sum`, one register tile at a time: the tile's
+/// running sums are loaded once, and each sample's product is one fresh
+/// accumulator per element — from `0.0`, `p` ascending, a separate
+/// multiply and add per term, over the whole `k` (no panel split) —
+/// added onto them in sample order, `((sum + acc₀) + acc₁) + …`. That is
+/// term for term a product per sample into a scratch matrix and then
+/// `sum += product`, without the scratch matrix's store and reload.
+/// The strips are [`block_body`]'s. (No closure here or there: a
+/// closure's body is its own function, compiled without the caller's
+/// target features.)
+#[inline(always)]
+pub(super) fn sample_sum_body(s: &Samples, sum: &mut [f32]) {
+    let mut j = 0usize;
+    while s.cols - j >= NR_WIDE {
+        sample_strip::<MR_WIDE, NR_WIDE>(s, j, NR_WIDE, sum);
+        j += NR_WIDE;
+    }
+    if s.cols - j >= NR_MID {
+        sample_strip::<MR_MID, NR_MID>(s, j, NR_MID, sum);
+        j += NR_MID;
+    }
+    while j < s.cols {
+        let nr = NR_NARROW.min(s.cols - j);
+        sample_strip::<MR_NARROW, NR_NARROW>(s, j, nr, sum);
+        j += nr;
+    }
+}
+
+/// One column strip of [`sample_sum_body`] against every row tile.
+#[inline(always)]
+fn sample_strip<const MR: usize, const NR: usize>(
+    s: &Samples,
+    j: usize,
+    nr: usize,
+    sum: &mut [f32],
+) {
+    let mut row = 0usize;
+    while row < s.rows {
+        let mr = MR.min(s.rows - row);
+        let mut total = [[0.0f32; NR]; MR];
+        let sum_rows = sum.chunks_mut(s.cols.max(1)).skip(row);
+        for (lanes, stored) in total.iter_mut().zip(sum_rows).take(mr) {
+            for (t, &v) in lanes
+                .iter_mut()
+                .zip(stored.get(j..j + nr).unwrap_or_default())
+            {
+                *t = v;
+            }
+        }
+        for sample in 0..s.count {
+            let a = s.a.get(sample * s.a_step..).unwrap_or_default();
+            let Some(first_row) = a.get(row * s.lda..).and_then(|r| r.get(..s.k)) else {
+                return;
+            };
+            // Rows past the bottom edge alias the tile's first row: their
+            // sums are computed and never stored.
+            let mut a_rows = [first_row; MR];
+            for (i, slot) in a_rows.iter_mut().enumerate().take(mr) {
+                if let Some(a_row) = a.get((row + i) * s.lda..).and_then(|r| r.get(..s.k)) {
+                    *slot = a_row;
+                }
+            }
+            let b = s.b.get(sample * s.b_step + j..).unwrap_or_default();
+            let mut acc = [[0.0f32; NR]; MR];
+            tile(a_rows, b, s.ldb, &mut acc);
+            for (t_row, acc_row) in total.iter_mut().zip(&acc) {
+                for (t, &a) in t_row.iter_mut().zip(acc_row) {
+                    *t += a;
+                }
+            }
+        }
+        let sum_rows = sum.chunks_mut(s.cols.max(1)).skip(row);
+        for (lanes, stored) in total.iter().zip(sum_rows).take(mr) {
+            let stored = stored.get_mut(j..j + nr).unwrap_or_default();
+            stored.copy_from_slice(lanes.get(..stored.len()).unwrap_or_default());
+        }
+        row += mr;
     }
 }

@@ -16,7 +16,7 @@ use std::sync::OnceLock;
 
 mod kernel;
 
-pub(crate) use kernel::{Block, Dest};
+pub(crate) use kernel::{Block, Dest, Samples};
 
 /// An instruction set the micro-kernel is instantiated for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -137,4 +137,32 @@ pub(crate) fn gemm_block(blk: &Block, dest: &mut Dest) {
         Isa::Baseline => {}
     }
     kernel::block_body(blk, dest);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn sample_sum_avx2(samples: &Samples, sum: &mut [f32]) {
+    kernel::sample_sum_body(samples, sum);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn sample_sum_avx512(samples: &Samples, sum: &mut [f32]) {
+    kernel::sample_sum_body(samples, sum);
+}
+
+/// Adds a sum of per-sample products onto `sum` (see [`Samples`]) with
+/// the active instantiation.
+pub(crate) fn sample_sum(samples: &Samples, sum: &mut [f32]) {
+    #[cfg(target_arch = "x86_64")]
+    match active() {
+        // SAFETY: `sample_sum_avx512` is safe code that only requires
+        // AVX-512F, and `active()` is `Avx512` only once `supported()`
+        // saw it through `is_x86_feature_detected!`.
+        Isa::Avx512 => return unsafe { sample_sum_avx512(samples, sum) },
+        // SAFETY: as above, for `sample_sum_avx2` and AVX2.
+        Isa::Avx2 => return unsafe { sample_sum_avx2(samples, sum) },
+        Isa::Baseline => {}
+    }
+    kernel::sample_sum_body(samples, sum);
 }

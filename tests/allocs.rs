@@ -27,18 +27,18 @@ use fademl_tensor::{par, simd, TensorRng};
 
 /// Pinned `classify_batch` counts per call, by batch size, for TM-I,
 /// TM-II and TM-III. TM-II adds per-image sensor re-acquisition.
-const BATCH: [(usize, [u64; 3]); 2] = [(1, [30, 36, 30]), (16, [90, 156, 90])];
+const BATCH: [(usize, [u64; 3]); 2] = [(1, [25, 31, 25]), (16, [85, 151, 85])];
 
 /// Pinned per-image `classify` counts for TM-I, TM-II and TM-III.
-const PER_IMAGE: [u64; 3] = [31, 33, 31];
+const PER_IMAGE: [u64; 3] = [26, 28, 26];
 
 /// Pinned count of one b32 training step: `zero_grad`, `forward_train`,
 /// cross-entropy, `backward`, Adam.
-const TRAIN_STEP: u64 = 215;
+const TRAIN_STEP: u64 = 143;
 
 /// Pinned counts of one b1 `AttackSurface::loss_and_input_grad`, bare
 /// and through LAP(32).
-const INPUT_GRAD: [(&str, u64); 2] = [("bare", 125), ("lap32", 129)];
+const INPUT_GRAD: [(&str, u64); 2] = [("bare", 79), ("lap32", 83)];
 
 /// `TrainConfig::default().batch_size`.
 const TRAIN_BATCH: usize = 32;
@@ -184,9 +184,7 @@ fn training_step_and_attack_query_allocations_are_pinned() {
             let logits = model.forward_train(&batch).expect("forward_train");
             let lv = loss.compute(&logits, &labels).expect("cross-entropy");
             model.backward(&lv.grad).expect("backward");
-            optimizer
-                .step(&mut model.params_mut())
-                .expect("Adam step");
+            optimizer.step(&mut model.params_mut()).expect("Adam step");
         });
         if got != TRAIN_STEP {
             moved.push(format!(

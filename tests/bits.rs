@@ -339,7 +339,10 @@ fn same_host() -> Lines {
         .fit(&mut model, data.images(), data.labels())
         .expect("two epochs");
     lines.push(("fit.synsign43x4.epochs2.weights".into(), weights(&model)));
-    lines.push(("fit.synsign43x4.epochs2.history".into(), history_digest(&history)));
+    lines.push((
+        "fit.synsign43x4.epochs2.history".into(),
+        history_digest(&history),
+    ));
 
     // The resume path: straight through, then halted after epoch 1 and
     // resumed from its checkpoint; both runs must agree to the bit.
@@ -377,7 +380,10 @@ fn same_host() -> Lines {
         "halt after epoch 1 and resume differs from the straight run"
     );
     let (weights_digest, history) = durable[0];
-    lines.push(("fit_durable.synsign43x4.epochs2.weights".into(), weights_digest));
+    lines.push((
+        "fit_durable.synsign43x4.epochs2.weights".into(),
+        weights_digest,
+    ));
     lines.push(("fit_durable.synsign43x4.epochs2.history".into(), history));
 
     // The hardened twin's loop, the other caller of `Sequential::backward`.
