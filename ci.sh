@@ -20,7 +20,7 @@ if [ -n "$unlisted" ]; then
   exit 1
 fi
 
-echo "==> cargo clippy (deny warnings: the panic surface, discarded Results, unsafe hygiene, std locks, in-place writes, stale #[expect]s)"
+echo "==> cargo clippy (deny warnings: the panic surface, discarded Results, unsafe hygiene, std locks, in-place writes, raw threads and sockets, stale #[expect]s)"
 cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> unsafe_code opts back in once under crates/, on tensor's mod simd"
@@ -32,7 +32,7 @@ if [ "$(grep -c . <<<"$unsafe_allows")" -ne 1 ] || [ "$after_allow" != "pub mod 
   exit 1
 fi
 
-echo "==> fademl-lint (4 passes: locks, invariants, lock-io, wire-cap; any finding fails)"
+echo "==> fademl-lint (3 passes: locks, lock-io, dead-variant; any finding fails)"
 lint_started=$(date +%s)
 cargo run -p fademl-lint --release
 lint_elapsed=$(( $(date +%s) - lint_started ))

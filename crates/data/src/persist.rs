@@ -102,12 +102,7 @@ fn decode_dataset(bytes: &[u8]) -> Result<SignDataset> {
     for _ in 0..n {
         labels.push(r.get_u32().map_err(eof)? as usize);
     }
-    let data: Vec<f32> = r
-        .get_bytes(numel * 4)
-        .map_err(eof)?
-        .chunks_exact(4)
-        .map(|c| f32::from_le_bytes([c[0], c[1], c[2], c[3]]))
-        .collect();
+    let data = r.get_f32s(numel).map_err(eof)?;
     let images = Tensor::from_vec(data, Shape::new(vec![n, 3, size, size]))?;
     SignDataset::from_parts(images, labels)
 }

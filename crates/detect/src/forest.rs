@@ -50,6 +50,12 @@ pub const MAX_NODES: usize = 1 << 20;
 /// Largest per-tree subsample size.
 pub const MAX_SUBSAMPLE: usize = 1 << 20;
 
+/// Bytes of the smallest encoded node: a leaf's tag and size.
+const LEAF_BYTES: usize = 1 + 4;
+
+/// Bytes of the smallest encoded tree: a node count and one leaf.
+const MIN_TREE_BYTES: usize = 4 + LEAF_BYTES;
+
 /// Euler–Mascheroni constant, for the harmonic-number approximation in
 /// the average-path normalizer.
 const EULER_GAMMA: f64 = 0.577_215_664_901_532_9;
@@ -319,7 +325,9 @@ impl Detector {
         if tree_count == 0 || tree_count > MAX_TREES {
             return Err(corrupt(format!("tree count {tree_count} out of range")));
         }
-        let mut trees = Vec::with_capacity(tree_count);
+        // Declared counts reserve no more records than the unread body
+        // can hold.
+        let mut trees = Vec::with_capacity(tree_count.min(r.remaining() / MIN_TREE_BYTES));
         for t in 0..tree_count {
             let node_count = read_usize(&mut r, "node count")?;
             if node_count == 0 || node_count > MAX_NODES {
@@ -327,7 +335,7 @@ impl Detector {
                     "tree {t}: node count {node_count} out of range"
                 )));
             }
-            let mut nodes = Vec::with_capacity(node_count);
+            let mut nodes = Vec::with_capacity(node_count.min(r.remaining() / LEAF_BYTES));
             for i in 0..node_count {
                 let tag = r.get_u8().map_err(|_| corrupt("truncated node tag"))?;
                 let node = match tag {

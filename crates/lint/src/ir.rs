@@ -41,14 +41,6 @@ pub enum Delim {
 }
 
 impl Delim {
-    fn open(self) -> char {
-        match self {
-            Delim::Paren => '(',
-            Delim::Bracket => '[',
-            Delim::Brace => '{',
-        }
-    }
-
     fn close(self) -> char {
         match self {
             Delim::Paren => ')',
@@ -252,17 +244,14 @@ pub struct CallSite {
     pub first_arg_ident: Option<String>,
 }
 
-/// One statement: its flattened text, bindings, calls, and child
-/// blocks, in source order.
+/// One statement: its bindings, calls, and child blocks, in source
+/// order.
 #[derive(Debug, Clone)]
 pub struct Stmt {
     /// First source line.
     pub line: usize,
     /// Last source line (multi-line statements are joined).
     pub end_line: usize,
-    /// Flattened normalized code text (idents separated by one space
-    /// only where needed; groups inlined with their delimiters).
-    pub text: String,
     /// Whether the statement is a `let` binding.
     pub has_let: bool,
     /// Identifiers bound by the `let` pattern (`_` included).
@@ -509,7 +498,6 @@ fn build_block(group: &Group, arms: bool) -> Block {
     if start < toks.len() {
         stmts.push(build_stmt(&toks[start..]));
     }
-    stmts.retain(|s| !s.text.is_empty());
     Block {
         open_line: group.open_line,
         close_line: group.close_line,
@@ -521,8 +509,6 @@ fn build_block(group: &Group, arms: bool) -> Block {
 fn build_stmt(toks: &[Tok]) -> Stmt {
     let line = toks.first().map_or(0, Tok::line);
     let end_line = stmt_end_line(toks);
-    let mut text = String::new();
-    flatten(toks, true, &mut text);
     let (has_let, lets) = let_bindings(toks);
     let mut calls = Vec::new();
     collect_calls(toks, &mut calls);
@@ -532,7 +518,6 @@ fn build_stmt(toks: &[Tok]) -> Stmt {
     Stmt {
         line,
         end_line,
-        text,
         has_let,
         lets,
         calls,
@@ -550,37 +535,6 @@ fn stmt_end_line(toks: &[Tok]) -> usize {
         });
     }
     end
-}
-
-/// Flattens tokens to one normalized line: identifiers are separated by
-/// a single space only from adjacent identifiers, punctuation is glued,
-/// groups keep their delimiters. With `elide_braces`, brace-group
-/// interiors render as `{…}` — their statements are separate [`Stmt`]s
-/// and must not double-match text patterns on the parent.
-fn flatten(toks: &[Tok], elide_braces: bool, out: &mut String) {
-    for t in toks {
-        match t {
-            Tok::Ident { text, .. } => {
-                if out
-                    .as_bytes()
-                    .last()
-                    .is_some_and(|b| b.is_ascii_alphanumeric() || *b == b'_')
-                {
-                    out.push(' ');
-                }
-                out.push_str(text);
-            }
-            Tok::Punct { ch, .. } => out.push(*ch),
-            Tok::Group(g) if elide_braces && g.delim == Delim::Brace => {
-                out.push_str("{…}");
-            }
-            Tok::Group(g) => {
-                out.push(g.delim.open());
-                flatten(&g.toks, elide_braces, out);
-                out.push(g.delim.close());
-            }
-        }
-    }
 }
 
 /// Extracts `let` pattern bindings: identifiers between `let` and `=`
@@ -854,9 +808,13 @@ mod tests {
         let body = &file.fns[0].body;
         assert_eq!(body.stmts.len(), 2);
         assert_eq!(body.stmts[0].children.len(), 1);
-        let all = file.fns[0].stmts();
-        assert!(all.iter().any(|s| s.text.contains("inner()")));
-        assert!(all.iter().any(|s| s.text.contains("wild()")));
+        let calls: Vec<_> = file.fns[0]
+            .stmts()
+            .iter()
+            .flat_map(|s| &s.calls)
+            .map(|c| c.name.as_str())
+            .collect();
+        assert_eq!(calls, vec!["inner", "wild"]);
     }
 
     #[test]
@@ -910,14 +868,6 @@ mod tests {
         let file = parse(&src);
         // Parsing completed; the fn was found.
         assert_eq!(file.fns.len(), 1);
-    }
-
-    #[test]
-    fn flattened_text_is_matchable() {
-        let file = parse("fn f(v: Option<u32>) {\n    let x = v\n        .unwrap();\n}\n");
-        let body = &file.fns[0].body;
-        assert!(body.stmts[0].text.contains(".unwrap()"));
-        assert!(body.stmts[0].text.contains("let x=v"));
     }
 
     #[test]

@@ -6,21 +6,19 @@
 //! **workspace call graph** ([`callgraph`]) resolves free, path and
 //! `self.` call sites by name across all crates.
 //!
-//! Four passes run on top, each checking what rustc and clippy cannot
-//! see (the panic surface, `unsafe` hygiene, discarded `Result`s, std
-//! locks and in-place file writes are compiler lints, and the served
-//! frame's allocations are an exact count in `tests/allocs.rs`;
-//! DESIGN.md §11):
+//! Three passes run on top, each checking what rustc, clippy and the
+//! tests cannot (the panic surface, `unsafe` hygiene, discarded
+//! `Result`s, std locks, in-place file writes and raw threads and
+//! sockets are compiler lints; the served frame's allocations are an
+//! exact count and every decoder's largest allocation a measured bound
+//! in `tests/allocs.rs`; DESIGN.md §11):
 //!
 //! 1. [`locks`] — inter-procedural lock-order analysis of the
 //!    detector, serving engine and network front: acquisition-order
 //!    cycles (potential deadlocks) and double-acquisitions.
-//! 2. [`invariants`] — project invariants clippy cannot express (pure
-//!    batcher, NaN-safe metrics, dead error variants, raw
-//!    sockets/threads).
-//! 3. [`lock_io`] — lock guards held across blocking I/O in serve/net.
-//! 4. [`wire_cap`] — wire-decoded lengths must be cap-checked before
-//!    they reach an allocation in the framed codecs.
+//! 2. [`lock_io`] — lock guards held across blocking I/O in serve/net.
+//! 3. [`invariants`] — `dead-variant`: every public serving error
+//!    variant is constructed somewhere.
 //!
 //! There is no allowlist: any [`Finding`](report::Finding) fails the
 //! gate.
@@ -48,7 +46,6 @@ pub mod lock_io;
 pub mod locks;
 pub mod report;
 pub mod source;
-pub mod wire_cap;
 
 use report::Finding;
 use source::SourceFile;
@@ -59,7 +56,6 @@ pub fn collect_findings(files: &[SourceFile]) -> Vec<Finding> {
     let mut findings = locks::analyze(&ir, files, locks::LOCK_SCOPE);
     findings.extend(invariants::check(files));
     findings.extend(lock_io::check(&ir, files));
-    findings.extend(wire_cap::check(&ir, files));
     findings.sort_by(|a, b| (&a.rule, &a.path, a.line).cmp(&(&b.rule, &b.path, b.line)));
     findings
 }

@@ -5,7 +5,7 @@ use std::fmt;
 /// One finding produced by a pass.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule identifier (e.g. `lock-cycle`, `wire-cap-check`).
+    /// Stable rule identifier (e.g. `lock-cycle`, `dead-variant`).
     pub rule: String,
     /// Workspace-relative path of the offending file.
     pub path: String,

@@ -360,24 +360,6 @@ fn mark_test_regions(code_lines: &[&str]) -> Vec<bool> {
     flags
 }
 
-/// True when `code[idx]` begins the given needle.
-pub fn word_at(code: &str, idx: usize, needle: &str) -> bool {
-    code[idx..].starts_with(needle)
-}
-
-/// True when `code[idx..idx+len]` is a whole identifier word — not
-/// embedded in a longer identifier on either side.
-pub fn word_bounded(code: &str, idx: usize, len: usize) -> bool {
-    let b = code.as_bytes();
-    (idx == 0 || !is_ident_byte(b[idx - 1]))
-        && (idx + len >= b.len() || !is_ident_byte(b[idx + len]))
-}
-
-/// True when the byte at `idx` is part of an identifier.
-fn is_ident_byte(b: u8) -> bool {
-    b.is_ascii_alphanumeric() || b == b'_'
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -29,6 +29,10 @@ impl NetClient {
     ///
     /// [`NetError::Io`] if the connection fails.
     pub fn connect<A: ToSocketAddrs>(addr: A) -> Result<Self, NetError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the framed client: every request it sends is a capped, CRC-sealed frame"
+        )]
         let stream = TcpStream::connect(addr).map_err(NetError::Io)?;
         #[expect(
             clippy::let_underscore_must_use,

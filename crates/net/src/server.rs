@@ -172,6 +172,10 @@ impl NetServer {
         faults: FaultHandle,
     ) -> Result<Self, NetError> {
         config.validate()?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the framed front's listener: every connection goes through admission and the wire codec"
+        )]
         let listener = TcpListener::bind(&config.bind_addr).map_err(NetError::Io)?;
         let local_addr = listener.local_addr().map_err(NetError::Io)?;
         let shared = Arc::new(NetShared {
@@ -189,6 +193,10 @@ impl NetServer {
             faults,
         });
         let accept_shared = Arc::clone(&shared);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the network front owns its accept thread"
+        )]
         let accept_handle = std::thread::Builder::new()
             .name("fademl-net-accept".into())
             .spawn(move || run_accept(&accept_shared, &listener))
@@ -260,6 +268,10 @@ impl NetServer {
             clippy::let_underscore_must_use,
             reason = "best-effort: the wake-up poke may race the listener closing"
         )]
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a self-connection to this server's own listener, carrying no frame"
+        )]
         let _ = TcpStream::connect(self.local_addr);
         if let Some(handle) = self.accept_handle.take() {
             #[expect(
@@ -321,6 +333,10 @@ fn run_accept(shared: &Arc<NetShared>, listener: &TcpListener) {
             shared.conns.lock().push((conn_id, clone));
         }
         let handler_shared = Arc::clone(shared);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the network front owns its per-connection handler threads"
+        )]
         let spawned = std::thread::Builder::new()
             .name(format!("fademl-net-conn-{conn_id}"))
             .spawn(move || {

@@ -679,13 +679,9 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor, FrameError> {
             })?;
         dims.push(dim);
     }
-    // The element buffer is only allocated after the product of the
-    // declared dims passed the cap — and each read is bounds-checked
-    // against the actual payload, so a lying header cannot over-read.
-    let mut data = Vec::with_capacity(numel);
-    for _ in 0..numel {
-        data.push(read_payload(r.get_f32())?);
-    }
+    // The payload must hold every declared element before the buffer is
+    // allocated: a lying header costs no more than its own bytes.
+    let data = read_payload(r.get_f32s(numel))?;
     Tensor::from_vec(data, Shape::new(dims)).map_err(|err| FrameError::BadPayload {
         reason: format!("invalid tensor record: {err}"),
     })

@@ -101,6 +101,10 @@ fn mid_frame_client_disconnect_leaves_server_healthy() {
         image: image(5),
     });
     let bytes = encode_frame(&frame).unwrap();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw socket, to send bytes the framed client never would"
+    )]
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.write_all(&bytes[..bytes.len() / 2]).unwrap();
     drop(raw); // cut mid-frame
@@ -119,6 +123,10 @@ fn mid_frame_client_disconnect_leaves_server_healthy() {
 fn garbage_frames_get_a_typed_error_reply() {
     let server = NetServer::start(pipeline(24), router_config(1), NetConfig::default()).unwrap();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw socket, to send bytes the framed client never would"
+    )]
     let mut raw = TcpStream::connect(server.local_addr()).unwrap();
     raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
     raw.write_all(b"NOTFADEMLNOTFADEML").unwrap();
@@ -147,6 +155,10 @@ fn slow_loris_is_cut_by_the_read_timeout() {
     };
     let server = NetServer::start(pipeline(25), router_config(1), config).unwrap();
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a raw socket, to stall mid-header as the framed client never would"
+    )]
     let mut loris = TcpStream::connect(server.local_addr()).unwrap();
     loris.write_all(b"FAD").unwrap(); // 3 of 13 header bytes, then stall
     std::thread::sleep(Duration::from_millis(400));
@@ -240,6 +252,10 @@ fn retrying_client_rides_out_dropped_and_torn_responses() {
 fn exhausted_retries_resolve_typed_with_the_last_cause() {
     // Bind then drop a listener so the port is (momentarily) dead.
     let dead = {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "reserves a port, then frees it so dials to it fail"
+        )]
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         listener.local_addr().unwrap()
     };

@@ -97,6 +97,10 @@ fn hot_swap_under_sustained_load_drops_nothing() {
     for w in 0..4u64 {
         let stop = Arc::clone(&stop);
         let ok = Arc::clone(&ok);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "load-generating clients, each on its own thread"
+        )]
         workers.push(std::thread::spawn(move || {
             let mut client = NetClient::connect(addr)
                 .unwrap()
@@ -172,6 +176,10 @@ fn graceful_shutdown_drains_every_in_flight_request() {
     let mut workers = Vec::new();
     for w in 0..3u64 {
         let stop = Arc::clone(&stop);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "load-generating clients, each on its own thread"
+        )]
         workers.push(std::thread::spawn(move || {
             let mut client = NetClient::connect(addr).unwrap();
             let mut rng = TensorRng::seed_from_u64(700 + w);

@@ -62,6 +62,8 @@ const VERSION: u32 = 1;
 const MAX_RANK: usize = 8;
 const MAX_TENSORS: usize = 65_536;
 const MAX_HISTORY: usize = 10_000_000;
+/// Bytes of the smallest tensor record: rank 0 and its one element.
+const MIN_TENSOR_BYTES: usize = 1 + 4;
 
 const SGD_TAG: u8 = 0;
 const ADAM_TAG: u8 = 1;
@@ -349,22 +351,7 @@ fn get_tensor(r: &mut ByteReader<'_>) -> Result<Tensor> {
             .ok_or_else(|| corrupt("tensor dims overflow"))?;
         dims.push(d);
     }
-    let byte_len = numel
-        .checked_mul(4)
-        .ok_or_else(|| corrupt("tensor byte length overflows"))?;
-    if byte_len > r.remaining() {
-        return Err(corrupt(format!(
-            "tensor claims {byte_len} data bytes but only {} remain",
-            r.remaining()
-        )));
-    }
-    let raw = r.get_bytes(byte_len).map_err(rd)?;
-    let data: Vec<f32> = raw
-        .as_chunks()
-        .0
-        .iter()
-        .map(|c| f32::from_le_bytes(*c))
-        .collect();
+    let data = r.get_f32s(numel).map_err(rd)?;
     Tensor::from_vec(data, Shape::new(dims)).map_err(NnError::from)
 }
 
@@ -374,7 +361,8 @@ fn get_tensor_list(r: &mut ByteReader<'_>) -> Result<Vec<Tensor>> {
     if count > MAX_TENSORS {
         return Err(corrupt(format!("implausible tensor count {count}")));
     }
-    let mut out = Vec::with_capacity(count.min(1024));
+    // Reserve no more records than the unread body can hold.
+    let mut out = Vec::with_capacity(count.min(r.remaining() / MIN_TENSOR_BYTES));
     for _ in 0..count {
         out.push(get_tensor(r)?);
     }

@@ -138,19 +138,7 @@ fn parse_params(body: &[u8], model: &mut Sequential) -> Result<()> {
                 ),
             });
         }
-        // The shape matched the live model, so the element count is
-        // bounded by the model itself — safe to allocate.
-        let numel: usize = dims.iter().product();
-        let byte_len = numel
-            .checked_mul(4)
-            .ok_or_else(|| corrupt("tensor byte length overflows"))?;
-        let raw = r.get_bytes(byte_len).map_err(rd)?;
-        let data: Vec<f32> = raw
-            .as_chunks()
-            .0
-            .iter()
-            .map(|c| f32::from_le_bytes(*c))
-            .collect();
+        let data = r.get_f32s(p.value.numel()).map_err(rd)?;
         staged.push(Tensor::from_vec(data, Shape::new(dims))?);
     }
     if r.remaining() != 0 {

@@ -151,6 +151,13 @@ mod tests {
 
     const MS: Duration = Duration::from_millis(1);
 
+    /// The tests' clock: an hour ahead of the wall clock, so a batcher
+    /// that reads `Instant::now()` instead of its `now` disagrees with
+    /// every test.
+    fn t0() -> Instant {
+        Instant::now() + Duration::from_secs(3600)
+    }
+
     fn request_at(threat: ThreatModel, submitted_at: Instant) -> Request {
         Request {
             image: Tensor::zeros(&[1, 2, 2]),
@@ -174,7 +181,7 @@ mod tests {
     #[test]
     fn linger_zero_serves_a_lone_request_at_once() {
         let mut b = Batcher::new(8, 4, Duration::ZERO);
-        let t0 = Instant::now();
+        let t0 = t0();
         assert!(take(&mut b, t0).is_none());
         assert_eq!(b.next_ready_at(), None);
         b.push(request_at(ThreatModel::II, t0)).unwrap();
@@ -188,7 +195,7 @@ mod tests {
     #[test]
     fn backlog_splits_at_max_batch_size_in_arrival_order() {
         let mut b = Batcher::new(64, 16, Duration::ZERO);
-        let t0 = Instant::now();
+        let t0 = t0();
         let mut ids = Vec::new();
         for i in 0..40 {
             let request = request_at(ThreatModel::III, t0 + MS * i);
@@ -209,7 +216,7 @@ mod tests {
     #[test]
     fn oldest_head_is_served_first_and_threat_models_never_mix() {
         let mut b = Batcher::new(64, 2, Duration::ZERO);
-        let t0 = Instant::now();
+        let t0 = t0();
         // Arrivals interleave; TM-I is the busy one.
         let arrivals = [
             ThreatModel::I,
@@ -246,7 +253,7 @@ mod tests {
     fn linger_holds_a_partial_bucket_exactly_that_long() {
         let linger = MS * 10;
         let mut b = Batcher::new(64, 4, linger);
-        let t0 = Instant::now();
+        let t0 = t0();
         b.push(request_at(ThreatModel::I, t0)).unwrap();
         b.push(request_at(ThreatModel::I, t0 + MS * 5)).unwrap();
         assert_eq!(b.next_ready_at(), Some(t0 + linger));
@@ -271,7 +278,7 @@ mod tests {
     #[test]
     fn push_at_capacity_is_overloaded_and_the_refused_handle_resolves() {
         let mut b = Batcher::new(2, 4, Duration::ZERO);
-        let t0 = Instant::now();
+        let t0 = t0();
         b.push(request_at(ThreatModel::I, t0)).unwrap();
         b.push(request_at(ThreatModel::II, t0)).unwrap();
         let shed = request_at(ThreatModel::I, t0);
@@ -287,7 +294,7 @@ mod tests {
     #[test]
     fn expired_requests_fail_in_queue_and_take_no_batch_slot() {
         let mut b = Batcher::new(64, 2, Duration::ZERO);
-        let t0 = Instant::now();
+        let t0 = t0();
         let mut handles = Vec::new();
         // dead, live, dead, live, live — all TM-I.
         for (i, dead) in [true, false, true, false, false].into_iter().enumerate() {

@@ -172,6 +172,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the takers must park on their own threads"
+    )]
     fn parked_takers_wake_on_submit_and_on_close() {
         let queue = Arc::new(queue(4, 0));
         let metrics = Arc::new(ServerMetrics::new(4));

@@ -206,6 +206,10 @@ mod tests {
     fn wait_blocks_until_fill() {
         let slot = ResponseSlot::new();
         let handle = ResponseHandle::new(Arc::clone(&slot));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the fill must come from another thread while this one waits"
+        )]
         let filler = std::thread::spawn(move || {
             std::thread::sleep(Duration::from_millis(20));
             slot.fill(Ok(dummy_verdict()));

@@ -496,6 +496,10 @@ impl Drop for InferenceServer {
 }
 
 /// Spawns a named thread, mapping spawn failure to a typed error.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the engine's supervisor and workers: serving owns its thread lifecycle here"
+)]
 pub(crate) fn spawn_thread<F>(name: String, body: F) -> Result<JoinHandle<()>>
 where
     F: FnOnce() + Send + 'static,

@@ -365,6 +365,10 @@ fn chaos_stress_every_handle_resolves() {
         .unwrap(),
     );
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "concurrent submitters, each on its own thread"
+    )]
     let threads: Vec<_> = (0..SUBMITTERS)
         .map(|t| {
             let server = std::sync::Arc::clone(&server);

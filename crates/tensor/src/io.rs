@@ -386,6 +386,23 @@ impl<'a> ByteReader<'a> {
         Ok(f32::from_le_bytes(self.take_array()?))
     }
 
+    /// Reads `n` little-endian `f32`s. The `n · 4` bytes must be present
+    /// before anything is allocated, so a hostile `n` costs no more than
+    /// the bytes that carry it.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::UnexpectedEof`] past the end of the buffer.
+    pub fn get_f32s(&mut self, n: usize) -> io::Result<Vec<f32>> {
+        let raw = self.take(n.saturating_mul(4))?;
+        Ok(raw
+            .as_chunks()
+            .0
+            .iter()
+            .map(|c| f32::from_le_bytes(*c))
+            .collect())
+    }
+
     /// Reads `n` raw bytes.
     ///
     /// # Errors
@@ -822,6 +839,8 @@ mod tests {
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(u64::MAX - 1);
         w.put_f32(-0.5);
+        w.put_f32(1.5);
+        w.put_f32(f32::MAX);
         w.put_str("stage/fig7/scenario-3");
         w.put_bytes(&[1, 2, 3]);
         let bytes = w.into_bytes();
@@ -830,6 +849,7 @@ mod tests {
         assert_eq!(r.get_u32().unwrap(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64().unwrap(), u64::MAX - 1);
         assert_eq!(r.get_f32().unwrap(), -0.5);
+        assert_eq!(r.get_f32s(2).unwrap(), [1.5, f32::MAX]);
         assert_eq!(r.get_str().unwrap(), "stage/fig7/scenario-3");
         assert_eq!(r.get_bytes(3).unwrap(), &[1, 2, 3]);
         assert_eq!(r.remaining(), 0);
@@ -847,6 +867,11 @@ mod tests {
         assert!(r.get_str().is_err());
         let mut r = ByteReader::new(&bytes);
         assert!(r.get_bytes(usize::MAX).is_err());
+        for n in [2, usize::MAX / 4 + 1, usize::MAX] {
+            let mut r = ByteReader::new(&bytes);
+            assert!(r.get_f32s(n).is_err());
+            assert_eq!(r.remaining(), 4, "a refused read consumes nothing");
+        }
     }
 
     #[test]

@@ -89,6 +89,10 @@ impl Pool {
         while *spawned < target {
             let rx = self.rx.clone();
             let name = format!("fademl-par-{}", *spawned);
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the compute pool's own workers: every other compute thread is one of these"
+            )]
             let spawn = std::thread::Builder::new().name(name).spawn(move || {
                 while let Ok(job) = rx.recv() {
                     job()

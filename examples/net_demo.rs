@@ -55,6 +55,10 @@ fn main() {
         let stop = Arc::clone(&stop);
         let ok = Arc::clone(&ok);
         let failed = Arc::clone(&failed);
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "load-generating clients, each on its own thread"
+        )]
         clients.push(std::thread::spawn(move || {
             let mut client = NetClient::connect(addr)
                 .expect("connect")
