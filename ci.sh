@@ -23,6 +23,13 @@ fi
 echo "==> cargo clippy (deny warnings: the panic surface, discarded Results, unsafe hygiene, std locks, in-place writes, raw threads and sockets, stale #[expect]s)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings: every intra-doc link of the crates/* packages resolves to a public item)"
+doc_packages=()
+for manifest in crates/*/Cargo.toml; do
+  doc_packages+=(-p "$(grep -m1 '^name = ' "$manifest" | cut -d'"' -f2)")
+done
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps "${doc_packages[@]}"
+
 echo "==> unsafe_code opts back in once under crates/, on tensor's mod simd"
 unsafe_allows=$(grep -rn --include='*.rs' 'allow(unsafe_code' crates/ || true)
 after_allow=$(grep -A1 -F 'allow(unsafe_code' crates/tensor/src/lib.rs | tail -n 1)

@@ -1,5 +1,5 @@
 use fademl_filters::Filter;
-use fademl_nn::{CrossEntropyLoss, Loss, Sequential};
+use fademl_nn::{CrossEntropyLoss, Sequential};
 use fademl_tensor::Tensor;
 
 use crate::attack::AttackGoal;

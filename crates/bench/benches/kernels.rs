@@ -34,7 +34,7 @@ use std::time::Instant;
 use fademl_data::CLASS_COUNT;
 use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
-use fademl_nn::{Adam, CrossEntropyLoss, Loss, Optimizer};
+use fademl_nn::{Adam, CrossEntropyLoss, Optimizer};
 use fademl_tensor::io::atomic_write;
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};

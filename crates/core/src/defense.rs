@@ -9,7 +9,7 @@
 //! training data. The robustness evaluation helpers quantify the gain.
 
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Fgsm};
-use fademl_nn::{CrossEntropyLoss, Loss, OptimizerKind, Sequential, TrainConfig};
+use fademl_nn::{CrossEntropyLoss, OptimizerKind, Sequential, TrainConfig};
 use fademl_tensor::{Tensor, TensorRng};
 
 use crate::{FademlError, Result};

@@ -20,7 +20,7 @@
 //! 3. [`invariants`] — `dead-variant`: every public serving error
 //!    variant is constructed somewhere.
 //!
-//! There is no allowlist: any [`Finding`](report::Finding) fails the
+//! There is no allowlist: any [`Finding`] fails the
 //! gate.
 
 #![forbid(unsafe_code)]

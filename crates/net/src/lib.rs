@@ -42,7 +42,7 @@
 //! The TCP front ([`server`]) drains gracefully end-to-end: stop
 //! accepting → drain open connections under a deadline → drain the
 //! replicas. The `faults` feature compiles a deterministic network
-//! chaos harness ([`faults`]) — torn frames, dropped responses — on
+//! chaos harness (`faults`) — torn frames, dropped responses — on
 //! top of the serving engine's own fault hooks.
 //!
 //! ```no_run

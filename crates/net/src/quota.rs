@@ -42,7 +42,8 @@ struct TokenBucket {
 }
 
 /// Thread-safe per-tenant token buckets. One short lock per admission
-/// decision; buckets are created lazily and capped at [`MAX_TENANTS`].
+/// decision; buckets are created lazily and capped at
+/// `MAX_TENANTS` (4 096).
 #[derive(Debug)]
 pub struct TenantQuotas {
     config: QuotaConfig,

@@ -499,14 +499,14 @@ impl CheckpointStore {
 )]
 mod tests {
     use super::*;
-    use crate::{Adam, Dense, Relu, Sgd};
+    use crate::{Adam, Dense, Layer, Sgd};
     use proptest::prelude::*;
 
     fn model(seed: u64) -> Sequential {
         let mut rng = TensorRng::seed_from_u64(seed);
         Sequential::new()
             .push(Dense::new(5, 7, &mut rng))
-            .push(Relu::new())
+            .push(Layer::Relu)
             .push(Dense::new(7, 3, &mut rng))
     }
 
@@ -710,8 +710,7 @@ mod tests {
             let mut m = Sequential::new();
             let mut prev = 3usize;
             for w in widths {
-                m.push_boxed(Box::new(Dense::new(prev, w, &mut rng)));
-                m.push_boxed(Box::new(Relu::new()));
+                m = m.push(Dense::new(prev, w, &mut rng)).push(Layer::Relu);
                 prev = w;
             }
             let mut opt: Box<dyn Optimizer> = if use_adam == 1 {

@@ -3,7 +3,7 @@ use fademl_tensor::{
     Initializer, Tensor, TensorRng,
 };
 
-use crate::{Layer, NnError, Param, Result};
+use crate::{Param, Result};
 
 /// A 2-D convolution layer (NCHW, square kernels).
 ///
@@ -13,7 +13,7 @@ use crate::{Layer, NnError, Param, Result};
 /// # Example
 ///
 /// ```
-/// use fademl_nn::{Conv2d, Layer};
+/// use fademl_nn::Conv2d;
 /// use fademl_tensor::{ConvSpec, Tensor, TensorRng};
 ///
 /// # fn main() -> Result<(), fademl_nn::NnError> {
@@ -27,9 +27,8 @@ use crate::{Layer, NnError, Param, Result};
 #[derive(Debug, Clone)]
 pub struct Conv2d {
     spec: ConvSpec,
-    weight: Param,
-    bias: Param,
-    cached_input: Option<Tensor>,
+    pub(crate) weight: Param,
+    pub(crate) bias: Param,
 }
 
 impl Conv2d {
@@ -50,7 +49,6 @@ impl Conv2d {
             spec,
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[spec.out_channels])),
-            cached_input: None,
         }
     }
 
@@ -59,20 +57,12 @@ impl Conv2d {
         &self.spec
     }
 
-    /// The input the backward pass differentiates at.
-    fn input(&self) -> Result<&Tensor> {
-        self.cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "conv2d" })
-    }
-}
-
-impl Layer for Conv2d {
-    fn name(&self) -> &'static str {
-        "conv2d"
-    }
-
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
+    /// Pure inference pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the input shape is incompatible with the layer.
+    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
         Ok(conv2d(
             input,
             &self.weight.value,
@@ -81,7 +71,13 @@ impl Layer for Conv2d {
         )?)
     }
 
-    fn forward_relu(&self, input: &Tensor) -> Result<Tensor> {
+    /// [`Conv2d::forward`] then a ReLU, bit for bit: the convolution
+    /// clamps as it stores.
+    ///
+    /// # Errors
+    ///
+    /// Same conditions as [`Conv2d::forward`].
+    pub fn forward_relu(&self, input: &Tensor) -> Result<Tensor> {
         Ok(conv2d_relu(
             input,
             &self.weight.value,
@@ -90,64 +86,40 @@ impl Layer for Conv2d {
         )?)
     }
 
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cached_input = None;
-        self.forward(input)
-    }
-
-    fn forward_train_relu(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cached_input = None;
-        self.forward_relu(input)
-    }
-
-    fn keeps_input(&self) -> bool {
-        true
-    }
-
-    fn keep_input(&mut self, input: Tensor) {
-        self.cached_input = Some(input);
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        let grads = conv2d_backward(self.input()?, &self.weight.value, &grad_out, &self.spec)?;
+    /// Adds `∂L/∂weight` and `∂L/∂bias` at `input` onto the gradients
+    /// and returns `∂L/∂input`.
+    pub(crate) fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
+        let grads = conv2d_backward(input, &self.weight.value, grad_out, &self.spec)?;
         self.weight.grad.add_scaled_inplace(&grads.weight, 1.0)?;
         self.bias.grad.add_scaled_inplace(&grads.bias, 1.0)?;
         Ok(grads.input)
     }
 
-    fn backward_input(&mut self, grad_out: Tensor) -> Result<Tensor> {
+    /// [`Conv2d::backward`]'s `∂L/∂input` alone, bit for bit — what an
+    /// attack query needs — without the parameter gradients.
+    pub(crate) fn backward_input(&self, input: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
         Ok(conv2d_backward_input(
-            self.input()?,
+            input,
             &self.weight.value,
-            &grad_out,
+            grad_out,
             &self.spec,
         )?)
     }
 
-    fn backward_params(&mut self, grad_out: Tensor) -> Result<()> {
-        let (weight, bias) = conv2d_backward_params(self.input()?, &grad_out, &self.spec)?;
+    /// [`Conv2d::backward`]'s parameter gradients alone, bit for bit —
+    /// what the first layer of a training step needs.
+    pub(crate) fn backward_params(&mut self, input: &Tensor, grad_out: &Tensor) -> Result<()> {
+        let (weight, bias) = conv2d_backward_params(input, grad_out, &self.spec)?;
         self.weight.grad.add_scaled_inplace(&weight, 1.0)?;
         self.bias.grad.add_scaled_inplace(&bias, 1.0)?;
         Ok(())
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::train_forward;
+    use crate::{Layer, Sequential};
 
     fn layer() -> Conv2d {
         let mut rng = TensorRng::seed_from_u64(1);
@@ -162,35 +134,48 @@ mod tests {
     }
 
     #[test]
-    fn backward_without_forward_errors() {
-        let mut conv = layer();
-        let err = conv.backward(Tensor::zeros(&[1, 3, 8, 8])).unwrap_err();
-        assert!(matches!(err, NnError::NoForwardCache { .. }));
-    }
-
-    #[test]
     fn backward_accumulates_param_grads() {
         let mut conv = layer();
         let mut rng = TensorRng::seed_from_u64(2);
         let x = rng.uniform(&[1, 2, 6, 6], -1.0, 1.0);
-        let y = train_forward(&mut conv, &x);
-        let gin = conv.backward(Tensor::ones(y.dims())).unwrap();
+        let g = Tensor::ones(conv.forward(&x).unwrap().dims());
+        let gin = conv.backward(&x, &g).unwrap();
         assert_eq!(gin.dims(), x.dims());
-        assert!(conv.params()[0].grad.norm_l2() > 0.0);
-        assert!(conv.params()[1].grad.norm_l2() > 0.0);
+        assert!(conv.weight.grad.norm_l2() > 0.0);
+        assert!(conv.bias.grad.norm_l2() > 0.0);
         // Second backward accumulates (doubles) the gradient.
-        let w_grad_once = conv.params()[0].grad.clone();
-        train_forward(&mut conv, &x);
-        conv.backward(Tensor::ones(y.dims())).unwrap();
+        let w_grad_once = conv.weight.grad.clone();
+        conv.backward(&x, &g).unwrap();
         let doubled = w_grad_once.scale(2.0);
-        for (a, b) in conv.params()[0]
-            .grad
-            .as_slice()
-            .iter()
-            .zip(doubled.as_slice())
-        {
+        for (a, b) in conv.weight.grad.as_slice().iter().zip(doubled.as_slice()) {
             assert!((a - b).abs() < 1e-4);
         }
+    }
+
+    #[test]
+    fn backward_without_forward_errors() {
+        crate::sequential::assert_backward_requires_forward(layer().into(), &[1, 3, 8, 8]);
+    }
+
+    #[test]
+    fn zero_grad_clears() {
+        let mut conv = Sequential::new().push(layer());
+        let x = Tensor::ones(&[1, 2, 6, 6]);
+        let y = conv.forward_train(&x).unwrap();
+        conv.backward(&Tensor::ones(y.dims())).unwrap();
+        assert!(conv.params()[0].grad.norm_l2() > 0.0);
+        conv.zero_grad();
+        assert!(conv.params().iter().all(|p| p.grad.norm_l2() == 0.0));
+    }
+
+    #[test]
+    fn inference_matches_train_forward() {
+        let conv = layer();
+        let mut rng = TensorRng::seed_from_u64(3);
+        let x = rng.uniform(&[1, 2, 5, 5], -1.0, 1.0);
+        let pure = conv.forward(&x).unwrap();
+        let train = Sequential::new().push(conv).forward_train(&x).unwrap();
+        assert_eq!(pure, train);
     }
 
     #[test]
@@ -198,52 +183,23 @@ mod tests {
         let mut conv = layer();
         let mut rng = TensorRng::seed_from_u64(4);
         let x = rng.uniform(&[2, 2, 6, 6], -1.0, 1.0);
-        let y = train_forward(&mut conv, &x);
-        let g = rng.uniform(y.dims(), -1.0, 1.0);
-        let only = conv.backward_input(g.clone()).unwrap();
-        assert_eq!(conv.params()[0].grad.norm_l2(), 0.0);
-        assert_eq!(conv.params()[1].grad.norm_l2(), 0.0);
-        let full = conv.backward(g.clone()).unwrap();
+        let g = rng.uniform(conv.forward(&x).unwrap().dims(), -1.0, 1.0);
+        let only = conv.backward_input(&x, &g).unwrap();
+        assert_eq!(conv.weight.grad.norm_l2(), 0.0);
+        assert_eq!(conv.bias.grad.norm_l2(), 0.0);
+        conv.backward_params(&x, &g).unwrap();
+        let params = (conv.weight.grad.clone(), conv.bias.grad.clone());
+        conv.weight.zero_grad();
+        conv.bias.zero_grad();
+        let full = conv.backward(&x, &g).unwrap();
         assert_eq!(only, full);
-        let mut cold = layer();
-        assert!(matches!(
-            cold.backward_input(g.clone()),
-            Err(NnError::NoForwardCache { .. })
-        ));
-    }
-
-    #[test]
-    fn zero_grad_clears() {
-        let mut conv = layer();
-        let x = Tensor::ones(&[1, 2, 6, 6]);
-        let y = train_forward(&mut conv, &x);
-        conv.backward(Tensor::ones(y.dims())).unwrap();
-        conv.zero_grad();
-        assert_eq!(conv.params()[0].grad.norm_l2(), 0.0);
-    }
-
-    #[test]
-    fn inference_matches_train_forward() {
-        let mut conv = layer();
-        let mut rng = TensorRng::seed_from_u64(3);
-        let x = rng.uniform(&[1, 2, 5, 5], -1.0, 1.0);
-        let pure = conv.forward(&x).unwrap();
-        let train = train_forward(&mut conv, &x);
-        assert_eq!(pure, train);
+        assert_eq!(params, (conv.weight.grad.clone(), conv.bias.grad.clone()));
     }
 
     #[test]
     fn param_count() {
-        let conv = layer();
+        let conv = Layer::from(layer());
         // 3 filters × 2 channels × 3×3 + 3 biases
         assert_eq!(conv.param_count(), 3 * 2 * 9 + 3);
-    }
-
-    #[test]
-    fn clone_box_preserves_weights() {
-        let conv = layer();
-        let cloned = conv.clone_box();
-        let x = Tensor::ones(&[1, 2, 5, 5]);
-        assert_eq!(conv.forward(&x).unwrap(), cloned.forward(&x).unwrap());
     }
 }

@@ -1,6 +1,6 @@
 use fademl_tensor::{Initializer, Shape, Tensor, TensorError, TensorRng};
 
-use crate::{Layer, NnError, Param, Result};
+use crate::{NnError, Param, Result};
 
 /// A fully-connected layer: `y = x·Wᵀ + b` over `[batch, in] → [batch, out]`.
 ///
@@ -10,7 +10,7 @@ use crate::{Layer, NnError, Param, Result};
 /// # Example
 ///
 /// ```
-/// use fademl_nn::{Dense, Layer};
+/// use fademl_nn::Dense;
 /// use fademl_tensor::{Tensor, TensorRng};
 ///
 /// # fn main() -> Result<(), fademl_nn::NnError> {
@@ -25,9 +25,8 @@ use crate::{Layer, NnError, Param, Result};
 pub struct Dense {
     in_features: usize,
     out_features: usize,
-    weight: Param,
-    bias: Param,
-    cached_input: Option<Tensor>,
+    pub(crate) weight: Param,
+    pub(crate) bias: Param,
 }
 
 impl Dense {
@@ -45,7 +44,6 @@ impl Dense {
             out_features,
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[out_features])),
-            cached_input: None,
         }
     }
 
@@ -59,7 +57,12 @@ impl Dense {
         self.out_features
     }
 
-    fn check_input(&self, input: &Tensor) -> Result<()> {
+    /// Pure inference pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error unless `input` is `[n, in_features]`.
+    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
         if !matches!(*input.dims(), [_, f] if f == self.in_features) {
             return Err(NnError::Tensor(TensorError::shape_mismatch(
                 "dense",
@@ -67,15 +70,28 @@ impl Dense {
                 &[self.in_features],
             )));
         }
-        Ok(())
+        // x [n, in] · Wᵀ [in, out] + b
+        let out = input.matmul_nt(&self.weight.value)?;
+        Ok(out.add(&self.bias.value)?)
     }
 
-    /// Adds this batch's `∂W = gᵀ·x` and `∂b = Σ g` onto the gradients.
-    fn accumulate_params(&mut self, grad_out: &Tensor) -> Result<()> {
-        let input = self
-            .cached_input
-            .as_ref()
-            .ok_or(NnError::NoForwardCache { layer: "dense" })?;
+    /// Adds `∂L/∂W` and `∂L/∂b` at `input` onto the gradients and returns
+    /// `∂L/∂input`.
+    pub(crate) fn backward(&mut self, input: &Tensor, grad_out: &Tensor) -> Result<Tensor> {
+        self.backward_params(input, grad_out)?;
+        // ∂x = g·W  ([n, out] × [out, in]).
+        Ok(grad_out.matmul(&self.weight.value)?)
+    }
+
+    /// [`Dense::backward`]'s `∂L/∂input` alone, bit for bit.
+    pub(crate) fn backward_input(&self, grad_out: &Tensor) -> Result<Tensor> {
+        self.check_grad(grad_out)?;
+        Ok(grad_out.matmul(&self.weight.value)?)
+    }
+
+    /// [`Dense::backward`]'s parameter gradients alone, bit for bit:
+    /// `∂W = gᵀ·x` and `∂b = Σ g`.
+    pub(crate) fn backward_params(&mut self, input: &Tensor, grad_out: &Tensor) -> Result<()> {
         self.check_grad(grad_out)?;
         // ∂W = gᵀ·x  ([out, n] × [n, in]).
         let grad_w = grad_out.matmul_tn(input)?;
@@ -97,59 +113,6 @@ impl Dense {
             )));
         }
         Ok(())
-    }
-}
-
-impl Layer for Dense {
-    fn name(&self) -> &'static str {
-        "dense"
-    }
-
-    fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        self.check_input(input)?;
-        // x [n, in] · Wᵀ [in, out] + b
-        let out = input.matmul_nt(&self.weight.value)?;
-        Ok(out.add(&self.bias.value)?)
-    }
-
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
-        self.cached_input = None;
-        self.forward(input)
-    }
-
-    fn keeps_input(&self) -> bool {
-        true
-    }
-
-    fn keep_input(&mut self, input: Tensor) {
-        self.cached_input = Some(input);
-    }
-
-    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        self.accumulate_params(&grad_out)?;
-        // ∂x = g·W  ([n, out] × [out, in]).
-        Ok(grad_out.matmul(&self.weight.value)?)
-    }
-
-    fn backward_input(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        self.check_grad(&grad_out)?;
-        Ok(grad_out.matmul(&self.weight.value)?)
-    }
-
-    fn backward_params(&mut self, grad_out: Tensor) -> Result<()> {
-        self.accumulate_params(&grad_out)
-    }
-
-    fn params(&self) -> Vec<&Param> {
-        vec![&self.weight, &self.bias]
-    }
-
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        vec![&mut self.weight, &mut self.bias]
-    }
-
-    fn clone_box(&self) -> Box<dyn Layer> {
-        Box::new(self.clone())
     }
 }
 
@@ -181,7 +144,6 @@ pub(crate) fn one_hot(labels: &[usize], classes: usize) -> Result<Tensor> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::train_forward;
 
     fn layer() -> Dense {
         let mut rng = TensorRng::seed_from_u64(5);
@@ -192,9 +154,8 @@ mod tests {
     fn forward_shape_and_bias() {
         let mut fc = layer();
         // Set weight to zeros so output equals bias broadcast.
-        fc.params_mut()[0].value = Tensor::zeros(&[3, 4]);
-        fc.params_mut()[1].value =
-            Tensor::from_vec(vec![1.0, 2.0, 3.0], Shape::new(vec![3])).unwrap();
+        fc.weight.value = Tensor::zeros(&[3, 4]);
+        fc.bias.value = Tensor::from_vec(vec![1.0, 2.0, 3.0], Shape::new(vec![3])).unwrap();
         let y = fc.forward(&Tensor::ones(&[2, 4])).unwrap();
         assert_eq!(y.dims(), &[2, 3]);
         assert_eq!(y.as_slice(), &[1.0, 2.0, 3.0, 1.0, 2.0, 3.0]);
@@ -212,8 +173,9 @@ mod tests {
         let mut fc = layer();
         let mut rng = TensorRng::seed_from_u64(6);
         let x = rng.uniform(&[3, 4], -1.0, 1.0);
-        let y = train_forward(&mut fc, &x);
-        let gin = fc.backward(Tensor::ones(y.dims())).unwrap();
+        let g = Tensor::ones(fc.forward(&x).unwrap().dims());
+        let gin = fc.backward(&x, &g).unwrap();
+        assert_eq!(fc.backward_input(&g).unwrap(), gin);
 
         let eps = 1e-3f32;
         // Input gradient check.
@@ -227,18 +189,18 @@ mod tests {
             assert!((numeric - gin.as_slice()[idx]).abs() < 1e-2);
         }
         // Weight gradient check.
-        let wgrad = fc.params()[0].grad.clone();
+        let wgrad = fc.weight.grad.clone();
         for idx in [0usize, 7, 11] {
             let mut plus = fc.clone();
-            plus.params_mut()[0].value.as_mut_slice()[idx] += eps;
+            plus.weight.value.as_mut_slice()[idx] += eps;
             let mut minus = fc.clone();
-            minus.params_mut()[0].value.as_mut_slice()[idx] -= eps;
+            minus.weight.value.as_mut_slice()[idx] -= eps;
             let numeric =
                 (plus.forward(&x).unwrap().sum() - minus.forward(&x).unwrap().sum()) / (2.0 * eps);
             assert!((numeric - wgrad.as_slice()[idx]).abs() < 1e-2);
         }
         // Bias gradient equals batch size for a sum loss.
-        for &g in fc.params()[1].grad.as_slice() {
+        for &g in fc.bias.grad.as_slice() {
             assert!((g - 3.0).abs() < 1e-4);
         }
     }
@@ -253,10 +215,6 @@ mod tests {
 
     #[test]
     fn backward_requires_forward() {
-        let mut fc = layer();
-        assert!(matches!(
-            fc.backward(Tensor::zeros(&[1, 3])),
-            Err(NnError::NoForwardCache { .. })
-        ));
+        crate::sequential::assert_backward_requires_forward(layer().into(), &[1, 3]);
     }
 }

@@ -1,8 +1,7 @@
-use std::fmt::Debug;
+use fademl_tensor::{max_pool2d_values, PoolSpec, Tensor};
 
-use fademl_tensor::Tensor;
-
-use crate::Result;
+use crate::flatten::flat_dims;
+use crate::{Conv2d, Dense, Result};
 
 /// A trainable parameter: its value and the gradient accumulated by the
 /// most recent backward pass(es).
@@ -37,162 +36,90 @@ impl Param {
     }
 }
 
-/// A neural-network layer with explicit forward and backward passes.
+/// One layer of a [`Sequential`](crate::Sequential) model: the five
+/// kinds the paper's VGGNet is built from.
 ///
-/// Two forward entry points exist:
-///
-/// - [`Layer::forward`] is pure inference — it takes `&self` and caches
-///   nothing, so a shared model can serve concurrent evaluation threads.
-/// - [`Layer::forward_train`] caches whatever the backward pass needs
-///   apart from the input itself, and must precede every backward call.
-///   A layer whose backward reads its input says so
-///   ([`Layer::keeps_input`]) and is handed the input afterwards
-///   ([`Layer::keep_input`]) — moved, not copied, once nothing later
-///   reads it. [`Sequential`](crate::Sequential) does that hand-off.
-///
-/// [`Layer::backward`] consumes `∂L/∂output`, *accumulates* parameter
-/// gradients into the layer's [`Param`]s, and returns `∂L/∂input`.
-/// [`Layer::backward_input`] returns only `∂L/∂input` — what attacks are
-/// built on — and [`Layer::backward_params`] only accumulates the
-/// parameter gradients — what the first layer of a training step needs.
-pub trait Layer: Debug + Send + Sync {
+/// A layer holds its geometry and parameters, nothing else. What a
+/// backward pass reads — inputs, a max-pool's argmax — lives on the
+/// model's training tape, written by
+/// [`Sequential::forward_train`](crate::Sequential::forward_train).
+#[derive(Debug, Clone)]
+pub enum Layer {
+    /// A 2-D convolution.
+    Conv2d(Conv2d),
+    /// Rectified linear unit: `y = max(x, 0)` elementwise.
+    Relu,
+    /// A 2-D max-pool over NCHW input with the given geometry.
+    MaxPool2d(PoolSpec),
+    /// Flattens all non-batch dimensions: `[n, d...] → [n, Πd]`.
+    Flatten,
+    /// A fully-connected layer.
+    Dense(Dense),
+}
+
+impl From<Conv2d> for Layer {
+    fn from(conv: Conv2d) -> Self {
+        Layer::Conv2d(conv)
+    }
+}
+
+impl From<Dense> for Layer {
+    fn from(dense: Dense) -> Self {
+        Layer::Dense(dense)
+    }
+}
+
+impl Layer {
     /// Short static name, e.g. `"conv2d"` (used in error messages and
     /// model summaries).
-    fn name(&self) -> &'static str;
-
-    /// Pure inference pass; does not touch any cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible with the layer.
-    fn forward(&self, input: &Tensor) -> Result<Tensor>;
-
-    /// [`Layer::forward`] then a ReLU, bit for bit: what
-    /// [`Sequential::forward`](crate::Sequential::forward) runs when a
-    /// [`Relu`](crate::Relu) follows. `Conv2d` clamps as it stores.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::forward`].
-    fn forward_relu(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(self.forward(input)?.relu())
-    }
-
-    /// Forward pass that caches what a following backward call needs,
-    /// except the input: that comes through [`Layer::keep_input`].
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if the input shape is incompatible with the layer.
-    fn forward_train(&mut self, input: &Tensor) -> Result<Tensor>;
-
-    /// [`Layer::forward_train`] then a ReLU, bit for bit: what
-    /// [`Sequential::forward_train`](crate::Sequential::forward_train)
-    /// runs when a [`Relu`](crate::Relu) follows. `Conv2d` clamps as it
-    /// stores; the default clamps in place.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::forward_train`].
-    fn forward_train_relu(&mut self, input: &Tensor) -> Result<Tensor> {
-        let mut out = self.forward_train(input)?;
-        out.map_inplace(|x| x.max(0.0));
-        Ok(out)
-    }
-
-    /// Whether the backward pass reads the input of the last
-    /// [`Layer::forward_train`], so that it must be handed over through
-    /// [`Layer::keep_input`].
-    fn keeps_input(&self) -> bool {
-        false
-    }
-
-    /// Takes the input the last [`Layer::forward_train`] read, for the
-    /// backward pass. Layers whose [`Layer::keeps_input`] is `false` drop
-    /// it.
-    fn keep_input(&mut self, input: Tensor) {
-        drop(input);
-    }
-
-    /// Backward pass: accumulates parameter gradients and returns the
-    /// gradient with respect to the layer input. `grad_out` is taken by
-    /// value, so a layer may compute in place.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NnError::NoForwardCache`](crate::NnError::NoForwardCache)
-    /// if no [`Layer::forward_train`] preceded this call, or a shape error
-    /// if `grad_out` does not match the cached forward output.
-    fn backward(&mut self, grad_out: Tensor) -> Result<Tensor>;
-
-    /// [`Layer::backward`] for callers that only want `∂L/∂input` — an
-    /// attack query differentiates with respect to the image, never the
-    /// weights. The returned gradient is bit-identical to `backward`'s;
-    /// whether parameter gradients are also accumulated is left to the
-    /// layer (this default simply calls `backward`; layers whose
-    /// parameter gradients cost real work skip them).
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::backward`].
-    fn backward_input(&mut self, grad_out: Tensor) -> Result<Tensor> {
-        self.backward(grad_out)
-    }
-
-    /// [`Layer::backward`] for the first layer of a training step, whose
-    /// `∂L/∂input` nothing reads: accumulates the same parameter
-    /// gradients, bit for bit. This default calls `backward` and drops
-    /// its result; layers whose input gradient costs real work skip it.
-    ///
-    /// # Errors
-    ///
-    /// Same conditions as [`Layer::backward`].
-    fn backward_params(&mut self, grad_out: Tensor) -> Result<()> {
-        self.backward(grad_out).map(drop)
-    }
-
-    /// The layer's trainable parameters (empty for stateless layers).
-    fn params(&self) -> Vec<&Param> {
-        Vec::new()
-    }
-
-    /// Mutable access to the trainable parameters, in the same order as
-    /// [`Layer::params`].
-    fn params_mut(&mut self) -> Vec<&mut Param> {
-        Vec::new()
-    }
-
-    /// Clones the layer into a boxed trait object (enables cloning whole
-    /// models for parallel evaluation).
-    fn clone_box(&self) -> Box<dyn Layer>;
-
-    /// Zeroes all accumulated parameter gradients.
-    fn zero_grad(&mut self) {
-        for p in self.params_mut() {
-            p.zero_grad();
+    pub fn name(&self) -> &'static str {
+        match self {
+            Layer::Conv2d(_) => "conv2d",
+            Layer::Relu => "relu",
+            Layer::MaxPool2d(_) => "max_pool2d",
+            Layer::Flatten => "flatten",
+            Layer::Dense(_) => "dense",
         }
     }
 
-    /// Total number of scalar parameters in this layer.
-    fn param_count(&self) -> usize {
-        self.params().iter().map(|p| p.numel()).sum()
+    /// Pure inference pass.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the input shape is incompatible with the layer.
+    pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
+        match self {
+            Layer::Conv2d(conv) => conv.forward(input),
+            Layer::Relu => Ok(input.relu()),
+            Layer::MaxPool2d(spec) => Ok(max_pool2d_values(input, spec)?),
+            Layer::Flatten => Ok(input.reshape(&flat_dims(input)?)?),
+            Layer::Dense(dense) => dense.forward(input),
+        }
     }
-}
 
-impl Clone for Box<dyn Layer> {
-    fn clone(&self) -> Self {
-        self.clone_box()
+    /// The weight and bias of a convolution or dense layer.
+    pub(crate) fn params(&self) -> Option<[&Param; 2]> {
+        match self {
+            Layer::Conv2d(Conv2d { weight, bias, .. })
+            | Layer::Dense(Dense { weight, bias, .. }) => Some([weight, bias]),
+            _ => None,
+        }
     }
-}
 
-/// What [`Sequential::forward_train`](crate::Sequential::forward_train)
-/// does for one unfused layer: the training forward, then the input
-/// handed over.
-#[cfg(test)]
-pub(crate) fn train_forward(layer: &mut dyn Layer, input: &Tensor) -> Tensor {
-    let out = layer.forward_train(input).expect("training forward");
-    layer.keep_input(input.clone());
-    out
+    /// [`Layer::params`], mutably.
+    pub(crate) fn params_mut(&mut self) -> Option<[&mut Param; 2]> {
+        match self {
+            Layer::Conv2d(Conv2d { weight, bias, .. })
+            | Layer::Dense(Dense { weight, bias, .. }) => Some([weight, bias]),
+            _ => None,
+        }
+    }
+
+    /// Number of scalar parameters in this layer.
+    pub fn param_count(&self) -> usize {
+        self.params()
+            .map_or(0, |[weight, bias]| weight.numel() + bias.numel())
+    }
 }
 
 #[cfg(test)]

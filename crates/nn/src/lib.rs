@@ -3,14 +3,18 @@
 //! This crate implements everything the paper's victim model needs,
 //! from scratch on top of [`fademl_tensor`]:
 //!
-//! - [`Layer`] — the layer abstraction with explicit forward/backward
-//!   passes. Backward returns the gradient with respect to the layer
-//!   *input*, which is the quantity adversarial attacks consume.
-//! - Concrete layers: [`Conv2d`], [`MaxPool2d`], [`Dense`], [`Relu`],
-//!   [`Flatten`].
+//! - [`Layer`] — the five layer kinds of the paper's VGGNet, as one
+//!   closed enum: [`Conv2d`] and [`Dense`] hold parameters;
+//!   [`Layer::Relu`], [`Layer::MaxPool2d`] and [`Layer::Flatten`] hold
+//!   none.
 //! - [`Sequential`] — an ordered stack of layers with whole-model
-//!   forward, backward and input-gradient entry points.
-//! - [`CrossEntropyLoss`] / [`MseLoss`] — losses with analytic gradients.
+//!   forward, backward and input-gradient entry points. Its training
+//!   forward keeps what the backward passes read, and
+//!   [`Sequential::backward_input`] returns the gradient with respect
+//!   to the model *input*, which is the quantity adversarial attacks
+//!   consume.
+//! - [`CrossEntropyLoss`] — softmax cross-entropy with its analytic
+//!   gradient.
 //! - [`Sgd`] / [`Adam`] — optimizers.
 //! - [`vgg`] — the paper's "VGGNet" (5 conv stages + 1 fully-connected
 //!   head, Fig. 4) in three size profiles.
@@ -78,16 +82,13 @@ pub mod serialize;
 mod trainer;
 pub mod vgg;
 
-pub use activation::Relu;
 pub use checkpoint::{CheckpointConfig, CheckpointStore, TrainState};
 pub use conv::Conv2d;
 pub use dense::Dense;
 pub use error::NnError;
-pub use flatten::Flatten;
 pub use layer::{Layer, Param};
-pub use loss::{CrossEntropyLoss, Loss, LossValue, MseLoss};
+pub use loss::{CrossEntropyLoss, LossValue};
 pub use optimizer::{Adam, Optimizer, OptimizerState, Sgd};
-pub use pool::MaxPool2d;
 pub use sequential::Sequential;
 pub use trainer::{
     DivergenceGuard, EpochStats, FitReport, OptimizerKind, TrainConfig, TrainHistory, TrainSignal,

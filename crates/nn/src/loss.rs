@@ -12,17 +12,6 @@ pub struct LossValue {
     pub grad: Tensor,
 }
 
-/// A differentiable training objective over logits and integer labels.
-pub trait Loss: std::fmt::Debug {
-    /// Computes the batch-mean loss and its gradient w.r.t. the logits.
-    ///
-    /// # Errors
-    ///
-    /// Returns an error if `logits` is not `[n, classes]` or any label is
-    /// out of range.
-    fn compute(&self, logits: &Tensor, labels: &[usize]) -> Result<LossValue>;
-}
-
 /// Softmax cross-entropy, the classification loss used to train the
 /// paper's VGGNet and inside every attack objective.
 ///
@@ -36,27 +25,26 @@ impl CrossEntropyLoss {
     pub fn new() -> Self {
         CrossEntropyLoss
     }
-}
 
-fn check_batch(logits: &Tensor, labels: &[usize]) -> Result<(usize, usize)> {
-    let &[n, k] = logits.dims() else {
-        return Err(NnError::Tensor(TensorError::RankMismatch {
-            op: "loss",
-            expected: 2,
-            actual: logits.rank(),
-        }));
-    };
-    if labels.len() != n {
-        return Err(NnError::ArchMismatch {
-            reason: format!("{} labels for a batch of {n}", labels.len()),
-        });
-    }
-    Ok((n, k))
-}
-
-impl Loss for CrossEntropyLoss {
-    fn compute(&self, logits: &Tensor, labels: &[usize]) -> Result<LossValue> {
-        let (n, k) = check_batch(logits, labels)?;
+    /// Computes the batch-mean loss and its gradient w.r.t. the logits.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if `logits` is not `[n, classes]` or any label is
+    /// out of range.
+    pub fn compute(&self, logits: &Tensor, labels: &[usize]) -> Result<LossValue> {
+        let &[n, k] = logits.dims() else {
+            return Err(NnError::Tensor(TensorError::RankMismatch {
+                op: "loss",
+                expected: 2,
+                actual: logits.rank(),
+            }));
+        };
+        if labels.len() != n {
+            return Err(NnError::ArchMismatch {
+                reason: format!("{} labels for a batch of {n}", labels.len()),
+            });
+        }
         let probs = logits.softmax_rows()?;
         let mut loss = 0.0f32;
         for (i, &label) in labels.iter().enumerate() {
@@ -75,29 +63,6 @@ impl Loss for CrossEntropyLoss {
             loss: loss / n as f32,
             grad,
         })
-    }
-}
-
-/// Mean squared error against one-hot targets. Included as a baseline
-/// objective and for testing optimizer behaviour on a convex-ish loss.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MseLoss;
-
-impl MseLoss {
-    /// Creates the loss.
-    pub fn new() -> Self {
-        MseLoss
-    }
-}
-
-impl Loss for MseLoss {
-    fn compute(&self, logits: &Tensor, labels: &[usize]) -> Result<LossValue> {
-        let (n, k) = check_batch(logits, labels)?;
-        let target = one_hot(labels, k)?;
-        let diff = logits.sub(&target)?;
-        let loss = diff.norm_l2_squared() / (n * k) as f32;
-        let grad = diff.scale(2.0 / (n * k) as f32);
-        Ok(LossValue { loss, grad })
     }
 }
 
@@ -171,35 +136,6 @@ mod tests {
         let lv = ce.compute(&z, &[1]).unwrap();
         assert!(lv.loss.is_finite());
         assert!(!lv.grad.has_non_finite());
-    }
-
-    #[test]
-    fn mse_zero_at_target() {
-        let mse = MseLoss::new();
-        let z = logits(&[1.0, 0.0, 0.0, 1.0], 2, 2);
-        let lv = mse.compute(&z, &[0, 1]).unwrap();
-        assert!(lv.loss.abs() < 1e-9);
-        assert!(lv.grad.norm_l2() < 1e-9);
-    }
-
-    #[test]
-    fn mse_gradient_matches_finite_difference() {
-        let mse = MseLoss::new();
-        let mut rng = TensorRng::seed_from_u64(3);
-        let z = rng.uniform(&[2, 3], -1.0, 1.0);
-        let labels = [2usize, 0];
-        let lv = mse.compute(&z, &labels).unwrap();
-        let eps = 1e-3f32;
-        for idx in 0..6 {
-            let mut plus = z.clone();
-            plus.as_mut_slice()[idx] += eps;
-            let mut minus = z.clone();
-            minus.as_mut_slice()[idx] -= eps;
-            let numeric = (mse.compute(&plus, &labels).unwrap().loss
-                - mse.compute(&minus, &labels).unwrap().loss)
-                / (2.0 * eps);
-            assert!((numeric - lv.grad.as_slice()[idx]).abs() < 1e-3);
-        }
     }
 
     #[test]

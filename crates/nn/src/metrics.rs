@@ -226,20 +226,20 @@ pub fn confusion_matrix(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Layer, Sequential};
+    use crate::{Dense, Sequential};
     use fademl_tensor::{Shape, TensorRng};
 
     /// A "model" whose logits equal its input (identity dense layer).
     fn identity_model(classes: usize) -> Sequential {
         let mut rng = TensorRng::seed_from_u64(0);
-        let mut fc = Dense::new(classes, classes, &mut rng);
+        let mut model = Sequential::new().push(Dense::new(classes, classes, &mut rng));
         let mut eye = Tensor::zeros(&[classes, classes]);
         for i in 0..classes {
             eye.set(&[i, i], 1.0).unwrap();
         }
-        fc.params_mut()[0].value = eye;
-        fc.params_mut()[1].value = Tensor::zeros(&[classes]);
-        Sequential::new().push(fc)
+        model.params_mut()[0].value = eye;
+        model.params_mut()[1].value = Tensor::zeros(&[classes]);
+        model
     }
 
     fn batch(rows: &[&[f32]]) -> Tensor {

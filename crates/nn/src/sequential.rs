@@ -1,9 +1,11 @@
 use std::fmt;
 
 use fademl_tensor::plan::alloc;
-use fademl_tensor::Tensor;
+use fademl_tensor::{max_pool2d, max_pool2d_backward, Tensor};
 
-use crate::{Layer, NnError, Param, Relu, Result};
+use crate::activation::relu_backward;
+use crate::flatten::flatten_owned;
+use crate::{Layer, NnError, Param, Result};
 
 fn empty_model() -> NnError {
     NnError::InvalidConfig {
@@ -23,14 +25,14 @@ fn empty_model() -> NnError {
 /// # Example
 ///
 /// ```
-/// use fademl_nn::{Dense, Relu, Sequential};
+/// use fademl_nn::{Dense, Layer, Sequential};
 /// use fademl_tensor::{Tensor, TensorRng};
 ///
 /// # fn main() -> Result<(), fademl_nn::NnError> {
 /// let mut rng = TensorRng::seed_from_u64(0);
 /// let model = Sequential::new()
 ///     .push(Dense::new(8, 16, &mut rng))
-///     .push(Relu::new())
+///     .push(Layer::Relu)
 ///     .push(Dense::new(16, 4, &mut rng));
 /// let logits = model.forward(&Tensor::zeros(&[2, 8]))?;
 /// assert_eq!(logits.dims(), &[2, 4]);
@@ -39,25 +41,67 @@ fn empty_model() -> NnError {
 /// ```
 #[derive(Clone, Default)]
 pub struct Sequential {
-    layers: Vec<Box<dyn Layer>>,
+    layers: Vec<Layer>,
+    tape: Tape,
+}
+
+/// What [`Sequential::forward_train`] keeps for the backward passes:
+/// one entry per layer, in order, so it covers the model only after a
+/// whole training forward.
+#[derive(Debug, Clone, Default)]
+struct Tape(Vec<Saved>);
+
+/// One layer's entry on the [`Tape`].
+#[derive(Debug, Clone)]
+struct Saved {
+    /// The layer's input, moved in once the layer has read it. A
+    /// convolution's output under a fused ReLU is never stored: that
+    /// ReLU's entry is `None`, and it masks by its output, the next
+    /// layer's input.
+    input: Option<Tensor>,
+    /// A max-pool's argmax; empty for every other layer.
+    argmax: Vec<usize>,
+}
+
+impl Tape {
+    /// The input layer `k` (named `layer`) read in the last training
+    /// forward.
+    fn input(&self, k: usize, layer: &'static str) -> Result<&Tensor> {
+        self.0
+            .get(k)
+            .and_then(|saved| saved.input.as_ref())
+            .ok_or(NnError::NoForwardCache { layer })
+    }
+
+    /// Layer `k`'s `∂L/∂input` from its `∂L/∂output`, without parameter
+    /// gradients.
+    fn grad_input(&self, k: usize, layer: &Layer, grad: Tensor) -> Result<Tensor> {
+        let input = || self.input(k, layer.name());
+        match layer {
+            Layer::Conv2d(conv) => conv.backward_input(input()?, &grad),
+            // Fused, the ReLU masks by its output: the next input.
+            Layer::Relu => relu_backward(grad, input().or_else(|_| self.input(k + 1, "relu"))?),
+            Layer::MaxPool2d(_) => {
+                let argmax = self.0.get(k).map_or(&[][..], |saved| &saved.argmax);
+                Ok(max_pool2d_backward(&grad, argmax, input()?.shape())?)
+            }
+            Layer::Flatten => Ok(Tensor::from_vec(grad.into_vec(), input()?.shape().clone())?),
+            Layer::Dense(dense) => dense.backward_input(&grad),
+        }
+    }
 }
 
 impl Sequential {
     /// Creates an empty model.
     pub fn new() -> Self {
-        Sequential { layers: Vec::new() }
+        Sequential::default()
     }
 
     /// Appends a layer (builder style).
     #[must_use]
-    pub fn push(mut self, layer: impl Layer + 'static) -> Self {
-        self.layers.push(Box::new(layer));
+    pub fn push(mut self, layer: impl Into<Layer>) -> Self {
+        self.layers.push(layer.into());
         self
-    }
-
-    /// Appends a boxed layer in place.
-    pub fn push_boxed(&mut self, layer: Box<dyn Layer>) {
-        self.layers.push(layer);
     }
 
     /// Number of layers.
@@ -71,114 +115,147 @@ impl Sequential {
     }
 
     /// The layers, in order.
-    pub fn layers(&self) -> &[Box<dyn Layer>] {
+    pub fn layers(&self) -> &[Layer] {
         &self.layers
     }
 
     /// Pure inference pass producing logits, bit for bit the
-    /// layer-by-layer [`Layer::forward`] loop: a layer followed by a
-    /// [`Relu`] runs as one [`Layer::forward_relu`], and each
-    /// intermediate activation goes back to this thread's activation
-    /// list (DESIGN.md §18.3) once the next layer has read it.
+    /// layer-by-layer [`Layer::forward`] loop: a [`Layer::Conv2d`]
+    /// followed by a [`Layer::Relu`] runs as one
+    /// [`Conv2d::forward_relu`](crate::Conv2d::forward_relu), a
+    /// [`Layer::Flatten`] relabels the activation it is handed, and each
+    /// other intermediate activation goes back to this thread's
+    /// activation list (DESIGN.md §18.3) once the next layer has read it.
     ///
     /// # Errors
     ///
     /// Returns [`NnError::InvalidConfig`] for an empty model or any layer
     /// error for incompatible shapes.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        let mut layers = self.layers.iter().peekable();
+        let mut rest = self.layers.as_slice();
         let mut x: Option<Tensor> = None;
-        while let Some(layer) = layers.next() {
+        loop {
             let src = x.as_ref().unwrap_or(input);
-            let y = if layers.next_if(|next| next.name() == Relu::NAME).is_some() {
-                layer.forward_relu(src)?
-            } else {
-                layer.forward(src)?
+            let (y, tail) = match rest {
+                [Layer::Conv2d(conv), Layer::Relu, tail @ ..] => (conv.forward_relu(src)?, tail),
+                [Layer::Flatten, tail @ ..] => (
+                    flatten_owned(x.take().unwrap_or_else(|| input.clone()))?,
+                    tail,
+                ),
+                [layer, tail @ ..] => (layer.forward(src)?, tail),
+                [] => break,
             };
             if let Some(read) = x.replace(y) {
                 alloc::recycle_activation(read.into_vec());
             }
+            rest = tail;
         }
         x.ok_or_else(empty_model)
     }
 
-    /// Training forward pass: every layer caches what its backward
-    /// reads. As in [`Sequential::forward`], a layer followed by a
-    /// [`Relu`] runs as one [`Layer::forward_train_relu`]. Each
-    /// activation, once the next layer has read it, moves into the
-    /// cache of the layers whose backward reads it — that next layer's
-    /// input ([`Layer::keeps_input`]) and a fused ReLU's output — and is
-    /// copied only when both want it.
+    /// Training forward pass: the same values as [`Sequential::forward`],
+    /// bit for bit, and the tape the backward passes read. Each layer's
+    /// input moves onto the tape once the layer has read it, beside each
+    /// max-pool's argmax; nothing is copied. A [`Layer::Conv2d`] followed
+    /// by a [`Layer::Relu`] runs fused when another layer follows them,
+    /// whose input is the ReLU's output and gives the ReLU its mask. The
+    /// tape is cleared first, so a failed call leaves it short.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Sequential::forward`].
     pub fn forward_train(&mut self, input: &Tensor) -> Result<Tensor> {
+        self.tape.0.clear();
         if self.layers.is_empty() {
             return Err(empty_model());
         }
-        let mut layers = self.layers.iter_mut().peekable();
+        let mut rest = self.layers.as_slice();
         let mut x = input.clone();
-        // The ReLU fused into the layer that wrote `x`.
-        let mut fused: Option<&mut Box<dyn Layer>> = None;
-        while let Some(layer) = layers.next() {
-            let relu = layers.next_if(|next| next.name() == Relu::NAME);
-            let y = if relu.is_some() {
-                layer.forward_train_relu(&x)?
-            } else {
-                layer.forward_train(&x)?
+        loop {
+            let (y, argmax, tail) = match rest {
+                [Layer::Conv2d(conv), Layer::Relu, tail @ ..] if !tail.is_empty() => {
+                    (conv.forward_relu(&x)?, Vec::new(), tail)
+                }
+                [Layer::MaxPool2d(spec), tail @ ..] => {
+                    let pooled = max_pool2d(&x, spec)?;
+                    (pooled.output, pooled.argmax, tail)
+                }
+                [layer, tail @ ..] => (layer.forward(&x)?, Vec::new(), tail),
+                [] => break,
             };
             let read = std::mem::replace(&mut x, y);
-            match (fused.take(), layer.keeps_input()) {
-                (Some(relu), true) => {
-                    relu.keep_input(read.clone());
-                    layer.keep_input(read);
-                }
-                (Some(relu), false) => relu.keep_input(read),
-                (None, true) => layer.keep_input(read),
-                (None, false) => {}
+            self.tape.0.push(Saved {
+                input: Some(read),
+                argmax,
+            });
+            // A fused pair: the ReLU masks by `x`, the next layer's input.
+            if rest.len() - tail.len() == 2 {
+                self.tape.0.push(Saved {
+                    input: None,
+                    argmax: Vec::new(),
+                });
             }
-            fused = relu;
-        }
-        if let Some(relu) = fused {
-            relu.keep_input(x.clone());
+            rest = tail;
         }
         Ok(x)
     }
 
+    /// Errors unless the last [`Sequential::forward_train`] ran every
+    /// layer: checked before a backward pass touches any [`Param`].
+    fn check_tape(&self) -> Result<()> {
+        let covered = self.tape.0.len();
+        if covered == self.layers.len() {
+            return Ok(());
+        }
+        Err(NnError::NoForwardCache {
+            layer: self.layers.get(covered).map_or("sequential", Layer::name),
+        })
+    }
+
     /// Backward pass through the whole stack: accumulates every
-    /// parameter gradient. The first layer runs
-    /// [`Layer::backward_params`], so `∂L/∂input` — which a training
-    /// step never reads — is not computed; [`Sequential::backward_input`]
-    /// is the pass that returns it.
+    /// parameter gradient. The first layer computes only its parameter
+    /// gradients, so `∂L/∂input` — which a training step never reads —
+    /// is not computed; [`Sequential::backward_input`] is the pass that
+    /// returns it.
     ///
     /// # Errors
     ///
-    /// Returns [`NnError::NoForwardCache`] if [`Sequential::forward_train`]
-    /// did not precede this call.
+    /// Returns [`NnError::NoForwardCache`], before any gradient moves,
+    /// unless a [`Sequential::forward_train`] ran every layer since the
+    /// last failed one.
     pub fn backward(&mut self, grad_logits: &Tensor) -> Result<()> {
-        let Some((first, rest)) = self.layers.split_first_mut() else {
-            return Ok(());
-        };
+        self.check_tape()?;
+        let Sequential { layers, tape } = self;
         let mut g = grad_logits.clone();
-        for layer in rest.iter_mut().rev() {
-            g = layer.backward(g)?;
+        for (k, layer) in layers.iter_mut().enumerate().rev() {
+            g = match layer {
+                Layer::Conv2d(conv) if k == 0 => {
+                    return conv.backward_params(tape.input(k, "conv2d")?, &g)
+                }
+                Layer::Dense(dense) if k == 0 => {
+                    return dense.backward_params(tape.input(k, "dense")?, &g)
+                }
+                Layer::Conv2d(conv) => conv.backward(tape.input(k, "conv2d")?, &g)?,
+                Layer::Dense(dense) => dense.backward(tape.input(k, "dense")?, &g)?,
+                _ if k == 0 => break,
+                layer => tape.grad_input(k, layer, g)?,
+            };
         }
-        first.backward_params(g)
+        Ok(())
     }
 
-    /// `∂L/∂input` through every layer's [`Layer::backward_input`] — the
-    /// quantity adversarial attacks are built on — without the
-    /// ∂weight/∂bias products of the conv and dense layers. Parameter
-    /// gradients are left in an unspecified state.
+    /// `∂L/∂input` through every layer — the quantity adversarial
+    /// attacks are built on — without the ∂weight/∂bias products of the
+    /// conv and dense layers, which it leaves as they are.
     ///
     /// # Errors
     ///
     /// Same conditions as [`Sequential::backward`].
-    pub fn backward_input(&mut self, grad_logits: &Tensor) -> Result<Tensor> {
+    pub fn backward_input(&self, grad_logits: &Tensor) -> Result<Tensor> {
+        self.check_tape()?;
         let mut g = grad_logits.clone();
-        for layer in self.layers.iter_mut().rev() {
-            g = layer.backward_input(g)?;
+        for (k, layer) in self.layers.iter().enumerate().rev() {
+            g = self.tape.grad_input(k, layer, g)?;
         }
         Ok(g)
     }
@@ -203,14 +280,19 @@ impl Sequential {
 
     /// All trainable parameters, in layer order.
     pub fn params(&self) -> Vec<&Param> {
-        self.layers.iter().flat_map(|l| l.params()).collect()
+        self.layers
+            .iter()
+            .filter_map(Layer::params)
+            .flatten()
+            .collect()
     }
 
     /// Mutable access to all trainable parameters, in layer order.
     pub fn params_mut(&mut self) -> Vec<&mut Param> {
         self.layers
             .iter_mut()
-            .flat_map(|l| l.params_mut())
+            .filter_map(Layer::params_mut)
+            .flatten()
             .collect()
     }
 
@@ -242,7 +324,9 @@ impl Sequential {
     /// Zeroes every accumulated gradient.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
-            layer.zero_grad();
+            for p in layer.params_mut().into_iter().flatten() {
+                p.zero_grad();
+            }
         }
     }
 
@@ -266,20 +350,6 @@ impl Sequential {
     }
 }
 
-impl FromIterator<Box<dyn Layer>> for Sequential {
-    fn from_iter<I: IntoIterator<Item = Box<dyn Layer>>>(iter: I) -> Self {
-        Sequential {
-            layers: iter.into_iter().collect(),
-        }
-    }
-}
-
-impl Extend<Box<dyn Layer>> for Sequential {
-    fn extend<I: IntoIterator<Item = Box<dyn Layer>>>(&mut self, iter: I) {
-        self.layers.extend(iter);
-    }
-}
-
 impl fmt::Debug for Sequential {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Sequential")
@@ -292,17 +362,36 @@ impl fmt::Debug for Sequential {
     }
 }
 
+/// Checks that a model of `layer` alone refuses both backward passes
+/// before any training forward, naming the layer.
+#[cfg(test)]
+pub(crate) fn assert_backward_requires_forward(layer: Layer, grad_dims: &[usize]) {
+    let name = layer.name();
+    let mut m = Sequential::new().push(layer);
+    let g = Tensor::zeros(grad_dims);
+    for err in [
+        m.backward_input(&g).unwrap_err(),
+        m.backward(&g).unwrap_err(),
+    ] {
+        assert!(
+            matches!(err, NnError::NoForwardCache { layer } if layer == name),
+            "{err}"
+        );
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Flatten, Relu};
-    use fademl_tensor::TensorRng;
+    use crate::vgg::{VggConfig, VggProfile};
+    use crate::{Conv2d, Dense};
+    use fademl_tensor::{ConvSpec, PoolSpec, TensorRng};
 
     fn model() -> Sequential {
         let mut rng = TensorRng::seed_from_u64(3);
         Sequential::new()
             .push(Dense::new(6, 8, &mut rng))
-            .push(Relu::new())
+            .push(Layer::Relu)
             .push(Dense::new(8, 3, &mut rng))
     }
 
@@ -330,7 +419,7 @@ mod tests {
     #[test]
     fn forward_equals_the_layer_by_layer_loop_bit_for_bit() {
         let mut rng = TensorRng::seed_from_u64(12);
-        let m = crate::vgg::VggConfig::new(crate::vgg::VggProfile::Compact, 3, 32, 43)
+        let m = VggConfig::new(VggProfile::Compact, 3, 32, 43)
             .build(&mut rng)
             .unwrap();
         // b1, b16 and b20, then b16 → b1 → b20 → b16 on this one thread:
@@ -351,13 +440,10 @@ mod tests {
         // dense layer's mixed-sign weights make the logits NaN.
         let mut rng = TensorRng::seed_from_u64(13);
         let m = Sequential::new()
-            .push(crate::Conv2d::new(
-                fademl_tensor::ConvSpec::new(3, 4, 3, 1, 1),
-                &mut rng,
-            ))
-            .push(Relu::new())
-            .push(crate::MaxPool2d::half())
-            .push(Flatten::new())
+            .push(Conv2d::new(ConvSpec::new(3, 4, 3, 1, 1), &mut rng))
+            .push(Layer::Relu)
+            .push(Layer::MaxPool2d(PoolSpec::half()))
+            .push(Layer::Flatten)
             .push(Dense::new(4 * 4 * 4, 5, &mut rng));
         let mut x = rng.uniform(&[2, 3, 8, 8], -1.0, 1.0);
         x.as_mut_slice()[3 * 64 + 27] = f32::INFINITY;
@@ -403,18 +489,37 @@ mod tests {
     }
 
     /// The training step as it was before ReLU fused into the layer
-    /// before it, caches moved, and the first layer skipped its
-    /// `∂L/∂input`: every layer's own training forward, its input
-    /// handed over as a copy, then every layer's full backward. Returns
-    /// that `∂L/∂input` and every parameter gradient.
+    /// before it, inputs moved onto one tape, and the first layer
+    /// skipped its `∂L/∂input`: every layer's own forward, its input
+    /// kept as a copy, then every layer's full backward, the ReLU
+    /// masking by its input. Returns that `∂L/∂input` and every
+    /// parameter gradient.
     fn layer_by_layer_step(m: &mut Sequential, x: &Tensor, g: &Tensor) -> (Tensor, Vec<Tensor>) {
+        let mut inputs = Vec::new();
+        let mut argmax = Vec::new();
         let mut x = x.clone();
-        for layer in &mut m.layers {
-            x = crate::layer::train_forward(layer.as_mut(), &x);
+        for layer in &m.layers {
+            inputs.push(x.clone());
+            x = match layer {
+                Layer::MaxPool2d(spec) => {
+                    let pooled = max_pool2d(&x, spec).unwrap();
+                    argmax.push(pooled.argmax);
+                    pooled.output
+                }
+                layer => layer.forward(&x).unwrap(),
+            };
         }
         let mut g = g.clone();
-        for layer in m.layers.iter_mut().rev() {
-            g = layer.backward(g).unwrap();
+        for (layer, input) in m.layers.iter_mut().zip(&inputs).rev() {
+            g = match layer {
+                Layer::Conv2d(conv) => conv.backward(input, &g).unwrap(),
+                Layer::Relu => relu_backward(g, input).unwrap(),
+                Layer::MaxPool2d(_) => {
+                    max_pool2d_backward(&g, &argmax.pop().unwrap(), input.shape()).unwrap()
+                }
+                Layer::Flatten => g.reshape(input.dims()).unwrap(),
+                Layer::Dense(dense) => dense.backward(input, &g).unwrap(),
+            };
         }
         (g, m.params().iter().map(|p| p.grad.clone()).collect())
     }
@@ -424,18 +529,26 @@ mod tests {
         let mut rng = TensorRng::seed_from_u64(8);
         for (mut m, dims) in [
             (
-                crate::vgg::VggConfig::tiny(3, 16, 4)
-                    .build(&mut rng)
-                    .unwrap(),
+                VggConfig::tiny(3, 16, 4).build(&mut rng).unwrap(),
                 vec![2, 3, 16, 16],
             ),
             (
-                crate::vgg::VggConfig::new(crate::vgg::VggProfile::Compact, 3, 32, 43)
+                VggConfig::new(VggProfile::Compact, 3, 32, 43)
                     .build(&mut rng)
                     .unwrap(),
                 vec![3, 3, 32, 32],
             ),
             (model(), vec![3, 6]),
+            // A fused pair feeding a convolution, and a ReLU that ends
+            // the model and so runs unfused.
+            (
+                Sequential::new()
+                    .push(Conv2d::new(ConvSpec::new(3, 4, 3, 1, 1), &mut rng))
+                    .push(Layer::Relu)
+                    .push(Conv2d::new(ConvSpec::new(4, 2, 3, 1, 0), &mut rng))
+                    .push(Layer::Relu),
+                vec![2, 3, 7, 7],
+            ),
         ] {
             let x = rng.uniform(&dims, -0.5, 1.0);
             let y = m.forward_train(&x).unwrap();
@@ -467,7 +580,7 @@ mod tests {
         fn backward_input_rows_equal_single_sample_calls(seed in 0u64..10_000, pick in 0usize..4) {
             let n = [2, 5, 16, 33][pick];
             let mut rng = TensorRng::seed_from_u64(seed);
-            let mut m = crate::vgg::VggConfig::new(crate::vgg::VggProfile::Compact, 3, 32, 43)
+            let mut m = VggConfig::new(VggProfile::Compact, 3, 32, 43)
                 .build(&mut rng)
                 .unwrap();
             let x = rng.uniform(&[n, 3, 32, 32], 0.0, 1.0);
@@ -573,24 +686,41 @@ mod tests {
 
     #[test]
     fn summary_mentions_layers() {
-        let m = Sequential::new().push(Flatten::new());
+        let m = Sequential::new().push(Layer::Flatten);
         let s = m.summary();
         assert!(s.contains("flatten"));
         assert!(s.contains("total params"));
     }
 
     #[test]
-    fn collects_and_extends_from_boxed_layers() {
-        let mut rng = TensorRng::seed_from_u64(7);
-        let layers: Vec<Box<dyn Layer>> =
-            vec![Box::new(Dense::new(4, 8, &mut rng)), Box::new(Relu::new())];
-        let mut m: Sequential = layers.into_iter().collect();
-        assert_eq!(m.len(), 2);
-        m.extend(std::iter::once(
-            Box::new(Dense::new(8, 2, &mut rng)) as Box<dyn Layer>
-        ));
-        assert_eq!(m.len(), 3);
-        assert_eq!(m.forward(&Tensor::zeros(&[1, 4])).unwrap().dims(), &[1, 2]);
+    fn a_failed_training_forward_leaves_every_gradient_alone() {
+        let mut rng = TensorRng::seed_from_u64(10);
+        let mut m = VggConfig::tiny(3, 16, 4).build(&mut rng).unwrap();
+        let x = rng.uniform(&[2, 3, 16, 16], 0.0, 1.0);
+        let y = m.forward_train(&x).unwrap();
+        m.backward(&Tensor::ones(y.dims())).unwrap();
+        m.zero_grad();
+        // One channel where the first convolution wants three.
+        assert!(m
+            .forward_train(&rng.uniform(&[2, 1, 16, 16], 0.0, 1.0))
+            .is_err());
+        let g = Tensor::ones(y.dims());
+        for err in [
+            m.backward(&g).unwrap_err(),
+            m.backward_input(&g).unwrap_err(),
+        ] {
+            assert!(
+                matches!(err, NnError::NoForwardCache { layer: "conv2d" }),
+                "{err}"
+            );
+        }
+        let moved: Vec<usize> = (0..m.params().len())
+            .filter(|&i| m.params()[i].grad.norm_l2() != 0.0)
+            .collect();
+        assert!(
+            moved.is_empty(),
+            "gradients {moved:?} picked up a stale batch"
+        );
     }
 
     #[test]

@@ -183,14 +183,14 @@ pub fn load_weights_from_path<P: AsRef<Path>>(model: &mut Sequential, path: P) -
 )]
 mod tests {
     use super::*;
-    use crate::{Dense, Relu};
+    use crate::{Dense, Layer};
     use fademl_tensor::TensorRng;
 
     fn model(seed: u64) -> Sequential {
         let mut rng = TensorRng::seed_from_u64(seed);
         Sequential::new()
             .push(Dense::new(4, 6, &mut rng))
-            .push(Relu::new())
+            .push(Layer::Relu)
             .push(Dense::new(6, 3, &mut rng))
     }
 

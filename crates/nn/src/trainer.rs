@@ -2,7 +2,7 @@ use fademl_tensor::{Tensor, TensorRng};
 
 use crate::checkpoint::{CheckpointConfig, CheckpointStore, TrainState};
 use crate::metrics::top1_accuracy;
-use crate::{Adam, CrossEntropyLoss, Loss, NnError, Optimizer, Result, Sequential, Sgd};
+use crate::{Adam, CrossEntropyLoss, NnError, Optimizer, Result, Sequential, Sgd};
 
 /// Which optimizer the [`Trainer`] should construct.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -558,7 +558,7 @@ fn replay_patience(history: &TrainHistory) -> (f32, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Dense, Relu};
+    use crate::{Dense, Layer};
     use fademl_tensor::Shape;
 
     /// A linearly separable 2-class toy problem.
@@ -583,7 +583,7 @@ mod tests {
         let mut rng = TensorRng::seed_from_u64(1);
         Sequential::new()
             .push(Dense::new(2, 8, &mut rng))
-            .push(Relu::new())
+            .push(Layer::Relu)
             .push(Dense::new(8, 2, &mut rng))
     }
 

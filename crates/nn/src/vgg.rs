@@ -7,10 +7,10 @@
 //! a pure-Rust CPU build can train in seconds (see DESIGN.md §4 for the
 //! substitution rationale).
 
-use fademl_tensor::{ConvSpec, TensorRng};
+use fademl_tensor::{ConvSpec, PoolSpec, TensorRng};
 use serde::{Deserialize, Serialize};
 
-use crate::{Conv2d, Dense, Flatten, MaxPool2d, NnError, Relu, Result, Sequential};
+use crate::{Conv2d, Dense, Layer, NnError, Result, Sequential};
 
 /// Predefined channel plans for the five convolutional stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -137,20 +137,18 @@ impl VggConfig {
         let mut model = Sequential::new();
         let mut in_ch = self.in_channels;
         for (&out_ch, &pool) in self.stage_channels.iter().zip(&pools) {
-            model.push_boxed(Box::new(Conv2d::new(
-                ConvSpec::new(in_ch, out_ch, 3, 1, 1),
-                rng,
-            )));
-            model.push_boxed(Box::new(Relu::new()));
+            model = model
+                .push(Conv2d::new(ConvSpec::new(in_ch, out_ch, 3, 1, 1), rng))
+                .push(Layer::Relu);
             if pool {
-                model.push_boxed(Box::new(MaxPool2d::half()));
+                model = model.push(Layer::MaxPool2d(PoolSpec::half()));
             }
             in_ch = out_ch;
         }
-        model.push_boxed(Box::new(Flatten::new()));
         let features = in_ch * final_size * final_size;
-        model.push_boxed(Box::new(Dense::new(features, self.classes, rng)));
-        Ok(model)
+        Ok(model
+            .push(Layer::Flatten)
+            .push(Dense::new(features, self.classes, rng)))
     }
 }
 

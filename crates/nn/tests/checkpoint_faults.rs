@@ -13,7 +13,7 @@ use std::fs;
 use std::path::PathBuf;
 
 use fademl_nn::{
-    Adam, CheckpointConfig, CheckpointStore, Dense, NnError, Relu, Sequential, TrainConfig,
+    Adam, CheckpointConfig, CheckpointStore, Dense, Layer, NnError, Sequential, TrainConfig,
     TrainHistory, TrainState, Trainer,
 };
 use fademl_tensor::io::faults::{arm, disarm, IoFaultPlan, INJECTED};
@@ -30,7 +30,7 @@ fn mlp(seed: u64) -> Sequential {
     let mut rng = TensorRng::seed_from_u64(seed);
     Sequential::new()
         .push(Dense::new(2, 8, &mut rng))
-        .push(Relu::new())
+        .push(Layer::Relu)
         .push(Dense::new(8, 2, &mut rng))
 }
 

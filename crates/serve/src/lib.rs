@@ -57,7 +57,7 @@
 //!
 //! The engine-wide invariant — *every accepted request's handle
 //! resolves, with a verdict or a typed error* — is chaos-tested by the
-//! deterministic fault-injection harness in [`faults`] (built with
+//! deterministic fault-injection harness in `faults` (built with
 //! `--features faults`, which production builds never enable).
 //!
 //! ```no_run

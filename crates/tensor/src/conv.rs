@@ -615,7 +615,7 @@ fn conv2d_block(
 /// serial path bit-for-bit (see the module docs). The serial-vs-pool
 /// decision and the GEMM blocking both come from one blueprint, so
 /// they can never disagree for a given shape. On the serial path the
-/// output buffer comes from [`alloc::activation_vec`].
+/// output buffer comes from `alloc::activation_vec`.
 ///
 /// # Errors
 ///

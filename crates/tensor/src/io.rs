@@ -26,7 +26,7 @@
 //!   clean `io::Error` instead of panicking or over-allocating on
 //!   corrupt headers.
 //!
-//! With the `faults` cargo feature the [`faults`] module adds the
+//! With the `faults` cargo feature the `faults` module adds the
 //! workspace's one fault schedule (`Schedule`, "act on the N-th event",
 //! which serve's and net's fault plans are built on) and a deterministic
 //! IO fault-injection layer (short writes, torn renames, bit-flips) that

@@ -25,7 +25,7 @@
 //!
 //! Beside the arena sits a smaller per-thread list of *activations*
 //! (DESIGN.md §18.3): `conv2d` and `max_pool2d_values` draw their
-//! outputs from [`activation_vec`], and only `Sequential::forward`
+//! outputs from `activation_vec`, and only `Sequential::forward`
 //! feeds it, through [`recycle_activation`]. It is not counted in
 //! [`stats`].
 

@@ -2,7 +2,7 @@
 //! runtime detection — the one module where the `unsafe-confinement`
 //! lint admits `unsafe`.
 //!
-//! [`kernel`] holds the kernel body as safe Rust. It is compiled three
+//! `kernel` holds the kernel body as safe Rust. It is compiled three
 //! times: once for the target's baseline features and, on x86-64, once
 //! under `#[target_feature(enable = "avx2")]` and once under
 //! `#[target_feature(enable = "avx512f")]`, where the same loops get

@@ -38,26 +38,26 @@ use fademl_net::{Frame, WireRequest};
 use fademl_nn::serialize::{decode_weights, encode_weights};
 use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_nn::{
-    Adam, CrossEntropyLoss, Dense, EpochStats, Loss, Optimizer, OptimizerState, Sequential,
-    TrainHistory, TrainState,
+    Adam, CrossEntropyLoss, Dense, EpochStats, Optimizer, OptimizerState, Sequential, TrainHistory,
+    TrainState,
 };
 use fademl_tensor::io::{atomic_write, crc32, CrcScope};
 use fademl_tensor::{par, simd, Tensor, TensorRng};
 
 /// Pinned `classify_batch` counts per call, by batch size, for TM-I,
 /// TM-II and TM-III. TM-II adds per-image sensor re-acquisition.
-const BATCH: [(usize, [u64; 3]); 2] = [(1, [25, 31, 25]), (16, [85, 151, 85])];
+const BATCH: [(usize, [u64; 3]); 2] = [(1, [24, 30, 24]), (16, [84, 150, 84])];
 
 /// Pinned per-image `classify` counts for TM-I, TM-II and TM-III.
-const PER_IMAGE: [u64; 3] = [26, 28, 26];
+const PER_IMAGE: [u64; 3] = [25, 27, 25];
 
 /// Pinned count of one b32 training step: `zero_grad`, `forward_train`,
 /// cross-entropy, `backward`, Adam.
-const TRAIN_STEP: u64 = 143;
+const TRAIN_STEP: u64 = 125;
 
 /// Pinned counts of one b1 `AttackSurface::loss_and_input_grad`, bare
 /// and through LAP(32).
-const INPUT_GRAD: [(&str, u64); 2] = [("bare", 79), ("lap32", 83)];
+const INPUT_GRAD: [(&str, u64); 2] = [("bare", 73), ("lap32", 77)];
 
 /// `TrainConfig::default().batch_size`.
 const TRAIN_BATCH: usize = 32;
