@@ -268,6 +268,8 @@ struct Cell {
     isa: Isa,
     ns_per_iter: u128,
     gflops: f64,
+    /// `gflops` over the instantiation's mul+add ceiling times `threads`.
+    peak_frac: f64,
 }
 
 fn main() {
@@ -284,6 +286,19 @@ fn main() {
     );
     if isa == Isa::Baseline {
         eprintln!("[kernels] host lacks AVX2 and AVX-512F: cross-instantiation gate skipped");
+    }
+    // One core's mul+add ceiling per instantiation; a cell's peak
+    // fraction divides its GFLOP/s by this times its thread count.
+    let ceilings: Vec<(Isa, f64)> = isas
+        .iter()
+        .map(|&i| (i, simd::peak_gflops(i).unwrap_or(0.0)))
+        .collect();
+    let ceiling = |i: Isa| ceilings.iter().find(|c| c.0 == i).map_or(0.0, |c| c.1);
+    for &(i, peak) in &ceilings {
+        eprintln!(
+            "[kernels] mul+add ceiling {:<8} {peak:>7.2} GFLOP/s per core",
+            i.name()
+        );
     }
 
     let jobs = workloads();
@@ -329,8 +344,9 @@ fn main() {
             };
             let ns = time_ns(&*job.run, iters, samples);
             let gflops = job.flops / ns.max(1) as f64;
+            let peak_frac = gflops / (ceiling(isa) * threads as f64).max(f64::MIN_POSITIVE);
             eprintln!(
-                "[kernels] {:<34} t={threads} {:<8} {ns:>12} ns/iter {gflops:>7.2} GFLOP/s",
+                "[kernels] {:<34} t={threads} {:<8} {ns:>12} ns/iter {gflops:>7.2} GFLOP/s {peak_frac:>6.3} of peak",
                 job.name,
                 isa.name()
             );
@@ -340,6 +356,7 @@ fn main() {
                 isa,
                 ns_per_iter: ns,
                 gflops,
+                peak_frac,
             }
         };
 
@@ -404,8 +421,16 @@ fn main() {
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
     json.push_str(&format!("  \"isa\": \"{}\",\n", isa.name()));
     json.push_str(
-        "  \"note\": \"bit-exact at 1/2/4/8 threads and across every kernel instantiation the host runs; narrower instantiations timed at t=1; only threads <= host_cores are timed\",\n",
+        "  \"note\": \"bit-exact at 1/2/4/8 threads and across every kernel instantiation the host runs; narrower instantiations timed at t=1; only threads <= host_cores are timed; peak_frac = gflops / (ceiling_gflops of the cell's isa x threads)\",\n",
     );
+    let ceiling_json: Vec<String> = ceilings
+        .iter()
+        .map(|(i, peak)| format!("\"{}\": {peak:.3}", i.name()))
+        .collect();
+    json.push_str(&format!(
+        "  \"ceiling_gflops\": {{{}}},\n",
+        ceiling_json.join(", ")
+    ));
     let final_arena = alloc::stats();
     json.push_str(&format!(
         "  \"arena\": {{\"acquires\": {}, \"hits\": {}, \"grows\": {}, \"evictions\": {}, \"warm_serial_grows\": 0}},\n",
@@ -415,12 +440,13 @@ fn main() {
     for (i, c) in cells.iter().enumerate() {
         let speedup = ns_of(&c.workload, 1, isa) as f64 / c.ns_per_iter.max(1) as f64;
         json.push_str(&format!(
-            "    {{\"workload\": \"{}\", \"threads\": {}, \"isa\": \"{}\", \"ns_per_iter\": {}, \"gflops\": {:.3}, \"speedup_vs_serial\": {:.3}}}{}\n",
+            "    {{\"workload\": \"{}\", \"threads\": {}, \"isa\": \"{}\", \"ns_per_iter\": {}, \"gflops\": {:.3}, \"peak_frac\": {:.3}, \"speedup_vs_serial\": {:.3}}}{}\n",
             c.workload,
             c.threads,
             c.isa.name(),
             c.ns_per_iter,
             c.gflops,
+            c.peak_frac,
             speedup,
             if i + 1 == cells.len() { "" } else { "," }
         ));
@@ -441,9 +467,18 @@ fn main() {
         .iter()
         .map(|t| format!(" {:>12}", format!("{} t={t}", isa.name())))
         .collect();
+    let ceiling_txt: Vec<String> = ceilings
+        .iter()
+        .map(|(i, peak)| format!("{} {peak:.2}", i.name()))
+        .collect();
     txt.push_str(&format!(
-        "{:<34}{isa_heads}{thread_heads} {:>10}\n",
-        "workload", "GFLOP/s"
+        "mul+add ceiling per core (GFLOP/s): {}; peak_frac = GFLOP/s over the {} t=1 ceiling\n",
+        ceiling_txt.join(", "),
+        isa.name()
+    ));
+    txt.push_str(&format!(
+        "{:<34}{isa_heads}{thread_heads} {:>10} {:>10}\n",
+        "workload", "GFLOP/s", "peak_frac"
     ));
     for job in &jobs {
         txt.push_str(&format!("{:<34}", job.name));
@@ -453,8 +488,9 @@ fn main() {
         for &t in &timed_threads {
             txt.push_str(&format!(" {:>12}", ns_of(&job.name, t, isa)));
         }
-        let gflops = cell(&job.name, 1, isa).map_or(0.0, |c| c.gflops);
-        txt.push_str(&format!(" {gflops:>10.2}\n"));
+        let (gflops, frac) =
+            cell(&job.name, 1, isa).map_or((0.0, 0.0), |c| (c.gflops, c.peak_frac));
+        txt.push_str(&format!(" {gflops:>10.2} {frac:>10.3}\n"));
     }
     txt.push_str(&format!(
         "\nspeedup vs t=1 (bit-identical outputs asserted at 1/2/4/8 threads and on {})\n{:<34}{thread_heads}\n",

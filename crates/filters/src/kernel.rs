@@ -7,13 +7,15 @@
 //! per-output renormalization, making it the exact adjoint of the
 //! forward operator.
 //!
-//! The whole operator is one loop, [`accumulate`]: for each tap, a
-//! shifted-row `dst += weight · src` over the rectangle the tap can
-//! reach. Forward accumulates the image and divides by the
-//! renormalization plane; the plane is the same accumulation over a
-//! plane of ones, recomputed on every call, so a kernel holds no state
-//! and shares none; backward accumulates the divided gradient through
-//! the mirrored tap list. Independent channel planes are partitioned
+//! The whole operator is one loop, [`accumulate`], a register-resident
+//! stencil: each plane is copied once into a zero border as wide as
+//! the kernel's reach, and each chunk of output columns keeps its
+//! accumulators in registers across the whole tap list. Forward
+//! accumulates the image and divides by the renormalization plane; the
+//! plane is the same accumulation over a plane of ones, recomputed on
+//! every call, so a kernel holds no state and shares none; backward
+//! accumulates the divided gradient through the mirrored tap list.
+//! Independent channel planes are partitioned
 //! across the `fademl_tensor::par` pool — per plane the arithmetic
 //! order is identical to the serial loop, so results are bit-exact
 //! regardless of thread count (DESIGN.md §13.4 says what the order is
@@ -50,7 +52,8 @@ impl Kernel {
     /// # Errors
     ///
     /// Returns [`FilterError::InvalidParameter`] for an empty tap list,
-    /// non-positive weights, or duplicate offsets.
+    /// a weight that is not positive and finite (NaN and `+∞` included),
+    /// weights whose sum overflows `f32`, or duplicate offsets.
     pub fn new(taps: Vec<(i32, i32, f32)>) -> Result<Self> {
         if taps.is_empty() {
             return Err(FilterError::InvalidParameter {
@@ -60,9 +63,9 @@ impl Kernel {
         let mut seen = std::collections::HashSet::new();
         let mut sum = 0.0f32;
         for &(dy, dx, w) in &taps {
-            if w <= 0.0 {
+            if !(w > 0.0 && w.is_finite()) {
                 return Err(FilterError::InvalidParameter {
-                    reason: format!("non-positive tap weight {w} at ({dy}, {dx})"),
+                    reason: format!("tap weight {w} at ({dy}, {dx}) is not positive and finite"),
                 });
             }
             if !seen.insert((dy, dx)) {
@@ -71,6 +74,11 @@ impl Kernel {
                 });
             }
             sum += w;
+        }
+        if !sum.is_finite() {
+            return Err(FilterError::InvalidParameter {
+                reason: format!("tap weights sum to {sum}"),
+            });
         }
         let mut normalized = Vec::with_capacity(taps.len());
         let mut adjoint = Vec::with_capacity(taps.len());
@@ -158,10 +166,10 @@ impl Kernel {
     /// every tap out of bounds (renormalizing there would divide by
     /// zero and emit `inf`/`NaN`).
     fn sums_plane(&self, h: usize, w: usize) -> Result<alloc::Scratch> {
-        let mut ones = alloc::scratch_stale(h * w);
-        ones.fill(1.0);
-        let mut sums = alloc::scratch_f32(h * w);
-        accumulate(&self.taps, &ones, &mut sums, h, w);
+        let mut ones = Bordered::lease(&self.taps, h, w)?;
+        ones.fill(std::iter::repeat(1.0));
+        let mut sums = alloc::scratch_stale(h * w);
+        accumulate(&self.taps, &ones, &mut sums, None);
         if let Some(at) = sums.iter().position(|&s| s == 0.0) {
             return Err(FilterError::DegenerateGeometry {
                 reason: format!(
@@ -205,17 +213,16 @@ impl Kernel {
             let blocks = par::parallel_rows(planes, move |range: Range<usize>| {
                 let mut block = vec![0.0f32; range.len() * area];
                 let src = &src[range.start * area..range.end * area];
-                run_block(&taps, src, &mut block, h, w, &sums, adjoint);
-                block
+                run_block(&taps, src, &mut block, h, w, &sums, adjoint).map(|()| block)
             });
             let mut out = Vec::with_capacity(len);
             for block in blocks {
-                out.extend_from_slice(&block);
+                out.extend_from_slice(&block?);
             }
             out
         } else {
             let mut out = vec![0.0f32; len];
-            run_block(taps, src, &mut out, h, w, &sums, adjoint);
+            run_block(taps, src, &mut out, h, w, &sums, adjoint)?;
             out
         };
         Ok(Tensor::from_vec(out, image.shape().clone())?)
@@ -270,9 +277,9 @@ impl Kernel {
 }
 
 /// Every `h × w` plane of `src` through `taps` into the matching plane
-/// of the zeroed `dst`. Forward accumulates, then divides each output
-/// pixel by its weight sum; the adjoint divides each incoming gradient
-/// by the same sum first, then accumulates.
+/// of `dst`. Forward accumulates, then divides each output pixel by its
+/// weight sum; the adjoint divides each incoming gradient by the same
+/// sum first, then accumulates.
 fn run_block(
     taps: &[(i32, i32, f32)],
     src: &[f32],
@@ -281,62 +288,134 @@ fn run_block(
     w: usize,
     sums: &[f32],
     adjoint: bool,
-) {
+) -> Result<()> {
+    let mut bordered = Bordered::lease(taps, h, w)?;
     let planes = src
         .chunks_exact(sums.len())
         .zip(dst.chunks_exact_mut(sums.len()));
-    if adjoint {
-        let mut scaled = alloc::scratch_stale(sums.len());
-        for (grad, out) in planes {
-            for ((q, &g), &s) in scaled.iter_mut().zip(grad).zip(sums) {
-                *q = g / s;
-            }
-            accumulate(taps, &scaled, out, h, w);
+    for (plane, out) in planes {
+        if adjoint {
+            bordered.fill(plane.iter().zip(sums).map(|(&g, &s)| g / s));
+            accumulate(taps, &bordered, out, None);
+        } else {
+            bordered.fill(plane.iter().copied());
+            accumulate(taps, &bordered, out, Some(sums));
         }
-    } else {
-        for (image, out) in planes {
-            accumulate(taps, image, out, h, w);
-            for (v, &s) in out.iter_mut().zip(sums) {
-                *v /= s;
+    }
+    Ok(())
+}
+
+/// Output columns one register-resident accumulator chunk covers.
+const CHUNK: usize = 32;
+
+/// An `h × w` plane inside a zero border as wide as the kernel's reach
+/// on it, leased from the thread's arena: `by` rows above and below,
+/// `bx` columns left and right, and each row padded so every chunk of
+/// [`CHUNK`] output columns reads whole chunks. A tap whose offset is
+/// as long as the plane itself never reaches it from any pixel, so it
+/// sets no border (and [`accumulate`] skips it).
+struct Bordered {
+    plane: alloc::Scratch,
+    h: usize,
+    w: usize,
+    by: usize,
+    bx: usize,
+    /// Floats per bordered row: `⌈w / CHUNK⌉ · CHUNK + 2·bx`.
+    pw: usize,
+}
+
+impl Bordered {
+    /// A zeroed plane for `taps` over `h × w` (interior filled by
+    /// [`Bordered::fill`]).
+    fn lease(taps: &[(i32, i32, f32)], h: usize, w: usize) -> Result<Self> {
+        let (mut by, mut bx) = (0, 0);
+        for &(dy, dx, _) in taps {
+            if let (Some(ry), Some(rx)) = (reach(dy, h), reach(dx, w)) {
+                by = by.max(ry);
+                bx = bx.max(rx);
+            }
+        }
+        let pw = w.div_ceil(CHUNK) * CHUNK + 2 * bx;
+        let len = checked_product("filter bordered plane", &[h + 2 * by, pw])?;
+        Ok(Bordered {
+            plane: alloc::scratch_f32(len),
+            h,
+            w,
+            by,
+            bx,
+            pw,
+        })
+    }
+
+    /// Writes the interior, row-major, from `values`; the border stays
+    /// zero.
+    fn fill(&mut self, mut values: impl Iterator<Item = f32>) {
+        let rows = self.plane.chunks_exact_mut(self.pw).skip(self.by);
+        for row in rows.take(self.h) {
+            for (slot, v) in row.iter_mut().skip(self.bx).take(self.w).zip(&mut values) {
+                *slot = v;
             }
         }
     }
 }
 
-/// The one filter loop: for each tap in list order,
-/// `dst[y][x] += wt · src[y + dy][x + dx]` over every `(y, x)` whose
-/// source pixel is on the plane. Each `dst` element is a single `f32`
-/// accumulator that meets its taps in list order through a separate
-/// multiply and add — the order every bit-exactness pin rests on.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "the row ranges come from clip, inside the plane by construction"
-)]
-fn accumulate(taps: &[(i32, i32, f32)], src: &[f32], dst: &mut [f32], h: usize, w: usize) {
-    for &(dy, dx, wt) in taps {
-        let (rows, src_row) = clip(dy, h);
-        let (cols, src_col) = clip(dx, w);
-        if cols.is_empty() {
-            continue;
-        }
-        for (y, sy) in rows.zip(src_row..) {
-            let d = &mut dst[y * w + cols.start..y * w + cols.end];
-            let s = &src[sy * w + src_col..][..d.len()];
-            for (d, &s) in d.iter_mut().zip(s) {
-                *d += wt * s;
-            }
-        }
-    }
+/// `|d|` when a tap offset `d` can land on an axis of length `n` from
+/// some position on it.
+fn reach(d: i32, n: usize) -> Option<usize> {
+    let r = d.unsigned_abs() as usize;
+    (r < n).then_some(r)
 }
 
-/// The positions `i` on an axis of length `n` for which `i + d` is on
-/// the axis too, with the source position `i + d` of the first.
-fn clip(d: i32, n: usize) -> (Range<usize>, usize) {
-    let shift = d.unsigned_abs() as usize;
-    if d < 0 {
-        (shift.min(n)..n, 0)
-    } else {
-        (0..n.saturating_sub(shift), shift)
+/// The one filter loop: every `dst[y][x]` is one `f32` accumulator from
+/// `+0.0` that meets every tap **in list order** through a separate
+/// multiply and add, `acc += wt · src[y + dy][x + dx]`, then is stored
+/// — divided by `divide[y][x]` when given. The accumulators of a
+/// [`CHUNK`] of output columns stay in registers across the whole tap
+/// list, reading the bordered source plane.
+///
+/// A tap that falls off the plane reads the zero border and adds
+/// `wt · 0.0 = +0.0` (weights are finite and positive). An accumulator
+/// that starts at `+0.0` is never `−0.0` under round-to-nearest, so
+/// adding `+0.0` leaves it as it was — NaN and ±∞ included — and each
+/// element is bit for bit the sum over its in-plane taps alone, the
+/// order every bit-exactness pin rests on.
+fn accumulate(taps: &[(i32, i32, f32)], src: &Bordered, dst: &mut [f32], divide: Option<&[f32]>) {
+    let (w, pw) = (src.w, src.pw);
+    for (y, out_row) in dst.chunks_exact_mut(w.max(1)).enumerate() {
+        let divisors = divide.and_then(|d| d.get(y * w..(y + 1) * w));
+        for x0 in (0..w).step_by(CHUNK) {
+            let mut acc = [0.0f32; CHUNK];
+            for &(dy, dx, wt) in taps {
+                if reach(dy, src.h).is_none() || reach(dx, w).is_none() {
+                    continue;
+                }
+                let row = (y + src.by).wrapping_add_signed(dy as isize);
+                let col = (x0 + src.bx).wrapping_add_signed(dx as isize);
+                let Some(s) = src
+                    .plane
+                    .get(row * pw + col..)
+                    .and_then(|s| s.first_chunk::<CHUNK>())
+                else {
+                    continue;
+                };
+                for (a, &s) in acc.iter_mut().zip(s) {
+                    *a += wt * s;
+                }
+            }
+            let out = out_row.iter_mut().skip(x0).zip(acc);
+            match divisors {
+                Some(divisors) => {
+                    for ((o, a), &d) in out.zip(divisors.iter().skip(x0)) {
+                        *o = a / d;
+                    }
+                }
+                None => {
+                    for (o, a) in out {
+                        *o = a;
+                    }
+                }
+            }
+        }
     }
 }
 
@@ -356,6 +435,28 @@ mod tests {
         assert!(Kernel::new(vec![(0, 0, -1.0)]).is_err());
         assert!(Kernel::new(vec![(0, 0, 1.0), (0, 0, 1.0)]).is_err());
         assert!(Kernel::new(vec![(0, 0, 2.0)]).is_ok());
+    }
+
+    #[test]
+    fn non_finite_weights_are_rejected() {
+        // A NaN weight would make every normalized tap NaN, `[1, +∞]`
+        // would normalize to `[0.0, NaN]`, and finite weights whose sum
+        // overflows would normalize every tap to zero.
+        let bad = [
+            vec![(0, 0, 1.0), (0, 1, f32::NAN)],
+            vec![(0, 0, 1.0), (0, 1, f32::INFINITY)],
+            vec![(0, 0, f32::NEG_INFINITY)],
+            vec![(0, 0, f32::MAX), (0, 1, f32::MAX)],
+        ];
+        for taps in bad {
+            assert!(
+                matches!(
+                    Kernel::new(taps.clone()),
+                    Err(FilterError::InvalidParameter { .. })
+                ),
+                "{taps:?}"
+            );
+        }
     }
 
     #[test]
@@ -549,8 +650,13 @@ mod tests {
         out
     }
 
+    /// Bit patterns, every NaN as one: a NaN's payload is not part of
+    /// the arithmetic's contract.
     fn bits(values: &[f32]) -> Vec<u32> {
-        values.iter().map(|v| v.to_bits()).collect()
+        values
+            .iter()
+            .map(|v| if v.is_nan() { u32::MAX } else { v.to_bits() })
+            .collect()
     }
 
     proptest! {
@@ -560,7 +666,10 @@ mod tests {
         /// smaller than their reach: both directions equal the checked
         /// per-pixel references bit for bit — the accumulation orders
         /// every downstream golden value rests on — and a plane with an
-        /// unreachable pixel is the typed error in both.
+        /// unreachable pixel is the typed error in both. Up to four
+        /// pixels are `−0.0`, NaN, `+∞` or `−∞`: the references skip
+        /// off-plane taps, so they check that reading the zero border
+        /// instead changes no bit next to those either.
         #[test]
         fn both_directions_match_checked_references_bitwise(
             seed in 0u64..1_000_000,
@@ -569,6 +678,7 @@ mod tests {
             weights in proptest::collection::vec(0.1f32..3.0, 12),
             h in 1usize..12,
             w in 1usize..12,
+            specials in proptest::collection::vec(0usize..4000, 0..5),
         ) {
             let mut taps: Vec<(i32, i32, f32)> = Vec::new();
             for ((&dy, &dx), &wt) in dys.iter().zip(&dxs).zip(&weights) {
@@ -577,7 +687,12 @@ mod tests {
                 }
             }
             let mut rng = TensorRng::seed_from_u64(seed);
-            let x = rng.uniform(&[2, h, w], -1.0, 1.0);
+            let mut x = rng.uniform(&[2, h, w], -1.0, 1.0);
+            for pick in specials {
+                let special = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][pick % 4];
+                let at = pick / 4 % x.numel();
+                x.as_mut_slice()[at] = special;
+            }
             let (hi, wi) = (h as i32, w as i32);
             let mut k = Kernel::new(taps.clone()).unwrap();
             if (0..hi * wi).any(|i| reference_sum(k.taps(), hi, wi, i / wi, i % wi) == 0.0) {

@@ -40,7 +40,11 @@
 //! The unfold and the fold go through one `(H+2p) × (W+2p)` plane per
 //! call with a zero border: a channel is copied into its interior, and
 //! every unfolded row is `OH` runs read out of it — for stride 1 whole
-//! runs `plane[(oy+kh)·PW + kw ..][..OW]`, no clip, no border test. The
+//! runs `plane[(oy+kh)·PW + kw ..][..OW]`, no clip, no border test.
+//! The run copy follows the geometry: the victim's widths (32, 16, 8,
+//! 4 and 2) copy as `[f32; OW]` arrays, a few vector moves each; any
+//! other width takes a runtime-length copy, one `memcpy` call per run
+//! (at b16 a victim stage makes ~14–18 k runs of 2–32 floats). The
 //! fold adds the runs into a zeroed plane, then its interior onto the
 //! image: a pixel gets its ≤ `KH·KW` terms in `(kh, kw)` order from 0.
 //!
@@ -220,11 +224,9 @@ pub struct Conv2dGrads {
 /// through `plane` — the zero-bordered `(H+2p) × (W+2p)` plane of the
 /// module docs, whose border must be zero on entry and stays so. Every
 /// element of those columns is written, so `dst` may arrive dirty.
-/// Stride 1 copies whole runs; other strides go pixel by pixel.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "im2col runs at offsets derived from the validated conv geometry"
-)]
+/// Stride 1 copies whole runs — as `[f32; OW]` arrays for the victim's
+/// widths, so a run is a few vector moves instead of a `memcpy` call;
+/// other strides go pixel by pixel.
 fn unfold_into(
     src: &[f32],
     geom: &ConvGeom,
@@ -232,6 +234,49 @@ fn unfold_into(
     dst: &mut [f32],
     ld: usize,
     col0: usize,
+) {
+    let args = (src, geom, plane, dst, ld, col0);
+    match (geom.spec.stride, geom.ow) {
+        (1, 32) => unfold_runs(args, fixed_run::<32>),
+        (1, 16) => unfold_runs(args, fixed_run::<16>),
+        (1, 8) => unfold_runs(args, fixed_run::<8>),
+        (1, 4) => unfold_runs(args, fixed_run::<4>),
+        (1, 2) => unfold_runs(args, fixed_run::<2>),
+        (1, _) => unfold_runs(args, |run: &mut [f32], taps: &[f32]| {
+            if let Some(taps) = taps.get(..run.len()) {
+                run.copy_from_slice(taps);
+            }
+        }),
+        (stride, _) => unfold_runs(args, |run: &mut [f32], taps: &[f32]| {
+            for (o, &v) in run.iter_mut().zip(taps.iter().step_by(stride)) {
+                *o = v;
+            }
+        }),
+    }
+}
+
+/// One stride-1 run of width `OW` as a fixed-size array copy. `run`
+/// is exactly `OW` long and `taps` at least that (the plane row from
+/// the run's first tap), so the copy always happens.
+#[inline(always)]
+fn fixed_run<const OW: usize>(run: &mut [f32], taps: &[f32]) {
+    if let (Ok(run), Some(taps)) = (<&mut [f32; OW]>::try_from(run), taps.first_chunk::<OW>()) {
+        *run = *taps;
+    }
+}
+
+/// [`unfold_into`]'s walk: per channel, the interior copy into the
+/// plane, then per `(kh, kw)` one unfolded row of `OH` runs, each
+/// filled by `copy_run(run, taps)` from the plane row it reads, `taps`
+/// starting at the run's first tap.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "im2col runs at offsets derived from the validated conv geometry"
+)]
+#[inline(always)]
+fn unfold_runs(
+    (src, geom, plane, dst, ld, col0): (&[f32], &ConvGeom, &mut [f32], &mut [f32], usize, usize),
+    copy_run: impl Fn(&mut [f32], &[f32]),
 ) {
     let ConvGeom {
         spec, h, w, oh, ow, ..
@@ -248,14 +293,7 @@ fn unfold_into(
                 let Some(row) = rows.next() else { return };
                 let runs = row[col0..col0 + oh * ow].chunks_exact_mut(ow);
                 for (run, taps) in runs.zip(plane.chunks_exact(pw).skip(kh).step_by(stride)) {
-                    let taps = &taps[kw..];
-                    if stride == 1 {
-                        run.copy_from_slice(&taps[..ow]);
-                    } else {
-                        for (o, &v) in run.iter_mut().zip(taps.iter().step_by(stride)) {
-                            *o = v;
-                        }
-                    }
+                    copy_run(run, &taps[kw..]);
                 }
             }
         }
@@ -1683,9 +1721,11 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// The zero-bordered-plane unfold and fold against the run-based
-        /// references, stride 1: pad 0–3, kernels 1, 3 and 5, planes from
-        /// 1×1 to 9×7 (so narrower and shorter than the kernel), NaN and
-        /// ±∞ pixels. The unfold is a copy, so its bits match exactly,
+        /// references, stride 1: pad 0–3, kernels 1, 3 and 5, output
+        /// widths 1–5, 8, 16 and 32 (every fixed-width run copy and the
+        /// runtime-width one), planes from 1 to 9 rows (so narrower and
+        /// shorter than the kernel), NaN and ±∞ pixels. The unfold is a
+        /// copy, so its bits match exactly,
         /// into a dirty matrix with `ld` past the columns; the fold
         /// starts from a dirty plane. Under every instantiation, the
         /// fused-ReLU convolution is `conv2d(..).relu()` on the same
@@ -1695,12 +1735,16 @@ mod tests {
             seed in 0u64..1_000_000,
             c in 1usize..3,
             h in 1usize..10,
-            w in 1usize..8,
+            ow_pick in 0usize..8,
             kernel_pick in 0usize..3,
             pad in 0usize..4,
             poison in 0usize..4,
         ) {
             let kernel = [1, 3, 5][kernel_pick];
+            let ow = [1, 2, 3, 4, 5, 8, 16, 32][ow_pick];
+            // Keep the plane at least one column wide.
+            let pad = pad.min((ow + kernel - 2) / 2);
+            let w = ow + kernel - 1 - 2 * pad;
             let spec = ConvSpec::new(c, 2, kernel, 1, pad);
             prop_assume!(spec.output_size(h, w).is_ok());
             let (oh, ow) = spec.output_size(h, w).unwrap();

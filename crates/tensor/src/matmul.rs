@@ -662,8 +662,10 @@ mod tests {
 
         /// Every instantiation of the micro-kernel reproduces the
         /// three-loop reference bit for bit. The ranges cover every
-        /// full/edge register tile (4×16 and 8×4, bottom and right
-        /// edges, 1–3 padded lanes) and the `kc` panel boundary; the
+        /// full/edge register tile (AVX-512F's 8×32, 4×16, 8×8 and 8×4,
+        /// bottom and right edges, 1–3 padded lanes; `n` from 48 to 63
+        /// leaves an 8×32 strip followed by a 4×16 one) and the `kc`
+        /// panel boundary; the
         /// tight blocking adds `mc`/`nc` block edges. A NaN or ∞ in
         /// either operand must stay non-finite wherever the reference
         /// says so (NaN payloads are not compared: which operand's

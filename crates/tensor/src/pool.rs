@@ -99,6 +99,18 @@ fn window_max([a0, a1]: [f32; 2], [b0, b1]: [f32; 2], w: usize) -> (f32, usize) 
     best
 }
 
+/// [`window_max`]'s value alone: the same scan and strict `>`, as
+/// selects with no offset to carry, which the compiler vectorizes
+/// across windows.
+#[inline(always)]
+fn window_value([a0, a1]: [f32; 2], [b0, b1]: [f32; 2]) -> f32 {
+    let mut best = a0;
+    for candidate in [a1, b0, b1] {
+        best = if candidate > best { candidate } else { best };
+    }
+    best
+}
+
 /// The 2×2 / stride-2 pool: walks two input rows and writes one output
 /// row through slices. `argmax`, when wanted, is filled in the same
 /// pass with flat indices into `data`.
@@ -114,7 +126,7 @@ fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut
             let windows = top.as_chunks().0.iter().zip(bottom.as_chunks().0);
             let Some(arg) = argmax.as_deref_mut() else {
                 for (o, (&a, &b)) in out_row.iter_mut().zip(windows) {
-                    *o = window_max(a, b, w).0;
+                    *o = window_value(a, b);
                 }
                 continue;
             };
@@ -321,20 +333,26 @@ mod tests {
         }
     }
 
-    /// Both loops over the same planes: outputs and argmax.
+    /// Both loops over the same planes: outputs and argmax. The
+    /// row-pair loop's values-only pass must give its outputs bit for
+    /// bit.
     fn both_loops(data: &[f32], planes: usize, h: usize, w: usize) -> [(Vec<u32>, Vec<usize>); 2] {
         let spec = PoolSpec::half();
         let (oh, ow) = spec.output_size(h, w).unwrap();
         let g = PoolGeom { h, w, oh, ow };
+        let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
         let run = |half: bool| {
             let mut out = vec![f32::NAN; planes * oh * ow];
             let mut arg = vec![usize::MAX; out.len()];
             if half {
                 pool_half(data, g, &mut out, Some(&mut arg));
+                let mut values = vec![f32::NAN; out.len()];
+                pool_half(data, g, &mut values, None);
+                assert_eq!(bits(&values), bits(&out), "values-only pass");
             } else {
                 pool_general(data, &spec, g, &mut out, Some(&mut arg));
             }
-            (out.iter().map(|v| v.to_bits()).collect(), arg)
+            (bits(&out), arg)
         };
         [run(true), run(false)]
     }

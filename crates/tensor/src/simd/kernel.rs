@@ -27,10 +27,19 @@
 //! `mul_add`, a second accumulator per element (splitting `k`), or a
 //! reduction across lanes.
 
-/// Register tile for wide column strips: `MR_WIDE × NR_WIDE`
-/// accumulators (eight 256-bit or sixteen 128-bit registers).
-const MR_WIDE: usize = 4;
-const NR_WIDE: usize = 16;
+/// Register tile for wide column strips under the baseline and AVX2
+/// instantiations: `MR_WIDE × NR_WIDE` accumulators, eight of AVX2's
+/// sixteen 256-bit registers or all sixteen of SSE2's 128-bit ones. It
+/// also takes the sixteen to thirty-one columns the AVX-512F tile
+/// leaves over.
+pub(super) const MR_WIDE: usize = 4;
+pub(super) const NR_WIDE: usize = 16;
+/// Register tile for wide column strips under AVX-512F: sixteen of its
+/// thirty-two 512-bit registers hold accumulators, two the `B` row and
+/// one the broadcast `A` value, so each `A` value meets twice the
+/// columns and each `B` row twice the rows per load.
+pub(super) const MR_WIDE_512: usize = 8;
+pub(super) const NR_WIDE_512: usize = 32;
 /// Register tile for eight or more columns left after the wide strips
 /// — and for products that are eight to fifteen columns wide to begin
 /// with (∂weight of a layer with eight filters).
@@ -252,12 +261,19 @@ fn strip<const MR: usize, const NR: usize>(blk: &Block, j: usize, nr: usize, des
     }
 }
 
-/// Multiplies one block: wide strips while `NR_WIDE` columns remain,
-/// narrow strips (the last one zero-padded) for the rest.
+/// Multiplies one block: `MR × NR` strips while `NR` columns remain,
+/// then at most one `MR_WIDE × NR_WIDE` strip (when `NR` is wider),
+/// then narrower strips (the last one zero-padded) for the rest. Each
+/// instantiation picks its own wide tile; which elements advance
+/// together cannot change a bit (module docs).
 #[inline(always)]
-pub(super) fn block_body(blk: &Block, dest: &mut Dest) {
+pub(super) fn block_body<const MR: usize, const NR: usize>(blk: &Block, dest: &mut Dest) {
     let mut j = 0usize;
-    while blk.cols - j >= NR_WIDE {
+    while blk.cols - j >= NR {
+        strip::<MR, NR>(blk, j, NR, dest);
+        j += NR;
+    }
+    if blk.cols - j >= NR_WIDE {
         strip::<MR_WIDE, NR_WIDE>(blk, j, NR_WIDE, dest);
         j += NR_WIDE;
     }

@@ -6,10 +6,14 @@
 //! times: once for the target's baseline features and, on x86-64, once
 //! under `#[target_feature(enable = "avx2")]` and once under
 //! `#[target_feature(enable = "avx512f")]`, where the same loops get
-//! 256- and 512-bit lanes. Nothing is fused or re-associated in any of
-//! them (see the `kernel` docs), so all three are bit-identical lane for
-//! lane and no `-C target-cpu`/`target-feature` flag is needed anywhere.
-//! Targets other than x86-64 compile and run the baseline instantiation.
+//! 256- and 512-bit lanes — and, under AVX-512F, a wide register tile
+//! of 8×32 instead of 4×16, since it has twice the registers. Nothing
+//! is fused or re-associated in any of them (see the `kernel` docs), so
+//! all three are bit-identical lane for lane and no
+//! `-C target-cpu`/`target-feature` flag is needed anywhere. Targets
+//! other than x86-64 compile and run the baseline instantiation.
+//! [`peak_gflops`] measures what each instantiation's lanes could do,
+//! for benches to divide by.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
@@ -115,13 +119,13 @@ pub fn active() -> Isa {
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 fn block_avx2(blk: &Block, dest: &mut Dest) {
-    kernel::block_body(blk, dest);
+    kernel::block_body::<{ kernel::MR_WIDE }, { kernel::NR_WIDE }>(blk, dest);
 }
 
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx512f")]
 fn block_avx512(blk: &Block, dest: &mut Dest) {
-    kernel::block_body(blk, dest);
+    kernel::block_body::<{ kernel::MR_WIDE_512 }, { kernel::NR_WIDE_512 }>(blk, dest);
 }
 
 /// Multiplies one cache block into `dest` with the active instantiation.
@@ -136,7 +140,7 @@ pub(crate) fn gemm_block(blk: &Block, dest: &mut Dest) {
         Isa::Avx2 => return unsafe { block_avx2(blk, dest) },
         Isa::Baseline => {}
     }
-    kernel::block_body(blk, dest);
+    kernel::block_body::<{ kernel::MR_WIDE }, { kernel::NR_WIDE }>(blk, dest);
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -165,4 +169,108 @@ pub(crate) fn sample_sum(samples: &Samples, sum: &mut [f32]) {
         Isa::Baseline => {}
     }
     kernel::sample_sum_body(samples, sum);
+}
+
+/// Independent chains in the ceiling probe: twelve vector registers in
+/// flight keep both of a core's vector ports busy through a 4-cycle
+/// multiply plus a 4-cycle add, and with the two broadcast operands
+/// they fit in sixteen registers.
+#[cfg(target_arch = "x86_64")]
+const PEAK_CHAINS: usize = 12;
+
+/// One ceiling-probe instantiation: [`PEAK_CHAINS`] independent vector
+/// registers, each stepping `x ← x·m + a` `rounds` times as a separate
+/// multiply and add — what the micro-kernel does per term, never
+/// contracted. Written in intrinsics because the probe measures the
+/// hardware, not the compiler: the same loop in plain arrays came out
+/// scalar under some instantiations.
+macro_rules! mul_add_probe {
+    ($name:ident, $feature:literal, $set1:ident, $mul:ident, $add:ident) => {
+        #[cfg(target_arch = "x86_64")]
+        #[target_feature(enable = $feature)]
+        fn $name(rounds: usize, m: f32, a: f32) {
+            use std::arch::x86_64::{$add, $mul, $set1};
+            let (mv, av) = ($set1(m), $set1(a));
+            let mut start = 0.0f32;
+            let mut chains = [$set1(0.0); PEAK_CHAINS];
+            for chain in &mut chains {
+                start += 1.0;
+                *chain = $set1(start);
+            }
+            for _ in 0..rounds {
+                for chain in &mut chains {
+                    *chain = $add($mul(*chain, mv), av);
+                }
+            }
+            std::hint::black_box(chains);
+        }
+    };
+}
+
+mul_add_probe!(mul_add_sse2, "sse2", _mm_set1_ps, _mm_mul_ps, _mm_add_ps);
+mul_add_probe!(
+    mul_add_avx2,
+    "avx2",
+    _mm256_set1_ps,
+    _mm256_mul_ps,
+    _mm256_add_ps
+);
+mul_add_probe!(
+    mul_add_avx512,
+    "avx512f",
+    _mm512_set1_ps,
+    _mm512_mul_ps,
+    _mm512_add_ps
+);
+
+/// The honest ceiling of one core under `isa`, in GFLOP/s: the best of
+/// a few timed runs of the mul+add probe (no fused multiply-add, which
+/// the micro-kernel never uses either) at the instantiation's lane
+/// width. `None` when the host cannot run `isa`, and on targets other
+/// than x86-64, which have no probe. Takes a few tens of milliseconds;
+/// a bench measures it once at start-up and divides its GFLOP/s by it.
+pub fn peak_gflops(isa: Isa) -> Option<f64> {
+    #[cfg(target_arch = "x86_64")]
+    {
+        use std::hint::black_box;
+        use std::time::Instant;
+        const ROUNDS: usize = 2_000_000;
+        if !isa.supported() {
+            return None;
+        }
+        let (m, a) = (black_box(0.5f32), black_box(1.0f32));
+        let mut best = 0.0f64;
+        for _ in 0..8 {
+            let start = Instant::now();
+            let lanes = match isa {
+                Isa::Avx512 => {
+                    // SAFETY: each probe is safe code that only requires
+                    // its target feature: AVX-512F and AVX2 were seen by
+                    // `supported()` through `is_x86_feature_detected!`,
+                    // and SSE2 is part of the x86-64 baseline.
+                    unsafe { mul_add_avx512(ROUNDS, m, a) };
+                    16
+                }
+                Isa::Avx2 => {
+                    // SAFETY: as above.
+                    unsafe { mul_add_avx2(ROUNDS, m, a) };
+                    8
+                }
+                Isa::Baseline => {
+                    // SAFETY: as above.
+                    unsafe { mul_add_sse2(ROUNDS, m, a) };
+                    4
+                }
+            };
+            let ns = start.elapsed().as_nanos().max(1);
+            let flops = (ROUNDS * PEAK_CHAINS * lanes * 2) as f64;
+            best = best.max(flops / ns as f64);
+        }
+        Some(best)
+    }
+    #[cfg(not(target_arch = "x86_64"))]
+    {
+        let _ = isa;
+        None
+    }
 }
