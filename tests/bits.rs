@@ -12,8 +12,9 @@
 //! host-independent. The `[same-host]` group is downstream of `exp`,
 //! `ln` and `cos` (softmax, Box–Muller init, sensor noise) and is only
 //! stable on one platform's libm; it also holds what sits on top of the
-//! kernels — one FAdeML[BIM] example and the cells and accuracy bars of
-//! the Fig. 5, 6, 7 and 9 drivers.
+//! kernels — one FAdeML[BIM] example, the pipeline's verdicts under each
+//! threat model, and the cells and accuracy bars of the Fig. 5, 6, 7
+//! and 9 drivers.
 
 use std::path::Path;
 
@@ -22,7 +23,7 @@ use fademl::experiments::{
     fig5, fig6, fig7, fig9, AccuracyGrid, AttackParams, ScenarioCell, StageLedger,
 };
 use fademl::setup::{ExperimentSetup, SetupProfile};
-use fademl::{Detection, Scenario, ThreatModel, Verdict};
+use fademl::{Detection, InferencePipeline, Scenario, ThreatModel, Verdict};
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Bim, Fademl};
 use fademl_data::{save_dataset, DatasetConfig, SignDataset, CLASS_COUNT};
 use fademl_detect::features::feature_dim;
@@ -317,6 +318,7 @@ fn same_host() -> Lines {
         "fademl_bim.lap32.adversarial".into(),
         digest(example.adversarial.as_slice()),
     ));
+    verdict_lines(&mut lines);
 
     let data = SignDataset::generate(&DatasetConfig {
         samples_per_class: 4,
@@ -428,6 +430,51 @@ fn same_host() -> Lines {
 }
 
 const FIG_EVAL_N: usize = 20;
+
+/// The served verdicts of 33 uniform images under LAP(32), one line per
+/// threat model, from per-image `classify`; one b33 `classify_batch`
+/// must give the same digest.
+fn verdict_lines(lines: &mut Lines) {
+    let mut rng = TensorRng::seed_from_u64(15);
+    let model = uniform_victim(&mut rng);
+    let pipeline =
+        InferencePipeline::new(model, FilterSpec::Lap { np: 32 }).expect("LAP(32) pipeline");
+    let images = rng.uniform(&[33, 3, 32, 32], 0.0, 1.0);
+    let verdicts_digest = |verdicts: &[Verdict]| {
+        let floats: Vec<f32> = verdicts
+            .iter()
+            .flat_map(|v| {
+                std::iter::once(v.class as f32)
+                    .chain(v.top5.top_classes.iter().map(|&c| c as f32))
+                    .chain(v.top5.top_probs.iter().copied())
+                    .chain(v.probabilities.as_slice().iter().copied())
+            })
+            .collect();
+        digest(&floats)
+    };
+    for (name, threat) in [
+        ("tm1", ThreatModel::I),
+        ("tm2", ThreatModel::II),
+        ("tm3", ThreatModel::III),
+    ] {
+        let singles: Vec<Verdict> = (0..33)
+            .map(|i| {
+                let image = images.index_batch(i).expect("image i");
+                pipeline.classify(&image, threat).expect("b1 classify")
+            })
+            .collect();
+        let value = verdicts_digest(&singles);
+        let batched = pipeline
+            .classify_batch(&images, threat)
+            .expect("b33 classify_batch");
+        assert_eq!(
+            verdicts_digest(&batched),
+            value,
+            "b33 classify_batch differs from b1 classify under {name}"
+        );
+        lines.push((format!("verdict.lap32.{name}"), value));
+    }
+}
 
 /// Digest of every parameter value, in layer order.
 fn weights(model: &Sequential) -> u64 {
