@@ -92,7 +92,7 @@ cargo test -q -p fademl-nn --features faults --test checkpoint_faults
 echo "==> network chaos suite (torn frames, drops, slow-loris, replica death)"
 cargo test -q -p fademl-net --features faults --test chaos
 
-echo "==> detection bench smoke (appends a BENCH_detection.json trajectory entry)"
+echo "==> detection bench smoke (appends a trajectory entry to a copy of BENCH_detection.json under target/detection-smoke/)"
 entries_before=$(python3 -c "
 import json, sys
 try:
@@ -103,12 +103,12 @@ except (OSError, ValueError):
 ")
 cargo bench -p fademl-bench --bench detection -- --test
 
-echo "==> BENCH_detection.json gained a fresh trajectory entry"
+echo "==> the smoke copy of BENCH_detection.json gained a fresh trajectory entry"
 python3 - "$entries_before" <<'EOF'
 import json, sys
 
 before = int(sys.argv[1])
-doc = json.load(open("BENCH_detection.json"))
+doc = json.load(open("target/detection-smoke/BENCH_detection.json"))
 trajectory = doc["trajectory"]
 assert len(trajectory) == min(before + 1, 20), (
     f"expected {min(before + 1, 20)} trajectory entries, found {len(trajectory)}"

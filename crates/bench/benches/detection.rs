@@ -14,7 +14,9 @@
 //! `cargo bench -p fademl-bench --bench detection` — full run.
 //! `cargo bench -p fademl-bench --bench detection -- --test` — CI
 //! smoke: smaller stream and burst; an entry is still appended (tagged
-//! `"mode": "smoke"`) so the artifact pipeline is exercised.
+//! `"mode": "smoke"`) to the committed trajectory so the artifact
+//! pipeline is exercised, but both outputs go under
+//! `target/detection-smoke/`, and no tracked file is rewritten.
 
 use std::path::Path;
 use std::time::Instant;
@@ -268,6 +270,12 @@ fn main() {
     );
 
     let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
+    let out = if quick {
+        format!("{root}/target/detection-smoke")
+    } else {
+        root.to_string()
+    };
+    std::fs::create_dir_all(format!("{out}/results")).expect("create the output directory");
 
     let mut roc_txt =
         String::from("Detection ROC — triage isolation score vs FGSM/FAdeML-mixed frame stream\n");
@@ -289,7 +297,7 @@ fn main() {
             point.fpr
         ));
     }
-    let roc_path = format!("{root}/results/detection_roc.txt");
+    let roc_path = format!("{out}/results/detection_roc.txt");
     atomic_write(Path::new(&roc_path), roc_txt.as_bytes()).expect("write detection_roc.txt");
     eprintln!("[detection] wrote {roc_path}");
 
@@ -363,8 +371,7 @@ fn main() {
     ));
     entry.push_str("      }\n    }");
 
-    let json_path = format!("{root}/BENCH_detection.json");
-    let mut entries = std::fs::read_to_string(&json_path)
+    let mut entries = std::fs::read_to_string(format!("{root}/BENCH_detection.json"))
         .map(|text| prior_entries(&text))
         .unwrap_or_default();
     entries.push(entry);
@@ -380,6 +387,7 @@ fn main() {
     json.push_str("  \"trajectory\": [\n    ");
     json.push_str(&entries.join(",\n    "));
     json.push_str("\n  ]\n}\n");
+    let json_path = format!("{out}/BENCH_detection.json");
     atomic_write(Path::new(&json_path), json.as_bytes()).expect("write BENCH_detection.json");
     eprintln!(
         "[detection] wrote {json_path} ({} trajectory entries)",

@@ -18,11 +18,13 @@
     )
 )]
 
+use std::borrow::Cow;
+
 use fademl_data::NoiseModel;
 use fademl_filters::{Filter, FilterSpec};
 use fademl_nn::metrics::{Prediction, EVAL_CHUNK};
 use fademl_nn::Sequential;
-use fademl_tensor::{Shape, Tensor, TensorRng};
+use fademl_tensor::{Tensor, TensorRng};
 
 use crate::{FademlError, Result, ThreatModel};
 
@@ -124,75 +126,52 @@ impl InferencePipeline {
         &mut self.model
     }
 
-    /// Runs the pipeline stages an image would traverse under `threat`
-    /// and returns the tensor that reaches the DNN input buffer.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filter errors.
-    pub fn stage_input(&self, image: &Tensor, threat: ThreatModel) -> Result<Tensor> {
-        let acquired = threat.reacquires().then(|| self.reacquire(image));
-        self.filter_stage(image, acquired, threat)
-    }
-
     /// Runs the pipeline stages for a whole `[N, C, H, W]` batch under
-    /// `threat`, producing exactly what per-image [`stage_input`] calls
-    /// would: TM-II sensor noise is seeded per image from its content,
+    /// `threat` and returns the tensor that reaches the DNN input
+    /// buffer: TM-II sensor noise is seeded per image from its content,
     /// and the filter (plane-wise by construction) runs once on the
-    /// whole batch.
-    ///
-    /// [`stage_input`]: InferencePipeline::stage_input
+    /// whole batch, so an image stages the same alone or in any batch.
     ///
     /// # Errors
     ///
     /// Returns [`FademlError::InvalidConfig`] for non-rank-4 input, plus
     /// any filter error.
     pub fn stage_input_batch(&self, images: &Tensor, threat: ThreatModel) -> Result<Tensor> {
+        Ok(self.stage(images, threat)?.into_owned())
+    }
+
+    /// The one staging body: TM-II re-acquires a copy of the batch, the
+    /// filter stage of `threat` runs over it (or over `images` as given),
+    /// and TM-I, which runs no stage, borrows `images`.
+    fn stage<'a>(&self, images: &'a Tensor, threat: ThreatModel) -> Result<Cow<'a, Tensor>> {
         let &[n, _, _, _] = images.dims() else {
             return Err(FademlError::InvalidConfig {
                 reason: format!("expected [N, C, H, W] images, got {:?}", images.dims()),
             });
         };
-        let mut acquired = None;
-        if threat.reacquires() {
-            let mut noised = Vec::with_capacity(images.numel());
-            for i in 0..n {
-                let image = images.index_batch(i)?;
-                noised.extend_from_slice(self.reacquire(&image).as_slice());
-            }
-            acquired = Some(Tensor::from_vec(
-                noised,
-                Shape::new(images.dims().to_vec()),
-            )?);
-        }
-        self.filter_stage(images, acquired, threat)
-    }
-
-    /// The filter stage of `threat` over the re-acquired frames when
-    /// there are any, else over `images` as given. The input is copied
-    /// only when no stage ran to produce a tensor of its own.
-    fn filter_stage(
-        &self,
-        images: &Tensor,
-        acquired: Option<Tensor>,
-        threat: ThreatModel,
-    ) -> Result<Tensor> {
+        let acquired = threat.reacquires().then(|| self.reacquire(images, n));
         if threat.filter_applies() {
-            return Ok(self.filter.apply(acquired.as_ref().unwrap_or(images))?);
+            let input = acquired.as_ref().unwrap_or(images);
+            return Ok(Cow::Owned(self.filter.apply(input)?));
         }
-        Ok(acquired.unwrap_or_else(|| images.clone()))
+        Ok(acquired.map_or(Cow::Borrowed(images), Cow::Owned))
     }
 
-    /// TM-II re-acquisition: deterministic per-image sensor noise, seeded
-    /// from the image content so repeated classification of the same
-    /// image is reproducible (and batch staging matches per-image
-    /// staging exactly).
-    fn reacquire(&self, image: &Tensor) -> Tensor {
-        let fingerprint = image.as_slice().iter().fold(0u64, |acc, &v| {
-            acc.wrapping_mul(31).wrapping_add(v.to_bits() as u64)
-        });
-        let mut rng = TensorRng::seed_from_u64(self.noise_seed ^ fingerprint);
-        self.acquisition_noise.apply(image, &mut rng)
+    /// TM-II re-acquisition of `n` frames: deterministic per-image
+    /// sensor noise, seeded from each frame's content before it is
+    /// noised, so repeated classification of the same image is
+    /// reproducible whatever batch it rides in.
+    fn reacquire(&self, images: &Tensor, n: usize) -> Tensor {
+        let mut acquired = images.clone();
+        let frame_len = (images.numel() / n.max(1)).max(1);
+        for frame in acquired.as_mut_slice().chunks_exact_mut(frame_len) {
+            let fingerprint = frame.iter().fold(0u64, |acc, &v| {
+                acc.wrapping_mul(31).wrapping_add(v.to_bits() as u64)
+            });
+            let mut rng = TensorRng::seed_from_u64(self.noise_seed ^ fingerprint);
+            self.acquisition_noise.apply_in_place(frame, &mut rng);
+        }
+        acquired
     }
 
     /// Rejects tensors carrying non-finite values: a single NaN spreads
@@ -236,7 +215,10 @@ impl InferencePipeline {
         }
     }
 
-    /// Classifies a single `[C, H, W]` image entering under `threat`.
+    /// Classifies a single `[C, H, W]` image entering under `threat`: a
+    /// [`classify_batch`] of one.
+    ///
+    /// [`classify_batch`]: InferencePipeline::classify_batch
     ///
     /// # Errors
     ///
@@ -249,20 +231,17 @@ impl InferencePipeline {
                 reason: format!("expected a [C, H, W] image, got {:?}", image.dims()),
             });
         }
-        Self::validate_input(image)?;
-        let staged = self.stage_input(image, threat)?;
-        let batch = staged.unsqueeze_batch();
-        // One forward pass; the top-5 ranking is a cheap argsort of the
-        // probability vector we already have.
-        let probabilities = self.model.predict_proba(&batch)?.row(0)?;
-        Ok(Self::verdict_from_probabilities(probabilities))
+        self.classify_batch(&image.unsqueeze_batch(), threat)?
+            .pop()
+            .ok_or_else(|| FademlError::InvalidConfig {
+                reason: "a batch of one image produced no verdict".into(),
+            })
     }
 
     /// Classifies a whole `[N, C, H, W]` batch entering under `threat`
     /// with one filter pass and one model forward, returning one
-    /// [`Verdict`] per image (identical to per-image [`classify`] calls).
-    ///
-    /// [`classify`]: InferencePipeline::classify
+    /// [`Verdict`] per image. Row `i` does not depend on the batch: it is
+    /// the verdict of image `i` alone, bit for bit.
     ///
     /// # Errors
     ///
@@ -271,7 +250,7 @@ impl InferencePipeline {
     /// filter/model error.
     pub fn classify_batch(&self, images: &Tensor, threat: ThreatModel) -> Result<Vec<Verdict>> {
         Self::validate_input(images)?;
-        let staged = self.stage_input_batch(images, threat)?;
+        let staged = self.stage(images, threat)?;
         let probabilities = self.model.predict_proba(&staged)?; // [N, classes]
         let n = probabilities.dims().first().copied().unwrap_or(0);
         let mut verdicts = Vec::with_capacity(n);
@@ -320,7 +299,7 @@ impl InferencePipeline {
         let mut hits = 0usize;
         for (start, chunk_labels) in (0..n).step_by(EVAL_CHUNK).zip(labels.chunks(EVAL_CHUNK)) {
             let chunk = images.select_batch(start..start + chunk_labels.len())?;
-            let staged = self.stage_input_batch(&chunk, threat)?;
+            let staged = self.stage(&chunk, threat)?;
             let probabilities = self.model.predict_proba(&staged)?;
             let frame_len = (chunk.numel() / chunk_labels.len()).max(1);
             let frames = chunk.as_slice().chunks_exact(frame_len);
@@ -352,8 +331,8 @@ mod tests {
     fn tm1_bypasses_filter() {
         let p = pipeline(FilterSpec::Lap { np: 32 });
         let mut rng = TensorRng::seed_from_u64(2);
-        let img = rng.uniform(&[3, 16, 16], 0.0, 1.0);
-        let staged = p.stage_input(&img, ThreatModel::I).unwrap();
+        let img = rng.uniform(&[1, 3, 16, 16], 0.0, 1.0);
+        let staged = p.stage_input_batch(&img, ThreatModel::I).unwrap();
         assert_eq!(staged, img);
     }
 
@@ -361,23 +340,23 @@ mod tests {
     fn tm3_filters_without_noise() {
         let p = pipeline(FilterSpec::Lap { np: 8 });
         let mut rng = TensorRng::seed_from_u64(3);
-        let img = rng.uniform(&[3, 16, 16], 0.0, 1.0);
-        let staged = p.stage_input(&img, ThreatModel::III).unwrap();
+        let img = rng.uniform(&[1, 3, 16, 16], 0.0, 1.0);
+        let staged = p.stage_input_batch(&img, ThreatModel::III).unwrap();
         assert_ne!(staged, img);
         // Deterministic: same image, same staging.
-        assert_eq!(staged, p.stage_input(&img, ThreatModel::III).unwrap());
+        assert_eq!(staged, p.stage_input_batch(&img, ThreatModel::III).unwrap());
     }
 
     #[test]
     fn tm2_adds_noise_then_filters() {
         let p = pipeline(FilterSpec::Lap { np: 8 });
         let mut rng = TensorRng::seed_from_u64(4);
-        let img = rng.uniform(&[3, 16, 16], 0.2, 0.8);
-        let tm2 = p.stage_input(&img, ThreatModel::II).unwrap();
-        let tm3 = p.stage_input(&img, ThreatModel::III).unwrap();
-        assert_ne!(tm2, tm3); // sensor noise distinguishes II from III
-                              // Still reproducible.
-        assert_eq!(tm2, p.stage_input(&img, ThreatModel::II).unwrap());
+        let img = rng.uniform(&[1, 3, 16, 16], 0.2, 0.8);
+        let tm2 = p.stage_input_batch(&img, ThreatModel::II).unwrap();
+        let tm3 = p.stage_input_batch(&img, ThreatModel::III).unwrap();
+        // Sensor noise distinguishes II from III, reproducibly.
+        assert_ne!(tm2, tm3);
+        assert_eq!(tm2, p.stage_input_batch(&img, ThreatModel::II).unwrap());
     }
 
     #[test]
@@ -465,9 +444,9 @@ mod tests {
         // validation belongs to the classification entry points only.
         let p = pipeline(FilterSpec::Lap { np: 8 });
         let mut rng = TensorRng::seed_from_u64(22);
-        let mut img = rng.uniform(&[3, 16, 16], 0.0, 1.0);
+        let mut img = rng.uniform(&[1, 3, 16, 16], 0.0, 1.0);
         img.as_mut_slice()[0] = f32::NAN;
-        assert!(p.stage_input(&img, ThreatModel::III).is_ok());
+        assert!(p.stage_input_batch(&img, ThreatModel::III).is_ok());
     }
 
     #[test]
@@ -488,9 +467,9 @@ mod tests {
         let staged = p.stage_input_batch(&images, ThreatModel::II).unwrap();
         for i in 0..3 {
             let single = p
-                .stage_input(&images.index_batch(i).unwrap(), ThreatModel::II)
+                .stage_input_batch(&images.select_batch(i..i + 1).unwrap(), ThreatModel::II)
                 .unwrap();
-            assert_eq!(staged.index_batch(i).unwrap(), single);
+            assert_eq!(staged.select_batch(i..i + 1).unwrap(), single);
         }
     }
 

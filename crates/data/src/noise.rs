@@ -41,27 +41,32 @@ impl NoiseModel {
     /// Applies the noise to an image tensor (any shape, values `[0, 1]`),
     /// clamping the result back into `[0, 1]`.
     pub fn apply(&self, image: &Tensor, rng: &mut TensorRng) -> Tensor {
-        if self.is_none() {
-            return image.clone();
-        }
         let mut out = image.clone();
-        let data = out.as_mut_slice();
+        self.apply_in_place(out.as_mut_slice(), rng);
+        out
+    }
+
+    /// [`apply`](NoiseModel::apply) on pixels the caller owns: the same
+    /// draws from `rng`, written over `pixels`.
+    pub fn apply_in_place(&self, pixels: &mut [f32], rng: &mut TensorRng) {
+        if self.is_none() {
+            return;
+        }
         if self.gaussian_std > 0.0 {
-            for x in data.iter_mut() {
+            for x in pixels.iter_mut() {
                 *x += self.gaussian_std * rng.normal_scalar();
             }
         }
         if self.salt_pepper_prob > 0.0 {
-            for x in data.iter_mut() {
+            for x in pixels.iter_mut() {
                 if rng.chance(self.salt_pepper_prob) {
                     *x = if rng.chance(0.5) { 1.0 } else { 0.0 };
                 }
             }
         }
-        for x in data.iter_mut() {
+        for x in pixels.iter_mut() {
             *x = x.clamp(0.0, 1.0);
         }
-        out
     }
 }
 

@@ -38,16 +38,6 @@ pub enum NetError {
         /// Why the configuration was refused.
         reason: String,
     },
-    /// A [`RetryingClient`](crate::client::RetryingClient) gave up: every
-    /// one of its bounded attempts failed with a transient transport
-    /// error. Carries the final attempt's error so callers can still
-    /// classify the root cause.
-    RetriesExhausted {
-        /// How many attempts were made before giving up.
-        attempts: u32,
-        /// The error the last attempt failed with.
-        last: Box<NetError>,
-    },
 }
 
 impl fmt::Display for NetError {
@@ -63,12 +53,6 @@ impl fmt::Display for NetError {
             NetError::InvalidConfig { reason } => {
                 write!(f, "invalid network config: {reason}")
             }
-            NetError::RetriesExhausted { attempts, last } => {
-                write!(
-                    f,
-                    "retries exhausted after {attempts} attempts; last: {last}"
-                )
-            }
         }
     }
 }
@@ -79,7 +63,6 @@ impl std::error::Error for NetError {
             NetError::Io(err) => Some(err),
             NetError::Frame(err) => Some(err),
             NetError::Remote(err) => Some(err),
-            NetError::RetriesExhausted { last, .. } => Some(last.as_ref()),
             _ => None,
         }
     }
@@ -119,14 +102,6 @@ mod tests {
         }
         .to_string()
         .contains("frame body"));
-        let exhausted = NetError::RetriesExhausted {
-            attempts: 4,
-            last: Box::new(NetError::Timeout {
-                context: "frame header".into(),
-            }),
-        };
-        assert!(exhausted.to_string().contains("4 attempts"));
-        assert!(exhausted.to_string().contains("frame header"));
-        assert!(std::error::Error::source(&exhausted).is_some());
+        assert!(std::error::Error::source(&NetError::Frame(FrameError::BadMagic)).is_some());
     }
 }

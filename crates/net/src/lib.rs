@@ -30,14 +30,11 @@
 //!    [`swap_detectors`](ReplicaRouter::swap_detectors), so a new
 //!    detector deploys with zero downtime and the fleet is never blind.
 //!
-//! On the client side, [`RetryingClient`] wraps [`NetClient`] with
-//! reconnect-on-demand and bounded retry under exponential backoff with
-//! deterministic jitter ([`RetryPolicy`]). Inference is idempotent, so
-//! transient transport failures (refused dials, torn frames, dropped
-//! responses, read timeouts) are retried safely; remote serving errors
-//! are the engine's *answer* and pass through untouched, and when the
-//! attempt budget runs out the caller gets a typed
-//! [`NetError::RetriesExhausted`] carrying the final cause.
+//! On the client side, [`NetClient`] holds one connection and answers
+//! every call with a verdict or a typed [`NetError`]: a remote serving
+//! error arrives as [`NetError::Remote`] carrying the engine's variant,
+//! and a torn frame, dropped response or read timeout as a transport
+//! error. Inference is idempotent, so a caller may reconnect and resend.
 //!
 //! The TCP front ([`server`]) drains gracefully end-to-end: stop
 //! accepting → drain open connections under a deadline → drain the
@@ -93,7 +90,7 @@ pub mod router;
 pub mod server;
 pub mod wire;
 
-pub use client::{NetClient, RetryPolicy, RetryingClient};
+pub use client::NetClient;
 pub use error::{NetError, Result};
 #[cfg(feature = "faults")]
 pub use faults::NetFaultPlan;

@@ -12,8 +12,7 @@ use fademl::{InferencePipeline, ThreatModel};
 use fademl_filters::FilterSpec;
 use fademl_net::wire::{encode_frame, read_frame, Frame, WireRequest};
 use fademl_net::{
-    NetClient, NetConfig, NetError, NetFaultPlan, NetServer, ReplicaRouter, RetryPolicy,
-    RetryingClient, RouterConfig,
+    NetClient, NetConfig, NetError, NetFaultPlan, NetServer, ReplicaRouter, RouterConfig,
 };
 use fademl_nn::vgg::VggConfig;
 use fademl_serve::{FaultPlan, ServeError, ServerConfig};
@@ -205,93 +204,6 @@ fn replica_death_mid_batch_resolves_every_call() {
     assert_eq!(ok + typed_errors, 24, "every call resolved");
     assert!(ok > 0, "surviving workers must keep serving");
 
-    client.goodbye();
-    server.shutdown();
-}
-
-fn fast_retry(attempts: u32) -> RetryPolicy {
-    RetryPolicy {
-        attempts,
-        base_delay: Duration::from_millis(1),
-        max_delay: Duration::from_millis(5),
-        ..RetryPolicy::default()
-    }
-}
-
-/// A dropped response then a torn one: the retrying client reconnects
-/// and resends after each transient fault, and the third attempt lands.
-/// Idempotence makes the resends safe — at worst the server computed a
-/// verdict nobody read.
-#[test]
-fn retrying_client_rides_out_dropped_and_torn_responses() {
-    let router = ReplicaRouter::start(pipeline(31), router_config(1)).unwrap();
-    let plan = NetFaultPlan::new()
-        .drop_response_on(1)
-        .tear_response_on(2, 6);
-    let server = NetServer::serve_router_with_faults(router, NetConfig::default(), plan).unwrap();
-
-    let mut client = RetryingClient::connect(server.local_addr(), fast_retry(4)).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let verdict = client
-        .classify(&image(1), ThreatModel::II)
-        .expect("third attempt gets a whole frame");
-    assert!(verdict.confidence > 0.0);
-    // The healed connection keeps working without further retries.
-    client.classify(&image(2), ThreatModel::II).unwrap();
-    client.goodbye();
-    let report = server.shutdown();
-    assert_eq!(report.serving.requests_failed, 0);
-}
-
-/// Against a dead address every dial fails; the client gives up after
-/// exactly its attempt budget with a typed `RetriesExhausted` carrying
-/// the root cause — never a hang, never an untyped panic.
-#[test]
-fn exhausted_retries_resolve_typed_with_the_last_cause() {
-    // Bind then drop a listener so the port is (momentarily) dead.
-    let dead = {
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "reserves a port, then frees it so dials to it fail"
-        )]
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        listener.local_addr().unwrap()
-    };
-    let mut client = RetryingClient::connect(dead, fast_retry(3)).unwrap();
-    match client.classify(&image(3), ThreatModel::I) {
-        Err(NetError::RetriesExhausted { attempts, last }) => {
-            assert_eq!(attempts, 3);
-            assert!(
-                matches!(*last, NetError::Io(_)),
-                "refused dial is the root cause, got {last:?}"
-            );
-        }
-        other => panic!("expected RetriesExhausted, got {other:?}"),
-    }
-}
-
-/// Remote serving errors are the engine's answer, not transport noise:
-/// the retrying client must pass them through on the first attempt so
-/// backpressure and validation semantics survive the wrapper.
-#[test]
-fn remote_errors_pass_through_without_retry() {
-    let router = ReplicaRouter::start(pipeline(32), router_config(1)).unwrap();
-    let server = NetServer::serve_router(router, NetConfig::default()).unwrap();
-
-    let mut client = RetryingClient::connect(server.local_addr(), fast_retry(4)).unwrap();
-    client
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    // Rank-2 input: admission-time validation refuses it remotely.
-    let bad = TensorRng::seed_from_u64(9).uniform(&[16, 16], 0.0, 1.0);
-    match client.classify(&bad, ThreatModel::I) {
-        Err(NetError::Remote(ServeError::InvalidInput { .. })) => {}
-        other => panic!("expected the remote validation error, got {other:?}"),
-    }
-    // The connection survives the typed refusal.
-    client.classify(&image(4), ThreatModel::I).unwrap();
     client.goodbye();
     server.shutdown();
 }

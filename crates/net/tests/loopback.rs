@@ -83,6 +83,24 @@ fn typed_errors_survive_the_wire() {
     server.shutdown();
 }
 
+/// A deadline under one microsecond is still a deadline over the wire:
+/// the server refuses the stale answer, as the in-process engine does.
+#[test]
+fn a_zero_deadline_is_refused_over_the_wire() {
+    let server = NetServer::start(pipeline(15), router_config(1), NetConfig::default()).unwrap();
+    let mut client = NetClient::connect(server.local_addr()).unwrap();
+    let image = TensorRng::seed_from_u64(502).uniform(&[3, 16, 16], 0.0, 1.0);
+    for deadline in [Duration::ZERO, Duration::from_nanos(900)] {
+        match client.classify_with_deadline(&image, ThreatModel::I, Some(deadline)) {
+            Err(NetError::Remote(ServeError::DeadlineExceeded { .. })) => {}
+            other => panic!("expected Remote(DeadlineExceeded) at {deadline:?}, got {other:?}"),
+        }
+    }
+    client.classify(&image, ThreatModel::I).unwrap();
+    client.goodbye();
+    server.shutdown();
+}
+
 /// The acceptance-criteria test: three successive hot swaps while four
 /// client threads hammer the loopback path. Every request must resolve
 /// Ok, the generation must advance monotonically, and the final report

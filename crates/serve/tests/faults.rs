@@ -2,15 +2,17 @@
 //! fault-injection harness (`--features faults`).
 //!
 //! The invariant under test, everywhere: **every accepted request's
-//! handle resolves** — with a verdict or a typed error — no matter
+//! handle resolves** — with *the* verdict or a typed error — no matter
 //! which fault fires. A hang is the one failure mode these tests are
-//! designed to catch, so every wait goes through `wait_timeout`.
+//! designed to catch, so every wait goes through `wait_timeout`; a
+//! served verdict must equal the offline `classify` of its image, bit
+//! for bit, whatever batch or path served it.
 
 #![cfg(feature = "faults")]
 
 use std::time::Duration;
 
-use fademl::{InferencePipeline, ThreatModel};
+use fademl::{InferencePipeline, ThreatModel, Verdict};
 use fademl_filters::FilterSpec as Spec;
 use fademl_nn::vgg::VggConfig;
 use fademl_serve::{
@@ -53,10 +55,31 @@ fn await_batches(server: &InferenceServer, n: u64) {
     }
 }
 
-fn resolve(handle: ResponseHandle) -> Result<fademl::Verdict, ServeError> {
+fn resolve(handle: ResponseHandle) -> Result<Verdict, ServeError> {
     handle
         .wait_timeout(RESOLVE_WITHIN)
         .expect("handle must resolve, not hang")
+}
+
+fn verdict_bits(v: &Verdict) -> (usize, Vec<usize>, Vec<u32>, Vec<u32>) {
+    let bits = |xs: &[f32]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    (
+        v.class,
+        v.top5.top_classes.clone(),
+        bits(&v.top5.top_probs),
+        bits(v.probabilities.as_slice()),
+    )
+}
+
+/// Asserts that `served` is *the* verdict of `image`: the offline
+/// `classify` of the same pipeline, bit for bit.
+fn assert_the_verdict(served: &Verdict, image: &Tensor, threat: ThreatModel) {
+    let offline = pipeline().classify(image, threat).unwrap();
+    assert_eq!(
+        verdict_bits(served),
+        verdict_bits(&offline),
+        "served verdict differs from the offline one under {threat:?}"
+    );
 }
 
 #[test]
@@ -82,10 +105,11 @@ fn injected_panic_fails_only_its_batch() {
     }
 
     // Batch 2: the worker survived the panic and serves normally.
-    let h3 = server.submit(imgs.next().unwrap(), ThreatModel::I).unwrap();
-    let h4 = server.submit(imgs.next().unwrap(), ThreatModel::I).unwrap();
-    assert!(resolve(h3).is_ok());
-    assert!(resolve(h4).is_ok());
+    let (i3, i4) = (imgs.next().unwrap(), imgs.next().unwrap());
+    let h3 = server.submit(i3.clone(), ThreatModel::I).unwrap();
+    let h4 = server.submit(i4.clone(), ThreatModel::I).unwrap();
+    assert_the_verdict(&resolve(h3).unwrap(), &i3, ThreatModel::I);
+    assert_the_verdict(&resolve(h4).unwrap(), &i4, ThreatModel::I);
 
     let report = server.shutdown();
     assert_eq!(report.worker_panics, 1);
@@ -128,14 +152,11 @@ fn killed_worker_is_respawned_and_nothing_hangs() {
     }
 
     // The only worker died; these can only be served by its replacement.
-    let h3 = server
-        .submit(imgs.next().unwrap(), ThreatModel::II)
-        .unwrap();
-    let h4 = server
-        .submit(imgs.next().unwrap(), ThreatModel::II)
-        .unwrap();
-    assert!(resolve(h3).is_ok());
-    assert!(resolve(h4).is_ok());
+    let (i3, i4) = (imgs.next().unwrap(), imgs.next().unwrap());
+    let h3 = server.submit(i3.clone(), ThreatModel::II).unwrap();
+    let h4 = server.submit(i4.clone(), ThreatModel::II).unwrap();
+    assert_the_verdict(&resolve(h3).unwrap(), &i3, ThreatModel::II);
+    assert_the_verdict(&resolve(h4).unwrap(), &i4, ThreatModel::II);
 
     let report = server.shutdown();
     assert_eq!(report.workers_respawned, 1);
@@ -293,16 +314,16 @@ fn breaker_degrades_after_consecutive_failures_and_probe_recovers() {
         FaultPlan::new().panic_on_batch(1).panic_on_batch(2),
     )
     .unwrap();
-    let submit_pair = |seed: u64| -> Vec<ResponseHandle> {
+    let submit_pair = |seed: u64| -> Vec<(Tensor, ResponseHandle)> {
         images(2, seed)
             .into_iter()
-            .map(|img| server.submit(img, ThreatModel::I).unwrap())
+            .map(|img| (img.clone(), server.submit(img, ThreatModel::I).unwrap()))
             .collect()
     };
 
     // Batches 1 and 2 panic → breaker opens.
     for seed in [10, 11] {
-        for handle in submit_pair(seed) {
+        for (_, handle) in submit_pair(seed) {
             assert!(matches!(
                 resolve(handle),
                 Err(ServeError::BatchFailed { .. })
@@ -314,16 +335,16 @@ fn breaker_degrades_after_consecutive_failures_and_probe_recovers() {
         "two consecutive failures must degrade"
     );
 
-    // Batch 3 runs per-image (isolated) and still serves verdicts.
-    for handle in submit_pair(12) {
-        assert!(resolve(handle).is_ok());
+    // Batch 3 runs per-image (isolated) and still serves the verdicts.
+    for (image, handle) in submit_pair(12) {
+        assert_the_verdict(&resolve(handle).unwrap(), &image, ThreatModel::I);
     }
     assert!(server.is_degraded(), "first degraded batch is not a probe");
 
     // Batch 4 is the probe (every 2nd degraded batch); its success
     // closes the breaker.
-    for handle in submit_pair(13) {
-        assert!(resolve(handle).is_ok());
+    for (image, handle) in submit_pair(13) {
+        assert_the_verdict(&resolve(handle).unwrap(), &image, ThreatModel::I);
     }
     assert!(!server.is_degraded(), "successful probe must recover");
 
@@ -382,9 +403,12 @@ fn chaos_stress_every_handle_resolves() {
                     let threat = [ThreatModel::I, ThreatModel::II, ThreatModel::III][i % 3];
                     // Every 4th request carries a tight-ish deadline.
                     let deadline = (i % 4 == 0).then(|| Duration::from_millis(200));
-                    match server.submit_with_deadline(img, threat, deadline) {
+                    match server.submit_with_deadline(img.clone(), threat, deadline) {
                         Ok(handle) => match resolve(handle) {
-                            Ok(_) => verdicts += 1,
+                            Ok(served) => {
+                                assert_the_verdict(&served, &img, threat);
+                                verdicts += 1;
+                            }
                             Err(_) => typed_errors += 1,
                         },
                         // Shedding at the edge also counts as resolved.

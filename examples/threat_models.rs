@@ -31,14 +31,15 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
 
     for threat in ThreatModel::ALL {
-        let staged = pipeline.stage_input(&adv.adversarial, threat)?;
+        let frame = adv.adversarial.unsqueeze_batch();
+        let staged = pipeline.stage_input_batch(&frame, threat)?;
         let verdict = pipeline.classify(&adv.adversarial, threat)?;
         let stages = match threat {
             ThreatModel::I => "buffer → DNN (filter bypassed)",
             ThreatModel::II => "sensor (noise!) → filter → buffer → DNN",
             ThreatModel::III => "filter → buffer → DNN",
         };
-        let delta = staged.sub(&adv.adversarial)?.norm_l2();
+        let delta = staged.sub(&frame)?.norm_l2();
         println!("{threat}: {stages}");
         println!(
             "  pipeline altered the image by ‖Δ‖₂ = {delta:.3}; verdict: {} ({:.1}%){}",

@@ -1,7 +1,8 @@
 //! Exact heap-allocation counts of the served frame: the smoothing
 //! filter and VGG forward that `InferencePipeline::classify_batch` runs
-//! for every batch the serve worker dispatches, and the per-image
-//! `classify` of the breaker's `PerImage` mode and the hardened path.
+//! for every batch the serve worker dispatches, and `classify`, which
+//! the breaker's `PerImage` mode and the hardened path run: a batch of
+//! one, pinned as the b1 batch plus the copy that adds its batch axis.
 //! Beside them, the two calls the victim is built and attacked with:
 //! one b32 training step, and one b1 attack query with and without the
 //! smoothing filter.
@@ -45,11 +46,12 @@ use fademl_tensor::io::{atomic_write, crc32, CrcScope};
 use fademl_tensor::{par, simd, Tensor, TensorRng};
 
 /// Pinned `classify_batch` counts per call, by batch size, for TM-I,
-/// TM-II and TM-III. TM-II adds per-image sensor re-acquisition.
-const BATCH: [(usize, [u64; 3]); 2] = [(1, [24, 30, 24]), (16, [84, 150, 84])];
+/// TM-II and TM-III. TM-II adds one copy of the batch to re-acquire.
+const BATCH: [(usize, [u64; 3]); 2] = [(1, [22, 26, 24]), (16, [82, 86, 84])];
 
-/// Pinned per-image `classify` counts for TM-I, TM-II and TM-III.
-const PER_IMAGE: [u64; 3] = [25, 27, 25];
+/// What `classify` allocates beyond `classify_batch` of one image: the
+/// copy that adds the batch axis, its data and its dims.
+const BATCH_AXIS_COPY: u64 = 2;
 
 /// Pinned count of one b32 training step: `zero_grad`, `forward_train`,
 /// cross-entropy, `backward`, Adam.
@@ -182,9 +184,15 @@ fn served_frame_allocations_are_pinned() {
                 check(format!("{isa:?} classify_batch b{b} {threat:?}"), got, want);
             }
         }
-        for (threat, want) in THREATS.into_iter().zip(PER_IMAGE) {
+        let batch_of_one = image.unsqueeze_batch();
+        for threat in THREATS {
+            let batched = steady_allocs(|| pipeline.classify_batch(&batch_of_one, threat));
             let got = steady_allocs(|| pipeline.classify(&image, threat));
-            check(format!("{isa:?} classify {threat:?}"), got, want);
+            check(
+                format!("{isa:?} classify {threat:?}, classify_batch b1 + {BATCH_AXIS_COPY}"),
+                got,
+                batched + BATCH_AXIS_COPY,
+            );
         }
     }
     simd::pin(None);

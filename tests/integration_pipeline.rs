@@ -87,9 +87,13 @@ fn threat_models_stage_differently() {
     let p = prepared();
     let pipeline = InferencePipeline::new(p.model.clone(), FilterSpec::Lap { np: 8 }).unwrap();
     let image = p.test.first_of_class(ClassId::STOP).unwrap();
-    let tm1 = pipeline.stage_input(&image, ThreatModel::I).unwrap();
-    let tm2 = pipeline.stage_input(&image, ThreatModel::II).unwrap();
-    let tm3 = pipeline.stage_input(&image, ThreatModel::III).unwrap();
+    let image = image.unsqueeze_batch();
+    let stage = |threat| pipeline.stage_input_batch(&image, threat).unwrap();
+    let (tm1, tm2, tm3) = (
+        stage(ThreatModel::I),
+        stage(ThreatModel::II),
+        stage(ThreatModel::III),
+    );
     assert_eq!(tm1, image);
     assert_ne!(tm2, tm3);
     assert_ne!(tm3, image);
@@ -102,10 +106,10 @@ fn acquisition_noise_is_configurable() {
         .unwrap()
         .with_acquisition_noise(NoiseModel::none());
     let image = p.test.first_of_class(ClassId::STOP).unwrap();
+    let image = image.unsqueeze_batch();
+    let stage = |threat| pipeline.stage_input_batch(&image, threat).unwrap();
     // With no acquisition noise, TM-II and TM-III coincide.
-    let tm2 = pipeline.stage_input(&image, ThreatModel::II).unwrap();
-    let tm3 = pipeline.stage_input(&image, ThreatModel::III).unwrap();
-    assert_eq!(tm2, tm3);
+    assert_eq!(stage(ThreatModel::II), stage(ThreatModel::III));
 }
 
 #[test]
