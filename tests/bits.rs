@@ -25,7 +25,7 @@ use fademl::experiments::{
 use fademl::setup::{ExperimentSetup, SetupProfile};
 use fademl::{Detection, InferencePipeline, Scenario, ThreatModel, Verdict};
 use fademl_attacks::{Attack, AttackGoal, AttackSurface, Bim, Fademl};
-use fademl_data::{save_dataset, DatasetConfig, SignDataset, CLASS_COUNT};
+use fademl_data::{save_dataset, DatasetConfig, NoiseModel, SignDataset, CLASS_COUNT};
 use fademl_detect::features::feature_dim;
 use fademl_detect::{Detector, DetectorConfig};
 use fademl_filters::FilterSpec;
@@ -319,6 +319,7 @@ fn same_host() -> Lines {
         digest(example.adversarial.as_slice()),
     ));
     verdict_lines(&mut lines);
+    noise_lines(&mut lines);
 
     let data = SignDataset::generate(&DatasetConfig {
         samples_per_class: 4,
@@ -474,6 +475,23 @@ fn verdict_lines(lines: &mut Lines) {
         );
         lines.push((format!("verdict.lap32.{name}"), value));
     }
+}
+
+/// Threat Model II's re-acquisition noise and the Box–Muller stream
+/// under it: `NoiseModel::sensor()` over 33 uniform 3×32×32 frames
+/// (frame *i* drawn and noised from seed *i*), and 65 536 standard
+/// normals from seed 7.
+fn noise_lines(lines: &mut Lines) {
+    let sensor = NoiseModel::sensor();
+    let mut frames = Vec::new();
+    for seed in 0..33 {
+        let mut rng = TensorRng::seed_from_u64(seed);
+        let clean = rng.uniform(&[3, 32, 32], 0.0, 1.0);
+        frames.extend_from_slice(sensor.apply(&clean, &mut rng).as_slice());
+    }
+    lines.push(("noise.sensor.frames".into(), digest(&frames)));
+    let stream = TensorRng::seed_from_u64(7).normal(&[65536], 0.0, 1.0);
+    lines.push(("rng.normal.stream".into(), digest(stream.as_slice())));
 }
 
 /// Digest of every parameter value, in layer order.
