@@ -6,7 +6,9 @@
 //! victims (VGG-ish CIFAR layer, GTSRB-ish mid layer), the five
 //! convolution stages of the served Compact victim at batch 1 and 16
 //! (forward) and at the training batch of 32 (backward), and its
-//! classifier head.
+//! classifier head. One row is not a GEMM: TM-II's sensor noise on one
+//! frame, whose lane-wise Box–Muller is instantiated per ISA like the
+//! micro-kernel and falls under the same bit-identity gate.
 //! Two more cells run the whole Compact victim: its forward at batch 16,
 //! so the fused conv+ReLU store and the recycled activations are under
 //! the same gate, and one training step at batch 32 (forward, backward
@@ -31,7 +33,7 @@ use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
-use fademl_data::CLASS_COUNT;
+use fademl_data::{NoiseModel, CLASS_COUNT};
 use fademl_filters::FilterSpec;
 use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_nn::{Adam, CrossEntropyLoss, Optimizer};
@@ -152,6 +154,20 @@ fn workloads() -> Vec<Workload> {
                     .expect("LAR backward")
                     .into_vec()
             }),
+        },
+        Workload {
+            name: "sensor_noise_3x32x32".into(),
+            flops: 0.0,
+            run: {
+                // Its own seeds, so the rows above and below keep their
+                // inputs.
+                let frame = TensorRng::seed_from_u64(7).uniform(&[3, 32, 32], 0.0, 1.0);
+                Box::new(move || {
+                    NoiseModel::sensor()
+                        .apply(&frame, &mut TensorRng::seed_from_u64(8))
+                        .into_vec()
+                })
+            },
         },
     ];
 

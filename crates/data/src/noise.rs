@@ -7,6 +7,10 @@
 use fademl_tensor::{Tensor, TensorRng};
 use serde::{Deserialize, Serialize};
 
+/// Pixels per batch of Gaussian draws in
+/// [`NoiseModel::apply_in_place`]: one stack array.
+const NOISE_RUN: usize = 256;
+
 /// Additive/impulse sensor noise applied to a clean rendered sign.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct NoiseModel {
@@ -47,14 +51,21 @@ impl NoiseModel {
     }
 
     /// [`apply`](NoiseModel::apply) on pixels the caller owns: the same
-    /// draws from `rng`, written over `pixels`.
+    /// draws from `rng`, written over `pixels`. The Gaussian pass takes
+    /// its normals a stack run at a time from
+    /// [`TensorRng::standard_normals`], so the call allocates nothing.
     pub fn apply_in_place(&self, pixels: &mut [f32], rng: &mut TensorRng) {
         if self.is_none() {
             return;
         }
         if self.gaussian_std > 0.0 {
-            for x in pixels.iter_mut() {
-                *x += self.gaussian_std * rng.normal_scalar();
+            let mut normals = [0.0f32; NOISE_RUN];
+            for run in pixels.chunks_mut(NOISE_RUN) {
+                let normals = &mut normals[..run.len()];
+                rng.standard_normals(normals);
+                for (x, n) in run.iter_mut().zip(normals.iter()) {
+                    *x += self.gaussian_std * n;
+                }
             }
         }
         if self.salt_pepper_prob > 0.0 {
@@ -171,6 +182,44 @@ mod tests {
         let noisy = model.apply(&img, &mut rng);
         assert!(noisy.min().unwrap() >= 0.0);
         assert!(noisy.max().unwrap() <= 1.0);
+    }
+
+    /// The noise as it was defined before the Gaussian pass took its
+    /// normals in lane-wise runs: one `normal_scalar` per pixel.
+    fn per_pixel_reference(model: &NoiseModel, image: &Tensor, rng: &mut TensorRng) -> Tensor {
+        let mut out = image.clone();
+        let pixels = out.as_mut_slice();
+        for x in pixels.iter_mut() {
+            *x += model.gaussian_std * rng.normal_scalar();
+        }
+        for x in pixels.iter_mut() {
+            if rng.chance(model.salt_pepper_prob) {
+                *x = if rng.chance(0.5) { 1.0 } else { 0.0 };
+            }
+        }
+        for x in pixels.iter_mut() {
+            *x = x.clamp(0.0, 1.0);
+        }
+        out
+    }
+
+    #[test]
+    fn apply_is_the_per_pixel_reference_bit_for_bit() {
+        let model = NoiseModel::sensor();
+        for seed in 0..200 {
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let frame = rng.uniform(&[3, 32, 32], 0.0, 1.0);
+            let mut reference_rng = rng.clone();
+            let got = model.apply(&frame, &mut rng);
+            let want = per_pixel_reference(&model, &frame, &mut reference_rng);
+            let bits = |t: &Tensor| t.as_slice().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "frame {seed}");
+            assert_eq!(
+                rng.state(),
+                reference_rng.state(),
+                "frame {seed}: streams diverged"
+            );
+        }
     }
 
     #[test]

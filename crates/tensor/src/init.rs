@@ -4,11 +4,14 @@
 //! wrapper over a seeded [`StdRng`], so every experiment is reproducible
 //! from a single `u64` seed. Gaussian samples are produced with the
 //! Box–Muller transform (the `rand_distr` crate is deliberately not a
-//! dependency).
+//! dependency): [`TensorRng::normal_scalar`] defines each sample through
+//! the platform's `ln` and `cos`, and [`TensorRng::standard_normals`]
+//! makes the same samples, bit for bit, in lane-wise chunks.
 
 use rand::rngs::StdRng;
 use rand::{RngExt, SeedableRng};
 
+use crate::simd::{self, NORMAL_CHUNK};
 use crate::Tensor;
 
 /// Weight-initialization schemes for neural-network layers.
@@ -76,17 +79,45 @@ impl TensorRng {
         self.rng.random_range(lo..hi)
     }
 
-    /// Samples a single standard-normal value via Box–Muller.
-    #[expect(
-        clippy::cast_possible_truncation,
-        reason = "Box–Muller runs in f64 for the log; the sample rounds to the f32 tensors hold"
-    )]
+    /// Samples a single standard-normal value via Box–Muller. This is
+    /// the definition every Gaussian sample in the workspace meets.
     pub fn normal_scalar(&mut self) -> f32 {
-        // Box–Muller transform: two uniforms → one normal. u1 must be
-        // strictly positive for the log.
+        let (u1, u2) = self.box_muller_uniforms();
+        box_muller_scalar(u1, u2)
+    }
+
+    /// Fills `out` with standard normals: the draws, in the order, and
+    /// the bits of `out.len()` calls of
+    /// [`normal_scalar`](TensorRng::normal_scalar). The transform runs
+    /// on lanes through the active `simd` instantiation; the rare lane
+    /// it cannot prove equal to the scalar definition is recomputed by
+    /// it. Allocates nothing.
+    pub fn standard_normals(&mut self, out: &mut [f32]) {
+        // In-domain filler for the lanes past a short last chunk, which
+        // are computed and dropped.
+        let mut u1 = [0.5f64; NORMAL_CHUNK];
+        let mut u2 = [0.5f64; NORMAL_CHUNK];
+        let mut normals = [0.0f32; NORMAL_CHUNK];
+        let mut exact = [true; NORMAL_CHUNK];
+        for run in out.chunks_mut(NORMAL_CHUNK) {
+            for (a, b) in u1.iter_mut().zip(u2.iter_mut()).take(run.len()) {
+                (*a, *b) = self.box_muller_uniforms();
+            }
+            simd::box_muller(&u1, &u2, &mut normals, &mut exact);
+            let lanes = normals.iter().zip(&exact).zip(u1.iter().zip(&u2));
+            for (o, ((&n, &x), (&a, &b))) in run.iter_mut().zip(lanes) {
+                *o = if x { n } else { box_muller_scalar(a, b) };
+            }
+        }
+    }
+
+    /// The two uniforms one Box–Muller sample consumes: `u1` strictly
+    /// positive for the log, then `u2`.
+    #[inline(always)]
+    fn box_muller_uniforms(&mut self) -> (f64, f64) {
         let u1: f64 = self.rng.random_range(f64::MIN_POSITIVE..1.0);
         let u2: f64 = self.rng.random_range(0.0..1.0);
-        ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
+        (u1, u2)
     }
 
     /// Samples a uniform integer in `[0, bound)`.
@@ -119,7 +150,13 @@ impl TensorRng {
 
     /// A tensor of Gaussian samples with the given mean and std.
     pub fn normal(&mut self, dims: &[usize], mean: f32, std: f32) -> Tensor {
-        Tensor::from_fn(dims, || mean + std * self.normal_scalar())
+        let mut out = Tensor::zeros(dims);
+        let values = out.as_mut_slice();
+        self.standard_normals(values);
+        for x in values {
+            *x = mean + std * *x;
+        }
+        out
     }
 
     /// A tensor drawn according to an [`Initializer`].
@@ -160,6 +197,16 @@ impl TensorRng {
             rng: StdRng::from_state(state),
         }
     }
+}
+
+/// Box–Muller: two uniforms → one standard normal, through the
+/// platform's `ln` and `cos`.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "Box–Muller runs in f64 for the log; the sample rounds to the f32 tensors hold"
+)]
+fn box_muller_scalar(u1: f64, u2: f64) -> f32 {
+    ((-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()) as f32
 }
 
 #[cfg(test)]
@@ -251,6 +298,101 @@ mod tests {
         a.shuffle(&mut order_a);
         b.shuffle(&mut order_b);
         assert_eq!(order_a, order_b);
+    }
+
+    /// Runs `pairs` through the lane transform under the active
+    /// instantiation, a chunk at a time, and checks every output
+    /// against the scalar definition by bits. Returns how many lanes
+    /// the guard handed back.
+    fn lanes_against_scalar(pairs: impl Iterator<Item = (f64, f64)>) -> usize {
+        let isa = crate::simd::active();
+        let mut pairs = pairs.peekable();
+        let mut fallbacks = 0;
+        while pairs.peek().is_some() {
+            let (mut u1, mut u2) = ([0.5; NORMAL_CHUNK], [0.5; NORMAL_CHUNK]);
+            for (slot, (a, b)) in u1.iter_mut().zip(u2.iter_mut()).zip(pairs.by_ref()) {
+                (*slot.0, *slot.1) = (a, b);
+            }
+            let mut out = [0.0f32; NORMAL_CHUNK];
+            let mut exact = [true; NORMAL_CHUNK];
+            simd::box_muller(&u1, &u2, &mut out, &mut exact);
+            for i in 0..NORMAL_CHUNK {
+                let (a, b) = (u1[i], u2[i]);
+                if exact[i] {
+                    assert_eq!(
+                        out[i].to_bits(),
+                        box_muller_scalar(a, b).to_bits(),
+                        "u1 = {a:e}, u2 = {b:e} on {isa:?}"
+                    );
+                } else {
+                    fallbacks += 1;
+                }
+            }
+        }
+        fallbacks
+    }
+
+    #[test]
+    fn guard_keeps_only_libm_bits_on_random_pairs() {
+        const PAIRS: usize = 1 << 22;
+        crate::simd::with_each_isa(|_| {
+            let mut rng = TensorRng::seed_from_u64(0xB0C5);
+            let pairs = std::iter::repeat_with(|| rng.box_muller_uniforms()).take(PAIRS);
+            let fallbacks = lanes_against_scalar(pairs);
+            assert!(
+                fallbacks * 100_000 < PAIRS,
+                "{fallbacks} of {PAIRS} random pairs fell back"
+            );
+        });
+    }
+
+    #[test]
+    fn guard_falls_back_at_the_edges() {
+        // The smallest `u1` the draw makes, and the 10⁵ largest (1 − k·2⁻⁵³,
+        // where `ln` takes its |f| < 2⁻²⁰ branch and the normal is tiny),
+        // against `u2` at and a few ulps around 0, ¼, ½ and ¾ — where
+        // `cos` is ±1 or crosses zero.
+        let mut u1s = vec![f64::MIN_POSITIVE, 2f64.powi(-53), 0.5, 0.75];
+        u1s.extend((1..=100_000).map(|k| 1.0 - f64::from(k) * 2f64.powi(-53)));
+        let mut u2s = Vec::new();
+        for centre in [0.0f64, 0.25, 0.5, 0.75] {
+            let (mut up, mut down) = (centre, centre);
+            u2s.push(centre);
+            for _ in 0..4 {
+                up = up.next_up();
+                u2s.push(up);
+                if centre > 0.0 {
+                    down = down.next_down();
+                    u2s.push(down);
+                }
+            }
+        }
+        crate::simd::with_each_isa(|isa| {
+            let pairs = u1s.iter().flat_map(|&a| u2s.iter().map(move |&b| (a, b)));
+            let fallbacks = lanes_against_scalar(pairs);
+            assert!(
+                fallbacks > 0,
+                "the guard never fired at the edges on {isa:?}"
+            );
+        });
+    }
+
+    #[test]
+    fn standard_normals_are_the_scalar_draws() {
+        crate::simd::with_each_isa(|isa| {
+            // A short last chunk, and a run shorter than one chunk.
+            for len in [3 * NORMAL_CHUNK + 17, 5] {
+                let mut fast = TensorRng::seed_from_u64(len as u64);
+                let mut slow = fast.clone();
+                let mut out = vec![0.0f32; len];
+                fast.standard_normals(&mut out);
+                for (i, v) in out.iter().enumerate() {
+                    let want = slow.normal_scalar();
+                    assert_eq!(v.to_bits(), want.to_bits(), "sample {i} on {isa:?}");
+                }
+                assert_eq!(fast.state(), slow.state(), "the streams diverged");
+            }
+        });
     }
 
     #[test]

@@ -1,6 +1,11 @@
-//! Instruction-set instantiations of the GEMM micro-kernel, chosen by
-//! runtime detection — the one module where the `unsafe-confinement`
-//! lint admits `unsafe`.
+//! Instruction-set instantiations of the GEMM micro-kernel and of the
+//! lane-wise Box–Muller transform, chosen by runtime detection — the
+//! one module where the `unsafe-confinement` lint admits `unsafe`.
+//!
+//! `normal` holds the Box–Muller body: fdlibm's `ln` and `cos` on eight
+//! `f64` lanes, with a guard that hands any lane it cannot prove equal
+//! to the libm expression back to the caller. It is instantiated like
+//! the kernel below, and like it uses no fused multiply-add.
 //!
 //! `kernel` holds the kernel body as safe Rust. It is compiled three
 //! times: once for the target's baseline features and, on x86-64, once
@@ -19,8 +24,10 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::OnceLock;
 
 mod kernel;
+mod normal;
 
 pub(crate) use kernel::{Block, Dest, Samples};
+pub(crate) use normal::CHUNK as NORMAL_CHUNK;
 
 /// An instruction set the micro-kernel is instantiated for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -169,6 +176,51 @@ pub(crate) fn sample_sum(samples: &Samples, sum: &mut [f32]) {
         Isa::Baseline => {}
     }
     kernel::sample_sum_body(samples, sum);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn box_muller_avx2(
+    u1: &[f64; NORMAL_CHUNK],
+    u2: &[f64; NORMAL_CHUNK],
+    out: &mut [f32; NORMAL_CHUNK],
+    exact: &mut [bool; NORMAL_CHUNK],
+) {
+    normal::box_muller_body(u1, u2, out, exact);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn box_muller_avx512(
+    u1: &[f64; NORMAL_CHUNK],
+    u2: &[f64; NORMAL_CHUNK],
+    out: &mut [f32; NORMAL_CHUNK],
+    exact: &mut [bool; NORMAL_CHUNK],
+) {
+    normal::box_muller_body(u1, u2, out, exact);
+}
+
+/// The Box–Muller normals of a chunk of uniform pairs with the active
+/// instantiation: `out[i]` is `sqrt(-2·ln u1[i])·cos(2π·u2[i])` as
+/// `f32`, certain to equal the libm expression's wherever `exact[i]`
+/// (see the `normal` module).
+pub(crate) fn box_muller(
+    u1: &[f64; NORMAL_CHUNK],
+    u2: &[f64; NORMAL_CHUNK],
+    out: &mut [f32; NORMAL_CHUNK],
+    exact: &mut [bool; NORMAL_CHUNK],
+) {
+    #[cfg(target_arch = "x86_64")]
+    match active() {
+        // SAFETY: `box_muller_avx512` is safe code that only requires
+        // AVX-512F, and `active()` is `Avx512` only once `supported()`
+        // saw it through `is_x86_feature_detected!`.
+        Isa::Avx512 => return unsafe { box_muller_avx512(u1, u2, out, exact) },
+        // SAFETY: as above, for `box_muller_avx2` and AVX2.
+        Isa::Avx2 => return unsafe { box_muller_avx2(u1, u2, out, exact) },
+        Isa::Baseline => {}
+    }
+    normal::box_muller_body(u1, u2, out, exact);
 }
 
 /// Independent chains in the ceiling probe: twelve vector registers in

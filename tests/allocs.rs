@@ -5,7 +5,8 @@
 //! one, pinned as the b1 batch plus the copy that adds its batch axis.
 //! Beside them, the two calls the victim is built and attacked with:
 //! one b32 training step, and one b1 attack query with and without the
-//! smoothing filter.
+//! smoothing filter; and TM-II's sensor noise on one frame, which
+//! allocates nothing.
 //!
 //! A counting `#[global_allocator]` tallies `alloc`, `alloc_zeroed` and
 //! `realloc` per thread. With the kernels on the calling thread
@@ -30,7 +31,7 @@ use std::path::PathBuf;
 use fademl::experiments::StageLedger;
 use fademl::{InferencePipeline, ThreatModel};
 use fademl_attacks::{AttackGoal, AttackSurface};
-use fademl_data::{load_dataset, save_dataset, SignDataset, CLASS_COUNT};
+use fademl_data::{load_dataset, save_dataset, NoiseModel, SignDataset, CLASS_COUNT};
 use fademl_detect::features::feature_dim;
 use fademl_detect::{Detector, DetectorConfig};
 use fademl_filters::FilterSpec;
@@ -201,6 +202,25 @@ fn served_frame_allocations_are_pinned() {
         "allocation counts moved:\n{}",
         moved.join("\n")
     );
+}
+
+#[test]
+fn sensor_noise_allocates_nothing() {
+    // TM-II re-acquisition noises each frame in place: its normals come
+    // a stack run at a time.
+    let _serial = SERIAL.lock();
+    let mut rng = TensorRng::seed_from_u64(0x5E45);
+    let mut frame = rng.uniform(&[3, 32, 32], 0.0, 1.0).into_vec();
+    let sensor = NoiseModel::sensor();
+    for isa in simd::available() {
+        assert!(simd::pin(Some(isa)), "{isa:?} is available but refused");
+        let got = steady_allocs(|| sensor.apply_in_place(&mut frame, &mut rng));
+        assert_eq!(
+            got, 0,
+            "{isa:?} apply_in_place on a 3x32x32 frame allocated"
+        );
+    }
+    simd::pin(None);
 }
 
 fn compact_victim(rng: &mut TensorRng) -> Sequential {
