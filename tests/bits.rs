@@ -88,6 +88,41 @@ fn arithmetic() -> Lines {
         (cin, side) = (cout, side / 2);
     }
 
+    // Around the narrow-output operand swap (fewer than 32 output
+    // columns): stages 4 and 5 at b2, b7 and b8, and the argmax of every
+    // stage's b1 pool over coarse values (ties) with a few NaNs.
+    let (mut cin, mut side) = (3usize, 32usize);
+    for (stage, cout) in (1..).zip(VggProfile::Compact.stage_channels()) {
+        let spec = ConvSpec::new(cin, cout, 3, 1, 1);
+        for n in [2usize, 7, 8].into_iter().filter(|_| stage >= 4) {
+            let mut rng = TensorRng::seed_from_u64(stage * 100 + n as u64);
+            let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
+            let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
+            let g = rng.uniform(&[n, cout, side, side], -1.0, 1.0);
+            let b = rng.uniform(&[cout], -0.1, 0.1);
+            let out = conv2d(&x, &w, &b, &spec).expect("conv2d");
+            lines.push((format!("conv2d.stage{stage}.b{n}"), digest(out.as_slice())));
+            let grads = conv2d_backward(&x, &w, &g, &spec).expect("conv2d_backward");
+            lines.push((
+                format!("conv2d_backward.stage{stage}.b{n}.input"),
+                digest(grads.input.as_slice()),
+            ));
+        }
+        let mut rng = TensorRng::seed_from_u64(stage * 100);
+        let mut plane = rng.uniform(&[1, cout, side, side], 0.0, 4.0);
+        for (i, v) in plane.as_mut_slice().iter_mut().enumerate() {
+            *v = if i % 37 == 5 { f32::NAN } else { v.floor() };
+        }
+        let pooled = max_pool2d(&plane, &PoolSpec::half()).expect("max_pool2d");
+        let argmax: Vec<u8> = pooled
+            .argmax
+            .iter()
+            .flat_map(|&i| (i as u64).to_le_bytes())
+            .collect();
+        lines.push((format!("max_pool2d.stage{stage}.b1.argmax"), fnv1a(&argmax)));
+        (cin, side) = (cout, side / 2);
+    }
+
     let mut rng = TensorRng::seed_from_u64(6);
     let acts = rng.uniform(&[16, cin], 0.0, 1.0);
     let head = rng.uniform(&[CLASS_COUNT, cin], -0.1, 0.1);
