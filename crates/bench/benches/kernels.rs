@@ -5,8 +5,9 @@
 //! measures the scheduler, not the kernel). Shapes mirror the paper's
 //! victims (VGG-ish CIFAR layer, GTSRB-ish mid layer), the five
 //! convolution stages of the served Compact victim at batch 1 and 16
-//! (forward) and at the training batch of 32 (backward), and its
-//! classifier head. One row is not a GEMM: TM-II's sensor noise on one
+//! (forward, and stage 5 at 7 and 8 around the narrow-output operand
+//! swap), at batch 1 (an attack query's ∂input) and at the training
+//! batch of 32 (backward), and its classifier head. One row is not a GEMM: TM-II's sensor noise on one
 //! frame, whose lane-wise Box–Muller is instantiated per ISA like the
 //! micro-kernel and falls under the same bit-identity gate.
 //! Two more cells run the whole Compact victim: its forward at batch 16,
@@ -40,7 +41,10 @@ use fademl_nn::{Adam, CrossEntropyLoss, Optimizer};
 use fademl_tensor::io::atomic_write;
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};
-use fademl_tensor::{conv2d, conv2d_backward, par, ConvSpec, Tensor, TensorRng};
+use fademl_tensor::{
+    conv2d, conv2d_backward, conv2d_backward_input, conv2d_layer, par, ConvSpec, Tensor, TensorRng,
+    TransposedWeight,
+};
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
@@ -172,20 +176,46 @@ fn workloads() -> Vec<Workload> {
     ];
 
     // The served victim, stage by stage, as one frame and as a full
-    // serving batch; then its backward at the batch it is trained with.
+    // serving batch (as the layer runs it, its weight's transpose kept:
+    // fewer than 32 output columns swap the product's operands), and
+    // stage 5 on either side of that threshold; then an attack query's
+    // ∂input at one frame, and the backward at the training batch.
     let stages = victim_stages();
     for (stage, &(cin, cout, side)) in stages.iter().enumerate() {
         let spec = ConvSpec::new(cin, cout, 3, 1, 1);
-        for n in [1usize, 16] {
+        let narrow = if stage == 4 { &[7usize, 8][..] } else { &[] };
+        for (i, &n) in [1usize, 16].iter().chain(narrow).enumerate() {
+            // Rows past the first two draw from their own seeds, so the
+            // rows above and below keep their inputs.
+            let mut own = TensorRng::seed_from_u64(100 + n as u64);
+            let rng = if i < 2 { &mut rng } else { &mut own };
             let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
             let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
             let bias = rng.uniform(&[cout], -0.1, 0.1);
+            let kept = TransposedWeight::default();
             jobs.push(Workload {
                 name: format!("conv2d_victim_stage{}_b{n}", stage + 1),
                 flops: 2.0 * (n * cin * 9 * cout * side * side) as f64,
-                run: Box::new(move || conv2d(&x, &w, &bias, &spec).expect("conv2d").into_vec()),
+                run: Box::new(move || {
+                    conv2d_layer(&x, &w, &kept, &bias, &spec, false)
+                        .expect("conv2d_layer")
+                        .into_vec()
+                }),
             });
         }
+        let mut own = TensorRng::seed_from_u64(200 + stage as u64);
+        let x = own.uniform(&[1, cin, side, side], 0.0, 1.0);
+        let w = own.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
+        let g = own.uniform(&[1, cout, side, side], -1.0, 1.0);
+        jobs.push(Workload {
+            name: format!("conv2d_backward_input_victim_stage{}_b1", stage + 1),
+            flops: 2.0 * (cin * 9 * cout * side * side) as f64,
+            run: Box::new(move || {
+                conv2d_backward_input(&x, &w, &g, &spec)
+                    .expect("conv2d_backward_input")
+                    .into_vec()
+            }),
+        });
         let n = TRAIN_BATCH;
         let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
         let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);

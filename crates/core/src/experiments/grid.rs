@@ -14,7 +14,7 @@ use super::AttackParams;
 use crate::cost::top5_cost;
 use crate::report::{pct, Table};
 use crate::setup::PreparedSetup;
-use crate::{FademlError, InferencePipeline, Result, Scenario, ThreatModel};
+use crate::{FademlError, InferencePipeline, Result, Scenario, ThreatModel, Verdict};
 
 /// One (scenario, attack, filter) demonstration cell — the per-sign
 /// panels of Figs. 5, 7 and 9.
@@ -128,6 +128,20 @@ pub(crate) fn demonstration_cell(
     adv: &AdversarialExample,
 ) -> Result<ScenarioCell> {
     let tm1 = pipeline.classify(&adv.adversarial, ThreatModel::I)?;
+    cell_given_tm1(scenario, attack_idx, pipeline, threat, adv, &tm1)
+}
+
+/// [`demonstration_cell`] with its TM-I verdict given. TM-I runs no
+/// filter stage, so every pipeline of one model returns the same one:
+/// a blind sweep classifies its shared example under TM-I once.
+fn cell_given_tm1(
+    scenario: &Scenario,
+    attack_idx: usize,
+    pipeline: &InferencePipeline,
+    threat: ThreatModel,
+    adv: &AdversarialExample,
+    tm1: &Verdict,
+) -> Result<ScenarioCell> {
     let tm23 = pipeline.classify(&adv.adversarial, threat)?;
     let cost = top5_cost(&tm1.probabilities, &tm23.probabilities)?;
     Ok(ScenarioCell {
@@ -153,6 +167,20 @@ pub(crate) type Stage = (Vec<ScenarioCell>, AccuracyGrid);
 /// both in filter order.
 type AttackRows = (Vec<ScenarioCell>, Vec<AccuracyCell>);
 
+/// One unit of a sweep's parallel work.
+enum Job<'s> {
+    /// One attack's share of one scenario.
+    Attack(&'s Scenario, usize),
+    /// The `"No attack"` bar of one deployed pipeline.
+    Baseline(&'s InferencePipeline),
+}
+
+/// What a [`Job`] produces.
+enum Done {
+    Attack(AttackRows),
+    Baseline(AccuracyCell),
+}
+
 /// One call of a grid figure (Figs. 6, 7, 9): everything its
 /// per-scenario stages share because it reads no scenario.
 pub(crate) struct Sweep<'a> {
@@ -164,8 +192,6 @@ pub(crate) struct Sweep<'a> {
     clean: SignDataset,
     /// The deployed pipeline at each filter of the sweep, in sweep order.
     pipelines: Vec<InferencePipeline>,
-    /// The `"No attack"` row: unattacked images through each filter.
-    baseline: Vec<AccuracyCell>,
 }
 
 impl<'a> Sweep<'a> {
@@ -175,7 +201,7 @@ impl<'a> Sweep<'a> {
     /// # Errors
     ///
     /// Returns an error for `eval_n == 0`; propagates filter and
-    /// pipeline errors.
+    /// pipeline construction errors.
     pub(crate) fn over(
         prepared: &'a PreparedSetup,
         params: &'a AttackParams,
@@ -189,21 +215,14 @@ impl<'a> Sweep<'a> {
             .iter()
             .map(|&filter| InferencePipeline::new(prepared.model.clone(), filter))
             .collect::<Result<Vec<_>>>()?;
-        let mut sweep = Sweep {
+        Ok(Sweep {
             prepared,
             params,
             filter_aware,
             threat,
             clean,
             pipelines,
-            baseline: Vec::new(),
-        };
-        sweep.baseline = sweep
-            .pipelines
-            .iter()
-            .map(|pipeline| sweep.bar(pipeline, "No attack", sweep.clean.images()))
-            .collect::<Result<_>>()?;
-        Ok(sweep)
+        })
     }
 
     /// One accuracy bar: top-5 accuracy of `pipeline` over `images`,
@@ -252,24 +271,30 @@ impl<'a> Sweep<'a> {
     /// evaluation subset) are read off that one example.
     fn attack_rows(&self, scenario: &Scenario, attack_idx: usize) -> Result<AttackRows> {
         let source = scenario_image(self.prepared, scenario.source)?;
-        let blind = match self.filter_aware {
-            false => Some(self.craft(scenario, &source, attack_idx, None)?),
-            true => None,
-        };
         let (mut cells, mut bars) = (Vec::new(), Vec::new());
-        for pipeline in &self.pipelines {
-            let aware;
-            let (adv, eval_set) = match &blind {
-                Some(shared) => shared,
-                None => {
-                    let filter = Some(pipeline.filter_spec());
-                    aware = self.craft(scenario, &source, attack_idx, filter)?;
-                    &aware
-                }
+        if !self.filter_aware {
+            // One example serves every filter, and so does its TM-I
+            // verdict, which no filter stage touches.
+            let (adv, eval_set) = self.craft(scenario, &source, attack_idx, None)?;
+            let label = AttackParams::labels()[attack_idx];
+            let tm1 = match self.pipelines.first() {
+                Some(first) => Some(first.classify(&adv.adversarial, ThreatModel::I)?),
+                None => None,
             };
-            let cell = demonstration_cell(scenario, attack_idx, pipeline, self.threat, adv)?;
+            for (pipeline, tm1) in self.pipelines.iter().zip(tm1.iter().cycle()) {
+                let cell = cell_given_tm1(scenario, attack_idx, pipeline, self.threat, &adv, tm1)?;
+                cells.push(cell);
+                bars.push(self.bar(pipeline, label, &eval_set)?);
+            }
+            return Ok((cells, bars));
+        }
+        for pipeline in &self.pipelines {
+            let filter = Some(pipeline.filter_spec());
+            let (adv, eval_set) = self.craft(scenario, &source, attack_idx, filter)?;
+            let cell = demonstration_cell(scenario, attack_idx, pipeline, self.threat, &adv)?;
             cells.push(cell);
-            bars.push(self.bar(pipeline, AttackParams::labels()[attack_idx], eval_set)?);
+            let label = AttackParams::labels()[attack_idx];
+            bars.push(self.bar(pipeline, label, &eval_set)?);
         }
         Ok((cells, bars))
     }
@@ -279,25 +304,43 @@ impl<'a> Sweep<'a> {
     /// The unit of parallel work is one (scenario, attack): five
     /// scenarios on two cores leave one of them idle for the last fifth
     /// of a call (a `repro_figs` pass read 0.84 s by scenario against
-    /// 0.77 s by attack, interleaved).
+    /// 0.77 s by attack, interleaved). The `"No attack"` bars, one per
+    /// filter and shared by every scenario, are items of the same list,
+    /// after the attacks, so they fill the tail instead of running
+    /// serially before it.
     ///
     /// # Errors
     ///
     /// Propagates setup, attack and pipeline errors.
     pub(crate) fn run(&self, scenarios: &[Scenario]) -> Result<Vec<Stage>> {
         let attacks = AttackParams::labels().len();
-        let items: Vec<_> = scenarios
+        let jobs: Vec<Job> = scenarios
             .iter()
-            .flat_map(|scenario| (0..attacks).map(move |idx| (scenario, idx)))
+            .flat_map(|scenario| (0..attacks).map(move |idx| Job::Attack(scenario, idx)))
+            .chain(self.pipelines.iter().map(Job::Baseline))
             .collect();
-        let mut rows = for_each_parallel(&items, |&(scenario, attack_idx)| {
-            self.attack_rows(scenario, attack_idx)
-        })?
-        .into_iter();
+        let done = for_each_parallel(&jobs, |job| match *job {
+            Job::Attack(scenario, attack_idx) => {
+                Ok(Done::Attack(self.attack_rows(scenario, attack_idx)?))
+            }
+            Job::Baseline(pipeline) => Ok(Done::Baseline(self.bar(
+                pipeline,
+                "No attack",
+                self.clean.images(),
+            )?)),
+        })?;
+        let (mut rows, mut baseline) = (Vec::new(), Vec::new());
+        for outcome in done {
+            match outcome {
+                Done::Attack(attack_rows) => rows.push(attack_rows),
+                Done::Baseline(bar) => baseline.push(bar),
+            }
+        }
+        let mut rows = rows.into_iter();
         let mut stages = Vec::with_capacity(scenarios.len());
         for scenario in scenarios {
             let mut cells = Vec::new();
-            let mut bars = self.baseline.clone();
+            let mut bars = baseline.clone();
             for (attack_cells, attack_bars) in rows.by_ref().take(attacks) {
                 cells.extend(attack_cells);
                 bars.extend(attack_bars);

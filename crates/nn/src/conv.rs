@@ -1,6 +1,6 @@
 use fademl_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_params, conv2d_relu, ConvSpec,
-    Initializer, Tensor, TensorRng,
+    conv2d_backward, conv2d_backward_input, conv2d_backward_params, conv2d_layer, ConvSpec,
+    Initializer, Tensor, TensorRng, TransposedWeight,
 };
 
 use crate::{Param, Result};
@@ -8,7 +8,11 @@ use crate::{Param, Result};
 /// A 2-D convolution layer (NCHW, square kernels).
 ///
 /// Weights are Kaiming-normal initialized — appropriate for the ReLU
-/// stack the paper's VGGNet uses.
+/// stack the paper's VGGNet uses. A batch narrow enough for the
+/// convolution to swap its operands (a batch-1 attack query at the
+/// victim's last two stages) reads the weight's transpose, which the
+/// layer builds on first use and drops whenever
+/// [`Layer::params_mut`](crate::Layer) hands its weight out.
 ///
 /// # Example
 ///
@@ -29,6 +33,8 @@ pub struct Conv2d {
     spec: ConvSpec,
     pub(crate) weight: Param,
     pub(crate) bias: Param,
+    /// `weight`'s transpose for the swapped forward; reset with it.
+    pub(crate) weight_t: TransposedWeight,
 }
 
 impl Conv2d {
@@ -49,6 +55,7 @@ impl Conv2d {
             spec,
             weight: Param::new(weight),
             bias: Param::new(Tensor::zeros(&[spec.out_channels])),
+            weight_t: TransposedWeight::default(),
         }
     }
 
@@ -63,12 +70,7 @@ impl Conv2d {
     ///
     /// Returns an error if the input shape is incompatible with the layer.
     pub fn forward(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(conv2d(
-            input,
-            &self.weight.value,
-            &self.bias.value,
-            &self.spec,
-        )?)
+        self.forward_with(input, false)
     }
 
     /// [`Conv2d::forward`] then a ReLU, bit for bit: the convolution
@@ -78,11 +80,18 @@ impl Conv2d {
     ///
     /// Same conditions as [`Conv2d::forward`].
     pub fn forward_relu(&self, input: &Tensor) -> Result<Tensor> {
-        Ok(conv2d_relu(
+        self.forward_with(input, true)
+    }
+
+    fn forward_with(&self, input: &Tensor, relu: bool) -> Result<Tensor> {
+        let (weight, bias) = (&self.weight.value, &self.bias.value);
+        Ok(conv2d_layer(
             input,
-            &self.weight.value,
-            &self.bias.value,
+            weight,
+            &self.weight_t,
+            bias,
             &self.spec,
+            relu,
         )?)
     }
 
@@ -194,6 +203,73 @@ mod tests {
         let full = conv.backward(&x, &g).unwrap();
         assert_eq!(only, full);
         assert_eq!(params, (conv.weight.grad.clone(), conv.bias.grad.clone()));
+    }
+
+    /// Every kept transpose in `model` is its weight's, and a b1 forward
+    /// (which swaps, building any that a reset dropped) equals the plain
+    /// convolution of the current weights bit for bit.
+    fn assert_transposes_follow_the_weights(model: &Sequential, x: &Tensor) {
+        let convs = || {
+            model.layers().iter().filter_map(|layer| match layer {
+                Layer::Conv2d(conv) => Some(conv),
+                _ => None,
+            })
+        };
+        let mut y = x.clone();
+        for conv in convs() {
+            let (weight, bias) = (&conv.weight.value, &conv.bias.value);
+            let plain = fademl_tensor::conv2d(&y, weight, bias, &conv.spec).unwrap();
+            let swapped = conv.forward(&y).unwrap();
+            assert_eq!(swapped, plain);
+            let (f, k) = (weight.dims()[0], weight.numel() / weight.dims()[0]);
+            let kept = conv
+                .weight_t
+                .get()
+                .expect("a narrow forward keeps the transpose");
+            for (i, row) in weight.as_slice().chunks_exact(k).enumerate() {
+                for (j, &w) in row.iter().enumerate() {
+                    assert_eq!(kept[j * f + i].to_bits(), w.to_bits());
+                }
+            }
+            y = plain;
+        }
+    }
+
+    #[test]
+    fn kept_transpose_follows_optimizer_steps_and_loads() {
+        use crate::serialize::{decode_weights, encode_weights};
+        use crate::{Optimizer, Sgd, TrainState};
+
+        let mut rng = TensorRng::seed_from_u64(6);
+        let mut model = Sequential::new()
+            .push(Conv2d::new(ConvSpec::new(2, 40, 3, 1, 1), &mut rng))
+            .push(Conv2d::new(ConvSpec::new(40, 24, 3, 1, 1), &mut rng));
+        let other = model.clone();
+        let x = rng.uniform(&[1, 2, 4, 4], -1.0, 1.0);
+        model.forward(&x).unwrap();
+        assert_transposes_follow_the_weights(&model, &x);
+
+        let y = model.forward_train(&x).unwrap();
+        model.backward(&Tensor::ones(y.dims())).unwrap();
+        let snapshot = TrainState::capture(&model, &Sgd::new(0.5), &rng, &Default::default(), 0);
+        let mut sgd = Sgd::new(0.5);
+        sgd.step(&mut model.params_mut()).unwrap();
+        model.forward(&x).unwrap();
+        assert_transposes_follow_the_weights(&model, &x);
+        // Zeroing gradients keeps what the weights have not changed.
+        model.zero_grad();
+        assert!(model.layers().iter().all(|layer| match layer {
+            Layer::Conv2d(conv) => conv.weight_t.get().is_some(),
+            _ => true,
+        }));
+
+        snapshot.apply_to(&mut model).unwrap();
+        model.forward(&x).unwrap();
+        assert_transposes_follow_the_weights(&model, &x);
+        decode_weights(&encode_weights(&other), &mut model).unwrap();
+        model.forward(&x).unwrap();
+        assert_transposes_follow_the_weights(&model, &x);
+        assert_eq!(model.forward(&x).unwrap(), other.forward(&x).unwrap());
     }
 
     #[test]

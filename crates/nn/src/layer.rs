@@ -106,8 +106,19 @@ impl Layer {
         }
     }
 
-    /// [`Layer::params`], mutably.
+    /// [`Layer::params`], mutably: the one path through which a weight
+    /// changes (optimizer steps, checkpoint and weight loads), so it
+    /// drops a convolution's kept weight transpose.
     pub(crate) fn params_mut(&mut self) -> Option<[&mut Param; 2]> {
+        if let Layer::Conv2d(conv) = self {
+            conv.weight_t.reset();
+        }
+        self.grads_mut()
+    }
+
+    /// The weight and bias for their gradients alone: the kept weight
+    /// transpose stays.
+    pub(crate) fn grads_mut(&mut self) -> Option<[&mut Param; 2]> {
         match self {
             Layer::Conv2d(Conv2d { weight, bias, .. })
             | Layer::Dense(Dense { weight, bias, .. }) => Some([weight, bias]),

@@ -314,7 +314,12 @@ impl Sequential {
         let total = total_sq.sqrt();
         if total > max_norm {
             let scale = max_norm / total;
-            for p in self.params_mut() {
+            for p in self
+                .layers
+                .iter_mut()
+                .filter_map(Layer::grads_mut)
+                .flatten()
+            {
                 p.grad = p.grad.scale(scale);
             }
         }
@@ -324,7 +329,7 @@ impl Sequential {
     /// Zeroes every accumulated gradient.
     pub fn zero_grad(&mut self) {
         for layer in &mut self.layers {
-            for p in layer.params_mut().into_iter().flatten() {
+            for p in layer.grads_mut().into_iter().flatten() {
                 p.zero_grad();
             }
         }

@@ -47,6 +47,31 @@
 //! (at b16 a victim stage makes ~14–18 k runs of 2–32 floats). The
 //! fold adds the runs into a zeroed plane, then its interior onto the
 //! image: a pixel gets its ≤ `KH·KW` terms in `(kh, kw)` order from 0.
+//! Runs 2, 4 or 8 wide are added as `[f32; OW]` arrays too.
+//!
+//! # Narrow outputs swap their operands
+//!
+//! A product with fewer output columns than the widest register tile
+//! ([`SWAP_COLS`], 32 — `n·OH·OW` at stages 4 and 5 of a batch-1
+//! attack query) would run its 48–64 filters down the rows of a 4- or
+//! 16-column strip. Such a call computes the transposed product
+//! instead, so the filters (forward) or the unfolded rows (∂input) lie
+//! along the tile's columns:
+//! - ∂input is `Gᵀ · W`: the output gradient is transposed into
+//!   `[n·OH·OW, F]` and the `[F, K]` weight is read in place as the
+//!   packed right-hand side — no per-call transpose of the weight. The
+//!   `[n·OH·OW, K]` result is folded pixel-major.
+//! - The forward is `colsᵀ · Wᵀ` over a pixel-major unfold, against a
+//!   `[K, F]` transpose the caller keeps ([`TransposedWeight`], through
+//!   [`conv2d_layer`]); the result is stored transposed into NCHW with
+//!   the bias and the ReLU applied as the kernel's store applies them.
+//!   Plain [`conv2d`] has nowhere to keep it and does not swap.
+//!
+//! No bit moves: every output element is the same `a·b` terms (`a·b =
+//! b·a` exactly in IEEE), added in ascending `k` into one accumulator
+//! from `+0.0`, reloaded exactly at `kc` panel borders; the bias is
+//! added once after the last term; the fold adds in the same `(kh, kw)`
+//! order. Only NaN payloads may differ, as between any two paths.
 //!
 //! # Backward on the same kernel
 //!
@@ -79,7 +104,7 @@
 //! regardless of thread count.
 
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
 
@@ -89,13 +114,23 @@ use crate::plan::blueprint::{
     blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint,
     DEFAULT_BLOCKING,
 };
-use crate::simd::{self, Dest, Samples};
+use crate::simd::{self, Dest, Samples, WIDEST_TILE_COLS};
 use crate::{par, Result, Shape, Tensor, TensorError};
 
 /// Column budget of one batch-fused forward tile: whole samples are
 /// unfolded side by side until the next would pass it (a single sample
 /// wider than this is a tile of its own).
 const FUSE_COLS: usize = 1024;
+
+/// Output columns (`n·OH·OW`) below which a convolution swaps its
+/// operands (module docs): the widest register tile of any
+/// instantiation, one threshold for all of them.
+pub(crate) const SWAP_COLS: usize = WIDEST_TILE_COLS;
+
+/// Whether a call over `n` samples of `ohw` output pixels swaps.
+fn swaps(n: usize, ohw: usize) -> bool {
+    n.saturating_mul(ohw) < SWAP_COLS
+}
 
 /// Floats per 64-byte cache line.
 const LINE: usize = 16;
@@ -300,12 +335,72 @@ fn unfold_runs(
     }
 }
 
+/// Pixel-major im2col, the swapped forward's operand: unfolds one
+/// `[C, H, W]` image into `dst`, a `[OH·OW, C·KH·KW]` row-major matrix
+/// (row `p` holds pixel `p`'s taps in the usual `(c, kh, kw)` order).
+/// `planes` holds one zero-bordered plane per channel (the border must
+/// be zero on entry and stays so): the image is copied into their
+/// interiors, then each pixel's row is written front to back, one run
+/// of `KW` consecutive taps per `(c, kh)` — a `[f32; 3]` copy for the
+/// victim's kernels. Every element is written.
+fn unfold_pixels_into(src: &[f32], geom: &ConvGeom, planes: &mut [f32], dst: &mut [f32]) {
+    let args = (src, geom, planes, dst);
+    match geom.spec.kernel_w {
+        3 => unfold_pixel_runs(args, fixed_run::<3>),
+        _ => unfold_pixel_runs(args, |run: &mut [f32], taps: &[f32]| {
+            if let Some(taps) = taps.get(..run.len()) {
+                run.copy_from_slice(taps);
+            }
+        }),
+    }
+}
+
+/// [`unfold_pixels_into`]'s walk, filling each run with
+/// `copy_run(run, taps)`, `taps` starting at the run's first tap.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "im2col runs at offsets derived from the validated conv geometry"
+)]
+#[inline(always)]
+fn unfold_pixel_runs(
+    (src, geom, planes, dst): (&[f32], &ConvGeom, &mut [f32], &mut [f32]),
+    copy_run: impl Fn(&mut [f32], &[f32]),
+) {
+    let ConvGeom {
+        spec,
+        h,
+        w,
+        ow,
+        k_flat,
+        plane,
+        ..
+    } = *geom;
+    let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
+    let (kh, kw) = (spec.kernel_h, spec.kernel_w);
+    let images = src.chunks_exact((h * w).max(1));
+    for (plane, image) in planes.chunks_exact_mut(plane.max(1)).zip(images) {
+        let interior = plane.chunks_exact_mut(pw).skip(pad);
+        for (plane_row, image_row) in interior.zip(image.chunks_exact(w.max(1))) {
+            plane_row[pad..pad + w].copy_from_slice(image_row);
+        }
+    }
+    for (p, pixel) in dst.chunks_exact_mut(k_flat.max(1)).enumerate() {
+        let first = (p / ow.max(1) * pw + p % ow.max(1)) * stride;
+        for (taps, plane) in pixel
+            .chunks_exact_mut((kh * kw).max(1))
+            .zip(planes.chunks_exact(plane.max(1)))
+        {
+            for (run, row) in taps.chunks_exact_mut(kw.max(1)).zip(0..) {
+                copy_run(run, &plane[first + row * pw..]);
+            }
+        }
+    }
+}
+
 /// Adjoint of [`unfold_into`]: folds columns `col0 .. col0 + OH·OW` of
 /// `cols` (a `[C·KH·KW, ld]` row-major matrix) back into `dst`
-/// (`[C, H, W]`), summing overlapping contributions. Per channel the
-/// runs are added into `plane`, zeroed first, and its interior is then
-/// added onto `dst`: a destination pixel receives its ≤ `KH·KW` terms
-/// in `(kh, kw)` order, starting from `0.0`.
+/// (`[C, H, W]`), summing overlapping contributions (see [`fold_runs`]).
+/// Stride-1 runs 2, 4 or 8 wide are added as `[f32; OW]` arrays.
 #[expect(
     clippy::indexing_slicing,
     reason = "col2im runs at offsets derived from the validated conv geometry"
@@ -318,29 +413,106 @@ fn col2im_add(
     plane: &mut [f32],
     dst: &mut [f32],
 ) {
-    let ConvGeom {
-        spec, h, w, oh, ow, ..
-    } = *geom;
+    let ow = geom.ow;
+    let run = |row: usize, oy: usize| &cols[row * ld + col0 + oy * ow..][..ow];
+    match (geom.spec.stride, ow) {
+        (1, 2) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            add_fixed::<2>(taps, run(row, oy))
+        }),
+        (1, 4) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            add_fixed::<4>(taps, run(row, oy))
+        }),
+        (1, 8) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            add_fixed::<8>(taps, run(row, oy))
+        }),
+        (1, _) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            for (t, &v) in taps.iter_mut().zip(run(row, oy)) {
+                *t += v;
+            }
+        }),
+        (stride, _) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            for (t, &v) in taps.iter_mut().step_by(stride).zip(run(row, oy)) {
+                *t += v;
+            }
+        }),
+    }
+}
+
+/// Adjoint of [`unfold_pixels_into`], the swapped ∂input's fold: `src`
+/// is one sample's `[OH·OW, C·KH·KW]` row-major product, and unfolded
+/// row `r`'s run `oy` is gathered from column `r` of pixels
+/// `oy·OW .. (oy+1)·OW` — as a `[f32; OW]` array for stride-1 runs 2,
+/// 4 or 8 wide. Same sums, in the same order, as [`col2im_add`] of the
+/// transposed matrix.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "col2im runs at offsets derived from the validated conv geometry"
+)]
+fn col2im_add_pixels(src: &[f32], geom: &ConvGeom, plane: &mut [f32], dst: &mut [f32]) {
+    let (ow, k) = (geom.ow, geom.k_flat);
+    let gather = |row: usize, oy: usize| src[oy * ow * k + row..].iter().step_by(k).take(ow);
+    fn fixed<const OW: usize>(src: &[f32], k: usize, at: usize) -> [f32; OW] {
+        std::array::from_fn(|ox| src[at + ox * k])
+    }
+    match (geom.spec.stride, ow) {
+        (1, 2) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            add_fixed::<2>(taps, &fixed::<2>(src, k, oy * ow * k + row));
+        }),
+        (1, 4) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            add_fixed::<4>(taps, &fixed::<4>(src, k, oy * ow * k + row));
+        }),
+        (1, 8) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            add_fixed::<8>(taps, &fixed::<8>(src, k, oy * ow * k + row));
+        }),
+        (stride, _) => fold_runs(geom, plane, dst, |row, oy, taps| {
+            for (t, &v) in taps.iter_mut().step_by(stride).zip(gather(row, oy)) {
+                *t += v;
+            }
+        }),
+    }
+}
+
+/// One stride-1 run of width `OW` added as a fixed-size array. `taps`
+/// is the plane row from the run's first tap, at least `OW` long.
+#[inline(always)]
+fn add_fixed<const OW: usize>(taps: &mut [f32], run: &[f32]) {
+    if let (Some(taps), Some(run)) = (taps.first_chunk_mut::<OW>(), run.first_chunk::<OW>()) {
+        for (t, &v) in taps.iter_mut().zip(run) {
+            *t += v;
+        }
+    }
+}
+
+/// The fold's walk: per channel of `dst` (`[C, H, W]`), `plane` is
+/// zeroed, then for every unfolded row `r = (c·KH + kh)·KW + kw` in
+/// order and every output row `oy`, `add_run(r, oy, taps)` adds run
+/// `oy` of row `r` onto the plane row it came from, `taps` starting at
+/// its first tap; then the plane's interior is added onto the image. A
+/// destination pixel thus receives its ≤ `KH·KW` terms in `(kh, kw)`
+/// order, starting from `0.0`.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "col2im runs at offsets derived from the validated conv geometry"
+)]
+#[inline(always)]
+fn fold_runs(
+    geom: &ConvGeom,
+    plane: &mut [f32],
+    dst: &mut [f32],
+    mut add_run: impl FnMut(usize, usize, &mut [f32]),
+) {
+    let ConvGeom { spec, h, w, oh, .. } = *geom;
     let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
-    let mut rows = cols.chunks(ld.max(1)).map(|row| &row[col0..col0 + oh * ow]);
+    let mut row = 0;
     for image in dst.chunks_exact_mut((h * w).max(1)) {
         plane.fill(0.0);
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
-                let Some(in_row) = rows.next() else { return };
-                let windows = plane.chunks_exact_mut(pw).skip(kh).step_by(stride);
-                for (run, taps) in in_row.chunks_exact(ow).zip(windows) {
-                    let taps = &mut taps[kw..];
-                    if stride == 1 {
-                        for (t, &v) in taps.iter_mut().zip(run) {
-                            *t += v;
-                        }
-                    } else {
-                        for (t, &v) in taps.iter_mut().step_by(stride).zip(run) {
-                            *t += v;
-                        }
-                    }
+                let windows = plane.chunks_exact_mut(pw).skip(kh).step_by(stride).take(oh);
+                for (oy, window) in windows.enumerate() {
+                    add_run(row, oy, &mut window[kw..]);
                 }
+                row += 1;
             }
         }
         let interior = plane.chunks_exact(pw).skip(pad);
@@ -467,52 +639,73 @@ fn validate_conv_input(input: &Tensor, spec: &ConvSpec) -> Result<(usize, usize,
 /// product `K × F × tile·OH·OW`: `scratch` holds its unfolded result,
 /// `scratch3` the gathered output gradient it reads, and `scratch2` the
 /// transposed weight — which is also the size of ∂weight's running
-/// `[K, F]` sum. Either way the blocking's `nc` is raised to the
-/// product's column count, so the row-major right-hand side is already
-/// in packed layout.
+/// `[K, F]` sum.
+///
+/// When `swap` (fewer than [`SWAP_COLS`] output columns, module docs)
+/// the product is transposed and covers the whole batch: `scratch` is
+/// its `[n·OH·OW, K]` operand (forward) or result (∂input), `scratch2`
+/// its `[n·OH·OW, F]` result (forward) or operand (∂input), and
+/// `scratch3` the forward's one zero-bordered plane per channel.
+///
+/// Either way the blocking's `nc` is raised to the product's column
+/// count, so the row-major right-hand side is already in packed layout.
 fn plan_conv2d(
     spec: &ConvSpec,
     n: usize,
-    h: usize,
-    w: usize,
-    oh: usize,
-    ow: usize,
+    (h, w): (usize, usize),
+    (oh, ow): (usize, usize),
     backward: bool,
+    swap: bool,
 ) -> Result<Blueprint> {
     let k_flat = checked_product(
         "conv2d weight",
         &[spec.in_channels, spec.kernel_h, spec.kernel_w],
     )?;
+    let f = spec.out_channels;
     let ohw = checked_product("conv2d output plane", &[oh, ow])?;
     let gemm_cols = checked_product("conv2d fused columns", &[fused_samples(n, ohw), ohw])?;
     // `tile_ld(gemm_cols)` floats per row, cap-checked.
     let tile_row = [gemm_cols.div_ceil(LINE) | 1, LINE];
-    let scratch = checked_product("conv2d im2col", &[k_flat, tile_row[0], tile_row[1]])?;
-    let (scratch2, scratch3, out_len) = if backward {
+    let out_len = if backward {
+        checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?
+    } else {
+        checked_product("conv2d output", &[n, f, oh, ow])?
+    };
+    let (scratch, scratch2, scratch3) = if swap {
         (
-            checked_product("conv2d_backward transpose", &[k_flat, spec.out_channels])?,
+            checked_product("conv2d swapped unfold", &[n, ohw, k_flat])?,
+            checked_product("conv2d swapped product", &[n, ohw, f])?,
             checked_product(
-                "conv2d_backward gathered gradient",
-                &[spec.out_channels, tile_row[0], tile_row[1]],
+                "conv2d swapped planes",
+                &[spec.in_channels, plane_len(spec, h, w)?],
             )?,
-            checked_product("conv2d_backward input grad", &[n, spec.in_channels, h, w])?,
         )
     } else {
-        (
-            0,
-            0,
-            checked_product("conv2d output", &[n, spec.out_channels, oh, ow])?,
-        )
+        let scratch = checked_product("conv2d im2col", &[k_flat, tile_row[0], tile_row[1]])?;
+        if backward {
+            (
+                scratch,
+                checked_product("conv2d_backward transpose", &[k_flat, f])?,
+                checked_product(
+                    "conv2d_backward gathered gradient",
+                    &[f, tile_row[0], tile_row[1]],
+                )?,
+            )
+        } else {
+            (scratch, 0, 0)
+        }
+    };
+    // The inner GEMM's output rows and columns.
+    let (rows, cols) = match (swap, backward) {
+        (false, _) => (f, gemm_cols),
+        (true, false) => (n * ohw, f),
+        (true, true) => (n * ohw, k_flat),
     };
     // Blocking is classified on the inner GEMM; the dispatch threshold
     // sees the whole batch. Work figures only feed thresholds, so
     // saturation is fine.
-    let per_column = spec.out_channels.saturating_mul(k_flat);
-    let class = classify_gemm(
-        spec.out_channels,
-        gemm_cols,
-        per_column.saturating_mul(gemm_cols),
-    );
+    let per_column = f.saturating_mul(k_flat);
+    let class = classify_gemm(rows, cols, per_column.saturating_mul(gemm_cols));
     let work = n.saturating_mul(per_column.saturating_mul(ohw));
     let rows_axis = if backward {
         n.max(spec.out_channels)
@@ -522,7 +715,7 @@ fn plan_conv2d(
     let base = blocking_for(class);
     Ok(Blueprint {
         blocking: Blocking {
-            nc: base.nc.max(gemm_cols),
+            nc: base.nc.max(cols),
             ..base
         },
         parallel: par::should_parallelize(rows_axis, work),
@@ -661,7 +854,7 @@ fn conv2d_block(
 /// disagree with `spec`, `weight`/`bias` have the wrong shapes, the
 /// geometry is impossible, or a buffer size overflows `usize`.
 pub fn conv2d(input: &Tensor, weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Result<Tensor> {
-    conv2d_with(input, weight, bias, spec, false)
+    conv2d_with(input, weight, None, bias, spec, false)
 }
 
 /// [`conv2d`] then a ReLU in one pass, clamping as the kernel stores:
@@ -676,12 +869,65 @@ pub fn conv2d_relu(
     bias: &Tensor,
     spec: &ConvSpec,
 ) -> Result<Tensor> {
-    conv2d_with(input, weight, bias, spec, true)
+    conv2d_with(input, weight, None, bias, spec, true)
+}
+
+/// [`conv2d`], or [`conv2d_relu`] when `relu` is set, for a caller that
+/// convolves with one weight many times and keeps its transpose in
+/// `weight_t`: a batch with fewer than 32 output columns (`n·OH·OW`)
+/// swaps the product's operands and reads the transpose, building it on
+/// the first such call. The result is bit for bit the plain call's.
+///
+/// `weight_t` must belong to `weight`: whoever changes the weight
+/// resets it ([`TransposedWeight::reset`]).
+///
+/// # Errors
+///
+/// Same conditions as [`conv2d`].
+pub fn conv2d_layer(
+    input: &Tensor,
+    weight: &Tensor,
+    weight_t: &TransposedWeight,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    relu: bool,
+) -> Result<Tensor> {
+    conv2d_with(input, weight, Some(weight_t), bias, spec, relu)
+}
+
+/// The `[K, F]` transpose of a `[F, C, KH, KW]` convolution weight, the
+/// right-hand operand of the swapped forward product (see
+/// [`conv2d_layer`]). Empty until the first call narrow enough to swap,
+/// so a weight only ever convolved at wide batches never holds a copy.
+#[derive(Debug, Clone, Default)]
+pub struct TransposedWeight(OnceLock<Vec<f32>>);
+
+impl TransposedWeight {
+    /// Drops the kept transpose: the next swapped call rebuilds it from
+    /// the weight it is handed.
+    pub fn reset(&mut self) {
+        self.0 = OnceLock::new();
+    }
+
+    /// The kept `[K, F]` transpose, if a swapped call has built it.
+    pub fn get(&self) -> Option<&[f32]> {
+        self.0.get().map(Vec::as_slice)
+    }
+
+    /// The transpose of `weight` (`[f, k]`), built on first use.
+    fn get_or_build(&self, weight: &[f32], f: usize, k: usize) -> &[f32] {
+        self.0.get_or_init(|| {
+            let mut t = vec![0.0f32; f * k];
+            transpose_into(weight, f, k, &mut t);
+            t
+        })
+    }
 }
 
 fn conv2d_with(
     input: &Tensor,
     weight: &Tensor,
+    weight_t: Option<&TransposedWeight>,
     bias: &Tensor,
     spec: &ConvSpec,
     relu: bool,
@@ -708,9 +954,23 @@ fn conv2d_with(
         ));
     }
     let (oh, ow) = spec.output_size(h, w)?;
-    let bp = plan_conv2d(spec, n, h, w, oh, ow, false)?;
+    let weight_t = weight_t.filter(|_| swaps(n, oh.saturating_mul(ow)));
+    let bp = plan_conv2d(spec, n, (h, w), (oh, ow), false, weight_t.is_some())?;
     let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking, bp.plane);
-    let out = if bp.parallel {
+    let out = if let Some(weight_t) = weight_t {
+        let w_t = weight_t.get_or_build(weight.as_slice(), spec.out_channels, geom.k_flat);
+        let mut out = alloc::activation_vec(bp.out_len);
+        conv2d_swapped(
+            input.as_slice(),
+            w_t,
+            bias.as_slice(),
+            &bp,
+            geom,
+            relu,
+            &mut out,
+        );
+        out
+    } else if bp.parallel {
         // Cross-thread operands bypass the arena deliberately: a buffer
         // dropped on another thread would migrate into its pool.
         let input: Arc<Vec<f32>> = Arc::new(input.as_slice().to_vec());
@@ -733,6 +993,50 @@ fn conv2d_with(
         out
     };
     Tensor::from_vec(out, Shape::of(&[n, spec.out_channels, oh, ow]))
+}
+
+/// The swapped forward (module docs) of a whole batch into `out`, its
+/// `[n, F, OH, OW]` output: every sample is unfolded pixel-major into
+/// rows of `[n·OH·OW, K]`, one product against the kept `[K, F]`
+/// transpose `w_t` gives `[n·OH·OW, F]`, and that is stored transposed
+/// into NCHW with the bias added — and, when `relu` is set, the result
+/// clamped at zero — as the kernel's store would: once, after the last
+/// term. Every element of `out` is written. The unfold, the product and
+/// the plane lease from this thread's arena.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "filter columns of a product sized by the validated conv geometry"
+)]
+fn conv2d_swapped(
+    input: &[f32],
+    w_t: &[f32],
+    bias: &[f32],
+    bp: &Blueprint,
+    geom: ConvGeom,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let (ohw, f, k) = (geom.oh * geom.ow, geom.spec.out_channels, geom.k_flat);
+    let mut cols_t = alloc::scratch_stale(bp.scratch);
+    let mut planes = alloc::scratch_f32(bp.scratch3);
+    for (sample, block) in cols_t.chunks_exact_mut((ohw * k).max(1)).enumerate() {
+        let image = record(input, sample, geom.image_len());
+        unfold_pixels_into(image, &geom, &mut planes, block);
+    }
+    let mut product = alloc::scratch_stale(bp.scratch2);
+    let rows = bp.scratch2 / f.max(1);
+    let mut dest = Dest::row_major(&mut product, f, f);
+    gemm_rows_to(&cols_t, (rows, k), k, w_t, (f, f), geom.bl, &mut dest);
+    let samples = out.chunks_exact_mut(geom.out_plane_len().max(1));
+    for (sample_out, pixels) in samples.zip(product.chunks_exact((ohw * f).max(1))) {
+        let filters = sample_out.chunks_exact_mut(ohw.max(1)).zip(bias);
+        for (filter, (plane_out, &b)) in filters.enumerate() {
+            for (o, pixel) in plane_out.iter_mut().zip(pixels.chunks_exact(f.max(1))) {
+                let v = pixel[filter] + b;
+                *o = if relu { v.max(0.0) } else { v };
+            }
+        }
+    }
 }
 
 /// ∂weight/∂bias worker: gradient rows for the filters in `range`.
@@ -905,6 +1209,39 @@ fn im2col_samples_block(input: &[f32], geom: ConvGeom, range: Range<usize>) -> V
     out
 }
 
+/// The swapped ∂input (module docs) of a whole batch, returned as the
+/// concatenated image blocks: each sample's `[F, OH·OW]` output
+/// gradient is transposed into rows of `[n·OH·OW, F]`, one product
+/// against the `[F, K]` weight — read in place as the packed right-hand
+/// side — gives `[n·OH·OW, K]`, and each sample's `OH·OW` rows are
+/// folded pixel-major. The transposed gradient, the product and the
+/// fold's plane lease from this thread's arena (uncleared: each is
+/// written before it is read).
+fn conv_grad_input_swapped(
+    grad_out: &[f32],
+    weight: &[f32],
+    bp: &Blueprint,
+    geom: ConvGeom,
+    n: usize,
+) -> Vec<f32> {
+    let (ohw, f, k) = (geom.oh * geom.ow, geom.spec.out_channels, geom.k_flat);
+    let mut g_t = alloc::scratch_stale(bp.scratch2);
+    for (sample, block) in g_t.chunks_exact_mut((ohw * f).max(1)).enumerate() {
+        let g = record(grad_out, sample, geom.out_plane_len());
+        transpose_into(g, f, ohw, block);
+    }
+    let mut gcols_t = alloc::scratch_stale(bp.scratch);
+    let mut dest = Dest::row_major(&mut gcols_t, k, k);
+    gemm_rows_to(&g_t, (n * ohw, f), f, weight, (k, k), geom.bl, &mut dest);
+    let mut out = vec![0.0f32; bp.out_len];
+    let mut plane = alloc::scratch_stale(geom.plane);
+    let images = out.chunks_exact_mut(geom.image_len().max(1));
+    for (image, pixels) in images.zip(gcols_t.chunks_exact((ohw * k).max(1))) {
+        col2im_add_pixels(pixels, &geom, &mut plane, image);
+    }
+    out
+}
+
 /// Validates and plans a backward call: `(blueprint, geometry, N)`.
 fn plan_backward(
     input: &Tensor,
@@ -920,14 +1257,16 @@ fn plan_backward(
             &[n, spec.out_channels, oh, ow],
         ));
     }
-    let bp = plan_conv2d(spec, n, h, w, oh, ow, true)?;
+    let swap = swaps(n, oh.saturating_mul(ow));
+    let bp = plan_conv2d(spec, n, (h, w), (oh, ow), true, swap)?;
     let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking, bp.plane);
     Ok((bp, geom, n))
 }
 
-/// ∂input of a planned backward call, partitioned over samples when
-/// the blueprint says so: `col2im(wᵀ · g)`, a tile of samples per
-/// product.
+/// ∂input of a planned backward call: swapped below [`SWAP_COLS`]
+/// output columns ([`conv_grad_input_swapped`]), else `col2im(wᵀ · g)`,
+/// a tile of samples per product, partitioned over samples when the
+/// blueprint says so.
 fn grad_input(
     bp: &Blueprint,
     geom: ConvGeom,
@@ -936,6 +1275,9 @@ fn grad_input(
     grad_out: &[f32],
 ) -> Vec<f32> {
     let f = geom.spec.out_channels;
+    if swaps(n, geom.oh * geom.ow) {
+        return conv_grad_input_swapped(grad_out, weight, bp, geom, n);
+    }
     if !bp.parallel {
         let mut w_t = alloc::scratch_f32(bp.scratch2);
         transpose_into(weight, f, geom.k_flat, &mut w_t);
@@ -1496,7 +1838,7 @@ mod tests {
         let (oh, ow) = spec.output_size(h, w).unwrap();
         let f = spec.out_channels;
         let grad_out = TensorRng::seed_from_u64(11).uniform(&[n, f, oh, ow], -1.0, 1.0);
-        let (bp, geom, _) = plan_backward(&input, &grad_out, spec).unwrap();
+        let (_, geom, _) = plan_backward(&input, &grad_out, spec).unwrap();
         let ohw = oh * ow;
         // ∂weight's padded operand, and the references' packed one.
         let mut cols_all = vec![f32::NAN; n * geom.cols_len()];
@@ -1511,7 +1853,7 @@ mod tests {
 
         // ∂input per sample: one `wᵀ · g` product, then the scalar fold.
         let mut want_input = Vec::new();
-        let mut w_t = vec![0.0f32; bp.scratch2];
+        let mut w_t = vec![0.0f32; f * geom.k_flat];
         transpose_into(weight.as_slice(), f, geom.k_flat, &mut w_t);
         let mut gcols = vec![0.0f32; geom.k_flat * ohw];
         for sample in 0..n {
@@ -1790,6 +2132,149 @@ mod tests {
             });
             for (isa, fused, two_pass) in runs {
                 prop_assert_eq!(fused, two_pass, "fused ReLU on {:?}", isa);
+            }
+        }
+    }
+
+    /// The numerics contract of the forward, spelled as three loops over
+    /// the reference unfold: per output element one accumulator from
+    /// `0.0`, `k` ascending, then the bias, then (for `relu`) the clamp.
+    fn forward_reference(
+        input: &[f32],
+        weight: &[f32],
+        bias: &[f32],
+        geom: &ConvGeom,
+        relu: bool,
+    ) -> Vec<f32> {
+        let (ohw, k) = (geom.oh * geom.ow, geom.k_flat);
+        let mut cols = vec![0.0f32; k * ohw];
+        let mut out = Vec::new();
+        for image in input.chunks_exact(geom.image_len()) {
+            unfold_runs_reference(image, geom, &mut cols, ohw, 0);
+            for (w_row, &b) in weight.chunks_exact(k).zip(bias) {
+                for p in 0..ohw {
+                    let mut acc = 0.0f32;
+                    for (q, &w) in w_row.iter().enumerate() {
+                        acc += w * cols[q * ohw + p];
+                    }
+                    let v = acc + b;
+                    out.push(if relu { v.max(0.0) } else { v });
+                }
+            }
+        }
+        out
+    }
+
+    /// ∂input's contract: per sample `Σ_f W[f, k]·g[f, p]`, `f`
+    /// ascending from `0.0`, then the per-pixel reference fold.
+    fn grad_input_reference(weight: &[f32], grad_out: &[f32], geom: &ConvGeom) -> Vec<f32> {
+        let (ohw, k, f) = (geom.oh * geom.ow, geom.k_flat, geom.spec.out_channels);
+        let mut out = Vec::new();
+        for g in grad_out.chunks_exact(f * ohw) {
+            let mut gcols = vec![0.0f32; k * ohw];
+            for q in 0..k {
+                for p in 0..ohw {
+                    let mut acc = 0.0f32;
+                    for filter in 0..f {
+                        acc += weight[filter * k + q] * g[filter * ohw + p];
+                    }
+                    gcols[q * ohw + p] = acc;
+                }
+            }
+            let mut image = vec![0.0f32; geom.image_len()];
+            let (h, w) = (geom.h, geom.w);
+            col2im_add_reference(&gcols, &geom.spec, h, w, geom.oh, geom.ow, &mut image);
+            out.extend(image);
+        }
+        out
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The swapped and the unswapped forward and ∂input workers
+        /// against the three-loop references, under every instantiation,
+        /// with `n·OH·OW` one below, at and one above 32 columns (both
+        /// workers run on each side of the threshold), 1–69 filters,
+        /// kernels 1 and 3, stride 1 and 2, and NaN, ±∞ and −0.0 in the
+        /// image, the weight and the output gradient. The public entry
+        /// points ride along: `conv2d_layer` (fresh and kept transpose),
+        /// `conv2d`, `conv2d_relu` and `conv2d_backward_input`.
+        #[test]
+        fn swapped_and_unswapped_paths_match_the_three_loop_references(
+            seed in 0u64..1_000_000,
+            c in 1usize..4,
+            f in 1usize..70,
+            plane_pick in 0usize..9,
+            side in 0usize..3,
+            kernel_pick in 0usize..2,
+            stride in 1usize..3,
+            pad in 0usize..2,
+            poison in 0usize..5,
+        ) {
+            let (oh, ow) = [(1, 1), (2, 2), (4, 4), (2, 1), (1, 4), (3, 3), (2, 4), (1, 8), (8, 4)][plane_pick];
+            let n = (SWAP_COLS.div_ceil(oh * ow) + side).saturating_sub(1).max(1);
+            let kernel = [1, 3][kernel_pick];
+            let pad = pad.min(kernel / 2);
+            let (h, w) = ((oh - 1) * stride + kernel - 2 * pad, (ow - 1) * stride + kernel - 2 * pad);
+            prop_assume!(h > 0 && w > 0);
+            let spec = ConvSpec::new(c, f, kernel, stride, pad);
+            prop_assert_eq!(spec.output_size(h, w).unwrap(), (oh, ow));
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let mut input = rng.uniform(&[n, c, h, w], -1.0, 1.0);
+            let mut weight = rng.uniform(&[f, c, kernel, kernel], -1.0, 1.0);
+            let bias = rng.uniform(&[f], -0.5, 0.5);
+            let mut grad = rng.uniform(&[n, f, oh, ow], -1.0, 1.0);
+            let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (i, special) in specials.into_iter().enumerate().take(poison) {
+                for t in [&mut input, &mut weight, &mut grad] {
+                    let at = (seed as usize / (i + 1) + 11 * i) % t.numel();
+                    t.as_mut_slice()[at] = special;
+                }
+            }
+            let (x, wt, b, g) = (input.as_slice(), weight.as_slice(), bias.as_slice(), grad.as_slice());
+            let plan = |backward, swap| {
+                let bp = plan_conv2d(&spec, n, (h, w), (oh, ow), backward, swap).unwrap();
+                (bp, ConvGeom::new(&spec, (h, w), (oh, ow), bp.blocking, bp.plane))
+            };
+            let (_, geom) = plan(false, false);
+            let want = [false, true].map(|relu| forward_reference(x, wt, b, &geom, relu));
+            let want_input = grad_input_reference(wt, g, &geom);
+            let mut w_t = vec![0.0f32; f * geom.k_flat];
+            transpose_into(wt, f, geom.k_flat, &mut w_t);
+
+            let mut runs = Vec::new();
+            crate::simd::with_each_isa(|isa| {
+                for relu in [false, true] {
+                    let mut got = vec![f32::NAN; n * f * oh * ow];
+                    let (_, geom) = plan(false, false);
+                    conv2d_block(x, wt, b, geom, 0..n, relu, &mut got);
+                    runs.push((isa, format!("unswapped forward, relu {relu}"), got, usize::from(relu)));
+                    let mut got = vec![f32::NAN; n * f * oh * ow];
+                    let (bp, geom) = plan(false, true);
+                    conv2d_swapped(x, &w_t, b, &bp, geom, relu, &mut got);
+                    runs.push((isa, format!("swapped forward, relu {relu}"), got, usize::from(relu)));
+                    let kept = TransposedWeight::default();
+                    for call in ["fresh", "kept"] {
+                        let got = conv2d_layer(&input, &weight, &kept, &bias, &spec, relu).unwrap();
+                        runs.push((isa, format!("conv2d_layer {call}, relu {relu}"), got.into_vec(), usize::from(relu)));
+                    }
+                }
+                runs.push((isa, "conv2d".into(), conv2d(&input, &weight, &bias, &spec).unwrap().into_vec(), 0));
+                runs.push((isa, "conv2d_relu".into(), conv2d_relu(&input, &weight, &bias, &spec).unwrap().into_vec(), 1));
+                let (_, geom) = plan(true, false);
+                runs.push((isa, "unswapped ∂input".into(), conv_grad_input_block(g, &w_t, geom, 0..n), 2));
+                let (bp, geom) = plan(true, true);
+                runs.push((isa, "swapped ∂input".into(), conv_grad_input_swapped(g, wt, &bp, geom, n), 2));
+                let got = conv2d_backward_input(&input, &weight, &grad, &spec).unwrap();
+                runs.push((isa, "conv2d_backward_input".into(), got.into_vec(), 2));
+            });
+            for (isa, what, got, which) in runs {
+                let want = if which == 2 { &want_input } else { &want[which] };
+                prop_assert!(
+                    same_bits(&got, want),
+                    "{} on {:?}, n {} {}x{} → {}x{}, {:?}", what, isa, n, h, w, oh, ow, spec
+                );
             }
         }
     }

@@ -75,8 +75,8 @@ mod tensor;
 
 pub use broadcast::reduce_to_shape;
 pub use conv::{
-    col2im, conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_params, conv2d_relu,
-    im2col, Conv2dGrads, ConvSpec,
+    col2im, conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_params, conv2d_layer,
+    conv2d_relu, im2col, Conv2dGrads, ConvSpec, TransposedWeight,
 };
 pub use error::TensorError;
 pub use init::{Initializer, TensorRng};

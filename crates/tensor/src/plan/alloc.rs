@@ -169,11 +169,17 @@ fn lease(len: usize) -> Vec<f32> {
     let buf = POOL
         .try_with(|p| take_best(&mut p.borrow_mut(), len))
         .unwrap_or_default();
-    if buf.capacity() < len {
+    let grew = buf.capacity() < len;
+    if grew {
         GROWS.fetch_add(1, Ordering::Relaxed);
     } else {
         HITS.fetch_add(1, Ordering::Relaxed);
     }
+    #[cfg(test)]
+    tests::LEASES.with(|leases| {
+        let (hits, grows) = leases.get();
+        leases.set((hits + u64::from(!grew), grows + u64::from(grew)));
+    });
     buf
 }
 
@@ -229,6 +235,13 @@ pub fn recycle_activation(buf: Vec<f32>) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::Cell;
+
+    thread_local! {
+        /// This thread's `(hits, grows)`: the process-wide counters also
+        /// count the leases of every test running beside these ones.
+        pub(super) static LEASES: Cell<(u64, u64)> = const { Cell::new((0, 0)) };
+    }
 
     #[test]
     fn scratch_is_zeroed_and_sized() {
@@ -242,24 +255,23 @@ mod tests {
         // Warm up, then measure: repeat acquisitions at the same size
         // must not grow.
         drop(scratch_f32(1024));
-        let before = stats();
+        let (hits, grows) = LEASES.get();
         for _ in 0..10 {
             let mut s = scratch_f32(1024);
             s.as_mut_slice().fill(3.5);
         }
-        let after = stats();
-        assert_eq!(after.grows, before.grows, "warm same-size acquires grew");
-        assert_eq!(after.hits - before.hits, 10);
+        let after = LEASES.get();
+        assert_eq!(after.1, grows, "warm same-size acquires grew");
+        assert_eq!(after.0 - hits, 10);
     }
 
     #[test]
     fn smaller_request_reuses_larger_buffer() {
         drop(scratch_f32(4096));
-        let before = stats();
+        let (_, grows) = LEASES.get();
         let s = scratch_f32(100);
         assert_eq!(s.len(), 100);
-        let after = stats();
-        assert_eq!(after.grows, before.grows);
+        assert_eq!(LEASES.get().1, grows);
     }
 
     #[test]

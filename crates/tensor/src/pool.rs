@@ -4,7 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::plan::alloc;
 use crate::plan::blueprint::checked_product;
-use crate::{Result, Shape, Tensor, TensorError};
+use crate::{simd, Result, Shape, Tensor, TensorError};
 
 /// Geometry of a 2-D max-pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -84,24 +84,11 @@ struct PoolGeom {
     ow: usize,
 }
 
-/// The maximum of one 2×2 window and its offset from the window's
-/// first element in a `w`-wide plane, scanning `(0,0), (0,1), (1,0),
+/// The maximum of one 2×2 window, scanning `(0,0), (0,1), (1,0),
 /// (1,1)` with a strict `>`: the first maximum wins and a leading NaN
-/// is never displaced (not `f32::max`).
-#[inline(always)]
-fn window_max([a0, a1]: [f32; 2], [b0, b1]: [f32; 2], w: usize) -> (f32, usize) {
-    let mut best = (a0, 0);
-    for candidate in [(a1, 1), (b0, w), (b1, w + 1)] {
-        if candidate.0 > best.0 {
-            best = candidate;
-        }
-    }
-    best
-}
-
-/// [`window_max`]'s value alone: the same scan and strict `>`, as
-/// selects with no offset to carry, which the compiler vectorizes
-/// across windows.
+/// is never displaced (not `f32::max`) — the value of the argmax
+/// row's scan ([`simd::max_pool_argmax_row`]), as selects the compiler
+/// vectorizes across windows.
 #[inline(always)]
 fn window_value([a0, a1]: [f32; 2], [b0, b1]: [f32; 2]) -> f32 {
     let mut best = a0;
@@ -113,9 +100,11 @@ fn window_value([a0, a1]: [f32; 2], [b0, b1]: [f32; 2]) -> f32 {
 
 /// The 2×2 / stride-2 pool: walks two input rows and writes one output
 /// row through slices. `argmax`, when wanted, is filled in the same
-/// pass with flat indices into `data`.
+/// pass with flat indices into `data`, by the instantiated row of
+/// [`simd::max_pool_argmax_row`]; `w` must be below `u32::MAX`.
 fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut [usize]>) {
     let PoolGeom { h, w, oh, ow } = g;
+    let w32 = u32::try_from(w).unwrap_or_default();
     let planes = data.chunks_exact(h * w).zip(out.chunks_exact_mut(oh * ow));
     for (p, (plane, out_plane)) in planes.enumerate() {
         let row_pairs = plane
@@ -132,12 +121,7 @@ fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut
             };
             let arg_row = arg.get_mut((p * oh + oy) * ow..).unwrap_or_default();
             let row0 = (p * h + 2 * oy) * w;
-            let cells = out_row.iter_mut().zip(arg_row).zip(windows);
-            for (ox, ((o, slot), (&a, &b))) in cells.enumerate() {
-                let (best, offset) = window_max(a, b, w);
-                *o = best;
-                *slot = row0 + 2 * ox + offset;
-            }
+            simd::max_pool_argmax_row((top, bottom), out_row, arg_row, row0, w32);
         }
     }
 }
@@ -198,7 +182,7 @@ fn pooled(input: &Tensor, spec: &PoolSpec, argmax: Option<&mut Vec<usize>>) -> R
         arg.as_mut_slice()
     });
     let g = PoolGeom { h, w, oh, ow };
-    if *spec == PoolSpec::half() {
+    if *spec == PoolSpec::half() && u32::try_from(w).is_ok_and(|w| w < u32::MAX) {
         pool_half(input.as_slice(), g, &mut out, argmax);
     } else {
         pool_general(input.as_slice(), spec, g, &mut out, argmax);
@@ -333,28 +317,60 @@ mod tests {
         }
     }
 
-    /// Both loops over the same planes: outputs and argmax. The
-    /// row-pair loop's values-only pass must give its outputs bit for
-    /// bit.
-    fn both_loops(data: &[f32], planes: usize, h: usize, w: usize) -> [(Vec<u32>, Vec<usize>); 2] {
+    /// The row-pair argmax loop as it was before its scan became
+    /// selects instantiated per ISA, kept as the reference for their
+    /// bits: a branch per candidate, carrying a `usize` offset.
+    fn pool_half_reference(data: &[f32], g: PoolGeom, out: &mut [f32], argmax: &mut [usize]) {
+        let PoolGeom { h, w, oh, ow } = g;
+        for (i, (o, slot)) in out.iter_mut().zip(argmax).enumerate() {
+            let (p, oy, ox) = (i / (oh * ow), i / ow % oh, i % ow);
+            let row0 = (p * h + 2 * oy) * w + 2 * ox;
+            let mut best = (data[row0], 0);
+            for candidate in [
+                (data[row0 + 1], 1),
+                (data[row0 + w], w),
+                (data[row0 + w + 1], w + 1),
+            ] {
+                if candidate.0 > best.0 {
+                    best = candidate;
+                }
+            }
+            *o = best.0;
+            *slot = row0 + best.1;
+        }
+    }
+
+    /// The row-pair loop under every instantiation, the reference loop
+    /// and the general loop over the same planes: outputs and argmax.
+    /// The row-pair loop's values-only pass must give its outputs bit
+    /// for bit.
+    fn all_loops(data: &[f32], planes: usize, h: usize, w: usize) -> Vec<(Vec<u32>, Vec<usize>)> {
         let spec = PoolSpec::half();
         let (oh, ow) = spec.output_size(h, w).unwrap();
         let g = PoolGeom { h, w, oh, ow };
         let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
-        let run = |half: bool| {
-            let mut out = vec![f32::NAN; planes * oh * ow];
-            let mut arg = vec![usize::MAX; out.len()];
-            if half {
-                pool_half(data, g, &mut out, Some(&mut arg));
-                let mut values = vec![f32::NAN; out.len()];
-                pool_half(data, g, &mut values, None);
-                assert_eq!(bits(&values), bits(&out), "values-only pass");
-            } else {
-                pool_general(data, &spec, g, &mut out, Some(&mut arg));
-            }
-            (bits(&out), arg)
+        let fresh = || {
+            (
+                vec![f32::NAN; planes * oh * ow],
+                vec![usize::MAX; planes * oh * ow],
+            )
         };
-        [run(true), run(false)]
+        let mut runs = Vec::new();
+        crate::simd::with_each_isa(|_| {
+            let (mut out, mut arg) = fresh();
+            pool_half(data, g, &mut out, Some(&mut arg));
+            let mut values = vec![f32::NAN; out.len()];
+            pool_half(data, g, &mut values, None);
+            assert_eq!(bits(&values), bits(&out), "values-only pass");
+            runs.push((bits(&out), arg));
+        });
+        let (mut out, mut arg) = fresh();
+        pool_half_reference(data, g, &mut out, &mut arg);
+        runs.push((bits(&out), arg));
+        let (mut out, mut arg) = fresh();
+        pool_general(data, &spec, g, &mut out, Some(&mut arg));
+        runs.push((bits(&out), arg));
+        runs
     }
 
     #[test]
@@ -371,18 +387,18 @@ mod tests {
             4.0, 5.0,    inf, -inf,  9.0,
             9.0, 9.0,    9.0, 9.0,   9.0,
         ];
-        let [(half_out, half_arg), (general_out, general_arg)] = both_loops(&plane, 1, 5, 5);
-        assert_eq!(half_out, general_out);
-        assert_eq!(half_arg, general_arg);
+        let runs = all_loops(&plane, 1, 5, 5);
+        let (half_out, half_arg) = runs[0].clone();
+        assert!(runs.iter().all(|run| *run == runs[0]));
         assert_eq!(half_arg, vec![0, 2, 10, 17]);
         assert_eq!(half_out[1], (-0.0f32).to_bits());
         assert!(f32::from_bits(half_out[2]).is_nan());
         assert_eq!(half_out[3], inf.to_bits());
 
         let all_neg_inf = [-inf; 4];
-        let [(out, arg), general] = both_loops(&all_neg_inf, 1, 2, 2);
-        assert_eq!((out.clone(), arg.clone()), general);
-        assert_eq!((out, arg), (vec![(-inf).to_bits()], vec![0]));
+        let runs = all_loops(&all_neg_inf, 1, 2, 2);
+        assert!(runs.iter().all(|run| *run == runs[0]));
+        assert_eq!(runs[0], (vec![(-inf).to_bits()], vec![0]));
     }
 
     #[test]
@@ -419,23 +435,28 @@ mod tests {
             prop_assert!(pooled.output.max().unwrap() <= input.max().unwrap() + 1e-6);
         }
 
-        /// The row-pair loop and the general loop agree bit for bit,
-        /// outputs and argmax, on planes of every parity — with values
-        /// drawn from a handful so that ties are the common case.
+        /// The row-pair loop under every instantiation, the reference
+        /// loop it replaced and the general loop agree bit for bit,
+        /// outputs and argmax, on planes of every parity and rows wide
+        /// enough for whole vectors — with values drawn from a handful
+        /// (NaN and both zeros among them) so that ties are the common
+        /// case.
         #[test]
         fn row_pair_loop_equals_general_loop(
             seed in 0u64..10_000,
             planes in 1usize..4,
             h in 2usize..9,
-            w in 2usize..9,
+            w in 2usize..70,
         ) {
             let mut rng = TensorRng::seed_from_u64(seed);
             let palette = [-1.0f32, -0.0, 0.0, 0.5, 0.5, 2.0, f32::NAN, f32::NEG_INFINITY];
             let data: Vec<f32> = (0..planes * h * w)
                 .map(|_| palette[rng.index(palette.len())])
                 .collect();
-            let [half, general] = both_loops(&data, planes, h, w);
-            prop_assert_eq!(half, general);
+            let runs = all_loops(&data, planes, h, w);
+            for run in &runs {
+                prop_assert_eq!(run, &runs[0]);
+            }
         }
 
         /// Pooling is monotone: adding a constant shifts the output by it.

@@ -39,7 +39,7 @@ pub(super) const NR_WIDE: usize = 16;
 /// one the broadcast `A` value, so each `A` value meets twice the
 /// columns and each `B` row twice the rows per load.
 pub(super) const MR_WIDE_512: usize = 8;
-pub(super) const NR_WIDE_512: usize = 32;
+pub(crate) const NR_WIDE_512: usize = 32;
 /// Register tile for eight or more columns left after the wide strips
 /// — and for products that are eight to fifteen columns wide to begin
 /// with (∂weight of a layer with eight filters).
@@ -261,7 +261,10 @@ fn strip<const MR: usize, const NR: usize>(blk: &Block, j: usize, nr: usize, des
     }
 }
 
-/// Multiplies one block: `MR × NR` strips while `NR` columns remain,
+/// Multiplies one block: `MR × NR` strips while `NR` columns remain —
+/// `MR_WIDE × NR` ones for a block of at most `MR_WIDE` rows, so a
+/// 4-row product (a swapped batch-1 stage 5, a batch-1 head) does not
+/// run half of AVX-512F's 8-row tile on dropped rows —
 /// then at most one `MR_WIDE × NR_WIDE` strip (when `NR` is wider),
 /// then narrower strips (the last one zero-padded) for the rest. Each
 /// instantiation picks its own wide tile; which elements advance
@@ -270,7 +273,11 @@ fn strip<const MR: usize, const NR: usize>(blk: &Block, j: usize, nr: usize, des
 pub(super) fn block_body<const MR: usize, const NR: usize>(blk: &Block, dest: &mut Dest) {
     let mut j = 0usize;
     while blk.cols - j >= NR {
-        strip::<MR, NR>(blk, j, NR, dest);
+        if blk.rows <= MR_WIDE {
+            strip::<MR_WIDE, NR>(blk, j, NR, dest);
+        } else {
+            strip::<MR, NR>(blk, j, NR, dest);
+        }
         j += NR;
     }
     if blk.cols - j >= NR_WIDE {

@@ -7,6 +7,9 @@
 //! to the libm expression back to the caller. It is instantiated like
 //! the kernel below, and like it uses no fused multiply-add.
 //!
+//! `pool` holds the 2×2 max-pool's row with its argmax, whose selects
+//! vectorize across windows; it is instantiated the same way.
+//!
 //! `kernel` holds the kernel body as safe Rust. It is compiled three
 //! times: once for the target's baseline features and, on x86-64, once
 //! under `#[target_feature(enable = "avx2")]` and once under
@@ -25,8 +28,9 @@ use std::sync::OnceLock;
 
 mod kernel;
 mod normal;
+mod pool;
 
-pub(crate) use kernel::{Block, Dest, Samples};
+pub(crate) use kernel::{Block, Dest, Samples, NR_WIDE_512 as WIDEST_TILE_COLS};
 pub(crate) use normal::CHUNK as NORMAL_CHUNK;
 
 /// An instruction set the micro-kernel is instantiated for.
@@ -176,6 +180,54 @@ pub(crate) fn sample_sum(samples: &Samples, sum: &mut [f32]) {
         Isa::Baseline => {}
     }
     kernel::sample_sum_body(samples, sum);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2")]
+fn argmax_row_avx2(
+    rows: (&[f32], &[f32]),
+    out: &mut [f32],
+    argmax: &mut [usize],
+    first: usize,
+    w: u32,
+) {
+    pool::argmax_row_body(rows, out, argmax, first, w);
+}
+
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx512f")]
+fn argmax_row_avx512(
+    rows: (&[f32], &[f32]),
+    out: &mut [f32],
+    argmax: &mut [usize],
+    first: usize,
+    w: u32,
+) {
+    pool::argmax_row_body(rows, out, argmax, first, w);
+}
+
+/// One output row of the 2×2 / stride-2 max-pool with its argmax (see
+/// the `pool` module), with the active instantiation: `rows` are the
+/// two input rows of a `w`-wide plane, `first` the flat index of the
+/// top row's first element.
+pub(crate) fn max_pool_argmax_row(
+    rows: (&[f32], &[f32]),
+    out: &mut [f32],
+    argmax: &mut [usize],
+    first: usize,
+    w: u32,
+) {
+    #[cfg(target_arch = "x86_64")]
+    match active() {
+        // SAFETY: `argmax_row_avx512` is safe code that only requires
+        // AVX-512F, and `active()` is `Avx512` only once `supported()`
+        // saw it through `is_x86_feature_detected!`.
+        Isa::Avx512 => return unsafe { argmax_row_avx512(rows, out, argmax, first, w) },
+        // SAFETY: as above, for `argmax_row_avx2` and AVX2.
+        Isa::Avx2 => return unsafe { argmax_row_avx2(rows, out, argmax, first, w) },
+        Isa::Baseline => {}
+    }
+    pool::argmax_row_body(rows, out, argmax, first, w);
 }
 
 #[cfg(target_arch = "x86_64")]

@@ -40,8 +40,8 @@ use fademl_nn::{
 };
 use fademl_tensor::io::atomic_write;
 use fademl_tensor::{
-    col2im, conv2d, conv2d_backward, digest, fnv1a, im2col, max_pool2d, par, simd, ConvSpec,
-    PoolSpec, Tensor, TensorRng,
+    col2im, conv2d, conv2d_backward, conv2d_layer, digest, fnv1a, im2col, max_pool2d, par, simd,
+    ConvSpec, PoolSpec, Tensor, TensorRng, TransposedWeight,
 };
 
 const TABLE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/bits.txt");
@@ -60,6 +60,17 @@ fn uniform_victim(rng: &mut TensorRng) -> Sequential {
     model
 }
 
+/// The convolution as a layer runs it — with its transpose kept, so
+/// fewer than 32 output columns take the swapped product — checked
+/// against plain `conv2d`, which never swaps.
+fn layer_conv(x: &Tensor, w: &Tensor, b: &Tensor, spec: &ConvSpec) -> Tensor {
+    let kept = TransposedWeight::default();
+    let out = conv2d_layer(x, w, &kept, b, spec, false).expect("conv2d_layer");
+    let plain = conv2d(x, w, b, spec).expect("conv2d");
+    assert_eq!(digest(out.as_slice()), digest(plain.as_slice()), "{spec:?}");
+    out
+}
+
 fn arithmetic() -> Lines {
     let mut lines = Lines::new();
     let (mut cin, mut side) = (3usize, 32usize);
@@ -71,7 +82,7 @@ fn arithmetic() -> Lines {
             let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
             let g = rng.uniform(&[n, cout, side, side], -1.0, 1.0);
             let b = rng.uniform(&[cout], -0.1, 0.1);
-            let out = conv2d(&x, &w, &b, &spec).expect("conv2d");
+            let out = layer_conv(&x, &w, &b, &spec);
             lines.push((format!("conv2d.stage{stage}.b{n}"), digest(out.as_slice())));
             let grads = conv2d_backward(&x, &w, &g, &spec).expect("conv2d_backward");
             for (part, t) in [
@@ -100,7 +111,7 @@ fn arithmetic() -> Lines {
             let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
             let g = rng.uniform(&[n, cout, side, side], -1.0, 1.0);
             let b = rng.uniform(&[cout], -0.1, 0.1);
-            let out = conv2d(&x, &w, &b, &spec).expect("conv2d");
+            let out = layer_conv(&x, &w, &b, &spec);
             lines.push((format!("conv2d.stage{stage}.b{n}"), digest(out.as_slice())));
             let grads = conv2d_backward(&x, &w, &g, &spec).expect("conv2d_backward");
             lines.push((
