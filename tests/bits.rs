@@ -105,7 +105,13 @@ fn arithmetic() -> Lines {
     let (mut cin, mut side) = (3usize, 32usize);
     for (stage, cout) in (1..).zip(VggProfile::Compact.stage_channels()) {
         let spec = ConvSpec::new(cin, cout, 3, 1, 1);
-        for n in [2usize, 7, 8].into_iter().filter(|_| stage >= 4) {
+        // Stage 1 at b2 and b3: the direct ∂input on more than one sample.
+        let batches: &[usize] = match stage {
+            1 => &[2, 3],
+            4 | 5 => &[2, 7, 8],
+            _ => &[],
+        };
+        for &n in batches {
             let mut rng = TensorRng::seed_from_u64(stage * 100 + n as u64);
             let x = rng.uniform(&[n, cin, side, side], 0.0, 1.0);
             let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
@@ -215,6 +221,30 @@ fn arithmetic() -> Lines {
                 digest(back.as_slice()),
             ));
         }
+    }
+    // Off the 32×32 plane: a partial 32-column chunk, two chunks, an odd
+    // row count and taps longer than the plane, forward and adjoint.
+    let mut rng = TensorRng::seed_from_u64(16);
+    for (spec, dims) in [
+        (FilterSpec::Lap { np: 32 }, [2, 17, 45]),
+        (FilterSpec::Lar { r: 5 }, [2, 17, 45]),
+        (FilterSpec::Lap { np: 64 }, [1, 5, 3]),
+    ] {
+        let filter = spec.build().expect("filter builds");
+        let tag = spec.to_string().to_lowercase().replace(['(', ')'], "");
+        let shape = format!("{}x{}x{}", dims[0], dims[1], dims[2]);
+        let x = rng.uniform(&dims, 0.0, 1.0);
+        let g = rng.uniform(&dims, -1.0, 1.0);
+        let out = filter.apply(&x).expect("filter apply");
+        lines.push((
+            format!("filter.{tag}.{shape}.apply"),
+            digest(out.as_slice()),
+        ));
+        let back = filter.backward(&x, &g).expect("filter backward");
+        lines.push((
+            format!("filter.{tag}.{shape}.backward"),
+            digest(back.as_slice()),
+        ));
     }
     artifact_lines(&mut lines);
     lines
