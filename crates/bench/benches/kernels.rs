@@ -7,13 +7,17 @@
 //! convolution stages of the served Compact victim at batch 1 and 16
 //! (forward, and stage 5 at 7 and 8 around the narrow-output operand
 //! swap), at batch 1 (an attack query's ∂input) and at the training
-//! batch of 32 (backward), and its classifier head. One row is not a GEMM: TM-II's sensor noise on one
+//! batch of 32 (backward), and its classifier head; LAP(8) and LAR(2)
+//! on a batch of 8, LAP(32) on a served batch of 16 and its adjoint on
+//! one attack query. One row is not a GEMM: TM-II's sensor noise on one
 //! frame, whose lane-wise Box–Muller is instantiated per ISA like the
 //! micro-kernel and falls under the same bit-identity gate.
 //! Two more cells run the whole Compact victim: its forward at batch 16,
 //! so the fused conv+ReLU store and the recycled activations are under
 //! the same gate, and one training step at batch 32 (forward, backward
-//! and Adam from fixed weights), so every kernel a step runs is. GEMM-backed workloads also report GFLOP/s, and are timed
+//! and Adam from fixed weights), so every kernel a step runs is. GEMM-
+//! and filter-backed workloads also report GFLOP/s (a filter counts a
+//! multiply and an add per tap and pixel), and are timed
 //! serially once more on every narrower instantiation of the
 //! micro-kernel the host can run (baseline, AVX2), so each ISA's share
 //! of a number is visible.
@@ -35,7 +39,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use fademl_data::{NoiseModel, CLASS_COUNT};
-use fademl_filters::FilterSpec;
+use fademl_filters::{FilterSpec, Kernel};
 use fademl_nn::vgg::{VggConfig, VggProfile};
 use fademl_nn::{Adam, CrossEntropyLoss, Optimizer};
 use fademl_tensor::io::atomic_write;
@@ -57,7 +61,7 @@ const TRAIN_BATCH: usize = 32;
 struct Workload {
     name: String,
     /// Floating-point operations of one run (2 per multiply-add); zero
-    /// for workloads that are not a GEMM.
+    /// for workloads that are neither a GEMM nor a filter.
     flops: f64,
     run: Box<dyn Fn() -> Vec<f32>>,
 }
@@ -74,6 +78,19 @@ fn victim_stages() -> Vec<(usize, usize, usize)> {
         side /= 2;
     }
     stages
+}
+
+/// Floating-point operations of one pass of a paper filter over
+/// `pixels` pixels of 32×32 planes, where every tap lands on the plane:
+/// a multiply and an add per tap and pixel (the renormalizing divide
+/// and the weight-sum plane are not counted).
+fn filter_flops(spec: FilterSpec, pixels: usize) -> f64 {
+    let taps = match spec {
+        FilterSpec::Lap { np } => np + 1,
+        FilterSpec::Lar { r } => Kernel::disc(r).len(),
+        _ => 0,
+    };
+    2.0 * (taps * pixels) as f64
 }
 
 /// All three gradients of one `conv2d_backward` call, concatenated.
@@ -112,6 +129,14 @@ fn workloads() -> Vec<Workload> {
     let grad = rng.uniform(&[8, 3, 32, 32], -1.0, 1.0);
     let lap = FilterSpec::Lap { np: 8 }.build().expect("LAP(8) builds");
     let lar = FilterSpec::Lar { r: 2 }.build().expect("LAR(2) builds");
+    let lap32 = FilterSpec::Lap { np: 32 }.build().expect("LAP(32) builds");
+    let lap32_backward = lap32.clone();
+    // Their own seeds, so the rows above and below keep their inputs: a
+    // served LAP(32) batch, and an attack query's LAP(32) adjoint.
+    let served = TensorRng::seed_from_u64(9).uniform(&[16, 3, 32, 32], 0.0, 1.0);
+    let mut own = TensorRng::seed_from_u64(10);
+    let query = own.uniform(&[3, 32, 32], 0.0, 1.0);
+    let query_grad = own.uniform(&[3, 32, 32], -1.0, 1.0);
 
     let mut jobs = vec![
         Workload {
@@ -144,7 +169,7 @@ fn workloads() -> Vec<Workload> {
         },
         Workload {
             name: "filter_lap8_8x3x32x32".into(),
-            flops: 0.0,
+            flops: filter_flops(FilterSpec::Lap { np: 8 }, batch.numel()),
             run: {
                 let x = batch.clone();
                 Box::new(move || lap.apply(&x).expect("LAP apply").into_vec())
@@ -152,10 +177,25 @@ fn workloads() -> Vec<Workload> {
         },
         Workload {
             name: "filter_lar2_backward_8x3x32x32".into(),
-            flops: 0.0,
+            flops: filter_flops(FilterSpec::Lar { r: 2 }, batch.numel()),
             run: Box::new(move || {
                 lar.backward(&batch, &grad)
                     .expect("LAR backward")
+                    .into_vec()
+            }),
+        },
+        Workload {
+            name: "filter_lap32_16x3x32x32".into(),
+            flops: filter_flops(FilterSpec::Lap { np: 32 }, served.numel()),
+            run: Box::new(move || lap32.apply(&served).expect("LAP apply").into_vec()),
+        },
+        Workload {
+            name: "filter_lap32_backward_3x32x32".into(),
+            flops: filter_flops(FilterSpec::Lap { np: 32 }, query.numel()),
+            run: Box::new(move || {
+                lap32_backward
+                    .backward(&query, &query_grad)
+                    .expect("LAP backward")
                     .into_vec()
             }),
         },

@@ -165,10 +165,7 @@ impl InferencePipeline {
         let mut acquired = images.clone();
         let frame_len = (images.numel() / n.max(1)).max(1);
         for frame in acquired.as_mut_slice().chunks_exact_mut(frame_len) {
-            let fingerprint = frame.iter().fold(0u64, |acc, &v| {
-                acc.wrapping_mul(31).wrapping_add(v.to_bits() as u64)
-            });
-            let mut rng = TensorRng::seed_from_u64(self.noise_seed ^ fingerprint);
+            let mut rng = TensorRng::seed_from_u64(self.noise_seed ^ fingerprint(frame));
             self.acquisition_noise.apply_in_place(frame, &mut rng);
         }
         acquired
@@ -180,12 +177,13 @@ impl InferencePipeline {
     /// classification entry points — staging helpers stay permissive so
     /// attack evaluation can probe the pipeline with anything.
     fn validate_input(image: &Tensor) -> Result<()> {
-        if let Some((index, value)) = image
-            .as_slice()
-            .iter()
-            .enumerate()
-            .find(|(_, v)| !v.is_finite())
-        {
+        // One branch-free pass first, which vectorizes; only a failing
+        // tensor is searched for its first offending index.
+        let values = image.as_slice();
+        if values.iter().fold(true, |ok, v| ok & v.is_finite()) {
+            return Ok(());
+        }
+        if let Some((index, value)) = values.iter().enumerate().find(|(_, v)| !v.is_finite()) {
             return Err(FademlError::InvalidInput {
                 reason: format!("non-finite value {value} at flat index {index}"),
             });
@@ -314,6 +312,32 @@ impl InferencePipeline {
         }
         Ok(hits as f32 / n as f32)
     }
+}
+
+/// A frame's content fingerprint, the TM-II noise seed's mix-in: the
+/// fold `acc·31 + bits` over its pixels' bit patterns from `0`, mod
+/// 2⁶⁴. Computed as eight interleaved Horner chains, chain `j` over
+/// pixels `j, j + 8, …` stepping by 31⁸, then combined with powers of
+/// 31 — the same polynomial in 31, so the same `u64`, without one
+/// serial multiply per pixel; the pixels past the last whole eight
+/// continue the fold serially.
+fn fingerprint(frame: &[f32]) -> u64 {
+    const LANES: usize = 8;
+    let step = 31u64.wrapping_pow(8);
+    let (blocks, rest) = frame.as_chunks::<LANES>();
+    let mut chains = [0u64; LANES];
+    for block in blocks {
+        for (chain, &v) in chains.iter_mut().zip(block) {
+            *chain = chain
+                .wrapping_mul(step)
+                .wrapping_add(u64::from(v.to_bits()));
+        }
+    }
+    let fold = |acc: u64, bits: u64| acc.wrapping_mul(31).wrapping_add(bits);
+    let combined = chains.into_iter().fold(0, fold);
+    rest.iter()
+        .map(|v| u64::from(v.to_bits()))
+        .fold(combined, fold)
 }
 
 #[cfg(test)]
@@ -522,5 +546,59 @@ mod tests {
             }
         }
         fademl_tensor::simd::pin(None);
+    }
+
+    #[test]
+    fn lane_fingerprint_equals_the_serial_fold() {
+        let serial = |frame: &[f32]| {
+            frame.iter().fold(0u64, |acc, &v| {
+                acc.wrapping_mul(31).wrapping_add(u64::from(v.to_bits()))
+            })
+        };
+        let mut rng = TensorRng::seed_from_u64(3);
+        for len in [0usize, 1, 7, 8, 9, 15, 17, 63, 3071, 3072, 3075] {
+            let frame = rng.uniform(&[len], -2.0, 2.0);
+            assert_eq!(
+                fingerprint(frame.as_slice()),
+                serial(frame.as_slice()),
+                "{len}"
+            );
+        }
+        let specials = [
+            f32::NAN,
+            -0.0,
+            f32::INFINITY,
+            f32::MAX,
+            -1.0,
+            1.0,
+            0.5,
+            3.0,
+            7.0,
+        ];
+        assert_eq!(fingerprint(&specials), serial(&specials));
+    }
+
+    #[test]
+    fn invalid_input_names_the_first_non_finite_index() {
+        let mut image = Tensor::zeros(&[3, 4, 4]);
+        image.as_mut_slice()[9] = f32::INFINITY;
+        image.as_mut_slice()[5] = f32::NAN;
+        image.as_mut_slice()[40] = f32::NEG_INFINITY;
+        match InferencePipeline::validate_input(&image) {
+            Err(FademlError::InvalidInput { reason }) => {
+                assert_eq!(reason, "non-finite value NaN at flat index 5");
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        image.as_mut_slice()[5] = 0.0;
+        match InferencePipeline::validate_input(&image) {
+            Err(FademlError::InvalidInput { reason }) => {
+                assert_eq!(reason, "non-finite value inf at flat index 9");
+            }
+            other => panic!("expected InvalidInput, got {other:?}"),
+        }
+        image.as_mut_slice()[9] = 0.0;
+        image.as_mut_slice()[40] = 1.0;
+        assert!(InferencePipeline::validate_input(&image).is_ok());
     }
 }

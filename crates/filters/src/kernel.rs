@@ -7,15 +7,17 @@
 //! per-output renormalization, making it the exact adjoint of the
 //! forward operator.
 //!
-//! The whole operator is one loop, [`accumulate`], a register-resident
-//! stencil: each plane is copied once into a zero border as wide as
-//! the kernel's reach, and each chunk of output columns keeps its
-//! accumulators in registers across the whole tap list. Forward
-//! accumulates the image and divides by the renormalization plane; the
-//! plane is the same accumulation over a plane of ones, recomputed on
-//! every call, so a kernel holds no state and shares none; backward
-//! accumulates the divided gradient through the mirrored tap list.
-//! Independent channel planes are partitioned
+//! The whole operator is one loop, `fademl_tensor::simd::stencil`, a
+//! register-resident stencil instantiated per instruction set: each
+//! plane is copied once into a zero border as wide as the kernel's
+//! reach, the taps that land on the plane are listed once per call as
+//! offsets into the bordered plane, and each tile of output rows and
+//! columns keeps its accumulators in registers across the whole list.
+//! Forward accumulates the image and divides by the renormalization
+//! plane; the plane is the same accumulation over a plane of ones,
+//! recomputed on every call, so a kernel holds no state and shares
+//! none; backward accumulates the divided gradient through the mirrored
+//! tap list. Independent channel planes are partitioned
 //! across the `fademl_tensor::par` pool — per plane the arithmetic
 //! order is identical to the serial loop, so results are bit-exact
 //! regardless of thread count (DESIGN.md §13.4 says what the order is
@@ -26,6 +28,7 @@ use std::sync::Arc;
 
 use fademl_tensor::plan::alloc;
 use fademl_tensor::plan::blueprint::checked_product;
+use fademl_tensor::simd::{self, Stencil, STENCIL_CHUNK};
 use fademl_tensor::{par, Tensor};
 
 use crate::filter::check_image_rank;
@@ -167,9 +170,9 @@ impl Kernel {
     /// zero and emit `inf`/`NaN`).
     fn sums_plane(&self, h: usize, w: usize) -> Result<alloc::Scratch> {
         let mut ones = Bordered::lease(&self.taps, h, w)?;
-        ones.fill(std::iter::repeat(1.0));
+        ones.fill_ones();
         let mut sums = alloc::scratch_stale(h * w);
-        accumulate(&self.taps, &ones, &mut sums, None);
+        ones.accumulate(&mut sums, None);
         if let Some(at) = sums.iter().position(|&s| s == 0.0) {
             return Err(FilterError::DegenerateGeometry {
                 reason: format!(
@@ -295,25 +298,23 @@ fn run_block(
         .zip(dst.chunks_exact_mut(sums.len()));
     for (plane, out) in planes {
         if adjoint {
-            bordered.fill(plane.iter().zip(sums).map(|(&g, &s)| g / s));
-            accumulate(taps, &bordered, out, None);
+            bordered.fill_divided(plane, sums);
+            bordered.accumulate(out, None);
         } else {
-            bordered.fill(plane.iter().copied());
-            accumulate(taps, &bordered, out, Some(sums));
+            bordered.fill(plane);
+            bordered.accumulate(out, Some(sums));
         }
     }
     Ok(())
 }
 
-/// Output columns one register-resident accumulator chunk covers.
-const CHUNK: usize = 32;
-
 /// An `h × w` plane inside a zero border as wide as the kernel's reach
 /// on it, leased from the thread's arena: `by` rows above and below,
 /// `bx` columns left and right, and each row padded so every chunk of
-/// [`CHUNK`] output columns reads whole chunks. A tap whose offset is
-/// as long as the plane itself never reaches it from any pixel, so it
-/// sets no border (and [`accumulate`] skips it).
+/// `STENCIL_CHUNK` output columns reads whole chunks — with the taps
+/// that read it. A tap whose offset is as long as the plane itself
+/// never reaches it from any pixel, so it sets no border (and
+/// [`PlaneTaps`] leaves it out).
 struct Bordered {
     plane: alloc::Scratch,
     h: usize,
@@ -322,11 +323,12 @@ struct Bordered {
     bx: usize,
     /// Floats per bordered row: `⌈w / CHUNK⌉ · CHUNK + 2·bx`.
     pw: usize,
+    taps: PlaneTaps,
 }
 
 impl Bordered {
-    /// A zeroed plane for `taps` over `h × w` (interior filled by
-    /// [`Bordered::fill`]).
+    /// A zeroed plane for `taps` over `h × w` (interior filled by the
+    /// `fill` methods), and the taps' [`PlaneTaps`] on it.
     fn lease(taps: &[(i32, i32, f32)], h: usize, w: usize) -> Result<Self> {
         let (mut by, mut bx) = (0, 0);
         for &(dy, dx, _) in taps {
@@ -335,7 +337,7 @@ impl Bordered {
                 bx = bx.max(rx);
             }
         }
-        let pw = w.div_ceil(CHUNK) * CHUNK + 2 * bx;
+        let pw = w.div_ceil(STENCIL_CHUNK) * STENCIL_CHUNK + 2 * bx;
         let len = checked_product("filter bordered plane", &[h + 2 * by, pw])?;
         Ok(Bordered {
             plane: alloc::scratch_f32(len),
@@ -344,18 +346,65 @@ impl Bordered {
             by,
             bx,
             pw,
+            taps: PlaneTaps::new(taps, (h, w), (by, bx, pw)),
         })
     }
 
-    /// Writes the interior, row-major, from `values`; the border stays
-    /// zero.
-    fn fill(&mut self, mut values: impl Iterator<Item = f32>) {
+    /// The interior, row by row; the border stays zero.
+    fn interior_rows(&mut self) -> impl Iterator<Item = &mut [f32]> {
+        let (bx, w) = (self.bx, self.w);
         let rows = self.plane.chunks_exact_mut(self.pw).skip(self.by);
-        for row in rows.take(self.h) {
-            for (slot, v) in row.iter_mut().skip(self.bx).take(self.w).zip(&mut values) {
-                *slot = v;
+        rows.take(self.h)
+            .map(move |row| row.get_mut(bx..bx + w).unwrap_or_default())
+    }
+
+    /// Copies a row-major `h × w` plane into the interior.
+    fn fill(&mut self, plane: &[f32]) {
+        let w = self.w.max(1);
+        for (row, src) in self.interior_rows().zip(plane.chunks_exact(w)) {
+            row.copy_from_slice(src);
+        }
+    }
+
+    /// Writes `grad / sums` (both row-major `h × w`) into the interior.
+    fn fill_divided(&mut self, grad: &[f32], sums: &[f32]) {
+        let w = self.w.max(1);
+        let rows = grad.chunks_exact(w).zip(sums.chunks_exact(w));
+        for (row, (g, s)) in self.interior_rows().zip(rows) {
+            for ((slot, &g), &s) in row.iter_mut().zip(g).zip(s) {
+                *slot = g / s;
             }
         }
+    }
+
+    /// Sets the interior to ones.
+    fn fill_ones(&mut self) {
+        for row in self.interior_rows() {
+            row.fill(1.0);
+        }
+    }
+
+    /// The one filter loop, `simd::stencil`: every `dst[y][x]` is one
+    /// `f32` accumulator from `+0.0` that meets every in-plane tap **in
+    /// list order** through a separate multiply and add, `acc += wt ·
+    /// src[y + dy][x + dx]`, then is stored — divided by `divide[y][x]`
+    /// when given.
+    ///
+    /// A tap in the list that falls off the plane at this pixel reads
+    /// the zero border and adds `wt · 0.0 = +0.0` (weights are finite
+    /// and positive). An accumulator that starts at `+0.0` is never
+    /// `−0.0` under round-to-nearest, so adding `+0.0` leaves it as it
+    /// was — NaN and ±∞ included — and each element is bit for bit the
+    /// sum over its in-plane taps alone, the order every bit-exactness
+    /// pin rests on.
+    fn accumulate(&self, dst: &mut [f32], divide: Option<&[f32]>) {
+        let stencil = Stencil {
+            src: &self.plane,
+            pitch: self.pw,
+            taps: self.taps.as_slice(),
+            w: self.w,
+        };
+        simd::stencil(&stencil, dst, divide);
     }
 }
 
@@ -366,55 +415,53 @@ fn reach(d: i32, n: usize) -> Option<usize> {
     (r < n).then_some(r)
 }
 
-/// The one filter loop: every `dst[y][x]` is one `f32` accumulator from
-/// `+0.0` that meets every tap **in list order** through a separate
-/// multiply and add, `acc += wt · src[y + dy][x + dx]`, then is stored
-/// — divided by `divide[y][x]` when given. The accumulators of a
-/// [`CHUNK`] of output columns stay in registers across the whole tap
-/// list, reading the bordered source plane.
-///
-/// A tap that falls off the plane reads the zero border and adds
-/// `wt · 0.0 = +0.0` (weights are finite and positive). An accumulator
-/// that starts at `+0.0` is never `−0.0` under round-to-nearest, so
-/// adding `+0.0` leaves it as it was — NaN and ±∞ included — and each
-/// element is bit for bit the sum over its in-plane taps alone, the
-/// order every bit-exactness pin rests on.
-fn accumulate(taps: &[(i32, i32, f32)], src: &Bordered, dst: &mut [f32], divide: Option<&[f32]>) {
-    let (w, pw) = (src.w, src.pw);
-    for (y, out_row) in dst.chunks_exact_mut(w.max(1)).enumerate() {
-        let divisors = divide.and_then(|d| d.get(y * w..(y + 1) * w));
-        for x0 in (0..w).step_by(CHUNK) {
-            let mut acc = [0.0f32; CHUNK];
-            for &(dy, dx, wt) in taps {
-                if reach(dy, src.h).is_none() || reach(dx, w).is_none() {
-                    continue;
-                }
-                let row = (y + src.by).wrapping_add_signed(dy as isize);
-                let col = (x0 + src.bx).wrapping_add_signed(dx as isize);
-                let Some(s) = src
-                    .plane
-                    .get(row * pw + col..)
-                    .and_then(|s| s.first_chunk::<CHUNK>())
-                else {
-                    continue;
-                };
-                for (a, &s) in acc.iter_mut().zip(s) {
-                    *a += wt * s;
-                }
-            }
-            let out = out_row.iter_mut().skip(x0).zip(acc);
-            match divisors {
-                Some(divisors) => {
-                    for ((o, a), &d) in out.zip(divisors.iter().skip(x0)) {
-                        *o = a / d;
-                    }
-                }
-                None => {
-                    for (o, a) in out {
-                        *o = a;
-                    }
-                }
-            }
+/// Taps held without a heap allocation: every kernel of the paper's
+/// sweep has at most 81 (LAR(5)).
+const INLINE_TAPS: usize = 128;
+
+/// A kernel's taps that can land on an `h × w` plane, in list order, as
+/// `(offset, weight)` into its [`Bordered`] plane: output pixel `(y, x)`
+/// reads `plane[y·pw + x + offset]`, the offset being `(by + dy)·pw +
+/// bx + dx`. Computed once per call, so the stencil's per-tap loop
+/// holds no reach or bounds test.
+#[expect(
+    clippy::large_enum_variant,
+    reason = "one per call, on the stack: holding the taps inline is the point"
+)]
+enum PlaneTaps {
+    Inline([(usize, f32); INLINE_TAPS], usize),
+    Heap(Vec<(usize, f32)>),
+}
+
+impl PlaneTaps {
+    fn new(
+        taps: &[(i32, i32, f32)],
+        (h, w): (usize, usize),
+        (by, bx, pw): (usize, usize, usize),
+    ) -> Self {
+        let in_plane = taps.iter().filter_map(|&(dy, dx, wt)| {
+            reach(dy, h)?;
+            reach(dx, w)?;
+            let row = by.checked_add_signed(dy as isize)?;
+            let col = bx.checked_add_signed(dx as isize)?;
+            Some((row * pw + col, wt))
+        });
+        if taps.len() > INLINE_TAPS {
+            return PlaneTaps::Heap(in_plane.collect());
+        }
+        let mut inline = [(0, 0.0); INLINE_TAPS];
+        let mut len = 0;
+        for (slot, tap) in inline.iter_mut().zip(in_plane) {
+            *slot = tap;
+            len += 1;
+        }
+        PlaneTaps::Inline(inline, len)
+    }
+
+    fn as_slice(&self) -> &[(usize, f32)] {
+        match self {
+            PlaneTaps::Inline(taps, len) => taps.get(..*len).unwrap_or_default(),
+            PlaneTaps::Heap(taps) => taps,
         }
     }
 }
@@ -711,6 +758,53 @@ mod tests {
                 prop_assert_eq!(bits(f), bits(&reference_apply(k.taps(), plane, hi, wi)), "apply: {}", what);
                 prop_assert_eq!(bits(b), bits(&reference_backward(k.taps(), plane, hi, wi)), "backward: {}", what);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every kernel of the paper's sweep, and LAR(7) and LAR(8), whose
+        /// 149 and 197 taps overflow the inline tap list, forward and
+        /// adjoint, under every instantiation the host runs, equal the checked
+        /// per-pixel references bit for bit on planes 1–69 rows and
+        /// columns (odd row counts, partial and several 32-column
+        /// chunks, taps longer than the plane), with up to five pixels
+        /// `−0.0`, NaN, `+∞` or `−∞`. Pinning is process-wide, but every
+        /// instantiation gives the same bits, so the other tests of this
+        /// binary cannot tell which one they ran under.
+        #[test]
+        fn paper_kernels_match_the_references_on_every_instantiation(
+            seed in 0u64..1_000_000,
+            pick in 0usize..12,
+            h in 1usize..70,
+            w in 1usize..70,
+            specials in proptest::collection::vec(0usize..20_000, 0..6),
+        ) {
+            let offsets = match pick {
+                0..5 => Kernel::nearest_neighbourhood(crate::Lap::PAPER_SWEEP[pick]),
+                5..10 => Kernel::disc(crate::Lar::PAPER_SWEEP[pick - 5]),
+                _ => Kernel::disc(pick - 3),
+            };
+            let k = Kernel::uniform(offsets).unwrap();
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let mut x = rng.uniform(&[1, h, w], -1.0, 1.0);
+            for pick in specials {
+                let special = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY][pick % 4];
+                let at = pick / 4 % x.numel();
+                x.as_mut_slice()[at] = special;
+            }
+            let (hi, wi) = (h as i32, w as i32);
+            let want_apply = bits(&reference_apply(k.taps(), x.as_slice(), hi, wi));
+            let want_backward = bits(&reference_backward(k.taps(), x.as_slice(), hi, wi));
+            for isa in simd::available() {
+                prop_assert!(simd::pin(Some(isa)));
+                let (fwd, bwd) = (k.apply(&x).unwrap(), k.backward(&x).unwrap());
+                let what = format!("{} taps on {h}x{w} under {}", k.len(), isa.name());
+                prop_assert_eq!(bits(fwd.as_slice()), want_apply.clone(), "apply: {}", what);
+                prop_assert_eq!(bits(bwd.as_slice()), want_backward.clone(), "backward: {}", what);
+            }
+            simd::pin(None);
         }
     }
 

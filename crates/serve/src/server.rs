@@ -599,6 +599,16 @@ fn validate_image(image: &Tensor, config: &ServerConfig) -> Result<()> {
             reason: "empty image".into(),
         });
     }
+    // One branch-free pass first, which vectorizes; only a failing image
+    // is walked again for its first offending pixel.
+    let (min, max) = (config.pixel_min, config.pixel_max);
+    let admitted = image
+        .as_slice()
+        .iter()
+        .fold(true, |ok, &v| ok & v.is_finite() & (v >= min) & (v <= max));
+    if admitted {
+        return Ok(());
+    }
     for (index, &value) in image.as_slice().iter().enumerate() {
         if !value.is_finite() {
             return Err(ServeError::InvalidInput {
@@ -1400,5 +1410,30 @@ mod tests {
             ),
             Err(ServeError::InvalidConfig { .. })
         ));
+    }
+
+    #[test]
+    fn admission_names_the_first_offending_pixel() {
+        let config = ServerConfig::default();
+        let reason = |image: &Tensor| match validate_image(image, &config) {
+            Err(ServeError::InvalidInput { reason }) => reason,
+            other => panic!("expected InvalidInput, got {other:?}"),
+        };
+        let mut image = Tensor::full(&[3, 4, 4], 0.5);
+        image.as_mut_slice()[11] = f32::NAN;
+        image.as_mut_slice()[6] = 1.5;
+        image.as_mut_slice()[30] = -0.25;
+        assert_eq!(reason(&image), "pixel 1.5 at flat index 6 outside [0, 1]");
+        image.as_mut_slice()[6] = 1.0;
+        assert_eq!(reason(&image), "non-finite pixel NaN at flat index 11");
+        image.as_mut_slice()[11] = 0.0;
+        assert_eq!(
+            reason(&image),
+            "pixel -0.25 at flat index 30 outside [0, 1]"
+        );
+        image.as_mut_slice()[30] = f32::NEG_INFINITY;
+        assert_eq!(reason(&image), "non-finite pixel -inf at flat index 30");
+        image.as_mut_slice()[30] = 0.0;
+        assert!(validate_image(&image, &config).is_ok());
     }
 }

@@ -80,7 +80,12 @@
 //! range of one `[F, tile·OH·OW]` matrix ([`tile_ld`] apart), one
 //! `wᵀ · G` product runs on the register-tiled GEMM, and each sample's
 //! columns are folded back. A column's sum over `f` does not know its
-//! neighbours, so a batch equals single-sample calls bit for bit.
+//! neighbours, so a batch equals single-sample calls bit for bit. The
+//! first layer's geometry (three input channels, stride 1, kernels
+//! three wide) skips the product: [`conv_grad_input_direct`] sums each
+//! unfolded row over the filters in registers and adds it straight
+//! onto the fold's plane — the same terms, in the same order, without
+//! the 27-row column matrix.
 //! ∂weight is `Σₛ colsₛ · gₛᵀ`: per sample one fresh accumulator per
 //! element, added onto the running sum in sample order — inside the
 //! register tile ([`crate::simd::sample_sum`]) where a sample's plane
@@ -502,7 +507,7 @@ fn fold_runs(
     mut add_run: impl FnMut(usize, usize, &mut [f32]),
 ) {
     let ConvGeom { spec, h, w, oh, .. } = *geom;
-    let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
+    let (stride, pw) = (spec.stride, geom.padded_width());
     let mut row = 0;
     for image in dst.chunks_exact_mut((h * w).max(1)) {
         plane.fill(0.0);
@@ -515,11 +520,23 @@ fn fold_runs(
                 row += 1;
             }
         }
-        let interior = plane.chunks_exact(pw).skip(pad);
-        for (image_row, plane_row) in image.chunks_exact_mut(w).zip(interior) {
-            for (d, &v) in image_row.iter_mut().zip(&plane_row[pad..]) {
-                *d += v;
-            }
+        add_interior(geom, plane, image);
+    }
+}
+
+/// Adds the interior of the zero-bordered `plane` onto one channel
+/// `image` (`[H, W]`), element by element.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "plane rows are W + 2p wide by the validated conv geometry"
+)]
+#[inline(always)]
+fn add_interior(geom: &ConvGeom, plane: &[f32], image: &mut [f32]) {
+    let (pad, pw) = (geom.spec.padding, geom.padded_width());
+    let interior = plane.chunks_exact(pw).skip(pad);
+    for (image_row, plane_row) in image.chunks_exact_mut(geom.w.max(1)).zip(interior) {
+        for (d, &v) in image_row.iter_mut().zip(&plane_row[pad..]) {
+            *d += v;
         }
     }
 }
@@ -1190,6 +1207,57 @@ fn conv_grad_input_block(
     out
 }
 
+/// Whether ∂input runs as a direct stencil
+/// ([`conv_grad_input_direct`]) instead of `col2im(wᵀ · g)`: the first
+/// layer's geometry — three input channels, stride 1, kernels three
+/// wide — where a 27-deep unfold gives the GEMM too little to do.
+fn direct_input(spec: &ConvSpec) -> bool {
+    spec.in_channels == 3 && spec.stride == 1 && spec.kernel_w == 3
+}
+
+/// ∂input worker without the column matrix (module docs), for the
+/// [`direct_input`] geometry: per sample in `range` and channel `c`,
+/// the fold's zeroed plane receives, for each `kh` in order, the three
+/// unfolded rows `(c, kh, 0..3)` of every output row — each `Σ_f
+/// w[f, c, kh, kw] · g[f, oy, ·]`, ascending `f` from `+0.0`, as the
+/// GEMM sums them ([`simd::conv_tap_rows`]) — and then its interior is
+/// added onto the image. A pixel meets its terms in `(kh, kw)` order,
+/// as in [`fold_runs`], so the result is `col2im(wᵀ · g)` bit for bit.
+/// The plane leases from this thread's arena.
+fn conv_grad_input_direct(
+    grad_out: &[f32],
+    weight: &[f32],
+    geom: ConvGeom,
+    range: Range<usize>,
+) -> Vec<f32> {
+    let ConvGeom {
+        spec, h, w, oh, ow, ..
+    } = geom;
+    let mut out = vec![0.0f32; range.len() * geom.image_len()];
+    let mut plane = alloc::scratch_stale(geom.plane);
+    let images = out.chunks_exact_mut(geom.image_len().max(1));
+    for (sample, image) in range.zip(images) {
+        let g = record(grad_out, sample, geom.out_plane_len());
+        for (c, channel) in image.chunks_exact_mut((h * w).max(1)).enumerate() {
+            plane.fill(0.0);
+            for kh in 0..spec.kernel_h {
+                let first = (c * spec.kernel_h + kh) * spec.kernel_w;
+                let rows = simd::TapRows {
+                    g,
+                    filters: spec.out_channels,
+                    oh,
+                    ow,
+                    weight: weight.get(first..).unwrap_or_default(),
+                    weight_step: geom.k_flat,
+                };
+                simd::conv_tap_rows(&rows, &mut plane, geom.padded_width(), kh);
+            }
+            add_interior(&geom, &plane, channel);
+        }
+    }
+    out
+}
+
 /// Unfolds the samples in `range` into `dst`, their concatenated
 /// `[K, OH·OW]` column blocks, each `K` rows [`cols_ld`] apart.
 fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: &mut [f32]) {
@@ -1264,9 +1332,10 @@ fn plan_backward(
 }
 
 /// ∂input of a planned backward call: swapped below [`SWAP_COLS`]
-/// output columns ([`conv_grad_input_swapped`]), else `col2im(wᵀ · g)`,
-/// a tile of samples per product, partitioned over samples when the
-/// blueprint says so.
+/// output columns ([`conv_grad_input_swapped`]), else a direct stencil
+/// for the first layer's geometry ([`conv_grad_input_direct`]), else
+/// `col2im(wᵀ · g)`, a tile of samples per product — the last two
+/// partitioned over samples when the blueprint says so.
 fn grad_input(
     bp: &Blueprint,
     geom: ConvGeom,
@@ -1278,17 +1347,32 @@ fn grad_input(
     if swaps(n, geom.oh * geom.ow) {
         return conv_grad_input_swapped(grad_out, weight, bp, geom, n);
     }
+    let direct = direct_input(&geom.spec);
     if !bp.parallel {
+        if direct {
+            return conv_grad_input_direct(grad_out, weight, geom, 0..n);
+        }
         let mut w_t = alloc::scratch_f32(bp.scratch2);
         transpose_into(weight, f, geom.k_flat, &mut w_t);
         return conv_grad_input_block(grad_out, &w_t, geom, 0..n);
     }
-    let mut w_t = vec![0.0f32; bp.scratch2];
-    transpose_into(weight, f, geom.k_flat, &mut w_t);
-    let w_t = Arc::new(w_t);
+    // The direct stencil reads the weight as it is, the GEMM its
+    // `[K, F]` transpose.
+    let w_mat = if direct {
+        weight.to_vec()
+    } else {
+        let mut w_t = vec![0.0f32; bp.scratch2];
+        transpose_into(weight, f, geom.k_flat, &mut w_t);
+        w_t
+    };
+    let w_mat = Arc::new(w_mat);
     let g: Arc<Vec<f32>> = Arc::new(grad_out.to_vec());
     let blocks = par::parallel_rows(n, move |range: Range<usize>| {
-        conv_grad_input_block(&g, &w_t, geom, range)
+        if direct {
+            conv_grad_input_direct(&g, &w_mat, geom, range)
+        } else {
+            conv_grad_input_block(&g, &w_mat, geom, range)
+        }
     });
     let mut out = Vec::with_capacity(bp.out_len);
     for block in blocks {
@@ -2273,6 +2357,64 @@ mod tests {
                 let want = if which == 2 { &want_input } else { &want[which] };
                 prop_assert!(
                     same_bits(&got, want),
+                    "{} on {:?}, n {} {}x{} → {}x{}, {:?}", what, isa, n, h, w, oh, ow, spec
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The direct ∂input against the GEMM worker it stands in for
+        /// and the three-loop reference, under every instantiation:
+        /// three input channels, stride 1, kernels three wide and one to
+        /// three tall, padding 0–2, planes up to 45 wide (a partial
+        /// 32-column chunk, two chunks), 1–20 filters, 1–3 samples, and
+        /// NaN, ±∞ and −0.0 in the weight and the output gradient. The
+        /// public entry point rides along.
+        #[test]
+        fn direct_input_matches_the_gemm_and_the_three_loop_reference(
+            seed in 0u64..1_000_000,
+            f in 1usize..21,
+            n in 1usize..4,
+            kernel_h in 1usize..4,
+            pad in 0usize..3,
+            h in 1usize..20,
+            w in 1usize..46,
+            poison in 0usize..5,
+        ) {
+            let spec = ConvSpec { kernel_h, kernel_w: 3, ..ConvSpec::new(3, f, 3, 1, pad) };
+            prop_assert!(direct_input(&spec));
+            prop_assume!(spec.output_size(h, w).is_ok());
+            let (oh, ow) = spec.output_size(h, w).unwrap();
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let input = rng.uniform(&[n, 3, h, w], -1.0, 1.0);
+            let mut weight = rng.uniform(&[f, 3, kernel_h, 3], -1.0, 1.0);
+            let mut grad = rng.uniform(&[n, f, oh, ow], -1.0, 1.0);
+            let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (i, special) in specials.into_iter().enumerate().take(poison) {
+                for t in [&mut weight, &mut grad] {
+                    let at = (seed as usize / (i + 1) + 11 * i) % t.numel();
+                    t.as_mut_slice()[at] = special;
+                }
+            }
+            let (wt, g) = (weight.as_slice(), grad.as_slice());
+            let bp = plan_conv2d(&spec, n, (h, w), (oh, ow), true, false).unwrap();
+            let geom = ConvGeom::new(&spec, (h, w), (oh, ow), bp.blocking, bp.plane);
+            let want = grad_input_reference(wt, g, &geom);
+            let mut w_t = vec![0.0f32; f * geom.k_flat];
+            transpose_into(wt, f, geom.k_flat, &mut w_t);
+            let mut runs = Vec::new();
+            crate::simd::with_each_isa(|isa| {
+                runs.push((isa, "direct", conv_grad_input_direct(g, wt, geom, 0..n)));
+                runs.push((isa, "GEMM", conv_grad_input_block(g, &w_t, geom, 0..n)));
+                let got = conv2d_backward_input(&input, &weight, &grad, &spec).unwrap();
+                runs.push((isa, "conv2d_backward_input", got.into_vec()));
+            });
+            for (isa, what, got) in runs {
+                prop_assert!(
+                    same_bits(&got, &want),
                     "{} on {:?}, n {} {}x{} → {}x{}, {:?}", what, isa, n, h, w, oh, ow, spec
                 );
             }

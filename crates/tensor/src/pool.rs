@@ -84,24 +84,13 @@ struct PoolGeom {
     ow: usize,
 }
 
-/// The maximum of one 2×2 window, scanning `(0,0), (0,1), (1,0),
-/// (1,1)` with a strict `>`: the first maximum wins and a leading NaN
-/// is never displaced (not `f32::max`) — the value of the argmax
-/// row's scan ([`simd::max_pool_argmax_row`]), as selects the compiler
-/// vectorizes across windows.
-#[inline(always)]
-fn window_value([a0, a1]: [f32; 2], [b0, b1]: [f32; 2]) -> f32 {
-    let mut best = a0;
-    for candidate in [a1, b0, b1] {
-        best = if candidate > best { candidate } else { best };
-    }
-    best
-}
-
 /// The 2×2 / stride-2 pool: walks two input rows and writes one output
-/// row through slices. `argmax`, when wanted, is filled in the same
-/// pass with flat indices into `data`, by the instantiated row of
-/// [`simd::max_pool_argmax_row`]; `w` must be below `u32::MAX`.
+/// row through slices, by the instantiated row of
+/// [`simd::max_pool_values_row`] — or, when `argmax` is wanted, of
+/// [`simd::max_pool_argmax_row`], which fills it in the same pass with
+/// flat indices into `data`; `w` must be below `u32::MAX`. Both scan
+/// `(0,0), (0,1), (1,0), (1,1)` with a strict `>`: the first maximum
+/// wins and a leading NaN is never displaced (not `f32::max`).
 fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut [usize]>) {
     let PoolGeom { h, w, oh, ow } = g;
     let w32 = u32::try_from(w).unwrap_or_default();
@@ -112,11 +101,8 @@ fn pool_half(data: &[f32], g: PoolGeom, out: &mut [f32], mut argmax: Option<&mut
             .zip(out_plane.chunks_exact_mut(ow));
         for (oy, (rows, out_row)) in row_pairs.enumerate() {
             let (top, bottom) = rows.split_at(w);
-            let windows = top.as_chunks().0.iter().zip(bottom.as_chunks().0);
             let Some(arg) = argmax.as_deref_mut() else {
-                for (o, (&a, &b)) in out_row.iter_mut().zip(windows) {
-                    *o = window_value(a, b);
-                }
+                simd::max_pool_values_row((top, bottom), out_row);
                 continue;
             };
             let arg_row = arg.get_mut((p * oh + oy) * ow..).unwrap_or_default();
@@ -343,7 +329,7 @@ mod tests {
     /// The row-pair loop under every instantiation, the reference loop
     /// and the general loop over the same planes: outputs and argmax.
     /// The row-pair loop's values-only pass must give its outputs bit
-    /// for bit.
+    /// for bit under every instantiation too.
     fn all_loops(data: &[f32], planes: usize, h: usize, w: usize) -> Vec<(Vec<u32>, Vec<usize>)> {
         let spec = PoolSpec::half();
         let (oh, ow) = spec.output_size(h, w).unwrap();

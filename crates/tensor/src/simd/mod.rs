@@ -1,14 +1,22 @@
-//! Instruction-set instantiations of the GEMM micro-kernel and of the
-//! lane-wise Box–Muller transform, chosen by runtime detection — the
-//! one module where the `unsafe-confinement` lint admits `unsafe`.
+//! Instruction-set instantiations of the GEMM micro-kernel, the
+//! max-pool rows, the register stencils and the lane-wise Box–Muller
+//! transform, chosen by runtime detection — the one module where the
+//! `unsafe-confinement` lint admits `unsafe`.
 //!
 //! `normal` holds the Box–Muller body: fdlibm's `ln` and `cos` on eight
 //! `f64` lanes, with a guard that hands any lane it cannot prove equal
 //! to the libm expression back to the caller. It is instantiated like
 //! the kernel below, and like it uses no fused multiply-add.
 //!
-//! `pool` holds the 2×2 max-pool's row with its argmax, whose selects
-//! vectorize across windows; it is instantiated the same way.
+//! `pool` holds the 2×2 max-pool's row, with its argmax or values
+//! only, whose selects vectorize across windows; it is instantiated the
+//! same way.
+//!
+//! `stencil` holds the neighbourhood filter's loop (LAP and LAR,
+//! forward and adjoint, for `fademl-filters`, which has no `unsafe`
+//! and calls [`stencil()`]) and stage 1's direct ∂input rows; they are
+//! instantiated the same way, and the `instantiated!` macro below
+//! writes every dispatcher.
 //!
 //! `kernel` holds the kernel body as safe Rust. It is compiled three
 //! times: once for the target's baseline features and, on x86-64, once
@@ -29,9 +37,12 @@ use std::sync::OnceLock;
 mod kernel;
 mod normal;
 mod pool;
+mod stencil;
 
 pub(crate) use kernel::{Block, Dest, Samples, NR_WIDE_512 as WIDEST_TILE_COLS};
 pub(crate) use normal::CHUNK as NORMAL_CHUNK;
+pub(crate) use stencil::TapRows;
+pub use stencil::{Stencil, CHUNK as STENCIL_CHUNK};
 
 /// An instruction set the micro-kernel is instantiated for.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -127,152 +138,140 @@ pub fn active() -> Isa {
         .unwrap_or_else(detected)
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn block_avx2(blk: &Block, dest: &mut Dest) {
-    kernel::block_body::<{ kernel::MR_WIDE }, { kernel::NR_WIDE }>(blk, dest);
+/// Defines a dispatcher that runs one body per instruction set: the
+/// `baseline` expression as it stands, and on x86-64 the `avx2` and
+/// `avx512` expressions each inside a function compiled under that
+/// `#[target_feature]`, chosen by [`active`] — or one `body` under all
+/// three. The bodies they call must be `#[inline(always)]` (a function
+/// that is not inlined into the feature-enabled one is compiled
+/// without its features).
+macro_rules! instantiated {
+    (
+        $(#[$meta:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) { body => $body:expr $(,)? }
+    ) => {
+        instantiated! {
+            $(#[$meta])*
+            $vis fn $name($($arg: $ty),*) { baseline => $body, avx2 => $body, avx512 => $body }
+        }
+    };
+    (
+        $(#[$meta:meta])*
+        $vis:vis fn $name:ident($($arg:ident: $ty:ty),* $(,)?) {
+            baseline => $baseline:expr,
+            avx2 => $avx2:expr,
+            avx512 => $avx512:expr $(,)?
+        }
+    ) => {
+        $(#[$meta])*
+        $vis fn $name($($arg: $ty),*) {
+            #[cfg(target_arch = "x86_64")]
+            {
+                #[target_feature(enable = "avx2")]
+                fn avx2($($arg: $ty),*) {
+                    $avx2
+                }
+                #[target_feature(enable = "avx512f")]
+                fn avx512($($arg: $ty),*) {
+                    $avx512
+                }
+                match active() {
+                    // SAFETY: `avx512` is safe code that only requires
+                    // AVX-512F, and `active()` is `Avx512` only once
+                    // `supported()` saw it through
+                    // `is_x86_feature_detected!`.
+                    Isa::Avx512 => return unsafe { avx512($($arg),*) },
+                    // SAFETY: as above, for `avx2` and AVX2.
+                    Isa::Avx2 => return unsafe { avx2($($arg),*) },
+                    Isa::Baseline => {}
+                }
+            }
+            $baseline
+        }
+    };
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn block_avx512(blk: &Block, dest: &mut Dest) {
-    kernel::block_body::<{ kernel::MR_WIDE_512 }, { kernel::NR_WIDE_512 }>(blk, dest);
-}
-
-/// Multiplies one cache block into `dest` with the active instantiation.
-pub(crate) fn gemm_block(blk: &Block, dest: &mut Dest) {
-    #[cfg(target_arch = "x86_64")]
-    match active() {
-        // SAFETY: `block_avx512` is safe code that only requires
-        // AVX-512F, and `active()` is `Avx512` only once `supported()`
-        // saw it through `is_x86_feature_detected!`.
-        Isa::Avx512 => return unsafe { block_avx512(blk, dest) },
-        // SAFETY: as above, for `block_avx2` and AVX2.
-        Isa::Avx2 => return unsafe { block_avx2(blk, dest) },
-        Isa::Baseline => {}
+instantiated! {
+    /// Multiplies one cache block into `dest` with the active
+    /// instantiation.
+    pub(crate) fn gemm_block(blk: &Block, dest: &mut Dest) {
+        baseline => kernel::block_body::<{ kernel::MR_WIDE }, { kernel::NR_WIDE }>(blk, dest),
+        avx2 => kernel::block_body::<{ kernel::MR_WIDE }, { kernel::NR_WIDE }>(blk, dest),
+        avx512 => kernel::block_body::<{ kernel::MR_WIDE_512 }, { kernel::NR_WIDE_512 }>(blk, dest),
     }
-    kernel::block_body::<{ kernel::MR_WIDE }, { kernel::NR_WIDE }>(blk, dest);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn sample_sum_avx2(samples: &Samples, sum: &mut [f32]) {
-    kernel::sample_sum_body(samples, sum);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn sample_sum_avx512(samples: &Samples, sum: &mut [f32]) {
-    kernel::sample_sum_body(samples, sum);
-}
-
-/// Adds a sum of per-sample products onto `sum` (see [`Samples`]) with
-/// the active instantiation.
-pub(crate) fn sample_sum(samples: &Samples, sum: &mut [f32]) {
-    #[cfg(target_arch = "x86_64")]
-    match active() {
-        // SAFETY: `sample_sum_avx512` is safe code that only requires
-        // AVX-512F, and `active()` is `Avx512` only once `supported()`
-        // saw it through `is_x86_feature_detected!`.
-        Isa::Avx512 => return unsafe { sample_sum_avx512(samples, sum) },
-        // SAFETY: as above, for `sample_sum_avx2` and AVX2.
-        Isa::Avx2 => return unsafe { sample_sum_avx2(samples, sum) },
-        Isa::Baseline => {}
+instantiated! {
+    /// Adds a sum of per-sample products onto `sum` (see [`Samples`])
+    /// with the active instantiation.
+    pub(crate) fn sample_sum(samples: &Samples, sum: &mut [f32]) {
+        body => kernel::sample_sum_body(samples, sum),
     }
-    kernel::sample_sum_body(samples, sum);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn argmax_row_avx2(
-    rows: (&[f32], &[f32]),
-    out: &mut [f32],
-    argmax: &mut [usize],
-    first: usize,
-    w: u32,
-) {
-    pool::argmax_row_body(rows, out, argmax, first, w);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn argmax_row_avx512(
-    rows: (&[f32], &[f32]),
-    out: &mut [f32],
-    argmax: &mut [usize],
-    first: usize,
-    w: u32,
-) {
-    pool::argmax_row_body(rows, out, argmax, first, w);
-}
-
-/// One output row of the 2×2 / stride-2 max-pool with its argmax (see
-/// the `pool` module), with the active instantiation: `rows` are the
-/// two input rows of a `w`-wide plane, `first` the flat index of the
-/// top row's first element.
-pub(crate) fn max_pool_argmax_row(
-    rows: (&[f32], &[f32]),
-    out: &mut [f32],
-    argmax: &mut [usize],
-    first: usize,
-    w: u32,
-) {
-    #[cfg(target_arch = "x86_64")]
-    match active() {
-        // SAFETY: `argmax_row_avx512` is safe code that only requires
-        // AVX-512F, and `active()` is `Avx512` only once `supported()`
-        // saw it through `is_x86_feature_detected!`.
-        Isa::Avx512 => return unsafe { argmax_row_avx512(rows, out, argmax, first, w) },
-        // SAFETY: as above, for `argmax_row_avx2` and AVX2.
-        Isa::Avx2 => return unsafe { argmax_row_avx2(rows, out, argmax, first, w) },
-        Isa::Baseline => {}
+instantiated! {
+    /// One output row of the 2×2 / stride-2 max-pool with its argmax
+    /// (see the `pool` module), with the active instantiation: `rows`
+    /// are the two input rows of a `w`-wide plane, `first` the flat
+    /// index of the top row's first element.
+    pub(crate) fn max_pool_argmax_row(
+        rows: (&[f32], &[f32]),
+        out: &mut [f32],
+        argmax: &mut [usize],
+        first: usize,
+        w: u32,
+    ) {
+        body => pool::argmax_row_body(rows, out, argmax, first, w),
     }
-    pool::argmax_row_body(rows, out, argmax, first, w);
 }
 
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-fn box_muller_avx2(
-    u1: &[f64; NORMAL_CHUNK],
-    u2: &[f64; NORMAL_CHUNK],
-    out: &mut [f32; NORMAL_CHUNK],
-    exact: &mut [bool; NORMAL_CHUNK],
-) {
-    normal::box_muller_body(u1, u2, out, exact);
-}
-
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx512f")]
-fn box_muller_avx512(
-    u1: &[f64; NORMAL_CHUNK],
-    u2: &[f64; NORMAL_CHUNK],
-    out: &mut [f32; NORMAL_CHUNK],
-    exact: &mut [bool; NORMAL_CHUNK],
-) {
-    normal::box_muller_body(u1, u2, out, exact);
-}
-
-/// The Box–Muller normals of a chunk of uniform pairs with the active
-/// instantiation: `out[i]` is `sqrt(-2·ln u1[i])·cos(2π·u2[i])` as
-/// `f32`, certain to equal the libm expression's wherever `exact[i]`
-/// (see the `normal` module).
-pub(crate) fn box_muller(
-    u1: &[f64; NORMAL_CHUNK],
-    u2: &[f64; NORMAL_CHUNK],
-    out: &mut [f32; NORMAL_CHUNK],
-    exact: &mut [bool; NORMAL_CHUNK],
-) {
-    #[cfg(target_arch = "x86_64")]
-    match active() {
-        // SAFETY: `box_muller_avx512` is safe code that only requires
-        // AVX-512F, and `active()` is `Avx512` only once `supported()`
-        // saw it through `is_x86_feature_detected!`.
-        Isa::Avx512 => return unsafe { box_muller_avx512(u1, u2, out, exact) },
-        // SAFETY: as above, for `box_muller_avx2` and AVX2.
-        Isa::Avx2 => return unsafe { box_muller_avx2(u1, u2, out, exact) },
-        Isa::Baseline => {}
+instantiated! {
+    /// One output row of the 2×2 / stride-2 max-pool, values only —
+    /// bit for bit [`max_pool_argmax_row`]'s — with the active
+    /// instantiation: `rows` are the two input rows.
+    pub(crate) fn max_pool_values_row(rows: (&[f32], &[f32]), out: &mut [f32]) {
+        body => pool::values_row_body(rows, out),
     }
-    normal::box_muller_body(u1, u2, out, exact);
+}
+
+instantiated! {
+    /// The Box–Muller normals of a chunk of uniform pairs with the
+    /// active instantiation: `out[i]` is `sqrt(-2·ln u1[i])·cos(2π·u2[i])`
+    /// as `f32`, certain to equal the libm expression's wherever
+    /// `exact[i]` (see the `normal` module).
+    pub(crate) fn box_muller(
+        u1: &[f64; NORMAL_CHUNK],
+        u2: &[f64; NORMAL_CHUNK],
+        out: &mut [f32; NORMAL_CHUNK],
+        exact: &mut [bool; NORMAL_CHUNK],
+    ) {
+        body => normal::box_muller_body(u1, u2, out, exact),
+    }
+}
+
+instantiated! {
+    /// A neighbourhood filter over one `h × w` output plane with the
+    /// active instantiation: `dst[y·w + x]` is one accumulator from
+    /// `+0.0` that adds `weight · src[y·pitch + x + offset]` for every
+    /// tap of `stencil.taps` in list order, then is stored — divided by
+    /// `divide[y·w + x]` when given (see [`Stencil`] and the `stencil`
+    /// module). Two output rows share a register tile under AVX2 and
+    /// AVX-512F, one under the baseline; the bits are the same.
+    pub fn stencil(stencil: &Stencil, dst: &mut [f32], divide: Option<&[f32]>) {
+        baseline => stencil::stencil_body::<false>(stencil, dst, divide),
+        avx2 => stencil::stencil_body::<true>(stencil, dst, divide),
+        avx512 => stencil::stencil_body::<true>(stencil, dst, divide),
+    }
+}
+
+instantiated! {
+    /// Three consecutive taps' rows of a convolution's unfolded input
+    /// gradient, each added onto the fold plane `plane` (rows `pitch`
+    /// apart) from plane row `row0` and column `t`, with the active
+    /// instantiation (see [`TapRows`] and the `stencil` module).
+    pub(crate) fn conv_tap_rows(rows: &TapRows, plane: &mut [f32], pitch: usize, row0: usize) {
+        body => stencil::tap_rows_body::<3>(rows, plane, pitch, row0),
+    }
 }
 
 /// Independent chains in the ceiling probe: twelve vector registers in

@@ -1,6 +1,7 @@
-//! The 2×2 / stride-2 max-pool's row with its argmax — safe Rust, no
-//! indexing, instantiated per instruction set by `super` like the GEMM
-//! micro-kernel. The window scan is selects on the value and on a
+//! The 2×2 / stride-2 max-pool's row, with its argmax or values only —
+//! safe Rust, no indexing, instantiated per instruction set by `super`
+//! like the GEMM micro-kernel. The window scan is selects on the value
+//! and (with the argmax) on a
 //! 32-bit offset, so every instantiation vectorizes it across the
 //! windows of a row (eight or sixteen at a time under AVX2 and
 //! AVX-512F instead of two); a compare and a select cannot round, so
@@ -19,6 +20,17 @@ fn window_max([a0, a1]: [f32; 2], [b0, b1]: [f32; 2], w: u32) -> (f32, u32) {
         offset = if take { at } else { offset };
     }
     (best, offset)
+}
+
+/// One output row of values only: `top` and `bottom` are the two input
+/// rows, window `ox` stores its maximum to `out[ox]` — [`window_max`]'s
+/// value, whose offset selects the compiler drops as dead.
+#[inline(always)]
+pub(super) fn values_row_body((top, bottom): (&[f32], &[f32]), out: &mut [f32]) {
+    let windows = top.as_chunks::<2>().0.iter().zip(bottom.as_chunks::<2>().0);
+    for (o, (&a, &b)) in out.iter_mut().zip(windows) {
+        *o = window_max(a, b, 0).0;
+    }
 }
 
 /// One output row: `top` and `bottom` are the two input rows of a
