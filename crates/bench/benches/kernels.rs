@@ -22,10 +22,9 @@
 //! micro-kernel the host can run (baseline, AVX2), so each ISA's share
 //! of a number is visible.
 //!
-//! Unlike the criterion benches this one emits machine-readable
-//! artifacts — `BENCH_kernels.json` at the repo root and
-//! `results/kernels.txt` — because it is the first datapoint of the
-//! bench trajectory. It also asserts that every workload's output is
+//! It emits machine-readable artifacts — `BENCH_kernels.json` at the
+//! repo root and `results/kernels.txt` — because it is the first
+//! datapoint of the bench trajectory. It also asserts that every workload's output is
 //! bit-identical across thread counts *and* across every instantiation
 //! the host can run before timing it, so the numbers can never come
 //! from a divergent kernel.

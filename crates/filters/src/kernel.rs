@@ -17,26 +17,24 @@
 //! plane; the plane is the same accumulation over a plane of ones,
 //! recomputed on every call, so a kernel holds no state and shares
 //! none; backward accumulates the divided gradient through the mirrored
-//! tap list. Independent channel planes are partitioned
-//! across the `fademl_tensor::par` pool — per plane the arithmetic
-//! order is identical to the serial loop, so results are bit-exact
-//! regardless of thread count (DESIGN.md §13.4 says what the order is
-//! and what would break it).
+//! tap list. The planes run one after another on the calling thread
+//! — handing a paper-sized image's three 32×32 planes to the
+//! `fademl_tensor::par` pool cost more than it saved — so results do
+//! not depend on the thread count (DESIGN.md §13.4 says what the
+//! arithmetic order is and what would break it).
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use fademl_tensor::plan::alloc;
 use fademl_tensor::plan::blueprint::checked_product;
 use fademl_tensor::simd::{self, Stencil, STENCIL_CHUNK};
-use fademl_tensor::{par, Tensor};
+use fademl_tensor::Tensor;
 
 use crate::filter::check_image_rank;
 use crate::{FilterError, Result};
 
 /// A linear neighbourhood-averaging kernel: two immutable tap lists
-/// behind `Arc`s, so clones and the parallel plane workers share them
-/// without copying.
+/// behind `Arc`s, so clones share them without copying.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Kernel {
     /// Normalized taps in construction order — the order in which the
@@ -187,11 +185,10 @@ impl Kernel {
     }
 
     /// Runs the forward (`adjoint == false`) or backward operator over
-    /// all planes of `image`, serial or on the pool as
-    /// `should_parallelize` decides — identically for both directions.
+    /// all planes of `image`, identically for both directions.
     #[expect(
         clippy::indexing_slicing,
-        reason = "the two trailing dims after check_image_rank, and each worker's plane range inside the image"
+        reason = "the two trailing dims after check_image_rank"
     )]
     fn run_planes(&self, image: &Tensor, adjoint: bool) -> Result<Tensor> {
         check_image_rank(image)?;
@@ -202,32 +199,10 @@ impl Kernel {
         }
         let dims = image.dims();
         let (h, w) = (dims[dims.len() - 2], dims[dims.len() - 1]);
-        let area = checked_product("filter plane", &[h, w])?;
-        let planes = len / area;
         let sums = self.sums_plane(h, w)?;
         let taps = if adjoint { &self.adjoint } else { &self.taps };
-        let work = len.saturating_mul(taps.len());
-        let out = if par::should_parallelize(planes, work) {
-            // Cross-thread buffers deliberately bypass the arena: a buffer
-            // dropped on another thread would migrate into its pool.
-            let src: Arc<Vec<f32>> = Arc::new(src.to_vec());
-            let sums: Arc<Vec<f32>> = Arc::new(sums.to_vec());
-            let taps = Arc::clone(taps);
-            let blocks = par::parallel_rows(planes, move |range: Range<usize>| {
-                let mut block = vec![0.0f32; range.len() * area];
-                let src = &src[range.start * area..range.end * area];
-                run_block(&taps, src, &mut block, h, w, &sums, adjoint).map(|()| block)
-            });
-            let mut out = Vec::with_capacity(len);
-            for block in blocks {
-                out.extend_from_slice(&block?);
-            }
-            out
-        } else {
-            let mut out = vec![0.0f32; len];
-            run_block(taps, src, &mut out, h, w, &sums, adjoint)?;
-            out
-        };
+        let mut out = vec![0.0f32; len];
+        run_block(taps, src, &mut out, h, w, &sums, adjoint)?;
         Ok(Tensor::from_vec(out, image.shape().clone())?)
     }
 

@@ -7,7 +7,7 @@
 use std::collections::HashMap;
 use std::time::Instant;
 
-use parking_lot::Mutex;
+use fademl_serve::sync::Leaf;
 
 /// Cap on distinct tracked tenants; beyond this, unseen tenants share
 /// one overflow bucket so a tenant-name-spraying client cannot grow
@@ -47,7 +47,7 @@ struct TokenBucket {
 #[derive(Debug)]
 pub struct TenantQuotas {
     config: QuotaConfig,
-    buckets: Mutex<HashMap<String, TokenBucket>>,
+    buckets: Leaf<HashMap<String, TokenBucket>>,
 }
 
 impl TenantQuotas {
@@ -55,7 +55,7 @@ impl TenantQuotas {
     pub fn new(config: QuotaConfig) -> Self {
         TenantQuotas {
             config,
-            buckets: Mutex::new(HashMap::new()),
+            buckets: Leaf::new(HashMap::new()),
         }
     }
 

@@ -25,7 +25,7 @@ use std::time::{Duration, Instant};
 
 use fademl::InferencePipeline;
 use fademl_serve::error::ServeError;
-use parking_lot::Mutex;
+use fademl_serve::sync::{self, Leaf};
 
 use crate::error::NetError;
 use crate::router::{ReplicaRouter, RouterConfig, RouterReport};
@@ -99,8 +99,8 @@ struct NetShared {
     active: AtomicUsize,
     /// Socket clones of open connections, for force-close at the drain
     /// deadline.
-    conns: Mutex<Vec<(u64, TcpStream)>>,
-    handlers: Mutex<Vec<JoinHandle<()>>>,
+    conns: Leaf<Vec<(u64, TcpStream)>>,
+    handlers: Leaf<Vec<JoinHandle<()>>>,
     next_conn: AtomicU64,
     timeouts: AtomicU64,
     frame_errors: AtomicU64,
@@ -183,8 +183,8 @@ impl NetServer {
             config,
             shutting_down: AtomicBool::new(false),
             active: AtomicUsize::new(0),
-            conns: Mutex::new(Vec::new()),
-            handlers: Mutex::new(Vec::new()),
+            conns: Leaf::new(Vec::new()),
+            handlers: Leaf::new(Vec::new()),
             next_conn: AtomicU64::new(0),
             timeouts: AtomicU64::new(0),
             frame_errors: AtomicU64::new(0),
@@ -290,6 +290,7 @@ impl NetServer {
         // mid-register must not contend with a socket syscall.
         let streams: Vec<(u64, TcpStream)> = self.shared.conns.lock().drain(..).collect();
         for (_, stream) in streams {
+            sync::assert_unlocked();
             #[expect(
                 clippy::let_underscore_must_use,
                 reason = "best-effort: the peer may already be gone; shutdown is a nudge"
@@ -316,11 +317,13 @@ impl Drop for NetServer {
 }
 
 fn run_accept(shared: &Arc<NetShared>, listener: &TcpListener) {
-    for incoming in listener.incoming() {
+    loop {
+        sync::assert_unlocked();
+        let accepted = listener.accept();
         if shared.shutting_down.load(Ordering::Acquire) {
             break;
         }
-        let Ok(stream) = incoming else { continue };
+        let Ok((stream, _)) = accepted else { continue };
         if shared.active.load(Ordering::Acquire) >= shared.config.max_connections {
             shared.conns_rejected.fetch_add(1, Ordering::Relaxed);
             refuse_connection(shared, stream);
@@ -340,19 +343,35 @@ fn run_accept(shared: &Arc<NetShared>, listener: &TcpListener) {
         let spawned = std::thread::Builder::new()
             .name(format!("fademl-net-conn-{conn_id}"))
             .spawn(move || {
+                let _registration = Registration {
+                    shared: &handler_shared,
+                    conn_id,
+                };
                 run_handler(&handler_shared, stream, conn_id);
-                handler_shared.active.fetch_sub(1, Ordering::AcqRel);
-                handler_shared.conns.lock().retain(|(id, _)| *id != conn_id);
             });
         match spawned {
             Ok(handle) => shared.handlers.lock().push(handle),
-            Err(_) => {
-                // Spawn failed: undo the registration; the socket drops
-                // closed and the client sees a disconnect.
-                shared.active.fetch_sub(1, Ordering::AcqRel);
-                shared.conns.lock().retain(|(id, _)| *id != conn_id);
-            }
+            // Spawn failed: undo the registration; the socket drops
+            // closed and the client sees a disconnect.
+            Err(_) => drop(Registration { shared, conn_id }),
         }
+    }
+}
+
+/// `run_accept`'s registration of a connection — its slot under
+/// `max_connections` and its socket clone in the registry — undone on
+/// drop. The handler holds it, so a handler that panics releases both
+/// as it unwinds instead of keeping its socket open through the clone.
+struct Registration<'a> {
+    shared: &'a NetShared,
+    conn_id: u64,
+}
+
+impl Drop for Registration<'_> {
+    fn drop(&mut self) {
+        self.shared.active.fetch_sub(1, Ordering::AcqRel);
+        let conn_id = self.conn_id;
+        self.shared.conns.lock().retain(|(id, _)| *id != conn_id);
     }
 }
 

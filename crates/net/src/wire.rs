@@ -321,6 +321,7 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Frame, usize), FrameError> {
 /// mapped IO error ([`NetError::Disconnected`] / [`NetError::Timeout`]
 /// / [`NetError::Io`]) if the stream fails.
 pub fn write_frame<W: Write>(stream: &mut W, frame: &Frame) -> Result<(), NetError> {
+    fademl_serve::sync::assert_unlocked();
     let bytes = encode_frame(frame)?;
     stream
         .write_all(&bytes)
@@ -339,6 +340,7 @@ pub fn write_frame<W: Write>(stream: &mut W, frame: &Frame) -> Result<(), NetErr
 /// slow-loris peer dribbling bytes trips this), [`NetError::Frame`]
 /// for malformed bytes, [`NetError::Io`] otherwise.
 pub fn read_frame<R: Read>(stream: &mut R) -> Result<Frame, NetError> {
+    fademl_serve::sync::assert_unlocked();
     let mut header = [0u8; HEADER_LEN];
     read_exact_ctx(stream, &mut header, "frame header")?;
     let (_, len) = parse_header(&header)?;

@@ -8,14 +8,15 @@
 //!
 //! Pure state-machine logic — no threads, no locks, no clock (`now` is
 //! passed in) — so the coalescing policy is unit-testable in isolation.
-//! `queue.rs` wraps it in the mutex and condvar the engine shares.
+//! `queue.rs` wraps it in the lock and condvar the engine shares. The
+//! batcher answers no request itself: a refused or expired request is
+//! handed back, so its handle is filled after that lock is released.
 
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 use fademl::ThreatModel;
 
-use crate::error::{DeadlineStage, Result, ServeError};
 use crate::request::{Batch, Request};
 
 /// Coalescing state machine.
@@ -50,19 +51,20 @@ impl Batcher {
         self.buckets.iter().map(VecDeque::len).sum()
     }
 
+    /// The most requests that wait at once.
+    pub fn capacity(&self) -> usize {
+        self.capacity
+    }
+
     /// Appends a request to its threat bucket.
     ///
     /// # Errors
     ///
-    /// [`ServeError::Overloaded`] when `capacity` requests are already
-    /// waiting; the refused request is answered with the same error.
-    pub fn push(&mut self, request: Request) -> Result<()> {
+    /// Hands the request back, unanswered, when `capacity` requests are
+    /// already waiting.
+    pub fn push(&mut self, request: Request) -> Result<(), Request> {
         if self.pending() >= self.capacity {
-            let error = ServeError::Overloaded {
-                capacity: self.capacity,
-            };
-            request.fail(error.clone());
-            return Err(error);
+            return Err(request);
         }
         let threat = request.threat;
         for (bucket, t) in self.buckets.iter_mut().zip(ThreatModel::ALL) {
@@ -86,14 +88,9 @@ impl Batcher {
     /// Takes up to `max_batch_size` live requests, in arrival order,
     /// from the ready bucket whose head is oldest; `None` when no bucket
     /// is ready. `drain` (shutdown) makes every non-empty bucket ready.
-    /// Requests past their deadline are answered [`DeadlineStage::Queue`]
-    /// and their overshoot passed to `expired`; they take no batch slot.
-    pub fn take(
-        &mut self,
-        now: Instant,
-        drain: bool,
-        expired: &mut dyn FnMut(Duration),
-    ) -> Option<Batch> {
+    /// Requests past their deadline at `now` take no batch slot: they
+    /// are moved, unanswered, onto `expired`.
+    pub fn take(&mut self, now: Instant, drain: bool, expired: &mut Vec<Request>) -> Option<Batch> {
         let (max_batch_size, linger) = (self.max_batch_size, self.linger);
         loop {
             let (bucket, threat) = self
@@ -110,14 +107,10 @@ impl Batcher {
                 let Some(request) = bucket.pop_front() else {
                     break;
                 };
-                match request.overshoot(now) {
-                    None => requests.push(request),
-                    Some(overshoot) => {
-                        let stage = DeadlineStage::Queue;
-                        if request.fail(ServeError::DeadlineExceeded { stage }) {
-                            expired(overshoot);
-                        }
-                    }
+                if request.overshoot(now).is_none() {
+                    requests.push(request);
+                } else {
+                    expired.push(request);
                 }
             }
             // All expired: no batch here, look at the next-oldest bucket.
@@ -173,9 +166,18 @@ mod tests {
         Arc::as_ptr(&request.slot)
     }
 
+    fn answered(request: &Request) -> bool {
+        ResponseHandle::new(Arc::clone(&request.slot))
+            .try_get()
+            .is_some()
+    }
+
     /// `take` for tests that expect no in-queue expiry.
     fn take(b: &mut Batcher, now: Instant) -> Option<Batch> {
-        b.take(now, false, &mut |_| panic!("nothing should expire"))
+        let mut expired = Vec::new();
+        let batch = b.take(now, false, &mut expired);
+        assert!(expired.is_empty(), "nothing should expire");
+        batch
     }
 
     #[test]
@@ -271,20 +273,23 @@ mod tests {
         assert!(take(&mut b, t0).is_none());
         assert_eq!(b.pending(), 1);
         // Shutdown drains it regardless.
-        let rest = b.take(t0, true, &mut |_| {}).expect("drain ignores linger");
+        let rest = b
+            .take(t0, true, &mut Vec::new())
+            .expect("drain ignores linger");
         assert_eq!(rest.requests.len(), 1);
     }
 
     #[test]
-    fn push_at_capacity_is_overloaded_and_the_refused_handle_resolves() {
+    fn push_at_capacity_hands_the_request_back_unanswered() {
         let mut b = Batcher::new(2, 4, Duration::ZERO);
         let t0 = t0();
         b.push(request_at(ThreatModel::I, t0)).unwrap();
         b.push(request_at(ThreatModel::II, t0)).unwrap();
         let shed = request_at(ThreatModel::I, t0);
-        let handle = ResponseHandle::new(Arc::clone(&shed.slot));
-        assert_eq!(b.push(shed), Err(ServeError::Overloaded { capacity: 2 }));
-        assert_eq!(handle.wait(), Err(ServeError::Overloaded { capacity: 2 }));
+        let shed_id = id(&shed);
+        let refused = b.push(shed).expect_err("at capacity");
+        assert_eq!(id(&refused), shed_id);
+        assert!(!answered(&refused));
         assert_eq!(b.pending(), 2);
         // Taking a batch makes room again.
         take(&mut b, t0).unwrap();
@@ -292,37 +297,39 @@ mod tests {
     }
 
     #[test]
-    fn expired_requests_fail_in_queue_and_take_no_batch_slot() {
+    fn expired_requests_are_handed_back_and_take_no_batch_slot() {
         let mut b = Batcher::new(64, 2, Duration::ZERO);
         let t0 = t0();
-        let mut handles = Vec::new();
+        let mut dead_ids = Vec::new();
         // dead, live, dead, live, live — all TM-I.
         for (i, dead) in [true, false, true, false, false].into_iter().enumerate() {
             let mut request = request_at(ThreatModel::I, t0 + MS * i as u32);
             request.deadline = dead.then_some(t0 + MS * 20);
-            handles.push((dead, ResponseHandle::new(Arc::clone(&request.slot))));
+            if dead {
+                dead_ids.push(id(&request));
+            }
             b.push(request).unwrap();
         }
         // A bucket holding only an expired request yields no batch.
         let mut lone = request_at(ThreatModel::II, t0 + MS * 9);
         lone.deadline = Some(t0 + MS * 20);
+        dead_ids.push(id(&lone));
         b.push(lone).unwrap();
 
         let now = t0 + MS * 25;
-        let mut overshoots = Vec::new();
+        let mut expired = Vec::new();
         let mut sizes = Vec::new();
-        while let Some(batch) = b.take(now, false, &mut |o| overshoots.push(o)) {
+        while let Some(batch) = b.take(now, false, &mut expired) {
             assert!(batch.requests.iter().all(|r| r.deadline.is_none()));
             sizes.push(batch.requests.len());
         }
         // The first batch is filled to two live requests past the dead ones.
         assert_eq!(sizes, [2, 1]);
-        assert_eq!(overshoots, [MS * 5; 3]);
         assert_eq!(b.pending(), 0);
-        for (dead, handle) in handles {
-            let stage = DeadlineStage::Queue;
-            let expected = dead.then_some(Err(ServeError::DeadlineExceeded { stage }));
-            assert_eq!(handle.try_get(), expected);
+        assert_eq!(expired.iter().map(id).collect::<Vec<_>>(), dead_ids);
+        for request in &expired {
+            assert_eq!(request.overshoot(now), Some(MS * 5));
+            assert!(!answered(request));
         }
     }
 }

@@ -111,6 +111,7 @@ pub mod metrics;
 mod queue;
 pub mod request;
 pub mod server;
+pub mod sync;
 pub mod triage;
 
 pub use breaker::{BatchMode, CircuitBreaker};

@@ -4,10 +4,10 @@
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::time::Duration;
 
-use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 
 use crate::error::DeadlineStage;
+use crate::sync::Leaf;
 use crate::triage::FailOpenKind;
 
 /// Cap on the latency reservoir; beyond this the recorder degrades to
@@ -35,9 +35,9 @@ pub struct ServerMetrics {
     /// Count of dispatched batches per size; index 0 holds size 1.
     batch_size_counts: Vec<AtomicU64>,
     /// End-to-end latencies in microseconds (submit → verdict ready).
-    latencies_us: Mutex<LatencyReservoir>,
+    latencies_us: Leaf<LatencyReservoir>,
     /// Queue waits in microseconds (submit → taken by a worker).
-    queue_waits_us: Mutex<LatencyReservoir>,
+    queue_waits_us: Leaf<LatencyReservoir>,
     // Fault-tolerance counters.
     worker_panics: AtomicU64,
     workers_respawned: AtomicU64,
@@ -66,11 +66,11 @@ pub struct ServerMetrics {
     /// Total microseconds spent scoring (mean overhead = total / scored).
     triage_score_time_us: AtomicU64,
     /// Anomaly scores in integer basis points (0..=10 000).
-    triage_scores_bp: Mutex<LatencyReservoir>,
+    triage_scores_bp: Leaf<LatencyReservoir>,
     hardened_served: AtomicU64,
     /// End-to-end latencies of hardened-path requests, kept separately
     /// so the hardened/normal latency split is visible.
-    hardened_latencies_us: Mutex<LatencyReservoir>,
+    hardened_latencies_us: Leaf<LatencyReservoir>,
     /// Completed detector hot swaps; doubles as the detector
     /// generation, mirroring `swap_generation` for weights.
     detector_generation: AtomicU64,

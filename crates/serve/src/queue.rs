@@ -1,22 +1,25 @@
 //! The engine's one meeting point: `submit` pushes into the shared
 //! [`Batcher`], free workers pull batches out of it, and a worker parks
 //! here only when no bucket is ready.
+//!
+//! `state` is a leaf lock (see [`crate::sync`]): a request the queue
+//! refuses or expires is answered — its response slot locked and
+//! filled — only after the `state` guard is dropped.
 
 use std::time::Instant;
-
-use parking_lot::{Condvar, Mutex};
 
 use crate::batcher::Batcher;
 use crate::config::ServerConfig;
 use crate::error::{DeadlineStage, Result, ServeError};
 use crate::metrics::ServerMetrics;
 use crate::request::{Batch, Request};
+use crate::sync::{Condvar, Leaf};
 
 /// The bounded queue between submitters and workers. Overflow is a
 /// typed [`ServeError::Overloaded`] instead of an ever-growing buffer.
 #[derive(Debug)]
 pub(crate) struct SubmissionQueue {
-    state: Mutex<State>,
+    state: Leaf<State>,
     /// Signalled by every accepted push, by `close`, and by a taker
     /// that leaves requests behind; waiters re-check under `state`.
     work: Condvar,
@@ -32,7 +35,7 @@ struct State {
 impl SubmissionQueue {
     pub fn new(config: &ServerConfig) -> Self {
         SubmissionQueue {
-            state: Mutex::new(State {
+            state: Leaf::new(State {
                 batcher: Batcher::new(
                     config.queue_capacity,
                     config.max_batch_size,
@@ -58,34 +61,56 @@ impl SubmissionQueue {
             return Err(ServeError::ShuttingDown);
         }
         let pushed = state.batcher.push(request);
+        let capacity = state.batcher.capacity();
         drop(state);
-        if pushed.is_ok() {
-            self.work.notify_one();
+        match pushed {
+            Ok(()) => {
+                self.work.notify_one();
+                Ok(())
+            }
+            Err(refused) => {
+                let error = ServeError::Overloaded { capacity };
+                refused.fail(error.clone());
+                Err(error)
+            }
         }
-        pushed
     }
 
     /// Blocks until a batch is ready and takes it; `None` once the queue
     /// is closed and empty. Records what left the queue: in-queue
     /// deadline misses, the batch, and its members' queue waits.
     pub fn take(&self, metrics: &ServerMetrics) -> Option<Batch> {
+        let mut expired = Vec::new();
         let mut state = self.state.lock();
         loop {
             let now = Instant::now();
             let closed = state.closed;
-            let taken = state.batcher.take(now, closed, &mut |overshoot| {
-                metrics.record_dequeued();
-                metrics.record_deadline_miss(DeadlineStage::Queue, overshoot);
-                metrics.record_failed();
-            });
-            if let Some(batch) = taken {
-                // What stays behind may turn ready while this worker is
-                // busy, and this take may have used up the wake-up meant
-                // for it: hand the watch to a parked worker.
-                if state.batcher.pending() > 0 {
-                    self.work.notify_one();
+            let taken = state.batcher.take(now, closed, &mut expired);
+            if taken.is_none() && !closed && expired.is_empty() {
+                if let Some(at) = state.batcher.next_ready_at() {
+                    state.wait_until(&self.work, at);
+                } else {
+                    state.wait(&self.work);
                 }
-                drop(state);
+                continue;
+            }
+            // What stays behind may turn ready while this worker is
+            // busy, and this take may have used up the wake-up meant
+            // for it: hand the watch to a parked worker.
+            if taken.is_some() && state.batcher.pending() > 0 {
+                self.work.notify_one();
+            }
+            drop(state);
+            for request in expired.drain(..) {
+                let overshoot = request.overshoot(now).unwrap_or_default();
+                let stage = DeadlineStage::Queue;
+                if request.fail(ServeError::DeadlineExceeded { stage }) {
+                    metrics.record_dequeued();
+                    metrics.record_deadline_miss(stage, overshoot);
+                    metrics.record_failed();
+                }
+            }
+            if let Some(batch) = taken {
                 let waited = |r: &Request| now.saturating_duration_since(r.submitted_at);
                 metrics.record_batch_taken(batch.requests.iter().map(waited));
                 return Some(batch);
@@ -93,11 +118,7 @@ impl SubmissionQueue {
             if closed {
                 return None;
             }
-            if let Some(at) = state.batcher.next_ready_at() {
-                self.work.wait_until(&mut state, at);
-            } else {
-                self.work.wait(&mut state);
-            }
+            state = self.state.lock();
         }
     }
 
@@ -143,11 +164,13 @@ mod tests {
         let metrics = ServerMetrics::new(4);
         queue.submit(request()).unwrap();
         queue.submit(request()).unwrap();
-        // Third submission is shed with the configured capacity.
-        assert_eq!(
-            queue.submit(request()),
-            Err(ServeError::Overloaded { capacity: 2 })
-        );
+        // Third submission is shed with the configured capacity, and
+        // its handle says so.
+        let shed = request();
+        let handle = ResponseHandle::new(Arc::clone(&shed.slot));
+        let overloaded = ServeError::Overloaded { capacity: 2 };
+        assert_eq!(queue.submit(shed), Err(overloaded.clone()));
+        assert_eq!(handle.wait(), Err(overloaded));
         // A worker taking the backlog makes room again.
         assert_eq!(queue.take(&metrics).unwrap().requests.len(), 2);
         queue.submit(request()).unwrap();
@@ -169,6 +192,66 @@ mod tests {
         assert_eq!(handle.wait(), Err(ServeError::ShuttingDown));
         assert_eq!(queue.take(&metrics).unwrap().requests.len(), 1);
         assert!(queue.take(&metrics).is_none());
+    }
+
+    /// A request whose deadline has already passed, and its handle.
+    fn expired() -> (Request, ResponseHandle) {
+        let mut request = request();
+        request.deadline = Some(request.submitted_at - Duration::from_millis(1));
+        let handle = ResponseHandle::new(Arc::clone(&request.slot));
+        (request, handle)
+    }
+
+    const QUEUE_MISS: Result<fademl::Verdict> = Err(ServeError::DeadlineExceeded {
+        stage: DeadlineStage::Queue,
+    });
+
+    #[test]
+    fn expired_requests_resolve_in_queue_and_are_counted_once() {
+        let queue = queue(8, 0);
+        let metrics = ServerMetrics::new(4);
+        let (dead, dead_handle) = expired();
+        for request in [dead, request()] {
+            metrics.record_enqueue_attempt();
+            queue.submit(request).unwrap();
+        }
+        // The live request is served; the dead one takes no batch slot.
+        assert_eq!(queue.take(&metrics).unwrap().requests.len(), 1);
+        assert_eq!(dead_handle.try_get(), Some(QUEUE_MISS));
+        // Only expired requests left, then shutdown: no batch, every
+        // handle answered.
+        let (dead, dead_handle) = expired();
+        metrics.record_enqueue_attempt();
+        queue.submit(dead).unwrap();
+        queue.close();
+        assert!(queue.take(&metrics).is_none());
+        assert_eq!(dead_handle.try_get(), Some(QUEUE_MISS));
+        let report = metrics.report();
+        assert_eq!(report.deadline_missed_queue, 2);
+        assert_eq!(report.requests_failed, 2);
+        assert_eq!(report.batches_dispatched, 1);
+        assert_eq!(report.queue_depth, 0);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the taker must park on its own thread"
+    )]
+    fn a_parked_taker_answers_an_expired_request_and_parks_again() {
+        let queue = Arc::new(queue(8, 0));
+        let metrics = Arc::new(ServerMetrics::new(4));
+        let taker = {
+            let (queue, metrics) = (Arc::clone(&queue), Arc::clone(&metrics));
+            std::thread::spawn(move || queue.take(&metrics).is_none())
+        };
+        let (dead, dead_handle) = expired();
+        queue.submit(dead).unwrap();
+        // Answered by the taker while the queue stays open.
+        assert_eq!(dead_handle.wait(), QUEUE_MISS);
+        queue.close();
+        assert!(taker.join().unwrap());
+        assert_eq!(metrics.report().deadline_missed_queue, 1);
     }
 
     #[test]

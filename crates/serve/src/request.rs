@@ -4,25 +4,24 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use crate::error::{Result, ServeError};
+use crate::sync::{Condvar, Leaf};
+use crate::triage::TriageVerdict;
 use fademl::{ThreatModel, Verdict};
 use fademl_tensor::Tensor;
-use parking_lot::{Condvar, Mutex};
-
-use crate::error::{Result, ServeError};
-use crate::triage::TriageVerdict;
 
 /// One-shot rendezvous between a worker (producer) and a client
 /// (consumer).
 #[derive(Debug)]
 pub struct ResponseSlot {
-    outcome: Mutex<Option<Result<Verdict>>>,
+    outcome: Leaf<Option<Result<Verdict>>>,
     ready: Condvar,
 }
 
 impl ResponseSlot {
     pub(crate) fn new() -> Arc<Self> {
         Arc::new(ResponseSlot {
-            outcome: Mutex::new(None),
+            outcome: Leaf::new(None),
             ready: Condvar::new(),
         })
     }
@@ -49,7 +48,7 @@ impl ResponseSlot {
             if let Some(outcome) = guard.clone() {
                 return outcome;
             }
-            self.ready.wait(&mut guard);
+            guard.wait(&self.ready);
         }
     }
 
@@ -62,9 +61,9 @@ impl ResponseSlot {
                 return Some(outcome);
             }
             match deadline {
-                None => self.ready.wait(&mut guard),
+                None => guard.wait(&self.ready),
                 Some(at) if Instant::now() < at => {
-                    self.ready.wait_until(&mut guard, at);
+                    guard.wait_until(&self.ready, at);
                 }
                 Some(_) => return None,
             }

@@ -35,7 +35,6 @@ use crossbeam::channel::{self, Receiver, Sender};
 use fademl::{Detection, InferencePipeline, ThreatModel, Verdict};
 use fademl_detect::Detector;
 use fademl_tensor::Tensor;
-use parking_lot::RwLock;
 
 use crate::breaker::{BatchMode, CircuitBreaker};
 use crate::config::ServerConfig;
@@ -43,6 +42,7 @@ use crate::error::{DeadlineStage, Result, ServeError};
 use crate::metrics::{MetricsReport, ServerMetrics};
 use crate::queue::SubmissionQueue;
 use crate::request::{Batch, Request, ResponseHandle, ResponseSlot};
+use crate::sync::{self, Snapshot};
 use crate::triage::{hardened_threat, TriageConfig, TriageRuntime, TriageVerdict};
 
 #[cfg(feature = "faults")]
@@ -91,10 +91,10 @@ pub struct InferenceServer {
     shutting_down: AtomicBool,
     metrics: Arc<ServerMetrics>,
     breaker: Arc<CircuitBreaker>,
-    /// The deployed pipeline behind a swap point. Workers snapshot the
-    /// inner `Arc` once per batch, so a hot swap replaces the pointer
-    /// while in-flight batches drain on the weights they started with.
-    pipeline: Arc<RwLock<Arc<InferencePipeline>>>,
+    /// The deployed pipeline behind a swap point. Workers load it once
+    /// per batch, so a hot swap replaces it while in-flight batches
+    /// drain on the weights they started with.
+    pipeline: Arc<Snapshot<InferencePipeline>>,
     /// The detection/triage stage, when the server was started with a
     /// fitted detector. Scores at admission; workers route flagged
     /// requests through its hardened pipeline.
@@ -118,7 +118,7 @@ enum TriageSpec {
 /// spawn replacements for workers that die mid-flight.
 #[derive(Debug)]
 struct WorkerShared {
-    pipeline: Arc<RwLock<Arc<InferencePipeline>>>,
+    pipeline: Arc<Snapshot<InferencePipeline>>,
     metrics: Arc<ServerMetrics>,
     breaker: Arc<CircuitBreaker>,
     queue: Arc<SubmissionQueue>,
@@ -243,7 +243,7 @@ impl InferenceServer {
                 &pipeline,
             )?)),
         };
-        let pipeline = Arc::new(RwLock::new(Arc::new(pipeline)));
+        let pipeline = Arc::new(Snapshot::new(pipeline));
         let metrics = Arc::new(ServerMetrics::new(config.max_batch_size));
         let breaker = Arc::new(CircuitBreaker::new(
             config.degrade_after_failures,
@@ -395,7 +395,7 @@ impl InferenceServer {
         if let Some(triage) = &self.triage {
             triage.rebuild_hardened(&next);
         }
-        *self.pipeline.write() = Arc::new(next);
+        self.pipeline.store(next);
         self.metrics.record_swap()
     }
 
@@ -443,7 +443,7 @@ impl InferenceServer {
     /// [`ServeError::SwapFailed`] when the artifact fails CRC or shape
     /// validation; the previous weights keep serving untouched.
     pub fn swap_weights(&self, artifact: &[u8]) -> Result<u64> {
-        let current = pipeline_snapshot(&self.pipeline);
+        let current = self.pipeline.load();
         let mut next = (*current).clone();
         fademl::serialize::decode_weights(artifact, next.model_mut()).map_err(|err| {
             ServeError::SwapFailed {
@@ -549,6 +549,7 @@ fn run_supervisor(
 ) {
     let mut live = handles.len();
     while live > 0 {
+        sync::assert_unlocked();
         let Ok(exit) = exit_rx.recv() else { break };
         if exit.clean {
             live -= 1;
@@ -657,13 +658,6 @@ impl Drop for AnswerOnDrop<'_> {
     }
 }
 
-/// Clones the live pipeline pointer. The read guard lives only for the
-/// inner expression, so no caller ever holds the pipeline lock across
-/// other lock acquisitions or a concurrent swap.
-fn pipeline_snapshot(slot: &RwLock<Arc<InferencePipeline>>) -> Arc<InferencePipeline> {
-    Arc::clone(&slot.read())
-}
-
 /// Executes one batch under full fault isolation: in-batch deadline
 /// enforcement, `catch_unwind` around the pipeline, circuit-breaker
 /// accounting, and the answer-on-drop guard.
@@ -724,7 +718,7 @@ fn process_batch(shared: &WorkerShared, batch: Batch) {
     // One pipeline snapshot per batch: a concurrent hot swap flips the
     // shared pointer, but this batch keeps the consistent weights it
     // started with — no request can observe torn weights.
-    let pipeline = pipeline_snapshot(&shared.pipeline);
+    let pipeline = shared.pipeline.load();
     let outcome = catch_unwind(AssertUnwindSafe(|| {
         fault_at(&shared.faults, FaultSite::Batch);
         if !waiters.is_empty() {
@@ -1017,7 +1011,7 @@ mod tests {
     fn deadline_passed_between_take_and_execution_is_a_batch_stage_miss() {
         let config = ServerConfig::default();
         let shared = WorkerShared {
-            pipeline: Arc::new(RwLock::new(Arc::new(pipeline()))),
+            pipeline: Arc::new(Snapshot::new(pipeline())),
             metrics: Arc::new(ServerMetrics::new(config.max_batch_size)),
             breaker: Arc::new(CircuitBreaker::new(3, 4)),
             queue: Arc::new(SubmissionQueue::new(&config)),

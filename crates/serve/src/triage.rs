@@ -30,12 +30,12 @@ use fademl::{Detection, InferencePipeline, ThreatModel};
 use fademl_detect::Detector;
 use fademl_filters::FilterSpec;
 use fademl_tensor::Tensor;
-use parking_lot::RwLock;
 use serde::{Deserialize, Serialize};
 
 use crate::error::{Result, ServeError};
 use crate::metrics::ServerMetrics;
 use crate::server::{fault_at, FaultHandle, FaultSite};
+use crate::sync::Snapshot;
 
 /// Configuration for the triage stage.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -160,13 +160,12 @@ pub(crate) fn hardened_threat(threat: ThreatModel) -> ThreatModel {
 /// its own swap point, mirroring the engine's main pipeline slot.
 #[derive(Debug)]
 pub(crate) struct TriageRuntime {
-    /// Deployed detector behind the same `RwLock<Arc<…>>` snapshot
-    /// pattern as weights: scorers clone the pointer once per frame, a
-    /// swap flips it, in-flight scores finish on the detector they
-    /// started with.
-    detector: RwLock<Arc<Detector>>,
+    /// Deployed detector behind the same [`Snapshot`] as weights:
+    /// scorers load it once per frame, a swap replaces it, in-flight
+    /// scores finish on the detector they started with.
+    detector: Snapshot<Detector>,
     config: TriageConfig,
-    hardened: RwLock<Arc<InferencePipeline>>,
+    hardened: Snapshot<InferencePipeline>,
 }
 
 impl TriageRuntime {
@@ -181,16 +180,10 @@ impl TriageRuntime {
         config.validate()?;
         let hardened = build_hardened(base, config.hardened_filter)?;
         Ok(TriageRuntime {
-            detector: RwLock::new(Arc::new(detector)),
+            detector: Snapshot::new(detector),
             config,
-            hardened: RwLock::new(Arc::new(hardened)),
+            hardened: Snapshot::new(hardened),
         })
-    }
-
-    /// Snapshot of the deployed detector (one `Arc` clone, guard
-    /// dropped immediately).
-    pub(crate) fn detector_snapshot(&self) -> Arc<Detector> {
-        Arc::clone(&self.detector.read())
     }
 
     /// Atomically deploys `candidate` as the triage detector and
@@ -208,7 +201,7 @@ impl TriageRuntime {
         candidate: Detector,
         metrics: &ServerMetrics,
     ) -> Result<u64> {
-        let incumbent = self.detector_snapshot();
+        let incumbent = self.detector.load();
         if candidate.feature_dim() != incumbent.feature_dim() {
             return Err(ServeError::SwapFailed {
                 reason: format!(
@@ -218,14 +211,13 @@ impl TriageRuntime {
                 ),
             });
         }
-        *self.detector.write() = Arc::new(candidate);
+        self.detector.store(candidate);
         Ok(metrics.record_detector_swap())
     }
 
-    /// Snapshot of the hardened pipeline (same discipline as the main
-    /// pipeline slot: one `Arc` clone, guard dropped immediately).
+    /// The hardened pipeline, loaded like the main pipeline slot.
     pub(crate) fn hardened_snapshot(&self) -> Arc<InferencePipeline> {
-        Arc::clone(&self.hardened.read())
+        self.hardened.load()
     }
 
     /// Rebuilds the hardened pipeline from freshly swapped weights so
@@ -235,7 +227,7 @@ impl TriageRuntime {
     /// hardened pipeline keeps serving (old weights beat no service).
     pub(crate) fn rebuild_hardened(&self, next: &InferencePipeline) {
         if let Ok(rebuilt) = build_hardened(next, self.config.hardened_filter) {
-            *self.hardened.write() = Arc::new(rebuilt);
+            self.hardened.store(rebuilt);
         }
     }
 
@@ -248,7 +240,7 @@ impl TriageRuntime {
         metrics: &ServerMetrics,
         faults: &FaultHandle,
     ) -> TriageVerdict {
-        let detector = self.detector_snapshot();
+        let detector = self.detector.load();
         let started = Instant::now();
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             fault_at(faults, FaultSite::Score);

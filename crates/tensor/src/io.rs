@@ -18,9 +18,9 @@
 //! - [`atomic_write`] — the blessed write path for persisted artifacts:
 //!   full payload to a same-directory temp file, `sync_all`, then
 //!   `rename` over the destination. Readers never observe a torn file;
-//!   a crash leaves either the old generation or the new one. The
-//!   workspace lint (`fademl-lint`, rule `direct-overwrite`) flags any
-//!   persistence write that bypasses this helper.
+//!   a crash leaves either the old generation or the new one. Clippy's
+//!   `disallowed-methods` (`clippy.toml`) flags `fs::write` and
+//!   `File::create`, the writes that would bypass this helper.
 //! - [`ByteWriter`] / [`ByteReader`] — little-endian encode/decode
 //!   cursors with bounds-checked reads, so format parsers fail with a
 //!   clean `io::Error` instead of panicking or over-allocating on
