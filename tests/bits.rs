@@ -140,6 +140,33 @@ fn arithmetic() -> Lines {
         (cin, side) = (cout, side / 2);
     }
 
+    // The forward at the figure drivers' bar batch (b20) at every stage,
+    // and a stride-1 plane whose rows (43 and 45 wide) are no multiple
+    // of 8, 16 or 32, so column strips straddle rows and samples.
+    let (mut cin, mut side) = (3usize, 32usize);
+    for (stage, cout) in (1..).zip(VggProfile::Compact.stage_channels()) {
+        let mut rng = TensorRng::seed_from_u64(stage * 1000 + 20);
+        let spec = ConvSpec::new(cin, cout, 3, 1, 1);
+        let x = rng.uniform(&[20, cin, side, side], 0.0, 1.0);
+        let w = rng.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
+        let b = rng.uniform(&[cout], -0.1, 0.1);
+        let out = layer_conv(&x, &w, &b, &spec);
+        lines.push((format!("conv2d.stage{stage}.b20"), digest(out.as_slice())));
+        (cin, side) = (cout, side / 2);
+    }
+    let mut rng = TensorRng::seed_from_u64(17);
+    for pad in [0, 1] {
+        let spec = ConvSpec::new(3, 5, 3, 1, pad);
+        let x = rng.uniform(&[2, 3, 17, 45], -1.0, 1.0);
+        let w = rng.uniform(&[5, 3, 3, 3], -1.0, 1.0);
+        let b = rng.uniform(&[5], -0.5, 0.5);
+        let out = layer_conv(&x, &w, &b, &spec);
+        lines.push((
+            format!("conv2d.c3.17x45.f5.p{pad}.b2"),
+            digest(out.as_slice()),
+        ));
+    }
+
     let mut rng = TensorRng::seed_from_u64(6);
     let acts = rng.uniform(&[16, cin], 0.0, 1.0);
     let head = rng.uniform(&[CLASS_COUNT, cin], -0.1, 0.1);
