@@ -23,31 +23,59 @@
 //! # Batch-fused forward
 //!
 //! The forward pass lowers *tiles of whole samples* — as many as fit in
-//! [`FUSE_COLS`] columns — to one `[F, K] × [K, tile·OH·OW]` product:
-//! each sample is unfolded straight into its column range of the tile
-//! matrix (every element is written, so the scratch needs no clearing),
+//! [`FUSE_COLS`] columns — to one `[F, K] × [K, tile·OH·OW]` product,
 //! and the GEMM micro-kernel stores every register tile into the NCHW
 //! output with the bias added — and, for [`conv2d_relu`], clamped at
 //! zero. Deep layers, whose per-sample product is only 16 or 4 columns
 //! wide, thereby run full-width register tiles. A column's value does
 //! not depend on which columns sit beside it, so a batch of `n` equals
-//! `n` single-sample calls bit for bit. The tile matrix's rows are
-//! [`tile_ld`] floats apart — an odd number of cache lines, so that
-//! 1024-float rows stop mapping to one L1 set.
+//! `n` single-sample calls bit for bit.
+//!
+//! Where the product's right-hand side comes from depends on the
+//! geometry, by one fixed rule ([`PLANE_ROW_MIN`]):
+//! - *Stride 1, output rows at least 8 wide* (stages 1–3 of the victim
+//!   at every batch): no column matrix. Each sample of the tile gets
+//!   its own zero-bordered planes, and the micro-kernel reads row
+//!   `p = (c, kh, kw)`, column `(s, oy, ox)` of the product straight
+//!   out of them, at `c·plane + (oy+kh)·PW + ox + kw` — implicit GEMM,
+//!   as cuDNN lowers a convolution (Chetlur et al., arXiv:1410.0759).
+//!   A column strip reads each tap as runs of 8, 16 or 32 floats, the
+//!   widest that divides the rows, so a strip may span rows and
+//!   samples. Rows that are no multiple of 8 are multiplied one output
+//!   row at a time, each strip one run.
+//! - *Anything else* (stride 2, or the 4- and 2-wide rows of stages 4
+//!   and 5): each sample is unfolded straight into its column range of
+//!   the tile matrix (every element is written, so the scratch needs no
+//!   clearing), whose rows are [`tile_ld`] floats apart — an odd number
+//!   of cache lines, so that 1024-float rows stop mapping to one L1
+//!   set.
+//!
+//! Both read the same values in the same order, so the choice moves no
+//! bit. Measured on a 2-core AVX-512F host at b16, the unfold was a
+//! quarter of the forward's time and its stores the cost, not the
+//! column matrix's size: unfolding into L1-sized chunks instead was no
+//! faster. Reading the planes takes stage 1 and 2 forwards from ≈ 290–
+//! 310 µs to ≈ 215–230 µs and stage 3 from ≈ 220 to ≈ 195 µs (its
+//! 8-wide rows cost four loads per tap); under AVX2 and the baseline
+//! the two are within noise of each other.
 //!
 //! # The zero-bordered plane
 //!
 //! The unfold and the fold go through one `(H+2p) × (W+2p)` plane per
-//! call with a zero border: a channel is copied into its interior, and
-//! every unfolded row is `OH` runs read out of it — for stride 1 whole
-//! runs `plane[(oy+kh)·PW + kw ..][..OW]`, no clip, no border test.
-//! The run copy follows the geometry: the victim's widths (32, 16, 8,
-//! 4 and 2) copy as `[f32; OW]` arrays, a few vector moves each; any
-//! other width takes a runtime-length copy, one `memcpy` call per run
-//! (at b16 a victim stage makes ~14–18 k runs of 2–32 floats). The
-//! fold adds the runs into a zeroed plane, then its interior onto the
-//! image: a pixel gets its ≤ `KH·KW` terms in `(kh, kw)` order from 0.
-//! Runs 2, 4 or 8 wide are added as `[f32; OW]` arrays too.
+//! call with a zero border: a channel is copied into its interior
+//! ([`fill_interior`]), and every unfolded row is `OH` runs read out of
+//! it — for stride 1 whole runs `plane[(oy+kh)·PW + kw ..][..OW]`, no
+//! clip, no border test. The plane-reading forward keeps one plane per
+//! channel and sample of its tile instead, zeroed once per call; each
+//! tile only refills the interiors, and a `B` row's runs are the same
+//! plane rows the unfold would have copied. The run copy follows the
+//! geometry: the widths the unfold still sees (4 and 2 in the victim;
+//! 32, 16 and 8 for ∂weight's operand) copy as `[f32; OW]` arrays, a
+//! few vector moves each; any other width takes a runtime-length copy,
+//! one `memcpy` call per run. The fold adds the runs into a zeroed
+//! plane, then its interior onto the image: a pixel gets its ≤ `KH·KW`
+//! terms in `(kh, kw)` order from 0. Runs 2, 4 or 8 wide are added as
+//! `[f32; OW]` arrays too.
 //!
 //! # Narrow outputs swap their operands
 //!
@@ -119,7 +147,7 @@ use crate::plan::blueprint::{
     blocking_for, checked_add, checked_product, classify_gemm, Blocking, Blueprint,
     DEFAULT_BLOCKING,
 };
-use crate::simd::{self, Dest, Samples, WIDEST_TILE_COLS};
+use crate::simd::{self, Block, Dest, Planes, Rows, Samples, WIDEST_TILE_COLS};
 use crate::{par, Result, Shape, Tensor, TensorError};
 
 /// Column budget of one batch-fused forward tile: whole samples are
@@ -131,6 +159,24 @@ const FUSE_COLS: usize = 1024;
 /// operands (module docs): the widest register tile of any
 /// instantiation, one threshold for all of them.
 pub(crate) const SWAP_COLS: usize = WIDEST_TILE_COLS;
+
+/// Output row width from which a stride-1 forward reads its taps out
+/// of the bordered planes instead of unfolding them (module docs): a
+/// row then fills at least one 8-float run.
+const PLANE_ROW_MIN: usize = 8;
+
+/// Whether an unswapped forward with output rows `ow` wide reads the
+/// planes.
+fn reads_planes(spec: &ConvSpec, ow: usize) -> bool {
+    spec.stride == 1 && ow >= PLANE_ROW_MIN
+}
+
+/// Floats of a plane-reading forward's scratch: `tile` samples of
+/// `sample` floats each, and the widest strip's overhang (see
+/// [`Planes`]). Cap-checked by [`plan_conv2d`].
+fn planes_len(tile: usize, sample: usize) -> usize {
+    tile * sample + WIDEST_TILE_COLS
+}
 
 /// Whether a call over `n` samples of `ohw` output pixels swaps.
 fn swaps(n: usize, ohw: usize) -> bool {
@@ -321,13 +367,10 @@ fn unfold_runs(
     let ConvGeom {
         spec, h, w, oh, ow, ..
     } = *geom;
-    let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
+    let (stride, pw) = (spec.stride, geom.padded_width());
     let mut rows = dst.chunks_mut(ld);
     for image in (0..spec.in_channels).map(|ch| &src[ch * h * w..][..h * w]) {
-        let interior = plane.chunks_exact_mut(pw).skip(pad);
-        for (plane_row, image_row) in interior.zip(image.chunks_exact(w.max(1))) {
-            plane_row[pad..pad + w].copy_from_slice(image_row);
-        }
+        fill_interior(geom, image, plane);
         for kh in 0..spec.kernel_h {
             for kw in 0..spec.kernel_w {
                 let Some(row) = rows.next() else { return };
@@ -373,22 +416,14 @@ fn unfold_pixel_runs(
 ) {
     let ConvGeom {
         spec,
-        h,
-        w,
         ow,
         k_flat,
         plane,
         ..
     } = *geom;
-    let (pad, stride, pw) = (spec.padding, spec.stride, geom.padded_width());
+    let (stride, pw) = (spec.stride, geom.padded_width());
     let (kh, kw) = (spec.kernel_h, spec.kernel_w);
-    let images = src.chunks_exact((h * w).max(1));
-    for (plane, image) in planes.chunks_exact_mut(plane.max(1)).zip(images) {
-        let interior = plane.chunks_exact_mut(pw).skip(pad);
-        for (plane_row, image_row) in interior.zip(image.chunks_exact(w.max(1))) {
-            plane_row[pad..pad + w].copy_from_slice(image_row);
-        }
-    }
+    fill_planes(geom, src, planes);
     for (p, pixel) in dst.chunks_exact_mut(k_flat.max(1)).enumerate() {
         let first = (p / ow.max(1) * pw + p % ow.max(1)) * stride;
         for (taps, plane) in pixel
@@ -521,6 +556,29 @@ fn fold_runs(
             }
         }
         add_interior(geom, plane, image);
+    }
+}
+
+/// Copies one channel `image` (`[H, W]`) into the interior of its
+/// zero-bordered `plane`, leaving the border as it is.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "plane rows of the validated conv geometry"
+)]
+fn fill_interior(geom: &ConvGeom, image: &[f32], plane: &mut [f32]) {
+    let (pad, pw, w) = (geom.spec.padding, geom.padded_width(), geom.w);
+    let interior = plane.chunks_exact_mut(pw.max(1)).skip(pad);
+    for (plane_row, image_row) in interior.zip(image.chunks_exact(w.max(1))) {
+        plane_row[pad..pad + w].copy_from_slice(image_row);
+    }
+}
+
+/// Copies a `[C, H, W]` image into `planes`, one zero-bordered plane
+/// per channel ([`fill_interior`]).
+fn fill_planes(geom: &ConvGeom, image: &[f32], planes: &mut [f32]) {
+    let channels = image.chunks_exact((geom.h * geom.w).max(1));
+    for (plane, channel) in planes.chunks_exact_mut(geom.plane.max(1)).zip(channels) {
+        fill_interior(geom, channel, plane);
     }
 }
 
@@ -697,6 +755,20 @@ fn plan_conv2d(
                 &[spec.in_channels, plane_len(spec, h, w)?],
             )?,
         )
+    } else if !backward && reads_planes(spec, ow) {
+        let planes = checked_product(
+            "conv2d planes",
+            &[
+                fused_samples(n, ohw),
+                spec.in_channels,
+                plane_len(spec, h, w)?,
+            ],
+        )?;
+        (
+            checked_add("conv2d planes", planes, WIDEST_TILE_COLS)?,
+            0,
+            0,
+        )
     } else {
         let scratch = checked_product("conv2d im2col", &[k_flat, tile_row[0], tile_row[1]])?;
         if backward {
@@ -816,9 +888,11 @@ fn record(data: &[f32], i: usize, len: usize) -> &[f32] {
 /// Forward worker: convolves the samples in `range` into `out`, their
 /// `[len, F, OH, OW]` output block, one batch-fused tile at a time (see
 /// the module docs), clamping at zero when `relu` is set. Every element
-/// of `out` is written, so it may arrive dirty. The tile matrix
-/// (uncleared: the unfold writes every column the product reads) and
-/// the zero-bordered plane lease from the calling thread's scratch
+/// of `out` is written, so it may arrive dirty. A stride-1 forward with
+/// rows at least [`PLANE_ROW_MIN`] wide reads its taps out of the
+/// tile's bordered planes ([`conv2d_planes`]); any other unfolds each
+/// tile into a column matrix (uncleared: the unfold writes every column
+/// the product reads). The scratch leases from the calling thread's
 /// arena.
 fn conv2d_block(
     input: &[f32],
@@ -829,6 +903,9 @@ fn conv2d_block(
     relu: bool,
     out: &mut [f32],
 ) {
+    if reads_planes(&geom.spec, geom.ow) {
+        return conv2d_planes(input, w_mat, bias, geom, range, relu, out);
+    }
     let ohw = geom.oh * geom.ow;
     let f = geom.spec.out_channels;
     let out_plane = geom.out_plane_len();
@@ -853,6 +930,101 @@ fn conv2d_block(
             geom.bl,
             &mut Dest::nchw(tile_out, f, ohw, bias, relu),
         );
+    }
+}
+
+/// [`conv2d_block`] without a column matrix (module docs): per tile,
+/// each sample's channels are copied into the interiors of its own
+/// zero-bordered planes, and the product reads its `B` rows from them
+/// ([`Planes`]). Rows whose width is a multiple of 8 are read in runs of
+/// up to 32 floats, strips crossing rows and samples; any other width is
+/// multiplied one output row at a time, so no run crosses a row.
+fn conv2d_planes(
+    input: &[f32],
+    w_mat: &[f32],
+    bias: &[f32],
+    geom: ConvGeom,
+    range: Range<usize>,
+    relu: bool,
+    out: &mut [f32],
+) {
+    let (oh, ow) = (geom.oh, geom.ow);
+    let ohw = oh * ow;
+    let f = geom.spec.out_channels;
+    let out_plane = geom.out_plane_len();
+    let tile = fused_samples(range.len(), ohw);
+    let sample = geom.spec.in_channels * geom.plane;
+    // The border is zeroed here once; the fills only write interiors.
+    let mut data = alloc::scratch_f32(planes_len(tile, sample));
+    // The widest power-of-two run, up to 32, that divides the rows.
+    let per_row = ow % 8 != 0;
+    let piece = if per_row {
+        WIDEST_TILE_COLS
+    } else {
+        (ow & ow.wrapping_neg()).min(WIDEST_TILE_COLS)
+    };
+    let mut samples = range;
+    for tile_out in out.chunks_mut(tile * out_plane) {
+        let count = tile_out.len() / out_plane;
+        let images = samples.by_ref().take(count);
+        for (planes, s) in data.chunks_exact_mut(sample.max(1)).zip(images) {
+            fill_planes(&geom, record(input, s, geom.image_len()), planes);
+        }
+        let planes = Planes {
+            data: &data,
+            sample,
+            plane: geom.plane,
+            pw: geom.padded_width(),
+            ow,
+            ohw,
+            kernel: (geom.spec.kernel_h, geom.spec.kernel_w),
+            piece,
+        };
+        let dest = &mut Dest::nchw(tile_out, f, ohw, bias, relu);
+        let product = (f, geom.k_flat);
+        if per_row {
+            for row in 0..count * oh {
+                gemm_planes_to(w_mat, product, &planes, (row * ow, ow), geom.bl, dest);
+            }
+        } else {
+            gemm_planes_to(w_mat, product, &planes, (0, count * ohw), geom.bl, dest);
+        }
+    }
+}
+
+/// `W · B` for columns `col0 .. col0 + cols` of a product whose `B` is
+/// read from `planes`: [`gemm_rows_to`]'s `k` panels and row blocks,
+/// one block per pair. `w_mat` is the `[rows, k]` weight.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "weight panels inside the validated [F, K] weight"
+)]
+fn gemm_planes_to(
+    w_mat: &[f32],
+    (rows, k): (usize, usize),
+    planes: &Planes,
+    (col0, cols): (usize, usize),
+    bl: Blocking,
+    dest: &mut Dest,
+) {
+    for pc in (0..k).step_by(bl.kc) {
+        let kcb = bl.kc.min(k - pc);
+        for ic in (0..rows).step_by(bl.mc) {
+            let mcb = bl.mc.min(rows - ic);
+            let blk = Block {
+                a: &w_mat[ic * k + pc..][..(mcb - 1) * k + kcb],
+                lda: k,
+                rows: mcb,
+                b: Rows::Planes { planes, k0: pc },
+                kc: kcb,
+                cols,
+                first: pc == 0,
+                last: pc + kcb == k,
+                row0: ic,
+                col0,
+            };
+            simd::gemm_block(&blk, dest);
+        }
     }
 }
 
@@ -2358,6 +2530,72 @@ mod tests {
                 prop_assert!(
                     same_bits(&got, want),
                     "{} on {:?}, n {} {}x{} → {}x{}, {:?}", what, isa, n, h, w, oh, ow, spec
+                );
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The stride-1 forward against the three-loop reference (bias
+        /// after the last term, then the clamp) under every
+        /// instantiation: rows 1–45 wide — unfolded below 8; read from
+        /// the bordered planes from 8, in runs of 8, 16 or 32 whose
+        /// strips cross rows and samples, or one row at a time for
+        /// widths no multiple of 8 — 1–6 rows (two tiles at the widest
+        /// planes), kernels 1–3 wide and tall, padding 0–2, 1–5 samples,
+        /// 1–20 filters, 1–3 channels or 33 (a 3×3 kernel's 297 taps
+        /// span two depth panels, the second starting mid-row), and NaN,
+        /// ±∞ and −0.0 in the image and the weight. The public entry
+        /// points ride along.
+        #[test]
+        fn stride_one_forward_matches_the_three_loop_reference(
+            seed in 0u64..1_000_000,
+            channel_pick in 0usize..4,
+            f in 1usize..21,
+            n in 1usize..6,
+            oh in 1usize..7,
+            ow in 1usize..46,
+            kernel_h in 1usize..4,
+            kernel_w in 1usize..4,
+            pad in 0usize..3,
+            poison in 0usize..5,
+        ) {
+            let c = [1, 2, 3, 33][channel_pick];
+            let spec = ConvSpec { kernel_h, kernel_w, ..ConvSpec::new(c, f, 1, 1, pad) };
+            let (h, w) = ((oh + kernel_h - 1).saturating_sub(2 * pad), (ow + kernel_w - 1).saturating_sub(2 * pad));
+            prop_assume!(h > 0 && w > 0 && spec.output_size(h, w).ok() == Some((oh, ow)));
+            let mut rng = TensorRng::seed_from_u64(seed);
+            let mut input = rng.uniform(&[n, c, h, w], -1.0, 1.0);
+            let mut weight = rng.uniform(&[f, c, kernel_h, kernel_w], -1.0, 1.0);
+            let bias = rng.uniform(&[f], -0.5, 0.5);
+            let specials = [-0.0, f32::NAN, f32::INFINITY, f32::NEG_INFINITY];
+            for (i, special) in specials.into_iter().enumerate().take(poison) {
+                for t in [&mut input, &mut weight] {
+                    let at = (seed as usize / (i + 1) + 11 * i) % t.numel();
+                    t.as_mut_slice()[at] = special;
+                }
+            }
+            let (x, wt, b) = (input.as_slice(), weight.as_slice(), bias.as_slice());
+            let bp = plan_conv2d(&spec, n, (h, w), (oh, ow), false, false).unwrap();
+            let geom = ConvGeom::new(&spec, (h, w), (oh, ow), bp.blocking, bp.plane);
+            prop_assert_eq!(reads_planes(&spec, ow), ow >= 8);
+            let want = [false, true].map(|relu| forward_reference(x, wt, b, &geom, relu));
+            let mut runs = Vec::new();
+            crate::simd::with_each_isa(|isa| {
+                for relu in [false, true] {
+                    let mut got = vec![f32::NAN; n * f * oh * ow];
+                    conv2d_block(x, wt, b, geom, 0..n, relu, &mut got);
+                    runs.push((isa, "conv2d_block", got, relu));
+                }
+                runs.push((isa, "conv2d", conv2d(&input, &weight, &bias, &spec).unwrap().into_vec(), false));
+                runs.push((isa, "conv2d_relu", conv2d_relu(&input, &weight, &bias, &spec).unwrap().into_vec(), true));
+            });
+            for (isa, what, got, relu) in runs {
+                prop_assert!(
+                    same_bits(&got, &want[usize::from(relu)]),
+                    "{} (relu {}) on {:?}, n {} {}x{} → {}x{}, {:?}", what, relu, isa, n, h, w, oh, ow, spec
                 );
             }
         }

@@ -30,7 +30,7 @@ use std::sync::Arc;
 
 use crate::plan::alloc;
 use crate::plan::blueprint::{plan_gemm, Blocking, Blueprint, OpKind};
-use crate::simd::{self, Block, Dest};
+use crate::simd::{self, Block, Dest, Rows};
 use crate::{par, Result, Shape, Tensor, TensorError};
 
 /// Packs `b` (`[k, n]`, row-major) into `kc × nc` panels laid out so
@@ -123,8 +123,7 @@ pub(crate) fn gemm_rows_to(
                     a: &a_block[ic * lda + pc..][..(mcb - 1) * lda + kcb],
                     lda,
                     rows: mcb,
-                    b: panel,
-                    ldb,
+                    b: Rows::Matrix { b: panel, ld: ldb },
                     kc: kcb,
                     cols: ncb,
                     first: pc == 0,

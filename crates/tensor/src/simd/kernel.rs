@@ -3,7 +3,10 @@
 //! [`block_body`] multiplies one cache block: `rows × kc` of `A` by
 //! `kc × cols` of `B`, walking the block in register tiles whose
 //! accumulators stay live across the whole `kc` panel (the old kernel
-//! loaded and stored the output row once per `k`). [`sample_sum_body`]
+//! loaded and stored the output row once per `k`). `B` is a row-major
+//! matrix, or a stride-1 convolution's taps read where they lie in its
+//! zero-bordered planes ([`Planes`]): the same values, loaded from
+//! another place, so no bit depends on which. [`sample_sum_body`]
 //! walks the same tiles over a sum of per-sample products, keeping the
 //! running sums in registers across the samples. Each body is written
 //! once and instantiated per instruction set by `super`; the compiler
@@ -122,15 +125,59 @@ impl<'a> Dest<'a> {
     }
 }
 
+/// The `B` operand of a stride-1 convolution's forward product, read
+/// where it lies instead of unfolded into a column matrix. Row `p` is
+/// the tap `p = (c, kh, kw)` and column `col` is output pixel `col` of
+/// the samples laid side by side, so element `(p, col)` is
+/// `data[base(col) + offset(p)]`, where
+/// - `base(col) = s·sample + oy·pw + ox` for sample `s = col / ohw`
+///   and its output pixel `(oy, ox)`, and
+/// - `offset(p) = c·plane + kh·pw + kw` —
+///
+/// the unfolded matrix's element, value for value.
+///
+/// A strip reads each tap as `piece`-float runs (8, 16 or 32), one run
+/// per `piece` columns, and a run may not cross an output row: either
+/// `ow` is a multiple of `piece`, or every block lies in one output row
+/// and `piece` is 32. `data` runs on for at least [`NR_WIDE_512`]
+/// floats past the last sample's planes, which reach only lanes past a
+/// block's last column (computed and dropped).
+pub(crate) struct Planes<'a> {
+    /// Each sample's zero-bordered planes, back to back.
+    pub data: &'a [f32],
+    /// Floats per sample (`C` planes).
+    pub sample: usize,
+    /// Floats per plane.
+    pub plane: usize,
+    /// Floats per plane row.
+    pub pw: usize,
+    /// Output row width and output pixels per sample.
+    pub ow: usize,
+    pub ohw: usize,
+    /// `(KH, KW)`.
+    pub kernel: (usize, usize),
+    pub piece: usize,
+}
+
+/// Where a block's `B` rows come from.
+#[derive(Clone, Copy)]
+pub(crate) enum Rows<'a> {
+    /// A row-major matrix from `(first k, first column)` of the block;
+    /// rows `ld` apart.
+    Matrix { b: &'a [f32], ld: usize },
+    /// Convolution taps from tap `k0` on ([`Planes`]); block column
+    /// `j` is product column `col0 + j`.
+    Planes { planes: &'a Planes<'a>, k0: usize },
+}
+
 /// One cache block of a blocked GEMM, positioned in its destination.
 pub(crate) struct Block<'a> {
     /// `A` from `(first row, first k)` of the block; rows `lda` apart.
     pub a: &'a [f32],
     pub lda: usize,
     pub rows: usize,
-    /// `B` from `(first k, first column)` of the block; rows `ldb` apart.
-    pub b: &'a [f32],
-    pub ldb: usize,
+    /// `B` from the block's first `k` and column.
+    pub b: Rows<'a>,
     /// Depth of this `k` panel.
     pub kc: usize,
     pub cols: usize,
@@ -160,25 +207,169 @@ fn load<const NR: usize>(row: &[f32]) -> [f32; NR] {
     }
 }
 
-/// The micro-kernel: `acc[i][j] += Σₚ a[i][p] · b[p][j]`, `p`
-/// ascending, one multiply and one add per term. `b` starts at the
-/// tile's first column; its rows are `ldb` apart.
+/// The FMA step of the micro-kernel: `acc[i][j] += a[i][p] · b[j]`
+/// for the next `p` of each row of `a`, one multiply and one add per
+/// term. `false` once `a` is used up.
 #[inline(always)]
-fn tile<const MR: usize, const NR: usize>(
-    a: [&[f32]; MR],
-    b: &[f32],
-    ldb: usize,
+fn step<const MR: usize, const NR: usize>(
+    a_rows: &mut [std::slice::Iter<f32>; MR],
+    b_vals: &[f32; NR],
     acc: &mut [[f32; NR]; MR],
-) {
-    let mut a_rows = a.map(|row| row.iter());
-    for b_row in b.chunks(ldb) {
-        let b_vals = load::<NR>(b_row);
-        for (acc_row, a_row) in acc.iter_mut().zip(a_rows.iter_mut()) {
-            let Some(&a_val) = a_row.next() else { return };
-            for (c, &b_val) in acc_row.iter_mut().zip(&b_vals) {
-                *c += a_val * b_val;
+) -> bool {
+    for (acc_row, a_row) in acc.iter_mut().zip(a_rows.iter_mut()) {
+        let Some(&a_val) = a_row.next() else {
+            return false;
+        };
+        for (c, &b_val) in acc_row.iter_mut().zip(b_vals) {
+            *c += a_val * b_val;
+        }
+    }
+    true
+}
+
+/// One strip's `B` operand, which a row tile multiplies in: the
+/// micro-kernel `acc[i][j] += Σₚ a[i][p] · b[p][j]`, `p` ascending
+/// ([`step`] per `p`).
+trait StripB<const NR: usize> {
+    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: &mut [[f32; NR]; MR]);
+}
+
+/// A row-major `B` from the strip's first column; rows `ld` apart.
+struct MatrixB<'a> {
+    b: &'a [f32],
+    ld: usize,
+}
+
+impl<const NR: usize> StripB<NR> for MatrixB<'_> {
+    #[inline(always)]
+    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: &mut [[f32; NR]; MR]) {
+        let mut a_rows = a.map(|row| row.iter());
+        for b_row in self.b.chunks(self.ld) {
+            if !step(&mut a_rows, &load::<NR>(b_row), acc) {
+                return;
             }
         }
+    }
+}
+
+/// Most runs one strip reads per tap: the widest strip in the
+/// narrowest pieces.
+const MAX_RUNS: usize = NR_WIDE_512 / 8;
+
+/// One strip's `B` out of [`Planes`]: per tap, `NR / P` runs of `P`
+/// floats, run `g` from the base of the strip's column `g·P`.
+struct PlanesB<'a, const P: usize> {
+    runs: [&'a [f32]; MAX_RUNS],
+    taps: TapRows,
+}
+
+impl<'a, const P: usize> PlanesB<'a, P> {
+    /// Taps `k0 .. k0 + kc` for the `NR`-column strip from product
+    /// column `col`.
+    #[inline(always)]
+    fn new<const NR: usize>(planes: &'a Planes, k0: usize, kc: usize, col: usize) -> Self {
+        let mut runs: [&[f32]; MAX_RUNS] = [&[]; MAX_RUNS];
+        for (g, run) in runs.iter_mut().enumerate().take(NR / P) {
+            let col = col + g * P;
+            let (s, pixel) = (col / planes.ohw, col % planes.ohw);
+            let base = s * planes.sample + pixel / planes.ow * planes.pw + pixel % planes.ow;
+            *run = planes.data.get(base..).unwrap_or_default();
+        }
+        PlanesB {
+            runs,
+            taps: TapRows::new(planes, k0, kc),
+        }
+    }
+}
+
+impl<const NR: usize, const P: usize> StripB<NR> for PlanesB<'_, P> {
+    /// Per tap row, each run's window is cut once; the row's taps are
+    /// then `P`-float loads at `kw` inside it, with no test of their own.
+    #[inline(always)]
+    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: &mut [[f32; NR]; MR]) {
+        let mut a_rows = a.map(|row| row.iter());
+        for (offset, width) in self.taps {
+            let mut windows: [&[f32]; MAX_RUNS] = [&[]; MAX_RUNS];
+            for (window, run) in windows.iter_mut().zip(&self.runs).take(NR / P) {
+                let Some(cut) = run.get(offset..offset + width + P - 1) else {
+                    return;
+                };
+                *window = cut;
+            }
+            for kw in 0..width {
+                let mut b_vals = [0.0f32; NR];
+                for (lanes, window) in b_vals.chunks_exact_mut(P).zip(&windows) {
+                    let taps = window.get(kw..).and_then(<[f32]>::first_chunk::<P>);
+                    if let (Ok(lanes), Some(taps)) = (<&mut [f32; P]>::try_from(lanes), taps) {
+                        *lanes = *taps;
+                    }
+                }
+                if !step(&mut a_rows, &b_vals, acc) {
+                    return;
+                }
+            }
+        }
+    }
+}
+
+/// The tap rows of a panel's taps `k0 .. k0 + kc`, in order: for each
+/// `(c, kh)` it touches, the offset `c·plane + kh·pw + kw` of its first
+/// tap in the panel and how many of its taps follow in the panel.
+#[derive(Clone, Copy)]
+struct TapRows {
+    left: usize,
+    offset: usize,
+    kh: usize,
+    kw: usize,
+    kernel: (usize, usize),
+    /// Offset steps from a row's end to the next row's first tap, and
+    /// from a channel's last row to the next channel's first.
+    next_row: usize,
+    next_channel: usize,
+}
+
+impl TapRows {
+    #[inline(always)]
+    fn new(planes: &Planes, k0: usize, kc: usize) -> Self {
+        let (kernel_h, kernel_w) = planes.kernel;
+        let (c, tap) = (k0 / (kernel_h * kernel_w), k0 % (kernel_h * kernel_w));
+        let (kh, kw) = (tap / kernel_w, tap % kernel_w);
+        TapRows {
+            left: kc,
+            offset: c * planes.plane + kh * planes.pw + kw,
+            kh,
+            kw,
+            kernel: planes.kernel,
+            next_row: planes.pw - kernel_w,
+            next_channel: planes.plane - kernel_h * planes.pw,
+        }
+    }
+}
+
+impl Iterator for TapRows {
+    type Item = (usize, usize);
+
+    #[inline(always)]
+    fn next(&mut self) -> Option<(usize, usize)> {
+        let (kernel_h, kernel_w) = self.kernel;
+        let width = (kernel_w - self.kw).min(self.left);
+        if width == 0 {
+            return None;
+        }
+        let row = (self.offset, width);
+        self.left -= width;
+        self.offset += width;
+        self.kw += width;
+        if self.kw == kernel_w {
+            self.kw = 0;
+            self.kh += 1;
+            self.offset += self.next_row;
+            if self.kh == kernel_h {
+                self.kh = 0;
+                self.offset += self.next_channel;
+            }
+        }
+        Some(row)
     }
 }
 
@@ -210,10 +401,48 @@ fn for_each_run<const NR: usize>(
 }
 
 /// One column strip (`nr ≤ NR` columns from block column `j`) against
-/// every row tile of the block.
+/// every row tile of the block, its `B` rows read from wherever the
+/// block's come from — out of [`Planes`] in the widest runs its piece
+/// allows.
 #[inline(always)]
 fn strip<const MR: usize, const NR: usize>(blk: &Block, j: usize, nr: usize, dest: &mut Dest) {
-    let b_strip = blk.b.get(j..).unwrap_or_default();
+    match blk.b {
+        Rows::Matrix { b, ld } => {
+            let b = MatrixB {
+                b: b.get(j..).unwrap_or_default(),
+                ld,
+            };
+            strip_with::<MR, NR>(blk, j, nr, dest, &b);
+        }
+        Rows::Planes { planes, k0 } => {
+            let col = blk.col0 + j;
+            match planes.piece {
+                piece if piece >= NR => {
+                    let b = PlanesB::<NR>::new::<NR>(planes, k0, blk.kc, col);
+                    strip_with::<MR, NR>(blk, j, nr, dest, &b);
+                }
+                16 => {
+                    let b = PlanesB::<16>::new::<NR>(planes, k0, blk.kc, col);
+                    strip_with::<MR, NR>(blk, j, nr, dest, &b);
+                }
+                _ => {
+                    let b = PlanesB::<8>::new::<NR>(planes, k0, blk.kc, col);
+                    strip_with::<MR, NR>(blk, j, nr, dest, &b);
+                }
+            }
+        }
+    }
+}
+
+/// [`strip`] with its `B` operand `b`.
+#[inline(always)]
+fn strip_with<const MR: usize, const NR: usize>(
+    blk: &Block,
+    j: usize,
+    nr: usize,
+    dest: &mut Dest,
+    b: &impl StripB<NR>,
+) {
     let Some(first_row) = blk.a.get(..blk.kc) else {
         return;
     };
@@ -238,7 +467,7 @@ fn strip<const MR: usize, const NR: usize>(blk: &Block, j: usize, nr: usize, des
                 });
             }
         }
-        tile(a_rows, b_strip, blk.ldb, &mut acc);
+        b.tile(a_rows, &mut acc);
         for (acc_row, r) in acc.iter_mut().take(mr).zip(row..) {
             if blk.last {
                 if let Some(&bias) = dest.bias.and_then(|b| b.get(r)) {
@@ -374,9 +603,12 @@ fn sample_strip<const MR: usize, const NR: usize>(
                     *slot = a_row;
                 }
             }
-            let b = s.b.get(sample * s.b_step + j..).unwrap_or_default();
+            let b = MatrixB {
+                b: s.b.get(sample * s.b_step + j..).unwrap_or_default(),
+                ld: s.ldb,
+            };
             let mut acc = [[0.0f32; NR]; MR];
-            tile(a_rows, b, s.ldb, &mut acc);
+            b.tile(a_rows, &mut acc);
             for (t_row, acc_row) in total.iter_mut().zip(&acc) {
                 for (t, &a) in t_row.iter_mut().zip(acc_row) {
                     *t += a;

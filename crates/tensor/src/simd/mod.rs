@@ -39,7 +39,7 @@ mod normal;
 mod pool;
 mod stencil;
 
-pub(crate) use kernel::{Block, Dest, Samples, NR_WIDE_512 as WIDEST_TILE_COLS};
+pub(crate) use kernel::{Block, Dest, Planes, Rows, Samples, NR_WIDE_512 as WIDEST_TILE_COLS};
 pub(crate) use normal::CHUNK as NORMAL_CHUNK;
 pub(crate) use stencil::TapRows;
 pub use stencil::{Stencil, CHUNK as STENCIL_CHUNK};
