@@ -50,6 +50,29 @@ if [ -n "$raw_locks" ]; then
   exit 1
 fi
 
+echo "==> every crates/* [dependencies] entry is named by that crate's sources, tests, benches or examples"
+# A dependency nothing mentions is a stale edge: it makes the manifest
+# claim a user where there is none, and cargo does not warn about it.
+python3 - <<'PY'
+import pathlib, re, sys, tomllib
+
+stale = []
+for manifest in sorted(pathlib.Path("crates").glob("*/Cargo.toml")):
+    crate = manifest.parent
+    doc = tomllib.loads(manifest.read_text())
+    files = [p for d in ("src", "tests", "benches", "examples") for p in (crate / d).rglob("*.rs")]
+    for kind in ("example", "test", "bench", "bin"):
+        files += [crate / t["path"] for t in doc.get(kind, []) if "path" in t]
+    text = "\n".join(f.read_text() for f in files if f.is_file())
+    for dep in doc.get("dependencies", {}):
+        if not re.search(rf"\b{re.escape(dep.replace('-', '_'))}\b", text):
+            stale.append(f"{manifest}: {dep}")
+if stale:
+    print("[dependencies] entries that no file of their crate mentions (remove them):",
+          *stale, sep="\n  ", file=sys.stderr)
+    sys.exit(1)
+PY
+
 echo "==> cargo build --release"
 cargo build --release --workspace
 

@@ -102,13 +102,17 @@ impl SubmissionQueue {
             }
             drop(state);
             for request in expired.drain(..) {
+                // Counted before the slot is filled, as the breaker
+                // counts: a client that reads the metrics as soon as its
+                // handle resolves sees its own miss. Nothing else holds
+                // a queued request, so this answer is its first.
                 let overshoot = request.overshoot(now).unwrap_or_default();
                 let stage = DeadlineStage::Queue;
-                if request.fail(ServeError::DeadlineExceeded { stage }) {
-                    metrics.record_dequeued();
-                    metrics.record_deadline_miss(stage, overshoot);
-                    metrics.record_failed();
-                }
+                metrics.record_dequeued();
+                metrics.record_deadline_miss(stage, overshoot);
+                metrics.record_failed();
+                let first = request.fail(ServeError::DeadlineExceeded { stage });
+                debug_assert!(first, "a queued request was already answered");
             }
             if let Some(batch) = taken {
                 let waited = |r: &Request| now.saturating_duration_since(r.submitted_at);
@@ -252,6 +256,41 @@ mod tests {
         queue.close();
         assert!(taker.join().unwrap());
         assert_eq!(metrics.report().deadline_missed_queue, 1);
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the taker must park on its own thread"
+    )]
+    fn a_queue_miss_is_counted_before_its_handle_resolves() {
+        let queue = Arc::new(queue(8, 0));
+        let metrics = Arc::new(ServerMetrics::new(4));
+        let taker = {
+            let (queue, metrics) = (Arc::clone(&queue), Arc::clone(&metrics));
+            std::thread::spawn(move || queue.take(&metrics).is_none())
+        };
+        for missed in 1..=200 {
+            let (dead, dead_handle) = expired();
+            metrics.record_enqueue_attempt();
+            queue.submit(dead).unwrap();
+            // Polled, not parked, so the counts are read within a few
+            // hundred nanoseconds of the slot filling: a count recorded
+            // after the fill shows up missing.
+            let answer = loop {
+                if let Some(answer) = dead_handle.try_get() {
+                    break answer;
+                }
+                std::hint::spin_loop();
+            };
+            let report = metrics.report();
+            assert_eq!(answer, QUEUE_MISS);
+            assert_eq!(report.deadline_missed_queue, missed);
+            assert_eq!(report.requests_failed, missed);
+            assert_eq!(report.queue_depth, 0);
+        }
+        queue.close();
+        assert!(taker.join().unwrap());
     }
 
     #[test]
