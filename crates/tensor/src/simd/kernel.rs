@@ -229,9 +229,11 @@ fn step<const MR: usize, const NR: usize>(
 
 /// One strip's `B` operand, which a row tile multiplies in: the
 /// micro-kernel `acc[i][j] += Σₚ a[i][p] · b[p][j]`, `p` ascending
-/// ([`step`] per `p`).
+/// ([`step`] per `p`). The accumulators go in and come back by value:
+/// a local array whose address never escapes stays in registers across
+/// the panel, where one the caller slices would be stored every `p`.
 trait StripB<const NR: usize> {
-    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: &mut [[f32; NR]; MR]);
+    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: [[f32; NR]; MR]) -> [[f32; NR]; MR];
 }
 
 /// A row-major `B` from the strip's first column; rows `ld` apart.
@@ -242,13 +244,15 @@ struct MatrixB<'a> {
 
 impl<const NR: usize> StripB<NR> for MatrixB<'_> {
     #[inline(always)]
-    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: &mut [[f32; NR]; MR]) {
+    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: [[f32; NR]; MR]) -> [[f32; NR]; MR] {
+        let mut acc = acc;
         let mut a_rows = a.map(|row| row.iter());
         for b_row in self.b.chunks(self.ld) {
-            if !step(&mut a_rows, &load::<NR>(b_row), acc) {
-                return;
+            if !step(&mut a_rows, &load::<NR>(b_row), &mut acc) {
+                break;
             }
         }
+        acc
     }
 }
 
@@ -286,13 +290,14 @@ impl<const NR: usize, const P: usize> StripB<NR> for PlanesB<'_, P> {
     /// Per tap row, each run's window is cut once; the row's taps are
     /// then `P`-float loads at `kw` inside it, with no test of their own.
     #[inline(always)]
-    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: &mut [[f32; NR]; MR]) {
+    fn tile<const MR: usize>(&self, a: [&[f32]; MR], acc: [[f32; NR]; MR]) -> [[f32; NR]; MR] {
+        let mut acc = acc;
         let mut a_rows = a.map(|row| row.iter());
         for (offset, width) in self.taps {
             let mut windows: [&[f32]; MAX_RUNS] = [&[]; MAX_RUNS];
             for (window, run) in windows.iter_mut().zip(&self.runs).take(NR / P) {
                 let Some(cut) = run.get(offset..offset + width + P - 1) else {
-                    return;
+                    return acc;
                 };
                 *window = cut;
             }
@@ -304,11 +309,12 @@ impl<const NR: usize, const P: usize> StripB<NR> for PlanesB<'_, P> {
                         *lanes = *taps;
                     }
                 }
-                if !step(&mut a_rows, &b_vals, acc) {
-                    return;
+                if !step(&mut a_rows, &b_vals, &mut acc) {
+                    return acc;
                 }
             }
         }
+        acc
     }
 }
 
@@ -467,7 +473,7 @@ fn strip_with<const MR: usize, const NR: usize>(
                 });
             }
         }
-        b.tile(a_rows, &mut acc);
+        acc = b.tile(a_rows, acc);
         for (acc_row, r) in acc.iter_mut().take(mr).zip(row..) {
             if blk.last {
                 if let Some(&bias) = dest.bias.and_then(|b| b.get(r)) {
@@ -607,8 +613,7 @@ fn sample_strip<const MR: usize, const NR: usize>(
                 b: s.b.get(sample * s.b_step + j..).unwrap_or_default(),
                 ld: s.ldb,
             };
-            let mut acc = [[0.0f32; NR]; MR];
-            b.tile(a_rows, &mut acc);
+            let acc = b.tile(a_rows, [[0.0f32; NR]; MR]);
             for (t_row, acc_row) in total.iter_mut().zip(&acc) {
                 for (t, &a) in t_row.iter_mut().zip(acc_row) {
                     *t += a;
