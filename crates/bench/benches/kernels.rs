@@ -6,7 +6,9 @@
 //! victims (VGG-ish CIFAR layer, GTSRB-ish mid layer), the five
 //! convolution stages of the served Compact victim at batch 1 and 16
 //! (forward, and stage 5 at 7 and 8 around the narrow-output operand
-//! swap), at batch 1 (an attack query's ∂input) and at the training
+//! swap; stages 1–3, whose forward reads the bordered planes, also as
+//! the plane fill and the register tile timed apart), at batch 1 (an
+//! attack query's ∂input) and at the training
 //! batch of 32 (backward), and its classifier head; LAP(8) and LAR(2)
 //! on a batch of 8, LAP(32) on a served batch of 16 and its adjoint on
 //! one attack query. One row is not a GEMM: TM-II's sensor noise on one
@@ -33,6 +35,7 @@
 //! `cargo bench -p fademl-bench --bench kernels -- --test` — CI smoke:
 //! one iteration per cell, artifacts not written.
 
+use std::cell::RefCell;
 use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
@@ -45,8 +48,8 @@ use fademl_tensor::io::atomic_write;
 use fademl_tensor::plan::alloc;
 use fademl_tensor::simd::{self, Isa};
 use fademl_tensor::{
-    conv2d, conv2d_backward, conv2d_backward_input, conv2d_layer, par, ConvSpec, Tensor, TensorRng,
-    TransposedWeight,
+    conv2d, conv2d_backward, conv2d_backward_input, conv2d_layer, par, ConvSpec, PlaneForward,
+    Tensor, TensorRng, TransposedWeight,
 };
 
 const THREAD_SWEEP: [usize; 4] = [1, 2, 4, 8];
@@ -240,6 +243,41 @@ fn workloads() -> Vec<Workload> {
                         .expect("conv2d_layer")
                         .into_vec()
                 }),
+            });
+        }
+        // The plane-reading forward's two parts, timed apart at the
+        // stages it serves: the fill of every sample's bordered planes,
+        // and the register tile and store that read them (bit for bit
+        // the stage's forward; the fill is a copy, checked through it).
+        for n in [1usize, 16] {
+            let mut own = TensorRng::seed_from_u64(300 + 10 * stage as u64 + n as u64);
+            let x = own.uniform(&[n, cin, side, side], 0.0, 1.0);
+            let w = own.uniform(&[cout, cin, 3, 3], -0.1, 0.1);
+            let bias = own.uniform(&[cout], -0.1, 0.1);
+            let Some(mut parts) =
+                PlaneForward::new(&spec, n, (side, side)).expect("victim stage plans")
+            else {
+                continue;
+            };
+            parts.fill(&x).expect("victim stage input");
+            let parts = RefCell::new(parts);
+            jobs.push(Workload {
+                name: format!("conv2d_victim_stage{}_b{n}_fill", stage + 1),
+                flops: 0.0,
+                run: Box::new(move || {
+                    parts.borrow_mut().fill(&x).expect("fill");
+                    Vec::new()
+                }),
+            });
+            let mut product = PlaneForward::new(&spec, n, (side, side))
+                .expect("victim stage plans")
+                .expect("a plane-reading stage");
+            let x = own.uniform(&[n, cin, side, side], 0.0, 1.0);
+            product.fill(&x).expect("victim stage input");
+            jobs.push(Workload {
+                name: format!("conv2d_victim_stage{}_b{n}_tile", stage + 1),
+                flops: 2.0 * (n * cin * 9 * cout * side * side) as f64,
+                run: Box::new(move || product.product(&w, &bias).expect("product").into_vec()),
             });
         }
         let mut own = TensorRng::seed_from_u64(200 + stage as u64);

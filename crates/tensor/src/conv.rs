@@ -817,7 +817,7 @@ fn plan_conv2d(
 }
 
 /// Immutable per-call geometry shared by the forward/backward workers.
-#[derive(Clone, Copy)]
+#[derive(Clone, Copy, Debug)]
 struct ConvGeom {
     spec: ConvSpec,
     h: usize,
@@ -872,6 +872,11 @@ impl ConvGeom {
 
     fn out_plane_len(&self) -> usize {
         self.spec.out_channels * self.oh * self.ow
+    }
+
+    /// One sample's zero-bordered planes, one per channel.
+    fn sample_planes_len(&self) -> usize {
+        self.spec.in_channels * self.plane
     }
 }
 
@@ -948,14 +953,45 @@ fn conv2d_planes(
     relu: bool,
     out: &mut [f32],
 ) {
-    let (oh, ow) = (geom.oh, geom.ow);
-    let ohw = oh * ow;
-    let f = geom.spec.out_channels;
     let out_plane = geom.out_plane_len();
-    let tile = fused_samples(range.len(), ohw);
-    let sample = geom.spec.in_channels * geom.plane;
+    let tile = fused_samples(range.len(), geom.oh * geom.ow);
     // The border is zeroed here once; the fills only write interiors.
-    let mut data = alloc::scratch_f32(planes_len(tile, sample));
+    let mut data = alloc::scratch_f32(planes_len(tile, geom.sample_planes_len()));
+    let mut samples = range;
+    for tile_out in out.chunks_mut(tile * out_plane) {
+        let images = samples.by_ref().take(tile_out.len() / out_plane);
+        fill_tile(input, &geom, images, &mut data);
+        planes_product(w_mat, bias, &geom, &data, relu, tile_out);
+    }
+}
+
+/// Copies each of `samples` into its own zero-bordered planes, one
+/// sample after another from the start of `data`.
+fn fill_tile(
+    input: &[f32],
+    geom: &ConvGeom,
+    samples: impl Iterator<Item = usize>,
+    data: &mut [f32],
+) {
+    let sample = geom.sample_planes_len().max(1);
+    for (planes, s) in data.chunks_exact_mut(sample).zip(samples) {
+        fill_planes(geom, record(input, s, geom.image_len()), planes);
+    }
+}
+
+/// The product of a tile whose samples' planes [`fill_tile`] filled
+/// into `data`, stored into `tile_out` (`[count, F, OH, OW]`).
+fn planes_product(
+    w_mat: &[f32],
+    bias: &[f32],
+    geom: &ConvGeom,
+    data: &[f32],
+    relu: bool,
+    tile_out: &mut [f32],
+) {
+    let (oh, ow) = (geom.oh, geom.ow);
+    let (ohw, f) = (oh * ow, geom.spec.out_channels);
+    let count = tile_out.len() / geom.out_plane_len().max(1);
     // The widest power-of-two run, up to 32, that divides the rows.
     let per_row = ow % 8 != 0;
     let piece = if per_row {
@@ -963,32 +999,114 @@ fn conv2d_planes(
     } else {
         (ow & ow.wrapping_neg()).min(WIDEST_TILE_COLS)
     };
-    let mut samples = range;
-    for tile_out in out.chunks_mut(tile * out_plane) {
-        let count = tile_out.len() / out_plane;
-        let images = samples.by_ref().take(count);
-        for (planes, s) in data.chunks_exact_mut(sample.max(1)).zip(images) {
-            fill_planes(&geom, record(input, s, geom.image_len()), planes);
+    let planes = Planes {
+        data,
+        sample: geom.sample_planes_len(),
+        plane: geom.plane,
+        pw: geom.padded_width(),
+        ow,
+        ohw,
+        kernel: (geom.spec.kernel_h, geom.spec.kernel_w),
+        piece,
+    };
+    let dest = &mut Dest::nchw(tile_out, f, ohw, bias, relu);
+    let product = (f, geom.k_flat);
+    if per_row {
+        for row in 0..count * oh {
+            gemm_planes_to(w_mat, product, &planes, (row * ow, ow), geom.bl, dest);
         }
-        let planes = Planes {
-            data: &data,
-            sample,
-            plane: geom.plane,
-            pw: geom.padded_width(),
-            ow,
-            ohw,
-            kernel: (geom.spec.kernel_h, geom.spec.kernel_w),
-            piece,
-        };
-        let dest = &mut Dest::nchw(tile_out, f, ohw, bias, relu);
-        let product = (f, geom.k_flat);
-        if per_row {
-            for row in 0..count * oh {
-                gemm_planes_to(w_mat, product, &planes, (row * ow, ow), geom.bl, dest);
-            }
-        } else {
-            gemm_planes_to(w_mat, product, &planes, (0, count * ohw), geom.bl, dest);
+    } else {
+        gemm_planes_to(w_mat, product, &planes, (0, count * ohw), geom.bl, dest);
+    }
+}
+
+/// Bench hook, not an API: a plane-reading forward (module docs) in its
+/// two parts, so that each can be timed alone — [`fill`](Self::fill)
+/// copies every sample of the batch into its zero-bordered planes, and
+/// [`product`](Self::product) runs the register-tiled products that
+/// read them, one batch-fused tile at a time, and store the NCHW
+/// output. `product` after `fill` is [`conv2d`] bit for bit.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct PlaneForward {
+    geom: ConvGeom,
+    n: usize,
+    data: Vec<f32>,
+}
+
+impl PlaneForward {
+    /// The parts of a forward over `[n, C, h, w]` inputs; `None` for a
+    /// geometry that unfolds instead.
+    ///
+    /// # Errors
+    ///
+    /// As [`conv2d`], for impossible geometry or an overflowing size.
+    pub fn new(spec: &ConvSpec, n: usize, (h, w): (usize, usize)) -> Result<Option<Self>> {
+        let (oh, ow) = spec.output_size(h, w)?;
+        if !reads_planes(spec, ow) {
+            return Ok(None);
         }
+        let bp = plan_conv2d(spec, n, (h, w), (oh, ow), false, false)?;
+        let geom = ConvGeom::new(spec, (h, w), (oh, ow), bp.blocking, bp.plane);
+        let sample = checked_product("conv2d planes", &[spec.in_channels, bp.plane])?;
+        let len = checked_product("conv2d planes", &[n, sample])?;
+        let len = checked_add("conv2d planes", len, WIDEST_TILE_COLS)?;
+        Ok(Some(PlaneForward {
+            geom,
+            n,
+            data: vec![0.0; len],
+        }))
+    }
+
+    /// Copies `input` (`[n, C, h, w]`, as planned) into the planes.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] for an input of another shape.
+    pub fn fill(&mut self, input: &Tensor) -> Result<()> {
+        let dims = [self.n, self.geom.spec.in_channels, self.geom.h, self.geom.w];
+        if input.dims() != dims {
+            return Err(TensorError::shape_mismatch("conv2d", input.dims(), &dims));
+        }
+        fill_tile(input.as_slice(), &self.geom, 0..self.n, &mut self.data);
+        Ok(())
+    }
+
+    /// The `[n, F, OH, OW]` output from the planes as last filled.
+    ///
+    /// # Errors
+    ///
+    /// [`TensorError::ShapeMismatch`] for a weight or bias of another
+    /// shape than the spec's.
+    pub fn product(&self, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
+        let spec = &self.geom.spec;
+        let weight_dims = [
+            spec.out_channels,
+            spec.in_channels,
+            spec.kernel_h,
+            spec.kernel_w,
+        ];
+        if weight.dims() != weight_dims || bias.dims() != [spec.out_channels] {
+            return Err(TensorError::shape_mismatch(
+                "conv2d",
+                weight.dims(),
+                &weight_dims,
+            ));
+        }
+        let out_plane = self.geom.out_plane_len();
+        let mut out = vec![0.0; self.n * out_plane];
+        let tile = fused_samples(self.n, self.geom.oh * self.geom.ow);
+        let tile_planes = tile * self.geom.sample_planes_len();
+        let (w_mat, b) = (weight.as_slice(), bias.as_slice());
+        // Tile by tile, as `conv2d` multiplies: each reads its own
+        // samples' planes, and the next tile's (or the slack) runs on.
+        let tiles = out.chunks_mut((tile * out_plane).max(1));
+        for (t, tile_out) in tiles.enumerate() {
+            let data = self.data.get(t * tile_planes..).unwrap_or_default();
+            planes_product(w_mat, b, &self.geom, data, false, tile_out);
+        }
+        let (oh, ow) = (self.geom.oh, self.geom.ow);
+        Tensor::from_vec(out, Shape::of(&[self.n, spec.out_channels, oh, ow]))
     }
 }
 
@@ -2548,7 +2666,7 @@ mod tests {
         /// 1–20 filters, 1–3 channels or 33 (a 3×3 kernel's 297 taps
         /// span two depth panels, the second starting mid-row), and NaN,
         /// ±∞ and −0.0 in the image and the weight. The public entry
-        /// points ride along.
+        /// points and the bench's split forward ride along.
         #[test]
         fn stride_one_forward_matches_the_three_loop_reference(
             seed in 0u64..1_000_000,
@@ -2591,7 +2709,12 @@ mod tests {
                 }
                 runs.push((isa, "conv2d", conv2d(&input, &weight, &bias, &spec).unwrap().into_vec(), false));
                 runs.push((isa, "conv2d_relu", conv2d_relu(&input, &weight, &bias, &spec).unwrap().into_vec(), true));
+                if let Some(mut parts) = PlaneForward::new(&spec, n, (h, w)).unwrap() {
+                    parts.fill(&input).unwrap();
+                    runs.push((isa, "PlaneForward", parts.product(&weight, &bias).unwrap().into_vec(), false));
+                }
             });
+            prop_assert_eq!(runs.iter().any(|r| r.1 == "PlaneForward"), ow >= 8);
             for (isa, what, got, relu) in runs {
                 prop_assert!(
                     same_bits(&got, &want[usize::from(relu)]),

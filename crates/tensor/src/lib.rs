@@ -74,6 +74,8 @@ pub mod simd;
 mod tensor;
 
 pub use broadcast::reduce_to_shape;
+#[doc(hidden)]
+pub use conv::PlaneForward;
 pub use conv::{
     col2im, conv2d, conv2d_backward, conv2d_backward_input, conv2d_backward_params, conv2d_layer,
     conv2d_relu, im2col, Conv2dGrads, ConvSpec, TransposedWeight,
