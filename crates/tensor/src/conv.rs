@@ -51,13 +51,9 @@
 //!   set.
 //!
 //! Both read the same values in the same order, so the choice moves no
-//! bit. Measured on a 2-core AVX-512F host at b16, the unfold was a
-//! quarter of the forward's time and its stores the cost, not the
-//! column matrix's size: unfolding into L1-sized chunks instead was no
-//! faster. Reading the planes takes stage 1 and 2 forwards from ≈ 290–
-//! 310 µs to ≈ 215–230 µs and stage 3 from ≈ 220 to ≈ 195 µs (its
-//! 8-wide rows cost four loads per tap); under AVX2 and the baseline
-//! the two are within noise of each other.
+//! bit. The unfold's cost was its own stores, not the column matrix's
+//! size (unfolding into L1-sized chunks was no faster), so it left the
+//! path rather than shrinking; DESIGN.md §18.5 has the measurements.
 //!
 //! # The zero-bordered plane
 //!
@@ -1080,19 +1076,7 @@ impl PlaneForward {
     /// shape than the spec's.
     pub fn product(&self, weight: &Tensor, bias: &Tensor) -> Result<Tensor> {
         let spec = &self.geom.spec;
-        let weight_dims = [
-            spec.out_channels,
-            spec.in_channels,
-            spec.kernel_h,
-            spec.kernel_w,
-        ];
-        if weight.dims() != weight_dims || bias.dims() != [spec.out_channels] {
-            return Err(TensorError::shape_mismatch(
-                "conv2d",
-                weight.dims(),
-                &weight_dims,
-            ));
-        }
+        validate_weight_and_bias(weight, bias, spec)?;
         let out_plane = self.geom.out_plane_len();
         let mut out = vec![0.0; self.n * out_plane];
         let tile = fused_samples(self.n, self.geom.oh * self.geom.ow);
@@ -1231,15 +1215,8 @@ impl TransposedWeight {
     }
 }
 
-fn conv2d_with(
-    input: &Tensor,
-    weight: &Tensor,
-    weight_t: Option<&TransposedWeight>,
-    bias: &Tensor,
-    spec: &ConvSpec,
-    relu: bool,
-) -> Result<Tensor> {
-    let (n, h, w) = validate_conv_input(input, spec)?;
+/// `weight` must be `[F, C, KH, KW]` and `bias` `[F]` for `spec`.
+fn validate_weight_and_bias(weight: &Tensor, bias: &Tensor, spec: &ConvSpec) -> Result<()> {
     let weight_dims = [
         spec.out_channels,
         spec.in_channels,
@@ -1260,6 +1237,19 @@ fn conv2d_with(
             &[spec.out_channels],
         ));
     }
+    Ok(())
+}
+
+fn conv2d_with(
+    input: &Tensor,
+    weight: &Tensor,
+    weight_t: Option<&TransposedWeight>,
+    bias: &Tensor,
+    spec: &ConvSpec,
+    relu: bool,
+) -> Result<Tensor> {
+    let (n, h, w) = validate_conv_input(input, spec)?;
+    validate_weight_and_bias(weight, bias, spec)?;
     let (oh, ow) = spec.output_size(h, w)?;
     let weight_t = weight_t.filter(|_| swaps(n, oh.saturating_mul(ow)));
     let bp = plan_conv2d(spec, n, (h, w), (oh, ow), false, weight_t.is_some())?;

@@ -264,7 +264,7 @@ const MAX_RUNS: usize = NR_WIDE_512 / 8;
 /// floats, run `g` from the base of the strip's column `g·P`.
 struct PlanesB<'a, const P: usize> {
     runs: [&'a [f32]; MAX_RUNS],
-    taps: TapRows,
+    taps: TapWalk,
 }
 
 impl<'a, const P: usize> PlanesB<'a, P> {
@@ -281,7 +281,7 @@ impl<'a, const P: usize> PlanesB<'a, P> {
         }
         PlanesB {
             runs,
-            taps: TapRows::new(planes, k0, kc),
+            taps: TapWalk::new(planes, k0, kc),
         }
     }
 }
@@ -322,7 +322,7 @@ impl<const NR: usize, const P: usize> StripB<NR> for PlanesB<'_, P> {
 /// `(c, kh)` it touches, the offset `c·plane + kh·pw + kw` of its first
 /// tap in the panel and how many of its taps follow in the panel.
 #[derive(Clone, Copy)]
-struct TapRows {
+struct TapWalk {
     left: usize,
     offset: usize,
     kh: usize,
@@ -334,13 +334,13 @@ struct TapRows {
     next_channel: usize,
 }
 
-impl TapRows {
+impl TapWalk {
     #[inline(always)]
     fn new(planes: &Planes, k0: usize, kc: usize) -> Self {
         let (kernel_h, kernel_w) = planes.kernel;
         let (c, tap) = (k0 / (kernel_h * kernel_w), k0 % (kernel_h * kernel_w));
         let (kh, kw) = (tap / kernel_w, tap % kernel_w);
-        TapRows {
+        TapWalk {
             left: kc,
             offset: c * planes.plane + kh * planes.pw + kw,
             kh,
@@ -352,7 +352,7 @@ impl TapRows {
     }
 }
 
-impl Iterator for TapRows {
+impl Iterator for TapWalk {
     type Item = (usize, usize);
 
     #[inline(always)]
