@@ -85,7 +85,7 @@ echo "==> fabench unit tests"
 echo "==> cargo test"
 cargo test -q --workspace
 
-echo "==> cargo test (FADEML_THREADS=2: kernels on the worker pool)"
+echo "==> cargo test (FADEML_THREADS=2: kernels split their output over two threads)"
 FADEML_THREADS=2 cargo test -q --workspace
 
 echo "==> results/bits.txt is the committed table (no stray FADEML_BLESS=1)"

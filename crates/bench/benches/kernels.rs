@@ -1,6 +1,7 @@
 //! Compute-kernel throughput: the cache-blocked GEMM, conv, and filter
-//! kernels run serially and on the `fademl_tensor::par` worker pool at
-//! 1/2/4/8 threads — every count is bit-checked, but only counts the
+//! kernels run at 1/2/4/8 compute threads (`fademl_tensor::par`, whose
+//! `split_rows` cuts a large enough output into one row range per
+//! thread) — every count is bit-checked, but only counts the
 //! host has cores for are timed and recorded (more threads than cores
 //! measures the scheduler, not the kernel). Shapes mirror the paper's
 //! victims (VGG-ish CIFAR layer, GTSRB-ish mid layer), the five
@@ -431,7 +432,7 @@ fn main() {
         .filter(|&t| t <= host_cores)
         .collect();
 
-    // Scratch-arena gate: with the pool serial, one warm call per
+    // Scratch-arena gate: at one compute thread, one warm call per
     // workload must lease every scratch buffer from the arena without
     // growing it — the steady-state zero-allocation contract. Runs in
     // both modes so the CI smoke (`--test`) enforces it on every push.

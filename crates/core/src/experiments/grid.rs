@@ -390,21 +390,29 @@ where
         .min(items.len());
     let next = AtomicUsize::new(0);
     let results = parking_lot::Mutex::new(Vec::<(usize, Result<T>)>::new());
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let idx = next.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(idx) else {
-                    break;
-                };
-                let outcome = job(item);
-                results.lock().push((idx, outcome));
-            });
-        }
-    })
-    .map_err(|_| FademlError::InvalidConfig {
-        reason: "a scenario worker panicked".into(),
-    })?;
+    let panicked = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| loop {
+                    let idx = next.fetch_add(1, Ordering::Relaxed);
+                    let Some(item) = items.get(idx) else {
+                        break;
+                    };
+                    let outcome = job(item);
+                    results.lock().push((idx, outcome));
+                })
+            })
+            .collect();
+        // Every handle is joined, so a panic is answered here rather
+        // than re-raised when the scope ends.
+        let joined = handles.into_iter().map(|handle| handle.join());
+        joined.filter(|outcome| outcome.is_err()).count() > 0
+    });
+    if panicked {
+        return Err(FademlError::InvalidConfig {
+            reason: "a scenario worker panicked".into(),
+        });
+    }
     let mut collected: Vec<(usize, Result<T>)> = results.into_inner();
     collected.sort_by_key(|(idx, _)| *idx);
     collected.into_iter().map(|(_, r)| r).collect()

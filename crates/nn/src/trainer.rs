@@ -826,7 +826,7 @@ mod tests {
             let _ = std::fs::remove_dir_all(&dir);
             (weights(&model), report.history)
         };
-        // Two pooled runs agree with each other AND with a serial run:
+        // Two 4-thread runs agree with each other AND with a serial run:
         // the par kernels are bit-exact, so the thread count can never
         // leak into the weights.
         let (w_par_a, h_par_a) = run(4, "par_a");

@@ -47,8 +47,8 @@ pub struct ServerConfig {
     /// full batched path as a probe; a successful probe restores normal
     /// batched execution. `1` probes on every batch.
     pub probe_every: usize,
-    /// Compute threads for the parallel tensor kernels (matmul, conv,
-    /// filters) backing the batched inference path. `0` (the default)
+    /// Compute threads for the parallel tensor kernels (matmul, conv)
+    /// backing the batched inference path. `0` (the default)
     /// defers to the `FADEML_THREADS` environment variable or
     /// auto-detection; a positive value installs a process-wide
     /// [`fademl_tensor::par::set_threads`] override at server start.

@@ -16,9 +16,9 @@
 //! blueprint carries cap-checked scratch/output sizes (anything that
 //! would overflow `usize` surfaces as [`TensorError::Overflow`] before
 //! a byte is allocated), the GEMM blocking, and the parallel/serial
-//! decision. Scratch comes from the thread-local arena,
-//! so steady-state serving reuses one high-water buffer per worker
-//! instead of allocating per call.
+//! decision. Scratch comes from the calling thread's arena, so
+//! steady-state serving reuses one high-water buffer per thread instead
+//! of allocating per call.
 //!
 //! # Batch-fused forward
 //!
@@ -123,17 +123,20 @@
 //!
 //! # Parallel decomposition
 //!
-//! The forward pass partitions the *batch* across the [`crate::par`]
-//! pool (each worker unfolds, multiplies and bias-fuses its own
-//! samples); the backward pass partitions ∂weight/∂bias over *filters*
-//! and ∂input over samples. In every case each output element is owned
-//! by exactly one chunk and its accumulation order matches the serial
-//! loop — crucially, ∂weight sums its per-sample contributions in
-//! increasing sample order within one owner — so results are bit-exact
-//! regardless of thread count.
+//! Every parallel kernel hands its output to [`crate::par::split_rows`],
+//! which cuts it into row ranges, one per thread. The forward pass
+//! splits the *batch* (each chunk unfolds, multiplies and bias-fuses
+//! its own samples into its own block of the output); the backward pass
+//! splits ∂input over samples and ∂weight over *filters*, and unfolds
+//! and sums ∂bias on the calling thread. Every chunk reads its operands
+//! in place. In every case each output element is owned by exactly one
+//! chunk and its accumulation order matches the one-chunk call —
+//! crucially, ∂weight sums its per-sample contributions in increasing
+//! sample order within one owner — so results are bit-exact regardless
+//! of thread count.
 
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use serde::{Deserialize, Serialize};
 
@@ -210,6 +213,12 @@ fn cols_ld(ohw: usize) -> usize {
 /// gradients — one sample-summed group spans (256 KiB, so a group stays
 /// in L2 while every register tile walks it).
 const SUM_GROUP_FLOATS: usize = 64 * 1024;
+
+/// Fewest filters a ∂weight chunk may own when a backward splits: a
+/// chunk's product is as wide as its filters, and one narrower than the
+/// 16-column register tile wastes more lanes than a second thread wins
+/// (DESIGN.md §13.1), so ∂weight over fewer filters runs whole.
+const MIN_CHUNK_FILTERS: usize = 16;
 
 /// Geometry of a 2-D convolution.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -812,7 +821,7 @@ fn plan_conv2d(
     })
 }
 
-/// Immutable per-call geometry shared by the forward/backward workers.
+/// Immutable per-call geometry shared by the forward/backward chunks.
 #[derive(Clone, Copy, Debug)]
 struct ConvGeom {
     spec: ConvSpec,
@@ -821,7 +830,7 @@ struct ConvGeom {
     oh: usize,
     ow: usize,
     k_flat: usize,
-    /// GEMM blocking from the blueprint; identical for every worker and
+    /// GEMM blocking from the blueprint; identical for every chunk and
     /// every call with the same shape.
     bl: Blocking,
     /// Length of the zero-bordered plane, cap-checked by the caller.
@@ -1132,12 +1141,13 @@ fn gemm_planes_to(
 
 /// Batched 2-D convolution: `[N, C, H, W] → [N, F, OH, OW]`.
 ///
-/// Samples are independent, so the batch is partitioned across the
-/// [`crate::par`] pool; per sample the result is identical to the
-/// serial path bit-for-bit (see the module docs). The serial-vs-pool
+/// Samples are independent, so a large enough batch is split across
+/// [`crate::par::threads`] threads, each writing its own samples'
+/// block of the output; per sample the result is identical to the
+/// one-thread call bit-for-bit (see the module docs). The split
 /// decision and the GEMM blocking both come from one blueprint, so
-/// they can never disagree for a given shape. On the serial path the
-/// output buffer comes from `alloc::activation_vec`.
+/// they can never disagree for a given shape. The output buffer comes
+/// from `alloc::activation_vec`.
 ///
 /// # Errors
 ///
@@ -1267,26 +1277,17 @@ fn conv2d_with(
             &mut out,
         );
         out
-    } else if bp.parallel {
-        // Cross-thread operands bypass the arena deliberately: a buffer
-        // dropped on another thread would migrate into its pool.
-        let input: Arc<Vec<f32>> = Arc::new(input.as_slice().to_vec());
-        let w_mat: Arc<Vec<f32>> = Arc::new(weight.as_slice().to_vec());
-        let bias: Arc<Vec<f32>> = Arc::new(bias.as_slice().to_vec());
-        let blocks = par::parallel_rows(n, move |range: Range<usize>| {
-            let mut block = vec![0.0f32; range.len() * geom.out_plane_len()];
-            conv2d_block(&input, &w_mat, &bias, geom, range, relu, &mut block);
-            block
-        });
-        let mut out = Vec::with_capacity(bp.out_len);
-        for block in blocks {
-            out.extend_from_slice(&block);
-        }
-        out
     } else {
         let mut out = alloc::activation_vec(bp.out_len);
         let (x, w_mat, bias) = (input.as_slice(), weight.as_slice(), bias.as_slice());
-        conv2d_block(x, w_mat, bias, geom, 0..n, relu, &mut out);
+        par::split_rows(
+            &mut out,
+            geom.out_plane_len(),
+            bp.parallel,
+            |range, block| {
+                conv2d_block(x, w_mat, bias, geom, range, relu, block);
+            },
+        );
         out
     };
     Tensor::from_vec(out, Shape::of(&[n, spec.out_channels, oh, ow]))
@@ -1336,7 +1337,8 @@ fn conv2d_swapped(
     }
 }
 
-/// ∂weight/∂bias worker: gradient rows for the filters in `range`.
+/// ∂weight worker: the gradient rows of the filters in `range`, written
+/// into `grad_w` (`[len, K]`, every element overwritten).
 ///
 /// `sum[K, F′]` accumulates `colsₛ[K, OH·OW] × gₛᵀ[OH·OW, F′]` over the
 /// samples, in increasing order, onto zeros: every element of a
@@ -1352,7 +1354,7 @@ fn conv2d_swapped(
 /// copies. The scratch buffers lease from the calling thread's arena.
 #[expect(
     clippy::indexing_slicing,
-    reason = "one worker's channel range, inside the validated output planes"
+    reason = "one chunk's channel range, inside the validated output planes"
 )]
 fn conv_grad_filters_block(
     grad_out: &[f32],
@@ -1360,7 +1362,8 @@ fn conv_grad_filters_block(
     geom: ConvGeom,
     n: usize,
     range: Range<usize>,
-) -> (Vec<f32>, Vec<f32>) {
+    grad_w: &mut [f32],
+) {
     let ohw = geom.oh * geom.ow;
     let len = range.end - range.start;
     let g_len = ohw * len;
@@ -1376,7 +1379,6 @@ fn conv_grad_filters_block(
         nc: geom.bl.nc.max(len),
         ..geom.bl
     };
-    let mut grad_b = vec![0.0f32; len];
     let mut g_t = alloc::scratch_stale(group * g_len);
     let mut tmp = (!in_registers).then(|| alloc::scratch_stale(geom.k_flat * len));
     let mut sum = alloc::scratch_f32(geom.k_flat * len);
@@ -1385,10 +1387,6 @@ fn conv_grad_filters_block(
         for (slot, sample) in (first..first + count).enumerate() {
             let g_sample = record(grad_out, sample, geom.out_plane_len());
             let g_rows = &g_sample[range.start * ohw..range.end * ohw];
-            // ∂bias: sum over spatial positions, then across samples.
-            for (b, g_row) in grad_b.iter_mut().zip(g_rows.chunks_exact(ohw)) {
-                *b += g_row.iter().sum::<f32>();
-            }
             transpose_into(g_rows, len, ohw, &mut g_t[slot * g_len..]);
         }
         let cols = &cols_all[first * geom.cols_len()..];
@@ -1421,20 +1419,18 @@ fn conv_grad_filters_block(
             *s += t;
         }
     }
-    let mut grad_w = vec![0.0f32; len * geom.k_flat];
-    transpose_into(&sum, geom.k_flat, len, &mut grad_w);
-    (grad_w, grad_b)
+    transpose_into(&sum, geom.k_flat, len, grad_w);
 }
 
-/// ∂input worker: `col2im(wᵀ · g)` for each sample in `range`, returned
-/// as the concatenated image blocks. Tiles of whole samples — as many
-/// as the forward fuses — are gathered into one `[F, tile·OH·OW]`
-/// matrix ([`tile_ld`] apart, so it is the packed layout), multiplied
-/// once into `[K, tile·OH·OW]`, and each sample's columns are folded; a
-/// tile of one sample reads its `[F, OH·OW]` plane in place. The
-/// gathered and unfolded tiles and the fold's plane lease from this
-/// thread's scratch arena (uncleared: each is written before it is
-/// read).
+/// ∂input worker: `col2im(wᵀ · g)` for each sample in `range`, added
+/// onto `out`, their zeroed `[len, C, H, W]` image block. Tiles of
+/// whole samples — as many as the forward fuses — are gathered into
+/// one `[F, tile·OH·OW]` matrix ([`tile_ld`] apart, so it is the packed
+/// layout), multiplied once into `[K, tile·OH·OW]`, and each sample's
+/// columns are folded; a tile of one sample reads its `[F, OH·OW]`
+/// plane in place. The gathered and unfolded tiles and the fold's
+/// plane lease from this thread's scratch arena (uncleared: each is
+/// written before it is read).
 #[expect(
     clippy::indexing_slicing,
     reason = "column ranges of one tile, sized by the validated conv geometry"
@@ -1444,11 +1440,11 @@ fn conv_grad_input_block(
     w_t: &[f32],
     geom: ConvGeom,
     range: Range<usize>,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let ohw = geom.oh * geom.ow;
     let f = geom.spec.out_channels;
     let image_len = geom.image_len().max(1);
-    let mut out = vec![0.0f32; range.len() * geom.image_len()];
     let tile = fused_samples(range.len(), ohw);
     let ld_of = |n_cols: usize| if tile > 1 { tile_ld(n_cols) } else { n_cols };
     let mut gathered = (tile > 1).then(|| alloc::scratch_stale(f * tile_ld(tile * ohw)));
@@ -1484,7 +1480,6 @@ fn conv_grad_input_block(
             col2im_add(&gcols, ld, slot * ohw, &geom, &mut plane, dst);
         }
     }
-    out
 }
 
 /// Whether ∂input runs as a direct stencil
@@ -1503,17 +1498,18 @@ fn direct_input(spec: &ConvSpec) -> bool {
 /// GEMM sums them ([`simd::conv_tap_rows`]) — and then its interior is
 /// added onto the image. A pixel meets its terms in `(kh, kw)` order,
 /// as in [`fold_runs`], so the result is `col2im(wᵀ · g)` bit for bit.
-/// The plane leases from this thread's arena.
+/// The images are added onto `out`, their zeroed `[len, C, H, W]`
+/// block. The plane leases from this thread's arena.
 fn conv_grad_input_direct(
     grad_out: &[f32],
     weight: &[f32],
     geom: ConvGeom,
     range: Range<usize>,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let ConvGeom {
         spec, h, w, oh, ow, ..
     } = geom;
-    let mut out = vec![0.0f32; range.len() * geom.image_len()];
     let mut plane = alloc::scratch_stale(geom.plane);
     let images = out.chunks_exact_mut(geom.image_len().max(1));
     for (sample, image) in range.zip(images) {
@@ -1535,30 +1531,21 @@ fn conv_grad_input_direct(
             add_interior(&geom, &plane, channel);
         }
     }
-    out
 }
 
-/// Unfolds the samples in `range` into `dst`, their concatenated
+/// Unfolds the samples of `input` into `dst`, their concatenated
 /// `[K, OH·OW]` column blocks, each `K` rows [`cols_ld`] apart.
-fn im2col_samples_into(input: &[f32], geom: ConvGeom, range: Range<usize>, dst: &mut [f32]) {
+fn im2col_samples_into(input: &[f32], geom: ConvGeom, dst: &mut [f32]) {
     let ld = cols_ld(geom.oh * geom.ow);
     let mut plane = alloc::scratch_f32(geom.plane);
-    for (block, sample) in dst.chunks_exact_mut(geom.cols_len().max(1)).zip(range) {
+    for (sample, block) in dst.chunks_exact_mut(geom.cols_len().max(1)).enumerate() {
         let image = record(input, sample, geom.image_len());
         unfold_into(image, &geom, &mut plane, block, ld, 0);
     }
 }
 
-/// im2col worker for the parallel path: returns a freshly allocated
-/// (cross-thread) column block.
-fn im2col_samples_block(input: &[f32], geom: ConvGeom, range: Range<usize>) -> Vec<f32> {
-    let mut out = vec![0.0f32; (range.end - range.start) * geom.cols_len()];
-    im2col_samples_into(input, geom, range, &mut out);
-    out
-}
-
-/// The swapped ∂input (module docs) of a whole batch, returned as the
-/// concatenated image blocks: each sample's `[F, OH·OW]` output
+/// The swapped ∂input (module docs) of a whole batch, added onto `out`,
+/// its zeroed `[n, C, H, W]` gradient: each sample's `[F, OH·OW]` output
 /// gradient is transposed into rows of `[n·OH·OW, F]`, one product
 /// against the `[F, K]` weight — read in place as the packed right-hand
 /// side — gives `[n·OH·OW, K]`, and each sample's `OH·OW` rows are
@@ -1571,7 +1558,8 @@ fn conv_grad_input_swapped(
     bp: &Blueprint,
     geom: ConvGeom,
     n: usize,
-) -> Vec<f32> {
+    out: &mut [f32],
+) {
     let (ohw, f, k) = (geom.oh * geom.ow, geom.spec.out_channels, geom.k_flat);
     let mut g_t = alloc::scratch_stale(bp.scratch2);
     for (sample, block) in g_t.chunks_exact_mut((ohw * f).max(1)).enumerate() {
@@ -1581,13 +1569,11 @@ fn conv_grad_input_swapped(
     let mut gcols_t = alloc::scratch_stale(bp.scratch);
     let mut dest = Dest::row_major(&mut gcols_t, k, k);
     gemm_rows_to(&g_t, (n * ohw, f), f, weight, (k, k), geom.bl, &mut dest);
-    let mut out = vec![0.0f32; bp.out_len];
     let mut plane = alloc::scratch_stale(geom.plane);
     let images = out.chunks_exact_mut(geom.image_len().max(1));
     for (image, pixels) in images.zip(gcols_t.chunks_exact((ohw * k).max(1))) {
         col2im_add_pixels(pixels, &geom, &mut plane, image);
     }
-    out
 }
 
 /// Validates and plans a backward call: `(blueprint, geometry, N)`.
@@ -1614,8 +1600,8 @@ fn plan_backward(
 /// ∂input of a planned backward call: swapped below [`SWAP_COLS`]
 /// output columns ([`conv_grad_input_swapped`]), else a direct stencil
 /// for the first layer's geometry ([`conv_grad_input_direct`]), else
-/// `col2im(wᵀ · g)`, a tile of samples per product — the last two
-/// partitioned over samples when the blueprint says so.
+/// `col2im(wᵀ · g)`, a tile of samples per product — the last two split
+/// over samples by [`par::split_rows`] when the blueprint says so.
 fn grad_input(
     bp: &Blueprint,
     geom: ConvGeom,
@@ -1623,46 +1609,32 @@ fn grad_input(
     weight: &[f32],
     grad_out: &[f32],
 ) -> Vec<f32> {
-    let f = geom.spec.out_channels;
+    let mut out = vec![0.0f32; bp.out_len];
+    let image_len = geom.image_len();
     if swaps(n, geom.oh * geom.ow) {
-        return conv_grad_input_swapped(grad_out, weight, bp, geom, n);
-    }
-    let direct = direct_input(&geom.spec);
-    if !bp.parallel {
-        if direct {
-            return conv_grad_input_direct(grad_out, weight, geom, 0..n);
-        }
-        let mut w_t = alloc::scratch_f32(bp.scratch2);
-        transpose_into(weight, f, geom.k_flat, &mut w_t);
-        return conv_grad_input_block(grad_out, &w_t, geom, 0..n);
-    }
-    // The direct stencil reads the weight as it is, the GEMM its
-    // `[K, F]` transpose.
-    let w_mat = if direct {
-        weight.to_vec()
+        conv_grad_input_swapped(grad_out, weight, bp, geom, n, &mut out);
+    } else if direct_input(&geom.spec) {
+        par::split_rows(&mut out, image_len, bp.parallel, |range, images| {
+            conv_grad_input_direct(grad_out, weight, geom, range, images);
+        });
     } else {
-        let mut w_t = vec![0.0f32; bp.scratch2];
-        transpose_into(weight, f, geom.k_flat, &mut w_t);
-        w_t
-    };
-    let w_mat = Arc::new(w_mat);
-    let g: Arc<Vec<f32>> = Arc::new(grad_out.to_vec());
-    let blocks = par::parallel_rows(n, move |range: Range<usize>| {
-        if direct {
-            conv_grad_input_direct(&g, &w_mat, geom, range)
-        } else {
-            conv_grad_input_block(&g, &w_mat, geom, range)
-        }
-    });
-    let mut out = Vec::with_capacity(bp.out_len);
-    for block in blocks {
-        out.extend_from_slice(&block);
+        let mut w_t = alloc::scratch_f32(bp.scratch2);
+        transpose_into(weight, geom.spec.out_channels, geom.k_flat, &mut w_t);
+        par::split_rows(&mut out, image_len, bp.parallel, |range, images| {
+            conv_grad_input_block(grad_out, &w_t, geom, range, images);
+        });
     }
     out
 }
 
-/// ∂weight and ∂bias of a planned backward call, `([F, K], [F])`,
-/// partitioned over filters when the blueprint says so.
+/// ∂weight and ∂bias of a planned backward call, `([F, K], [F])`. Every
+/// sample is unfolded once into one column matrix on the calling thread
+/// (a copy, which a second thread did not speed up; DESIGN.md §13.1).
+/// ∂weight is split over filters when every chunk keeps at least
+/// [`MIN_CHUNK_FILTERS`], each chunk owning whole gradient rows and
+/// reading the shared columns in place. ∂bias is summed on the calling
+/// thread: per filter, each sample's spatial sum added in sample order
+/// onto `0.0`.
 fn grad_params(
     bp: &Blueprint,
     geom: ConvGeom,
@@ -1672,32 +1644,20 @@ fn grad_params(
 ) -> Result<(Vec<f32>, Vec<f32>)> {
     let f = geom.spec.out_channels;
     let cols_total = checked_product("conv2d_backward cols", &[n, geom.cols_len()])?;
-    if !bp.parallel {
-        let mut cols_all = alloc::scratch_stale(cols_total);
-        im2col_samples_into(input, geom, 0..n, &mut cols_all);
-        return Ok(conv_grad_filters_block(grad_out, &cols_all, geom, n, 0..f));
-    }
-    // Unfold every sample once (partitioned over samples); the column
-    // matrices are shared read-only by the ∂weight workers, which own
-    // whole filter rows.
-    let input: Arc<Vec<f32>> = Arc::new(input.to_vec());
-    let col_blocks = par::parallel_rows(n, move |range: Range<usize>| {
-        im2col_samples_block(&input, geom, range)
+    let mut cols_all = alloc::scratch_stale(cols_total);
+    im2col_samples_into(input, geom, &mut cols_all);
+    let mut grad_w = vec![0.0f32; f * geom.k_flat];
+    let split = bp.parallel && f / par::threads() >= MIN_CHUNK_FILTERS;
+    par::split_rows(&mut grad_w, geom.k_flat, split, |range, rows| {
+        conv_grad_filters_block(grad_out, &cols_all, geom, n, range, rows);
     });
-    let mut cols_all = Vec::with_capacity(cols_total);
-    for block in col_blocks {
-        cols_all.extend_from_slice(&block);
-    }
-    let cols_all = Arc::new(cols_all);
-    let g: Arc<Vec<f32>> = Arc::new(grad_out.to_vec());
-    let grad_blocks = par::parallel_rows(f, move |range: Range<usize>| {
-        conv_grad_filters_block(&g, &cols_all, geom, n, range)
-    });
-    let mut grad_w = Vec::with_capacity(f * geom.k_flat);
-    let mut grad_b = Vec::with_capacity(f);
-    for (w_block, b_block) in grad_blocks {
-        grad_w.extend_from_slice(&w_block);
-        grad_b.extend_from_slice(&b_block);
+    let ohw = (geom.oh * geom.ow).max(1);
+    let mut grad_b = vec![0.0f32; f];
+    for sample in 0..n {
+        let g = record(grad_out, sample, geom.out_plane_len());
+        for (b, g_row) in grad_b.iter_mut().zip(g.chunks_exact(ohw)) {
+            *b += g_row.iter().sum::<f32>();
+        }
     }
     Ok((grad_w, grad_b))
 }
@@ -1706,9 +1666,10 @@ fn grad_params(
 ///
 /// `grad_out` must have the forward output's shape `[N, F, OH, OW]`.
 ///
-/// ∂weight and ∂bias are partitioned over *filters* (each worker owns
-/// whole gradient rows and sums samples in order), ∂input over samples;
-/// both are bit-exact across thread counts.
+/// ∂weight is split over *filters* (each chunk owns whole gradient
+/// rows and sums samples in order), ∂input over samples, and ∂bias is
+/// summed on the calling thread; all three are bit-exact across thread
+/// counts.
 ///
 /// # Errors
 ///
@@ -2194,7 +2155,7 @@ mod tests {
     }
 
     /// Checks one backward geometry against the scalar references:
-    /// the ∂weight/∂bias worker on whole and partial filter ranges, the
+    /// the ∂weight worker on whole and partial filter ranges, the
     /// fold on one sample's gradient columns, and `conv2d_backward`
     /// end to end at one and two compute threads.
     fn assert_backward_matches_reference(spec: &ConvSpec, n: usize, h: usize, w: usize) {
@@ -2206,7 +2167,7 @@ mod tests {
         let ohw = oh * ow;
         // ∂weight's padded operand, and the references' packed one.
         let mut cols_all = vec![f32::NAN; n * geom.cols_len()];
-        im2col_samples_into(input.as_slice(), geom, 0..n, &mut cols_all);
+        im2col_samples_into(input.as_slice(), geom, &mut cols_all);
         let mut packed = vec![0.0f32; n * geom.k_flat * ohw];
         let mut plane = vec![0.0f32; geom.plane];
         for (block, sample) in packed.chunks_exact_mut(geom.k_flat * ohw).zip(0..n) {
@@ -2242,24 +2203,20 @@ mod tests {
             conv_grad_filters_reference(grad_out.as_slice(), &packed, geom, n, 0..f);
         crate::simd::with_each_isa(|isa| {
             for range in [0..f, 1..f, 0..f - 1] {
-                let (want_w, want_b) = conv_grad_filters_reference(
+                let (want_w, _) = conv_grad_filters_reference(
                     grad_out.as_slice(),
                     &packed,
                     geom,
                     n,
                     range.clone(),
                 );
-                let (got_w, got_b) =
-                    conv_grad_filters_block(grad_out.as_slice(), &cols_all, geom, n, range.clone());
+                let mut got_w = vec![f32::NAN; range.len() * geom.k_flat];
+                let g = grad_out.as_slice();
+                conv_grad_filters_block(g, &cols_all, geom, n, range.clone(), &mut got_w);
                 assert_eq!(
                     slice_bits(&got_w),
                     slice_bits(&want_w),
                     "∂weight {range:?} on {isa:?}, {tag}"
-                );
-                assert_eq!(
-                    slice_bits(&got_b),
-                    slice_bits(&want_b),
-                    "∂bias {range:?} on {isa:?}, {tag}"
                 );
             }
             for threads in [1, 2] {
@@ -2627,9 +2584,13 @@ mod tests {
                 runs.push((isa, "conv2d".into(), conv2d(&input, &weight, &bias, &spec).unwrap().into_vec(), 0));
                 runs.push((isa, "conv2d_relu".into(), conv2d_relu(&input, &weight, &bias, &spec).unwrap().into_vec(), 1));
                 let (_, geom) = plan(true, false);
-                runs.push((isa, "unswapped ∂input".into(), conv_grad_input_block(g, &w_t, geom, 0..n), 2));
+                let mut got = vec![0.0f32; want_input.len()];
+                conv_grad_input_block(g, &w_t, geom, 0..n, &mut got);
+                runs.push((isa, "unswapped ∂input".into(), got, 2));
                 let (bp, geom) = plan(true, true);
-                runs.push((isa, "swapped ∂input".into(), conv_grad_input_swapped(g, wt, &bp, geom, n), 2));
+                let mut got = vec![0.0f32; want_input.len()];
+                conv_grad_input_swapped(g, wt, &bp, geom, n, &mut got);
+                runs.push((isa, "swapped ∂input".into(), got, 2));
                 let got = conv2d_backward_input(&input, &weight, &grad, &spec).unwrap();
                 runs.push((isa, "conv2d_backward_input".into(), got.into_vec(), 2));
             });
@@ -2758,8 +2719,12 @@ mod tests {
             transpose_into(wt, f, geom.k_flat, &mut w_t);
             let mut runs = Vec::new();
             crate::simd::with_each_isa(|isa| {
-                runs.push((isa, "direct", conv_grad_input_direct(g, wt, geom, 0..n)));
-                runs.push((isa, "GEMM", conv_grad_input_block(g, &w_t, geom, 0..n)));
+                let mut got = vec![0.0f32; want.len()];
+                conv_grad_input_direct(g, wt, geom, 0..n, &mut got);
+                runs.push((isa, "direct", got));
+                let mut got = vec![0.0f32; want.len()];
+                conv_grad_input_block(g, &w_t, geom, 0..n, &mut got);
+                runs.push((isa, "GEMM", got));
                 let got = conv2d_backward_input(&input, &weight, &grad, &spec).unwrap();
                 runs.push((isa, "conv2d_backward_input", got.into_vec()));
             });

@@ -6,27 +6,24 @@
 //! sizes, the blocking parameters, and the parallel/serial decision —
 //! then share one packed, register-tiled block kernel (`matmul_tn` and
 //! `matmul_nt` first transpose the operand that is not in the kernel's
-//! layout: a copy, no arithmetic) and partition *rows of the output*
-//! across the [`crate::par`] pool. Each output element is owned by exactly one
-//! chunk and its `k`-accumulation runs in increasing-`p` order in a
-//! single `f32` accumulator — the same order as the reference
-//! three-loop kernel — so results are **bit-exact regardless of thread
-//! count, blocking choice, register tile or instruction set**. That
-//! invariant is what keeps checkpoints byte-reproducible and the
-//! seed-sensitive statistical tests stable; see the proptests here and
-//! in `tests/par_invariance.rs`.
+//! layout: a copy, no arithmetic) and split *rows of the output* into
+//! ranges with [`crate::par::split_rows`]. Each output element is owned
+//! by exactly one chunk and its `k`-accumulation runs in increasing-`p`
+//! order in a single `f32` accumulator — the same order as the
+//! reference three-loop kernel — so results are **bit-exact regardless
+//! of thread count, blocking choice, register tile or instruction
+//! set**. That invariant is what keeps checkpoints byte-reproducible
+//! and the seed-sensitive statistical tests stable; see the proptests
+//! here and in `tests/par_invariance.rs`.
 //!
 //! The `(mc, kc, nc)` loops choose which cache block is resident; the
 //! arithmetic inside a block is the register-tiled micro-kernel of
 //! [`crate::simd`]. `B` is repacked once per call into `kc × nc` panels
 //! so a block's rows are `nc`, not `n`, floats apart. Packing copies
 //! values without arithmetic, so it cannot perturb the accumulation
-//! order. On the serial path the packing panel comes from the
-//! thread-local scratch arena, so steady-state serving re-uses one
-//! high-water buffer instead of allocating per call.
-
-use std::ops::Range;
-use std::sync::Arc;
+//! order. The packing panel comes from the calling thread's scratch
+//! arena, so steady-state serving re-uses one high-water buffer instead
+//! of allocating per call, and every chunk reads it in place.
 
 use crate::plan::alloc;
 use crate::plan::blueprint::{plan_gemm, Blocking, Blueprint, OpKind};
@@ -211,57 +208,24 @@ pub(crate) fn transpose_into(src: &[f32], rows: usize, cols: usize, dst: &mut [f
     }
 }
 
-/// Serial driver: packs `B` into an arena panel and runs the blocked
-/// kernel for all `m` rows. Zero heap allocation once the arena
-/// is warm (the output buffer is the caller's, freshly allocated by
-/// design — it outlives the call as tensor data).
-fn gemm_serial(bp: &Blueprint, a: &[f32], b: &[f32], m: usize, k: usize, n: usize) -> Vec<f32> {
+/// The routine behind all three products: packs `B` into an arena
+/// panel and runs the blocked kernel over the `m` rows of `A`, split
+/// into row ranges by [`par::split_rows`] when the blueprint says so —
+/// every chunk reads `A` and the packed panel in place and writes its
+/// own rows of the output. Zero heap allocation once the arena is warm
+/// but the output itself, which outlives the call as tensor data.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "each chunk's row range lies inside the m rows checked at entry"
+)]
+fn gemm(bp: &Blueprint, a: &[f32], b: &[f32], k: usize, n: usize) -> Vec<f32> {
     let mut packed = alloc::scratch_f32(bp.scratch);
     pack_b_into(b, k, n, bp.blocking, &mut packed);
     let mut out = vec![0.0f32; bp.out_len];
-    gemm_rows_into(a, m, k, &packed, n, bp.blocking, &mut out);
-    out
-}
-
-/// Parallel driver: the pool requires `'static` jobs (no unsafe
-/// lifetime erasure in this workspace), so `A` and the packed `B` are
-/// shared via `Arc` — one O(m·k + k·n) copy against O(m·k·n) compute.
-/// Those cross-thread buffers deliberately bypass the arena: a buffer
-/// dropped on another thread would migrate into that thread's pool.
-#[expect(
-    clippy::indexing_slicing,
-    reason = "each worker's row range lies inside the m rows checked at entry"
-)]
-fn gemm_parallel(
-    bp: &Blueprint,
-    a: Arc<Vec<f32>>,
-    b: &[f32],
-    m: usize,
-    k: usize,
-    n: usize,
-) -> Vec<f32> {
-    let mut packed_buf = vec![0.0f32; bp.scratch];
-    pack_b_into(b, k, n, bp.blocking, &mut packed_buf);
-    let packed = Arc::new(packed_buf);
-    let blocking = bp.blocking;
-    let blocks = par::parallel_rows(m, move |rows: Range<usize>| {
-        let len = rows.end - rows.start;
-        let mut block = vec![0.0f32; len * n];
-        gemm_rows_into(
-            &a[rows.start * k..rows.end * k],
-            len,
-            k,
-            &packed,
-            n,
-            blocking,
-            &mut block,
-        );
-        block
+    par::split_rows(&mut out, n, bp.parallel, |rows, block| {
+        let a_rows = &a[rows.start * k..rows.end * k];
+        gemm_rows_into(a_rows, rows.len(), k, &packed, n, bp.blocking, block);
     });
-    let mut out = Vec::with_capacity(bp.out_len);
-    for block in blocks {
-        out.extend_from_slice(&block);
-    }
     out
 }
 
@@ -281,9 +245,9 @@ impl Tensor {
     /// Matrix product of two rank-2 tensors: `[m, k] × [k, n] → [m, n]`.
     ///
     /// Cache-blocked over a packed `B` with blocking chosen per shape
-    /// class, partitioned by output rows across the
-    /// [`crate::par`] pool, and bit-exact across thread counts and
-    /// blocking choices (see the module docs). Non-finite values
+    /// class, split by output rows across [`crate::par::threads`]
+    /// threads for a large enough product, and bit-exact across thread
+    /// counts and blocking choices (see the module docs). Non-finite values
     /// propagate: a `NaN`/`Inf` anywhere in either operand reaches
     /// every output it mathematically touches (there is deliberately no
     /// zero-skip — `0 × NaN` must stay `NaN`).
@@ -304,12 +268,7 @@ impl Tensor {
             ));
         }
         let bp = plan_gemm(OpKind::MatMul, m, k, n)?;
-        let out = if bp.parallel {
-            let a = Arc::new(self.as_slice().to_vec());
-            gemm_parallel(&bp, a, other.as_slice(), m, k, n)
-        } else {
-            gemm_serial(&bp, self.as_slice(), other.as_slice(), m, k, n)
-        };
+        let out = gemm(&bp, self.as_slice(), other.as_slice(), k, n);
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
 
@@ -319,9 +278,9 @@ impl Tensor {
     /// (`∂W = xᵀ · ∂y`).
     ///
     /// Internally `self` *is* transposed into a scratch buffer (an
-    /// O(k·m) copy, arena-backed on the serial path) so the same
-    /// blocked row-parallel kernel — and the same increasing-`p`
-    /// accumulation order — serves all layouts.
+    /// O(k·m) copy, arena-backed) so the same blocked row-parallel
+    /// kernel — and the same increasing-`p` accumulation order — serves
+    /// all layouts.
     ///
     /// # Errors
     ///
@@ -336,15 +295,9 @@ impl Tensor {
             ));
         }
         let bp = plan_gemm(OpKind::MatMulTn, m, k, n)?;
-        let out = if bp.parallel {
-            let mut at = vec![0.0f32; bp.scratch2];
-            transpose_into(self.as_slice(), k, m, &mut at);
-            gemm_parallel(&bp, Arc::new(at), other.as_slice(), m, k, n)
-        } else {
-            let mut at = alloc::scratch_f32(bp.scratch2);
-            transpose_into(self.as_slice(), k, m, &mut at);
-            gemm_serial(&bp, &at, other.as_slice(), m, k, n)
-        };
+        let mut at = alloc::scratch_f32(bp.scratch2);
+        transpose_into(self.as_slice(), k, m, &mut at);
+        let out = gemm(&bp, &at, other.as_slice(), k, n);
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
 
@@ -372,16 +325,9 @@ impl Tensor {
             ));
         }
         let bp = plan_gemm(OpKind::MatMulNt, m, k, n)?;
-        // Packed (copied again) before any worker sees it, so the
-        // transpose can stay in this thread's arena on both paths.
         let mut bt = alloc::scratch_stale(bp.scratch2);
         transpose_into(other.as_slice(), n, k, &mut bt);
-        let out = if bp.parallel {
-            let a = Arc::new(self.as_slice().to_vec());
-            gemm_parallel(&bp, a, &bt, m, k, n)
-        } else {
-            gemm_serial(&bp, self.as_slice(), &bt, m, k, n)
-        };
+        let out = gemm(&bp, self.as_slice(), &bt, k, n);
         Tensor::from_vec(out, Shape::of(&[m, n]))
     }
 }
@@ -550,7 +496,7 @@ mod tests {
     fn matmul_nt_matches_scalar_reference_bit_for_bit() {
         // The victim head, every register-tile edge, `k` past one and
         // two `kc` panels (256; 512 for the vector-matrix class), and a
-        // product big enough for the pool.
+        // product big enough to split at two threads.
         for (m, k, n) in [
             (16, 64, 43),
             (1, 1030, 1),
@@ -559,6 +505,7 @@ mod tests {
             (9, 300, 21),
             (40, 513, 70),
             (64, 96, 64),
+            (160, 320, 200),
         ] {
             let mut rng = crate::TensorRng::seed_from_u64((m * k * n) as u64);
             let a = rng.uniform(&[m, k], -2.0, 2.0);

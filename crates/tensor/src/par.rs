@@ -1,11 +1,12 @@
-//! Persistent worker pool and row-partition primitive for the compute
-//! kernels.
+//! Thread count and the one fork-join primitive of the compute kernels.
 //!
-//! The pool is a process-wide singleton: workers are spawned lazily the
-//! first time a parallel kernel actually needs them and then reused for
-//! every subsequent call — there are no per-call thread spawns. Jobs
-//! travel over an MPMC [`crossbeam::channel`], so any worker (or the
-//! submitting caller itself) can pick them up.
+//! A parallel kernel hands [`split_rows`] its output buffer and a job
+//! that fills a range of output rows. The rows are cut into contiguous
+//! chunks, the caller runs the first and [`std::thread::scope`] runs
+//! the rest, so each job borrows its inputs and writes its own disjoint
+//! block of the output: no operand is copied for another thread, and no
+//! result is concatenated. A call with one chunk is a plain call of the
+//! job on the calling thread.
 //!
 //! # Thread-count resolution
 //!
@@ -20,36 +21,25 @@
 //!
 //! # Determinism contract
 //!
-//! [`parallel_rows`] only *partitions* an index space into contiguous
+//! [`split_rows`] only *partitions* the output rows into contiguous
 //! chunks; it never reorders or combines floating-point work itself.
 //! Every kernel built on it assigns each output element to exactly one
 //! chunk and keeps the per-element accumulation order identical to the
-//! serial kernel, so results are bit-exact regardless of thread count.
+//! one-chunk call, so results are bit-exact regardless of thread count.
 //! The chunk boundaries depend on [`threads`], but because no float
 //! crosses a chunk boundary this cannot change any value.
-//!
-//! # Deadlock freedom
-//!
-//! The submitting caller executes the first chunk inline and, while
-//! waiting for the remaining chunks, *helps*: it drains queued jobs
-//! from the shared channel and runs them on its own stack. Even with
-//! zero live workers (or workers all blocked inside nested parallel
-//! sections) every submitted job is eventually executed by somebody,
-//! so nested `parallel_rows` calls cannot deadlock the pool.
 
 use std::ops::Range;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::panic::resume_unwind;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::time::Duration;
+use std::sync::OnceLock;
 
-use crossbeam::channel::{self, Receiver, Sender};
-
-/// A unit of work shipped to the pool.
-type Job = Box<dyn FnOnce() + Send + 'static>;
-
-/// Below this many flops a parallel dispatch costs more than it saves.
-const MIN_PARALLEL_WORK: usize = 32 * 1024;
+/// Below this many multiply-adds a split costs more than it saves: a
+/// scoped spawn and join costs about 35 µs, and a helper's arena is
+/// cold on every call (DESIGN.md §13.1). The victim's largest stages at
+/// a served batch of 16 (2 and 3, 4.7 M each) stay below it; its
+/// stages 1–4 at the training batch of 32 (7.1 M and 9.4 M) split.
+const MIN_PARALLEL_WORK: usize = 6 << 20;
 
 /// Process-wide thread-count override (0 = unset). Installed by
 /// [`set_threads`]; read before the environment.
@@ -57,56 +47,6 @@ static OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
 /// Cached `FADEML_THREADS` / `available_parallelism` resolution.
 static AUTO: OnceLock<usize> = OnceLock::new();
-
-/// The singleton pool.
-static POOL: OnceLock<Pool> = OnceLock::new();
-
-struct Pool {
-    tx: Sender<Job>,
-    rx: Receiver<Job>,
-    /// How many workers have been spawned so far (monotone).
-    spawned: parking_lot::Mutex<usize>,
-}
-
-impl Pool {
-    fn get() -> &'static Pool {
-        POOL.get_or_init(|| {
-            let (tx, rx) = channel::unbounded();
-            Pool {
-                tx,
-                rx,
-                spawned: parking_lot::Mutex::new(0),
-            }
-        })
-    }
-
-    /// Makes sure at least `target` workers exist (capped at 255 as a
-    /// runaway guard). Workers block on the shared channel and live for
-    /// the rest of the process; the pool is reused across calls.
-    fn ensure_workers(&'static self, target: usize) {
-        let target = target.min(255);
-        let mut spawned = self.spawned.lock();
-        while *spawned < target {
-            let rx = self.rx.clone();
-            let name = format!("fademl-par-{}", *spawned);
-            #[expect(
-                clippy::disallowed_methods,
-                reason = "the compute pool's own workers: every other compute thread is one of these"
-            )]
-            let spawn = std::thread::Builder::new().name(name).spawn(move || {
-                while let Ok(job) = rx.recv() {
-                    job()
-                }
-            });
-            if spawn.is_err() {
-                // Thread exhaustion: the caller-helps protocol still
-                // executes every job, just with less parallelism.
-                break;
-            }
-            *spawned += 1;
-        }
-    }
-}
 
 /// Installs a process-wide thread-count override. `0` clears the
 /// override, falling back to `FADEML_THREADS` / auto-detection.
@@ -135,7 +75,7 @@ pub fn threads() -> usize {
 }
 
 /// `true` when a kernel over `rows` independent rows totalling roughly
-/// `work` flops is worth dispatching to the pool.
+/// `work` multiply-adds is worth splitting across threads.
 pub fn should_parallelize(rows: usize, work: usize) -> bool {
     rows >= 2 && work >= MIN_PARALLEL_WORK && threads() > 1
 }
@@ -155,107 +95,63 @@ fn partition(rows: usize, chunks: usize) -> Vec<Range<usize>> {
     ranges
 }
 
-/// Runs `job` over `0..rows` split into at most [`threads`] contiguous
-/// chunks, returning each chunk's result in chunk order (so results can
-/// be concatenated to reproduce the serial output ordering).
+/// Runs `job(range, block)` over the rows of `out`, `per_row` elements
+/// each, where `block` is the rows `range` of `out`.
 ///
-/// The caller executes the first chunk inline; the rest go to the
-/// persistent pool. While waiting, the caller drains and executes
-/// queued jobs itself, which makes nested calls deadlock-free and keeps
-/// the primitive correct even if no worker thread could be spawned.
+/// When `parallel` is set (a blueprint's `should_parallelize` bit), the
+/// rows are cut into at most [`threads`] contiguous chunks: the caller
+/// runs the first, a scoped thread each of the others, and the call
+/// returns once all are done. Otherwise — or when there is only one
+/// chunk — `job` runs once over every row on the calling thread, with
+/// no scope, no allocation and no thread.
 ///
-/// Panics inside `job` are caught per-chunk, and the first one is
-/// re-raised on the calling thread after all chunks settle.
-pub fn parallel_rows<T, F>(rows: usize, job: F) -> Vec<T>
+/// A chunk's panic reaches the caller with its own payload after every
+/// chunk has finished; when several panic, the first in chunk order
+/// wins.
+pub fn split_rows<T, F>(out: &mut [T], per_row: usize, parallel: bool, job: F)
 where
-    T: Send + 'static,
-    F: Fn(Range<usize>) -> T + Send + Sync + 'static,
+    T: Send,
+    F: Fn(Range<usize>, &mut [T]) + Sync,
 {
-    let t = threads();
-    if t <= 1 || rows <= 1 {
-        return vec![job(0..rows)];
+    let rows = out.len().checked_div(per_row).unwrap_or(0);
+    let chunks = if parallel { threads().min(rows) } else { 1 };
+    if chunks <= 1 {
+        return job(0..rows, out);
     }
-    let chunks = t.min(rows);
-    let ranges = partition(rows, chunks);
-    let job = Arc::new(job);
-    let pool = Pool::get();
-    pool.ensure_workers(chunks - 1);
-
-    type ChunkResult<T> = std::thread::Result<T>;
-    let (done_tx, done_rx) = channel::bounded::<(usize, ChunkResult<T>)>(chunks);
-    let mut slots: Vec<Option<ChunkResult<T>>> = Vec::default();
-    slots.resize_with(chunks, || None);
-    let mut settled = 0;
-
-    for (index, range) in ranges.iter().cloned().enumerate().skip(1) {
-        let job = Arc::clone(&job);
-        let done = done_tx.clone();
-        let boxed: Job = Box::new(move || {
-            let result = catch_unwind(AssertUnwindSafe(|| job(range)));
-            #[expect(
-                clippy::let_underscore_must_use,
-                reason = "best-effort: the collector hanging up means the caller bailed"
-            )]
-            let _ = done.send((index, result));
-        });
-        if let Err(rejected) = pool.tx.send(boxed) {
-            // The pool channel can only close at process teardown;
-            // degrade by running the chunk on this thread.
-            (rejected.0)();
-        }
+    let mut blocks = Vec::with_capacity(chunks);
+    let mut rest = out;
+    for range in partition(rows, chunks) {
+        let (block, tail) = rest.split_at_mut(range.len() * per_row);
+        blocks.push((range, block));
+        rest = tail;
     }
-
-    // Chunk 0 runs on the calling thread — with one resolved thread the
-    // whole call never touches the pool at all (see the early return).
-    if let (Some(range), Some(slot)) = (ranges.first().cloned(), slots.get_mut(0)) {
-        *slot = Some(catch_unwind(AssertUnwindSafe(|| job(range))));
-        settled += 1;
-    }
-
-    while settled < chunks {
-        if let Ok((index, result)) = done_rx.try_recv() {
-            if let Some(slot) = slots.get_mut(index) {
-                *slot = Some(result);
-                settled += 1;
-            }
-            continue;
+    let job = &job;
+    std::thread::scope(|scope| {
+        let mut blocks = blocks.into_iter();
+        let first = blocks.next();
+        let helpers: Vec<_> = blocks
+            .map(|(range, block)| scope.spawn(move || job(range, block)))
+            .collect();
+        if let Some((range, block)) = first {
+            job(range, block);
         }
-        // Nothing finished: help by executing a queued job (possibly
-        // one of ours, possibly a nested call's) on this stack.
-        if let Ok(queued) = pool.rx.try_recv() {
-            queued();
-            continue;
-        }
-        // Queue empty and nothing done — a worker is mid-chunk. Block
-        // briefly so we neither spin nor miss a late helper job.
-        if let Ok((index, result)) = done_rx.recv_timeout(Duration::from_micros(200)) {
-            if let Some(slot) = slots.get_mut(index) {
-                *slot = Some(result);
-                settled += 1;
+        let mut panic = None;
+        for helper in helpers {
+            if let Err(payload) = helper.join() {
+                panic.get_or_insert(payload);
             }
         }
-    }
-
-    let mut out = Vec::with_capacity(chunks);
-    let mut panic_payload = None;
-    for slot in slots {
-        match slot {
-            Some(Ok(value)) => out.push(value),
-            Some(Err(payload)) => panic_payload = Some(payload),
-            // Unreachable: the loop above settles every slot exactly once.
-            None => {}
+        if let Some(payload) = panic {
+            resume_unwind(payload);
         }
-    }
-    if let Some(payload) = panic_payload {
-        resume_unwind(payload);
-    }
-    out
+    });
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use parking_lot::Mutex;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// `set_threads` is process-global; tests that touch it run under
     /// this lock so they cannot race each other's overrides.
@@ -292,9 +188,18 @@ mod tests {
         for t in [1usize, 2, 4, 7] {
             with_threads(t, || {
                 for rows in [0usize, 1, 2, 3, 13, 64] {
-                    let chunks = parallel_rows(rows, |r| r.collect::<Vec<_>>());
-                    let flat: Vec<usize> = chunks.into_iter().flatten().collect();
-                    assert_eq!(flat, (0..rows).collect::<Vec<_>>(), "t={t} rows={rows}");
+                    let mut out = vec![usize::MAX; rows * 3];
+                    split_rows(&mut out, 3, true, |range, block| {
+                        assert_eq!(block.len(), range.len() * 3);
+                        for (row, slot) in range.zip(block.chunks_exact_mut(3)) {
+                            for v in slot.iter_mut() {
+                                assert_eq!(*v, usize::MAX, "row {row} written twice");
+                                *v = row;
+                            }
+                        }
+                    });
+                    let want: Vec<usize> = (0..rows).flat_map(|r| [r; 3]).collect();
+                    assert_eq!(out, want, "t={t} rows={rows}");
                 }
             });
         }
@@ -302,50 +207,77 @@ mod tests {
 
     #[test]
     fn results_arrive_in_chunk_order() {
+        // Each chunk stamps its block with its first row: the blocks
+        // follow the partition, chunk by chunk.
+        let mut out = vec![usize::MAX; 17];
         with_threads(4, || {
-            let chunks = parallel_rows(17, |r| r.start);
-            let mut sorted = chunks.clone();
-            sorted.sort_unstable();
-            assert_eq!(chunks, sorted);
+            split_rows(&mut out, 1, true, |range, block| block.fill(range.start));
         });
+        let want: Vec<usize> = partition(17, 4)
+            .into_iter()
+            .flat_map(|r| std::iter::repeat_n(r.start, r.len()))
+            .collect();
+        assert_eq!(out, want);
     }
 
     #[test]
-    fn single_thread_never_uses_pool() {
-        with_threads(1, || {
-            let chunks = parallel_rows(8, |r| {
-                (std::thread::current().name().map(String::from), r.len())
-            });
-            assert_eq!(chunks.len(), 1);
-            assert_eq!(chunks[0].1, 8);
-        });
+    fn one_chunk_runs_on_the_calling_thread() {
+        let caller = std::thread::current().id();
+        let on_caller = |threads: usize, parallel: bool, rows: usize| {
+            with_threads(threads, || {
+                let seen = Mutex::new(Vec::new());
+                split_rows(&mut vec![0u8; rows], 1, parallel, |range, _| {
+                    seen.lock().push((std::thread::current().id(), range));
+                });
+                seen.into_inner()
+            })
+        };
+        assert_eq!(on_caller(1, true, 8), [(caller, 0..8)]);
+        assert_eq!(on_caller(4, false, 8), [(caller, 0..8)]);
+        assert_eq!(on_caller(4, true, 1), [(caller, 0..1)]);
+        let split = on_caller(4, true, 8);
+        assert_eq!(split.len(), 4);
+        assert!(split.contains(&(caller, 0..2)), "chunk 0 is the caller's");
     }
 
     #[test]
     fn nested_calls_complete() {
+        let mut totals = vec![0usize; 4];
         with_threads(4, || {
-            let totals = parallel_rows(4, |outer| {
-                let inner = parallel_rows(8, |r| r.sum::<usize>());
-                outer.sum::<usize>() + inner.iter().sum::<usize>()
+            split_rows(&mut totals, 1, true, |outer, block| {
+                let mut inner = vec![0usize; 8];
+                split_rows(&mut inner, 1, true, |r, b| b.fill(r.sum::<usize>()));
+                block.fill(outer.sum::<usize>() + inner.iter().sum::<usize>());
             });
-            let inner_total: usize = (0..8).sum();
-            let outer_total: usize = (0..4).sum();
-            let grand: usize = totals.iter().sum();
-            assert_eq!(grand, outer_total + 4 * inner_total);
         });
+        // Each inner chunk stamps every row with its range's sum.
+        let inner: usize = partition(8, 4)
+            .into_iter()
+            .map(|r| r.len() * r.sum::<usize>())
+            .sum();
+        assert_eq!(totals, [inner, 1 + inner, 2 + inner, 3 + inner]);
     }
 
     #[test]
     fn worker_panic_propagates_to_caller() {
+        // Later chunks panic sooner, so the payload is chosen by chunk
+        // order, not by arrival: the first helper's, with its own text.
         let caught = with_threads(4, || {
             catch_unwind(AssertUnwindSafe(|| {
-                parallel_rows(8, |r| {
-                    assert!(!r.contains(&5), "chunk containing row 5 panics");
-                    r.len()
-                })
+                split_rows(&mut [0u8; 8], 1, true, |range, _| {
+                    if range.start > 0 {
+                        let wait = 5 * (8 - range.start as u64);
+                        std::thread::sleep(std::time::Duration::from_millis(wait));
+                        panic!("chunk at row {}", range.start);
+                    }
+                });
             }))
         });
-        assert!(caught.is_err());
+        let payload = caught.expect_err("a helper panicked");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("chunk at row 2")
+        );
     }
 
     #[test]
@@ -362,10 +294,11 @@ mod tests {
         with_threads(4, || {
             assert!(!should_parallelize(1, usize::MAX));
             assert!(!should_parallelize(64, 100));
-            assert!(should_parallelize(64, 1 << 20));
+            assert!(!should_parallelize(64, MIN_PARALLEL_WORK - 1));
+            assert!(should_parallelize(64, MIN_PARALLEL_WORK));
         });
         with_threads(1, || {
-            assert!(!should_parallelize(64, 1 << 20));
+            assert!(!should_parallelize(64, MIN_PARALLEL_WORK));
         });
     }
 }

@@ -6,17 +6,19 @@
 //! capacity reuse: after the first call on a given shape key the pool
 //! holds a buffer big enough, and steady-state serving performs zero
 //! kernel-scratch heap allocations. The arena handle *is* the thread —
-//! each `fademl-par-N` pool worker and the caller thread owns its own
-//! pool, so no locking is needed and a buffer released on a worker
-//! stays with that worker.
+//! the calling thread and each helper thread of a `par::split_rows`
+//! call own their own pools, so no locking is needed. A helper lives
+//! for one call, so its pool starts cold and is freed when it exits.
+//! A buffer the caller leases may be lent to its helpers for the call
+//! (they read the packed panel or the unfolded columns, or write their
+//! rows of it in place); it is dropped, and returns to the pool, on the
+//! caller.
 //!
-//! Output buffers (tensor data that outlives the call) and buffers that
-//! cross threads (parallel-dispatch operand copies, per-chunk result
-//! blocks) must NOT come from the arena: a buffer dropped on a
-//! different thread would migrate into that thread's pool and slowly
-//! drain the owner's. Those are plain `vec![…]` / `Vec::with_capacity`
-//! / `to_vec` allocations, per call by design; `tests/allocs.rs` pins
-//! how many the served frame makes.
+//! Output buffers (tensor data that outlives the call) must NOT come
+//! from the arena: a buffer dropped on a different thread would
+//! migrate into that thread's pool and slowly drain the owner's. Those
+//! are plain `vec![…]` allocations, per call by design;
+//! `tests/allocs.rs` pins how many the served frame makes.
 //!
 //! Counters are always-on relaxed atomics (a handful of uncontended
 //! `fetch_add`s per kernel call) so both the test suite and the

@@ -1,6 +1,6 @@
 //! Kernel blueprints: how one (op, shape, thread-count) combination
-//! should execute — blocking parameters, parallel/serial dispatch, and
-//! cap-checked scratch/output sizes.
+//! should execute — blocking parameters, whether to split the output
+//! across threads, and cap-checked scratch/output sizes.
 //!
 //! A [`Blueprint`] is a pure function of the shape and of
 //! `par::threads()`, rebuilt on every call (a handful of checked
@@ -13,7 +13,7 @@
 //! The GEMM accumulates each output element in a single `f32`
 //! accumulator in increasing-`p` order regardless of `(mc, kc, nc)` —
 //! panel loops visit `p` ascending within and across panels — and
-//! parallel partitioning only splits independent output rows. So any
+//! a split only cuts between independent output rows. So any
 //! blueprint produces byte-identical output.
 
 use crate::error::TensorError;
@@ -34,8 +34,8 @@ pub enum OpKind {
 /// vecmat / square / tall-skinny split of cubek-matmul.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum ShapeClass {
-    /// Work below the parallel threshold; defaults are fine, overhead
-    /// dominates everything else.
+    /// Work below [`SMALL_WORK`]; defaults are fine, overhead dominates
+    /// everything else.
     SmallSerial,
     /// Degenerate row/column count (vector × matrix).
     VecMat,
@@ -74,8 +74,8 @@ pub struct Blueprint {
     /// GEMM blocking.
     pub blocking: Blocking,
     /// The `should_parallelize` decision — the single source of truth
-    /// for serial-vs-pool dispatch for this shape at the current
-    /// `par::threads()`.
+    /// for whether `par::split_rows` splits this shape's output at the
+    /// current `par::threads()`.
     pub parallel: bool,
     /// Primary scratch length (packing panel / im2col columns),
     /// cap-checked.
@@ -94,8 +94,9 @@ pub struct Blueprint {
 }
 
 /// Work (in multiply-accumulates) below which a shape is
-/// [`ShapeClass::SmallSerial`]; matches `par::should_parallelize`'s
-/// threshold so classification and dispatch agree.
+/// [`ShapeClass::SmallSerial`] and keeps the default blocking. It is
+/// not the split threshold: `par::should_parallelize` weighs a scoped
+/// spawn and join, which costs far more than a blocking choice moves.
 pub const SMALL_WORK: usize = 32 * 1024;
 
 /// Classifies a GEMM by its output dimensions and total work.

@@ -1,5 +1,5 @@
-//! Thread-count and instruction-set invariance: every kernel routed
-//! through the `fademl_tensor::par` pool must produce **bit-identical**
+//! Thread-count and instruction-set invariance: every kernel that splits
+//! its output with `fademl_tensor::par` must produce **bit-identical**
 //! output at any thread count, and the GEMM micro-kernel's
 //! instantiations (baseline, AVX2, AVX-512F) must agree lane for lane.
 //! This is the invariant that lets byte-exact checkpoint/resume
@@ -58,24 +58,40 @@ fn filled(rng: &mut TensorRng, dims: &[usize]) -> Tensor {
 
 // ---------------------------------------------------------------- fixed
 // Adversarial fixed shapes: degenerate 1×1, primes everywhere, fewer
-// rows than workers, and shapes big enough to actually engage the pool
-// (work ≥ the `should_parallelize` threshold).
+// rows than threads, and shapes big enough to actually split (work ≥
+// the `should_parallelize` threshold, asserted, so that a raised
+// threshold cannot quietly turn them into serial-against-serial
+// comparisons).
+
+/// Whether a plan made at two threads splits.
+fn splits_at_two_threads(plan: impl FnOnce() -> bool) -> bool {
+    let _guard = THREADS_GUARD.lock();
+    par::set_threads(2);
+    let splits = plan();
+    par::set_threads(1);
+    splits
+}
 
 #[test]
 fn matmul_family_invariant_on_adversarial_shapes() {
     let mut rng = TensorRng::seed_from_u64(7);
     for (m, k, n) in [
-        (1, 1, 1),      // scalar product, below every threshold
-        (2, 257, 3),    // prime k spanning two KC blocks
-        (3, 1, 1031),   // prime n spanning three NC panels
-        (7, 64, 513),   // rows below the sweep's max thread count
-        (67, 129, 65),  // primes straddling MC/KC block edges
-        (128, 256, 64), // well past the parallel threshold
+        (1, 1, 1),       // scalar product, below every threshold
+        (2, 257, 3),     // prime k spanning two KC blocks
+        (3, 1, 1031),    // prime n spanning three NC panels
+        (7, 64, 513),    // rows below the sweep's max thread count
+        (67, 129, 65),   // primes straddling MC/KC block edges
+        (192, 320, 200), // past the parallel threshold
+        (193, 331, 199), // past it, rows split unevenly at 2, 4 and 7
     ] {
         let a = filled(&mut rng, &[m, k]);
         let b = filled(&mut rng, &[k, n]);
         let at = filled(&mut rng, &[k, m]);
         let bt = filled(&mut rng, &[n, k]);
+        for op in [OpKind::MatMul, OpKind::MatMulTn, OpKind::MatMulNt] {
+            let split = splits_at_two_threads(|| plan_gemm(op, m, k, n).expect("plan").parallel);
+            assert!(m < 192 || split, "{op:?} {m}x{k}x{n} no longer splits");
+        }
         assert_invariant(
             || a.matmul(&b).expect("matmul").into_vec(),
             &format!("matmul {m}x{k}x{n}"),
@@ -94,13 +110,21 @@ fn matmul_family_invariant_on_adversarial_shapes() {
 #[test]
 fn conv2d_invariant_on_adversarial_shapes() {
     let mut rng = TensorRng::seed_from_u64(11);
-    // (batch, spec, h, w): single sample, fewer samples than workers,
-    // stride/padding asymmetry, and a pool-engaging VGG-ish layer.
+    // (batch, spec, h, w): single sample, fewer samples than threads,
+    // stride/padding asymmetry, and two layers that split: the served
+    // victim's first stage at its training batch (the direct ∂input
+    // stencil) and a deeper one (the GEMM ∂input, and ∂weight's 33
+    // filters cut 17 and 16 at two threads), at a batch that no sweep
+    // count divides.
     for (n, spec, h, w) in [
         (1, ConvSpec::new(1, 1, 1, 1, 0), 1, 1),
         (3, ConvSpec::new(2, 5, 3, 2, 1), 7, 11),
-        (8, ConvSpec::new(3, 32, 3, 1, 1), 32, 32),
+        (32, ConvSpec::new(3, 8, 3, 1, 1), 32, 32),
+        (13, ConvSpec::new(16, 33, 3, 1, 1), 16, 16),
     ] {
+        let work = n * spec.weight_count() * h * w;
+        let split = splits_at_two_threads(|| par::should_parallelize(n, work));
+        assert!(n < 13 || split, "conv2d n={n} {spec:?} no longer splits");
         let input = filled(&mut rng, &[n, spec.in_channels, h, w]);
         let weight = filled(
             &mut rng,
@@ -143,18 +167,18 @@ fn conv2d_invariant_on_adversarial_shapes() {
 #[test]
 fn plan_follows_set_threads_on_the_next_call() {
     let _guard = THREADS_GUARD.lock();
-    let (m, k, n) = (128, 256, 64); // well past the parallel threshold
+    let (m, k, n) = (192, 320, 200); // past the parallel threshold
     par::set_threads(1);
     let serial = plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
     par::set_threads(4);
-    let pooled = plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
+    let split = plan_gemm(OpKind::MatMul, m, k, n).expect("plan");
     par::set_threads(1);
     assert!(!serial.parallel, "one thread must plan serial");
-    assert!(pooled.parallel, "four threads must plan onto the pool");
+    assert!(split.parallel, "four threads must plan a split");
     assert_eq!(
         (serial.blocking, serial.out_len),
-        (pooled.blocking, pooled.out_len),
-        "only the dispatch bit may depend on the pool width"
+        (split.blocking, split.out_len),
+        "only the dispatch bit may depend on the thread count"
     );
 }
 
