@@ -220,22 +220,36 @@ mod tests {
         assert_eq!(out, want);
     }
 
+    /// Runs one `split_rows` over `rows` one-byte rows and records which
+    /// thread ran each chunk, and on which range.
+    fn chunks_seen(
+        threads: usize,
+        parallel: bool,
+        rows: usize,
+    ) -> Vec<(std::thread::ThreadId, std::ops::Range<usize>)> {
+        with_threads(threads, || {
+            let seen = Mutex::new(Vec::new());
+            split_rows(&mut vec![0u8; rows], 1, parallel, |range, _| {
+                seen.lock().push((std::thread::current().id(), range));
+            });
+            seen.into_inner()
+        })
+    }
+
+    #[test]
+    fn single_thread_never_uses_pool() {
+        // One compute thread: a single chunk over every row, run on the
+        // caller, never on a helper thread.
+        let caller = std::thread::current().id();
+        assert_eq!(chunks_seen(1, true, 8), [(caller, 0..8)]);
+    }
+
     #[test]
     fn one_chunk_runs_on_the_calling_thread() {
         let caller = std::thread::current().id();
-        let on_caller = |threads: usize, parallel: bool, rows: usize| {
-            with_threads(threads, || {
-                let seen = Mutex::new(Vec::new());
-                split_rows(&mut vec![0u8; rows], 1, parallel, |range, _| {
-                    seen.lock().push((std::thread::current().id(), range));
-                });
-                seen.into_inner()
-            })
-        };
-        assert_eq!(on_caller(1, true, 8), [(caller, 0..8)]);
-        assert_eq!(on_caller(4, false, 8), [(caller, 0..8)]);
-        assert_eq!(on_caller(4, true, 1), [(caller, 0..1)]);
-        let split = on_caller(4, true, 8);
+        assert_eq!(chunks_seen(4, false, 8), [(caller, 0..8)]);
+        assert_eq!(chunks_seen(4, true, 1), [(caller, 0..1)]);
+        let split = chunks_seen(4, true, 8);
         assert_eq!(split.len(), 4);
         assert!(split.contains(&(caller, 0..2)), "chunk 0 is the caller's");
     }
